@@ -1,10 +1,9 @@
-// Shared google-benchmark context injection for the ablation benches.
+// Google-benchmark context injection for ablation_annotation_overhead.
 //
-// Deliberately a leaf TU with no scperf includes: the segment-cache bench
-// measures inlined charging paths whose codegen (and even final-binary
-// layout) shifts when sibling TUs emit different sets of weak inline
-// symbols — see the header comments of ablation_segment_cache*.cpp. A TU
-// that only touches benchmark.h cannot move those measurements.
+// Deliberately a leaf TU with no scperf includes: the bench measures inlined
+// charging paths, and a TU that only touches benchmark.h cannot change which
+// inline scperf symbols the final binary emits, so adding context keys here
+// never moves the measured codegen.
 
 #include <benchmark/benchmark.h>
 

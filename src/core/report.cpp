@@ -100,39 +100,4 @@ void Report::write_resource_csv(std::ostream& os) const {
   }
 }
 
-void Report::print_cache(std::ostream& os) const {
-  bool any = false;
-  for (const auto& c : cache) {
-    any |= c.hits + c.misses + c.bypassed > 0;
-  }
-  if (!any) return;
-  os << "\n-- segment replay cache --\n";
-  os << std::left << std::setw(16) << "resource" << std::right << std::setw(10)
-     << "hits" << std::setw(10) << "misses" << std::setw(10) << "bypassed"
-     << std::setw(14) << "ops saved" << std::setw(16) << "cycles saved"
-     << std::setw(10) << "entries" << std::setw(12) << "krn hits"
-     << std::setw(14) << "ops folded" << "\n";
-  for (const auto& c : cache) {
-    if (c.hits + c.misses + c.bypassed == 0) continue;
-    os << std::left << std::setw(16) << c.resource << std::right
-       << std::setw(10) << c.hits << std::setw(10) << c.misses << std::setw(10)
-       << c.bypassed << std::setw(14) << c.replayed_ops << std::setw(16)
-       << std::fixed << std::setprecision(1) << c.cycles_saved << std::setw(10)
-       << c.entries << std::setw(12) << c.kernel_hits << std::setw(14)
-       << c.kernel_ops_folded << "\n";
-  }
-  os.unsetf(std::ios::fixed);
-}
-
-void Report::write_cache_csv(std::ostream& os) const {
-  os << "resource,cache_hits,cache_misses,cache_bypassed,replayed_ops,"
-        "cycles_saved,entries,kernel_builds,kernel_hits,kernel_ops_folded\n";
-  for (const auto& c : cache) {
-    os << c.resource << ',' << c.hits << ',' << c.misses << ',' << c.bypassed
-       << ',' << c.replayed_ops << ',' << c.cycles_saved << ',' << c.entries
-       << ',' << c.kernel_builds << ',' << c.kernel_hits << ','
-       << c.kernel_ops_folded << "\n";
-  }
-}
-
 }  // namespace scperf

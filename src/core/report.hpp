@@ -60,28 +60,10 @@ struct Report {
     SegmentStats stats;
   };
 
-  /// Per-resource segment-replay-cache counters (observability; kept out of
-  /// print()/write_csv() so cache-on and cache-off reports stay
-  /// byte-identical — use print_cache()/write_cache_csv()).
-  struct CacheRow {
-    std::string resource;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t bypassed = 0;
-    std::uint64_t replayed_ops = 0;
-    double cycles_saved = 0.0;
-    std::uint64_t entries = 0;
-    // Fused per-segment cost kernels (miss-path prefix reuse).
-    std::uint64_t kernel_builds = 0;
-    std::uint64_t kernel_hits = 0;
-    std::uint64_t kernel_ops_folded = 0;
-  };
-
   minisc::Time sim_time;
   std::vector<ProcessRow> processes;
   std::vector<ResourceRow> resources;
   std::vector<SegmentRow> segments;
-  std::vector<CacheRow> cache;
 
   /// Human-readable summary tables.
   void print(std::ostream& os) const;
@@ -91,11 +73,6 @@ struct Report {
   void write_process_csv(std::ostream& os) const;
   /// Per-resource occupation (busy, rtos, utilisation) as CSV.
   void write_resource_csv(std::ostream& os) const;
-  /// Replay-cache table / CSV (per resource); no-ops when the cache never
-  /// saw a segment (e.g. SCPERF_SEGMENT_CACHE=0 builds print nothing, so
-  /// diffing full reports across modes stays possible via print()).
-  void print_cache(std::ostream& os) const;
-  void write_cache_csv(std::ostream& os) const;
 };
 
 }  // namespace scperf

@@ -13,27 +13,6 @@ FaultInjector::FaultInjector(minisc::Simulator& sim, scperf::Estimator& est,
       consumed_(scenario.pulses().size(), false) {
   inner_ = sim_.hook();
   sim_.set_hook(this);
-  // Segment-replay soundness: every fault-targeted resource must charge
-  // conventionally. Pulses write extra cycles into the live accumulator
-  // mid-segment (FP addition order would differ between a replayed and a
-  // conventionally charged segment); outages stretch execution timing; a
-  // crash kills mid-segment, so a replay trace would be dropped unresolved
-  // while its charged counterpart kept the partial op histogram.
-  for (const Pulse& pulse : scenario_.pulses()) {
-    if (scperf::Resource* r = est_.find_resource(pulse.resource)) {
-      r->set_memo_unsafe();
-    }
-  }
-  for (const Outage& o : scenario_.outages()) {
-    if (scperf::Resource* r = est_.find_resource(o.resource)) {
-      r->set_memo_unsafe();
-    }
-  }
-  for (const CrashSpec& c : scenario_.crashes()) {
-    if (scperf::Resource* r = est_.mapped_resource(c.process)) {
-      r->set_memo_unsafe();
-    }
-  }
   spawn_drivers();
 }
 

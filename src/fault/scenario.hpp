@@ -241,7 +241,7 @@ struct ScenarioConfig {
 /// Stable 64-bit fingerprint of a scenario specification: an FNV-style fold
 /// over every spec field, in declaration order, with doubles hashed by bit
 /// pattern. A campaign journal stores this in its header so a *resumed*
-/// campaign can prove it is replaying runs of the same fault model — any
+/// campaign can prove it replays runs of the same fault model — any
 /// edit to the scenario (one probability, one extra spec) changes the digest
 /// and the resume is refused instead of silently mixing incompatible runs.
 std::uint64_t config_digest(const ScenarioConfig& config);

@@ -63,17 +63,6 @@ struct CampaignRunResult {
   /// CaptureRegistry::value_sequence_hash of the run — equal seeds must
   /// yield equal hashes (determinism check across repeated campaigns).
   std::uint64_t value_hash = 0;
-
-  /// Segment-replay-cache counters of the run (fill from
-  /// Estimator::segment_cache_stats). Observability only: excluded from the
-  /// default CSV/report so cache-on and cache-off campaign outputs stay
-  /// byte-identical; opt in via the with_cache_stats parameters. Sweeps use
-  /// cache_hits + cache_misses == 0 to confirm the cache never engaged on
-  /// fault-injected resources.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_bypassed = 0;
-  double cache_cycles_saved = 0.0;
 };
 
 /// Aggregate view of a campaign. All ci95 fields are half-widths of normal-
@@ -121,13 +110,6 @@ struct CampaignReport {
   /// explores a different region than the nominal one.
   double mean_weight = 0.0;
 
-  /// Segment-replay-cache totals over completed runs (observability; only
-  /// printed when print() is asked for them).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_bypassed = 0;
-  double cache_cycles_saved = 0.0;
-
   // ---- sequential model checking (populated when the campaign ran with an
   //      engaged CampaignOptions::smc spec, or via set_smc_verdict on the
   //      merge path) ----
@@ -151,9 +133,8 @@ struct CampaignReport {
   /// drift apart (or double-report with different numbers).
   std::string ess_warning() const;
 
-  /// with_cache_stats appends the replay-cache totals; the default output is
-  /// byte-identical to pre-cache builds.
-  void print(std::ostream& os, bool with_cache_stats = false) const;
+  /// Human-readable summary of the fields above.
+  void print(std::ostream& os) const;
 };
 
 /// The Bernoulli observation the campaign-level sequential test consumes:
@@ -200,7 +181,7 @@ struct CampaignOptions {
   /// host power cut — a killed *process* loses nothing).
   std::size_t journal_flush_every = 8;
 
-  // ---- shard identity (journal header v2; set by trace/shard.hpp) ----
+  // ---- shard identity (journal header; set by trace/shard.hpp) ----
   //
   // A sharded fleet campaign runs this campaign as shard `shard_index` of
   // `shard_count`, covering global run indices [shard_begin, shard_begin +
@@ -215,14 +196,14 @@ struct CampaignOptions {
   std::uint64_t total_runs = 0;  ///< 0 = the n passed to run()
   std::string worker_id;
 
-  // ---- work stealing (journal header v3; set by trace/shard.hpp) ----
+  // ---- work stealing (journal header; set by trace/shard.hpp) ----
 
   /// Lease incarnation recorded in the journal header: 0 for a unit's
   /// primary journal, the victim lease's post-steal epoch for a child
   /// journal created by stealing the tail of a live unit.
   std::uint64_t steal_epoch = 0;
   /// Relaxes the resume identity check: accept a journal whose header
-  /// `runs` exceeds the n passed to run(), replaying only records with
+  /// `runs` exceeds the n passed to run(), reading back only records with
   /// index < n and ignoring the rest. A stolen unit shrinks — its journal
   /// header still advertises the size the unit had when the journal was
   /// created, so a resuming worker of the shrunken unit must tolerate the
@@ -346,12 +327,10 @@ class FaultCampaign {
   }
 
   /// One row per run: seed, completed, makespan, deadlines, faults, weight,
-  /// energy, hash. with_cache_stats appends the per-run replay-cache
-  /// columns (hits, misses, bypassed, cycles saved); the default columns are
-  /// byte-identical to pre-cache builds. A campaign with a sequential
-  /// verdict prefixes one '#' summary line (method, outcome, samples used,
-  /// statistic, bound) so the decision travels with the per-run data.
-  void write_csv(std::ostream& os, bool with_cache_stats = false) const;
+  /// energy, hash. A campaign with a sequential verdict prefixes one '#'
+  /// summary line (method, outcome, samples used, statistic, bound) so the
+  /// decision travels with the per-run data.
+  void write_csv(std::ostream& os) const;
 
  private:
   void run_sequential(std::uint64_t base_seed, std::size_t n,
@@ -458,9 +437,7 @@ class CampaignSweep {
   /// Miss-rate grid: one row per mapping, one column per scenario.
   void print(std::ostream& os) const;
   /// One row per cell: mapping, scenario, and the headline report fields.
-  /// with_cache_stats appends the cell's replay-cache totals so a sweep can
-  /// confirm the cache never engaged under fault scenarios.
-  void write_csv(std::ostream& os, bool with_cache_stats = false) const;
+  void write_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> mappings_;

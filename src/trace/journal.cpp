@@ -111,14 +111,14 @@ std::string encode_header(const JournalHeader& h) {
   put_u64(out, h.runs);
   put_u64(out, h.scenario_digest);
   put_string(out, h.tag);
-  // v2 shard identity block. A writer always emits the current version;
-  // unsharded campaigns carry the degenerate shard-0-of-1 identity.
+  // Shard identity: unsharded campaigns carry the degenerate shard-0-of-1
+  // identity.
   put_u64(out, h.shard_index);
   put_u64(out, h.shard_count == 0 ? 1 : h.shard_count);
   put_u64(out, h.shard_begin);
   put_u64(out, h.total_runs == 0 ? h.runs : h.total_runs);
   put_string(out, h.worker_id);
-  // v3 steal block: lease incarnation that created the journal (0 = primary).
+  // Lease incarnation that created the journal (0 = primary).
   put_u64(out, h.steal_epoch);
   return out;
 }
@@ -140,10 +140,6 @@ std::string encode_run(std::size_t index, const CampaignRunResult& r) {
   put_double(out, r.energy_pj);
   put_double(out, r.fault_energy_pj);
   put_u64(out, r.value_hash);
-  put_u64(out, r.cache_hits);
-  put_u64(out, r.cache_misses);
-  put_u64(out, r.cache_bypassed);
-  put_double(out, r.cache_cycles_saved);
   return out;
 }
 
@@ -240,39 +236,26 @@ JournalContents read_journal(const std::string& path) {
         throw_corrupt(path, record, "is not the expected header record");
       }
       out.header.version = c.u32();
-      if (out.header.version < 1 || out.header.version > JournalHeader::kVersion) {
+      if (out.header.version != JournalHeader::kVersion) {
         throw SimError(
             SimError::Kind::kShardVersionMismatch,
             "campaign journal '" + path + "': format version " +
                 std::to_string(out.header.version) +
-                ", but this build reads versions 1-" +
+                ", but this build reads only version " +
                 std::to_string(JournalHeader::kVersion) +
-                " — journals from different releases refuse to mix");
+                " — journals from different releases refuse to mix; delete "
+                "the file to re-run its campaign");
       }
       out.header.base_seed = c.u64();
       out.header.runs = c.u64();
       out.header.scenario_digest = c.u64();
       out.header.tag = c.str();
-      if (out.header.version >= 2) {
-        out.header.shard_index = c.u64();
-        out.header.shard_count = c.u64();
-        out.header.shard_begin = c.u64();
-        out.header.total_runs = c.u64();
-        out.header.worker_id = c.str();
-      } else {
-        // v1 compat: pre-shard journals are the whole campaign by definition.
-        out.header.shard_index = 0;
-        out.header.shard_count = 1;
-        out.header.shard_begin = 0;
-        out.header.total_runs = out.header.runs;
-        out.header.worker_id.clear();
-      }
-      if (out.header.version >= 3) {
-        out.header.steal_epoch = c.u64();
-      } else {
-        // v1/v2 compat: pre-steal journals are primaries by definition.
-        out.header.steal_epoch = 0;
-      }
+      out.header.shard_index = c.u64();
+      out.header.shard_count = c.u64();
+      out.header.shard_begin = c.u64();
+      out.header.total_runs = c.u64();
+      out.header.worker_id = c.str();
+      out.header.steal_epoch = c.u64();
       if (!c.done()) throw_corrupt(path, record, "has a malformed header");
       have_header = true;
     } else if (type == kDecisionType) {
@@ -329,10 +312,6 @@ JournalContents read_journal(const std::string& path) {
       rec.result.energy_pj = c.f64();
       rec.result.fault_energy_pj = c.f64();
       rec.result.value_hash = c.u64();
-      rec.result.cache_hits = c.u64();
-      rec.result.cache_misses = c.u64();
-      rec.result.cache_bypassed = c.u64();
-      rec.result.cache_cycles_saved = c.f64();
       if (!c.done()) throw_corrupt(path, record, "has a malformed payload");
       out.records.push_back(std::move(rec));
     }

@@ -17,7 +17,7 @@ namespace sctrace {
 /// A campaign that runs thousands of seeds must survive the realities of
 /// long runs: a host crash, an OOM kill, a CI timeout. The journal makes
 /// each completed seed durable the moment it finishes, so an interrupted
-/// campaign resumes by replaying the recorded runs bit-exactly and
+/// campaign resumes by reading back the recorded runs bit-exactly and
 /// re-running only the missing ones — report() and write_csv() come out
 /// byte-identical to an uninterrupted run.
 ///
@@ -41,16 +41,16 @@ namespace sctrace {
 /// being run — mixing runs of different fault models is how silent garbage
 /// gets into papers.
 ///
-/// Format version 2 adds the shard identity block (see trace/shard.hpp): a
-/// journal can be one shard of a fleet-scale campaign, covering the global
-/// run indices [shard_begin, shard_begin + runs) of a total_runs-run
-/// campaign split into shard_count journals. Unsharded campaigns write the
-/// degenerate identity (shard 0 of 1, begin 0, total == runs). worker_id
-/// names the process that *created* the journal — adoption of a dead
-/// worker's shard appends under the original header, so the id is
+/// The header also carries the journal's shard identity (see
+/// trace/shard.hpp): a journal can be one shard of a fleet-scale campaign,
+/// covering the global run indices [shard_begin, shard_begin + runs) of a
+/// total_runs-run campaign split into shard_count journals. Unsharded
+/// campaigns write the degenerate identity (shard 0 of 1, begin 0, total ==
+/// runs). worker_id names the process that *created* the journal — adoption
+/// of a dead worker's shard appends under the original header, so the id is
 /// provenance, not ownership (ownership lives in the lease file).
 ///
-/// Format version 3 adds the steal epoch: when a straggler's live unit is
+/// The steal epoch records work stealing: when a straggler's live unit is
 /// split by a work-stealing peer (see trace/shard.hpp), the stolen tail runs
 /// under a *child* journal whose header carries the lease incarnation
 /// (steal epoch) that created it. Primary journals carry epoch 0. The epoch
@@ -58,17 +58,12 @@ namespace sctrace {
 /// sub-unit's effective range from the set of sibling journals, not from the
 /// epoch itself.
 ///
-/// Older journals remain readable — read_journal accepts versions 1 through
-/// kVersion, filling absent fields with their degenerate defaults (v1: the
-/// whole-campaign shard identity; v2: steal epoch 0) — but are read-only:
-/// resume refuses to extend them (SimError(kShardVersionMismatch) naming
-/// both versions), because appending current-era records under an old header
-/// would make the file lie about what a reader can assume of it. Merge
-/// accepts v2 alongside v3 (nothing in a v2 file is ambiguous to a v3
-/// reader); v1 files predate the shard layer entirely and stay unmergeable.
+/// There is one format version, kVersion. read_journal refuses every other
+/// version with SimError(kShardVersionMismatch) naming both versions, so
+/// resume, merge and repartition never see a file of another format.
 struct JournalHeader {
-  /// The format this build writes; read_journal accepts 1 through 3.
-  static constexpr std::uint32_t kVersion = 3;
+  /// The format this build writes and the only one read_journal accepts.
+  static constexpr std::uint32_t kVersion = 4;
 
   std::uint32_t version = kVersion;
   std::uint64_t base_seed = 0;
@@ -78,7 +73,7 @@ struct JournalHeader {
   /// Free-form identity tag (e.g. "mapping/scenario" for sweep cells).
   std::string tag;
 
-  // ---- v2: shard identity (degenerate defaults for unsharded campaigns) ----
+  // ---- shard identity (degenerate defaults for unsharded campaigns) ----
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
   /// Global run index of this journal's slot 0.
@@ -88,7 +83,7 @@ struct JournalHeader {
   /// Free-form id of the worker process that created the journal.
   std::string worker_id;
 
-  // ---- v3: work stealing ---------------------------------------------------
+  // ---- work stealing -------------------------------------------------------
   /// Lease incarnation that created this journal: 0 for a unit's primary
   /// journal, >0 for a child journal created by stealing the tail of a live
   /// unit (the value is the post-steal epoch of the victim's lease).
@@ -142,8 +137,8 @@ struct JournalContents {
 ///     truncated *header* — a file with bytes but no intact header record
 ///     is a crash during journal creation, and resuming "from" it would
 ///     silently produce a fresh campaign wearing the old file's name;
-///   - kShardVersionMismatch for a header whose format version this build
-///     does not read (the message names both versions);
+///   - kShardVersionMismatch for a header whose format version is not
+///     JournalHeader::kVersion (the message names both versions);
 ///   - kBadConfig when the file cannot be opened or is empty.
 JournalContents read_journal(const std::string& path);
 

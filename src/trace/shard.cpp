@@ -563,9 +563,21 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
   if (read_lease_info(qpath, &qinfo)) {
     throw_quarantined(path, quarantine_summary(qinfo));
   }
+  // The check above can pass just before a racing claimer's quarantining
+  // rename empties the lease path, so every create below re-checks for the
+  // tombstone once it holds the path, and backs its lease out if one
+  // appeared. Tombstones are never removed, so a create that lands after
+  // the rename always sees it.
+  const auto back_out_if_quarantined = [&](std::uint64_t epoch) {
+    if (!read_lease_info(qpath, &qinfo)) return;
+    const LeaseInfo cur = parse_lease(read_whole_file(path));
+    if (cur.owner == worker_id && cur.epoch == epoch) ::unlink(path.c_str());
+    throw_quarantined(path, quarantine_summary(qinfo));
+  };
 
   // Fresh claim: O_EXCL picks exactly one winner among racing creators.
   if (create_lease_file(path, format_lease(worker_id, 0, ""))) {
+    back_out_if_quarantined(/*epoch=*/0);
     return std::unique_ptr<ShardLease>(
         new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
                        /*adoptions=*/0, /*carried_error=*/"", /*epoch=*/0));
@@ -573,11 +585,14 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
 
   // Lease exists. Alive (heartbeat within the TTL window, clock skew
   // included) → conflict, transient: the owner is working the shard.
+  // Content is read before the mtime, so a lease replaced in between is
+  // judged by the newer incarnation's mtime, which is fresh.
+  const std::string content = read_whole_file(path);
   std::uint64_t mtime = 0;
   if (!lease_mtime_ms(path, &mtime)) {
     throw_conflict(path, "vanished mid-claim (owner released or was adopted)");
   }
-  const LeaseInfo info = parse_lease(read_whole_file(path));
+  const LeaseInfo info = parse_lease(content);
   const std::uint64_t now = wall_now_ms();
   if (lease_alive(mtime, now, lease_ttl_ms)) {
     throw_conflict(path, "held by live worker '" + info.owner +
@@ -612,6 +627,18 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
   if (::rename(path.c_str(), tomb.c_str()) != 0) {
     throw_conflict(path, "stale, but another worker adopted it first");
   }
+  // The rename takes whatever sits at the path by now, which may be the
+  // live lease a racing adopter re-created after taking the stale one we
+  // inspected. Only that stale incarnation may be taken: hand anything
+  // else straight back (a fresh claimer that slipped into the empty path
+  // meanwhile is displaced and aborts at its own pre-append probe).
+  std::uint64_t taken_mtime = 0;
+  if (!lease_mtime_ms(tomb, &taken_mtime) ||
+      lease_alive(taken_mtime, wall_now_ms(), lease_ttl_ms) ||
+      read_whole_file(tomb) != content) {
+    ::rename(tomb.c_str(), path.c_str());
+    throw_conflict(path, "stale, but another worker adopted it first");
+  }
   ::unlink(tomb.c_str());
   // Re-claim through the same O_EXCL gate, carrying the adoption counter
   // (incremented), the dead worker's recorded error AND its steal epoch
@@ -628,6 +655,7 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
     throw_conflict(path, "stale lease stolen, but a new claimer re-created "
                          "it first");
   }
+  back_out_if_quarantined(info.epoch);
   return std::unique_ptr<ShardLease>(
       new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
                      info.adoptions + 1, info.error, info.epoch));
@@ -664,10 +692,6 @@ bool shard_journal_complete(const std::string& path, std::size_t runs) {
   } catch (const SimError&) {
     return false;  // missing, torn-header or corrupt: not complete
   }
-  // v2 journals are mergeable read-only: one that already holds every record
-  // is complete as-is and must NOT be re-claimed (resume would refuse to
-  // extend it). v1 predates the shard layer and is never complete here.
-  if (contents.header.version < 2) return false;
   std::vector<bool> done(runs, false);
   std::size_t have = 0;
   for (const JournalRecord& rec : contents.records) {
@@ -934,23 +958,12 @@ ShardProgress run_fleet(const UnitsProvider& provider,
         }
         throw;
       }
-
-      // Old-format journal heal: resume refuses to extend a pre-current
-      // header, which would otherwise turn every adoption of a v1/v2 journal
-      // into a version-mismatch abandon and a spurious quarantine. We hold
-      // the exclusive lease and runs are pure functions of their seeds, so
-      // deleting the incomplete old-format journal and re-running the unit
-      // reproduces bit-identical records under a current header. (A
-      // *complete* old journal never reaches here — the completeness probe
-      // above accepts v2.) Future versions are left alone: the resume path
-      // refuses them loudly and the unit abandons rather than heals.
-      try {
-        if (read_journal(unit.journal).header.version <
-            JournalHeader::kVersion) {
-          std::remove(unit.journal.c_str());
-        }
-      } catch (const SimError&) {
-        // Missing or corrupt: the campaign's own resume/heal path owns it.
+      // A peer may have completed and released the unit between the
+      // completeness probe above and this claim: re-probe under the lease.
+      if (shard_journal_complete(unit.journal, unit.runs)) {
+        lease->release();
+        progressed = true;
+        continue;
       }
 
       CampaignOptions co = unit.opts;
@@ -1498,15 +1511,12 @@ bool same_result(const CampaignRunResult& a, const CampaignRunResult& b) {
       a.deadline_total != b.deadline_total ||
       a.deadline_missed != b.deadline_missed ||
       a.faults_injected != b.faults_injected ||
-      a.value_hash != b.value_hash || a.cache_hits != b.cache_hits ||
-      a.cache_misses != b.cache_misses ||
-      a.cache_bypassed != b.cache_bypassed) {
+      a.value_hash != b.value_hash) {
     return false;
   }
   if (!bits_equal(a.log_weight, b.log_weight) ||
       !bits_equal(a.energy_pj, b.energy_pj) ||
-      !bits_equal(a.fault_energy_pj, b.fault_energy_pj) ||
-      !bits_equal(a.cache_cycles_saved, b.cache_cycles_saved)) {
+      !bits_equal(a.fault_energy_pj, b.fault_energy_pj)) {
     return false;
   }
   if (a.recovery_latencies_ns.size() != b.recovery_latencies_ns.size()) {
@@ -1600,13 +1610,12 @@ RepartitionResult repartition_fleet(const std::string& dir,
     try {
       jc = read_journal(jpath);
     } catch (const SimError&) {
-      // Torn beyond the tail tolerance, or an unmergeable v1: every run is
-      // a pure function of its seed, so nothing is lost by re-running —
-      // the file is dropped with the old layout below.
+      // Torn beyond the tail tolerance, or of another format version: every
+      // run is a pure function of its seed, so nothing is lost by
+      // re-running — the file is dropped with the old layout below.
       continue;
     }
     const JournalHeader& h = jc.header;
-    if (h.version < 2) continue;  // no shard fields: cannot place records
     if (jc.decision) {
       throw SimError(
           SimError::Kind::kBadConfig,
@@ -1906,23 +1915,10 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
   shards.reserve(paths.size());
   for (const std::string& p : paths) shards.push_back(read_journal(p));
 
-  // Identity checks. Every journal must carry the shard-layout fields of
-  // version 2+ (read_journal already rejected unknown futures; v2 journals
-  // merge read-only, v1 predates the shard layer), and all must agree on
-  // the campaign: digest, tag, base seed, total runs, layout. These
-  // refusals hold in partial mode too — a mixed fleet is a *wrong* fleet,
-  // not an unfinished one.
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const JournalHeader& h = shards[s].header;
-    if (h.version < 2) {
-      throw SimError(
-          SimError::Kind::kShardVersionMismatch,
-          "campaign merge: shard journal '" + paths[s] + "' has format "
-              "version " + std::to_string(h.version) +
-              " but the merge needs the shard-layout fields of version 2+ "
-              "— v1 journals predate the shard layer and cannot merge");
-    }
-  }
+  // Identity checks (read_journal already refused other format versions):
+  // all journals must agree on the campaign — digest, tag, base seed, total
+  // runs, layout. These refusals hold in partial mode too — a mixed fleet is
+  // a *wrong* fleet, not an unfinished one.
   const JournalHeader& first = shards[0].header;
   out.scenario_digest = first.scenario_digest;
   out.tag = first.tag;
@@ -2013,7 +2009,7 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
   }
   {
     // Missing shards are aggregated into one refusal: a fleet operator
-    // fixes them all in one pass instead of replaying merge-fail-fix N
+    // fixes them all in one pass instead of repeating merge-fail-fix N
     // times.
     std::string missing_list;
     std::size_t n_missing = 0;
@@ -2299,6 +2295,9 @@ MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
     try {
       jc = read_journal(jpath);
     } catch (const SimError& e) {
+      // Another format version is a wrong sweep, refused even in partial
+      // mode like the identity checks below.
+      if (e.kind() == SimError::Kind::kShardVersionMismatch) throw;
       // Unreadable journal: salvage nothing from this cell, but a merge
       // probe must not abort the whole sweep over one torn header — the
       // cell simply reports as partial (or stays quarantined) with the
@@ -2312,13 +2311,6 @@ MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
     // Identity refusals hold even in partial mode: a cell journal that
     // disagrees with the manifest belongs to a different sweep.
     const JournalHeader& h = jc.header;
-    if (h.version != JournalHeader::kVersion) {
-      throw SimError(
-          SimError::Kind::kShardVersionMismatch,
-          "sweep merge: cell journal '" + jpath + "' has format version " +
-              std::to_string(h.version) + " but the merge requires version " +
-              std::to_string(JournalHeader::kVersion));
-    }
     if (h.base_seed != out.manifest.base_seed ||
         h.runs != out.manifest.runs ||
         h.scenario_digest != out.manifest.scenario_digest ||

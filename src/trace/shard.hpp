@@ -106,7 +106,7 @@ struct ShardRange {
 /// Canonical contiguous partition of [0, total_runs) into shard_count
 /// chunks: the first total_runs % shard_count shards get one extra run.
 /// Every participant (workers and merge) must agree on this layout; it is
-/// pinned per shard in the v2 journal header and re-derived on merge.
+/// pinned per shard in the journal header and re-derived on merge.
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
@@ -462,13 +462,15 @@ struct RepartitionResult {
 
 /// Migrates the fleet directory to a new shard count: every record from
 /// every readable journal (primaries, steal children, quarantined units'
-/// journals, v2 files read-only) is re-tiled into fresh v3 journals under
-/// the new canonical shard_range partition, the manifest is atomically
-/// rewritten, and the old layout's files are removed — after which the
-/// merge of the directory is byte-identical to the single-process run, and
-/// manifest-following workers (elastic or re-launched) finish the campaign
-/// under the new layout. Byte-identical duplicate records across journals
-/// (crash re-runs) deduplicate silently; differing duplicates refuse.
+/// journals) is re-tiled into fresh journals under the new canonical
+/// shard_range partition, the manifest is atomically rewritten, and the old
+/// layout's files are removed — after which the merge of the directory is
+/// byte-identical to the single-process run, and manifest-following workers
+/// (elastic or re-launched) finish the campaign under the new layout.
+/// Unreadable journals (torn, or of another format version) contribute no
+/// records; their runs re-run under the new layout. Byte-identical duplicate
+/// records across journals (crash re-runs) deduplicate silently; differing
+/// duplicates refuse.
 /// Quarantine tombstones are dropped (reported in the result): a poison
 /// seed re-earns its quarantine under the new layout via normal
 /// self-healing. Refuses, with a structured minisc::SimError:
@@ -586,9 +588,8 @@ struct MergedCampaign {
 /// record index is claimed by two different journals (cross-journal overlap
 /// refuses: the partition is ambiguous). Refuses, with a structured
 /// minisc::SimError:
-///   - kShardVersionMismatch: any journal whose format version predates the
-///     shard layer (v1 is readable but not mergeable), naming both versions
-///     — v2 files merge read-only alongside v3;
+///   - kShardVersionMismatch: any journal of another format version than
+///     JournalHeader::kVersion, naming both versions;
 ///   - kBadConfig: mismatched scenario digests, tags, base seeds, total run
 ///     counts or shard layouts across the journals, or a journal whose
 ///     range escapes its shard's canonical shard_range slot;

@@ -49,9 +49,9 @@ std::string temp_journal(const std::string& name) {
 }
 
 /// Deterministic synthetic run: exercises every record field, including the
-/// importance-sampling weight and the replay-cache counters, with values
-/// whose doubles are not exactly representable in decimal — the round-trip
-/// must be bit-exact, not pretty-printed.
+/// importance-sampling weight, with values whose doubles are not exactly
+/// representable in decimal — the round-trip must be bit-exact, not
+/// pretty-printed.
 CampaignRunResult synth_run(std::uint64_t seed) {
   CampaignRunResult r;
   r.seed = seed;
@@ -67,10 +67,6 @@ CampaignRunResult synth_run(std::uint64_t seed) {
   r.energy_pj = 1234.5 + 0.1 * static_cast<double>(seed);
   r.fault_energy_pj = 12.25 + static_cast<double>(seed);
   r.value_hash = 0x9e3779b97f4a7c15ull * (seed + 1);
-  r.cache_hits = seed * 2;
-  r.cache_misses = seed % 2;
-  r.cache_bypassed = seed % 7;
-  r.cache_cycles_saved = 0.5 * static_cast<double>(seed);
   return r;
 }
 
@@ -78,9 +74,9 @@ FaultCampaign::RunFn synth_fn() {
   return [](std::uint64_t seed) { return synth_run(seed); };
 }
 
-std::string csv_of(const FaultCampaign& c, bool with_cache = false) {
+std::string csv_of(const FaultCampaign& c) {
   std::ostringstream os;
-  c.write_csv(os, with_cache);
+  c.write_csv(os);
   return os.str();
 }
 
@@ -142,10 +138,6 @@ TEST(Journal, RoundTripsEveryFieldBitExactly) {
     EXPECT_EQ(have.energy_pj, want.energy_pj);
     EXPECT_EQ(have.fault_energy_pj, want.fault_energy_pj);
     EXPECT_EQ(have.value_hash, want.value_hash);
-    EXPECT_EQ(have.cache_hits, want.cache_hits);
-    EXPECT_EQ(have.cache_misses, want.cache_misses);
-    EXPECT_EQ(have.cache_bypassed, want.cache_bypassed);
-    EXPECT_EQ(have.cache_cycles_saved, want.cache_cycles_saved);
   }
   std::remove(path.c_str());
 }
@@ -287,7 +279,10 @@ std::string frame_record(char type, const std::string& payload) {
   return out;
 }
 
-std::string v1_header_payload(std::uint64_t base_seed, std::uint64_t runs,
+/// The header payload of a format-3 journal: the same fields as today's
+/// header (whole-campaign shard identity, no worker id, steal epoch 0) under
+/// version 3, whose run records also carried four replay-cache counters.
+std::string v3_header_payload(std::uint64_t base_seed, std::uint64_t runs,
                               std::uint64_t digest, const std::string& tag) {
   std::string p;
   auto u32 = [&p](std::uint32_t v) {
@@ -300,41 +295,45 @@ std::string v1_header_payload(std::uint64_t base_seed, std::uint64_t runs,
       p.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
     }
   };
-  u32(1);  // version 1: no shard identity block
+  u32(3);
   u64(base_seed);
   u64(runs);
   u64(digest);
   u32(static_cast<std::uint32_t>(tag.size()));
   p += tag;
+  u64(0);     // shard_index
+  u64(1);     // shard_count
+  u64(0);     // shard_begin
+  u64(runs);  // total_runs
+  u32(0);     // empty worker_id
+  u64(0);     // steal_epoch
   return p;
 }
 
-TEST(Journal, V1JournalReadsWithDegenerateShardIdentity) {
-  // Read-only compat: a pre-shard (v1) journal parses, and its header is
-  // normalised to the whole-campaign identity (shard 0 of 1).
-  const std::string path = temp_journal("v1_compat");
+TEST(Journal, V3JournalIsRefusedNamingBothVersions) {
+  // One on-disk format: a journal of the previous version does not parse.
+  const std::string path = temp_journal("v3_read");
   {
     std::ofstream out(path, std::ios::binary);
-    out << frame_record('H', v1_header_payload(40, 12, 777, "old-release"));
+    out << frame_record('H', v3_header_payload(40, 12, 777, "old-release"));
   }
-  const JournalContents got = read_journal(path);
-  EXPECT_EQ(got.header.version, 1u);
-  EXPECT_EQ(got.header.base_seed, 40u);
-  EXPECT_EQ(got.header.runs, 12u);
-  EXPECT_EQ(got.header.scenario_digest, 777u);
-  EXPECT_EQ(got.header.tag, "old-release");
-  EXPECT_EQ(got.header.shard_index, 0u);
-  EXPECT_EQ(got.header.shard_count, 1u);
-  EXPECT_EQ(got.header.shard_begin, 0u);
-  EXPECT_EQ(got.header.total_runs, 12u);
-  EXPECT_EQ(got.header.worker_id, "");
+  try {
+    read_journal(path);
+    FAIL() << "expected SimError(kShardVersionMismatch)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
   std::remove(path.c_str());
 }
 
 TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
   const std::string path = temp_journal("v99");
   {
-    std::string p = v1_header_payload(0, 1, 0, "");
+    std::string p = v3_header_payload(0, 1, 0, "");
     p[0] = 99;  // version field is the first u32 of the payload
     std::ofstream out(path, std::ios::binary);
     out << frame_record('H', p);
@@ -346,7 +345,7 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("versions 1-3"), std::string::npos) << what;
+    EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }
@@ -354,8 +353,8 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
 // ---- resume equivalence ---------------------------------------------------
 
 /// Runs the reference (journal-free) campaign, then for each thread count an
-/// interrupted + resumed pair, asserting byte-identical CSV (with and
-/// without cache columns) and byte-identical printed report.
+/// interrupted + resumed pair, asserting byte-identical CSV and
+/// byte-identical printed report.
 void expect_resume_equivalence(std::size_t interrupt_at) {
   const std::size_t n = 12;
   const std::uint64_t base = 40;
@@ -363,7 +362,6 @@ void expect_resume_equivalence(std::size_t interrupt_at) {
   FaultCampaign reference(synth_fn());
   reference.run(base, n);
   const std::string want_csv = csv_of(reference);
-  const std::string want_cache_csv = csv_of(reference, true);
   const std::string want_report = printed_report(reference);
 
   for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -402,7 +400,6 @@ void expect_resume_equivalence(std::size_t interrupt_at) {
     EXPECT_EQ(executed.load(), n - before.records.size())
         << threads << " threads: resumed campaign re-ran a recorded seed";
     EXPECT_EQ(csv_of(resumed), want_csv) << threads << " threads";
-    EXPECT_EQ(csv_of(resumed, true), want_cache_csv) << threads << " threads";
     EXPECT_EQ(printed_report(resumed), want_report) << threads << " threads";
 
     // The journal now covers the full campaign: a second resume replays
@@ -500,15 +497,16 @@ TEST(JournalResume, HeaderMismatchIsRefused) {
   std::remove(path.c_str());
 }
 
-TEST(JournalResume, V1JournalIsReadOnlyResumeRefusedNamingBothVersions) {
-  // An otherwise perfectly matching v1 journal (same base seed, run count,
-  // digest, tag) must refuse to resume: appending v2 records under a v1
-  // header would leave a file no single version describes.
-  const std::string path = temp_journal("v1_resume");
+TEST(JournalResume, V3JournalResumeIsRefusedNamingBothVersions) {
+  // An otherwise perfectly matching format-3 journal (same base seed, run
+  // count, digest, tag) must refuse to resume rather than be extended or
+  // silently restarted.
+  const std::string path = temp_journal("v3_resume");
   {
     std::ofstream out(path, std::ios::binary);
-    out << frame_record('H', v1_header_payload(40, 12, 777, "old-release"));
+    out << frame_record('H', v3_header_payload(40, 12, 777, "old-release"));
   }
+  const std::uint64_t size_before = file_size(path);
   CampaignOptions opts;
   opts.journal_path = path;
   opts.journal_tag = "old-release";
@@ -521,10 +519,11 @@ TEST(JournalResume, V1JournalIsReadOnlyResumeRefusedNamingBothVersions) {
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
-    EXPECT_NE(what.find("format version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("appends version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("format version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
     EXPECT_NE(what.find(path), std::string::npos);
   }
+  EXPECT_EQ(file_size(path), size_before);  // neither extended nor truncated
   std::remove(path.c_str());
 }
 

@@ -14,7 +14,7 @@
 //     is byte-identical to the uninterrupted single-process run for
 //     threads in {seq, 1, 8};
 //   - merge refuses missing shards, missing records, mixed fault-model
-//     digests and old format versions with structured SimErrors;
+//     digests and other journal format versions with structured SimErrors;
 //   - the lease carries an adoption counter across crash generations, a
 //     shard adopted past max_adoptions is quarantined by exactly one worker
 //     (atomic rename tombstone) and excluded from every later claim pass;
@@ -671,50 +671,56 @@ TEST(ShardMerge, MixedScenarioDigestsAreRefused) {
   }
 }
 
-TEST(ShardMerge, OldFormatVersionsAreRefusedNamingBothVersions) {
-  ScratchDir dir("old_version");
-  build_fleet(dir.str(), 0, 10);
-  // Overwrite shard 1 with a v1-framed journal (pre-shard format). Framing
-  // re-implemented here because the current writer cannot produce v1.
-  std::string payload;
-  auto u32 = [&payload](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      payload.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  auto u64 = [&payload](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      payload.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  u32(1);  // version
-  u64(5);  // base_seed
-  u64(5);  // runs
-  u64(0);  // digest
-  u32(0);  // empty tag
-  std::string rec;
-  rec.push_back('H');
+/// Journal framing (FNV-1a over type+len+payload), same as the writer's,
+/// so the tests can fabricate files of another format version.
+std::string frame_record(char type, const std::string& payload) {
+  std::string out;
+  out.push_back(type);
   for (int i = 0; i < 4; ++i) {
-    rec.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
+    out.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
   }
-  rec += payload;
-  std::uint64_t sum = 1469598103934665603ull;
-  for (const char c : rec) {
-    sum ^= static_cast<unsigned char>(c);
-    sum *= 1099511628211ull;
+  out += payload;
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : out) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
   }
   for (int i = 0; i < 8; ++i) {
-    rec.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+    out.push_back(static_cast<char>((h >> (8 * i)) & 0xff));
   }
-  write_file(shard_journal_path(dir.str(), 1, 2), rec);
-  try {
-    merge_shard_dir(dir.str());
-    FAIL() << "expected SimError(kShardVersionMismatch)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  return out;
+}
+
+/// Re-stamps a journal's header as format version 3 (whose header layout is
+/// today's), carrying the run records verbatim.
+void stamp_journal_v3(const std::string& path) {
+  const std::string bytes = read_file(path);
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= std::uint32_t(static_cast<unsigned char>(bytes[1 + i])) << (8 * i);
+  }
+  std::string payload = bytes.substr(1 + 4, len);
+  payload[0] = 3;  // version field: leading u32, little-endian
+  payload[1] = payload[2] = payload[3] = 0;
+  write_file(path, frame_record('H', payload) + bytes.substr(1 + 4 + len + 8));
+}
+
+TEST(ShardMerge, V3JournalIsRefusedNamingBothVersions) {
+  ScratchDir dir("v3_merge");
+  build_fleet(dir.str(), 0, 10);
+  stamp_journal_v3(shard_journal_path(dir.str(), 1, 2));
+  for (const bool allow_partial : {false, true}) {
+    MergeOptions mo;
+    mo.allow_partial = allow_partial;
+    try {
+      merge_shard_dir(dir.str(), mo);
+      FAIL() << "expected SimError(kShardVersionMismatch)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("format version 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
+    }
   }
 }
 
@@ -794,6 +800,40 @@ TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
   EXPECT_EQ(merged.quarantined[0].index, 1u);
   EXPECT_NE(merged.quarantined[0].info.error.find("No space left"),
             std::string::npos);
+}
+
+TEST(ShardWorker, V3JournalIsNeverExtendedAndConvergesToQuarantine) {
+  ScratchDir dir("v3_worker");
+  const std::size_t total = 10;
+  build_fleet(dir.str(), 0, total);
+  const std::string v3 = shard_journal_path(dir.str(), 1, 2);
+  stamp_journal_v3(v3);
+  const std::string v3_bytes = read_file(v3);
+
+  // The unreadable journal is not complete, so a worker claims the unit;
+  // resume refuses the file, and the worker records the refusal and
+  // abandons until the adoption cap quarantines the unit.
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_index = 1;
+  so.shard_count = 2;
+  so.worker_id = "revisit";
+  so.lease_ttl_ms = 200;
+  so.poll_ms = 20;
+  so.max_adoptions = 1;
+  const ShardProgress p = run_sharded_campaign(synth_fn(), 0, total, so);
+  EXPECT_TRUE(p.fleet_done);
+  EXPECT_FALSE(p.campaign_complete);
+  EXPECT_EQ(p.runs_executed, 0u);
+  EXPECT_EQ(p.shards_quarantined, 1u);
+  EXPECT_EQ(read_file(v3), v3_bytes);
+
+  LeaseInfo qinfo;
+  ASSERT_TRUE(read_lease_info(shard_quarantine_path(dir.str(), 1, 2), &qinfo));
+  EXPECT_NE(qinfo.error.find("format version 3"), std::string::npos)
+      << qinfo.error;
+  EXPECT_NE(qinfo.error.find("only version 4"), std::string::npos)
+      << qinfo.error;
 }
 
 // ---- partial merges -------------------------------------------------------
@@ -1059,6 +1099,39 @@ TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
   }
 }
 
+TEST(ShardRepartition, V3JournalIsDroppedAndItsRunsReRun) {
+  const std::uint64_t base = 40;
+  const std::size_t total = 22;  // 4 shards: 6, 6, 5, 5
+  FaultCampaign reference(synth_fn());
+  reference.run(base, total);
+
+  ScratchDir dir("repart_v3");
+  ShardOptions so;
+  so.dir = dir.str();
+  so.shard_index = 0;
+  so.shard_count = 4;
+  so.worker_id = "builder";
+  ASSERT_TRUE(
+      run_sharded_campaign(synth_fn(), base, total, so).campaign_complete);
+  // An unreadable journal contributes no records, like a torn one: its
+  // seeds are owed again under the new layout.
+  stamp_journal_v3(shard_journal_path(dir.str(), 3, 4));
+
+  const RepartitionResult r = repartition_fleet(dir.str(), 7);
+  EXPECT_EQ(r.migrated_records, 17u);  // total minus shard 3's 5 runs
+  EXPECT_FALSE(std::filesystem::exists(shard_journal_path(dir.str(), 3, 4)));
+
+  ShardOptions eso;
+  eso.dir = dir.str();
+  eso.shard_count = 0;
+  eso.worker_id = "finisher";
+  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, eso);
+  EXPECT_TRUE(p.campaign_complete);
+  EXPECT_EQ(p.runs_executed, 5u);
+  EXPECT_EQ(csv_of(FaultCampaign(merge_shard_dir(dir.str()).results)),
+            csv_of(reference));
+}
+
 TEST(ShardRepartition, LiveLeaseRefusesNamingTheOwner) {
   ScratchDir dir("repart_live");
   build_fleet(dir.str(), 0, 10);
@@ -1123,115 +1196,6 @@ TEST(ShardRepartition, DecidedJournalRefuses) {
     EXPECT_NE(std::string(e.what()).find("decided"), std::string::npos)
         << e.what();
   }
-}
-
-// ---- v2 journals: mergeable read-only, healed when incomplete -------------
-
-/// Journal framing (FNV-1a over type+len+payload), same as the writer's,
-/// so the tests can fabricate files from the previous format version.
-std::string frame_record(char type, const std::string& payload) {
-  std::string out;
-  out.push_back(type);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xff));
-  }
-  out += payload;
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : out) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((h >> (8 * i)) & 0xff));
-  }
-  return out;
-}
-
-/// Rewrites a current-version journal as version 2: the header payload
-/// loses its trailing v3 steal block (a u64) and stamps version 2, run
-/// records are carried verbatim (their framing is version-independent),
-/// keeping only the first `keep_records` of them.
-void downgrade_journal_to_v2(const std::string& path,
-                             std::size_t keep_records) {
-  const std::string bytes = read_file(path);
-  const auto frame_len = [&bytes](std::size_t pos) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= std::uint32_t(static_cast<unsigned char>(bytes[pos + 1 + i]))
-             << (8 * i);
-    }
-    return std::size_t{1} + 4 + len + 8;
-  };
-  const std::size_t header_frame = frame_len(0);
-  std::string payload = bytes.substr(1 + 4, header_frame - 1 - 4 - 8);
-  payload.resize(payload.size() - 8);  // drop the steal_epoch u64
-  payload[0] = 2;  // version field: leading u32, little-endian
-  payload[1] = payload[2] = payload[3] = 0;
-  std::string out = frame_record('H', payload);
-  std::size_t pos = header_frame;
-  std::size_t kept = 0;
-  while (pos < bytes.size() && kept < keep_records) {
-    const std::size_t len = frame_len(pos);
-    out += bytes.substr(pos, len);
-    pos += len;
-    ++kept;
-  }
-  write_file(path, out);
-}
-
-TEST(ShardMerge, CompleteV2JournalMergesReadOnlyAndIsNotReexecuted) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 10;
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("v2_complete");
-  build_fleet(dir.str(), base, total);
-  const std::string v2 = shard_journal_path(dir.str(), 0, 2);
-  downgrade_journal_to_v2(v2, SIZE_MAX);
-  ASSERT_EQ(read_journal(v2).header.version, 2u);
-
-  // A fresh worker pass treats the complete v2 journal as done work: no
-  // re-execution, no heal — v3 refuses nothing it can safely read.
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 2;
-  so.worker_id = "revisit";
-  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, so);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, 0u);
-  EXPECT_EQ(read_journal(v2).header.version, 2u);
-
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
-}
-
-TEST(ShardWorker, IncompleteV2JournalIsHealedToTheCurrentVersion) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 10;  // 2 shards of 5
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("v2_heal");
-  build_fleet(dir.str(), base, total);
-  const std::string v2 = shard_journal_path(dir.str(), 0, 2);
-  downgrade_journal_to_v2(v2, 2);  // 2 of 5 records: incomplete
-  ASSERT_EQ(read_journal(v2).records.size(), 2u);
-
-  // The claimer cannot append to a previous-version file, so the unit is
-  // healed: journal removed under the exclusive lease and re-run whole.
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 2;
-  so.worker_id = "healer";
-  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, so);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, 5u);
-  EXPECT_EQ(read_journal(v2).header.version, JournalHeader::kVersion);
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
 }
 
 // ---- straggler work stealing ----------------------------------------------

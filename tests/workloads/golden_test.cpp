@@ -3,9 +3,25 @@
 // baseline of the shipped cost table — any change to the assembly, the ISS
 // cycle model, or the data generators shows up here first, signalling that
 // the calibration (and EXPERIMENTS.md) must be redone.
+//
+// The GoldenEstimate tests lock the library's own outputs by bit pattern:
+// the Table 1 cycle sums and op counts, the Table 3/4 per-process cycles and
+// energies, the simulated end time and report CSV, and the CSV of one seeded
+// fault campaign. Each annotated op is charged by SegmentAccum::charge, whose
+// double sum depends on the op order, so these constants pin the charge path
+// exactly; a change that means to move them re-pins them in one place.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "core/scperf.hpp"
+#include "fault/injector.hpp"
+#include "fault/scenario.hpp"
+#include "trace/campaign.hpp"
 #include "workloads/table1.hpp"
 #include "workloads/vocoder/pipeline.hpp"
 
@@ -46,6 +62,182 @@ TEST(Golden, VocoderChecksum) {
 TEST(Golden, FibonacciOfEighteen) {
   // An independent arithmetic fact, not just self-consistency.
   EXPECT_EQ(table1_suite()[4].reference(), 2584);  // fib(18)
+}
+
+// ---- estimator outputs, by bit pattern --------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+using scfault::fnv1a;
+
+struct Table1Estimate {
+  std::uint64_t sum_cycles_bits;
+  std::uint64_t op_count;
+};
+
+constexpr Table1Estimate kTable1Estimate[] = {
+    {0x40ef03f2e147b8e6ull, 44036u},   // FIR
+    {0x40ccbab1eb851ddfull, 10869u},   // Compress
+    {0x40fd41ef5c290b98ull, 89954u},   // Quick sort
+    {0x4100e3750a3d7dc8ull, 114865u},  // Bubble
+    {0x4100933451eb8854ull, 50165u},   // Fibonacci
+    {0x40b66f7851eb8580ull, 4100u},    // Array
+};
+
+TEST(GoldenEstimate, Table1CycleSumsAndOpCounts) {
+  const auto& suite = table1_suite();
+  ASSERT_EQ(suite.size(), std::size(kTable1Estimate));
+  const scperf::CostTable table = scperf::orsim_sw_cost_table();
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    scperf::SegmentAccum acc;
+    acc.table = &table;
+    scperf::tl_accum = &acc;
+    (void)suite[i].annotated();
+    scperf::tl_accum = nullptr;
+    EXPECT_EQ(bits(acc.sum_cycles), kTable1Estimate[i].sum_cycles_bits)
+        << suite[i].name << ": " << acc.sum_cycles;
+    EXPECT_EQ(acc.op_count, kTable1Estimate[i].op_count) << suite[i].name;
+  }
+}
+
+/// One annotated vocoder run, pinned: per-process cycles and energy (in
+/// vocoder::kProcessNames order), simulated end time, report CSV hash.
+struct PipelineEstimate {
+  std::uint64_t cycles_bits[5];
+  std::uint64_t energy_bits[5];
+  std::int64_t sim_time_ps;
+  std::uint64_t csv_fnv1a;
+};
+
+void expect_pipeline(const vocoder::PipelineConfig& cfg,
+                     const PipelineEstimate& want) {
+  const vocoder::AnnotatedResult r = vocoder::run_annotated(cfg);
+  for (int p = 0; p < 5; ++p) {
+    const std::string name = vocoder::kProcessNames[p];
+    EXPECT_EQ(bits(r.process_cycles.at(name)), want.cycles_bits[p])
+        << name << ": " << r.process_cycles.at(name);
+    EXPECT_EQ(bits(r.process_energy_pj.at(name)), want.energy_bits[p])
+        << name << ": " << r.process_energy_pj.at(name);
+  }
+  EXPECT_EQ(r.sim_time.to_ps(), want.sim_time_ps);
+  std::ostringstream csv;
+  r.report.write_csv(csv);
+  EXPECT_EQ(fnv1a(csv.str()), want.csv_fnv1a) << csv.str();
+}
+
+vocoder::PipelineConfig table3_config() {
+  return {.frames = 20, .cpu_mhz = 50, .rtos_cycles_per_switch = 80,
+          .with_energy = true};
+}
+
+constexpr PipelineEstimate kTable3 = {
+    {0x412479364ccccdcfull, 0x40d4d6333333333bull, 0x4152f7f890a3bd22ull,
+     0x411cabe3fffffe4aull, 0x412c63b3eb852512ull},
+    {0x414c6571c0000000ull, 0x4101530000000000ull, 0x417fe39c40000000ull,
+     0x4144388400000000ull, 0x4155d76480000000ull},
+    141622903400,
+    0xc5b0f679987f04a4ull,
+};
+
+constexpr PipelineEstimate kTable4K0 = {
+    {0x412479364ccccdcfull, 0x40d4d6333333333bull, 0x4152f7f890a3bd22ull,
+     0x411cabe3fffffe4aull, 0x40a20a0000000000ull},
+    {0x414c6571c0000000ull, 0x4101530000000000ull, 0x417fe39c40000000ull,
+     0x4144388400000000ull, 0x4134b89980000000ull},
+    122951984200,
+    0x4ba374f93e2763a0ull,
+};
+
+constexpr PipelineEstimate kTable4K1 = {
+    {0x412479364ccccdcfull, 0x40d4d6333333333bull, 0x4152f7f890a3bd22ull,
+     0x411cabe3fffffe4aull, 0x4118d3f000000000ull},
+    {0x414c6571c0000000ull, 0x4101530000000000ull, 0x417fe39c40000000ull,
+     0x4144388400000000ull, 0x4134b89980000000ull},
+    123153774200,
+    0x8b15ee718f1bfec3ull,
+};
+
+TEST(GoldenEstimate, Table3SwMapping) {
+  expect_pipeline(table3_config(), kTable3);
+}
+
+TEST(GoldenEstimate, Table4PostProcOnHwAtKZero) {
+  vocoder::PipelineConfig cfg = table3_config();
+  cfg.postproc_on_hw = true;
+  cfg.hw_k = 0.0;
+  expect_pipeline(cfg, kTable4K0);
+}
+
+TEST(GoldenEstimate, Table4PostProcOnHwAtKOne) {
+  vocoder::PipelineConfig cfg = table3_config();
+  cfg.postproc_on_hw = true;
+  cfg.hw_k = 1.0;
+  expect_pipeline(cfg, kTable4K1);
+}
+
+/// One seeded run of a producer/consumer pair sharing a SW CPU that takes a
+/// pulse, an outage and a crash-restart of the producer.
+sctrace::CampaignRunResult faulted_pipeline_run(std::uint64_t seed) {
+  using minisc::Time;
+  scfault::ScenarioConfig cfg;
+  cfg.horizon = Time::us(300);
+  cfg.pulses.push_back({"cpu", 2, 200.0, 900.0});
+  cfg.outages.push_back({"cpu", 1, Time::us(5), Time::us(25)});
+  cfg.crashes.push_back({"producer", Time::us(60), Time::us(3)});
+  const scfault::FaultScenario scenario(cfg, seed);
+
+  minisc::Simulator sim;
+  scperf::Estimator est(sim);
+  auto& cpu = est.add_sw_resource("cpu", 50.0, scperf::orsim_sw_cost_table(),
+                                  {.rtos_cycles_per_switch = 80});
+  cpu.set_energy_table(scperf::orsim_energy_table());
+  cpu.set_fault_energy_per_cycle_pj(3.5);
+  est.map("producer", cpu);
+  est.map("consumer", cpu);
+  scfault::FaultInjector inj(sim, est, scenario);
+  minisc::Fifo<int> ch("ch", 4);
+
+  constexpr int kItems = 16;
+  std::uint64_t value_hash = 0;
+  int received = 0;
+  sim.spawn("producer", [&] {
+    for (int i = 0; i < kItems; ++i) {
+      scperf::gint acc = 0;
+      const int n = 40 + static_cast<int>((seed * 7 + i) % 5) * 20;
+      for (scperf::gint k = 0; k < n; ++k) acc += k * 3 + i;
+      ch.write(acc.value());
+    }
+  });
+  sim.spawn("consumer", [&] {
+    while (auto v = ch.read_for(Time::us(100))) {
+      scperf::gint x = *v;
+      for (scperf::gint k = 0; k < 30; ++k) x = x % 9973 * 3 + k;
+      value_hash = value_hash * 1099511628211ull +
+                   static_cast<std::uint32_t>(x.value());
+      ++received;
+    }
+  });
+  sim.run(Time::ms(2));
+
+  sctrace::CampaignRunResult r;
+  r.seed = seed;
+  r.makespan = sim.now();
+  r.deadline_total = kItems;
+  r.deadline_missed = received < kItems ? kItems - received : 0;
+  r.faults_injected =
+      inj.pulses_injected() + inj.outages_applied() + inj.crashes_applied();
+  r.energy_pj = est.total_energy_pj();
+  r.fault_energy_pj = est.fault_energy_pj();
+  r.value_hash = value_hash;
+  return r;
+}
+
+TEST(GoldenEstimate, FaultCampaignCsv) {
+  sctrace::FaultCampaign campaign(faulted_pipeline_run);
+  campaign.run(/*base_seed=*/17, /*n=*/6);
+  std::ostringstream csv;
+  campaign.write_csv(csv);
+  EXPECT_EQ(fnv1a(csv.str()), 0xdf19e876d5d53edcull) << csv.str();
 }
 
 }  // namespace
