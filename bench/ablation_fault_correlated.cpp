@@ -41,10 +41,9 @@
 //   fleet.manifest; --shard-dir given ALONE runs an elastic worker that
 //   reads the layout (base seed, total runs, shard count) from that
 //   manifest, so it survives a mid-campaign --repartition N (which
-//   migrates completed work into an N-shard tiling and exits). --steal MS
-//   lets a drained worker split a live unit stalled for MS ms and run its
-//   tail as a child unit. --lease-ttl-ms MS sets the adoption staleness
-//   threshold (default 10000). --merge folds the shard journals back into
+//   migrates completed work into an N-shard tiling and exits).
+//   --lease-ttl-ms MS sets the adoption staleness threshold (default
+//   10000); --repartition judges leases by it too. --merge folds the shard journals back into
 //   the same fault_correlated_burst.csv an uninterrupted run writes,
 //   byte-identically. --help lists every flag.
 //
@@ -309,8 +308,6 @@ std::size_t g_shard_count = 1;
 std::string g_shard_dir;
 bool g_shard_dir_given = false;
 std::uint64_t g_lease_ttl_ms = 10000;
-/// --steal MS: a drained worker splits a live unit stalled for MS ms.
-std::uint64_t g_steal_after_ms = 0;
 /// --repartition N: migrate the burst fleet layout to N shards and exit.
 std::size_t g_repartition = 0;
 
@@ -665,8 +662,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shard-dir") == 0 && i + 1 < argc) {
       g_shard_dir = argv[++i];
       g_shard_dir_given = true;
-    } else if (std::strcmp(argv[i], "--steal") == 0 && i + 1 < argc) {
-      g_steal_after_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--repartition") == 0 && i + 1 < argc) {
       g_repartition = static_cast<std::size_t>(std::atoll(argv[++i]));
       if (g_repartition == 0) {
@@ -730,10 +725,8 @@ int main(int argc, char** argv) {
           "                     worker that reads the layout from the\n"
           "                     manifest instead of pinning one\n"
           "  --lease-ttl-ms MS  staleness threshold for lease adoption and\n"
-          "                     stall detection (default 10000)\n"
-          "  --steal MS         after draining the claim pass, split a live\n"
-          "                     unit whose owner has made no progress for\n"
-          "                     MS ms and run its tail as a child unit\n"
+          "                     for --repartition's live-lease check\n"
+          "                     (default 10000)\n"
           "  --repartition N    migrate the fleet's completed work to an\n"
           "                     N-shard layout and exit; relaunch workers\n"
           "                     elastic afterwards\n"
@@ -818,7 +811,8 @@ int main(int argc, char** argv) {
     // layout up from the manifest.
     try {
       const sctrace::RepartitionResult r =
-          sctrace::repartition_fleet(g_shard_dir, g_repartition);
+          sctrace::repartition_fleet(g_shard_dir, g_repartition,
+                                     g_lease_ttl_ms);
       std::printf(
           "repartitioned %zu -> %zu shards: %zu records migrated, "
           "%zu journals written, %zu old files removed\n",
@@ -846,7 +840,6 @@ int main(int argc, char** argv) {
     sctrace::ShardOptions so;
     so.dir = g_shard_dir;
     so.lease_ttl_ms = g_lease_ttl_ms;
-    so.steal_after_ms = g_steal_after_ms;
     if (g_shard) {
       so.shard_index = g_shard_index;
       so.shard_count = g_shard_count;
@@ -871,9 +864,9 @@ int main(int argc, char** argv) {
           [opt](std::uint64_t s) { return run_stream(s, opt); }, base_seed,
           n_ab, so, co);
       std::printf(
-          "worker: %zu shards run, adopted %zu, stole %zu, %zu runs "
-          "executed, %zu lease conflicts, %zu shards lost, campaign %s\n",
-          p.shards_run, p.shards_adopted, p.shards_stolen, p.runs_executed,
+          "worker: %zu shards run, adopted %zu, %zu runs executed, %zu "
+          "lease conflicts, %zu shards lost, campaign %s\n",
+          p.shards_run, p.shards_adopted, p.runs_executed,
           p.lease_conflicts, p.shards_lost,
           p.campaign_complete ? "complete" : "incomplete");
     } catch (const minisc::SimError& e) {

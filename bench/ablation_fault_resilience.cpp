@@ -73,11 +73,6 @@
 //               while any unit lease is live): completed records are
 //               re-tiled into the new canonical layout and the manifest is
 //               rewritten, keeping the eventual --merge byte-identical.
-//   --steal MS  enables straggler work stealing: a worker whose claim pass
-//               has been drained for MS ms splits a live slow unit at its
-//               reservation watermark and runs the stolen tail as a child
-//               unit; the displaced owner aborts before appending another
-//               record, so the merge stays byte-identical.
 
 #include <algorithm>
 #include <chrono>
@@ -302,10 +297,6 @@ std::string g_shard_dir;
 bool g_shard_dir_given = false;
 std::uint64_t g_lease_ttl_ms = 10000;
 std::uint64_t g_max_adoptions = 3;
-/// --steal MS: split a live straggler unit at its reservation watermark
-/// once this worker's claim pass has been drained for MS milliseconds
-/// (0 = stealing off).
-std::uint64_t g_steal_after_ms = 0;
 /// --repartition N: migrate the fleet directories to N shards and exit.
 std::size_t g_repartition = 0;
 
@@ -406,7 +397,6 @@ void run_shard_worker(const char* label, bool resilient,
   so.shard_count = g_shard_count;
   so.lease_ttl_ms = g_lease_ttl_ms;
   so.max_adoptions = g_max_adoptions;
-  so.steal_after_ms = g_steal_after_ms;
   if (g_elastic) {
     // Directory-authoritative: the manifest pinned by the first explicit
     // worker carries {base_seed, total_runs, shard_count}; this worker
@@ -421,11 +411,11 @@ void run_shard_worker(const char* label, bool resilient,
       [resilient](std::uint64_t seed) { return run_pipeline(seed, resilient); },
       base_seed, n, so, opts);
   std::printf(
-      "  [%s] worker %zu/%zu: %zu shards run, adopted %zu, stole %zu, "
+      "  [%s] worker %zu/%zu: %zu shards run, adopted %zu, "
       "%zu runs executed, %zu lease conflicts, %zu shards lost, "
       "%zu abandoned, %zu quarantined, campaign %s\n",
       label, g_shard_index, g_shard_count, p.shards_run, p.shards_adopted,
-      p.shards_stolen, p.runs_executed, p.lease_conflicts, p.shards_lost,
+      p.runs_executed, p.lease_conflicts, p.shards_lost,
       p.shards_abandoned, p.shards_quarantined,
       p.campaign_complete ? "complete"
                           : (p.fleet_done ? "done (degraded)" : "incomplete"));
@@ -571,8 +561,6 @@ int main(int argc, char** argv) {
       g_shard_dir_given = true;
     } else if (std::strcmp(argv[i], "--lease-ttl-ms") == 0 && i + 1 < argc) {
       g_lease_ttl_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--steal") == 0 && i + 1 < argc) {
-      g_steal_after_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--repartition") == 0 && i + 1 < argc) {
       g_repartition = static_cast<std::size_t>(std::atoll(argv[++i]));
       if (g_repartition == 0) {
@@ -622,10 +610,6 @@ int main(int argc, char** argv) {
           "  --shard-dir DIR  shared fleet directory\n"
           "  --lease-ttl-ms MS  lease staleness threshold (default 10000)\n"
           "  --max-adoptions K  quarantine a shard after K adoptions\n"
-          "  --steal MS       with --shard/--shard-dir: once the claim pass\n"
-          "                   has been drained for MS ms, split a live\n"
-          "                   straggler unit at its reservation watermark\n"
-          "                   and run the stolen tail (0 = off)\n"
           "  --allow-partial  with --merge: emit DEGRADED output (exit 3)\n"
           "See the header comment of this file for full semantics.\n");
       return 0;
@@ -671,14 +655,9 @@ int main(int argc, char** argv) {
     // --shard-dir alone: elastic worker following the manifest.
     g_elastic = true;
     std::printf("elastic shard worker (manifest layout), dir %s, TTL %llu "
-                "ms%s\n",
+                "ms\n",
                 g_shard_dir.c_str(),
-                static_cast<unsigned long long>(g_lease_ttl_ms),
-                g_steal_after_ms
-                    ? (", steal after " + std::to_string(g_steal_after_ms) +
-                       " ms")
-                          .c_str()
-                    : "");
+                static_cast<unsigned long long>(g_lease_ttl_ms));
     try {
       run_shard_worker("non_resilient", /*resilient=*/false, kBaseSeed, kRuns);
       run_shard_worker("resilient", /*resilient=*/true, kBaseSeed, kRuns);

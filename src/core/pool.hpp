@@ -14,9 +14,10 @@ namespace scperf {
 /// Fixed-size thread pool for embarrassingly parallel simulation work
 /// (campaign runs, design-space sweeps: one Simulator per seed per worker).
 ///
-/// Deliberately work-stealing-free: tasks are claimed from a single shared
-/// queue, and the deterministic API is parallel_for(), which hands every
-/// index a dedicated result slot. Which worker executes which index is
+/// Deliberately one shared queue, no per-worker deques: tasks are claimed
+/// from it in order, and the deterministic API is parallel_for(), which
+/// hands every index a dedicated result slot. Which worker executes which
+/// index is
 /// scheduling noise; as long as the task for index i writes only state
 /// reachable from index i (the "one Simulator per thread, thread_local
 /// accumulator" contract in DESIGN.md §7), the assembled slot array is

@@ -131,7 +131,6 @@ std::unique_ptr<JournalWriter> open_journal(
   header.shard_begin = opts.shard_begin;
   header.total_runs = opts.total_runs == 0 ? n : opts.total_runs;
   header.worker_id = opts.worker_id;
-  header.steal_epoch = opts.steal_epoch;
 
   if (opts.resume) {
     std::ifstream probe(opts.journal_path, std::ios::binary);
@@ -141,15 +140,8 @@ std::unique_ptr<JournalWriter> open_journal(
     probe.close();
     if (nonempty) {
       JournalContents contents = read_journal(opts.journal_path);
-      // accept_journal_superset: a stolen unit shrinks, but its journal
-      // header still advertises the unit's size at creation time. The
-      // header may cover a superset [0, header.runs) ⊇ [0, n) of the slots
-      // being resumed; records beyond n belong to a child journal's range
-      // and are ignored here (the merge layer folds them from the child).
-      const bool runs_ok =
-          contents.header.runs == n ||
-          (opts.accept_journal_superset && contents.header.runs > n);
-      if (contents.header.base_seed != base_seed || !runs_ok ||
+      if (contents.header.base_seed != base_seed ||
+          contents.header.runs != n ||
           contents.header.scenario_digest != opts.scenario_digest ||
           contents.header.tag != opts.journal_tag) {
         throw minisc::SimError(
@@ -192,14 +184,6 @@ std::unique_ptr<JournalWriter> open_journal(
       std::vector<bool> done(n, false);
       for (JournalRecord& rec : contents.records) {
         if (rec.index >= n) {
-          if (opts.accept_journal_superset &&
-              rec.index < contents.header.runs) {
-            // The record is within the journal's own header range, just
-            // beyond the shrunken unit being resumed: a run the original
-            // owner completed before the steal carved its slot away. The
-            // merge layer credits it to whichever sub-unit owns the slot.
-            continue;
-          }
           throw minisc::SimError(
               minisc::SimError::Kind::kJournalCorrupt,
               "campaign journal '" + opts.journal_path + "': record index " +

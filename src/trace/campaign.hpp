@@ -196,27 +196,13 @@ struct CampaignOptions {
   std::uint64_t total_runs = 0;  ///< 0 = the n passed to run()
   std::string worker_id;
 
-  // ---- work stealing (journal header; set by trace/shard.hpp) ----
-
-  /// Lease incarnation recorded in the journal header: 0 for a unit's
-  /// primary journal, the victim lease's post-steal epoch for a child
-  /// journal created by stealing the tail of a live unit.
-  std::uint64_t steal_epoch = 0;
-  /// Relaxes the resume identity check: accept a journal whose header
-  /// `runs` exceeds the n passed to run(), reading back only records with
-  /// index < n and ignoring the rest. A stolen unit shrinks — its journal
-  /// header still advertises the size the unit had when the journal was
-  /// created, so a resuming worker of the shrunken unit must tolerate the
-  /// superset header (the out-of-range records belong to a child journal's
-  /// range and the merge layer folds them from there).
-  bool accept_journal_superset = false;
   /// Called right before each run record is appended to the journal (and on
   /// the sequential path, before each completed run is committed). A fleet
-  /// worker hooks this to re-probe its lease so a stolen/lost unit aborts
-  /// *before* recording a run outside its shrunken range — the "not a
-  /// single duplicate run" half of the steal contract. Exceptions propagate
-  /// out of run() like any non-SimError (parallel mode drains in-flight
-  /// runs first).
+  /// worker hooks this to re-probe its lease (ShardLease::assert_still_mine)
+  /// — adoption's guard against a displaced owner's appends: a worker whose
+  /// unit was adopted away aborts *before* recording another run into the
+  /// journal its adopter now extends. Exceptions propagate out of run()
+  /// like any non-SimError (parallel mode drains in-flight runs first).
   std::function<void(std::size_t index)> pre_append;
 
   // ---- per-run retry and timeout budgets ----

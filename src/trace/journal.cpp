@@ -118,8 +118,6 @@ std::string encode_header(const JournalHeader& h) {
   put_u64(out, h.shard_begin);
   put_u64(out, h.total_runs == 0 ? h.runs : h.total_runs);
   put_string(out, h.worker_id);
-  // Lease incarnation that created the journal (0 = primary).
-  put_u64(out, h.steal_epoch);
   return out;
 }
 
@@ -255,7 +253,6 @@ JournalContents read_journal(const std::string& path) {
       out.header.shard_begin = c.u64();
       out.header.total_runs = c.u64();
       out.header.worker_id = c.str();
-      out.header.steal_epoch = c.u64();
       if (!c.done()) throw_corrupt(path, record, "has a malformed header");
       have_header = true;
     } else if (type == kDecisionType) {

@@ -50,20 +50,12 @@ namespace sctrace {
 /// of a dead worker's shard appends under the original header, so the id is
 /// provenance, not ownership (ownership lives in the lease file).
 ///
-/// The steal epoch records work stealing: when a straggler's live unit is
-/// split by a work-stealing peer (see trace/shard.hpp), the stolen tail runs
-/// under a *child* journal whose header carries the lease incarnation
-/// (steal epoch) that created it. Primary journals carry epoch 0. The epoch
-/// is provenance for operators and status tooling; merge derives each
-/// sub-unit's effective range from the set of sibling journals, not from the
-/// epoch itself.
-///
 /// There is one format version, kVersion. read_journal refuses every other
 /// version with SimError(kShardVersionMismatch) naming both versions, so
 /// resume, merge and repartition never see a file of another format.
 struct JournalHeader {
   /// The format this build writes and the only one read_journal accepts.
-  static constexpr std::uint32_t kVersion = 4;
+  static constexpr std::uint32_t kVersion = 5;
 
   std::uint32_t version = kVersion;
   std::uint64_t base_seed = 0;
@@ -82,12 +74,6 @@ struct JournalHeader {
   std::uint64_t total_runs = 0;
   /// Free-form id of the worker process that created the journal.
   std::string worker_id;
-
-  // ---- work stealing -------------------------------------------------------
-  /// Lease incarnation that created this journal: 0 for a unit's primary
-  /// journal, >0 for a child journal created by stealing the tail of a live
-  /// unit (the value is the post-steal epoch of the victim's lease).
-  std::uint64_t steal_epoch = 0;
 };
 
 /// One recovered record: the run's index within its campaign (slot i of the

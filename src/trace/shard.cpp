@@ -13,7 +13,6 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <set>
 #include <tuple>
@@ -75,15 +74,10 @@ std::string read_whole_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Structured lease content. The raw fallback (no "owner " prefix) keeps
-/// pre-counter leases and hand-written test fixtures parseable: the whole
-/// content is the owner, zero adoptions, no recorded error.
+/// Line-based lease content (see LeaseInfo). Content without an owner line
+/// parses as owner "", which matches no worker id.
 LeaseInfo parse_lease(const std::string& content) {
   LeaseInfo info;
-  if (content.compare(0, 6, "owner ") != 0) {
-    info.owner = content;
-    return info;
-  }
   std::size_t pos = 0;
   while (pos < content.size()) {
     std::size_t eol = content.find('\n', pos);
@@ -94,11 +88,6 @@ LeaseInfo parse_lease(const std::string& content) {
       info.owner = line.substr(6);
     } else if (line.compare(0, 10, "adoptions ") == 0) {
       info.adoptions = std::strtoull(line.c_str() + 10, nullptr, 10);
-    } else if (line.compare(0, 6, "epoch ") == 0) {
-      info.epoch = std::strtoull(line.c_str() + 6, nullptr, 10);
-    } else if (line.compare(0, 9, "split_at ") == 0) {
-      info.split_at = std::strtoull(line.c_str() + 9, nullptr, 10);
-      info.has_split_at = true;
     } else if (line.compare(0, 6, "error ") == 0) {
       info.error = line.substr(6);
     }
@@ -116,26 +105,12 @@ std::string one_line(std::string s) {
   return s;
 }
 
-std::string format_lease_info(const LeaseInfo& info) {
-  std::string s = "owner " + info.owner + "\nadoptions " +
-                  std::to_string(info.adoptions) + "\n";
-  // v3 keys only when meaningful, so pre-steal fleets keep writing (and
-  // their tests keep reading) the historical two/three-line content.
-  if (info.epoch != 0) s += "epoch " + std::to_string(info.epoch) + "\n";
-  if (info.has_split_at) {
-    s += "split_at " + std::to_string(info.split_at) + "\n";
-  }
-  if (!info.error.empty()) s += "error " + one_line(info.error) + "\n";
-  return s;
-}
-
 std::string format_lease(const std::string& owner, std::uint64_t adoptions,
                          const std::string& error) {
-  LeaseInfo info;
-  info.owner = owner;
-  info.adoptions = adoptions;
-  info.error = error;
-  return format_lease_info(info);
+  std::string s = "owner " + owner + "\nadoptions " +
+                  std::to_string(adoptions) + "\n";
+  if (!error.empty()) s += "error " + one_line(error) + "\n";
+  return s;
 }
 
 /// O_EXCL lease creation — the atomic "exactly one winner" claim. Returns
@@ -166,7 +141,7 @@ bool create_lease_file(const std::string& path, const std::string& content) {
 }
 
 /// Write-then-rename: readers see the old content or the new, never a torn
-/// mix. Used for lease error records and quarantine tombstones.
+/// mix. Used for adoptions, lease error records and quarantine tombstones.
 void write_file_atomic(const std::string& path, const std::string& content,
                        const std::string& tmp_tag) {
   const std::string tmp = path + ".tmp-" + tmp_tag;
@@ -293,73 +268,6 @@ std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
          std::to_string(cell_count) + ".quarantined";
 }
 
-namespace {
-
-std::string steal_stem(const std::string& dir, std::size_t shard,
-                       std::size_t shard_count, std::uint64_t epoch,
-                       std::size_t begin) {
-  return dir + "/shard_" + std::to_string(shard) + "_of_" +
-         std::to_string(shard_count) + ".steal" + std::to_string(epoch) +
-         "_at" + std::to_string(begin);
-}
-
-/// One stolen-tail child unit, as recovered from the directory listing.
-struct StealChild {
-  std::size_t begin = 0;  ///< parent-local first run index of the child
-  std::uint64_t epoch = 0;
-};
-
-/// Discovers the steal children of one shard from filenames alone: any
-/// ".steal<epoch>_at<begin>" journal, lease or tombstone marks a committed
-/// split. Returned sorted by begin — the sorted begins tile the shard, each
-/// sub-unit ending where the next begins (see the steal contract in the
-/// header): the steal that created a child truncated exactly the unit it
-/// stole from, so no further bookkeeping is needed to recover the partition.
-std::vector<StealChild> scan_steal_children(const std::string& dir,
-                                            std::size_t shard,
-                                            std::size_t shard_count) {
-  std::map<std::size_t, std::uint64_t> by_begin;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    std::size_t s = 0, count = 0, begin = 0;
-    unsigned long long epoch = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.steal%llu_at%zu%n", &s,
-                    &count, &epoch, &begin, &consumed) != 4 ||
-        consumed <= 0) {
-      continue;
-    }
-    const std::string rest = name.substr(static_cast<std::size_t>(consumed));
-    if (rest != ".journal" && rest != ".lease" && rest != ".quarantined") {
-      continue;
-    }
-    if (s != shard || count != shard_count) continue;
-    auto [it, inserted] =
-        by_begin.emplace(begin, static_cast<std::uint64_t>(epoch));
-    if (!inserted && epoch > it->second) it->second = epoch;
-  }
-  std::vector<StealChild> out;
-  out.reserve(by_begin.size());
-  for (const auto& [begin, epoch] : by_begin) out.push_back({begin, epoch});
-  return out;
-}
-
-}  // namespace
-
-std::string shard_steal_journal_path(const std::string& dir, std::size_t shard,
-                                     std::size_t shard_count,
-                                     std::uint64_t epoch, std::size_t begin) {
-  return steal_stem(dir, shard, shard_count, epoch, begin) + ".journal";
-}
-
-std::string shard_steal_lease_path(const std::string& dir, std::size_t shard,
-                                   std::size_t shard_count,
-                                   std::uint64_t epoch, std::size_t begin) {
-  return steal_stem(dir, shard, shard_count, epoch, begin) + ".lease";
-}
-
 bool read_lease_info(const std::string& path, LeaseInfo* out) {
   if (!file_exists(path)) return false;
   const std::string content = read_whole_file(path);
@@ -372,13 +280,11 @@ bool read_lease_info(const std::string& path, LeaseInfo* out) {
 
 ShardLease::ShardLease(std::string path, std::string worker_id,
                        std::uint64_t ttl_ms, std::uint64_t heartbeat_ms,
-                       std::uint64_t adoptions, std::string carried_error,
-                       std::uint64_t epoch)
+                       std::uint64_t adoptions, std::string carried_error)
     : path_(std::move(path)),
       worker_id_(std::move(worker_id)),
       adoptions_(adoptions),
-      error_(std::move(carried_error)),
-      epoch_(epoch) {
+      error_(std::move(carried_error)) {
   std::uint64_t hb = heartbeat_ms != 0 ? heartbeat_ms : ttl_ms / 4;
   if (hb == 0) hb = 1;
   beat_ = std::thread([this, hb] { beat_loop(hb); });
@@ -395,16 +301,10 @@ void ShardLease::beat_loop(std::uint64_t heartbeat_ms) {
     }
     lk.unlock();
     // Ownership probe before the refresh: if the file no longer names this
-    // worker at this steal epoch (adopted away, stolen, or released by an
-    // adopter that finished), stop beating — refreshing someone else's
-    // lease would keep a shard we no longer own looking alive. content_mu_
-    // keeps the probe out of our own reserve_through rename window.
-    bool mine;
-    {
-      std::lock_guard<std::mutex> clk(content_mu_);
-      mine = still_mine_locked();
-    }
-    if (!mine) {
+    // worker (adopted away, or released by an adopter that finished), stop
+    // beating — refreshing someone else's lease would keep a shard we no
+    // longer own looking alive.
+    if (!still_mine()) {
       lost_.store(true, std::memory_order_release);
       lk.lock();
       break;
@@ -430,83 +330,33 @@ std::string ShardLease::io_error() const {
 }
 
 void ShardLease::record_error(const std::string& error) {
-  // Ownership guard: if the lease was already adopted away or stolen (we
-  // were paused past the TTL, or a steal bumped the epoch), the file belongs
-  // to someone else — overwriting it would knock a live worker off the
-  // shard. The remaining TOCTOU window is harmless: the displaced adopter
-  // sees a foreign owner on its next heartbeat, aborts via LeaseLostError,
-  // and re-claims; journal appends are bit-identical either way (runs are
-  // pure functions of their seed).
-  std::lock_guard<std::mutex> clk(content_mu_);
-  LeaseInfo cur = parse_lease(read_whole_file(path_));
-  if (lost() || cur.owner != worker_id_ || cur.epoch != epoch_) {
+  // Ownership guard: if the lease was already adopted away (we were paused
+  // past the TTL), the file belongs to someone else — overwriting it would
+  // knock a live worker off the shard. The remaining TOCTOU window is
+  // harmless: the displaced adopter sees a foreign owner on its next
+  // probe, aborts via LeaseLostError, and re-claims; journal appends are
+  // bit-identical either way (runs are pure functions of their seed).
+  const LeaseInfo cur = parse_lease(read_whole_file(path_));
+  if (lost() || cur.owner != worker_id_) {
     lost_.store(true, std::memory_order_release);
     return;
   }
   error_ = one_line(error);
-  cur.error = error_;  // keep epoch and watermark exactly as the file has them
-  write_file_atomic(path_, format_lease_info(cur), worker_id_);
+  write_file_atomic(path_, format_lease(cur.owner, cur.adoptions, error_),
+                    worker_id_);
 }
 
-bool ShardLease::still_mine_locked() const {
-  const LeaseInfo info = parse_lease(read_whole_file(path_));
-  return info.owner == worker_id_ && info.epoch == epoch_;
+bool ShardLease::still_mine() const {
+  return parse_lease(read_whole_file(path_)).owner == worker_id_;
 }
 
 void ShardLease::assert_still_mine() {
-  {
-    std::lock_guard<std::mutex> clk(content_mu_);
-    if (!lost() && still_mine_locked()) return;
-  }
+  if (!lost() && still_mine()) return;
   lost_.store(true, std::memory_order_release);
-  throw LeaseLostError(
-      "shard lease '" + path_ + "' no longer carries worker '" + worker_id_ +
-      "' at steal epoch " + std::to_string(epoch_) +
-      " (adopted away or stolen); aborting before appending another record");
-}
-
-void ShardLease::reserve_through(std::size_t idx, std::size_t limit) {
-  // Reservation chunk: how far past the requested index the watermark jumps,
-  // so the lease is rewritten once per chunk, not once per run.
-  constexpr std::size_t kReserveChunk = 8;
-  std::lock_guard<std::mutex> clk(content_mu_);
-  if (idx < reserved_) return;
-  const auto lose = [this](const std::string& why) {
-    lost_.store(true, std::memory_order_release);
-    throw LeaseLostError("shard lease '" + path_ + "': " + why +
-                         " — the unreserved tail belongs to its new owner; "
-                         "aborting the unit");
-  };
-  if (lost()) lose("already observed lost");
-  std::size_t target = idx + kReserveChunk;
-  if (target > limit) target = limit;
-  if (target <= idx) target = idx + 1;  // defensive: callers pass idx < limit
-  // Probe first: never rename-take a lease that is no longer ours.
-  LeaseInfo cur = parse_lease(read_whole_file(path_));
-  if (cur.owner != worker_id_ || cur.epoch != epoch_) {
-    lose("stolen or adopted away (owner/epoch changed)");
-  }
-  // The raise is a rename-take + O_EXCL re-create CAS, the same shape as a
-  // steal commit, so the two serialise on the filesystem: whichever takes
-  // the file first wins, and the loser observes it and backs off.
-  const std::string tmp = path_ + ".reserve-" + worker_id_;
-  if (::rename(path_.c_str(), tmp.c_str()) != 0) {
-    lose("vanished mid-reservation (stolen or adopted away)");
-  }
-  cur = parse_lease(read_whole_file(tmp));
-  if (cur.owner != worker_id_ || cur.epoch != epoch_) {
-    // A steal committed between the probe and the take: hand the stealer's
-    // lease back (atomic; a racing fresh claimer in this sliver of time is
-    // displaced and aborts safely at its own pre-append probe).
-    ::rename(tmp.c_str(), path_.c_str());
-    lose("stolen between probe and take");
-  }
-  cur.split_at = target;
-  cur.has_split_at = true;
-  const bool ok = create_lease_file(path_, format_lease_info(cur));
-  ::unlink(tmp.c_str());
-  if (!ok) lose("a new claimer re-created the lease mid-reservation");
-  reserved_ = target;
+  throw LeaseLostError("shard lease '" + path_ + "' no longer names worker '" +
+                       worker_id_ +
+                       "' (adopted away); aborting before appending another "
+                       "record");
 }
 
 void ShardLease::stop_beat() {
@@ -524,10 +374,8 @@ void ShardLease::release() {
   stop_beat();
   if (!released_) {
     released_ = true;
-    // A lost lease belongs to its adopter (or stealer) now; only unlink our
-    // own — same owner id at the same steal epoch.
-    std::lock_guard<std::mutex> clk(content_mu_);
-    if (!lost() && still_mine_locked()) {
+    // A lost lease belongs to its adopter now; only unlink our own.
+    if (!lost() && still_mine()) {
       ::unlink(path_.c_str());
     }
   }
@@ -568,19 +416,20 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
   // tombstone once it holds the path, and backs its lease out if one
   // appeared. Tombstones are never removed, so a create that lands after
   // the rename always sees it.
-  const auto back_out_if_quarantined = [&](std::uint64_t epoch) {
+  const auto back_out_if_quarantined = [&] {
     if (!read_lease_info(qpath, &qinfo)) return;
-    const LeaseInfo cur = parse_lease(read_whole_file(path));
-    if (cur.owner == worker_id && cur.epoch == epoch) ::unlink(path.c_str());
+    if (parse_lease(read_whole_file(path)).owner == worker_id) {
+      ::unlink(path.c_str());
+    }
     throw_quarantined(path, quarantine_summary(qinfo));
   };
 
   // Fresh claim: O_EXCL picks exactly one winner among racing creators.
   if (create_lease_file(path, format_lease(worker_id, 0, ""))) {
-    back_out_if_quarantined(/*epoch=*/0);
+    back_out_if_quarantined();
     return std::unique_ptr<ShardLease>(
         new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
-                       /*adoptions=*/0, /*carried_error=*/"", /*epoch=*/0));
+                       /*adoptions=*/0, /*carried_error=*/""));
   }
 
   // Lease exists. Alive (heartbeat within the TTL window, clock skew
@@ -621,44 +470,44 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
     throw_quarantined(path, quarantine_summary(parse_lease(tomb)));
   }
 
-  // Adopt. Steal by rename: the source vanishes for everyone else, so
-  // exactly one adopter proceeds past this line for a given incarnation.
-  const std::string tomb = path + ".adopt-" + worker_id;
-  if (::rename(path.c_str(), tomb.c_str()) != 0) {
+  // Adopt. Racing adopters of one stale lease are serialised by an O_EXCL
+  // marker named after the generation they would create: exactly one holds
+  // it at a time. The holder re-checks that the lease is still the stale
+  // incarnation inspected above and renames its own lease over it, so the
+  // lease path never goes empty — no fresh claim can slip in, and a loser
+  // never touches the lease. A marker older than the TTL was left by an
+  // adopter that died holding it; the next name in the series takes over.
+  const std::string marker_base =
+      path + ".adopt" + std::to_string(info.adoptions + 1);
+  std::string marker;
+  for (std::size_t k = 0;; ++k) {
+    marker = k == 0 ? marker_base : marker_base + "." + std::to_string(k);
+    if (create_lease_file(marker, worker_id + "\n")) break;
+    std::uint64_t marker_mtime = 0;
+    if (!lease_mtime_ms(marker, &marker_mtime) ||
+        lease_alive(marker_mtime, wall_now_ms(), lease_ttl_ms)) {
+      throw_conflict(path, "stale, but another worker is adopting it");
+    }
+  }
+  std::uint64_t again_mtime = 0;
+  const bool unchanged = read_whole_file(path) == content &&
+                         lease_mtime_ms(path, &again_mtime) &&
+                         !lease_alive(again_mtime, wall_now_ms(), lease_ttl_ms);
+  if (unchanged) {
+    // Carry the adoption counter (incremented) and the dead worker's
+    // recorded error forward.
+    write_file_atomic(path,
+                      format_lease(worker_id, info.adoptions + 1, info.error),
+                      worker_id);
+  }
+  ::unlink(marker.c_str());
+  if (!unchanged) {
     throw_conflict(path, "stale, but another worker adopted it first");
   }
-  // The rename takes whatever sits at the path by now, which may be the
-  // live lease a racing adopter re-created after taking the stale one we
-  // inspected. Only that stale incarnation may be taken: hand anything
-  // else straight back (a fresh claimer that slipped into the empty path
-  // meanwhile is displaced and aborts at its own pre-append probe).
-  std::uint64_t taken_mtime = 0;
-  if (!lease_mtime_ms(tomb, &taken_mtime) ||
-      lease_alive(taken_mtime, wall_now_ms(), lease_ttl_ms) ||
-      read_whole_file(tomb) != content) {
-    ::rename(tomb.c_str(), path.c_str());
-    throw_conflict(path, "stale, but another worker adopted it first");
-  }
-  ::unlink(tomb.c_str());
-  // Re-claim through the same O_EXCL gate, carrying the adoption counter
-  // (incremented), the dead worker's recorded error AND its steal epoch
-  // forward — the epoch keeps child-journal names monotone across adoption —
-  // while the reservation watermark deliberately resets (the new owner
-  // reserves afresh before dispatching anything). A racing *fresh* claimer
-  // that saw the path empty after our rename may legitimately beat us here.
-  LeaseInfo next;
-  next.owner = worker_id;
-  next.adoptions = info.adoptions + 1;
-  next.error = info.error;
-  next.epoch = info.epoch;
-  if (!create_lease_file(path, format_lease_info(next))) {
-    throw_conflict(path, "stale lease stolen, but a new claimer re-created "
-                         "it first");
-  }
-  back_out_if_quarantined(info.epoch);
+  back_out_if_quarantined();
   return std::unique_ptr<ShardLease>(
       new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
-                     info.adoptions + 1, info.error, info.epoch));
+                     info.adoptions + 1, info.error));
 }
 
 // ---- shard completion / coverage probes ------------------------------------
@@ -732,149 +581,7 @@ struct FleetUnit {
   std::size_t runs = 0;
   CampaignOptions opts;
   FaultCampaign::RunFn fn;
-
-  // ---- work stealing (campaign shards only; sweeps leave these off) ----
-  bool stealable = false;
-  std::size_t shard_no = 0;     ///< parent shard index (child naming)
-  std::size_t local_begin = 0;  ///< unit's first parent-local run index
 };
-
-/// Everything steal_tail needs to split one live unit. Derivable from a
-/// FleetUnit plus the directory, or from the manifest for the public API.
-struct StealTarget {
-  std::string dir;
-  std::string name;     ///< for error messages
-  std::string lease;    ///< victim lease path
-  std::string journal;  ///< victim journal path ('D' refusal probe)
-  std::size_t shard_no = 0;
-  std::size_t shard_count = 0;
-  std::size_t local_begin = 0;       ///< unit's first parent-local index
-  std::size_t unit_runs = 0;         ///< unit size (post any earlier splits)
-  std::uint64_t unit_base_seed = 0;  ///< first seed of the unit
-  std::uint64_t shard_begin_global = 0;  ///< global index of unit slot 0
-  std::uint64_t total_runs = 0;
-  std::uint64_t scenario_digest = 0;
-  std::string tag;
-};
-
-/// The steal commit: atomically bump the victim lease's epoch and pin its
-/// watermark (rename-take + O_EXCL re-create, serialising against the
-/// owner's reserve_through CAS), then create the child journal — the
-/// durable split marker whose filename encodes the new partition. A crash
-/// between the two steps is a harmless no-op: the epoch bumped but no child
-/// exists, so the displaced owner aborts, the lease goes stale, and the
-/// next claimer adopts the unit whole. Throws kBadConfig for decided ('D')
-/// journals, kLeaseConflict (transient) for every racy or not-stealable-yet
-/// condition.
-StealResult steal_tail(const StealTarget& t, std::uint64_t lease_ttl_ms,
-                       const std::string& thief_id) {
-  // Decided journals are never split: the decision record pins the global
-  // seed order of the (single-shard) sequential campaign, and a child
-  // journal would claim runs the campaign chose never to execute.
-  std::optional<JournalContents> jc;
-  try {
-    jc = read_journal(t.journal);
-  } catch (const SimError&) {
-    // Missing or unreadable journal: nothing decided, stealing may proceed
-    // (the claimer of the child resumes or heals as usual).
-  }
-  if (jc && jc->decision) {
-    throw SimError(SimError::Kind::kBadConfig,
-                   "work stealing: " + t.name + " ('" + t.journal +
-                       "') carries a sequential-verdict decision record — "
-                       "decided journals are never split");
-  }
-
-  LeaseInfo info;
-  std::uint64_t mtime = 0;
-  if (!read_lease_info(t.lease, &info) || !lease_mtime_ms(t.lease, &mtime)) {
-    throw_conflict(t.lease, "nothing to steal: no live lease (claim the "
-                            "unit instead)");
-  }
-  if (!lease_alive(mtime, wall_now_ms(), lease_ttl_ms)) {
-    throw_conflict(t.lease, "stale — adopt the whole unit instead of "
-                            "stealing its tail");
-  }
-  if (!info.has_split_at) {
-    throw_conflict(t.lease, "owner '" + info.owner +
-                                "' maintains no reservation watermark "
-                                "(stealing disabled, or no run dispatched "
-                                "yet)");
-  }
-  if (info.split_at >= t.unit_runs) {
-    throw_conflict(t.lease, "nothing left to steal (watermark at the unit "
-                            "end)");
-  }
-
-  // Commit, step 1: take the lease, re-read the authoritative watermark,
-  // re-create it with the epoch bumped and split_at pinned. rename has
-  // exactly one winner, so a concurrent reserve_through or second stealer
-  // loses cleanly.
-  const std::string tmp = t.lease + ".steal-" + thief_id;
-  if (::rename(t.lease.c_str(), tmp.c_str()) != 0) {
-    throw_conflict(t.lease, "vanished mid-steal (released, adopted or "
-                            "stolen first)");
-  }
-  info = parse_lease(read_whole_file(tmp));
-  const std::size_t split = static_cast<std::size_t>(info.split_at);
-  if (!info.has_split_at || split >= t.unit_runs) {
-    ::rename(tmp.c_str(), t.lease.c_str());  // hand the lease back untouched
-    throw_conflict(t.lease, "watermark reached the unit end mid-steal");
-  }
-  LeaseInfo next = info;
-  next.epoch = info.epoch + 1;
-  next.split_at = split;
-  next.has_split_at = true;
-  const bool ok = create_lease_file(t.lease, format_lease_info(next));
-  ::unlink(tmp.c_str());
-  if (!ok) {
-    throw_conflict(t.lease, "a new claimer re-created the lease mid-steal");
-  }
-
-  // Commit, step 2: the child journal (header only) — the durable marker
-  // from which every pass of every worker recomputes the partition.
-  JournalHeader h;
-  h.base_seed = t.unit_base_seed + split;
-  h.runs = t.unit_runs - split;
-  h.scenario_digest = t.scenario_digest;
-  h.tag = t.tag;
-  h.shard_index = t.shard_no;
-  h.shard_count = t.shard_count;
-  h.shard_begin = t.shard_begin_global + split;
-  h.total_runs = t.total_runs;
-  h.worker_id = thief_id;
-  h.steal_epoch = next.epoch;
-
-  StealResult r;
-  r.epoch = next.epoch;
-  r.split_at = t.local_begin + split;
-  r.stolen_runs = t.unit_runs - split;
-  r.child_journal = shard_steal_journal_path(
-      t.dir, t.shard_no, t.shard_count, next.epoch, t.local_begin + split);
-  {
-    JournalWriter w(r.child_journal, h, /*flush_every=*/1);
-    w.sync();
-  }
-  return r;
-}
-
-StealTarget steal_target_of(const std::string& dir, const FleetUnit& unit) {
-  StealTarget t;
-  t.dir = dir;
-  t.name = unit.name;
-  t.lease = unit.lease;
-  t.journal = unit.journal;
-  t.shard_no = unit.shard_no;
-  t.shard_count = static_cast<std::size_t>(unit.opts.shard_count);
-  t.local_begin = unit.local_begin;
-  t.unit_runs = unit.runs;
-  t.unit_base_seed = unit.base_seed;
-  t.shard_begin_global = unit.opts.shard_begin;
-  t.total_runs = unit.opts.total_runs;
-  t.scenario_digest = unit.opts.scenario_digest;
-  t.tag = unit.opts.journal_tag;
-  return t;
-}
 
 /// The self-healing claim/run/adopt/quarantine loop shared by
 /// run_sharded_campaign and run_sharded_sweep. Per pass over the units
@@ -898,9 +605,8 @@ StealTarget steal_target_of(const std::string& dir, const FleetUnit& unit) {
 ///
 /// The unit list is re-read from `provider` at the top of every pass, which
 /// is what makes the fleet *elastic*: a campaign provider re-reads the
-/// fleet manifest (so a live repartition changes the layout under running
-/// workers) and re-scans for steal children (so a tail stolen by a peer
-/// appears as a claimable unit on this worker's next pass).
+/// fleet manifest, so a live repartition changes the layout under running
+/// workers.
 using UnitsProvider = std::function<std::vector<FleetUnit>()>;
 
 ShardProgress run_fleet(const UnitsProvider& provider,
@@ -908,18 +614,12 @@ ShardProgress run_fleet(const UnitsProvider& provider,
                         const std::string& worker_id) {
   ShardProgress prog;
   std::set<std::string> quarantined;  // terminal units, keyed by lease path
-  // Straggler tracking for the steal pass: lease path -> (last observed
-  // "epoch:split_at" fingerprint, when it last changed).
-  std::map<std::string,
-           std::pair<std::string, std::chrono::steady_clock::time_point>>
-      stalled;
   const auto started = std::chrono::steady_clock::now();
   std::vector<FleetUnit> units;
   for (;;) {
     units = provider();
     bool all_done = true;
     bool progressed = false;
-    std::vector<std::size_t> steal_candidates;
     const std::size_t prefer =
         units.empty() ? 0 : shard.shard_index % units.size();
     for (std::size_t k = 0; k < units.size(); ++k) {
@@ -942,10 +642,8 @@ ShardProgress run_fleet(const UnitsProvider& provider,
       } catch (const SimError& e) {
         if (e.kind() == SimError::Kind::kLeaseConflict) {
           // Transient by contract: a live peer owns the unit (or won an
-          // adoption race). The outer pass-and-poll loop is the backoff —
-          // and a live peer's unit is what the steal pass may split.
+          // adoption race). The outer pass-and-poll loop is the backoff.
           ++prog.lease_conflicts;
-          if (unit.stealable) steal_candidates.push_back(i);
           continue;
         }
         if (e.kind() == SimError::Kind::kShardQuarantined) {
@@ -973,25 +671,18 @@ ShardProgress run_fleet(const UnitsProvider& provider,
 
       std::atomic<std::size_t> executed{0};
       ShardLease* held = lease.get();
-      // Pre-append lease probe: a stolen or adopted-away unit must abort
-      // BEFORE its next record lands — "not a single duplicate run".
+      // Pre-append lease probe: a worker whose unit was adopted away must
+      // abort BEFORE its next record lands in the adopter's journal.
       co.pre_append = [held](std::size_t) { held->assert_still_mine(); };
 
-      // With stealing enabled, every dispatch first raises the reservation
-      // watermark past its unit-local index (chunked, so the lease rewrite
-      // cost is amortised): the owner only ever appends indices below the
-      // watermark, which is exactly what makes a concurrent steal of
-      // [watermark, end) disjoint by construction.
-      const bool reserve = unit.stealable && shard.steal_after_ms > 0;
       const FaultCampaign::RunFn wrapped =
-          [&unit, &executed, held, reserve](std::uint64_t seed) {
+          [&unit, &executed, held](std::uint64_t seed) {
             if (held->lost()) {
               throw LeaseLostError(
                   "shard lease '" + held->path() + "' was adopted away from '" +
                   held->worker_id() +
-                  "' (heartbeat stalled past the TTL, or the unit's tail was "
-                  "stolen); aborting the shard — its new owner owns the "
-                  "journal now");
+                  "' (heartbeat stalled past the TTL); aborting the shard — "
+                  "its new owner owns the journal now");
             }
             const std::string io = held->io_error();
             if (!io.empty()) {
@@ -1000,10 +691,6 @@ ShardProgress run_fleet(const UnitsProvider& provider,
               // failed-run recording (FaultCampaign::run rethrows it), so
               // it lands in the abandon path below, not in the statistics.
               throw SimError(SimError::Kind::kIoError, io);
-            }
-            if (reserve) {
-              held->reserve_through(
-                  static_cast<std::size_t>(seed - unit.base_seed), unit.runs);
             }
             executed.fetch_add(1, std::memory_order_relaxed);
             return unit.fn(seed);
@@ -1059,63 +746,6 @@ ShardProgress run_fleet(const UnitsProvider& provider,
     if (all_done) {
       prog.fleet_done = true;
       break;
-    }
-    if (!progressed && shard.steal_after_ms > 0 && !steal_candidates.empty()) {
-      // Steal pass: the claim pass is drained (every remaining unit is
-      // leased by a live peer), so look for a straggler. A unit counts as
-      // stalled once its owner's (epoch, watermark) fingerprint has not
-      // moved for steal_after_ms — an owner making progress raises the
-      // watermark, a stolen unit bumps the epoch, and either resets the
-      // clock. Stealing splits the live unit at its watermark: the owner
-      // keeps [0, split_at), we take [split_at, end) as a child unit with
-      // its own journal.
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t i : steal_candidates) {
-        const FleetUnit& unit = units[i];
-        std::string fp;
-        try {
-          const LeaseInfo li = parse_lease(read_whole_file(unit.lease));
-          fp = li.owner + "/" + std::to_string(li.epoch) + ":" +
-               (li.has_split_at ? std::to_string(li.split_at) : "-");
-        } catch (const SimError&) {
-          stalled.erase(unit.lease);  // lease vanished: claimable next pass
-          continue;
-        }
-        auto it = stalled.find(unit.lease);
-        if (it == stalled.end() || it->second.first != fp) {
-          stalled[unit.lease] = {fp, now};
-          continue;
-        }
-        const auto idle =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - it->second.second)
-                .count();
-        if (idle < 0 ||
-            static_cast<std::uint64_t>(idle) < shard.steal_after_ms) {
-          continue;
-        }
-        try {
-          steal_tail(steal_target_of(shard.dir, unit), shard.lease_ttl_ms,
-                     worker_id);
-          ++prog.shards_stolen;
-          progressed = true;
-          stalled.erase(unit.lease);
-          // The child unit appears in the next provider() pass and is
-          // claimed through the ordinary path.
-        } catch (const SimError& e) {
-          if (e.kind() == SimError::Kind::kLeaseConflict) {
-            // Lost the steal race, the lease went stale (adopt instead),
-            // or the owner holds no watermark. Transient: retry the
-            // ordinary claim next pass.
-            ++prog.lease_conflicts;
-          } else if (e.kind() == SimError::Kind::kBadConfig) {
-            // Decided journal: never split. Leave it to its owner.
-            stalled.erase(unit.lease);
-          } else {
-            throw;
-          }
-        }
-      }
     }
     if (!progressed) {
       // Every remaining unit is leased by a live peer (or was lost to an
@@ -1356,9 +986,9 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
         "campaigns and prune independently)");
   }
 
-  // Units are re-derived from the manifest (and the directory's steal
-  // children) at the top of every claim pass — that is what makes a live
-  // repartition and a peer's steal visible without a restart.
+  // Units are re-derived from the manifest at the top of every claim pass
+  // — that is what makes a live repartition visible without a restart.
+  // Every unit is exactly one canonical shard_range slot.
   const std::string dir = shard.dir;
   const auto provider = [dir, fn, opts]() {
     const FleetManifest m = read_fleet_manifest(dir);
@@ -1367,127 +997,25 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
     units.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       const ShardRange range = shard_range(i, count, m.total_runs);
-      const std::vector<StealChild> kids = scan_steal_children(dir, i, count);
-      // Child filenames tile the shard: the primary covers [0, first
-      // child's begin) and child k covers [begin_k, begin_{k+1}) with the
-      // last child running to the shard end.
-      std::size_t cut = kids.empty() ? range.size() : kids.front().begin;
-      if (cut > range.size()) cut = range.size();  // stray oversized name
       FleetUnit u;
       u.index = i;
-      u.name =
-          "shard " + std::to_string(i) + "/" + std::to_string(count);
+      u.name = "shard " + std::to_string(i) + "/" + std::to_string(count);
       u.journal = shard_journal_path(dir, i, count);
       u.lease = shard_lease_path(dir, i, count);
       u.quarantine = shard_quarantine_path(dir, i, count);
       u.base_seed = m.base_seed + range.begin;
-      u.runs = cut;
+      u.runs = range.size();
       u.opts = opts;
       u.opts.shard_index = i;
       u.opts.shard_count = count;
       u.opts.shard_begin = range.begin;
       u.opts.total_runs = m.total_runs;
-      u.opts.steal_epoch = 0;
-      // A stolen unit shrinks after its journal header was written, so
-      // resume must tolerate header.runs covering a superset of the unit.
-      u.opts.accept_journal_superset = true;
       u.fn = fn;
-      u.stealable = true;
-      u.shard_no = i;
-      u.local_begin = 0;
       units.push_back(std::move(u));
-      for (std::size_t k = 0; k < kids.size(); ++k) {
-        const std::size_t b = kids[k].begin;
-        const std::size_t e =
-            k + 1 < kids.size() ? kids[k + 1].begin : range.size();
-        if (b >= range.size() || b >= e) continue;  // stray file
-        FleetUnit c;
-        c.index = i;
-        c.name = "shard " + std::to_string(i) + "/" +
-                 std::to_string(count) + " tail@" + std::to_string(b);
-        c.journal =
-            shard_steal_journal_path(dir, i, count, kids[k].epoch, b);
-        c.lease = shard_steal_lease_path(dir, i, count, kids[k].epoch, b);
-        c.quarantine =
-            steal_stem(dir, i, count, kids[k].epoch, b) + ".quarantined";
-        c.base_seed = m.base_seed + range.begin + b;
-        c.runs = e - b;
-        c.opts = opts;
-        c.opts.shard_index = i;
-        c.opts.shard_count = count;
-        c.opts.shard_begin = range.begin + b;
-        c.opts.total_runs = m.total_runs;
-        c.opts.steal_epoch = kids[k].epoch;
-        c.opts.accept_journal_superset = true;
-        c.fn = fn;
-        c.stealable = true;
-        c.shard_no = i;
-        c.local_begin = b;
-        units.push_back(std::move(c));
-      }
     }
     return units;
   };
   return run_fleet(provider, shard, worker_id);
-}
-
-StealResult steal_shard_tail(const std::string& dir, std::size_t shard,
-                             std::uint64_t lease_ttl_ms,
-                             const std::string& thief_id) {
-  if (!file_exists(fleet_manifest_path(dir))) {
-    throw SimError(SimError::Kind::kBadConfig,
-                   "steal_shard_tail: no fleet manifest in '" + dir +
-                       "' — only a pinned campaign fleet can be stolen from");
-  }
-  const FleetManifest m = read_fleet_manifest(dir);
-  if (shard >= m.shard_count) {
-    throw SimError(SimError::Kind::kBadConfig,
-                   "steal_shard_tail: shard " + std::to_string(shard) +
-                       " out of range for " + std::to_string(m.shard_count) +
-                       " shards");
-  }
-  const ShardRange range = shard_range(shard, m.shard_count, m.total_runs);
-  const std::vector<StealChild> kids =
-      scan_steal_children(dir, shard, m.shard_count);
-
-  // Steal from the *last* live sub-unit of the shard — the unit that owns
-  // the tail. Walk the tiling and pick the deepest sub-unit whose lease is
-  // present; steal_tail itself re-validates liveness and the watermark.
-  StealTarget t;
-  t.dir = dir;
-  t.shard_no = shard;
-  t.shard_count = m.shard_count;
-  t.total_runs = m.total_runs;
-  t.scenario_digest = m.scenario_digest;
-  t.tag = m.tag;
-  // Default: the primary, possibly truncated by its first child.
-  t.name = "shard " + std::to_string(shard) + "/" +
-           std::to_string(m.shard_count);
-  t.lease = shard_lease_path(dir, shard, m.shard_count);
-  t.journal = shard_journal_path(dir, shard, m.shard_count);
-  t.local_begin = 0;
-  t.unit_runs = kids.empty() ? range.size() : kids.front().begin;
-  t.unit_base_seed = m.base_seed + range.begin;
-  t.shard_begin_global = range.begin;
-  for (std::size_t k = 0; k < kids.size(); ++k) {
-    const std::size_t b = kids[k].begin;
-    const std::size_t e =
-        k + 1 < kids.size() ? kids[k + 1].begin : range.size();
-    if (b >= range.size() || b >= e) continue;
-    const std::string lease =
-        shard_steal_lease_path(dir, shard, m.shard_count, kids[k].epoch, b);
-    if (!file_exists(lease)) continue;
-    t.name = "shard " + std::to_string(shard) + "/" +
-             std::to_string(m.shard_count) + " tail@" + std::to_string(b);
-    t.lease = lease;
-    t.journal =
-        shard_steal_journal_path(dir, shard, m.shard_count, kids[k].epoch, b);
-    t.local_begin = b;
-    t.unit_runs = e - b;
-    t.unit_base_seed = m.base_seed + range.begin + b;
-    t.shard_begin_global = range.begin + b;
-  }
-  return steal_tail(t, lease_ttl_ms, thief_id);
 }
 
 // ---- repartition -----------------------------------------------------------
@@ -1896,9 +1424,8 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
     u.fn = factory(m, s);
     units.push_back(std::move(u));
   }
-  // A sweep's layout is static (cells don't repartition and don't steal —
-  // a cell is already the mobility granularity), so the provider returns
-  // the same unit list every pass.
+  // A sweep's layout is static (cells don't repartition), so the provider
+  // returns the same unit list every pass.
   return run_fleet([units]() { return units; }, shard, worker_id);
 }
 
@@ -1926,11 +1453,9 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
   out.runs = static_cast<std::size_t>(first.total_runs);
   out.base_seed = first.base_seed - first.shard_begin;
 
-  std::vector<bool> shard_seen(out.shard_count, false);
-  // Sub-units of one shard are keyed by (shard index, global begin): a
-  // steal child starts mid-slot, and two journals claiming the same start
-  // are ambiguous however long they run.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>> dup;
+  // Journals by shard index: exactly one per shard, so a second one is
+  // ambiguous (which to trust?) rather than partial.
+  std::vector<std::vector<std::size_t>> by_shard(out.shard_count);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const JournalHeader& h = shards[s].header;
     if (h.scenario_digest != out.scenario_digest) {
@@ -1964,37 +1489,31 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
                       std::to_string(h.shard_index) + " of only " +
                       std::to_string(h.shard_count));
     }
-    // Sub-range containment, not equality: a steal child covers a tail
-    // [split_at, end) of its shard, and a stolen parent's header still
-    // advertises the full slot it was created for. Either way the
-    // journal's own range must sit inside the canonical slot of its index.
+    // Each journal covers exactly the canonical slot of its index, so the
+    // journals of a fleet tile the campaign and no run slot has two owners.
     const ShardRange want = shard_range(
         static_cast<std::size_t>(h.shard_index), out.shard_count, out.runs);
-    if (h.shard_begin < want.begin || h.shard_begin + h.runs > want.end) {
+    if (h.shard_begin != want.begin || h.runs != want.size()) {
       throw_merge_bad("shard journal '" + paths[s] + "' covers [" +
                       std::to_string(h.shard_begin) + ", +" +
-                      std::to_string(h.runs) +
-                      ") which is not contained in shard " +
+                      std::to_string(h.runs) + ") but shard " +
                       std::to_string(h.shard_index) +
-                      "'s canonical slot [" + std::to_string(want.begin) +
+                      "'s canonical slot is [" + std::to_string(want.begin) +
                       ", +" + std::to_string(want.size()) + ") of " +
                       std::to_string(out.shard_count) + " shards");
     }
-    shard_seen[static_cast<std::size_t>(h.shard_index)] = true;
-    dup[{static_cast<std::size_t>(h.shard_index),
-         static_cast<std::size_t>(h.shard_begin)}]
-        .push_back(s);
+    by_shard[static_cast<std::size_t>(h.shard_index)].push_back(s);
   }
   {
     // Ambiguity, not partial-ness: even a degraded merge cannot decide
-    // which duplicate journal to trust — and every ambiguous unit is
+    // which duplicate journal to trust — and every ambiguous shard is
     // reported in one message so one fix-up pass suffices.
     std::string dups;
-    for (const auto& [key, idxs] : dup) {
+    for (std::size_t i = 0; i < by_shard.size(); ++i) {
+      const std::vector<std::size_t>& idxs = by_shard[i];
       if (idxs.size() < 2) continue;
       if (!dups.empty()) dups += "; ";
-      dups += "shard " + std::to_string(key.first) + " @" +
-              std::to_string(key.second) + " (";
+      dups += "shard " + std::to_string(i) + " (";
       for (std::size_t k = 0; k < idxs.size(); ++k) {
         if (k) dups += ", ";
         dups += "'" + paths[idxs[k]] + "'";
@@ -2003,7 +1522,7 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
     }
     if (!dups.empty()) {
       throw_merge_incomplete(
-          "the same unit appears in more than one journal: " + dups +
+          "the same shard appears in more than one journal: " + dups +
           " — ambiguous which journal to trust");
     }
   }
@@ -2014,7 +1533,7 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
     std::string missing_list;
     std::size_t n_missing = 0;
     for (std::size_t i = 0; i < out.shard_count; ++i) {
-      if (shard_seen[i] ||
+      if (!by_shard[i].empty() ||
           shard_range(i, out.shard_count, out.runs).empty()) {
         continue;
       }
@@ -2058,8 +1577,7 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
                       "' carries a sequential-verdict decision record but " +
                       std::to_string(shards.size()) +
                       " journals were given — a decided campaign is one "
-                      "journal (decided units are never split), so this set "
-                      "is hand-mixed");
+                      "journal, so this set is hand-mixed");
     }
     out.decision = shards[s].decision;
     expected_end = std::min(
@@ -2071,9 +1589,6 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
   // deterministic); the last one wins, like journal resume.
   out.results.resize(out.runs);
   std::vector<bool> done(out.runs, false);
-  std::vector<std::size_t> slot_owner(out.runs, std::size_t(-1));
-  std::size_t overlaps = 0;
-  std::string overlap_list;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const JournalHeader& h = shards[s].header;
     for (JournalRecord& rec : shards[s].records) {
@@ -2086,31 +1601,9 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
       }
       const std::size_t global =
           static_cast<std::size_t>(h.shard_begin) + rec.index;
-      if (slot_owner[global] != std::size_t(-1) && slot_owner[global] != s) {
-        // Cross-journal overlap: the steal partition guarantees disjoint
-        // sub-units, so two journals recording one slot means a corrupt or
-        // hand-mixed layout. Collected, then reported in one message.
-        ++overlaps;
-        if (overlaps <= 4) {
-          if (!overlap_list.empty()) overlap_list += "; ";
-          overlap_list += "global index " + std::to_string(global) +
-                          " in '" + paths[slot_owner[global]] + "' and '" +
-                          paths[s] + "'";
-        }
-        continue;
-      }
-      slot_owner[global] = s;
       out.results[global] = std::move(rec.result);
       done[global] = true;
     }
-  }
-  if (overlaps > 0) {
-    throw_merge_bad(
-        std::to_string(overlaps) +
-        " global run slots are recorded by more than one journal (" +
-        overlap_list + (overlaps > 4 ? "; …" : "") +
-        ") — sub-unit ranges must be disjoint; the steal partition or the "
-        "layout is corrupt");
   }
   // An early-stopped campaign only owes records for the runs it executed:
   // completeness (and the degraded-merge bookkeeping) is judged over
@@ -2163,13 +1656,9 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
 
 MergedCampaign merge_shard_dir(const std::string& dir,
                                const MergeOptions& opts) {
-  // Primaries first; the shard count learned from their names then drives
-  // the per-shard scan for steal children, whose journals merge as
-  // ordinary sub-units.
   std::vector<std::pair<std::size_t, std::string>> found;
-  // (shard, name, tombstone path) — primaries and steal children alike.
+  // (shard, name, tombstone path).
   std::vector<std::tuple<std::size_t, std::string, std::string>> tombs;
-  std::size_t shard_count = 0;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
@@ -2180,7 +1669,6 @@ MergedCampaign merge_shard_dir(const std::string& dir,
                     &count, &consumed) == 2 &&
         static_cast<std::size_t>(consumed) == name.size()) {
       found.emplace_back(shard, entry.path().string());
-      if (shard_count == 0) shard_count = count;
     }
     consumed = 0;
     if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.quarantined%n", &shard,
@@ -2190,7 +1678,6 @@ MergedCampaign merge_shard_dir(const std::string& dir,
                          "shard " + std::to_string(shard) + "/" +
                              std::to_string(count),
                          entry.path().string());
-      if (shard_count == 0) shard_count = count;
     }
   }
   if (ec) {
@@ -2201,22 +1688,6 @@ MergedCampaign merge_shard_dir(const std::string& dir,
   std::vector<std::string> paths;
   paths.reserve(found.size());
   for (auto& [shard, path] : found) paths.push_back(std::move(path));
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    for (const StealChild& kid : scan_steal_children(dir, i, shard_count)) {
-      const std::string stem =
-          steal_stem(dir, i, shard_count, kid.epoch, kid.begin);
-      if (file_exists(stem + ".journal")) {
-        paths.push_back(stem + ".journal");
-      }
-      if (file_exists(stem + ".quarantined")) {
-        tombs.emplace_back(i,
-                           "shard " + std::to_string(i) + "/" +
-                               std::to_string(shard_count) + " tail@" +
-                               std::to_string(kid.begin),
-                           stem + ".quarantined");
-      }
-    }
-  }
   std::sort(tombs.begin(), tombs.end());
   if (!tombs.empty() && !opts.allow_partial) {
     // Every quarantined unit in one refusal, so the operator sees the whole
@@ -2558,137 +2029,18 @@ void tally(FleetStatus* st, const ShardStatusEntry& e) {
 }  // namespace
 
 FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
-  // Layout authority: the fleet manifest when one is pinned (always, for
-  // fleets started by this release); otherwise fall back to deriving the
-  // layout from the shard filenames, which all carry "<i>_of_<N>".
-  std::size_t shard_count = 0;
-  std::size_t total_runs = 0;
-  if (file_exists(fleet_manifest_path(dir))) {
-    const FleetManifest m = read_fleet_manifest(dir);
-    shard_count = m.shard_count;
-    total_runs = m.total_runs;
-  } else {
-    bool mixed = false;
-    std::vector<std::string> journals;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      std::size_t shard = 0, count = 0;
-      int consumed = 0;
-      const bool is_journal =
-          std::sscanf(name.c_str(), "shard_%zu_of_%zu.journal%n", &shard,
-                      &count, &consumed) == 2 &&
-          static_cast<std::size_t>(consumed) == name.size();
-      consumed = 0;
-      const bool is_lease =
-          std::sscanf(name.c_str(), "shard_%zu_of_%zu.lease%n", &shard,
-                      &count, &consumed) == 2 &&
-          static_cast<std::size_t>(consumed) == name.size();
-      consumed = 0;
-      const bool is_tomb =
-          std::sscanf(name.c_str(), "shard_%zu_of_%zu.quarantined%n", &shard,
-                      &count, &consumed) == 2 &&
-          static_cast<std::size_t>(consumed) == name.size();
-      if (!is_journal && !is_lease && !is_tomb) continue;
-      if (shard_count == 0) shard_count = count;
-      if (count != shard_count) mixed = true;
-      if (is_journal) journals.push_back(entry.path().string());
-    }
-    if (ec) {
-      throw SimError(SimError::Kind::kBadConfig,
-                     "fleet status: cannot scan shard directory '" + dir +
-                         "': " + ec.message());
-    }
-    if (shard_count == 0) {
-      throw SimError(
-          SimError::Kind::kMergeIncomplete,
-          "fleet status: no shard files (shard_<i>_of_<N>.*) in '" + dir +
-              "' — no fleet ever started here");
-    }
-    if (mixed) {
-      throw SimError(
-          SimError::Kind::kBadConfig,
-          "fleet status: '" + dir + "' holds files from differently "
-          "sized fleets and no manifest to arbitrate — mixed shard layouts "
-          "cannot be summarised");
-    }
-    // The campaign's total run count lives in any journal header; until the
-    // first journal exists, per-shard run counts are simply unknown (0).
-    for (const std::string& j : journals) {
-      try {
-        total_runs =
-            static_cast<std::size_t>(read_journal(j).header.total_runs);
-        break;
-      } catch (const SimError&) {
-        continue;  // torn or corrupt journal; try another shard's
-      }
-    }
-  }
-
+  // Layout authority: the fleet manifest, like every worker and repartition.
+  const FleetManifest m = read_fleet_manifest(dir);
   FleetStatus st;
-  st.units = shard_count;
-  st.entries.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    const ShardRange range =
-        total_runs != 0 ? shard_range(i, shard_count, total_runs)
-                        : ShardRange{};
-    // One entry per shard, folded over its sub-units (the primary plus any
-    // steal children): records and runs sum across the tiling, done
-    // requires every sub-unit done, and the most urgent sub-unit state
-    // (quarantined > claimed > stale > unclaimed) names the owner.
-    const std::vector<StealChild> kids =
-        scan_steal_children(dir, i, shard_count);
-    std::vector<ShardStatusEntry> subs;
-    const std::size_t cut =
-        kids.empty() ? range.size()
-                     : std::min(kids.front().begin, range.size());
-    subs.push_back(unit_status(
-        i, "shard " + std::to_string(i) + "/" + std::to_string(shard_count),
-        shard_journal_path(dir, i, shard_count),
-        shard_lease_path(dir, i, shard_count),
-        shard_quarantine_path(dir, i, shard_count), cut, lease_ttl_ms));
-    for (std::size_t k = 0; k < kids.size(); ++k) {
-      const std::size_t b = kids[k].begin;
-      const std::size_t e =
-          k + 1 < kids.size() ? kids[k + 1].begin : range.size();
-      if (total_runs != 0 && (b >= range.size() || b >= e)) continue;
-      const std::string stem =
-          steal_stem(dir, i, shard_count, kids[k].epoch, b);
-      subs.push_back(unit_status(i, "tail@" + std::to_string(b),
-                                 stem + ".journal", stem + ".lease",
-                                 stem + ".quarantined",
-                                 total_runs != 0 ? e - b : 0, lease_ttl_ms));
-    }
-    ShardStatusEntry e = subs.front();
-    e.children = subs.size() - 1;
-    bool all_done = true;
-    for (const ShardStatusEntry& s : subs) {
-      if (s.state != ShardStatusEntry::State::kDone) all_done = false;
-    }
-    for (std::size_t k = 1; k < subs.size(); ++k) {
-      e.records += subs[k].records;
-      e.runs += subs[k].runs;
-    }
-    const auto pick = [&](ShardStatusEntry::State want) {
-      for (const ShardStatusEntry& s : subs) {
-        if (s.state != want) continue;
-        e.state = s.state;
-        e.owner = s.owner;
-        e.adoptions = s.adoptions;
-        e.heartbeat_age_ms = s.heartbeat_age_ms;
-        e.error = s.error;
-        return true;
-      }
-      return false;
-    };
-    if (all_done) {
-      e.state = ShardStatusEntry::State::kDone;
-    } else if (!pick(ShardStatusEntry::State::kQuarantined) &&
-               !pick(ShardStatusEntry::State::kClaimed) &&
-               !pick(ShardStatusEntry::State::kStale)) {
-      e.state = ShardStatusEntry::State::kUnclaimed;
-    }
+  st.units = m.shard_count;
+  st.entries.reserve(m.shard_count);
+  for (std::size_t i = 0; i < m.shard_count; ++i) {
+    ShardStatusEntry e = unit_status(
+        i, "shard " + std::to_string(i) + "/" + std::to_string(m.shard_count),
+        shard_journal_path(dir, i, m.shard_count),
+        shard_lease_path(dir, i, m.shard_count),
+        shard_quarantine_path(dir, i, m.shard_count),
+        shard_range(i, m.shard_count, m.total_runs).size(), lease_ttl_ms);
     tally(&st, e);
     st.entries.push_back(std::move(e));
   }
@@ -2729,10 +2081,6 @@ void print_fleet_status(std::ostream& os, const FleetStatus& st) {
        << std::setw(static_cast<int>(name_w) + 2) << e.name << std::right
        << std::setw(12) << to_string(e.state) << "  " << e.records << "/"
        << e.runs;
-    if (e.children > 0) {
-      os << "  (+" << e.children << " stolen tail"
-         << (e.children > 1 ? "s" : "") << ")";
-    }
     if (e.state == ShardStatusEntry::State::kClaimed ||
         e.state == ShardStatusEntry::State::kStale) {
       os << "  owner '" << e.owner << "'";

@@ -33,10 +33,12 @@ namespace sctrace {
 /// Coordination is filesystem-only, built from two atomic primitives:
 ///
 ///   - claim:  open(lease, O_CREAT | O_EXCL) — exactly one creator wins;
-///   - adopt:  rename(lease, lease.adopt-<worker>) — rename has exactly one
-///     winner because the source vanishes for everyone else, so a stale
-///     lease (heartbeat mtime older than the TTL: its worker is dead) is
-///     stolen by at most one survivor, which then re-claims via O_EXCL.
+///   - adopt:  a stale lease (heartbeat mtime older than the TTL: its worker
+///     is dead) is replaced by rename(new lease, lease), which never leaves
+///     the path empty. Racing adopters first O_EXCL-create a marker named
+///     after the adoption generation, so exactly one survivor re-checks the
+///     stale lease and replaces it; the others see the marker or the new
+///     lease and back off.
 ///
 /// A held lease is heartbeaten by refreshing its mtime from a background
 /// thread. The TTL contract: a worker whose heartbeat stays fresher than
@@ -78,22 +80,10 @@ namespace sctrace {
 /// which migrates completed records into the new canonical tiling and
 /// rewrites the manifest — propagates to running workers without a restart.
 ///
-/// Straggler work stealing: a worker that drained the claim pass may split
-/// a *live* slow unit. The owner's lease carries a steal epoch and a
-/// `split_at` reservation watermark — the owner reserves forward (in
-/// chunks) before dispatching an index, so every index it will ever append
-/// is < split_at. The stealer atomically (rename-take + O_EXCL re-create)
-/// bumps the epoch, pins split_at, and creates a *child* journal named
-/// `<unit>.steal<epoch>_at<split_at>.journal` covering [split_at, end).
-/// Child filenames encode the partition, so sub-unit ranges are computable
-/// from the directory alone; children are ordinary units (claimable,
-/// adoptable, quarantinable, themselves stealable). The displaced owner
-/// detects the epoch bump (heartbeat probe + a pre-append lease check) and
-/// aborts via LeaseLostError without appending another record; its
-/// completed prefix is adopted like any stale unit. merge folds parent and
-/// children back into the canonical bytes, refusing cross-journal overlap.
-/// Decided ('D') journals are never split, and sweep cells do not steal —
-/// a cell is already the mobility granularity of a sweep.
+/// One unit per slot: every campaign work unit is exactly one canonical
+/// shard_range slot of the pinned layout, with one lease and one journal.
+/// A slow-but-alive worker keeps its unit; only a worker whose heartbeat
+/// stops for a full TTL loses it, to adoption.
 
 /// Half-open global run-index range [begin, end) of one shard.
 struct ShardRange {
@@ -129,42 +119,20 @@ std::string cell_lease_path(const std::string& dir, std::size_t cell,
 std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
                                  std::size_t cell_count);
 
-/// Child-unit filenames of a stolen tail: the parent unit's stem plus
-/// ".steal<epoch>_at<begin>" (begin is parent-local), so the sub-unit
-/// partition of a shard is computable from the directory listing alone.
-std::string shard_steal_journal_path(const std::string& dir, std::size_t shard,
-                                     std::size_t shard_count,
-                                     std::uint64_t epoch, std::size_t begin);
-std::string shard_steal_lease_path(const std::string& dir, std::size_t shard,
-                                   std::size_t shard_count,
-                                   std::uint64_t epoch, std::size_t begin);
-
 /// Parsed content of a lease file (or of the quarantine tombstone it became).
-/// The structured format is line-based:
+/// The format is line-based, one key per line:
 ///
 ///   owner <worker id>
 ///   adoptions <count>
-///   epoch <steal epoch>                                          (v3; optional)
-///   split_at <reservation watermark, unit-local run index>       (v3; optional)
 ///   error <last recorded SimError text, single sanitized line>   (optional)
 ///
-/// A file whose first line does not start with "owner " is read as the bare
-/// worker id (the pre-counter format; also what a hand-written lease is),
-/// with zero adoptions and no recorded error. Absent v3 keys parse as epoch
-/// 0 and no watermark — old leases are simply not stealable.
+/// Missing keys parse as their defaults and unknown keys are ignored (a
+/// tombstone adds "quarantined-by <worker>"). Content with no owner line
+/// parses as owner "", which names no worker: nobody's lease.
 struct LeaseInfo {
   std::string owner;
   std::uint64_t adoptions = 0;
   std::string error;  ///< last recorded permanent SimError ("" = none)
-
-  /// Steal epoch: bumped by every committed steal of this lease. The owner
-  /// treats an epoch it did not write as loss of the unit.
-  std::uint64_t epoch = 0;
-  /// Reservation watermark: the owner has promised to append only records
-  /// with unit-local index < split_at, and must raise it (atomically)
-  /// before dispatching beyond it. A stealer claims [split_at, end).
-  std::uint64_t split_at = 0;
-  bool has_split_at = false;  ///< false = no watermark line (not stealable)
 };
 
 /// Reads and parses the lease (or tombstone) at `path`. Returns false when
@@ -195,16 +163,13 @@ class ShardLease {
 
   const std::string& path() const { return path_; }
   const std::string& worker_id() const { return worker_id_; }
-  /// True when this claim stole a stale lease from a dead worker.
+  /// True when this claim adopted a stale lease from a dead worker.
   bool adopted() const { return adoptions_ > 0; }
   /// How many times this shard has been adopted, this claim included.
   std::uint64_t adoptions() const { return adoptions_; }
-  /// True once the heartbeat saw another worker's id (or a foreign steal
-  /// epoch) in the lease file.
+  /// True once a probe saw another worker's id (or no owner) in the lease
+  /// file.
   bool lost() const { return lost_.load(std::memory_order_acquire); }
-  /// The steal epoch this claim holds (carried across adoption; bumped only
-  /// by a committed steal, which this worker observes as loss).
-  std::uint64_t epoch() const { return epoch_; }
   /// Non-empty once the heartbeat failed to refresh the lease mtime: the
   /// errno text of the failed utimensat (EIO, ENOSPC, ...). The fleet loop
   /// surfaces it as a structured minisc::SimError(kIoError) between runs.
@@ -216,22 +181,13 @@ class ShardLease {
   /// it forward, and the quarantine tombstone records the last one.
   void record_error(const std::string& error);
 
-  /// Raises the reservation watermark so that unit-local index `idx` may be
-  /// dispatched: a no-op when idx is already reserved, otherwise an atomic
-  /// (rename-take + O_EXCL re-create) rewrite of the lease with split_at
-  /// advanced to min(limit, idx rounded up to the reserve chunk). Throws
-  /// LeaseLostError — and marks the lease lost — when the lease no longer
-  /// carries this worker's owner id and epoch: a steal committed between
-  /// this worker's runs, and [split_at, end) belongs to the stealer now.
-  /// Thread-safe (pool workers call it concurrently).
-  void reserve_through(std::size_t idx, std::size_t limit);
-
   /// Synchronous loss probe: re-reads the lease and throws LeaseLostError
-  /// (marking the lease lost) unless it still carries this worker's owner
-  /// id and epoch. The fleet loop installs this as the campaign's
-  /// pre-append hook, so a stolen or adopted-away unit aborts *before* its
-  /// next record lands on disk — the "not a single duplicate run" half of
-  /// the steal contract.
+  /// (marking the lease lost) unless it still names this worker. The fleet
+  /// loop installs this as the campaign's pre-append hook. It is adoption's
+  /// guard against a displaced owner's appends: a worker paused past the
+  /// TTL and adopted away aborts *before* its next record lands on disk,
+  /// so the unit's journal only ever grows under the lease that owns it.
+  /// Thread-safe.
   void assert_still_mine();
 
   /// Stops the heartbeat and unlinks the lease (no-op if lost or released).
@@ -252,29 +208,21 @@ class ShardLease {
 
   ShardLease(std::string path, std::string worker_id, std::uint64_t ttl_ms,
              std::uint64_t heartbeat_ms, std::uint64_t adoptions,
-             std::string carried_error, std::uint64_t epoch);
+             std::string carried_error);
   void beat_loop(std::uint64_t heartbeat_ms);
   void stop_beat();
-  /// Probe helper shared by assert_still_mine and the heartbeat: true when
-  /// the lease file still carries this worker's owner id and epoch. Callers
-  /// hold content_mu_ (the lease file transiently vanishes during this
-  /// worker's own reserve_through rename window — the mutex keeps our own
-  /// probes out of it).
-  bool still_mine_locked() const;
+  /// Probe helper shared by assert_still_mine, the heartbeat and release:
+  /// true when the lease file still names this worker. This worker only
+  /// ever replaces its lease by atomic rename, so the probe never sees its
+  /// own lease missing.
+  bool still_mine() const;
 
   std::string path_;
   std::string worker_id_;
   std::uint64_t adoptions_ = 0;
   std::string error_;  ///< recorded error content (carried or own)
-  std::uint64_t epoch_ = 0;
   std::atomic<bool> lost_{false};
   bool released_ = false;
-
-  /// Serialises this worker's own lease-content operations (reservation
-  /// rewrites, heartbeat ownership probes, pre-append probes) so a probe
-  /// never lands inside our own rename-take window.
-  mutable std::mutex content_mu_;
-  std::size_t reserved_ = 0;  ///< unit-local indices < reserved_ may dispatch
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -284,8 +232,9 @@ class ShardLease {
 };
 
 /// Claims the lease at `path` for `worker_id`: a fresh O_EXCL create if no
-/// lease exists, an adopt (rename-steal + re-create with the adoption
-/// counter incremented) if one exists but its heartbeat mtime is outside
+/// lease exists, an adopt (a new lease with the adoption counter
+/// incremented, renamed over the old one) if one exists but its heartbeat
+/// mtime is outside
 /// the TTL window — older than `lease_ttl_ms`, or more than `lease_ttl_ms`
 /// in the future (clock skew: nobody is refreshing that mtime either).
 /// On success returns the held lease, heartbeating every `heartbeat_ms`
@@ -348,13 +297,6 @@ struct ShardOptions {
   /// Give up waiting for other workers' shards after this long (0 = wait
   /// until the whole campaign is complete — the CI survivor mode).
   std::uint64_t max_wait_ms = 0;
-  /// Straggler work stealing (campaign shards only; 0 = disabled). Once a
-  /// claim pass makes no progress, a live unit whose reservation watermark
-  /// has not advanced for this long has its unreserved tail [split_at, end)
-  /// split off into a child unit this worker then claims. Choose a patience
-  /// well below the lease TTL: between steal_after_ms and the TTL is the
-  /// window where a frozen straggler is split rather than waited out.
-  std::uint64_t steal_after_ms = 0;
 };
 
 /// What one worker did. fleet_done is the fleet-level statement: every
@@ -363,7 +305,7 @@ struct ShardOptions {
 /// all its records (nothing quarantined, nothing missing).
 struct ShardProgress {
   std::size_t shards_run = 0;      ///< shards this worker completed
-  std::size_t shards_adopted = 0;  ///< of those, stolen from dead workers
+  std::size_t shards_adopted = 0;  ///< of those, adopted from dead workers
   std::size_t runs_executed = 0;   ///< seeds actually simulated here
   std::size_t lease_conflicts = 0; ///< claims lost to live peers (transient)
   std::size_t shards_lost = 0;     ///< own leases adopted away mid-shard
@@ -376,9 +318,6 @@ struct ShardProgress {
   /// go stale, and the adoption counter will eventually quarantine the
   /// shard if every adopter fails the same way.
   std::size_t shards_abandoned = 0;
-  /// Live units whose tails this worker split off and claimed (work
-  /// stealing); the stolen child units it then ran count under shards_run.
-  std::size_t shards_stolen = 0;
   bool campaign_complete = false;  ///< all shards complete, none quarantined
   bool fleet_done = false;         ///< all shards complete OR quarantined
 };
@@ -415,39 +354,12 @@ FleetManifest read_fleet_manifest(const std::string& dir);
 /// against it and refuse (kBadConfig) on disagreement. shard.shard_count ==
 /// 0 is *elastic* mode: the shard count is read from the manifest (which
 /// must already exist), and the worker follows the manifest across a
-/// repartition. With shard.steal_after_ms > 0 the worker also splits live
-/// straggler units once its claim pass drains (see the steal contract in
-/// the file header).
+/// repartition.
 ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    std::uint64_t base_seed,
                                    std::size_t total_runs,
                                    const ShardOptions& shard,
                                    const CampaignOptions& opts = {});
-
-/// What one committed steal produced.
-struct StealResult {
-  std::uint64_t epoch = 0;      ///< the victim lease's post-steal epoch
-  std::size_t split_at = 0;     ///< parent-local begin of the stolen tail
-  std::size_t stolen_runs = 0;  ///< size of the child unit [split_at, end)
-  std::string child_journal;    ///< the child journal created (header only)
-};
-
-/// Splits the live unit `shard` of the fleet in `dir` at its current
-/// reservation watermark: atomically bumps the lease's steal epoch, pins
-/// split_at, and creates the child journal (header only) for
-/// [split_at, end) — the child is then an ordinary claimable unit, and the
-/// displaced owner aborts at its next lease probe. This is the primitive
-/// run_fleet's steal pass uses; it is exposed for tooling and tests.
-/// Throws minisc::SimError:
-///   - kBadConfig when the unit's journal carries a sequential-verdict
-///     decision record — decided ('D') journals are never split (the error
-///     names the unit) — or when no fleet.manifest pins a layout;
-///   - kLeaseConflict (transient) when the lease is missing, stale (adopt
-///     it instead), carries no watermark yet, has nothing left to steal, or
-///     the atomic takeover lost a race.
-StealResult steal_shard_tail(const std::string& dir, std::size_t shard,
-                             std::uint64_t lease_ttl_ms = 10000,
-                             const std::string& thief_id = "steal");
 
 /// Outcome of a repartition_fleet migration.
 struct RepartitionResult {
@@ -461,8 +373,8 @@ struct RepartitionResult {
 };
 
 /// Migrates the fleet directory to a new shard count: every record from
-/// every readable journal (primaries, steal children, quarantined units'
-/// journals) is re-tiled into fresh journals under the new canonical
+/// every readable shard journal (of any layout, quarantined units'
+/// included) is re-tiled into fresh journals under the new canonical
 /// shard_range partition, the manifest is atomically rewritten, and the old
 /// layout's files are removed — after which the merge of the directory is
 /// byte-identical to the single-process run, and manifest-following workers
@@ -478,7 +390,9 @@ struct RepartitionResult {
 ///     repartition requires the units it rewrites to be unowned;
 ///   - kBadConfig: a decided ('D') journal (the decision pins the global
 ///     seed order of a single-shard campaign), or new_count == 0;
-///   - kMergeIncomplete: no manifest and no journals to derive one from.
+///   - kMergeIncomplete: no fleet.manifest in `dir` — the layout is read
+///     from the manifest only, so a directory no campaign fleet ever pinned
+///     has nothing to migrate.
 RepartitionResult repartition_fleet(const std::string& dir,
                                     std::size_t new_count,
                                     std::uint64_t lease_ttl_ms = 10000);
@@ -582,20 +496,19 @@ struct MergedCampaign {
   std::vector<QuarantinedUnit> quarantined;
 };
 
-/// Folds shard journals into one campaign. A shard may be covered by
-/// several journals — its primary plus the child journals of stolen tails —
-/// as long as each covers a sub-range of the shard's canonical range and no
-/// record index is claimed by two different journals (cross-journal overlap
-/// refuses: the partition is ambiguous). Refuses, with a structured
+/// Folds shard journals into one campaign: one journal per shard, each
+/// covering exactly its shard's canonical shard_range slot, so no run slot
+/// can be claimed by two journals. Refuses, with a structured
 /// minisc::SimError:
 ///   - kShardVersionMismatch: any journal of another format version than
 ///     JournalHeader::kVersion, naming both versions;
 ///   - kBadConfig: mismatched scenario digests, tags, base seeds, total run
 ///     counts or shard layouts across the journals, or a journal whose
-///     range escapes its shard's canonical shard_range slot;
-///   - kMergeIncomplete (unless opts.allow_partial): missing shard
-///     journals, duplicate sub-ranges, overlapping records, or missing run
-///     records — merging a partial fleet *silently* would bias every
+///     range is not its shard's canonical slot (naming the slot);
+///   - kMergeIncomplete: two journals for one shard (listing both paths,
+///     even with opts.allow_partial — the fleet is ambiguous, not partial);
+///     and, unless opts.allow_partial, missing shard journals or missing
+///     run records — merging a partial fleet *silently* would bias every
 ///     statistic the campaign exists to measure, so the one error message
 ///     lists *every* missing/extra unit at once (operators fix the fleet in
 ///     one round-trip, not one refusal at a time). allow_partial makes the
@@ -691,11 +604,8 @@ struct ShardStatusEntry {
   /// Milliseconds since the lease heartbeat; negative = mtime in the future
   /// (clock skew). Meaningful for kClaimed/kStale only.
   std::int64_t heartbeat_age_ms = 0;
-  std::size_t records = 0;  ///< journal records present (steal children included)
-  std::size_t runs = 0;     ///< records expected (0 = unknown)
-  /// Stolen child units of this shard (".steal<e>_at<b>" files present).
-  /// records counts their journals too; done requires parent AND children.
-  std::size_t children = 0;
+  std::size_t records = 0;  ///< journal records present
+  std::size_t runs = 0;     ///< records expected
   std::string error;        ///< recorded/quarantined SimError text ("" = none)
 };
 
@@ -712,11 +622,11 @@ struct FleetStatus {
   bool fleet_done() const { return done + quarantined == units && units > 0; }
 };
 
-/// Reads the status of a sharded-*campaign* directory: one entry per shard,
-/// layout derived from the shard filenames, run counts from the journal
-/// headers' total_runs. `lease_ttl_ms` classifies claimed vs stale (use the
-/// fleet's TTL). Throws kMergeIncomplete when the directory holds no shard
-/// files at all.
+/// Reads the status of a sharded-*campaign* directory: one entry per shard
+/// of the layout pinned in `<dir>/fleet.manifest`. `lease_ttl_ms`
+/// classifies claimed vs stale (use the fleet's TTL). Throws
+/// kMergeIncomplete when no manifest exists (no campaign fleet ever started
+/// here) and kJournalCorrupt when it is malformed.
 FleetStatus fleet_status(const std::string& dir,
                          std::uint64_t lease_ttl_ms = 10000);
 

@@ -279,11 +279,13 @@ std::string frame_record(char type, const std::string& payload) {
   return out;
 }
 
-/// The header payload of a format-3 journal: the same fields as today's
-/// header (whole-campaign shard identity, no worker id, steal epoch 0) under
-/// version 3, whose run records also carried four replay-cache counters.
-std::string v3_header_payload(std::uint64_t base_seed, std::uint64_t runs,
-                              std::uint64_t digest, const std::string& tag) {
+/// The header payload of a retired format-3 or format-4 journal: today's
+/// header fields (whole-campaign shard identity, no worker id) plus the
+/// trailing u64 lease epoch both formats carried. Format 3's run records
+/// also carried four replay-cache counters.
+std::string old_header_payload(std::uint32_t version, std::uint64_t base_seed,
+                               std::uint64_t runs, std::uint64_t digest,
+                               const std::string& tag) {
   std::string p;
   auto u32 = [&p](std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
@@ -295,7 +297,7 @@ std::string v3_header_payload(std::uint64_t base_seed, std::uint64_t runs,
       p.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
     }
   };
-  u32(3);
+  u32(version);
   u64(base_seed);
   u64(runs);
   u64(digest);
@@ -306,26 +308,32 @@ std::string v3_header_payload(std::uint64_t base_seed, std::uint64_t runs,
   u64(0);     // shard_begin
   u64(runs);  // total_runs
   u32(0);     // empty worker_id
-  u64(0);     // steal_epoch
+  u64(0);     // lease epoch
   return p;
 }
 
 TEST(Journal, V3JournalIsRefusedNamingBothVersions) {
-  // One on-disk format: a journal of the previous version does not parse.
+  // One on-disk format: a journal of either retired version (3, or 4, the
+  // last one with a lease epoch in its header) does not parse.
   const std::string path = temp_journal("v3_read");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << frame_record('H', v3_header_payload(40, 12, 777, "old-release"));
-  }
-  try {
-    read_journal(path);
-    FAIL() << "expected SimError(kShardVersionMismatch)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("format version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find(path), std::string::npos) << what;
+  for (const std::uint32_t version : {3u, 4u}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << frame_record(
+          'H', old_header_payload(version, 40, 12, 777, "old-release"));
+    }
+    try {
+      read_journal(path);
+      FAIL() << "expected SimError(kShardVersionMismatch)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("format version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+    }
   }
   std::remove(path.c_str());
 }
@@ -333,8 +341,7 @@ TEST(Journal, V3JournalIsRefusedNamingBothVersions) {
 TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
   const std::string path = temp_journal("v99");
   {
-    std::string p = v3_header_payload(0, 1, 0, "");
-    p[0] = 99;  // version field is the first u32 of the payload
+    const std::string p = old_header_payload(99, 0, 1, 0, "");
     std::ofstream out(path, std::ios::binary);
     out << frame_record('H', p);
   }
@@ -345,7 +352,7 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }
@@ -498,32 +505,37 @@ TEST(JournalResume, HeaderMismatchIsRefused) {
 }
 
 TEST(JournalResume, V3JournalResumeIsRefusedNamingBothVersions) {
-  // An otherwise perfectly matching format-3 journal (same base seed, run
-  // count, digest, tag) must refuse to resume rather than be extended or
-  // silently restarted.
+  // An otherwise perfectly matching journal of a retired format (3 or 4;
+  // same base seed, run count, digest, tag) must refuse to resume rather
+  // than be extended or silently restarted.
   const std::string path = temp_journal("v3_resume");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << frame_record('H', v3_header_payload(40, 12, 777, "old-release"));
+  for (const std::uint32_t version : {3u, 4u}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << frame_record(
+          'H', old_header_payload(version, 40, 12, 777, "old-release"));
+    }
+    const std::uint64_t size_before = file_size(path);
+    CampaignOptions opts;
+    opts.journal_path = path;
+    opts.journal_tag = "old-release";
+    opts.scenario_digest = 777;
+    opts.resume = true;
+    FaultCampaign c(synth_fn());
+    try {
+      c.run(40, 12, opts);
+      FAIL() << "expected SimError(kShardVersionMismatch)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("format version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos);
+    }
+    EXPECT_EQ(file_size(path), size_before);  // neither extended nor truncated
   }
-  const std::uint64_t size_before = file_size(path);
-  CampaignOptions opts;
-  opts.journal_path = path;
-  opts.journal_tag = "old-release";
-  opts.scenario_digest = 777;
-  opts.resume = true;
-  FaultCampaign c(synth_fn());
-  try {
-    c.run(40, 12, opts);
-    FAIL() << "expected SimError(kShardVersionMismatch)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("format version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find(path), std::string::npos);
-  }
-  EXPECT_EQ(file_size(path), size_before);  // neither extended nor truncated
   std::remove(path.c_str());
 }
 

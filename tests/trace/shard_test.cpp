@@ -5,7 +5,8 @@
 //   - shard_range tiles the campaign exactly: contiguous, disjoint, total;
 //   - the lease protocol picks exactly one winner: a double claim raises a
 //     *transient* kLeaseConflict, a fresh lease is never adoptable, a stale
-//     one (heartbeat mtime past the TTL) is adopted by exactly one claimer;
+//     one (heartbeat mtime past the TTL) is adopted by exactly one of eight
+//     racing claimers, and content with no owner line is nobody's lease;
 //   - a worker whose lease was adopted away observes lost() and leaves the
 //     file to the adopter;
 //   - adoption of a partially-journaled shard resumes the dead worker's
@@ -14,14 +15,18 @@
 //     is byte-identical to the uninterrupted single-process run for
 //     threads in {seq, 1, 8};
 //   - merge refuses missing shards, missing records, mixed fault-model
-//     digests and other journal format versions with structured SimErrors;
+//     digests, other journal format versions, a journal outside its
+//     shard's canonical slot and two journals for one shard, with
+//     structured SimErrors;
 //   - the lease carries an adoption counter across crash generations, a
 //     shard adopted past max_adoptions is quarantined by exactly one worker
 //     (atomic rename tombstone) and excluded from every later claim pass;
 //   - a lease whose mtime sits in the FUTURE beyond the TTL (clock skew)
 //     is stale too — a skewed worker cannot pin a shard forever;
 //   - --allow-partial merges compact recorded runs in global seed order, so
-//     the degraded CSV is byte-stable across threads in {seq, 1, 8}.
+//     the degraded CSV is byte-stable across threads in {seq, 1, 8};
+//   - fleet_status classifies every shard state from the manifest-pinned
+//     directory without creating, removing or touching a file.
 
 #include "trace/shard.hpp"
 
@@ -33,6 +38,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -105,8 +111,7 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-/// Structured v2 lease content, matching the writer's line format. Tests
-/// that want a legacy raw-content lease just write_file the bare owner.
+/// Lease content in the writer's line format.
 std::string format_lease_for_test(const std::string& owner,
                                   std::uint64_t adoptions) {
   return "owner " + owner + "\nadoptions " + std::to_string(adoptions) + "\n";
@@ -194,22 +199,22 @@ TEST(ShardLease, FreshLeaseOfADeadlessWorkerIsNotAdoptable) {
   const std::string path = shard_lease_path(dir.str(), 0, 1);
   // A lease file with a current mtime and no live process behind it is
   // indistinguishable from a just-started worker: it must NOT be adopted.
-  write_file(path, "maybe-alive");
+  write_file(path, format_lease_for_test("maybe-alive", 0));
   EXPECT_THROW(claim_shard_lease(path, "bob", 10000), SimError);
-  EXPECT_EQ(read_file(path), "maybe-alive");
+  EXPECT_EQ(read_file(path), format_lease_for_test("maybe-alive", 0));
 }
 
 TEST(ShardLease, StaleLeaseIsAdopted) {
   ScratchDir dir("stale");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "dead-worker");
+  write_file(path, format_lease_for_test("dead-worker", 0));
   make_stale(path);
   auto lease = claim_shard_lease(path, "survivor", 10000);
   EXPECT_TRUE(lease->adopted());
   LeaseInfo info;
   ASSERT_TRUE(read_lease_info(path, &info));
   EXPECT_EQ(info.owner, "survivor");
-  // The raw legacy lease counts as generation zero; adoption makes one.
+  // The never-adopted lease is generation zero; adoption makes one.
   EXPECT_EQ(info.adoptions, 1u);
   EXPECT_EQ(lease->adoptions(), 1u);
   // No adoption tombstone left behind.
@@ -224,7 +229,7 @@ TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
   // Tight heartbeat so the probe notices quickly.
   auto lease = claim_shard_lease(path, "victim", 10000, /*heartbeat_ms=*/20);
   // Simulate the adopter's rename+re-create: the file now names it.
-  write_file(path, "adopter");
+  write_file(path, format_lease_for_test("adopter", 1));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!lease->lost() && std::chrono::steady_clock::now() < deadline) {
@@ -234,7 +239,34 @@ TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
   lease->release();
   // A lost lease belongs to the adopter: release must not unlink it.
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(read_file(path), "adopter");
+  EXPECT_EQ(read_file(path), format_lease_for_test("adopter", 1));
+}
+
+TEST(ShardLease, ContentWithoutAnOwnerLineIsNobodysLease) {
+  ScratchDir dir("ownerless");
+  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  // Content with no owner line (here a bare worker id) names no owner.
+  write_file(path, "dead-worker");
+  LeaseInfo info;
+  ASSERT_TRUE(read_lease_info(path, &info));
+  EXPECT_EQ(info.owner, "");
+  EXPECT_EQ(info.adoptions, 0u);
+  // Fresh, it is still a held lease: refused like any other...
+  try {
+    claim_shard_lease(path, "bob", 10000);
+    FAIL() << "expected SimError(kLeaseConflict)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
+  }
+  EXPECT_EQ(read_file(path), "dead-worker");
+  // ...and stale, it is adopted once, as generation one.
+  make_stale(path);
+  auto lease = claim_shard_lease(path, "survivor", 10000);
+  EXPECT_TRUE(lease->adopted());
+  EXPECT_EQ(lease->adoptions(), 1u);
+  ASSERT_TRUE(read_lease_info(path, &info));
+  EXPECT_EQ(info.owner, "survivor");
+  EXPECT_THROW(claim_shard_lease(path, "late", 10000), SimError);
 }
 
 // ---- clock skew -----------------------------------------------------------
@@ -249,7 +281,7 @@ void make_future(const std::string& path, int minutes) {
 TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
   ScratchDir dir("skew_far");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "skewed-worker");
+  write_file(path, format_lease_for_test("skewed-worker", 0));
   // An hour in the future with a 10 s TTL: no honest heartbeat can have
   // produced this mtime, so treating it as "alive until the wall clock
   // catches up" would pin the shard for an hour. It must be adoptable NOW.
@@ -264,13 +296,13 @@ TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
 TEST(ShardLease, FutureMtimeWithinTheTtlIsAlive) {
   ScratchDir dir("skew_near");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "slightly-ahead");
+  write_file(path, format_lease_for_test("slightly-ahead", 0));
   // A few seconds ahead is ordinary NFS/VM clock slop around a live
   // heartbeat: within the TTL window in either direction means alive.
   std::filesystem::last_write_time(
       path, std::filesystem::last_write_time(path) + std::chrono::seconds(5));
   EXPECT_THROW(claim_shard_lease(path, "bob", 10000), SimError);
-  EXPECT_EQ(read_file(path), "slightly-ahead");
+  EXPECT_EQ(read_file(path), format_lease_for_test("slightly-ahead", 0));
 }
 
 // ---- adoption counter & quarantine ----------------------------------------
@@ -339,10 +371,10 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
 TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
   ScratchDir dir("quarantined_claim");
   const std::string path = shard_lease_path(dir.str(), 0, 1);
-  write_file(path, "dead-worker");
+  write_file(path, format_lease_for_test("dead-worker", 0));
   make_stale(path);
-  // A raw legacy lease parses as zero prior adoptions, so with
-  // max_adoptions=1 the first stale claim still adopts normally.
+  // Zero prior adoptions, so with max_adoptions=1 the first stale claim
+  // still adopts normally.
   auto lease = claim_shard_lease(path, "adopter", 10000, 0, 1);
   EXPECT_TRUE(lease->adopted());
   lease->abandon();
@@ -400,6 +432,59 @@ TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
     ASSERT_TRUE(read_lease_info(qpath, &qinfo));
     EXPECT_EQ(qinfo.owner, "doomed");
     EXPECT_EQ(qinfo.adoptions, 3u);
+  }
+}
+
+TEST(ShardLease, RacingAdoptersAdoptExactlyOnce) {
+  ScratchDir dir("race_adopt");
+  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  // Ten rounds on a lease an hour stale, then one whose mtime sits an hour
+  // in the FUTURE against the 10 s TTL (clock skew: stale too). Every round
+  // has exactly one winner; every other racer gets a transient conflict.
+  for (int round = 0; round <= 10; ++round) {
+    std::filesystem::remove(path);
+    write_file(path, format_lease_for_test("dead-worker", 0));
+    if (round < 10) {
+      make_stale(path);
+    } else {
+      make_future(path, 60);
+    }
+    std::vector<std::unique_ptr<ShardLease>> held(8);
+    std::atomic<int> conflicts{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> racers;
+    for (int t = 0; t < 8; ++t) {
+      racers.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        try {
+          held[t] = claim_shard_lease(path, "racer" + std::to_string(t),
+                                      10000);
+        } catch (const SimError& e) {
+          EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict) << e.what();
+          ++conflicts;
+        }
+      });
+    }
+    go.store(true);
+    for (auto& th : racers) th.join();
+    std::string winner;
+    int winners = 0;
+    for (int t = 0; t < 8; ++t) {
+      if (!held[t]) continue;
+      ++winners;
+      winner = "racer" + std::to_string(t);
+    }
+    EXPECT_EQ(winners, 1) << "round " << round;
+    EXPECT_EQ(conflicts.load(), 7) << "round " << round;
+    // Adoption renames the new lease over the stale one, so the path never
+    // goes empty for a fresh claim to win with the counter reset to 0.
+    LeaseInfo info;
+    ASSERT_TRUE(read_lease_info(path, &info)) << "round " << round;
+    EXPECT_EQ(info.owner, winner) << "round " << round;
+    EXPECT_EQ(info.adoptions, 1u) << "round " << round;
+    for (auto& l : held) {
+      if (l) l->release();
+    }
   }
 }
 
@@ -476,7 +561,7 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   }
   // ...and its lease went stale.
   const std::string lease = shard_lease_path(dir.str(), 1, 2);
-  write_file(lease, "dead-worker");
+  write_file(lease, format_lease_for_test("dead-worker", 0));
   make_stale(lease);
 
   std::mutex mu;
@@ -516,7 +601,7 @@ TEST(ShardWorker, CorruptAdoptedJournalIsHealedUnderTheExclusiveLease) {
   // pure function of its seed, so it deletes the wreck and re-runs.
   write_file(shard_journal_path(dir.str(), 1, 2), "garbage");
   const std::string lease = shard_lease_path(dir.str(), 1, 2);
-  write_file(lease, "dead-worker");
+  write_file(lease, format_lease_for_test("dead-worker", 0));
   make_stale(lease);
 
   ShardOptions so;
@@ -691,16 +776,16 @@ std::string frame_record(char type, const std::string& payload) {
   return out;
 }
 
-/// Re-stamps a journal's header as format version 3 (whose header layout is
-/// today's), carrying the run records verbatim.
-void stamp_journal_v3(const std::string& path) {
+/// Re-stamps a journal's header with another format version number,
+/// carrying the header fields and run records verbatim.
+void stamp_journal_version(const std::string& path, std::uint8_t version) {
   const std::string bytes = read_file(path);
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
     len |= std::uint32_t(static_cast<unsigned char>(bytes[1 + i])) << (8 * i);
   }
   std::string payload = bytes.substr(1 + 4, len);
-  payload[0] = 3;  // version field: leading u32, little-endian
+  payload[0] = static_cast<char>(version);  // leading u32, little-endian
   payload[1] = payload[2] = payload[3] = 0;
   write_file(path, frame_record('H', payload) + bytes.substr(1 + 4 + len + 8));
 }
@@ -708,20 +793,93 @@ void stamp_journal_v3(const std::string& path) {
 TEST(ShardMerge, V3JournalIsRefusedNamingBothVersions) {
   ScratchDir dir("v3_merge");
   build_fleet(dir.str(), 0, 10);
-  stamp_journal_v3(shard_journal_path(dir.str(), 1, 2));
+  // Both retired formats: 3, and 4 (the last with a lease epoch).
+  for (const std::uint8_t version : {3, 4}) {
+    stamp_journal_version(shard_journal_path(dir.str(), 1, 2), version);
+    for (const bool allow_partial : {false, true}) {
+      MergeOptions mo;
+      mo.allow_partial = allow_partial;
+      try {
+        merge_shard_dir(dir.str(), mo);
+        FAIL() << "expected SimError(kShardVersionMismatch)";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("format version " + std::to_string(version)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+/// Rewrites shard 1 of a 10-run, 2-shard fleet as a journal with a
+/// complete record set over [begin, begin + runs) (global indices).
+void write_shard1_journal(const std::string& path, std::size_t begin,
+                          std::size_t runs) {
+  JournalHeader h;
+  h.base_seed = begin;
+  h.runs = runs;
+  h.shard_index = 1;
+  h.shard_count = 2;
+  h.shard_begin = begin;
+  h.total_runs = 10;
+  JournalWriter w(path, h, 1);
+  for (std::size_t i = 0; i < runs; ++i) w.append(i, synth_run(begin + i));
+}
+
+TEST(ShardMerge, JournalOutsideItsCanonicalSlotIsRefused) {
+  ScratchDir dir("off_slot");
+  build_fleet(dir.str(), 0, 10);
+  // Shard 1's canonical slot is [5, +5); a journal for a tail of it, or for
+  // a range running past it, is not a shard journal of this layout.
+  const std::string j1 = shard_journal_path(dir.str(), 1, 2);
+  for (const auto& [begin, runs] :
+       {std::pair<std::size_t, std::size_t>{6, 4}, {5, 4}, {4, 6}}) {
+    write_shard1_journal(j1, begin, runs);
+    for (const bool allow_partial : {false, true}) {
+      MergeOptions mo;
+      mo.allow_partial = allow_partial;
+      try {
+        merge_shard_dir(dir.str(), mo);
+        FAIL() << "expected SimError(kBadConfig) for [" << begin << ", +"
+               << runs << ")";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("canonical slot is [5, +5)"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(j1), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(ShardMerge, TwoJournalsForOneShardAreRefused) {
+  ScratchDir dir("two_for_one");
+  build_fleet(dir.str(), 0, 10);
+  const std::string j0 = shard_journal_path(dir.str(), 0, 2);
+  const std::string j1 = shard_journal_path(dir.str(), 1, 2);
+  const std::string copy = dir.str() + "/copy_of_shard_1.journal";
+  std::filesystem::copy_file(j1, copy);
+  // Ambiguous, not partial: allow_partial cannot pick which one to trust.
   for (const bool allow_partial : {false, true}) {
     MergeOptions mo;
     mo.allow_partial = allow_partial;
     try {
-      merge_shard_dir(dir.str(), mo);
-      FAIL() << "expected SimError(kShardVersionMismatch)";
+      merge_journals({j0, j1, copy}, mo);
+      FAIL() << "expected SimError(kMergeIncomplete)";
     } catch (const SimError& e) {
-      EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
+      EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
       const std::string what = e.what();
-      EXPECT_NE(what.find("format version 3"), std::string::npos) << what;
-      EXPECT_NE(what.find("only version 4"), std::string::npos) << what;
+      EXPECT_NE(what.find("shard 1 ('" + j1 + "', '" + copy + "')"),
+                std::string::npos)
+          << what;
     }
   }
+  // The canonical pair alone merges.
+  EXPECT_TRUE(merge_journals({j0, j1}).complete);
 }
 
 TEST(ShardMerge, EmptyDirectoryIsIncomplete) {
@@ -807,7 +965,7 @@ TEST(ShardWorker, V3JournalIsNeverExtendedAndConvergesToQuarantine) {
   const std::size_t total = 10;
   build_fleet(dir.str(), 0, total);
   const std::string v3 = shard_journal_path(dir.str(), 1, 2);
-  stamp_journal_v3(v3);
+  stamp_journal_version(v3, 3);
   const std::string v3_bytes = read_file(v3);
 
   // The unreadable journal is not complete, so a worker claims the unit;
@@ -832,7 +990,7 @@ TEST(ShardWorker, V3JournalIsNeverExtendedAndConvergesToQuarantine) {
   ASSERT_TRUE(read_lease_info(shard_quarantine_path(dir.str(), 1, 2), &qinfo));
   EXPECT_NE(qinfo.error.find("format version 3"), std::string::npos)
       << qinfo.error;
-  EXPECT_NE(qinfo.error.find("only version 4"), std::string::npos)
+  EXPECT_NE(qinfo.error.find("only version 5"), std::string::npos)
       << qinfo.error;
 }
 
@@ -1115,7 +1273,7 @@ TEST(ShardRepartition, V3JournalIsDroppedAndItsRunsReRun) {
       run_sharded_campaign(synth_fn(), base, total, so).campaign_complete);
   // An unreadable journal contributes no records, like a torn one: its
   // seeds are owed again under the new layout.
-  stamp_journal_v3(shard_journal_path(dir.str(), 3, 4));
+  stamp_journal_version(shard_journal_path(dir.str(), 3, 4), 3);
 
   const RepartitionResult r = repartition_fleet(dir.str(), 7);
   EXPECT_EQ(r.migrated_records, 17u);  // total minus shard 3's 5 runs
@@ -1198,210 +1356,117 @@ TEST(ShardRepartition, DecidedJournalRefuses) {
   }
 }
 
-// ---- straggler work stealing ----------------------------------------------
+// ---- read-only status -----------------------------------------------------
 
-TEST(ShardSteal, SplitsALiveUnitAtTheWatermarkAndMergesByteIdentically) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 10;
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("steal_split");
-  write_manifest_for_test(dir.str(), base, total, 1);
-  const std::string lease_path = shard_lease_path(dir.str(), 0, 1);
-  auto victim = claim_shard_lease(lease_path, "victim", 10000);
-  victim->reserve_through(0, total);  // watermark at the reserve chunk: 8
-
-  const StealResult s = steal_shard_tail(dir.str(), 0, 10000, "thief");
-  EXPECT_EQ(s.epoch, 1u);
-  EXPECT_EQ(s.split_at, 8u);
-  EXPECT_EQ(s.stolen_runs, 2u);
-  EXPECT_TRUE(std::filesystem::exists(
-      shard_steal_journal_path(dir.str(), 0, 1, 1, 8)));
-  const JournalContents child = read_journal(s.child_journal);
-  EXPECT_EQ(child.header.base_seed, base + 8);
-  EXPECT_EQ(child.header.runs, 2u);
-  EXPECT_EQ(child.header.steal_epoch, 1u);
-
-  // The displaced owner observes the epoch bump at its next probe and must
-  // abort: the stolen tail belongs to the thief now.
-  EXPECT_THROW(victim->assert_still_mine(), LeaseLostError);
-  EXPECT_TRUE(victim->lost());
-  victim->release();  // lost: leaves the lease file to its new incarnation
-  ASSERT_TRUE(std::filesystem::exists(lease_path));
-  make_stale(lease_path);
-
-  // A survivor adopts the truncated parent ([0,8)) and claims the child
-  // ([8,10)); the merge folds both back into the canonical bytes.
+TEST(ShardStatus, ClassifiesEveryShardStateWithoutWriting) {
+  ScratchDir dir("status");
+  const std::size_t total = 20;  // 5 shards of 4
   ShardOptions so;
   so.dir = dir.str();
-  so.shard_count = 0;  // elastic
-  so.worker_id = "survivor";
-  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, so);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, total);
-  EXPECT_EQ(p.shards_adopted, 1u);
+  so.shard_index = 0;
+  so.shard_count = 5;
+  so.worker_id = "builder";
+  ASSERT_TRUE(
+      run_sharded_campaign(synth_fn(), 0, total, so).campaign_complete);
 
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(merged.runs, total);
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
-}
+  // Sculpt one shard into each state. Shard 0 stays done.
+  const auto journal = [&](std::size_t i) {
+    return shard_journal_path(dir.str(), i, 5);
+  };
+  const auto keep_records = [&](std::size_t i, std::size_t n) {
+    const ShardRange r = shard_range(i, 5, total);
+    JournalHeader h;
+    h.base_seed = r.begin;
+    h.runs = r.size();
+    h.shard_index = i;
+    h.shard_count = 5;
+    h.shard_begin = r.begin;
+    h.total_runs = total;
+    JournalWriter w(journal(i), h, 1);
+    for (std::size_t k = 0; k < n; ++k) w.append(k, synth_run(r.begin + k));
+  };
+  keep_records(1, 3);  // claimed by a live worker, 3 of 4 recorded
+  write_file(shard_lease_path(dir.str(), 1, 5),
+             format_lease_for_test("live-worker", 0));
+  keep_records(2, 1);  // stale: its worker died after one record
+  const std::string stale = shard_lease_path(dir.str(), 2, 5);
+  write_file(stale, format_lease_for_test("dead-worker", 2));
+  make_stale(stale);
+  write_file(shard_quarantine_path(dir.str(), 3, 5),  // quarantined
+             format_lease_for_test("doomed", 3) + "error poison seed\n" +
+                 "quarantined-by w1.pid9\n");
+  std::filesystem::remove(journal(4));  // unclaimed
 
-TEST(ShardSteal, RefusesWithoutAWatermarkAndAtTheUnitEnd) {
-  ScratchDir dir("steal_refuse");
-  write_manifest_for_test(dir.str(), 40, 10, 1);
-  auto owner =
-      claim_shard_lease(shard_lease_path(dir.str(), 0, 1), "owner", 10000);
-  // No run dispatched yet: no watermark, nothing can be split safely.
-  try {
-    steal_shard_tail(dir.str(), 0, 10000, "thief");
-    FAIL() << "expected SimError(kLeaseConflict)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
-    EXPECT_NE(std::string(e.what()).find("watermark"), std::string::npos)
-        << e.what();
-  }
-  // Watermark at the unit end: the owner reserved everything.
-  owner->reserve_through(9, 10);
-  try {
-    steal_shard_tail(dir.str(), 0, 10000, "thief");
-    FAIL() << "expected SimError(kLeaseConflict)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
-    EXPECT_NE(std::string(e.what()).find("nothing left"), std::string::npos)
-        << e.what();
-  }
-  owner->release();
-}
-
-TEST(ShardSteal, DecidedJournalIsNeverSplitNamingTheUnit) {
-  ScratchDir dir("steal_decided");
-  build_decided_fleet(dir.str(), 40, 6);
-  auto owner =
-      claim_shard_lease(shard_lease_path(dir.str(), 0, 1), "owner", 10000);
-  owner->reserve_through(0, 6);
-  try {
-    steal_shard_tail(dir.str(), 0, 10000, "thief");
-    FAIL() << "expected SimError(kBadConfig)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("never split"), std::string::npos) << what;
-    EXPECT_NE(what.find("shard 0/1"), std::string::npos) << what;
-  }
-  owner->release();
-}
-
-TEST(ShardSteal, StolenUnitsSkewedVictimLeaseIsAdoptedExactlyOnce) {
-  // Satellite of the clock-skew rule: after a steal, the victim's lease
-  // (same owner, bumped epoch) with an mtime in the FUTURE beyond the TTL
-  // is stale — and the adoption CAS still picks exactly one winner, so the
-  // truncated parent unit is never double-claimed.
-  ScratchDir dir("steal_skew");
-  write_manifest_for_test(dir.str(), 40, 10, 1);
-  const std::string lease_path = shard_lease_path(dir.str(), 0, 1);
-  auto victim = claim_shard_lease(lease_path, "victim", 10000);
-  victim->reserve_through(0, 10);
-  ASSERT_EQ(steal_shard_tail(dir.str(), 0, 10000, "thief").epoch, 1u);
-  EXPECT_THROW(victim->assert_still_mine(), LeaseLostError);
-  victim->release();
-  make_future(lease_path, 60);  // an hour of skew vs a 10 s TTL
-
-  std::atomic<int> winners{0};
-  std::atomic<int> conflicts{0};
-  std::vector<std::thread> racers;
-  std::vector<std::unique_ptr<ShardLease>> held(2);
-  for (int i = 0; i < 2; ++i) {
-    racers.emplace_back([&, i] {
-      try {
-        held[i] = claim_shard_lease(lease_path, "adopter" + std::to_string(i),
-                                    10000);
-        ++winners;
-      } catch (const SimError& e) {
-        EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
-        ++conflicts;
-      }
-    });
-  }
-  for (auto& t : racers) t.join();
-  EXPECT_EQ(winners.load(), 1);
-  EXPECT_EQ(conflicts.load(), 1);
-  for (auto& l : held) {
-    if (l) l->release();
-  }
-
-  // Deterministic (un-raced) adoption of the same skewed post-steal lease
-  // carries the steal epoch, so the child-journal partition stays pinned
-  // across the ownership change.
-  write_file(lease_path,
-             "owner victim\nadoptions 0\nepoch 1\nsplit_at 8\n");
-  make_future(lease_path, 60);
-  auto adopter = claim_shard_lease(lease_path, "adopter", 10000);
-  EXPECT_TRUE(adopter->adopted());
-  EXPECT_EQ(adopter->epoch(), 1u);
-  adopter->release();
-}
-
-TEST(ShardSteal, WorkerStealPassSplitsAFrozenStragglerEndToEnd) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 10;
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("steal_e2e");
-  write_manifest_for_test(dir.str(), base, total, 1);
-  const std::string lease_path = shard_lease_path(dir.str(), 0, 1);
-  // The straggler: live (heartbeating) but frozen after reserving its
-  // first chunk — the exact shape SIGSTOP produces in the CI gate.
-  auto victim = claim_shard_lease(lease_path, "victim", 10000);
-  victim->reserve_through(0, total);
-
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_count = 0;  // elastic
-  so.worker_id = "survivor";
-  so.steal_after_ms = 150;
-  so.poll_ms = 50;
-  ShardProgress p;
-  std::thread survivor(
-      [&] { p = run_sharded_campaign(synth_fn(), base, total, so); });
-
-  // Wait for the survivor's steal pass to commit (child journal appears),
-  // then let the victim notice, abort, and go stale so the parent can be
-  // adopted instead of waited out.
-  const std::string child = shard_steal_journal_path(dir.str(), 0, 1, 1, 8);
-  for (int i = 0; i < 400 && !std::filesystem::exists(child); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  ASSERT_TRUE(std::filesystem::exists(child)) << "steal pass never fired";
-  EXPECT_THROW(victim->assert_still_mine(), LeaseLostError);
-  victim->release();
-  make_stale(lease_path);
-  survivor.join();
-
-  EXPECT_EQ(p.shards_stolen, 1u);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, total);
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), csv_of(reference));
-}
-
-TEST(ShardStatus, StolenTailsRenderAsChildrenOfTheirShard) {
-  ScratchDir dir("status_steal");
-  write_manifest_for_test(dir.str(), 40, 10, 1);
-  auto victim = claim_shard_lease(shard_lease_path(dir.str(), 0, 1),
-                                  "victim", 10000);
-  victim->reserve_through(0, 10);
-  ASSERT_EQ(steal_shard_tail(dir.str(), 0, 10000, "thief").split_at, 8u);
+  const auto snapshot = [&] {
+    std::map<std::string, std::filesystem::file_time_type> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+      files[e.path().filename().string()] = e.last_write_time();
+    }
+    return files;
+  };
+  const auto before = snapshot();
 
   const FleetStatus st = fleet_status(dir.str(), 10000);
-  ASSERT_EQ(st.entries.size(), 1u);
-  EXPECT_EQ(st.entries[0].children, 1u);
-  EXPECT_EQ(st.entries[0].runs, 10u);
+  EXPECT_EQ(st.units, 5u);
+  EXPECT_EQ(st.done, 1u);
+  EXPECT_EQ(st.claimed, 1u);
+  EXPECT_EQ(st.stale, 1u);
+  EXPECT_EQ(st.quarantined, 1u);
+  EXPECT_EQ(st.unclaimed, 1u);
+  EXPECT_FALSE(st.fleet_done());
+  EXPECT_EQ(st.runs, total);
+  EXPECT_EQ(st.records, 4u + 3u + 1u + 4u + 0u);
+
+  using State = ShardStatusEntry::State;
+  ASSERT_EQ(st.entries.size(), 5u);
+  const std::vector<State> states = {State::kDone, State::kClaimed,
+                                     State::kStale, State::kQuarantined,
+                                     State::kUnclaimed};
+  const std::vector<std::string> owners = {"", "live-worker", "dead-worker",
+                                           "doomed", ""};
+  const std::vector<std::uint64_t> adoptions = {0, 0, 2, 3, 0};
+  const std::vector<std::size_t> records = {4, 3, 1, 4, 0};
+  for (std::size_t i = 0; i < 5; ++i) {
+    const ShardStatusEntry& e = st.entries[i];
+    EXPECT_EQ(e.index, i);
+    EXPECT_EQ(e.name, "shard " + std::to_string(i) + "/5");
+    EXPECT_EQ(e.state, states[i]) << i;
+    EXPECT_EQ(e.owner, owners[i]) << i;
+    EXPECT_EQ(e.adoptions, adoptions[i]) << i;
+    EXPECT_EQ(e.records, records[i]) << i;
+    EXPECT_EQ(e.runs, 4u) << i;
+  }
+  EXPECT_GE(st.entries[1].heartbeat_age_ms, 0);
+  EXPECT_LT(st.entries[1].heartbeat_age_ms, 10000);
+  EXPECT_GT(st.entries[2].heartbeat_age_ms, 10000);
+  EXPECT_EQ(st.entries[3].error, "poison seed");
+
+  // Status created, removed and touched nothing.
+  EXPECT_EQ(snapshot(), before);
+
   std::ostringstream os;
   print_fleet_status(os, st);
-  EXPECT_NE(os.str().find("stolen tail"), std::string::npos) << os.str();
-  victim->release();
+  const std::string text = os.str();
+  EXPECT_NE(text.find("fleet: 5 units"), std::string::npos) << text;
+  EXPECT_NE(text.find("runs 12/20"), std::string::npos) << text;
+  EXPECT_NE(text.find("owner 'dead-worker'"), std::string::npos) << text;
+  EXPECT_NE(text.find("error: poison seed"), std::string::npos) << text;
+}
+
+TEST(ShardStatus, DirectoryWithoutAManifestIsARefusal) {
+  // The manifest is the only layout authority: shard files alone do not
+  // make a fleet status can summarise.
+  ScratchDir dir("status_nomanifest");
+  write_file(shard_lease_path(dir.str(), 0, 2),
+             format_lease_for_test("someone", 0));
+  try {
+    fleet_status(dir.str(), 10000);
+    FAIL() << "expected SimError(kMergeIncomplete)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
+    EXPECT_NE(std::string(e.what()).find("fleet.manifest"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- aggregated incompleteness messages -----------------------------------

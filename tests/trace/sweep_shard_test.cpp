@@ -278,7 +278,7 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
     w.append(1, synth_run(base + 1, salt));
   }
   const std::string lease = cell_lease_path(dir.str(), cell, cells);
-  write_file(lease, "dead-worker");
+  write_file(lease, "owner dead-worker\nadoptions 0\n");
   make_stale(lease);
 
   std::mutex mu;
