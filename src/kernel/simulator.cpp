@@ -121,21 +121,12 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body,
       name_(std::move(name)),
       body_(std::move(body)),
       id_(id),
-      stack_(stack_bytes) {
-  getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.data();
-  ctx_.uc_stack.ss_size = stack_.size();
-  ctx_.uc_link = nullptr;  // the trampoline swaps back explicitly
-  const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::trampoline), 2,
-              static_cast<unsigned>(ptr >> 32),
-              static_cast<unsigned>(ptr & 0xffffffffu));
-}
+      // No stack byte is read before it is written: skip the zero-fill.
+      stack_(std::make_unique_for_overwrite<std::byte[]>(stack_bytes)),
+      ctx_(stack_.get(), stack_bytes, &Process::trampoline, this) {}
 
-void Process::trampoline(unsigned hi, unsigned lo) {
-  const auto ptr = (static_cast<std::uintptr_t>(hi) << 32) |
-                   static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Process*>(ptr)->run_body();
+void Process::trampoline(void* self) {
+  static_cast<Process*>(self)->run_body();
 }
 
 void Process::run_body() {
@@ -175,7 +166,7 @@ void Process::run_body() {
   }
   state_ = State::kTerminated;
   // Never returns: a terminated process is never dispatched again.
-  while (true) swapcontext(&ctx_, &sim_.main_ctx_);
+  ctx_.exit_to(sim_.main_ctx_);
 }
 
 // ------------------------------------------------------------ Simulator ----
@@ -206,6 +197,15 @@ Simulator* Simulator::current_or_null() { return g_current; }
 
 Process& Simulator::spawn(std::string name, std::function<void()> body,
                           std::size_t stack_bytes) {
+  if (stack_bytes < kMinStackBytes) {
+    // The entry frame is written at the top of the stack right away, so an
+    // undersized stack would corrupt the heap below it.
+    throw SimError(SimError::Kind::kBadConfig,
+                   "process '" + name + "': stack of " +
+                       std::to_string(stack_bytes) +
+                       " bytes is below the minimum of " +
+                       std::to_string(kMinStackBytes));
+  }
   processes_.push_back(std::unique_ptr<Process>(
       new Process(*this, std::move(name), std::move(body), processes_.size(),
                   stack_bytes)));
@@ -232,7 +232,7 @@ void Simulator::dispatch(Process& p) {
     exec_trace_.push_back({now_, delta_count_, p.name()});
   }
   if (hook_ != nullptr) hook_->process_resumed(p);
-  swapcontext(&main_ctx_, &p.ctx_);
+  main_ctx_.switch_to(p.ctx_);
   running_ = nullptr;
   if (p.error_) {
     auto err = p.error_;
@@ -243,7 +243,7 @@ void Simulator::dispatch(Process& p) {
 
 void Simulator::yield_to_kernel() {
   Process& p = *running_;
-  swapcontext(&p.ctx_, &main_ctx_);
+  p.ctx_.switch_to(main_ctx_);
   // Resumed. During teardown the kernel resumes us one last time to unwind.
   if (p.kill_requested_) throw KillUnwind{};
   if (p.crash_requested_) {
@@ -474,7 +474,7 @@ bool Simulator::wait_for_restart(Process& p, Time delay) {
   schedule_timer(e);
   p.state_ = Process::State::kWaiting;
   p.wake_at_ = e.t;
-  swapcontext(&p.ctx_, &main_ctx_);
+  p.ctx_.switch_to(main_ctx_);
   // Resumed by the restart timer — or by teardown, which must not restart.
   return !p.kill_requested_;
 }
@@ -551,7 +551,7 @@ void Simulator::kill_all_processes() {
       p->kill_requested_ = true;
       p->state_ = Process::State::kRunning;
       running_ = p.get();
-      swapcontext(&main_ctx_, &p->ctx_);
+      main_ctx_.switch_to(p->ctx_);
       running_ = nullptr;
     }
     // Never-started processes have no frames to unwind.

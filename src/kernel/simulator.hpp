@@ -1,7 +1,5 @@
 #pragma once
 
-#include <ucontext.h>
-
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -13,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "kernel/context.hpp"
 #include "kernel/error.hpp"
 #include "kernel/hooks.hpp"
 #include "kernel/time.hpp"
@@ -106,15 +105,15 @@ class Process {
   Process(Simulator& sim, std::string name, std::function<void()> body,
           std::size_t id, std::size_t stack_bytes);
 
-  static void trampoline(unsigned hi, unsigned lo);
+  static void trampoline(void* self);
   void run_body();
 
   Simulator& sim_;
   std::string name_;
   std::function<void()> body_;
   std::size_t id_;
-  std::vector<std::byte> stack_;
-  ucontext_t ctx_{};
+  std::unique_ptr<std::byte[]> stack_;
+  detail::Context ctx_;
   State state_ = State::kCreated;
   std::uint64_t wait_id_ = 0;  ///< bumped on every wake; stale wakeups ignored
   bool started_ = false;       ///< body entered at least once
@@ -207,8 +206,18 @@ class Simulator {
   static Simulator& current();
   static Simulator* current_or_null();
 
+  /// Smallest process stack spawn() accepts. Besides the body's own frames,
+  /// a process stack holds the switch's entry frame, the kernel and hook
+  /// frames between the body and the switch, the unwinder's frames when a
+  /// crash or teardown throws through the body, and the dynamic linker's
+  /// lazy-binding trampoline, which saves the vector registers there (a few
+  /// KiB with AVX-512). 16 KiB holds all of them with room for a small body,
+  /// in sanitizer builds too.
+  static constexpr std::size_t kMinStackBytes = 16 * 1024;
+
   /// Creates a process; it becomes runnable in the next evaluation phase
-  /// (immediately, if called from inside a running process).
+  /// (immediately, if called from inside a running process). A stack below
+  /// kMinStackBytes is a kBadConfig SimError.
   Process& spawn(std::string name, std::function<void()> body,
                  std::size_t stack_bytes = 256 * 1024);
 
@@ -328,7 +337,7 @@ class Simulator {
   void check_wall_clock();
   [[noreturn]] void throw_watchdog(SimError::Kind kind, std::string summary);
 
-  ucontext_t main_ctx_{};
+  detail::Context main_ctx_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::deque<Process*> runnable_;
   std::vector<Event*> delta_events_;

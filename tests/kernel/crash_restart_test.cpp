@@ -257,5 +257,51 @@ TEST(Errors, ZeroCapacityFifoIsRejectedLoudly) {
   }
 }
 
+TEST(Errors, UndersizedProcessStackIsRejectedLoudly) {
+  // The switch writes its entry frame at the top of the stack when the
+  // process is built, so an undersized stack must never get that far.
+  bool woke = false;
+  bool unwound = false;
+  struct Sentinel {
+    bool* flag;
+    ~Sentinel() { *flag = true; }
+  };
+  {
+    Event never("never");
+    Simulator sim;
+    for (const std::size_t bytes : {std::size_t{0}, std::size_t{64}}) {
+      try {
+        sim.spawn("tiny", [] {}, bytes);
+        FAIL() << "expected SimError for " << bytes << " bytes";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'tiny'"), std::string::npos) << what;
+        EXPECT_NE(what.find(" " + std::to_string(bytes) + " bytes"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(Simulator::kMinStackBytes)),
+                  std::string::npos)
+            << what;
+      }
+    }
+    EXPECT_EQ(sim.find_process("tiny"), nullptr);
+    // The smallest accepted stack holds a body that waits, and the unwinder
+    // when teardown throws through that body.
+    sim.spawn(
+        "smallest",
+        [&] {
+          wait(Time::ns(1));
+          woke = true;
+          Sentinel s{&unwound};
+          wait(never);
+        },
+        Simulator::kMinStackBytes);
+    EXPECT_EQ(sim.run(), StopReason::kDeadlock);
+  }
+  EXPECT_TRUE(woke);
+  EXPECT_TRUE(unwound);
+}
+
 }  // namespace
 }  // namespace minisc

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace minisc {
@@ -474,6 +477,75 @@ TEST(Simulator, RawWaitBypassesHooks) {
   sim.run();
   const std::vector<std::string> want{"start:p", "finish:p"};
   EXPECT_EQ(hook.log, want);
+}
+
+// Offset from 16-byte alignment of a 16-byte-aligned local. The address goes
+// through an empty asm, so the compiler cannot fold the modulo to the 0 its
+// own alignment promise implies: the probe reads where the frame really is.
+std::uintptr_t aligned_local_misalignment() {
+  alignas(16) char probe[16] = {};
+  void* addr = probe;
+  __asm__ volatile("" : "+r"(addr));
+  return reinterpret_cast<std::uintptr_t>(addr) % 16;
+}
+
+TEST(Simulator, ProcessFramesKeepAbiStackAlignment) {
+  // A process stack entered one slot off the ABI's rsp ≡ 8 (mod 16) shifts
+  // every frame on it, and movaps on a spilled vector then faults.
+  Simulator sim;
+  std::vector<std::pair<std::string, std::uintptr_t>> seen;
+  int entries = 0;
+  Process* p = nullptr;
+  p = &sim.spawn("p", [&] {
+    const std::string run = entries++ == 0 ? "first" : "restarted";
+    seen.emplace_back(run + " entry", aligned_local_misalignment());
+    wait(Time::ns(10));
+    seen.emplace_back(run + " after wait", aligned_local_misalignment());
+    if (run == "first") {
+      sim.spawn("child", [&] {
+        seen.emplace_back("spawned from a process",
+                          aligned_local_misalignment());
+        sim.kill_and_restart(*p, Time::ns(5));
+      });
+      wait(Time::ns(100));
+    }
+  });
+  EXPECT_EQ(sim.run(), StopReason::kFinished);
+  EXPECT_EQ(p->restart_count(), 1u);
+  ASSERT_EQ(seen.size(), 5u);
+  for (const auto& [where, misalignment] : seen) {
+    EXPECT_EQ(misalignment, 0u) << where;
+  }
+}
+
+TEST(Simulator, RoundingModeStaysWithItsProcess) {
+  // The floating-point control state is callee-saved in the ABI, so a
+  // switch carries each process's rounding mode with it.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int up_after = -1;
+  int down_start = -1;
+  int down_after = -1;
+  {
+    Simulator sim;
+    sim.spawn("up", [&] {
+      std::fesetround(FE_UPWARD);
+      wait(Time::ns(10));
+      up_after = std::fegetround();
+    });
+    sim.spawn("down", [&] {
+      down_start = std::fegetround();
+      std::fesetround(FE_DOWNWARD);
+      wait(Time::ns(10));
+      down_after = std::fegetround();
+    });
+    EXPECT_EQ(sim.run(), StopReason::kFinished);
+  }
+  const int caller_after = std::fegetround();
+  std::fesetround(FE_TONEAREST);  // keep a failure from leaking into others
+  EXPECT_EQ(down_start, FE_TONEAREST);
+  EXPECT_EQ(up_after, FE_UPWARD);
+  EXPECT_EQ(down_after, FE_DOWNWARD);
+  EXPECT_EQ(caller_after, FE_TONEAREST);
 }
 
 }  // namespace
