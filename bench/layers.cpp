@@ -1,4 +1,4 @@
-// Per-layer host costs (google-benchmark): the kernel rows.
+// Per-layer host costs (google-benchmark): the kernel and HLS rows.
 //
 //   ./build/bench/layers [--benchmark_format=json]
 //
@@ -11,14 +11,19 @@
 //   back-annotates its delay.
 // - BM_Spawn8RunTeardown: build a Simulator, spawn 8 processes that wait
 //   once, run it and destroy it.
+// - BM_ForceDirectedFir: hls::force_directed at fig4_design_space's four
+//   deadlines on the control-stripped DFG of the 16-tap FIR segment.
+// - BM_DesignSpaceFir: one hls::design_space sweep of the same DFG.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "core/estimator.hpp"
+#include "hls/schedule.hpp"
 #include "kernel/channels.hpp"
 #include "kernel/simulator.hpp"
+#include "workloads/hw_segments.hpp"
 
 namespace {
 
@@ -103,6 +108,48 @@ void BM_Spawn8RunTeardown(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Spawn8RunTeardown);
+
+constexpr double kHwClockMhz = 100.0;
+constexpr double kHwClockNs = 1000.0 / kHwClockMhz;
+
+/// The FIR segment's DFG as fig4_design_space schedules it: recorded on a
+/// HW resource, then stripped of control.
+scperf::Dfg fir_dfg() {
+  const workloads::HwSegment seg = workloads::fir_hw_segment();
+  minisc::Simulator sim;
+  scperf::Estimator est(sim);
+  est.map(seg.name, est.add_hw_resource("asic", kHwClockMhz,
+                                        scperf::asic_hw_cost_table(),
+                                        {.k = 0.0, .record_dfg = true}));
+  sim.spawn(seg.name, [&] { (void)seg.body(); });
+  sim.run();
+  return hls::strip_control(est.segment_dfg(seg.name, "entry->exit"));
+}
+
+void BM_ForceDirectedFir(benchmark::State& state) {
+  const scperf::Dfg dfg = fir_dfg();
+  const hls::FuLibrary lib = hls::default_fu_library();
+  const std::uint32_t wc =
+      hls::sequential_schedule(dfg, lib, kHwClockNs).cycles;
+  const std::uint32_t bc = hls::asap_chained(dfg, lib, kHwClockNs).cycles;
+  for (auto _ : state) {
+    for (std::uint32_t deadline :
+         {wc, (wc + bc) / 2, (wc + 3 * bc) / 4, bc + 1}) {
+      benchmark::DoNotOptimize(
+          hls::force_directed(dfg, lib, kHwClockNs, deadline));
+    }
+  }
+}
+BENCHMARK(BM_ForceDirectedFir)->Unit(benchmark::kMillisecond);
+
+void BM_DesignSpaceFir(benchmark::State& state) {
+  const scperf::Dfg dfg = fir_dfg();
+  const hls::FuLibrary lib = hls::default_fu_library();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hls::design_space(dfg, lib, kHwClockNs));
+  }
+}
+BENCHMARK(BM_DesignSpaceFir)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

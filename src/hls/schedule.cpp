@@ -19,22 +19,41 @@ std::uint32_t op_cycles(const FuLibrary& lib, scperf::Op op, double clock_ns) {
   return static_cast<std::uint32_t>(std::ceil(d / clock_ns - 1e-9));
 }
 
+/// What the schedulers read per node, worked out once per call instead of
+/// inside their inner loops: the FU kind, the whole cycles the op holds it
+/// (at least one, wiring included; chaining off) and the nodes that consume
+/// its result.
+struct Graph {
+  Graph(const scperf::Dfg& dfg, const FuLibrary& lib, double clock_ns)
+      : kind(dfg.size()), len(dfg.size()), consumers(dfg.size()) {
+    for (std::uint32_t i = 0; i < dfg.size(); ++i) {
+      const scperf::DfgNode& nd = dfg.nodes[i];
+      kind[i] = fu_kind_of(nd.op);
+      len[i] = std::max(1u, op_cycles(lib, nd.op, clock_ns));
+      if (nd.a != 0) consumers[nd.a - 1].push_back(i);
+      if (nd.b != 0) consumers[nd.b - 1].push_back(i);
+    }
+  }
+  std::size_t size() const { return kind.size(); }
+
+  std::vector<FuKind> kind;
+  std::vector<std::uint32_t> len;
+  std::vector<std::vector<std::uint32_t>> consumers;
+};
+
 /// Peak number of simultaneously-busy FUs per kind for a given schedule,
-/// where node i is busy during [start[i], start[i] + cycles_of(i)).
-Allocation peak_usage(const scperf::Dfg& dfg, const FuLibrary& lib,
-                      double clock_ns,
-                      const std::vector<std::uint32_t>& start,
+/// where node i is busy during [start[i], start[i] + g.len[i]).
+Allocation peak_usage(const Graph& g, const std::vector<std::uint32_t>& start,
                       std::uint32_t horizon) {
   Allocation used;
   if (horizon == 0) return used;
   std::array<std::vector<std::uint32_t>, kNumFuKinds> busy;
   for (auto& v : busy) v.assign(horizon, 0);
-  for (std::size_t i = 0; i < dfg.size(); ++i) {
-    const FuKind k = fu_kind_of(dfg.nodes[i].op);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const FuKind k = g.kind[i];
     if (k == FuKind::kNone) continue;
-    const std::uint32_t len = std::max(1u, op_cycles(lib, dfg.nodes[i].op,
-                                                     clock_ns));
-    for (std::uint32_t c = start[i]; c < start[i] + len && c < horizon; ++c) {
+    for (std::uint32_t c = start[i]; c < start[i] + g.len[i] && c < horizon;
+         ++c) {
       ++busy[static_cast<std::size_t>(k)][c];
     }
   }
@@ -44,6 +63,129 @@ Allocation peak_usage(const scperf::Dfg& dfg, const FuLibrary& lib,
     }
   }
   return used;
+}
+
+/// alap_cycles on a prepared graph.
+std::vector<std::uint32_t> alap(const Graph& g, std::uint32_t deadline) {
+  const std::size_t n = g.size();
+  std::vector<std::uint32_t> late(n, deadline);
+  // Nodes are stored in topological (execution) order; walk backwards.
+  for (std::size_t i = n; i-- > 0;) {
+    const std::uint32_t len = g.len[i];
+    // Latest start so the op finishes by its consumers' latest starts.
+    std::uint32_t latest = deadline >= len ? deadline - len : 0;
+    for (std::uint32_t j : g.consumers[i]) {
+      latest = std::min(latest, late[j] >= len ? late[j] - len : 0u);
+    }
+    late[i] = latest;
+  }
+  return late;
+}
+
+/// List-scheduling priority: ALAP against the sequential-bound deadline
+/// (smaller = more urgent, i.e. on the critical path). It does not depend
+/// on the allocation.
+std::vector<std::uint32_t> list_priority(const Graph& g) {
+  std::uint32_t seq_bound = 0;
+  for (std::uint32_t len : g.len) seq_bound += len;
+  return alap(g, std::max(seq_bound, 1u));
+}
+
+/// list_schedule with its priority given. Fills start_cycle and cycles.
+ScheduleResult list_core(const scperf::Dfg& dfg, const Graph& g,
+                         const std::vector<std::uint32_t>& priority,
+                         const Allocation& alloc) {
+  ScheduleResult res;
+  const std::size_t n = g.size();
+  res.start_cycle.assign(n, 0);
+  if (n == 0) return res;
+
+  for (FuKind k : g.kind) {
+    if (k != FuKind::kNone && alloc[k] == 0) {
+      throw std::invalid_argument(
+          std::string("hls: allocation has no ") + to_string(k) +
+          " but the DFG needs one");
+    }
+  }
+
+  // Candidates are the unscheduled ops whose operands are all placed; an op
+  // joins once its count of unplaced operands drops to zero, and is ready
+  // from the cycle its last operand finishes.
+  std::vector<std::uint32_t> unplaced(n), ready_at(n, 0), finish(n, 0);
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    unplaced[i] = (dfg.nodes[i].a != 0) + (dfg.nodes[i].b != 0);
+    if (unplaced[i] == 0) candidates.push_back(i);
+  }
+  std::vector<bool> scheduled(n, false);
+  std::size_t remaining = n;
+  std::uint32_t cycle = 0;
+  // Busy-until per FU instance, per kind.
+  std::array<std::vector<std::uint32_t>, kNumFuKinds> fu_free;
+  for (std::size_t k = 0; k < kNumFuKinds; ++k) {
+    const std::uint32_t cnt =
+        std::min<std::uint32_t>(alloc.count[k], 4096u);
+    fu_free[k].assign(cnt, 0);
+  }
+  const auto place = [&](std::uint32_t i, std::uint32_t done) {
+    scheduled[i] = true;
+    res.start_cycle[i] = cycle;
+    finish[i] = done;
+    --remaining;
+    for (std::uint32_t c : g.consumers[i]) {
+      ready_at[c] = std::max(ready_at[c], done);
+      if (--unplaced[c] == 0) candidates.push_back(c);
+    }
+  };
+
+  std::vector<std::uint32_t> ready;
+  while (remaining > 0) {
+    // Within one cycle, keep sweeping until nothing more can start: a
+    // zero-latency wiring op completing "now" may unblock its consumers in
+    // the same cycle. Each sweep sees the ops ready when it starts, so an op
+    // unblocked during a sweep waits for the next one.
+    bool progress = true;
+    while (progress && remaining > 0) {
+      progress = false;
+      // Most urgent first, ties by index.
+      ready.clear();
+      for (std::uint32_t i : candidates) {
+        if (ready_at[i] <= cycle) ready.push_back(i);
+      }
+      std::sort(ready.begin(), ready.end(),
+                [&](std::uint32_t x, std::uint32_t y) {
+                  return priority[x] != priority[y]
+                             ? priority[x] < priority[y]
+                             : x < y;
+                });
+      for (std::uint32_t i : ready) {
+        const FuKind k = g.kind[i];
+        if (k == FuKind::kNone) {
+          // Wiring: completes instantly once operands are ready.
+          place(i, cycle);
+          progress = true;
+          continue;
+        }
+        for (std::uint32_t& f : fu_free[static_cast<std::size_t>(k)]) {
+          if (f <= cycle) {
+            f = cycle + g.len[i];
+            place(i, f);
+            progress = true;
+            break;
+          }
+        }
+      }
+      std::erase_if(candidates,
+                    [&](std::uint32_t i) { return scheduled[i]; });
+    }
+    ++cycle;
+    assert(cycle < 10'000'000 && "list_schedule failed to converge");
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    res.cycles = std::max(res.cycles, finish[i]);
+  }
+  return res;
 }
 
 }  // namespace
@@ -126,7 +268,7 @@ ScheduleResult asap_chained(const scperf::Dfg& dfg, const FuLibrary& lib,
   }
   res.cycles = static_cast<std::uint32_t>(std::ceil(cp / clock_ns - 1e-9));
   res.ns = res.cycles * clock_ns;
-  res.used = peak_usage(dfg, lib, clock_ns, res.start_cycle,
+  res.used = peak_usage(Graph(dfg, lib, clock_ns), res.start_cycle,
                         std::max(res.cycles, 1u));
   return res;
 }
@@ -157,124 +299,15 @@ ScheduleResult sequential_schedule(const scperf::Dfg& dfg,
 std::vector<std::uint32_t> alap_cycles(const scperf::Dfg& dfg,
                                        const FuLibrary& lib, double clock_ns,
                                        std::uint32_t deadline) {
-  const std::size_t n = dfg.size();
-  std::vector<std::uint32_t> late(n, deadline);
-  // Nodes are stored in topological (execution) order; walk backwards.
-  for (std::size_t i = n; i-- > 0;) {
-    const std::uint32_t len =
-        std::max(1u, op_cycles(lib, dfg.nodes[i].op, clock_ns));
-    // Latest start so the op finishes by its consumers' latest starts.
-    std::uint32_t latest = deadline >= len ? deadline - len : 0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const scperf::DfgNode& c = dfg.nodes[j];
-      if (c.a == i + 1 || c.b == i + 1) {
-        latest = std::min(latest, late[j] >= len ? late[j] - len : 0u);
-      }
-    }
-    late[i] = latest;
-  }
-  return late;
+  return alap(Graph(dfg, lib, clock_ns), deadline);
 }
 
 ScheduleResult list_schedule(const scperf::Dfg& dfg, const FuLibrary& lib,
                              double clock_ns, const Allocation& alloc) {
-  ScheduleResult res;
-  const std::size_t n = dfg.size();
-  res.start_cycle.assign(n, 0);
-  if (n == 0) return res;
-
-  for (const auto& nd : dfg.nodes) {
-    const FuKind k = fu_kind_of(nd.op);
-    if (k != FuKind::kNone && alloc[k] == 0) {
-      throw std::invalid_argument(
-          std::string("hls: allocation has no ") + to_string(k) +
-          " but the DFG needs one");
-    }
-  }
-
-  // Priority: ALAP against the sequential-bound deadline (smaller = more
-  // urgent, i.e. on the critical path).
-  std::uint32_t seq_bound = 0;
-  for (const auto& nd : dfg.nodes) {
-    seq_bound += std::max(1u, op_cycles(lib, nd.op, clock_ns));
-  }
-  const std::vector<std::uint32_t> priority =
-      alap_cycles(dfg, lib, clock_ns, std::max(seq_bound, 1u));
-
-  std::vector<std::uint32_t> finish(n, 0);
-  std::vector<bool> scheduled(n, false);
-  std::size_t remaining = n;
-  std::uint32_t cycle = 0;
-  // Busy-until per FU instance, per kind.
-  std::array<std::vector<std::uint32_t>, kNumFuKinds> fu_free;
-  for (std::size_t k = 0; k < kNumFuKinds; ++k) {
-    const std::uint32_t cnt =
-        std::min<std::uint32_t>(alloc.count[k], 4096u);
-    fu_free[k].assign(cnt, 0);
-  }
-
-  while (remaining > 0) {
-    // Within one cycle, keep sweeping until nothing more can start: a
-    // zero-latency wiring op completing "now" may unblock its consumers in
-    // the same cycle.
-    bool progress = true;
-    while (progress && remaining > 0) {
-      progress = false;
-      // Collect ready, unscheduled ops; most urgent first, ties by index.
-      std::vector<std::size_t> ready;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (scheduled[i]) continue;
-        const scperf::DfgNode& nd = dfg.nodes[i];
-        const bool a_ok = nd.a == 0 || (scheduled[nd.a - 1] &&
-                                        finish[nd.a - 1] <= cycle);
-        const bool b_ok = nd.b == 0 || (scheduled[nd.b - 1] &&
-                                        finish[nd.b - 1] <= cycle);
-        if (a_ok && b_ok) ready.push_back(i);
-      }
-      std::sort(ready.begin(), ready.end(),
-                [&](std::size_t x, std::size_t y) {
-                  return priority[x] != priority[y]
-                             ? priority[x] < priority[y]
-                             : x < y;
-                });
-      for (std::size_t i : ready) {
-        const scperf::DfgNode& nd = dfg.nodes[i];
-        const FuKind k = fu_kind_of(nd.op);
-        const std::uint32_t len =
-            std::max(1u, op_cycles(lib, nd.op, clock_ns));
-        if (k == FuKind::kNone) {
-          // Wiring: completes instantly once operands are ready.
-          scheduled[i] = true;
-          res.start_cycle[i] = cycle;
-          finish[i] = cycle;
-          --remaining;
-          progress = true;
-          continue;
-        }
-        auto& frees = fu_free[static_cast<std::size_t>(k)];
-        for (std::uint32_t& f : frees) {
-          if (f <= cycle) {
-            f = cycle + len;
-            scheduled[i] = true;
-            res.start_cycle[i] = cycle;
-            finish[i] = cycle + len;
-            --remaining;
-            progress = true;
-            break;
-          }
-        }
-      }
-    }
-    ++cycle;
-    assert(cycle < 10'000'000 && "list_schedule failed to converge");
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    res.cycles = std::max(res.cycles, finish[i]);
-  }
+  const Graph g(dfg, lib, clock_ns);
+  ScheduleResult res = list_core(dfg, g, list_priority(g), alloc);
   res.ns = res.cycles * clock_ns;
-  res.used = peak_usage(dfg, lib, clock_ns, res.start_cycle,
-                        std::max(res.cycles, 1u));
+  res.used = peak_usage(g, res.start_cycle, std::max(res.cycles, 1u));
   return res;
 }
 
@@ -286,17 +319,11 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
   res.start_cycle.assign(n, 0);
   if (n == 0) return res;
 
-  const auto len_of = [&](std::size_t i) -> std::uint32_t {
-    if (fu_kind_of(dfg.nodes[i].op) == FuKind::kNone) return 0;  // wiring
-    return std::max(1u, op_cycles(lib, dfg.nodes[i].op, clock_ns));
-  };
-
-  // Consumers lists for range propagation.
-  std::vector<std::vector<std::size_t>> consumers(n);
+  const Graph g(dfg, lib, clock_ns);
+  // Cycles each op occupies here; wiring passes values through in none.
+  std::vector<std::uint32_t> len(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const scperf::DfgNode& nd = dfg.nodes[i];
-    if (nd.a != 0) consumers[nd.a - 1].push_back(i);
-    if (nd.b != 0) consumers[nd.b - 1].push_back(i);
+    len[i] = g.kind[i] == FuKind::kNone ? 0 : g.len[i];
   }
 
   std::vector<std::uint32_t> asap(n, 0), alap(n, 0);
@@ -309,8 +336,8 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
       }
       std::uint32_t s = 0;
       const scperf::DfgNode& nd = dfg.nodes[i];
-      if (nd.a != 0) s = std::max(s, asap[nd.a - 1] + len_of(nd.a - 1));
-      if (nd.b != 0) s = std::max(s, asap[nd.b - 1] + len_of(nd.b - 1));
+      if (nd.a != 0) s = std::max(s, asap[nd.a - 1] + len[nd.a - 1]);
+      if (nd.b != 0) s = std::max(s, asap[nd.b - 1] + len[nd.b - 1]);
       asap[i] = s;
     }
     for (std::size_t i = n; i-- > 0;) {
@@ -319,14 +346,14 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
         continue;
       }
       std::uint32_t latest = deadline_cycles - std::min(deadline_cycles,
-                                                        len_of(i));
-      for (std::size_t c : consumers[i]) {
-        const std::uint32_t bound =
-            alap[c] >= len_of(i) ? alap[c] - len_of(i) : 0u;
-        latest = std::min(latest, bound);
+                                                        len[i]);
+      for (std::uint32_t c : g.consumers[i]) {
+        latest = std::min(latest, alap[c] >= len[i] ? alap[c] - len[i] : 0u);
       }
       alap[i] = latest;
-      if (alap[i] < asap[i]) {
+      // The second test catches an op longer than the whole deadline, whose
+      // latest start the clamp above pins to cycle 0.
+      if (alap[i] < asap[i] || asap[i] + len[i] > deadline_cycles) {
         throw std::invalid_argument(
             "hls: force_directed deadline below the critical path");
       }
@@ -338,17 +365,18 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
   recompute_ranges(fixed, start);
 
   // Distribution graphs per FU kind: expected activity per cycle, assuming a
-  // uniform start distribution over [asap, alap].
-  const auto distribution = [&](std::array<std::vector<double>, kNumFuKinds>&
-                                    dg) {
+  // uniform start distribution over [asap, alap]. Rebuilt after every
+  // placement into the same buffers.
+  std::array<std::vector<double>, kNumFuKinds> dg;
+  const auto distribution = [&] {
     for (auto& v : dg) v.assign(deadline_cycles + 1, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      const FuKind k = fu_kind_of(dfg.nodes[i].op);
+      const FuKind k = g.kind[i];
       if (k == FuKind::kNone) continue;
-      const std::uint32_t len = len_of(i);
       const double p = 1.0 / (alap[i] - asap[i] + 1);
       for (std::uint32_t s = asap[i]; s <= alap[i]; ++s) {
-        for (std::uint32_t c = s; c < s + len && c <= deadline_cycles; ++c) {
+        for (std::uint32_t c = s; c < s + len[i] && c <= deadline_cycles;
+             ++c) {
           dg[static_cast<std::size_t>(k)][c] += p;
         }
       }
@@ -358,35 +386,36 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
   // Wiring ops are zero-length pass-throughs: they stay unfixed (their
   // ranges follow their neighbours) and are never selected for placement.
   std::size_t remaining = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (fu_kind_of(dfg.nodes[i].op) != FuKind::kNone) ++remaining;
+  for (FuKind k : g.kind) {
+    if (k != FuKind::kNone) ++remaining;
   }
 
   while (remaining > 0) {
-    std::array<std::vector<double>, kNumFuKinds> dg;
-    distribution(dg);
+    distribution();
     double best_force = 0.0;
     std::size_t best_op = SIZE_MAX;
     std::uint32_t best_start = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (fixed[i]) continue;
-      const FuKind k = fu_kind_of(dfg.nodes[i].op);
+      const FuKind k = g.kind[i];
       if (k == FuKind::kNone) continue;  // wiring floats
-      const std::uint32_t len = len_of(i);
-      const double p = 1.0 / (alap[i] - asap[i] + 1);
-      for (std::uint32_t s = asap[i]; s <= alap[i]; ++s) {
+      const std::vector<double>& d = dg[static_cast<std::size_t>(k)];
+      const std::uint32_t lo = asap[i], hi = alap[i], w = len[i];
+      const double p = 1.0 / (hi - lo + 1);
+      for (std::uint32_t s = lo; s <= hi; ++s) {
         // Self force: concentrate the op at s, relieve its spread-out share.
+        // That share is p for every start ss in [lo, hi] whose window
+        // [ss, ss + w) covers a cell c of [s, s + w). Counting those (ss, c)
+        // pairs cell by cell and subtracting p that many times after the sum
+        // performs the same subtractions as walking every ss.
         double force = 0.0;
-        for (std::uint32_t c = s; c < s + len && c <= deadline_cycles; ++c) {
-          force += dg[static_cast<std::size_t>(k)][c];
+        std::uint32_t overlap = 0;
+        for (std::uint32_t c = s; c < s + w && c <= deadline_cycles; ++c) {
+          force += d[c];
+          const std::uint32_t from = std::max(lo, c + 1 > w ? c + 1 - w : 0u);
+          overlap += std::min(hi, c) - from + 1;
         }
-        // Subtract the op's own expected contribution over the window.
-        for (std::uint32_t ss = asap[i]; ss <= alap[i]; ++ss) {
-          for (std::uint32_t c = ss; c < ss + len && c <= deadline_cycles;
-               ++c) {
-            if (c >= s && c < s + len) force -= p;
-          }
-        }
+        for (; overlap > 0; --overlap) force -= p;
         if (best_op == SIZE_MAX || force < best_force) {
           best_force = force;
           best_op = i;
@@ -407,12 +436,11 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
   res.start_cycle = start;
   res.cycles = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (fu_kind_of(dfg.nodes[i].op) == FuKind::kNone) continue;
-    res.cycles = std::max(res.cycles, start[i] + len_of(i));
+    if (g.kind[i] == FuKind::kNone) continue;
+    res.cycles = std::max(res.cycles, start[i] + len[i]);
   }
   res.ns = res.cycles * clock_ns;
-  res.used = peak_usage(dfg, lib, clock_ns, res.start_cycle,
-                        std::max(res.cycles, 1u));
+  res.used = peak_usage(g, res.start_cycle, std::max(res.cycles, 1u));
   return res;
 }
 
@@ -427,6 +455,8 @@ std::vector<DesignPoint> design_space(const scperf::Dfg& dfg,
   max_useful[FuKind::kNone] = 0;
 
   // Enumerate the (small) allocation grid and keep the Pareto frontier.
+  const Graph g(dfg, lib, clock_ns);
+  const std::vector<std::uint32_t> priority = list_priority(g);
   std::vector<DesignPoint> points;
   for (std::uint32_t alu = 1; alu <= max_useful[FuKind::kAlu]; ++alu) {
     for (std::uint32_t mul = 1; mul <= max_useful[FuKind::kMul]; ++mul) {
@@ -436,8 +466,8 @@ std::vector<DesignPoint> design_space(const scperf::Dfg& dfg,
         a[FuKind::kMul] = mul;
         a[FuKind::kDiv] = std::max(max_useful[FuKind::kDiv], 1u);
         a[FuKind::kMem] = mem;
-        const ScheduleResult r = list_schedule(dfg, lib, clock_ns, a);
-        points.push_back({a, r.cycles, r.ns, a.area(lib)});
+        const std::uint32_t cycles = list_core(dfg, g, priority, a).cycles;
+        points.push_back({a, cycles, cycles * clock_ns, a.area(lib)});
       }
     }
   }

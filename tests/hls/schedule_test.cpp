@@ -196,6 +196,20 @@ TEST(ForceDirected, DeadlineBelowCriticalPathRejected) {
                std::invalid_argument);
 }
 
+TEST(ForceDirected, DeadlineShorterThanAnOpIsRejected) {
+  // One divide holds its FU for ceil(75 / 10) = 8 cycles: no shorter
+  // deadline can hold it, though its ASAP start is cycle 0.
+  const FuLibrary lib = default_fu_library();
+  Dfg d;
+  d.nodes.push_back({Op::kDiv, 0, 0});
+  for (std::uint32_t deadline : {1u, 4u, 7u}) {
+    EXPECT_THROW(force_directed(d, lib, kClockNs, deadline),
+                 std::invalid_argument)
+        << deadline;
+  }
+  EXPECT_EQ(force_directed(d, lib, kClockNs, 8).cycles, 8u);
+}
+
 TEST(ForceDirected, SlackFlattensResourceUsage) {
   // 6 independent adds: at deadline 6 one ALU suffices; force-directed must
   // find that (ASAP would pile all six into cycle 0 needing 6 ALUs).

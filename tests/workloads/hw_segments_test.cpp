@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/scperf.hpp"
 #include "hls/schedule.hpp"
 
@@ -78,6 +81,85 @@ TEST(HwSegments, StripControlRemovesOnlyBranchFedComparisons) {
     EXPECT_LE(nd.a, stripped.size());
     EXPECT_LE(nd.b, stripped.size());
   }
+}
+
+/// ALU/MUL/DIV/MEM counts, as fig4_design_space prints them.
+using Counts = std::array<std::uint32_t, 4>;
+
+Counts counts(const hls::Allocation& a) {
+  return {a[hls::FuKind::kAlu], a[hls::FuKind::kMul], a[hls::FuKind::kDiv],
+          a[hls::FuKind::kMem]};
+}
+
+struct ParetoPin {
+  double area;
+  std::uint32_t cycles;
+  Counts alloc;
+};
+
+struct ForceDirectedPin {
+  std::uint32_t deadline;
+  double area;
+  Counts used;
+};
+
+/// Runs fig4_design_space's two synthesis sweeps on one segment and checks
+/// them against its printed numbers.
+void expect_fig4(const HwSegment& seg, const std::vector<ParetoPin>& pareto,
+                 const std::vector<ForceDirectedPin>& force_directed) {
+  SCOPED_TRACE(seg.name);
+  const hls::FuLibrary lib = hls::default_fu_library();
+  constexpr double kClockNs = 10.0;
+  const scperf::Dfg dfg = hls::strip_control(run_hw(seg).dfg);
+
+  const auto frontier = hls::design_space(dfg, lib, kClockNs);
+  ASSERT_EQ(frontier.size(), pareto.size());
+  for (std::size_t i = 0; i < pareto.size(); ++i) {
+    EXPECT_EQ(frontier[i].area, pareto[i].area) << "point " << i;
+    EXPECT_EQ(frontier[i].cycles, pareto[i].cycles) << "point " << i;
+    EXPECT_EQ(frontier[i].ns, pareto[i].cycles * kClockNs) << "point " << i;
+    EXPECT_EQ(counts(frontier[i].alloc), pareto[i].alloc) << "point " << i;
+  }
+
+  const std::uint32_t wc = hls::sequential_schedule(dfg, lib, kClockNs).cycles;
+  const std::uint32_t bc = hls::asap_chained(dfg, lib, kClockNs).cycles;
+  const std::uint32_t deadlines[] = {wc, (wc + bc) / 2, (wc + 3 * bc) / 4,
+                                     bc + 1};
+  ASSERT_EQ(std::size(deadlines), force_directed.size());
+  for (std::size_t i = 0; i < force_directed.size(); ++i) {
+    EXPECT_EQ(deadlines[i], force_directed[i].deadline) << "row " << i;
+    const auto fd = hls::force_directed(dfg, lib, kClockNs, deadlines[i]);
+    EXPECT_EQ(fd.area(lib), force_directed[i].area) << "row " << i;
+    EXPECT_EQ(counts(fd.used), force_directed[i].used) << "row " << i;
+  }
+}
+
+TEST(HwSegments, Fig4FirNumbersArePinned) {
+  expect_fig4(fir_hw_segment(),
+              {{2370, 94, {1, 1, 1, 1}},
+               {2520, 81, {1, 1, 1, 2}},
+               {2620, 47, {2, 1, 1, 2}},
+               {2770, 41, {2, 1, 1, 3}},
+               {2870, 37, {3, 1, 1, 3}},
+               {3490, 32, {3, 2, 1, 3}},
+               {3640, 29, {3, 2, 1, 4}},
+               {3740, 24, {4, 2, 1, 4}},
+               {3990, 21, {5, 2, 1, 5}},
+               {4710, 19, {6, 3, 1, 5}},
+               {4960, 17, {7, 3, 1, 6}},
+               {5680, 16, {8, 4, 1, 6}}},
+              {{207, 1370, {3, 1, 0, 3}},
+               {111, 1270, {2, 1, 0, 3}},
+               {63, 1270, {2, 1, 0, 3}},
+               {17, 3510, {6, 3, 0, 7}}});
+}
+
+TEST(HwSegments, Fig4EulerNumbersArePinned) {
+  expect_fig4(euler_hw_segment(), {{2370, 64, {1, 1, 1, 1}}},
+              {{72, 720, {1, 1, 0, 0}},
+               {68, 720, {1, 1, 0, 0}},
+               {66, 720, {1, 1, 0, 0}},
+               {65, 720, {1, 1, 0, 0}}});
 }
 
 TEST(HwSegments, ChecksumsAreDeterministic) {
