@@ -37,7 +37,9 @@ class Annot {
   Annot() : v_{} {}
 
   /// Initialisation from a literal: an immediate load (register class).
-  Annot(T v) : v_(v) { detail::charge_unary(Op::kAssignRes, Stamp{}, stamp_); }
+  Annot(T v) : v_(v) {
+    detail::charge_unary(Op::kAssignRes, detail::kNoStamp, stamp_);
+  }
 
   /// Copying another variable (an lvalue) is a genuine data move.
   Annot(const Annot& o) : v_(o.v_) {
@@ -66,7 +68,7 @@ class Annot {
   }
   Annot& operator=(T v) {
     v_ = v;
-    detail::charge_unary(Op::kAssignRes, Stamp{}, stamp_);
+    detail::charge_unary(Op::kAssignRes, detail::kNoStamp, stamp_);
     return *this;
   }
 
@@ -141,22 +143,22 @@ class Annot {
   }
   template <Arithmetic U>
   Annot& operator+=(U u) {
-    return compound(Op::kAdd, static_cast<T>(u), Stamp{},
+    return compound(Op::kAdd, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ + u));
   }
   template <Arithmetic U>
   Annot& operator-=(U u) {
-    return compound(Op::kSub, static_cast<T>(u), Stamp{},
+    return compound(Op::kSub, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ - u));
   }
   template <Arithmetic U>
   Annot& operator*=(U u) {
-    return compound(Op::kMul, static_cast<T>(u), Stamp{},
+    return compound(Op::kMul, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ * u));
   }
   template <Arithmetic U>
   Annot& operator/=(U u) {
-    return compound(Op::kDiv, static_cast<T>(u), Stamp{},
+    return compound(Op::kDiv, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ / u));
   }
   Annot& operator%=(const Annot& o)
@@ -168,21 +170,21 @@ class Annot {
   Annot& operator%=(U u)
     requires std::is_integral_v<T>
   {
-    return compound(Op::kMod, static_cast<T>(u), Stamp{},
+    return compound(Op::kMod, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ % u));
   }
   template <Arithmetic U>
   Annot& operator<<=(U u)
     requires std::is_integral_v<T>
   {
-    return compound(Op::kShl, static_cast<T>(u), Stamp{},
+    return compound(Op::kShl, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ << u));
   }
   template <Arithmetic U>
   Annot& operator>>=(U u)
     requires std::is_integral_v<T>
   {
-    return compound(Op::kShr, static_cast<T>(u), Stamp{},
+    return compound(Op::kShr, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ >> u));
   }
   Annot& operator&=(const Annot& o)
@@ -226,14 +228,14 @@ class Annot {
   Annot<T> operator sym(const Annot<T>& a, U b) CONSTRAINT               \
   {                                                                      \
     Annot<T> r(detail::RawTag{}, static_cast<T>(a.value() sym b));       \
-    detail::charge_binary(OPC, a.stamp(), Stamp{}, r.stamp());           \
+    detail::charge_unary(OPC, a.stamp(), r.stamp());                     \
     return r;                                                            \
   }                                                                      \
   template <typename T, Arithmetic U>                                    \
   Annot<T> operator sym(U a, const Annot<T>& b) CONSTRAINT               \
   {                                                                      \
     Annot<T> r(detail::RawTag{}, static_cast<T>(a sym b.value()));       \
-    detail::charge_binary(OPC, Stamp{}, b.stamp(), r.stamp());           \
+    detail::charge_binary(OPC, detail::kNoStamp, b.stamp(), r.stamp());  \
     return r;                                                            \
   }
 
@@ -255,24 +257,24 @@ SCPERF_DEFINE_BINOP(>>, Op::kShr, SCPERF_INTEGRAL)
 
 // ---- comparisons (result: Annot<bool>) --------------------------------------
 
-#define SCPERF_DEFINE_CMPOP(sym, OPC)                                 \
-  template <typename T>                                               \
-  Annot<bool> operator sym(const Annot<T>& a, const Annot<T>& b) {    \
-    Annot<bool> r(detail::RawTag{}, a.value() sym b.value());         \
-    detail::charge_binary(OPC, a.stamp(), b.stamp(), r.stamp());      \
-    return r;                                                         \
-  }                                                                   \
-  template <typename T, Arithmetic U>                                 \
-  Annot<bool> operator sym(const Annot<T>& a, U b) {                  \
-    Annot<bool> r(detail::RawTag{}, a.value() sym static_cast<T>(b)); \
-    detail::charge_binary(OPC, a.stamp(), Stamp{}, r.stamp());        \
-    return r;                                                         \
-  }                                                                   \
-  template <typename T, Arithmetic U>                                 \
-  Annot<bool> operator sym(U a, const Annot<T>& b) {                  \
-    Annot<bool> r(detail::RawTag{}, static_cast<T>(a) sym b.value()); \
-    detail::charge_binary(OPC, Stamp{}, b.stamp(), r.stamp());        \
-    return r;                                                         \
+#define SCPERF_DEFINE_CMPOP(sym, OPC)                                   \
+  template <typename T>                                                 \
+  Annot<bool> operator sym(const Annot<T>& a, const Annot<T>& b) {      \
+    Annot<bool> r(detail::RawTag{}, a.value() sym b.value());           \
+    detail::charge_binary(OPC, a.stamp(), b.stamp(), r.stamp());        \
+    return r;                                                           \
+  }                                                                     \
+  template <typename T, Arithmetic U>                                   \
+  Annot<bool> operator sym(const Annot<T>& a, U b) {                    \
+    Annot<bool> r(detail::RawTag{}, a.value() sym static_cast<T>(b));   \
+    detail::charge_unary(OPC, a.stamp(), r.stamp());                    \
+    return r;                                                           \
+  }                                                                     \
+  template <typename T, Arithmetic U>                                   \
+  Annot<bool> operator sym(U a, const Annot<T>& b) {                    \
+    Annot<bool> r(detail::RawTag{}, static_cast<T>(a) sym b.value());   \
+    detail::charge_binary(OPC, detail::kNoStamp, b.stamp(), r.stamp()); \
+    return r;                                                           \
   }
 
 SCPERF_DEFINE_CMPOP(==, Op::kEq)
@@ -308,12 +310,12 @@ class Array {
 
   Annot<T>& operator[](std::size_t i) {
     assert(i < data_.size());
-    detail::charge_effect(Op::kIndex, Stamp{});
+    detail::charge_effect(Op::kIndex, detail::kNoStamp);
     return data_[i];
   }
   const Annot<T>& operator[](std::size_t i) const {
     assert(i < data_.size());
-    detail::charge_effect(Op::kIndex, Stamp{});
+    detail::charge_effect(Op::kIndex, detail::kNoStamp);
     return data_[i];
   }
   template <typename I>
@@ -348,8 +350,8 @@ class Array {
 ///     }
 class FuncGuard {
  public:
-  FuncGuard() { detail::charge_effect(Op::kCall, Stamp{}); }
-  ~FuncGuard() { detail::charge_effect(Op::kReturn, Stamp{}); }
+  FuncGuard() { detail::charge_effect(Op::kCall, detail::kNoStamp); }
+  ~FuncGuard() { detail::charge_effect(Op::kReturn, detail::kNoStamp); }
   FuncGuard(const FuncGuard&) = delete;
   FuncGuard& operator=(const FuncGuard&) = delete;
 };

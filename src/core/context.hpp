@@ -26,8 +26,14 @@ struct Stamp {
 
 /// Per-segment accounting: everything the overloaded operators write into.
 ///
-/// - sum_cycles: plain sum of per-op costs. This is the SW segment time and
-///   the HW worst case (single-ALU sequential execution, §3).
+/// - op_histogram: how many times each operation kind executed, cumulative
+///   over the process's life (energy is its dot product with the energy
+///   table). A charge is one increment of it and nothing else.
+/// - sum_cycles(): the segment's sequential time, priced at the close as the
+///   dot product of the histogram's growth since reset() with the cost
+///   table, in fixed op order — so it does not depend on the order the ops
+///   executed in. This is the SW segment time and the HW worst case
+///   (single-ALU sequential execution, §3).
 /// - max_ready: the running DAG critical path. This is the HW best case
 ///   ("critical path of the sequence of operations", §3).
 /// - dfg: optional operation graph for the behavioural-synthesis substitute.
@@ -43,10 +49,12 @@ struct SegmentAccum {
   bool track_ready = false;  ///< HW resources propagate value ready-times
   bool record_dfg = false;   ///< HW resources may also record the DFG
 
-  double sum_cycles = 0.0;
   double max_ready = 0.0;
-  std::uint64_t op_count = 0;
   std::array<std::uint64_t, kNumOps> op_histogram{};
+  /// op_histogram as it stood when the current segment started.
+  std::array<std::uint64_t, kNumOps> segment_start{};
+  /// Fault-injection pulse cycles charged into the current segment.
+  double pulse_cycles = 0.0;
   /// Cumulative cycles charged by fault injection (pulse glitches) — like
   /// op_histogram this survives reset(): it feeds the process's energy
   /// figure, not any single segment's time.
@@ -61,24 +69,41 @@ struct SegmentAccum {
   /// Starts a fresh segment; bumping the epoch invalidates every stamp
   /// produced by earlier segments without touching the values themselves.
   void reset() {
-    sum_cycles = 0.0;
+    segment_start = op_histogram;
+    pulse_cycles = 0.0;
     max_ready = 0.0;
-    op_count = 0;
     ++epoch;
     dfg.nodes.clear();
   }
 
-  double charge(Op op) {
-    const double lat = (*table)[op];
-    sum_cycles += lat;
-    ++op_count;
-    ++op_histogram[static_cast<std::size_t>(op)];
+  [[gnu::always_inline]] void charge(Op op) {
     // A segment that never reaches a node never passes through the
     // scheduler, so the kernel's wall-clock watchdog would sleep through an
-    // in-segment hang; probe it from here, amortised to every 4096 charges
-    // (op_count resets per segment — only long segments ever probe).
-    if ((op_count & 0xFFFu) == 0u) detail::annotation_watchdog_probe();
-    return lat;
+    // in-segment hang; probe it from here, amortised to every 4096th charge
+    // of each op kind (a hung loop charges some kind forever).
+    if ((++op_histogram[static_cast<std::size_t>(op)] & 0xFFFu) == 0u) {
+      detail::annotation_watchdog_probe();
+    }
+  }
+
+  /// Cycles of the current segment: its ops priced by the cost table plus
+  /// its fault pulses.
+  double sum_cycles() const {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < kNumOps; ++i) {
+      sum += static_cast<double>(op_histogram[i] - segment_start[i]) *
+             (*table)[static_cast<Op>(i)];
+    }
+    return sum + pulse_cycles;
+  }
+
+  /// Operations charged in the current segment.
+  std::uint64_t op_count() const {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < kNumOps; ++i) {
+      n += op_histogram[i] - segment_start[i];
+    }
+    return n;
   }
 };
 
@@ -86,8 +111,9 @@ struct SegmentAccum {
 /// estimator at every scheduler dispatch; nullptr when the running process is
 /// unmapped or no estimator is installed. Annotated operators are no-ops in
 /// the nullptr case — this is what keeps the library "completely transparent
-/// for the user" at near-zero cost when estimation is off.
-extern thread_local SegmentAccum* tl_accum;
+/// for the user" at near-zero cost when estimation is off. constinit spares
+/// every access the TLS-init wrapper call.
+extern thread_local constinit SegmentAccum* tl_accum;
 
 namespace detail {
 
@@ -98,32 +124,47 @@ inline std::uint32_t node_of(const SegmentAccum& acc, const Stamp& s) {
   return s.epoch == acc.epoch ? s.node : 0u;
 }
 
-/// Charges a binary operation and computes the result's stamp.
-inline void charge_binary(Op op, const Stamp& a, const Stamp& b, Stamp& out) {
-  SegmentAccum* acc = tl_accum;
-  if (acc == nullptr) return;
-  const double lat = acc->charge(op);
-  if (!acc->track_ready) return;
-  out.epoch = acc->epoch;
-  out.ready = std::max(ready_of(*acc, a), ready_of(*acc, b)) + lat;
-  acc->max_ready = std::max(acc->max_ready, out.ready);
-  if (acc->record_dfg) {
-    acc->dfg.nodes.push_back({op, node_of(*acc, a), node_of(*acc, b)});
-    out.node = static_cast<std::uint32_t>(acc->dfg.nodes.size());
+/// An operand with no provenance: a constant or a pre-segment input.
+inline constexpr Stamp kNoStamp{};
+
+/// HW ready tracking and DFG recording for one charged operation.
+inline void track_hw(SegmentAccum& acc, Op op, const Stamp& a, const Stamp& b,
+                     Stamp& out) {
+  out.epoch = acc.epoch;
+  out.ready = std::max(ready_of(acc, a), ready_of(acc, b)) + (*acc.table)[op];
+  acc.max_ready = std::max(acc.max_ready, out.ready);
+  if (acc.record_dfg) {
+    acc.dfg.nodes.push_back({op, node_of(acc, a), node_of(acc, b)});
+    out.node = static_cast<std::uint32_t>(acc.dfg.nodes.size());
   }
 }
 
+/// Charges a binary operation and computes the result's stamp.
+[[gnu::always_inline]] inline void charge_binary(Op op, const Stamp& a,
+                                                 const Stamp& b, Stamp& out) {
+  SegmentAccum* acc = tl_accum;
+  if (acc == nullptr) return;
+  acc->charge(op);
+  if (acc->track_ready) track_hw(*acc, op, a, b, out);
+}
+
 /// Charges a unary operation (including assignment, where `a` is the source).
-inline void charge_unary(Op op, const Stamp& a, Stamp& out) {
-  charge_binary(op, a, Stamp{}, out);
+[[gnu::always_inline]] inline void charge_unary(Op op, const Stamp& a,
+                                                Stamp& out) {
+  charge_binary(op, a, kNoStamp, out);
 }
 
 /// Charges an operation with no tracked result (branch conditions, indexing):
-/// contributes to the running sums and the critical path but produces no
+/// contributes to the histogram and the critical path but produces no
 /// stamped value.
-inline void charge_effect(Op op, const Stamp& a) {
-  Stamp discard;
-  charge_binary(op, a, Stamp{}, discard);
+[[gnu::always_inline]] inline void charge_effect(Op op, const Stamp& a) {
+  SegmentAccum* acc = tl_accum;
+  if (acc == nullptr) return;
+  acc->charge(op);
+  if (acc->track_ready) {
+    Stamp discard;
+    track_hw(*acc, op, a, kNoStamp, discard);
+  }
 }
 
 }  // namespace detail

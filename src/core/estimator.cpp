@@ -5,7 +5,7 @@
 
 namespace scperf {
 
-thread_local SegmentAccum* tl_accum = nullptr;
+constinit thread_local SegmentAccum* tl_accum = nullptr;
 
 namespace detail {
 
@@ -150,7 +150,8 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   SegmentAccum& a = ctx.accum;
   Resource& r = *ctx.resource;
 
-  const double wc = a.sum_cycles;
+  // The segment is priced here, once: its charges only counted ops.
+  const double wc = a.sum_cycles();
   const double bc = a.track_ready ? a.max_ready : wc;
   double cycles = wc;
   if (r.kind() == ResourceKind::kHw) {
@@ -171,7 +172,11 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   }
   ++st.count;
   st.cycles_sum += cycles;
-  st.cycles_sq_sum += cycles * cycles;
+  // Welford's update: a segment that always takes the same cycles keeps
+  // exactly zero spread, where a raw sum of squares cancels catastrophically.
+  const double delta = cycles - st.cycles_running_mean;
+  st.cycles_running_mean += delta / static_cast<double>(st.count);
+  st.cycles_m2 += delta * (cycles - st.cycles_running_mean);
   st.cycles_min = std::min(st.cycles_min, cycles);
   st.cycles_max = std::max(st.cycles_max, cycles);
   st.bc_cycles_sum += bc;
@@ -179,7 +184,7 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   if (a.record_dfg && !a.dfg.empty()) ctx.segment_dfgs[id] = a.dfg;
 
   ctx.total_cycles += cycles;
-  ctx.ops_executed += a.op_count;
+  ctx.ops_executed += a.op_count();
   ++ctx.segments_executed;
   if (ctx.record_instantaneous) {
     ctx.executions.push_back({id, cycles, sim_.now()});

@@ -9,10 +9,7 @@ namespace scperf {
 
 double SegmentStats::variance() const {
   if (count < 2) return 0.0;
-  const double n = static_cast<double>(count);
-  const double m = cycles_sum / n;
-  const double var = (cycles_sq_sum - n * m * m) / (n - 1.0);
-  return var > 0.0 ? var : 0.0;
+  return cycles_m2 / (static_cast<double>(count) - 1.0);
 }
 
 double SegmentStats::ci95_halfwidth() const {

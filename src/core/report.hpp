@@ -17,7 +17,9 @@ struct SegmentStats {
   std::string to;
   std::uint64_t count = 0;
   double cycles_sum = 0.0;
-  double cycles_sq_sum = 0.0;
+  /// Welford's running mean and sum of squared deviations from it.
+  double cycles_running_mean = 0.0;
+  double cycles_m2 = 0.0;
   double cycles_min = 0.0;
   double cycles_max = 0.0;
   // HW resources: the two extreme implementation points (§3).

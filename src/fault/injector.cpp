@@ -98,7 +98,7 @@ void FaultInjector::drain_pulses(minisc::Process& p) {
     // Charging both the sequential sum and the critical path stretches a HW
     // segment's [Tmin, Tmax] interval by the full pulse, so the estimate
     // T = Tmin + (Tmax - Tmin) * k grows by extra_cycles for every k.
-    acc->sum_cycles += pulse.extra_cycles;
+    acc->pulse_cycles += pulse.extra_cycles;
     if (acc->track_ready) acc->max_ready += pulse.extra_cycles;
     acc->fault_cycles += pulse.extra_cycles;
     consumed_[i] = true;

@@ -1,15 +1,18 @@
 // Property tests of the annotation fabric: for ANY program over annotated
 // types, (1) the computed values are bit-identical to the same program over
 // built-in types, (2) the charged cost is independent of the data values'
-// magnitude (it depends only on the executed operation sequence), and
-// (3) the HW critical path never exceeds the sequential sum.
+// magnitude (it depends only on the executed operation sequence), (3) the
+// HW critical path never exceeds the sequential sum, and (4) the SW time
+// depends only on how many ops of each kind ran, not on their order.
 //
 // "Any program" is approximated by a seeded random interpreter executing the
 // same random operation stream against both value domains.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/annot.hpp"
@@ -124,9 +127,9 @@ RunOutput run_random_program(std::uint32_t seed, int steps,
     out.plain_sum += plain[i];
     out.annot_sum += annot.at_raw(static_cast<std::size_t>(i)).value();
   }
-  out.charged = accum.sum_cycles;
+  out.charged = accum.sum_cycles();
   out.critical_path = accum.max_ready;
-  out.ops = accum.op_count;
+  out.ops = accum.op_count();
   return out;
 }
 
@@ -159,6 +162,35 @@ TEST_P(RandomPrograms, CriticalPathBoundedBySum) {
                                       asic_hw_cost_table(), true);
   EXPECT_LE(out.critical_path, out.charged + 1e-9);
   EXPECT_GE(out.critical_path, 0.0);
+}
+
+TEST_P(RandomPrograms, ShuffledOpSequenceChargesBitIdenticalTime) {
+  Rng rng(GetParam());
+  std::vector<Op> ops(5000);
+  for (Op& op : ops) {
+    op = static_cast<Op>(rng.range(0, static_cast<int>(kNumOps) - 1));
+  }
+  std::vector<Op> shuffled = ops;
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {  // Fisher-Yates
+    std::swap(shuffled[i], shuffled[rng.next() % (i + 1)]);
+  }
+  ASSERT_NE(ops, shuffled);
+  const CostTable table = orsim_sw_cost_table();
+  const auto charge_all = [&table](const std::vector<Op>& seq) {
+    SegmentAccum accum;
+    accum.table = &table;
+    tl_accum = &accum;
+    for (const Op op : seq) detail::charge_effect(op, detail::kNoStamp);
+    tl_accum = nullptr;
+    return std::pair{accum.sum_cycles(), accum.op_count()};
+  };
+  const auto [cycles, ops_charged] = charge_all(ops);
+  const auto [shuffled_cycles, shuffled_ops_charged] = charge_all(shuffled);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cycles),
+            std::bit_cast<std::uint64_t>(shuffled_cycles))
+      << cycles << " vs " << shuffled_cycles;
+  EXPECT_EQ(ops_charged, 5000u);
+  EXPECT_EQ(shuffled_ops_charged, ops_charged);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,

@@ -88,8 +88,8 @@ TEST_F(AnnotTest, ChargesPerOpCost) {
   gint b = 2;                 // literal init: kAssignRes, 1
   gint c = a * b + a;         // mul 5, add 2
   (void)c;                    // c init from temp: elided (prvalue)
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 1 + 1 + 5 + 2);
-  EXPECT_EQ(accum_.op_count, 4u);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 1 + 1 + 5 + 2);
+  EXPECT_EQ(accum_.op_count(), 4u);
 }
 
 TEST_F(AnnotTest, LvalueAndRvalueAssignsChargeDifferentClasses) {
@@ -98,7 +98,7 @@ TEST_F(AnnotTest, LvalueAndRvalueAssignsChargeDifferentClasses) {
   gint b = a;       // copy of a variable: kAssign (3)
   b = a;            // lvalue assignment: kAssign (3)
   b = a + 1;        // result assignment: kAssignRes (1)
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 1 + 3 + 3 + 1);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 1 + 3 + 3 + 1);
 }
 
 TEST_F(AnnotTest, OpHistogramCountsEachKind) {
@@ -119,7 +119,7 @@ TEST_F(AnnotTest, BranchChargedOnContextualConversion) {
   if (i < 0) {
     // empty
   }
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 3.0 + 2.5);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 3.0 + 2.5);
 }
 
 TEST_F(AnnotTest, WhileLoopChargesPerIteration) {
@@ -130,7 +130,7 @@ TEST_F(AnnotTest, WhileLoopChargesPerIteration) {
     i = i + 1;  // add + assign = 2 per iteration
   }
   // condition evaluated 4 times (3 true + 1 false): (1+1)*4 = 8; body 3*2 = 6
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 1 + 8 + 6);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 1 + 8 + 6);
 }
 
 TEST_F(AnnotTest, ArrayIndexCharged) {
@@ -139,7 +139,7 @@ TEST_F(AnnotTest, ArrayIndexCharged) {
   arr[2] = 7;  // index 4 + literal store 1
   gint v = arr[2];  // index 4 + element copy (lvalue) 1
   EXPECT_EQ(v.value(), 7);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 4 + 1 + 4 + 1);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 4 + 1 + 4 + 1);
 }
 
 TEST_F(AnnotTest, ArrayAnnotatedIndex) {
@@ -154,8 +154,8 @@ TEST_F(AnnotTest, RawAccessChargesNothing) {
   garray<int> arr(4);
   arr.at_raw(0).set_raw(3);
   EXPECT_EQ(arr.at_raw(0).value(), 3);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 0.0);
-  EXPECT_EQ(accum_.op_count, 0u);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 0.0);
+  EXPECT_EQ(accum_.op_count(), 0u);
 }
 
 TEST_F(AnnotTest, NoAccumMeansNoCharge) {
@@ -163,7 +163,7 @@ TEST_F(AnnotTest, NoAccumMeansNoCharge) {
   gint a = 1;
   gint b = a + a;
   EXPECT_EQ(b.value(), 2);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 0.0);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 0.0);
 }
 
 TEST_F(AnnotTest, FuncGuardChargesCallAndReturn) {
@@ -171,7 +171,7 @@ TEST_F(AnnotTest, FuncGuardChargesCallAndReturn) {
   {
     FuncGuard fg;
   }
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 14.0);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 14.0);
 }
 
 TEST_F(AnnotTest, DoubleTypeWorks) {
@@ -179,7 +179,7 @@ TEST_F(AnnotTest, DoubleTypeWorks) {
   gdouble x = 1.5;
   gdouble y = x * 2.0;
   EXPECT_DOUBLE_EQ(y.value(), 3.0);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 1 + 4);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 1 + 4);
 }
 
 // ---- the paper's Figure 3 example, reproduced exactly ----------------------
@@ -222,7 +222,7 @@ TEST_F(AnnotTest, PaperFigure3DelayCalculation) {
   gint datai(detail::RawTag{}, 0);
   gint datao(detail::RawTag{}, 0);
 
-  ASSERT_DOUBLE_EQ(accum_.sum_cycles, 0.0);
+  ASSERT_DOUBLE_EQ(accum_.sum_cycles(), 0.0);
 
   if (i < 0) {         // t_if + t<          -> time = 5.4
     i = c + d;         // t= + t+            -> time = 8.4
@@ -230,7 +230,7 @@ TEST_F(AnnotTest, PaperFigure3DelayCalculation) {
   datai = array[i];    // t= + t[]           -> time = 15.4
   datao = fig3_func(datai);  // t= + t_fc + 40.4    -> time = 75.8
 
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 75.8);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 75.8);
   EXPECT_EQ(datai.value(), 99);
   EXPECT_EQ(datao.value(), 11);
 
@@ -261,7 +261,7 @@ TEST_F(ReadyTest, BalancedTreeCriticalPathShorterThanSum) {
   gint c(detail::RawTag{}, 3), d(detail::RawTag{}, 4);
   gint r = (a + b) + (c + d);  // 3 adds; depth 2
   EXPECT_EQ(r.value(), 10);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 3.0);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 3.0);
   EXPECT_DOUBLE_EQ(accum_.max_ready, 2.0);
 }
 
@@ -272,7 +272,7 @@ TEST_F(ReadyTest, LinearChainCriticalPathEqualsSum) {
   r = r + 1;
   // Note: the two `r = r + 1` assignments charge kAssign (cost 0 here) and
   // propagate readiness through the chain.
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 3.0);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 3.0);
   EXPECT_DOUBLE_EQ(accum_.max_ready, 3.0);
 }
 
@@ -283,7 +283,7 @@ TEST_F(ReadyTest, MulLatencyDominatesPath) {
   gint r = m + s;      // ready max(2,1)+1 = 3
   EXPECT_EQ(r.value(), 11);
   EXPECT_DOUBLE_EQ(accum_.max_ready, 3.0);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 4.0);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 4.0);
 }
 
 TEST_F(ReadyTest, EpochResetTreatsOldValuesAsInputs) {
@@ -293,7 +293,7 @@ TEST_F(ReadyTest, EpochResetTreatsOldValuesAsInputs) {
   gint y = x + 1;  // x is now an external input: ready(x) = 0
   (void)y;
   EXPECT_DOUBLE_EQ(accum_.max_ready, 1.0);
-  EXPECT_DOUBLE_EQ(accum_.sum_cycles, 1.0);
+  EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 1.0);
 }
 
 TEST_F(ReadyTest, CriticalPathNeverExceedsSum) {
@@ -307,7 +307,7 @@ TEST_F(ReadyTest, CriticalPathNeverExceedsSum) {
       acc = acc * a;
     }
   }
-  EXPECT_LE(accum_.max_ready, accum_.sum_cycles);
+  EXPECT_LE(accum_.max_ready, accum_.sum_cycles());
   EXPECT_GT(accum_.max_ready, 0.0);
 }
 

@@ -515,5 +515,32 @@ TEST(Estimator, SegmentVarianceAndConfidenceInterval) {
   EXPECT_GT(loop->ci95_halfwidth(), 0.0);
 }
 
+TEST(Estimator, ConstantSegmentHasZeroVarianceAndCi95) {
+  // Every wait->wait execution is one op at 4972514.26 cycles. A raw sum of
+  // squares cancels catastrophically on such a segment (variance ~0.008 at
+  // nine executions); its spread must be exactly zero.
+  minisc::Simulator sim;
+  Estimator est(sim);
+  auto& cpu = est.add_sw_resource("cpu", kMhz, CostTable::uniform(4972514.26));
+  est.map("p", cpu);
+  sim.spawn("p", [] {
+    for (int i = 0; i < 10; ++i) {
+      burn_adds(1);
+      minisc::wait(minisc::Time::ns(1));
+    }
+  });
+  sim.run();
+  const SegmentStats* loop = nullptr;
+  const auto segs = est.segment_stats("p");
+  for (const auto& s : segs) {
+    if (s.id() == "wait->wait") loop = &s;
+  }
+  ASSERT_NE(loop, nullptr);
+  EXPECT_EQ(loop->count, 9u);
+  EXPECT_EQ(loop->cycles_min, loop->cycles_max);
+  EXPECT_EQ(loop->variance(), 0.0);
+  EXPECT_EQ(loop->ci95_halfwidth(), 0.0);
+}
+
 }  // namespace
 }  // namespace scperf

@@ -68,11 +68,11 @@ TEST_F(RedefineTypes, LegacyIntCodeComputesCorrectly) {
 
 TEST_F(RedefineTypes, LegacyCodeIsCharged) {
   (void)legacy_dot_product(10);
-  EXPECT_GT(accum_.op_count, 0u);
-  EXPECT_GT(accum_.sum_cycles, 0.0);
+  EXPECT_GT(accum_.op_count(), 0u);
+  EXPECT_GT(accum_.sum_cycles(), 0.0);
   // 10 iterations of (cmp + branch + mul + add + assign + add + assign)
   // plus two initialisations and the final failed comparison.
-  EXPECT_GE(accum_.op_count, 60u);
+  EXPECT_GE(accum_.op_count(), 60u);
 }
 
 TEST_F(RedefineTypes, LegacyBoolWorks) {

@@ -7,13 +7,16 @@
 // The GoldenEstimate tests lock the library's own outputs by bit pattern:
 // the Table 1 cycle sums and op counts, the Table 3/4 per-process cycles and
 // energies, the simulated end time and report CSV, and the CSV of one seeded
-// fault campaign. Each annotated op is charged by SegmentAccum::charge, whose
-// double sum depends on the op order, so these constants pin the charge path
-// exactly; a change that means to move them re-pins them in one place.
+// fault campaign. Each annotated op only counts into SegmentAccum's
+// histogram, and the segment is priced at its close by a dot product with the
+// cost table in fixed op order, so the sums do not depend on the op order;
+// these constants pin that pricing exactly, and a change that means to move
+// them re-pins them in one place.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -76,12 +79,12 @@ struct Table1Estimate {
 };
 
 constexpr Table1Estimate kTable1Estimate[] = {
-    {0x40ef03f2e147b8e6ull, 44036u},   // FIR
-    {0x40ccbab1eb851ddfull, 10869u},   // Compress
-    {0x40fd41ef5c290b98ull, 89954u},   // Quick sort
-    {0x4100e3750a3d7dc8ull, 114865u},  // Bubble
-    {0x4100933451eb8854ull, 50165u},   // Fibonacci
-    {0x40b66f7851eb8580ull, 4100u},    // Array
+    {0x40ef03f2e147ae14ull, 44036u},   // FIR
+    {0x40ccbab1eb851eb8ull, 10869u},   // Compress
+    {0x40fd41ef5c28f5c2ull, 89954u},   // Quick sort
+    {0x4100e3750a3d70a4ull, 114865u},  // Bubble
+    {0x4100933451eb851eull, 50165u},   // Fibonacci
+    {0x40b66f7851eb851full, 4100u},    // Array
 };
 
 TEST(GoldenEstimate, Table1CycleSumsAndOpCounts) {
@@ -94,9 +97,33 @@ TEST(GoldenEstimate, Table1CycleSumsAndOpCounts) {
     scperf::tl_accum = &acc;
     (void)suite[i].annotated();
     scperf::tl_accum = nullptr;
-    EXPECT_EQ(bits(acc.sum_cycles), kTable1Estimate[i].sum_cycles_bits)
-        << suite[i].name << ": " << acc.sum_cycles;
-    EXPECT_EQ(acc.op_count, kTable1Estimate[i].op_count) << suite[i].name;
+    EXPECT_EQ(bits(acc.sum_cycles()), kTable1Estimate[i].sum_cycles_bits)
+        << suite[i].name << ": " << acc.sum_cycles();
+    EXPECT_EQ(acc.op_count(), kTable1Estimate[i].op_count) << suite[i].name;
+  }
+}
+
+TEST(ExactSwTime, Table1SumsWithinOneUlpOfExactHundredths) {
+  // The orsim weights have two decimals, so a kernel's exact SW time is a
+  // whole number of hundredths of a cycle: sum of hist[i] * 100 * cost[i].
+  const scperf::CostTable table = scperf::orsim_sw_cost_table();
+  for (const auto& b : table1_suite()) {
+    scperf::SegmentAccum acc;
+    acc.table = &table;
+    scperf::tl_accum = &acc;
+    (void)b.annotated();
+    scperf::tl_accum = nullptr;
+    std::int64_t hundredths = 0;
+    for (std::size_t i = 0; i < scperf::kNumOps; ++i) {
+      const double cost = table[static_cast<scperf::Op>(i)];
+      const long long h = std::llround(100.0 * cost);
+      ASSERT_EQ(static_cast<double>(h) / 100.0, cost) << "op " << i;
+      hundredths += static_cast<std::int64_t>(acc.op_histogram[i]) * h;
+    }
+    const double exact = static_cast<double>(hundredths) / 100.0;
+    const double sum = acc.sum_cycles();
+    EXPECT_GE(sum, std::nextafter(exact, 0.0)) << b.name << ": " << sum;
+    EXPECT_LE(sum, std::nextafter(exact, 2.0 * exact)) << b.name << ": " << sum;
   }
 }
 
@@ -131,30 +158,30 @@ vocoder::PipelineConfig table3_config() {
 }
 
 constexpr PipelineEstimate kTable3 = {
-    {0x412479364ccccdcfull, 0x40d4d6333333333bull, 0x4152f7f890a3bd22ull,
-     0x411cabe3fffffe4aull, 0x412c63b3eb852512ull},
+    {0x412479364ccccccdull, 0x40d4d63333333334ull, 0x4152f7f890a3d70aull,
+     0x411cabe400000000ull, 0x412c63b3eb851eb8ull},
     {0x414c6571c0000000ull, 0x4101530000000000ull, 0x417fe39c40000000ull,
      0x4144388400000000ull, 0x4155d76480000000ull},
     141622903400,
-    0xc5b0f679987f04a4ull,
+    0xf872338b82aa6774ull,
 };
 
 constexpr PipelineEstimate kTable4K0 = {
-    {0x412479364ccccdcfull, 0x40d4d6333333333bull, 0x4152f7f890a3bd22ull,
-     0x411cabe3fffffe4aull, 0x40a20a0000000000ull},
+    {0x412479364ccccccdull, 0x40d4d63333333334ull, 0x4152f7f890a3d70aull,
+     0x411cabe400000000ull, 0x40a20a0000000000ull},
     {0x414c6571c0000000ull, 0x4101530000000000ull, 0x417fe39c40000000ull,
      0x4144388400000000ull, 0x4134b89980000000ull},
     122951984200,
-    0x4ba374f93e2763a0ull,
+    0x71300c10cb161890ull,
 };
 
 constexpr PipelineEstimate kTable4K1 = {
-    {0x412479364ccccdcfull, 0x40d4d6333333333bull, 0x4152f7f890a3bd22ull,
-     0x411cabe3fffffe4aull, 0x4118d3f000000000ull},
+    {0x412479364ccccccdull, 0x40d4d63333333334ull, 0x4152f7f890a3d70aull,
+     0x411cabe400000000ull, 0x4118d3f000000000ull},
     {0x414c6571c0000000ull, 0x4101530000000000ull, 0x417fe39c40000000ull,
      0x4144388400000000ull, 0x4134b89980000000ull},
     123153774200,
-    0x8b15ee718f1bfec3ull,
+    0x11ad9baffa4fd6f3ull,
 };
 
 TEST(GoldenEstimate, Table3SwMapping) {

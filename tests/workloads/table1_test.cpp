@@ -36,8 +36,8 @@ TEST_P(Table1Forms, AnnotatedChargesOps) {
   scperf::tl_accum = &acc;
   (void)bench().annotated();
   scperf::tl_accum = nullptr;
-  EXPECT_GT(acc.op_count, 0u);
-  EXPECT_GT(acc.sum_cycles, 0.0);
+  EXPECT_GT(acc.op_count(), 0u);
+  EXPECT_GT(acc.sum_cycles(), 0.0);
 }
 
 /// The headline accuracy claim of Table 1: the library estimate tracks the
@@ -55,10 +55,10 @@ TEST_P(Table1Forms, LibraryEstimateWithinFivePercentOfIss) {
 
   const IssResult iss = bench().iss();
   const double err =
-      (acc.sum_cycles - static_cast<double>(iss.cycles)) /
+      (acc.sum_cycles() - static_cast<double>(iss.cycles)) /
       static_cast<double>(iss.cycles);
   EXPECT_LT(std::abs(err), 0.05)
-      << bench().name << ": library " << acc.sum_cycles << " vs ISS "
+      << bench().name << ": library " << acc.sum_cycles() << " vs ISS "
       << iss.cycles;
 }
 
@@ -100,10 +100,10 @@ TEST(OutOfSample, MatrixEstimateWithinTenPercent) {
   (void)m.annotated();
   scperf::tl_accum = nullptr;
   const IssResult iss = m.iss();
-  const double err = (acc.sum_cycles - static_cast<double>(iss.cycles)) /
+  const double err = (acc.sum_cycles() - static_cast<double>(iss.cycles)) /
                      static_cast<double>(iss.cycles);
   EXPECT_LT(std::abs(err), 0.10)
-      << "library " << acc.sum_cycles << " vs ISS " << iss.cycles;
+      << "library " << acc.sum_cycles() << " vs ISS " << iss.cycles;
 }
 
 TEST(OutOfSample, NaiveIndexingOverestimates) {
@@ -165,7 +165,7 @@ TEST(OutOfSample, NaiveIndexingOverestimates) {
     }
   }
   scperf::tl_accum = nullptr;
-  EXPECT_GT(naive_acc.sum_cycles, 1.15 * hoisted_acc.sum_cycles);
+  EXPECT_GT(naive_acc.sum_cycles(), 1.15 * hoisted_acc.sum_cycles());
 }
 
 TEST(Table1Suite, ChecksumsAreStableAcrossRuns) {
