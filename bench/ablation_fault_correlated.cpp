@@ -33,19 +33,10 @@
 //   --journal records the mapping x scenario sweep in per-cell journals
 //   next to the binary (fault_correlated_sweep.journal.<cell>); --resume
 //   replays completed cells/runs from them after an interruption.
-//   --shard i/N runs this process as worker i of an N-shard fleet over the
-//   burst campaign only: shards claim leases in the shared --shard-dir
-//   (default fault_correlated_burst.shard/ next to the binary), adopt
-//   stale leases of dead workers, and exit when every shard journal is
-//   complete. The first worker pins the layout in the directory's
-//   fleet.manifest; --shard-dir given ALONE runs an elastic worker that
-//   reads the layout (base seed, total runs, shard count) from that
-//   manifest, so it survives a mid-campaign --repartition N (which
-//   migrates completed work into an N-shard tiling and exits).
-//   --lease-ttl-ms MS sets the adoption staleness threshold (default
-//   10000); --repartition judges leases by it too. --merge folds the shard journals back into
-//   the same fault_correlated_burst.csv an uninterrupted run writes,
-//   byte-identically. --help lists every flag.
+//   Fleet flags (fleet_cli.hpp) run the burst campaign only as a fleet in
+//   --shard-dir (default fault_correlated_burst.shard/ next to the binary);
+//   --merge folds its journals back into the same fault_correlated_burst.csv
+//   an uninterrupted run writes, byte-identically. --help lists every flag.
 //
 //   Sweep fleet mode — the mapping x scenario grid as lease-claimable cells:
 //   --sweep-shard i/N  runs this process as a sweep-fleet worker: every grid
@@ -54,9 +45,8 @@
 //     binary); workers spread across cells, adopt stale leases, and
 //     quarantine a cell after --max-adoptions failed adoptions (default 3).
 //   --sweep-merge  folds the cell journals back into the sweep grid + CSV,
-//     byte-identical to the uninterrupted fault_correlated_sweep.csv. With
-//     --allow-partial an unfinished/quarantined fleet produces a clearly
-//     marked DEGRADED report (exit code 3) instead of a refusal (exit 1).
+//     byte-identical to the uninterrupted fault_correlated_sweep.csv;
+//     --allow-partial degrades it as it does --merge.
 //   --sweep-status  read-only per-cell fleet progress (exit 0 once every
 //     cell is done or quarantined, 1 while the fleet is still working).
 //
@@ -98,6 +88,8 @@
 #include "trace/campaign.hpp"
 #include "trace/shard.hpp"
 #include "trace/smc.hpp"
+
+#include "fleet_cli.hpp"
 
 namespace {
 
@@ -299,27 +291,17 @@ RunOptions scenario_options(const std::string& name, bool split_cpu) {
 sctrace::CampaignOptions g_campaign_opts;
 bool g_journal = false;
 
-// Fleet mode over the burst campaign: --shard i/N workers share
-// g_shard_dir; --merge folds its journals back into the burst CSV.
-bool g_shard = false;
-bool g_merge = false;
-std::size_t g_shard_index = 0;
-std::size_t g_shard_count = 1;
-std::string g_shard_dir;
-bool g_shard_dir_given = false;
-std::uint64_t g_lease_ttl_ms = 10000;
-/// --repartition N: migrate the burst fleet layout to N shards and exit.
-std::size_t g_repartition = 0;
+// Fleet mode over the burst campaign, and the lease TTL, adoption cap and
+// --allow-partial of the sweep fleet too.
+FleetCli g_fleet;
 
 // Sweep fleet mode: grid cells as lease-claimable units in g_sweep_dir.
 bool g_sweep_shard = false;
 bool g_sweep_merge = false;
 bool g_sweep_status = false;
-bool g_allow_partial = false;
 std::size_t g_sweep_index = 0;
 std::size_t g_sweep_count = 1;
 std::string g_sweep_dir;
-std::uint64_t g_max_adoptions = 3;
 /// "mapping/scenario" whose runs SIGKILL the executing worker ("" = none):
 /// the deliberate poison cell for the quarantine crash-loop CI gate.
 std::string g_poison_cell;
@@ -406,31 +388,24 @@ int run_sweep_worker(std::size_t n_sweep, std::uint64_t seed) {
   so.dir = g_sweep_dir;
   so.shard_index = g_sweep_index;
   so.shard_count = g_sweep_count;
-  so.lease_ttl_ms = g_lease_ttl_ms;
-  so.max_adoptions = g_max_adoptions;
+  so.lease_ttl_ms = g_fleet.lease_ttl_ms;
+  so.max_adoptions = g_fleet.max_adoptions;
   std::printf("sweep worker %zu/%zu over %zux%zu cells x %zu runs, dir %s\n",
               g_sweep_index, g_sweep_count, sweep_mappings().size(),
               sweep_scenarios().size(), n_sweep, g_sweep_dir.c_str());
   const sctrace::ShardProgress p = sctrace::run_sharded_sweep(
       sweep_mappings(), sweep_scenarios(), sweep_factory(), seed, n_sweep, so,
       co);
-  std::printf(
-      "sweep worker %zu/%zu: %zu cells run, adopted %zu, %zu runs executed, "
-      "%zu lease conflicts, %zu cells lost, %zu abandoned, %zu quarantined, "
-      "sweep %s\n",
-      g_sweep_index, g_sweep_count, p.shards_run, p.shards_adopted,
-      p.runs_executed, p.lease_conflicts, p.shards_lost, p.shards_abandoned,
-      p.shards_quarantined,
-      p.campaign_complete ? "complete"
-                          : (p.fleet_done ? "done (degraded)" : "incomplete"));
+  print_worker_summary("sweep worker " + std::to_string(g_sweep_index) + "/" +
+                           std::to_string(g_sweep_count),
+                       p, "cells", "sweep");
   return 0;
 }
 
 int run_sweep_merge() {
-  sctrace::MergeOptions mo;
-  mo.allow_partial = g_allow_partial;
   try {
-    const sctrace::MergedSweep merged = sctrace::merge_sweep_dir(g_sweep_dir, mo);
+    const sctrace::MergedSweep merged =
+        sctrace::merge_sweep_dir(g_sweep_dir, g_fleet.merge_options());
     std::printf("merged sweep: %zu of %zu cells complete\n",
                 merged.complete_cells(), merged.cells.size());
     std::ostringstream grid;
@@ -624,7 +599,7 @@ int run_smc(int pct, std::uint64_t seed) {
 int run_sweep_status() {
   try {
     const sctrace::FleetStatus st =
-        sctrace::sweep_fleet_status(g_sweep_dir, g_lease_ttl_ms);
+        sctrace::sweep_fleet_status(g_sweep_dir, g_fleet.lease_ttl_ms);
     std::ostringstream os;
     sctrace::print_fleet_status(os, st);
     std::fputs(os.str().c_str(), stdout);
@@ -643,6 +618,7 @@ int main(int argc, char** argv) {
   }
   int pct = 100;
   for (int i = 1; i < argc; ++i) {
+    if (g_fleet.parse(argc, argv, i)) continue;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       g_campaign_opts.threads =
           static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -651,28 +627,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       g_journal = true;  // --resume implies journalling
       g_campaign_opts.resume = true;
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%zu/%zu", &g_shard_index, &g_shard_count) !=
-              2 ||
-          g_shard_count == 0 || g_shard_index >= g_shard_count) {
-        std::printf("bad --shard '%s' (want i/N with i < N)\n", argv[i]);
-        return 1;
-      }
-      g_shard = true;
-    } else if (std::strcmp(argv[i], "--shard-dir") == 0 && i + 1 < argc) {
-      g_shard_dir = argv[++i];
-      g_shard_dir_given = true;
-    } else if (std::strcmp(argv[i], "--repartition") == 0 && i + 1 < argc) {
-      g_repartition = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (g_repartition == 0) {
-        std::printf("bad --repartition '%s' (want a shard count >= 1)\n",
-                    argv[i]);
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--lease-ttl-ms") == 0 && i + 1 < argc) {
-      g_lease_ttl_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--merge") == 0) {
-      g_merge = true;
     } else if (std::strcmp(argv[i], "--sweep-shard") == 0 && i + 1 < argc) {
       if (std::sscanf(argv[++i], "%zu/%zu", &g_sweep_index, &g_sweep_count) !=
               2 ||
@@ -687,10 +641,6 @@ int main(int argc, char** argv) {
       g_sweep_merge = true;
     } else if (std::strcmp(argv[i], "--sweep-status") == 0) {
       g_sweep_status = true;
-    } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
-      g_allow_partial = true;
-    } else if (std::strcmp(argv[i], "--max-adoptions") == 0 && i + 1 < argc) {
-      g_max_adoptions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--poison-cell") == 0 && i + 1 < argc) {
       g_poison_cell = argv[++i];
     } else if (std::strcmp(argv[i], "--smc") == 0) {
@@ -715,38 +665,14 @@ int main(int argc, char** argv) {
           "  --resume           replay completed cells/runs from journals\n"
           "                     (implies --journal)\n"
           "\n"
-          "burst-campaign fleet (one unit per shard of the burst runs):\n"
-          "  --shard i/N        run as worker i of an N-shard fleet; pins\n"
-          "                     the layout in the shared dir's\n"
-          "                     fleet.manifest\n"
-          "  --shard-dir DIR    fleet directory (default\n"
-          "                     fault_correlated_burst.shard/ next to the\n"
-          "                     binary); given ALONE it runs an elastic\n"
-          "                     worker that reads the layout from the\n"
-          "                     manifest instead of pinning one\n"
-          "  --lease-ttl-ms MS  staleness threshold for lease adoption and\n"
-          "                     for --repartition's live-lease check\n"
-          "                     (default 10000)\n"
-          "  --repartition N    migrate the fleet's completed work to an\n"
-          "                     N-shard layout and exit; relaunch workers\n"
-          "                     elastic afterwards\n"
-          "  --merge            fold the shard journals into the same burst\n"
-          "                     CSV an uninterrupted run writes,\n"
-          "                     byte-identically\n"
-          "\n"
-          "sweep fleet (mapping x scenario grid cells as units):\n"
+          "sweep fleet (mapping x scenario grid cells as units; takes\n"
+          "--lease-ttl-ms, --max-adoptions and --allow-partial below):\n"
           "  --sweep-shard i/N  run as a sweep-fleet worker over the grid\n"
           "  --sweep-dir DIR    sweep fleet directory (default\n"
           "                     fault_correlated_sweep.shard/)\n"
-          "  --max-adoptions K  quarantine a cell after K failed adoptions\n"
-          "                     (default 3)\n"
-          "  --sweep-merge      fold cell journals into the sweep grid +\n"
-          "                     CSV; with --allow-partial an unfinished or\n"
-          "                     quarantined fleet yields a DEGRADED report\n"
-          "                     (exit 3) instead of a refusal (exit 1)\n"
+          "  --sweep-merge      fold cell journals into the sweep grid + CSV\n"
           "  --sweep-status     read-only per-cell fleet progress (exit 0\n"
           "                     once every cell is done or quarantined)\n"
-          "  --allow-partial    see --sweep-merge\n"
           "  --poison-cell m/s  SIGKILL any worker that executes a run of\n"
           "                     cell m/s (the quarantine crash-loop gate)\n"
           "\n"
@@ -755,7 +681,9 @@ int main(int argc, char** argv) {
           "                     the verdict against the fixed-N reference,\n"
           "                     record the decision journal, and demo\n"
           "                     adaptive importance sampling; --resume\n"
-          "                     replays the recorded decision\n");
+          "                     replays the recorded decision\n"
+          "\n");
+      print_fleet_help();
       return 0;
     } else {
       pct = std::atoi(argv[i]);
@@ -764,8 +692,8 @@ int main(int argc, char** argv) {
   const bool full = pct >= 100;
   constexpr std::uint64_t kSeed = 42;
   bool ok = true;
-  if (g_shard_dir.empty()) {
-    g_shard_dir = out_path("fault_correlated_burst.shard");
+  if (g_fleet.shard_dir.empty()) {
+    g_fleet.shard_dir = out_path("fault_correlated_burst.shard");
   }
   if (g_sweep_dir.empty()) {
     g_sweep_dir = out_path("fault_correlated_sweep.shard");
@@ -782,14 +710,16 @@ int main(int argc, char** argv) {
     return run_sweep_worker(scaled(25, pct), kSeed);
   }
 
-  if (g_merge) {
+  if (g_fleet.merge) {
     // Fold the fleet's burst-campaign journals into the same CSV an
     // uninterrupted single-process run writes, byte-identically.
     try {
-      sctrace::MergedCampaign merged = sctrace::merge_shard_dir(g_shard_dir);
+      sctrace::MergedCampaign merged = sctrace::merge_shard_dir(
+          g_fleet.shard_dir, g_fleet.merge_options());
       std::printf("merged %zu shards: %zu burst runs, base seed %llu\n",
                   merged.shard_count, merged.runs,
                   static_cast<unsigned long long>(merged.base_seed));
+      const int rc = merge_exit_code("", merged);
       sctrace::FaultCampaign c(std::move(merged.results));
       std::ofstream csv(out_path("fault_correlated_burst.csv"));
       c.write_csv(csv);
@@ -798,77 +728,38 @@ int main(int argc, char** argv) {
       std::fputs(report.str().c_str(), stdout);
       std::printf("  per-run rows -> %s\n",
                   out_path("fault_correlated_burst.csv").c_str());
+      return rc;
     } catch (const minisc::SimError& e) {
       std::printf("MERGE REFUSED: %s\n", e.what());
       return 1;
     }
-    return 0;
   }
 
-  if (g_repartition != 0) {
-    // Migrate the burst fleet's completed work into a new canonical
-    // tiling; workers relaunched elastic (--shard-dir alone) pick the new
-    // layout up from the manifest.
-    try {
-      const sctrace::RepartitionResult r =
-          sctrace::repartition_fleet(g_shard_dir, g_repartition,
-                                     g_lease_ttl_ms);
-      std::printf(
-          "repartitioned %zu -> %zu shards: %zu records migrated, "
-          "%zu journals written, %zu old files removed\n",
-          r.old_count, r.new_count, r.migrated_records, r.journals_written,
-          r.old_files_removed);
-    } catch (const minisc::SimError& e) {
-      std::printf("REPARTITION REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  if (g_shard || g_shard_dir_given) {
+  if (g_fleet.worker()) {
     // Worker mode: the burst campaign only, gates skipped — the merged CSV
     // cmp against an uninterrupted run is the determinism gate here.
-    // --shard-dir without --shard is the elastic form: the fleet.manifest
-    // in the directory is the layout authority, so the worker survives a
-    // mid-campaign repartition.
     std::size_t n_ab = scaled(150, pct);
     std::uint64_t base_seed = kSeed;
     const RunOptions opt = scenario_options("burst", /*split_cpu=*/false);
     sctrace::CampaignOptions co = g_campaign_opts;
     co.journal_tag = "burst";
     co.scenario_digest = scfault::config_digest(opt.cfg);
-    sctrace::ShardOptions so;
-    so.dir = g_shard_dir;
-    so.lease_ttl_ms = g_lease_ttl_ms;
-    if (g_shard) {
-      so.shard_index = g_shard_index;
-      so.shard_count = g_shard_count;
-      std::printf("shard worker %zu/%zu over %zu burst runs, dir %s\n",
-                  g_shard_index, g_shard_count, n_ab, g_shard_dir.c_str());
-    } else {
-      so.shard_count = 0;  // elastic: the manifest is the layout authority
-      try {
-        const sctrace::FleetManifest m =
-            sctrace::read_fleet_manifest(g_shard_dir);
-        base_seed = m.base_seed;
-        n_ab = m.total_runs;
-      } catch (const minisc::SimError& e) {
-        std::printf("ELASTIC WORKER REFUSED: %s\n", e.what());
-        return 1;
-      }
-      std::printf("elastic shard worker (manifest layout), dir %s\n",
-                  g_shard_dir.c_str());
-    }
     try {
+      if (g_fleet.shard) {
+        std::printf("shard worker %zu/%zu over %zu burst runs, dir %s\n",
+                    g_fleet.shard_index, g_fleet.shard_count, n_ab,
+                    g_fleet.shard_dir.c_str());
+      } else {
+        g_fleet.read_layout(g_fleet.shard_dir, &base_seed, &n_ab);
+        std::printf("elastic shard worker (manifest layout), dir %s\n",
+                    g_fleet.shard_dir.c_str());
+      }
       const sctrace::ShardProgress p = sctrace::run_sharded_campaign(
           [opt](std::uint64_t s) { return run_stream(s, opt); }, base_seed,
-          n_ab, so, co);
-      std::printf(
-          "worker: %zu shards run, adopted %zu, %zu runs executed, %zu "
-          "lease conflicts, %zu shards lost, campaign %s\n",
-          p.shards_run, p.shards_adopted, p.runs_executed,
-          p.lease_conflicts, p.shards_lost,
-          p.campaign_complete ? "complete" : "incomplete");
+          n_ab, g_fleet.worker_options(g_fleet.shard_dir), co);
+      print_worker_summary("worker " + std::to_string(g_fleet.shard_index) +
+                               "/" + std::to_string(g_fleet.shard_count),
+                           p);
     } catch (const minisc::SimError& e) {
       std::printf("WORKER REFUSED: %s\n", e.what());
       return 1;

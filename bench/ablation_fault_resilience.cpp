@@ -18,9 +18,8 @@
 
 //
 // Usage: ablation_fault_resilience [--threads N] [--runs N]
-//                                  [--journal] [--resume]
-//                                  [--shard i/N] [--shard-dir DIR]
-//                                  [--lease-ttl-ms MS] [--merge]
+//                                  [--journal] [--resume] [--smc]
+//                                  [fleet flags] [--status]
 //                                  [--scaling] [--help]
 //   --threads N runs each campaign on an N-worker pool; output is
 //   byte-identical to the sequential run (verified for the resilient
@@ -32,30 +31,16 @@
 //               executes the missing seeds — kill this binary at any point
 //               and rerun with --journal --resume to finish the campaign;
 //               the final CSVs are byte-identical to an uninterrupted run.
-//   --shard i/N runs this process as fleet worker i of N: claims shard
-//               leases in the shared --shard-dir, executes its chunks as
-//               journaled campaigns, and adopts stale leases of workers
-//               that died (SIGKILL included), re-running only their
-//               missing seeds. Exits once every shard journal is complete.
-//   --shard-dir DIR  shared shard directory (default: a
-//               fault_resilience.shard/ directory next to the binary).
-//   --lease-ttl-ms MS  heartbeat staleness threshold for adoption
-//               (default 10000).
-//   --merge     folds the shard journals in --shard-dir into the same
-//               report + CSV output an uninterrupted single-process run
-//               produces, byte-identically; refuses mixed format versions
-//               or fault-model digests and incomplete fleets.
-//   --allow-partial  with --merge: instead of refusing an unfinished or
-//               quarantined fleet, emit a clearly-marked DEGRADED report
-//               over the recorded runs and exit with code 3.
+//   Fleet flags (fleet_cli.hpp) run both campaigns as fleets, one per label
+//   under the shared --shard-dir (default: a fault_resilience.shard/
+//   directory next to the binary). Workers adopt the stale leases of
+//   workers that died (SIGKILL included), re-running only their missing
+//   seeds, and exit once every shard journal is complete; --merge folds the
+//   journals into the same report + CSVs an uninterrupted run writes.
 //   --status    read-only fleet progress: per-shard state (done / claimed /
 //               stale / quarantined / unclaimed), owners, heartbeat ages
 //               and adoption counts, rendered purely from --shard-dir.
 //               Exits 0 when the fleet is done, 1 while it is not.
-//   --max-adoptions K  quarantine a shard after K adoptions (default 3;
-//               0 = adopt forever): a poison shard that crashes every
-//               worker that touches it is tombstoned out of the claim
-//               pass instead of crash-looping the fleet.
 //   --scaling   times the resilient campaign sequentially and on {1,2,8}-
 //               worker pools and prints one JSON record (wall-clock per
 //               thread count, num_cpus context, byte-identity result).
@@ -65,14 +50,6 @@
 //               with a Wald SPRT and prints each verdict with the number
 //               of seeds it consumed (see ablation_fault_correlated --smc
 //               for the asserted sequential-model-checking gates).
-//   --shard-dir DIR alone (no --shard) runs an *elastic* worker: the seed,
-//               run count and shard count come from the fleet manifest the
-//               first explicit worker pinned, and are re-read every claim
-//               pass, so a --repartition propagates to live workers.
-//   --repartition N  migrates both fleet directories to N shards (refused
-//               while any unit lease is live): completed records are
-//               re-tiled into the new canonical layout and the manifest is
-//               rewritten, keeping the eventual --merge byte-identical.
 
 #include <algorithm>
 #include <chrono>
@@ -94,6 +71,8 @@
 #include "trace/journal.hpp"
 #include "trace/shard.hpp"
 #include "trace/smc.hpp"
+
+#include "fleet_cli.hpp"
 
 namespace {
 
@@ -282,23 +261,9 @@ bool g_smc = false;
 /// --scaling: emit the thread-pool scaling curve as JSON and exit.
 bool g_scaling = false;
 
-// Fleet mode: --shard i/N workers share g_shard_dir; --merge folds it back.
-// --shard-dir without --shard is an *elastic* worker: the layout (seed, run
-// count, shard count) comes from the fleet manifest, and the worker follows
-// it across a --repartition without a restart.
-bool g_shard = false;
-bool g_elastic = false;
-bool g_merge = false;
+// Fleet mode: one fleet per label under g_fleet.shard_dir.
+FleetCli g_fleet;
 bool g_status = false;
-bool g_allow_partial = false;
-std::size_t g_shard_index = 0;
-std::size_t g_shard_count = 1;
-std::string g_shard_dir;
-bool g_shard_dir_given = false;
-std::uint64_t g_lease_ttl_ms = 10000;
-std::uint64_t g_max_adoptions = 3;
-/// --repartition N: migrate the fleet directories to N shards and exit.
-std::size_t g_repartition = 0;
 
 /// CSV artifacts land next to the binary (build/bench/), not in the
 /// caller's cwd, so runs never litter the source tree.
@@ -391,93 +356,29 @@ void run_shard_worker(const char* label, bool resilient,
   opts.journal_tag = label;
   opts.scenario_digest = scfault::config_digest(fault_model());
 
-  sctrace::ShardOptions so;
-  so.dir = g_shard_dir + "/" + label;  // labels keep separate fleets
-  so.shard_index = g_shard_index;
-  so.shard_count = g_shard_count;
-  so.lease_ttl_ms = g_lease_ttl_ms;
-  so.max_adoptions = g_max_adoptions;
-  if (g_elastic) {
-    // Directory-authoritative: the manifest pinned by the first explicit
-    // worker carries {base_seed, total_runs, shard_count}; this worker
-    // follows it — including across a live --repartition.
-    const sctrace::FleetManifest m = sctrace::read_fleet_manifest(so.dir);
-    base_seed = m.base_seed;
-    n = m.total_runs;
-    so.shard_count = 0;  // elastic mode: re-read the manifest every pass
-  }
-
+  // Labels keep separate fleets.
+  const sctrace::ShardOptions so =
+      g_fleet.worker_options(g_fleet.shard_dir + "/" + label);
   const sctrace::ShardProgress p = sctrace::run_sharded_campaign(
       [resilient](std::uint64_t seed) { return run_pipeline(seed, resilient); },
       base_seed, n, so, opts);
-  std::printf(
-      "  [%s] worker %zu/%zu: %zu shards run, adopted %zu, "
-      "%zu runs executed, %zu lease conflicts, %zu shards lost, "
-      "%zu abandoned, %zu quarantined, campaign %s\n",
-      label, g_shard_index, g_shard_count, p.shards_run, p.shards_adopted,
-      p.runs_executed, p.lease_conflicts, p.shards_lost,
-      p.shards_abandoned, p.shards_quarantined,
-      p.campaign_complete ? "complete"
-                          : (p.fleet_done ? "done (degraded)" : "incomplete"));
+  print_worker_summary("  [" + std::string(label) + "] worker " +
+                           std::to_string(g_fleet.shard_index) + "/" +
+                           std::to_string(g_fleet.shard_count),
+                       p);
 }
 
-/// --repartition N: migrate both label fleets to N shards. Refuses while
-/// any unit lease is live; elastic workers pick the new layout up on their
-/// next claim pass, explicit-count workers are told to relaunch elastic.
-int run_repartition(std::size_t new_count) {
-  for (const char* label : {"non_resilient", "resilient"}) {
-    // A label whose fleet never started (no pinned manifest) has nothing
-    // to migrate; its first worker will pin the new layout directly.
-    try {
-      sctrace::read_fleet_manifest(g_shard_dir + "/" + label);
-    } catch (const minisc::SimError& e) {
-      if (e.kind() == minisc::SimError::Kind::kMergeIncomplete) {
-        std::printf("  [%s] no fleet pinned yet — skipped\n", label);
-        continue;
-      }
-      throw;
-    }
-    const sctrace::RepartitionResult r = sctrace::repartition_fleet(
-        g_shard_dir + "/" + label, new_count, g_lease_ttl_ms);
-    std::printf(
-        "  [%s] repartitioned %zu -> %zu shards: %zu records migrated into "
-        "%zu journals, %zu old files removed (%zu stale leases, %zu "
-        "tombstones dropped)\n",
-        label, r.old_count, r.new_count, r.migrated_records,
-        r.journals_written, r.old_files_removed, r.stale_leases_removed,
-        r.dropped_tombstones);
-  }
-  return 0;
-}
-
-/// Returns the process exit code: 0 for a complete merge, 3 for a degraded
-/// partial one (distinct so scripts can tell "publishable" from "salvaged").
+/// Returns the process exit code (see merge_exit_code).
 int run_merge(const char* label) {
-  sctrace::MergeOptions mo;
-  mo.allow_partial = g_allow_partial;
-  sctrace::MergedCampaign merged =
-      sctrace::merge_shard_dir(g_shard_dir + "/" + label, mo);
+  sctrace::MergedCampaign merged = sctrace::merge_shard_dir(
+      g_fleet.shard_dir + "/" + label, g_fleet.merge_options());
   std::printf("  [%s] merged %zu shards: %zu runs, base seed %llu\n", label,
               merged.shard_count, merged.runs,
               static_cast<unsigned long long>(merged.base_seed));
-  if (!merged.complete) {
-    std::printf(
-        "  [%s] DEGRADED merge: %zu of %zu runs recorded (%zu missing, "
-        "%zu shards without journals, %zu quarantined)\n",
-        label, merged.recorded_runs, merged.runs, merged.missing_records,
-        merged.missing_shards.size(), merged.quarantined.size());
-    for (const sctrace::QuarantinedUnit& q : merged.quarantined) {
-      std::printf("  [%s] quarantined %s: %llu adoptions, last owner '%s'%s%s\n",
-                  label, q.name.c_str(),
-                  static_cast<unsigned long long>(q.info.adoptions),
-                  q.info.owner.c_str(),
-                  q.info.error.empty() ? "" : ", error: ",
-                  q.info.error.c_str());
-    }
-  }
+  const int rc = merge_exit_code("  [" + std::string(label) + "] ", merged);
   sctrace::FaultCampaign campaign(std::move(merged.results));
   emit_campaign(label, campaign);
-  return merged.complete ? 0 : 3;
+  return rc;
 }
 
 /// Read-only fleet progress for both labels; exit 0 when every shard of
@@ -487,8 +388,8 @@ int run_status() {
   for (const char* label : {"non_resilient", "resilient"}) {
     std::printf("== %s fleet ==\n", label);
     try {
-      const sctrace::FleetStatus st =
-          sctrace::fleet_status(g_shard_dir + "/" + label, g_lease_ttl_ms);
+      const sctrace::FleetStatus st = sctrace::fleet_status(
+          g_fleet.shard_dir + "/" + label, g_fleet.lease_ttl_ms);
       std::ostringstream os;
       sctrace::print_fleet_status(os, st);
       std::fputs(os.str().c_str(), stdout);
@@ -536,6 +437,7 @@ int main(int argc, char** argv) {
     g_out_dir.assign(argv[0], static_cast<std::size_t>(slash - argv[0]) + 1);
   }
   for (int i = 1; i < argc; ++i) {
+    if (g_fleet.parse(argc, argv, i)) continue;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       g_campaign_opts.threads =
           static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -548,34 +450,8 @@ int main(int argc, char** argv) {
       g_campaign_opts.resume = true;
     } else if (std::strcmp(argv[i], "--smc") == 0) {
       g_smc = true;
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%zu/%zu", &g_shard_index, &g_shard_count) !=
-              2 ||
-          g_shard_count == 0 || g_shard_index >= g_shard_count) {
-        std::printf("bad --shard '%s' (want i/N with i < N)\n", argv[i]);
-        return 1;
-      }
-      g_shard = true;
-    } else if (std::strcmp(argv[i], "--shard-dir") == 0 && i + 1 < argc) {
-      g_shard_dir = argv[++i];
-      g_shard_dir_given = true;
-    } else if (std::strcmp(argv[i], "--lease-ttl-ms") == 0 && i + 1 < argc) {
-      g_lease_ttl_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--repartition") == 0 && i + 1 < argc) {
-      g_repartition = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (g_repartition == 0) {
-        std::printf("bad --repartition '%s' (want a shard count > 0)\n",
-                    argv[i]);
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--merge") == 0) {
-      g_merge = true;
     } else if (std::strcmp(argv[i], "--status") == 0) {
       g_status = true;
-    } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
-      g_allow_partial = true;
-    } else if (std::strcmp(argv[i], "--max-adoptions") == 0 && i + 1 < argc) {
-      g_max_adoptions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--scaling") == 0) {
       g_scaling = true;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
@@ -587,36 +463,22 @@ int main(int argc, char** argv) {
           "                   on {1,2,8}-worker pools; print a JSON record\n"
           "                   with num_cpus context and per-count wall-clock\n"
           "                   (speedups are null + caveat on 1-core hosts)\n"
-          "  --merge          fold shard journals back into the report/CSVs\n"
           "  --status         read-only fleet progress (exit 0 when done)\n"
-          "  --shard i/N      run as fleet worker i of N (pins the fleet\n"
-          "                   manifest; later workers must agree with it)\n"
-          "  --shard-dir DIR alone (no --shard): run as an *elastic* worker\n"
-          "                   — the layout comes from the fleet manifest and\n"
-          "                   is re-read every pass, so a --repartition\n"
-          "                   propagates without a restart\n"
-          "  --repartition N  migrate the fleet directories to N shards\n"
-          "                   (refused while any unit lease is live) and\n"
-          "                   rewrite the manifest; completed records are\n"
-          "                   re-tiled so the final merge stays byte-\n"
-          "                   identical to a single-process run\n"
           "Options:\n"
           "  --threads N      N-worker pool per campaign (byte-identity\n"
           "                   gated against the sequential run)\n"
           "  --runs N         seeds per campaign (default 24)\n"
           "  --journal        crash-consistent per-run journal\n"
           "  --resume         replay journal, execute only missing seeds\n"
-          "  --smc            SPRT verdicts per design (demonstration)\n"
-          "  --shard-dir DIR  shared fleet directory\n"
-          "  --lease-ttl-ms MS  lease staleness threshold (default 10000)\n"
-          "  --max-adoptions K  quarantine a shard after K adoptions\n"
-          "  --allow-partial  with --merge: emit DEGRADED output (exit 3)\n"
-          "See the header comment of this file for full semantics.\n");
+          "  --smc            SPRT verdicts per design (demonstration)\n");
+      print_fleet_help();
       return 0;
     }
   }
   const std::size_t kRuns = runs;
-  if (g_shard_dir.empty()) g_shard_dir = g_out_dir + "fault_resilience.shard";
+  if (g_fleet.shard_dir.empty()) {
+    g_fleet.shard_dir = g_out_dir + "fault_resilience.shard";
+  }
 
   if (g_scaling) {
     // Pure-JSON mode for bench artifacts: nothing else may print.
@@ -628,7 +490,7 @@ int main(int argc, char** argv) {
     return run_status();
   }
 
-  if (g_merge) {
+  if (g_fleet.merge) {
     // Merge mode touches no simulation: fold the fleet's journals back into
     // the single-process report + CSV, byte-identically, or refuse loudly.
     // --allow-partial degrades instead of refusing (exit 3, marked output).
@@ -642,42 +504,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (g_repartition != 0) {
-    try {
-      return run_repartition(g_repartition);
-    } catch (const minisc::SimError& e) {
-      std::printf("REPARTITION REFUSED: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (!g_shard && g_shard_dir_given) {
-    // --shard-dir alone: elastic worker following the manifest.
-    g_elastic = true;
-    std::printf("elastic shard worker (manifest layout), dir %s, TTL %llu "
-                "ms\n",
-                g_shard_dir.c_str(),
-                static_cast<unsigned long long>(g_lease_ttl_ms));
-    try {
-      run_shard_worker("non_resilient", /*resilient=*/false, kBaseSeed, kRuns);
-      run_shard_worker("resilient", /*resilient=*/true, kBaseSeed, kRuns);
-    } catch (const minisc::SimError& e) {
-      std::printf("WORKER REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  if (g_shard) {
+  if (g_fleet.worker()) {
     // Worker mode: skip the determinism/parallel gates (the merged output
     // is itself the determinism gate — it must cmp-equal the uninterrupted
     // single-process CSV) and go straight to claiming shards.
-    std::printf("shard worker %zu/%zu over %zu runs, dir %s, TTL %llu ms\n",
-                g_shard_index, g_shard_count, kRuns, g_shard_dir.c_str(),
-                static_cast<unsigned long long>(g_lease_ttl_ms));
+    std::uint64_t base_seed = kBaseSeed;
+    std::size_t runs = kRuns;
     try {
-      run_shard_worker("non_resilient", /*resilient=*/false, kBaseSeed, kRuns);
-      run_shard_worker("resilient", /*resilient=*/true, kBaseSeed, kRuns);
+      if (g_fleet.shard) {
+        std::printf("shard worker %zu/%zu over %zu runs, dir %s, TTL %llu "
+                    "ms\n",
+                    g_fleet.shard_index, g_fleet.shard_count, runs,
+                    g_fleet.shard_dir.c_str(),
+                    static_cast<unsigned long long>(g_fleet.lease_ttl_ms));
+      } else {
+        g_fleet.read_layout(g_fleet.shard_dir + "/non_resilient", &base_seed,
+                            &runs);
+        std::printf("elastic shard worker (manifest layout), dir %s, TTL %llu "
+                    "ms\n",
+                    g_fleet.shard_dir.c_str(),
+                    static_cast<unsigned long long>(g_fleet.lease_ttl_ms));
+      }
+      run_shard_worker("non_resilient", /*resilient=*/false, base_seed, runs);
+      run_shard_worker("resilient", /*resilient=*/true, base_seed, runs);
     } catch (const minisc::SimError& e) {
       std::printf("WORKER REFUSED: %s\n", e.what());
       return 1;

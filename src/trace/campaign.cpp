@@ -183,13 +183,6 @@ std::unique_ptr<JournalWriter> open_journal(
       }
       std::vector<bool> done(n, false);
       for (JournalRecord& rec : contents.records) {
-        if (rec.index >= n) {
-          throw minisc::SimError(
-              minisc::SimError::Kind::kJournalCorrupt,
-              "campaign journal '" + opts.journal_path + "': record index " +
-                  std::to_string(rec.index) + " out of range (campaign has " +
-                  std::to_string(n) + " runs)");
-        }
         results[offset + rec.index] = std::move(rec.result);
         done[rec.index] = true;
       }

@@ -174,7 +174,7 @@ std::string frame(char type, const std::string& payload) {
 }
 
 [[noreturn]] void throw_corrupt(const std::string& path, std::size_t record,
-                                const char* what) {
+                                const std::string& what) {
   throw SimError(SimError::Kind::kJournalCorrupt,
                  "campaign journal '" + path + "': record " +
                      std::to_string(record) + " " + what +
@@ -310,6 +310,14 @@ JournalContents read_journal(const std::string& path) {
       rec.result.fault_energy_pj = c.f64();
       rec.result.value_hash = c.u64();
       if (!c.done()) throw_corrupt(path, record, "has a malformed payload");
+      // Readers place records by index: one outside the header's slots is
+      // corruption, whoever reads it.
+      if (rec.index >= out.header.runs) {
+        throw_corrupt(path, record,
+                      "has run index " + std::to_string(rec.index) +
+                          ", past the header's " +
+                          std::to_string(out.header.runs) + " runs");
+      }
       out.records.push_back(std::move(rec));
     }
     pos += total;

@@ -52,7 +52,7 @@ namespace sctrace {
 ///
 /// There is one format version, kVersion. read_journal refuses every other
 /// version with SimError(kShardVersionMismatch) naming both versions, so
-/// resume, merge and repartition never see a file of another format.
+/// resume and merge never see a file of another format.
 struct JournalHeader {
   /// The format this build writes and the only one read_journal accepts.
   static constexpr std::uint32_t kVersion = 5;
@@ -119,6 +119,7 @@ struct JournalContents {
 
 /// Scans `path` front to back. Throws minisc::SimError:
 ///   - kJournalCorrupt for a checksum-failing or malformed mid-file record
+///     or a run record whose index is at or past the header's run count
 ///     (the message names the record index and the file), and for a torn or
 ///     truncated *header* — a file with bytes but no intact header record
 ///     is a crash during journal creation, and resuming "from" it would

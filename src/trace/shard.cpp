@@ -12,9 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <map>
 #include <ostream>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -113,31 +111,37 @@ std::string format_lease(const std::string& owner, std::uint64_t adoptions,
   return s;
 }
 
-/// O_EXCL lease creation — the atomic "exactly one winner" claim. Returns
-/// false when the path already exists (lost the race); throws on real I/O
-/// failure. Content is fsynced so an adopter's ownership probe never reads
-/// a torn lease.
-bool create_lease_file(const std::string& path, const std::string& content) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+/// Creates `path` holding `content`, fsynced before it is closed, so a
+/// reader never sees a torn file. With `exclusive` the create is O_EXCL —
+/// the atomic "exactly one winner" claim — and returns false when the path
+/// already exists. Otherwise the path is a private temp file: it is
+/// truncated, and unlinked again if the write fails. Throws kIoError on I/O
+/// failure.
+bool create_synced_file(const std::string& path, const std::string& content,
+                        bool exclusive) {
+  const int fd = ::open(path.c_str(),
+                        O_WRONLY | O_CREAT | (exclusive ? O_EXCL : O_TRUNC),
+                        0644);
   if (fd < 0) {
-    if (errno == EEXIST) return false;
-    throw_io(path, "open(O_EXCL)");
+    if (exclusive && errno == EEXIST) return false;
+    throw_io(path, exclusive ? "open(O_EXCL)" : "open");
   }
-  std::size_t off = 0;
-  while (off < content.size()) {
+  const char* failed = nullptr;
+  for (std::size_t off = 0; off < content.size() && failed == nullptr;) {
     const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
     if (n < 0) {
-      ::close(fd);
-      throw_io(path, "write");
+      failed = "write";
+    } else {
+      off += static_cast<std::size_t>(n);
     }
-    off += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_io(path, "fsync");
-  }
+  if (failed == nullptr && ::fsync(fd) != 0) failed = "fsync";
+  const int saved_errno = errno;
   ::close(fd);
-  return true;
+  if (failed == nullptr) return true;
+  if (!exclusive) ::unlink(path.c_str());
+  errno = saved_errno;
+  throw_io(path, failed);
 }
 
 /// Write-then-rename: readers see the old content or the new, never a torn
@@ -145,24 +149,7 @@ bool create_lease_file(const std::string& path, const std::string& content) {
 void write_file_atomic(const std::string& path, const std::string& content,
                        const std::string& tmp_tag) {
   const std::string tmp = path + ".tmp-" + tmp_tag;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_io(tmp, "open");
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw_io(tmp, "write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw_io(tmp, "fsync");
-  }
-  ::close(fd);
+  create_synced_file(tmp, content, /*exclusive=*/false);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
     throw_io(path, "rename");
@@ -425,7 +412,8 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
   };
 
   // Fresh claim: O_EXCL picks exactly one winner among racing creators.
-  if (create_lease_file(path, format_lease(worker_id, 0, ""))) {
+  if (create_synced_file(path, format_lease(worker_id, 0, ""),
+                         /*exclusive=*/true)) {
     back_out_if_quarantined();
     return std::unique_ptr<ShardLease>(
         new ShardLease(path, worker_id, lease_ttl_ms, heartbeat_ms,
@@ -482,7 +470,9 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
   std::string marker;
   for (std::size_t k = 0;; ++k) {
     marker = k == 0 ? marker_base : marker_base + "." + std::to_string(k);
-    if (create_lease_file(marker, worker_id + "\n")) break;
+    if (create_synced_file(marker, worker_id + "\n", /*exclusive=*/true)) {
+      break;
+    }
     std::uint64_t marker_mtime = 0;
     if (!lease_mtime_ms(marker, &marker_mtime) ||
         lease_alive(marker_mtime, wall_now_ms(), lease_ttl_ms)) {
@@ -510,59 +500,80 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
                      info.adoptions + 1, info.error));
 }
 
-// ---- shard completion / coverage probes ------------------------------------
+// ---- folding journal records -----------------------------------------------
 
-std::size_t shard_journal_coverage(const std::string& path, std::size_t runs) {
-  JournalContents contents;
-  try {
-    contents = read_journal(path);
-  } catch (const SimError&) {
-    return 0;  // missing, torn-header or corrupt: nothing recoverable yet
-  }
-  const std::size_t bound =
-      runs != 0 ? runs : static_cast<std::size_t>(contents.header.runs);
-  if (bound == 0) return 0;
-  std::vector<bool> done(bound, false);
-  std::size_t have = 0;
-  for (const JournalRecord& rec : contents.records) {
-    if (rec.index < bound && !done[rec.index]) {
-      done[rec.index] = true;
-      ++have;
+namespace {
+
+/// Run records placed at their slots of [0, end): the one fold behind the
+/// campaign merge, the sweep merge and the unit progress probe. A record
+/// lands at slot offset + its index; read_journal bounds the index by the
+/// journal's own run count, and records at or past `end` (past an
+/// early-stopped campaign's decision) are ignored. A later record for a
+/// slot replaces an earlier one, like journal resume: duplicates are
+/// bit-identical re-runs of a deterministic seed.
+struct RecordFold {
+  explicit RecordFold(std::size_t end) : slots(end), done(end, false) {}
+
+  void add(JournalContents& jc, std::size_t offset) {
+    for (JournalRecord& rec : jc.records) {
+      const std::size_t slot = offset + rec.index;
+      if (slot >= slots.size()) continue;
+      if (!done[slot]) ++recorded;
+      done[slot] = true;
+      slots[slot] = std::move(rec.result);
     }
   }
-  return have;
+
+  bool complete() const { return recorded == slots.size(); }
+
+  /// The recorded runs in seed order, compacted over the missing slots —
+  /// deterministic for any worker interleaving and thread count.
+  std::vector<CampaignRunResult> take() {
+    if (complete()) return std::move(slots);
+    std::vector<CampaignRunResult> out;
+    out.reserve(recorded);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (done[i]) out.push_back(std::move(slots[i]));
+    }
+    return out;
+  }
+
+  std::vector<CampaignRunResult> slots;
+  std::vector<bool> done;
+  std::size_t recorded = 0;  ///< distinct slots holding a record
+};
+
+/// How far one unit's journal got: `recorded` of the `owed` runs, where an
+/// early-stopped unit owes only the runs its decision record covers — it is
+/// complete, and run_fleet skips it, the moment those are recorded. A
+/// missing, torn or corrupt journal has recorded nothing (the claimer heals
+/// it). Never throws: status and the claim pass must not fail on a racing
+/// writer.
+struct UnitProgress {
+  std::size_t recorded = 0;
+  std::size_t owed = 0;
+  bool complete() const { return recorded == owed; }
+};
+
+UnitProgress probe_unit(const std::string& journal, std::size_t runs) {
+  UnitProgress p;
+  p.owed = runs;
+  JournalContents jc;
+  try {
+    jc = read_journal(journal);
+  } catch (const SimError&) {
+    return p;
+  }
+  if (jc.decision) {
+    p.owed = std::min(static_cast<std::size_t>(jc.decision->executed), runs);
+  }
+  RecordFold fold(p.owed);
+  fold.add(jc, 0);
+  p.recorded = fold.recorded;
+  return p;
 }
 
-bool shard_journal_complete(const std::string& path, std::size_t runs) {
-  if (runs == 0) return true;  // an empty shard has nothing to record
-  JournalContents contents;
-  try {
-    contents = read_journal(path);
-  } catch (const SimError&) {
-    return false;  // missing, torn-header or corrupt: not complete
-  }
-  std::vector<bool> done(runs, false);
-  std::size_t have = 0;
-  for (const JournalRecord& rec : contents.records) {
-    if (rec.index < runs && !done[rec.index]) {
-      done[rec.index] = true;
-      ++have;
-    }
-  }
-  if (contents.decision) {
-    // Early-stopped unit: the decision record marks the journal final at
-    // `executed` runs — it is complete the moment every run it covers is
-    // recorded, which is what makes a pruned sweep cell stop consuming
-    // fleet budget (run_fleet skips complete units).
-    const std::size_t executed = std::min(
-        static_cast<std::size_t>(contents.decision->executed), runs);
-    for (std::size_t i = 0; i < executed; ++i) {
-      if (!done[i]) return false;
-    }
-    return true;
-  }
-  return have == runs;
-}
+}  // namespace
 
 // ---- generic fleet worker loop ---------------------------------------------
 
@@ -600,45 +611,35 @@ struct FleetUnit {
 ///     the adoption counter quarantines the unit once every adopter has
 ///     failed. The worker stays alive for the rest of the fleet.
 ///
-/// Exits when every unit is complete or quarantined (fleet_done), or when
-/// max_wait_ms expires while peers hold the remaining leases.
-///
-/// The unit list is re-read from `provider` at the top of every pass, which
-/// is what makes the fleet *elastic*: a campaign provider re-reads the
-/// fleet manifest, so a live repartition changes the layout under running
-/// workers.
-using UnitsProvider = std::function<std::vector<FleetUnit>()>;
-
-ShardProgress run_fleet(const UnitsProvider& provider,
+/// Exits when every unit is complete or quarantined (fleet_done); until
+/// then it polls while peers hold the remaining leases.
+ShardProgress run_fleet(const std::vector<FleetUnit>& units,
                         const ShardOptions& shard,
                         const std::string& worker_id) {
   ShardProgress prog;
-  std::set<std::string> quarantined;  // terminal units, keyed by lease path
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<FleetUnit> units;
+  std::vector<bool> quarantined(units.size(), false);  // terminal units
+  const std::size_t prefer =
+      units.empty() ? 0 : shard.shard_index % units.size();
   for (;;) {
-    units = provider();
     bool all_done = true;
     bool progressed = false;
-    const std::size_t prefer =
-        units.empty() ? 0 : shard.shard_index % units.size();
     for (std::size_t k = 0; k < units.size(); ++k) {
       // Start at our preferred unit and roam upward: a fleet spreads across
       // the units instead of stampeding the same lease.
       const std::size_t i = (prefer + k) % units.size();
       const FleetUnit& unit = units[i];
       if (unit.runs == 0) continue;  // empty unit: trivially complete
-      if (quarantined.count(unit.lease) || file_exists(unit.quarantine)) {
-        quarantined.insert(unit.lease);  // terminal: skip without claiming
+      if (quarantined[i] || file_exists(unit.quarantine)) {
+        quarantined[i] = true;  // terminal: skip without claiming
         continue;
       }
-      if (shard_journal_complete(unit.journal, unit.runs)) continue;
+      if (probe_unit(unit.journal, unit.runs).complete()) continue;
       all_done = false;
 
       std::unique_ptr<ShardLease> lease;
       try {
         lease = claim_shard_lease(unit.lease, worker_id, shard.lease_ttl_ms,
-                                  shard.heartbeat_ms, shard.max_adoptions);
+                                  /*heartbeat_ms=*/0, shard.max_adoptions);
       } catch (const SimError& e) {
         if (e.kind() == SimError::Kind::kLeaseConflict) {
           // Transient by contract: a live peer owns the unit (or won an
@@ -650,7 +651,7 @@ ShardProgress run_fleet(const UnitsProvider& provider,
           // Terminal by contract — whether this claim performed the
           // quarantine or merely found the tombstone, the unit is done
           // failing and the fleet moves on.
-          quarantined.insert(unit.lease);
+          quarantined[i] = true;
           progressed = true;
           continue;
         }
@@ -658,7 +659,7 @@ ShardProgress run_fleet(const UnitsProvider& provider,
       }
       // A peer may have completed and released the unit between the
       // completeness probe above and this claim: re-probe under the lease.
-      if (shard_journal_complete(unit.journal, unit.runs)) {
+      if (probe_unit(unit.journal, unit.runs).complete()) {
         lease->release();
         progressed = true;
         continue;
@@ -750,23 +751,11 @@ ShardProgress run_fleet(const UnitsProvider& provider,
     if (!progressed) {
       // Every remaining unit is leased by a live peer (or was lost to an
       // adopter). Wait for the fleet — or for a peer's lease to go stale.
-      if (shard.max_wait_ms != 0) {
-        const auto waited =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - started)
-                .count();
-        if (waited >= 0 &&
-            static_cast<std::uint64_t>(waited) >= shard.max_wait_ms) {
-          break;
-        }
-      }
       std::this_thread::sleep_for(std::chrono::milliseconds(shard.poll_ms));
     }
   }
-  // Count terminal units against the final layout (a live repartition may
-  // have retired lease paths quarantined under an earlier layout).
-  for (const FleetUnit& u : units) {
-    if (quarantined.count(u.lease) || file_exists(u.quarantine)) {
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (quarantined[i] || file_exists(units[i].quarantine)) {
       ++prog.shards_quarantined;
     }
   }
@@ -856,24 +845,7 @@ FleetManifest parse_fleet_manifest(const std::string& path,
 bool create_pinned_file(const std::string& path, const std::string& content,
                         const std::string& tmp_tag) {
   const std::string tmp = path + ".tmp-" + tmp_tag;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_io(tmp, "open");
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw_io(tmp, "write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw_io(tmp, "fsync");
-  }
-  ::close(fd);
+  create_synced_file(tmp, content, /*exclusive=*/false);
   const int rc = ::link(tmp.c_str(), path.c_str());
   const int saved_errno = errno;
   ::unlink(tmp.c_str());
@@ -902,8 +874,7 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    const ShardOptions& shard,
                                    const CampaignOptions& opts) {
   // shard_count == 0 is *elastic* mode: the layout is read from the fleet
-  // manifest instead of the command line, and re-read every claim pass so a
-  // live repartition propagates to this worker without a restart.
+  // manifest instead of the command line.
   const bool elastic = shard.shard_count == 0;
   if (!elastic && shard.shard_index >= shard.shard_count) {
     throw SimError(SimError::Kind::kBadConfig,
@@ -921,9 +892,9 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
 
   // Pin (or verify) the layout before touching any shard: the manifest is
   // the single authority on {base_seed, total_runs, shard_count, digest,
-  // tag}. Exactly one worker creates it; everyone else compares and refuses
-  // on any difference — except the shard count, where an explicit worker
-  // that disagrees is told the fleet was repartitioned.
+  // tag}, and it never changes once pinned. Exactly one worker creates it;
+  // everyone else compares and refuses on any difference — an explicit
+  // worker with another shard count is told how to follow the pin instead.
   FleetManifest mine;
   mine.base_seed = base_seed;
   mine.total_runs = total_runs;
@@ -961,7 +932,7 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
               std::to_string(shard.shard_count) +
               " shards but the manifest pins " +
               std::to_string(pinned.shard_count) +
-              " — the fleet was repartitioned; relaunch the worker elastic "
+              " — a pinned layout never changes; relaunch the worker elastic "
               "(shard_count 0, e.g. --shard-dir alone) to follow the "
               "manifest");
     }
@@ -986,274 +957,29 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
         "campaigns and prune independently)");
   }
 
-  // Units are re-derived from the manifest at the top of every claim pass
-  // — that is what makes a live repartition visible without a restart.
-  // Every unit is exactly one canonical shard_range slot.
-  const std::string dir = shard.dir;
-  const auto provider = [dir, fn, opts]() {
-    const FleetManifest m = read_fleet_manifest(dir);
-    const std::size_t count = m.shard_count;
-    std::vector<FleetUnit> units;
-    units.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      const ShardRange range = shard_range(i, count, m.total_runs);
-      FleetUnit u;
-      u.index = i;
-      u.name = "shard " + std::to_string(i) + "/" + std::to_string(count);
-      u.journal = shard_journal_path(dir, i, count);
-      u.lease = shard_lease_path(dir, i, count);
-      u.quarantine = shard_quarantine_path(dir, i, count);
-      u.base_seed = m.base_seed + range.begin;
-      u.runs = range.size();
-      u.opts = opts;
-      u.opts.shard_index = i;
-      u.opts.shard_count = count;
-      u.opts.shard_begin = range.begin;
-      u.opts.total_runs = m.total_runs;
-      u.fn = fn;
-      units.push_back(std::move(u));
-    }
-    return units;
-  };
-  return run_fleet(provider, shard, worker_id);
-}
-
-// ---- repartition -----------------------------------------------------------
-
-namespace {
-
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof ua);
-  std::memcpy(&ub, &b, sizeof ub);
-  return ua == ub;
-}
-
-/// Bit-exact record equality. The byte-identity contract says a re-run of a
-/// seed reproduces the identical record, so duplicates across journals must
-/// agree bit-for-bit — doubles compare by IEEE-754 bit pattern, not value
-/// (NaN == NaN here, and -0.0 != +0.0, exactly like the journal bytes).
-bool same_result(const CampaignRunResult& a, const CampaignRunResult& b) {
-  if (a.seed != b.seed || a.completed != b.completed || a.error != b.error ||
-      a.attempts != b.attempts || a.makespan != b.makespan ||
-      a.deadline_total != b.deadline_total ||
-      a.deadline_missed != b.deadline_missed ||
-      a.faults_injected != b.faults_injected ||
-      a.value_hash != b.value_hash) {
-    return false;
+  // Every unit is exactly one canonical shard_range slot of the pin.
+  const std::size_t count = pinned.shard_count;
+  std::vector<FleetUnit> units;
+  units.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const ShardRange range = shard_range(i, count, total_runs);
+    FleetUnit u;
+    u.index = i;
+    u.name = "shard " + std::to_string(i) + "/" + std::to_string(count);
+    u.journal = shard_journal_path(shard.dir, i, count);
+    u.lease = shard_lease_path(shard.dir, i, count);
+    u.quarantine = shard_quarantine_path(shard.dir, i, count);
+    u.base_seed = base_seed + range.begin;
+    u.runs = range.size();
+    u.opts = opts;
+    u.opts.shard_index = i;
+    u.opts.shard_count = count;
+    u.opts.shard_begin = range.begin;
+    u.opts.total_runs = total_runs;
+    u.fn = fn;
+    units.push_back(std::move(u));
   }
-  if (!bits_equal(a.log_weight, b.log_weight) ||
-      !bits_equal(a.energy_pj, b.energy_pj) ||
-      !bits_equal(a.fault_energy_pj, b.fault_energy_pj)) {
-    return false;
-  }
-  if (a.recovery_latencies_ns.size() != b.recovery_latencies_ns.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.recovery_latencies_ns.size(); ++i) {
-    if (!bits_equal(a.recovery_latencies_ns[i], b.recovery_latencies_ns[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-RepartitionResult repartition_fleet(const std::string& dir,
-                                    std::size_t new_count,
-                                    std::uint64_t lease_ttl_ms) {
-  if (new_count == 0) {
-    throw SimError(SimError::Kind::kBadConfig,
-                   "repartition_fleet: new shard count must be > 0");
-  }
-  FleetManifest m = read_fleet_manifest(dir);
-  RepartitionResult res;
-  res.old_count = m.shard_count;
-  res.new_count = new_count;
-
-  // ---- validate everything before mutating anything ------------------------
-  // One directory scan collects every shard-layer file from ANY layout
-  // (a crash mid-repartition leaves the previous layout's files behind;
-  // re-running the repartition heals by folding them all back in).
-  std::vector<std::string> journals, leases, tombs, leftovers;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.compare(0, 6, "shard_") != 0) continue;
-    const std::string path = entry.path().string();
-    if (name.ends_with(".journal")) {
-      journals.push_back(path);
-    } else if (name.ends_with(".lease")) {
-      leases.push_back(path);
-    } else if (name.ends_with(".quarantined")) {
-      tombs.push_back(path);
-    } else {
-      leftovers.push_back(path);  // crashed-CAS tmp remnants
-    }
-  }
-  if (ec) {
-    throw SimError(SimError::Kind::kIoError,
-                   "repartition_fleet: cannot scan '" + dir +
-                       "': " + ec.message());
-  }
-  std::sort(journals.begin(), journals.end());
-  std::sort(leases.begin(), leases.end());
-  std::sort(tombs.begin(), tombs.end());
-
-  // Refuse while any unit lease is live: repartition rewrites the very
-  // journals a live owner is appending to. All live leases in one message.
-  {
-    const std::uint64_t now = wall_now_ms();
-    std::string live;
-    std::size_t n_live = 0;
-    for (const std::string& lease : leases) {
-      std::uint64_t mtime = 0;
-      LeaseInfo info;
-      if (!read_lease_info(lease, &info) || !lease_mtime_ms(lease, &mtime)) {
-        continue;  // vanished or unreadable: stale either way
-      }
-      if (!lease_alive(mtime, now, lease_ttl_ms)) continue;
-      ++n_live;
-      if (!live.empty()) live += "; ";
-      live += "'" + lease + "' (owner '" + info.owner + "')";
-    }
-    if (n_live > 0) {
-      throw SimError(
-          SimError::Kind::kLeaseConflict,
-          "repartition_fleet: " + std::to_string(n_live) +
-              " unit lease(s) are live: " + live +
-              " — repartition rewrites journals, so the units must be "
-              "unowned; wait for the fleet to drain (workers release leases "
-              "between units) or for the leases to go stale");
-    }
-  }
-
-  // Collect every readable record, keyed by global run index, refusing
-  // decided journals, foreign journals and bit-differing duplicates.
-  std::map<std::size_t, CampaignRunResult> records;
-  for (const std::string& jpath : journals) {
-    JournalContents jc;
-    try {
-      jc = read_journal(jpath);
-    } catch (const SimError&) {
-      // Torn beyond the tail tolerance, or of another format version: every
-      // run is a pure function of its seed, so nothing is lost by
-      // re-running — the file is dropped with the old layout below.
-      continue;
-    }
-    const JournalHeader& h = jc.header;
-    if (jc.decision) {
-      throw SimError(
-          SimError::Kind::kBadConfig,
-          "repartition_fleet: journal '" + jpath +
-              "' carries a sequential-verdict decision record — the "
-              "decision pins the global seed order of a single-shard "
-              "campaign, and decided units are never split or re-tiled");
-    }
-    if (h.scenario_digest != m.scenario_digest || h.tag != m.tag ||
-        h.base_seed - h.shard_begin != m.base_seed ||
-        h.total_runs != m.total_runs) {
-      throw SimError(
-          SimError::Kind::kBadConfig,
-          "repartition_fleet: journal '" + jpath +
-              "' disagrees with the fleet manifest (seed/digest/tag/"
-              "total_runs) — it belongs to a different campaign; remove it "
-              "by hand before repartitioning");
-    }
-    for (JournalRecord& rec : jc.records) {
-      if (rec.index >= h.runs) continue;  // defensive: outside own header
-      const std::size_t global =
-          static_cast<std::size_t>(h.shard_begin) + rec.index;
-      if (global >= m.total_runs) continue;
-      auto it = records.find(global);
-      if (it == records.end()) {
-        records.emplace(global, std::move(rec.result));
-        continue;
-      }
-      if (!same_result(it->second, rec.result)) {
-        throw SimError(
-            SimError::Kind::kJournalCorrupt,
-            "repartition_fleet: global run " + std::to_string(global) +
-                " is recorded twice with bit-differing results ('" + jpath +
-                "' vs an earlier journal) — determinism is broken; refusing "
-                "to pick one");
-      }
-      // Bit-identical duplicate (crash re-run): dedupe silently.
-    }
-  }
-
-  // ---- mutate: new journals, then the manifest, then old-file removal ------
-  // This order is crash-tolerant: new journals appear additively
-  // (tmp+rename), the manifest flip is atomic, and a crash before the
-  // removal pass leaves extra old-layout files that a re-run folds back in.
-  std::set<std::string> keep;
-  keep.insert(fleet_manifest_path(dir));
-  for (std::size_t i = 0; i < new_count; ++i) {
-    const ShardRange range = shard_range(i, new_count, m.total_runs);
-    const std::string jpath = shard_journal_path(dir, i, new_count);
-    keep.insert(jpath);
-    if (range.empty()) continue;
-    const auto lo = records.lower_bound(range.begin);
-    const auto hi = records.lower_bound(range.end);
-    if (lo == hi) continue;  // nothing recorded: workers start it fresh
-    JournalHeader h;
-    h.base_seed = m.base_seed + range.begin;
-    h.runs = range.size();
-    h.scenario_digest = m.scenario_digest;
-    h.tag = m.tag;
-    h.shard_index = i;
-    h.shard_count = new_count;
-    h.shard_begin = range.begin;
-    h.total_runs = m.total_runs;
-    h.worker_id = "repartition";
-    const std::string tmp = jpath + ".tmp-repartition";
-    {
-      JournalWriter w(tmp, h);
-      for (auto it = lo; it != hi; ++it) {
-        w.append(it->first - range.begin, it->second);
-        ++res.migrated_records;
-      }
-      w.sync();
-    }
-    if (::rename(tmp.c_str(), jpath.c_str()) != 0) {
-      throw_io(jpath, "rename");
-    }
-    ++res.journals_written;
-  }
-
-  m.shard_count = new_count;
-  write_file_atomic(fleet_manifest_path(dir), format_fleet_manifest(m),
-                    "repartition");
-
-  for (const std::string& p : journals) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) ++res.old_files_removed;
-  }
-  for (const std::string& p : leases) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) {
-      ++res.stale_leases_removed;
-      ++res.old_files_removed;
-    }
-  }
-  for (const std::string& p : tombs) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) {
-      // Quarantines are NOT carried into the new tiling: the tombstone
-      // names a unit that no longer exists. A genuinely poisoned seed
-      // re-earns its quarantine under the new layout via the normal
-      // adoption-cap self-healing.
-      ++res.dropped_tombstones;
-      ++res.old_files_removed;
-    }
-  }
-  for (const std::string& p : leftovers) {
-    if (keep.count(p)) continue;
-    if (std::remove(p.c_str()) == 0) ++res.old_files_removed;
-  }
-  return res;
+  return run_fleet(units, shard, worker_id);
 }
 
 // ---- sharded sweeps --------------------------------------------------------
@@ -1424,9 +1150,7 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
     u.fn = factory(m, s);
     units.push_back(std::move(u));
   }
-  // A sweep's layout is static (cells don't repartition), so the provider
-  // returns the same unit list every pass.
-  return run_fleet([units]() { return units; }, shard, worker_id);
+  return run_fleet(units, shard, worker_id);
 }
 
 // ---- merge ----------------------------------------------------------------
@@ -1584,31 +1308,15 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
         static_cast<std::size_t>(out.decision->executed), out.runs);
   }
 
-  // Fold records into global slots. Duplicate indices within a journal are
-  // benign (a lease-TTL violation appends bit-identical records — runs are
-  // deterministic); the last one wins, like journal resume.
-  out.results.resize(out.runs);
-  std::vector<bool> done(out.runs, false);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const JournalHeader& h = shards[s].header;
-    for (JournalRecord& rec : shards[s].records) {
-      if (rec.index >= h.runs) {
-        throw SimError(SimError::Kind::kJournalCorrupt,
-                       "campaign merge: shard journal '" + paths[s] +
-                           "': record index " + std::to_string(rec.index) +
-                           " out of range (shard has " +
-                           std::to_string(h.runs) + " runs)");
-      }
-      const std::size_t global =
-          static_cast<std::size_t>(h.shard_begin) + rec.index;
-      out.results[global] = std::move(rec.result);
-      done[global] = true;
-    }
+  // Fold records into global slots. An early-stopped campaign only owes
+  // records for the runs it executed: completeness (and the degraded-merge
+  // bookkeeping) is judged over [0, expected_end), so the merge is
+  // byte-identical to the early-stopped single-process campaign.
+  RecordFold fold(expected_end);
+  for (JournalContents& shard : shards) {
+    fold.add(shard, static_cast<std::size_t>(shard.header.shard_begin));
   }
-  // An early-stopped campaign only owes records for the runs it executed:
-  // completeness (and the degraded-merge bookkeeping) is judged over
-  // [0, expected_end), and the merged results are truncated to match so the
-  // merge is byte-identical to the early-stopped single-process campaign.
+  const std::vector<bool>& done = fold.done;
   std::size_t missing = 0;
   std::string span_list;
   std::size_t n_spans = 0;
@@ -1637,19 +1345,10 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
           "before merging, or merge with allow_partial (--allow-partial) "
           "for an explicitly degraded report");
     }
-    // Degraded merge: compact the recorded runs, keeping global seed order
-    // so the result is deterministic for any worker interleaving.
     out.complete = false;
     out.missing_records = missing;
-    std::vector<CampaignRunResult> compact;
-    compact.reserve(expected_end - missing);
-    for (std::size_t i = 0; i < expected_end; ++i) {
-      if (done[i]) compact.push_back(std::move(out.results[i]));
-    }
-    out.results = std::move(compact);
-  } else if (expected_end < out.results.size()) {
-    out.results.resize(expected_end);
   }
+  out.results = fold.take();
   out.recorded_runs = out.results.size();
   return out;
 }
@@ -1807,26 +1506,13 @@ MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
           static_cast<std::size_t>(jc.decision->executed), runs);
       cell.runs = cell_end;
     }
-    std::vector<CampaignRunResult> slots(cell_end);
-    std::vector<bool> done(cell_end, false);
-    for (JournalRecord& rec : jc.records) {
-      if (rec.index >= cell_end) continue;  // defensive; header pinned runs
-      if (!done[rec.index]) ++cell.records;
-      slots[rec.index] = std::move(rec.result);
-      done[rec.index] = true;
+    RecordFold fold(cell_end);
+    fold.add(jc, 0);
+    cell.records = fold.recorded;
+    if (!is_quarantined) {
+      cell.state = fold.complete() ? CellState::kComplete : CellState::kPartial;
     }
-    if (cell.records == cell_end) {
-      cell.results = std::move(slots);
-      if (!is_quarantined) cell.state = CellState::kComplete;
-    } else {
-      // Compact the recorded runs in seed order — deterministic for any
-      // worker interleaving, like the campaign-level partial merge.
-      cell.results.reserve(cell.records);
-      for (std::size_t i = 0; i < cell_end; ++i) {
-        if (done[i]) cell.results.push_back(std::move(slots[i]));
-      }
-      if (!is_quarantined) cell.state = CellState::kPartial;
-    }
+    cell.results = fold.take();
   }
 
   std::size_t n_complete = 0;
@@ -1981,7 +1667,8 @@ ShardStatusEntry unit_status(std::size_t index, const std::string& name,
   e.index = index;
   e.name = name;
   e.runs = runs;
-  e.records = shard_journal_coverage(journal, runs);
+  const UnitProgress progress = probe_unit(journal, runs);
+  e.records = progress.recorded;
 
   LeaseInfo qinfo;
   if (read_lease_info(quarantine, &qinfo)) {
@@ -1991,7 +1678,7 @@ ShardStatusEntry unit_status(std::size_t index, const std::string& name,
     e.error = qinfo.error;
     return e;
   }
-  if (runs > 0 && shard_journal_complete(journal, runs)) {
+  if (runs > 0 && progress.complete()) {
     e.state = ShardStatusEntry::State::kDone;
     return e;
   }
@@ -2029,7 +1716,7 @@ void tally(FleetStatus* st, const ShardStatusEntry& e) {
 }  // namespace
 
 FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
-  // Layout authority: the fleet manifest, like every worker and repartition.
+  // Layout authority: the fleet manifest, like every worker.
   const FleetManifest m = read_fleet_manifest(dir);
   FleetStatus st;
   st.units = m.shard_count;

@@ -74,11 +74,11 @@ namespace sctrace {
 /// Elastic layout: the fleet directory, not the command line, is the
 /// authority on layout. The first worker pins `<dir>/fleet.manifest`
 /// (first-writer-wins, like sweep.manifest) recording {base_seed,
-/// total_runs, shard_count, digest, tag}; a worker launched with
-/// shard_count == 0 reads the layout from the manifest, and every worker
-/// re-reads it between claim passes, so repartition_fleet(dir, new_count) —
-/// which migrates completed records into the new canonical tiling and
-/// rewrites the manifest — propagates to running workers without a restart.
+/// total_runs, shard_count, digest, tag}, and the pinned layout never
+/// changes. A worker launched with shard_count == 0 reads the layout from
+/// the manifest once. A fleet grows by over-partitioning: lay it out with
+/// more shards than workers, and every worker that joins later claims the
+/// shards nobody holds yet.
 ///
 /// One unit per slot: every campaign work unit is exactly one canonical
 /// shard_range slot of the pinned layout, with one lease and one journal.
@@ -101,8 +101,8 @@ ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
 /// Journal / lease / quarantine filenames inside a shard directory. The
-/// names carry the shard count so a re-partitioned campaign (same dir,
-/// different N) cannot silently collide with the old layout's files.
+/// names carry the shard count, so the files of one layout can never be
+/// mistaken for those of another.
 std::string shard_journal_path(const std::string& dir, std::size_t shard,
                                std::size_t shard_count);
 std::string shard_lease_path(const std::string& dir, std::size_t shard,
@@ -238,7 +238,7 @@ class ShardLease {
 /// the TTL window — older than `lease_ttl_ms`, or more than `lease_ttl_ms`
 /// in the future (clock skew: nobody is refreshing that mtime either).
 /// On success returns the held lease, heartbeating every `heartbeat_ms`
-/// (0 = ttl / 4).
+/// (0 = ttl / 4, which is what fleet workers use).
 ///
 /// Throws minisc::SimError:
 ///   - kLeaseConflict (*transient*, see minisc::is_transient) when the lease
@@ -257,16 +257,6 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
                                               std::uint64_t heartbeat_ms = 0,
                                               std::uint64_t max_adoptions = 0);
 
-/// True when the journal at `path` exists, parses, and holds a record for
-/// every one of the `runs` shard-local indices. Never throws: a missing,
-/// torn or corrupt journal is simply "not complete" (the claimer heals it).
-bool shard_journal_complete(const std::string& path, std::size_t runs);
-
-/// How many of the `runs` shard-local indices the journal at `path` holds a
-/// record for (0 for a missing, torn-header or corrupt journal). Never
-/// throws — this is the read-only progress probe behind fleet_status().
-std::size_t shard_journal_coverage(const std::string& path, std::size_t runs);
-
 /// How one worker should participate in a sharded campaign or sweep.
 struct ShardOptions {
   /// Shared journal directory (created if missing). All workers of one
@@ -280,11 +270,10 @@ struct ShardOptions {
   std::size_t shard_count = 1;
   /// Unique id for lease files; "" derives "w<shard_index>.pid<pid>".
   std::string worker_id;
-  /// Heartbeat staleness threshold for adoption. Must comfortably exceed
-  /// the heartbeat interval plus the worst scheduler pause a live worker
-  /// can suffer; below ~4 heartbeats invites spurious adoption.
+  /// Heartbeat staleness threshold for adoption. A held lease is
+  /// heartbeaten every lease_ttl_ms / 4, so the TTL must comfortably exceed
+  /// that plus the worst scheduler pause a live worker can suffer.
   std::uint64_t lease_ttl_ms = 10000;
-  std::uint64_t heartbeat_ms = 0;  ///< 0 = lease_ttl_ms / 4
   /// Adoption cap: a shard adopted this many times whose next claim would
   /// adopt it again is quarantined instead (see claim_shard_lease). One
   /// poison seed can therefore crash-loop the fleet at most max_adoptions
@@ -294,9 +283,6 @@ struct ShardOptions {
   /// Delay between claim passes once every remaining shard is leased by a
   /// live peer (the waiting-for-the-fleet idle loop).
   std::uint64_t poll_ms = 200;
-  /// Give up waiting for other workers' shards after this long (0 = wait
-  /// until the whole campaign is complete — the CI survivor mode).
-  std::uint64_t max_wait_ms = 0;
 };
 
 /// What one worker did. fleet_done is the fleet-level statement: every
@@ -326,8 +312,7 @@ struct ShardProgress {
 /// in `<dir>/fleet.manifest` by the first worker (first-writer-wins, like
 /// the sweep manifest) and authoritative from then on: workers launched
 /// with ShardOptions::shard_count == 0 ("--shard-dir only") read the layout
-/// from it, explicit workers must agree with it, and every worker re-reads
-/// it between claim passes so a repartition_fleet() propagates live.
+/// from it, and explicit workers must agree with it. It never changes.
 struct FleetManifest {
   std::uint64_t base_seed = 0;
   std::size_t total_runs = 0;
@@ -344,58 +329,21 @@ FleetManifest read_fleet_manifest(const std::string& dir);
 /// Runs one worker of a sharded campaign: claims shards (preferred first,
 /// then roaming), executes each as a journaled+resumed FaultCampaign over
 /// its seed range, adopts stale leases of dead workers, skips quarantined
-/// shards, and keeps polling until every shard is complete or quarantined
-/// (or max_wait_ms expires). The CampaignOptions journal fields are
-/// overwritten per shard; threads, retry, budgets, digest and tag apply as
-/// usual.
+/// shards, and keeps polling until every shard is complete or quarantined.
+/// The CampaignOptions journal fields are overwritten per shard; threads,
+/// retry, budgets, digest and tag apply as usual.
 ///
 /// Layout authority: the first worker pins `<dir>/fleet.manifest`; later
 /// workers verify their {base_seed, total_runs, shard_count, digest, tag}
-/// against it and refuse (kBadConfig) on disagreement. shard.shard_count ==
-/// 0 is *elastic* mode: the shard count is read from the manifest (which
-/// must already exist), and the worker follows the manifest across a
-/// repartition.
+/// against it and refuse (kBadConfig) on disagreement — a worker launched
+/// with another shard count is told to relaunch elastic. shard.shard_count
+/// == 0 is *elastic* mode: the shard count is read from the manifest, which
+/// must already exist.
 ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    std::uint64_t base_seed,
                                    std::size_t total_runs,
                                    const ShardOptions& shard,
                                    const CampaignOptions& opts = {});
-
-/// Outcome of a repartition_fleet migration.
-struct RepartitionResult {
-  std::size_t old_count = 0;
-  std::size_t new_count = 0;
-  std::size_t migrated_records = 0;   ///< run records carried into the new tiling
-  std::size_t journals_written = 0;   ///< new-layout journals created
-  std::size_t old_files_removed = 0;  ///< old-layout journals/leases/tombstones
-  std::size_t dropped_tombstones = 0; ///< quarantines not carried (re-earned)
-  std::size_t stale_leases_removed = 0;
-};
-
-/// Migrates the fleet directory to a new shard count: every record from
-/// every readable shard journal (of any layout, quarantined units'
-/// included) is re-tiled into fresh journals under the new canonical
-/// shard_range partition, the manifest is atomically rewritten, and the old
-/// layout's files are removed — after which the merge of the directory is
-/// byte-identical to the single-process run, and manifest-following workers
-/// (elastic or re-launched) finish the campaign under the new layout.
-/// Unreadable journals (torn, or of another format version) contribute no
-/// records; their runs re-run under the new layout. Byte-identical duplicate
-/// records across journals (crash re-runs) deduplicate silently; differing
-/// duplicates refuse.
-/// Quarantine tombstones are dropped (reported in the result): a poison
-/// seed re-earns its quarantine under the new layout via normal
-/// self-healing. Refuses, with a structured minisc::SimError:
-///   - kLeaseConflict: any unit lease still live (naming the owner) —
-///     repartition requires the units it rewrites to be unowned;
-///   - kBadConfig: a decided ('D') journal (the decision pins the global
-///     seed order of a single-shard campaign), or new_count == 0;
-///   - kMergeIncomplete: no fleet.manifest in `dir` — the layout is read
-///     from the manifest only, so a directory no campaign fleet ever pinned
-///     has nothing to migrate.
-RepartitionResult repartition_fleet(const std::string& dir,
-                                    std::size_t new_count,
-                                    std::uint64_t lease_ttl_ms = 10000);
 
 /// The grid identity of a sharded sweep, pinned in `<dir>/sweep.manifest` by
 /// the first worker (O_CREAT | O_EXCL — exactly one writer) and verified by

@@ -5,7 +5,8 @@
 //   - journal records round-trip every CampaignRunResult field bit-exactly;
 //   - a torn final record (crash mid-append) is tolerated and only costs a
 //     re-run of that seed, while a bit-flipped mid-file record raises a
-//     structured SimError naming the record index;
+//     structured SimError naming the record index, and so does a record
+//     whose index lies past the header's run count;
 //   - a campaign interrupted at an arbitrary run index and resumed from its
 //     journal produces byte-identical report()/write_csv() output versus the
 //     uninterrupted run, for threads ∈ {seq, 1, 8};
@@ -34,6 +35,7 @@
 #include "kernel/error.hpp"
 #include "kernel/simulator.hpp"
 #include "trace/campaign.hpp"
+#include "trace/shard.hpp"
 
 namespace sctrace {
 namespace {
@@ -68,6 +70,13 @@ CampaignRunResult synth_run(std::uint64_t seed) {
   r.fault_energy_pj = 12.25 + static_cast<double>(seed);
   r.value_hash = 0x9e3779b97f4a7c15ull * (seed + 1);
   return r;
+}
+
+/// A header with room for run indices [0, runs).
+JournalHeader header_for(std::uint64_t runs) {
+  JournalHeader h;
+  h.runs = runs;
+  return h;
 }
 
 FaultCampaign::RunFn synth_fn() {
@@ -150,7 +159,7 @@ TEST(Journal, FailedRunsRoundTripWithErrorAndAttempts) {
   failed.error = "minisc::SimError(wall_clock_budget): seed 5 hung";
   failed.attempts = 3;
   {
-    JournalWriter w(path, JournalHeader{}, 1);
+    JournalWriter w(path, header_for(6), 1);
     w.append(5, failed);
   }
   const JournalContents got = read_journal(path);
@@ -165,7 +174,7 @@ TEST(Journal, TruncatedFinalRecordIsTolerated) {
   const std::string path = temp_journal("truncated");
   std::uint64_t two_records = 0;
   {
-    JournalWriter w(path, JournalHeader{}, 1);
+    JournalWriter w(path, header_for(3), 1);
     w.append(0, synth_run(0));
     w.append(1, synth_run(1));
     w.sync();
@@ -195,7 +204,7 @@ TEST(Journal, BitFlippedMidFileRecordRaisesStructuredError) {
   const std::string path = temp_journal("bitflip");
   std::uint64_t one_record = 0;
   {
-    JournalWriter w(path, JournalHeader{}, 1);
+    JournalWriter w(path, header_for(3), 1);
     w.append(0, synth_run(0));
     w.sync();
     one_record = file_size(path);
@@ -222,6 +231,57 @@ TEST(Journal, BitFlippedMidFileRecordRaisesStructuredError) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
   std::remove(path.c_str());
+}
+
+TEST(Journal, RecordIndexBeyondHeaderRunsIsCorrupt) {
+  // Every reader places records by index, so a checksum-valid record past
+  // the header's run count is corruption for all of them: read_journal
+  // refuses it, the fleet's progress probe counts the unit unfinished, a
+  // strict sweep merge refuses the cell instead of silently dropping the
+  // record, and a worker heals the journal by re-running the cell.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("scperf_index_bound_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const auto fn = [](const std::string&, const std::string&) {
+    return synth_fn();
+  };
+  ShardOptions so;
+  so.dir = dir.string();
+  so.worker_id = "writer";
+  ASSERT_TRUE(
+      run_sharded_sweep({"m"}, {"s"}, fn, 40, 3, so).campaign_complete);
+  const std::string path = cell_journal_path(dir.string(), 0, 1);
+  {
+    JournalWriter w(path, read_journal(path).valid_bytes, 1);
+    w.append(3, synth_run(43));  // the header holds runs 0..2
+  }
+
+  try {
+    read_journal(path);
+    ADD_FAILURE() << "expected SimError(kJournalCorrupt)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kJournalCorrupt);
+    EXPECT_NE(std::string(e.what()).find("record 4"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+  }
+  const FleetStatus st = sweep_fleet_status(dir.string());
+  EXPECT_EQ(st.entries.at(0).state, ShardStatusEntry::State::kUnclaimed);
+  EXPECT_EQ(st.entries.at(0).records, 0u);
+  try {
+    merge_sweep_dir(dir.string());
+    ADD_FAILURE() << "expected SimError(kMergeIncomplete)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
+  }
+
+  so.worker_id = "healer";
+  const ShardProgress healed = run_sharded_sweep({"m"}, {"s"}, fn, 40, 3, so);
+  EXPECT_TRUE(healed.campaign_complete);
+  EXPECT_EQ(healed.runs_executed, 3u);
+  EXPECT_TRUE(merge_sweep_dir(dir.string()).complete);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Journal, MissingFileIsABadConfigError) {

@@ -1199,14 +1199,13 @@ TEST(ShardElastic, ExplicitWorkerDisagreeingWithThePinnedCountRefuses) {
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
     // The refusal teaches the operator the elastic escape hatch.
-    EXPECT_NE(std::string(e.what()).find("repartitioned"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("relaunch the worker elastic"),
+              std::string::npos)
         << e.what();
   }
 }
 
-// ---- live repartition -----------------------------------------------------
-
-TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
+TEST(ShardElastic, ElasticWorkerFinishesOnlyTheOwedSeedsAcrossThreads) {
   const std::uint64_t base = 40;
   const std::size_t total = 22;  // 4 shards: 6, 6, 5, 5
   FaultCampaign reference(synth_fn());
@@ -1215,7 +1214,7 @@ TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
 
   for (const std::size_t threads :
        {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    ScratchDir dir("repart_t" + std::to_string(threads));
+    ScratchDir dir("elastic_owed_t" + std::to_string(threads));
     ShardOptions so;
     so.dir = dir.str();
     so.shard_index = 0;
@@ -1223,21 +1222,11 @@ TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
     so.worker_id = "builder";
     ASSERT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
                     .campaign_complete);
-    // Lose one shard's work entirely: the mid-campaign state a repartition
-    // must carry forward (21 records live, 5 seeds still owed).
+    // Lose one shard's work entirely: 17 records live, 5 seeds still owed.
     std::filesystem::remove(shard_journal_path(dir.str(), 3, 4));
 
-    const RepartitionResult r = repartition_fleet(dir.str(), 7);
-    EXPECT_EQ(r.old_count, 4u);
-    EXPECT_EQ(r.new_count, 7u);
-    EXPECT_EQ(r.migrated_records, 17u);  // total minus shard 3's 5 runs
-    // Only shards holding migrated records get a journal up front (records
-    // [0,17) span new shards 0-5); the all-owed tail shard's journal is
-    // created by whichever worker claims it.
-    EXPECT_EQ(r.journals_written, 6u);
-    EXPECT_EQ(read_fleet_manifest(dir.str()).shard_count, 7u);
-
-    // A manifest-only (elastic) worker finishes exactly the owed seeds.
+    // A manifest-only (elastic) worker joining the fleet finishes exactly
+    // the owed seeds under the pinned layout.
     ShardOptions eso;
     eso.dir = dir.str();
     eso.shard_count = 0;
@@ -1248,111 +1237,13 @@ TEST(ShardRepartition, MidCampaignMigrationMergesByteIdenticallyAcrossThreads) {
         run_sharded_campaign(synth_fn(), base, total, eso, co);
     EXPECT_TRUE(p.campaign_complete);
     EXPECT_EQ(p.runs_executed, 5u);
+    EXPECT_EQ(p.shards_run, 1u);
 
     const MergedCampaign merged = merge_shard_dir(dir.str());
-    EXPECT_EQ(merged.shard_count, 7u);
+    EXPECT_EQ(merged.shard_count, 4u);
     EXPECT_EQ(merged.runs, total);
     EXPECT_EQ(csv_of(FaultCampaign(merged.results)), want_csv)
         << threads << " threads";
-  }
-}
-
-TEST(ShardRepartition, V3JournalIsDroppedAndItsRunsReRun) {
-  const std::uint64_t base = 40;
-  const std::size_t total = 22;  // 4 shards: 6, 6, 5, 5
-  FaultCampaign reference(synth_fn());
-  reference.run(base, total);
-
-  ScratchDir dir("repart_v3");
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 0;
-  so.shard_count = 4;
-  so.worker_id = "builder";
-  ASSERT_TRUE(
-      run_sharded_campaign(synth_fn(), base, total, so).campaign_complete);
-  // An unreadable journal contributes no records, like a torn one: its
-  // seeds are owed again under the new layout.
-  stamp_journal_version(shard_journal_path(dir.str(), 3, 4), 3);
-
-  const RepartitionResult r = repartition_fleet(dir.str(), 7);
-  EXPECT_EQ(r.migrated_records, 17u);  // total minus shard 3's 5 runs
-  EXPECT_FALSE(std::filesystem::exists(shard_journal_path(dir.str(), 3, 4)));
-
-  ShardOptions eso;
-  eso.dir = dir.str();
-  eso.shard_count = 0;
-  eso.worker_id = "finisher";
-  const ShardProgress p = run_sharded_campaign(synth_fn(), base, total, eso);
-  EXPECT_TRUE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, 5u);
-  EXPECT_EQ(csv_of(FaultCampaign(merge_shard_dir(dir.str()).results)),
-            csv_of(reference));
-}
-
-TEST(ShardRepartition, LiveLeaseRefusesNamingTheOwner) {
-  ScratchDir dir("repart_live");
-  build_fleet(dir.str(), 0, 10);
-  auto lease =
-      claim_shard_lease(shard_lease_path(dir.str(), 0, 2), "holdout", 10000);
-  try {
-    repartition_fleet(dir.str(), 3);
-    FAIL() << "expected SimError(kLeaseConflict)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
-    EXPECT_NE(std::string(e.what()).find("holdout"), std::string::npos)
-        << e.what();
-  }
-  lease->release();
-  EXPECT_EQ(repartition_fleet(dir.str(), 3).new_count, 3u);
-}
-
-TEST(ShardRepartition, QuarantineTombstonesAreDroppedForReearning) {
-  ScratchDir dir("repart_tomb");
-  build_fleet(dir.str(), 0, 10);
-  write_file(shard_quarantine_path(dir.str(), 1, 2),
-             format_lease_for_test("victim", 3));
-  const RepartitionResult r = repartition_fleet(dir.str(), 3);
-  EXPECT_EQ(r.dropped_tombstones, 1u);
-  // All 10 records existed, so the re-tiled fleet is already complete and
-  // merges cleanly — the quarantine does not survive the new layout.
-  const MergedCampaign merged = merge_shard_dir(dir.str());
-  EXPECT_TRUE(merged.complete);
-  EXPECT_EQ(merged.runs, 10u);
-}
-
-/// Completes a single-shard fleet and stamps a sequential-verdict decision
-/// record into its journal: the one journal shape that is never split.
-std::string build_decided_fleet(const std::string& dir, std::uint64_t base,
-                                std::size_t total) {
-  ShardOptions so;
-  so.dir = dir;
-  so.shard_index = 0;
-  so.shard_count = 1;
-  so.worker_id = "decider";
-  EXPECT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
-                  .campaign_complete);
-  const std::string path = shard_journal_path(dir, 0, 1);
-  const JournalContents before = read_journal(path);
-  JournalDecision d;
-  d.verdict.estimate = 0.25;
-  d.executed = total;
-  JournalWriter w(path, before.valid_bytes, /*flush_every=*/1);
-  w.append_decision(d);
-  w.sync();
-  return path;
-}
-
-TEST(ShardRepartition, DecidedJournalRefuses) {
-  ScratchDir dir("repart_decided");
-  build_decided_fleet(dir.str(), 40, 6);
-  try {
-    repartition_fleet(dir.str(), 2);
-    FAIL() << "expected SimError(kBadConfig)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    EXPECT_NE(std::string(e.what()).find("decided"), std::string::npos)
-        << e.what();
   }
 }
 
