@@ -23,22 +23,19 @@
 // exploration: which mapping stays schedulable under which fault regime.
 //
 // Usage: ablation_fault_correlated [scale_pct] [--threads N]
-//                                  [--journal] [--resume]
 //   scale_pct (default 100) scales every campaign's run count; the CI smoke
 //   run uses a small value and then only the determinism gate is asserted.
 //   --threads N runs every campaign on an N-worker pool and adds a speedup
 //   section: the burst campaign is timed sequentially and threaded, the two
 //   CSVs must be byte-identical (the determinism gate of the parallel
 //   executor), and the wall-clock ratio is reported.
-//   --journal records the mapping x scenario sweep in per-cell journals
-//   next to the binary (fault_correlated_sweep.journal.<cell>); --resume
-//   replays completed cells/runs from them after an interruption.
 //   Fleet flags (fleet_cli.hpp) run the burst campaign only as a fleet in
 //   --shard-dir (default fault_correlated_burst.shard/ next to the binary);
 //   --merge folds its journals back into the same fault_correlated_burst.csv
 //   an uninterrupted run writes, byte-identically. --help lists every flag.
 //
-//   Sweep fleet mode — the mapping x scenario grid as lease-claimable cells:
+//   Sweep fleet mode — the mapping x scenario grid as lease-claimable cells,
+//   and the one durable way to run the sweep:
 //   --sweep-shard i/N  runs this process as a sweep-fleet worker: every grid
 //     cell is an independent work unit (one lease + one journal per cell in
 //     --sweep-dir, default fault_correlated_sweep.shard/ next to the
@@ -287,9 +284,9 @@ RunOptions scenario_options(const std::string& name, bool split_cpu) {
   return opt;
 }
 
-/// Campaign execution options for the whole bench, set by --threads.
+/// Campaign execution options for the whole bench, set by --threads (and
+/// --resume, which only the --smc decision journal reads).
 sctrace::CampaignOptions g_campaign_opts;
-bool g_journal = false;
 
 // Fleet mode over the burst campaign, and the lease TTL, adoption cap and
 // --allow-partial of the sweep fleet too.
@@ -599,7 +596,7 @@ int run_smc(int pct, std::uint64_t seed) {
 int run_sweep_status() {
   try {
     const sctrace::FleetStatus st =
-        sctrace::sweep_fleet_status(g_sweep_dir, g_fleet.lease_ttl_ms);
+        sctrace::fleet_status(g_sweep_dir, g_fleet.lease_ttl_ms);
     std::ostringstream os;
     sctrace::print_fleet_status(os, st);
     std::fputs(os.str().c_str(), stdout);
@@ -622,10 +619,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       g_campaign_opts.threads =
           static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      g_journal = true;
     } else if (std::strcmp(argv[i], "--resume") == 0) {
-      g_journal = true;  // --resume implies journalling
       g_campaign_opts.resume = true;
     } else if (std::strcmp(argv[i], "--sweep-shard") == 0 && i + 1 < argc) {
       if (std::sscanf(argv[++i], "%zu/%zu", &g_sweep_index, &g_sweep_count) !=
@@ -661,12 +655,10 @@ int main(int argc, char** argv) {
           "  --threads N        run campaigns on an N-worker pool; adds the\n"
           "                     sequential-vs-threaded byte-identity and\n"
           "                     speedup section\n"
-          "  --journal          record the sweep in per-cell journals\n"
-          "  --resume           replay completed cells/runs from journals\n"
-          "                     (implies --journal)\n"
           "\n"
-          "sweep fleet (mapping x scenario grid cells as units; takes\n"
-          "--lease-ttl-ms, --max-adoptions and --allow-partial below):\n"
+          "sweep fleet (mapping x scenario grid cells as units, the durable\n"
+          "sweep; takes --lease-ttl-ms, --max-adoptions and --allow-partial\n"
+          "below):\n"
           "  --sweep-shard i/N  run as a sweep-fleet worker over the grid\n"
           "  --sweep-dir DIR    sweep fleet directory (default\n"
           "                     fault_correlated_sweep.shard/)\n"
@@ -880,14 +872,7 @@ int main(int argc, char** argv) {
             scenario_options(scenario, mapping == "split_cpu");
         return [opt](std::uint64_t s) { return run_stream(s, opt); };
       });
-  sctrace::CampaignOptions sweep_opts = g_campaign_opts;
-  if (g_journal) {
-    // One journal per grid cell, derived from this prefix; the tag inside
-    // each file carries the mapping/scenario pair it belongs to.
-    sweep_opts.journal_path = out_path("fault_correlated_sweep.journal");
-    sweep_opts.journal_tag = "correlated-sweep";
-  }
-  sweep.run(kSeed, n_sweep, sweep_opts);
+  sweep.run(kSeed, n_sweep, g_campaign_opts);
   std::ostringstream grid;
   sweep.print(grid);
   std::fputs(grid.str().c_str(), stdout);

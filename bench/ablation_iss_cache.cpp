@@ -267,7 +267,9 @@ struct CampaignArtifacts {
 CampaignArtifacts run_campaign(BcMode mode, std::size_t threads) {
   set_bc_mode(mode);
   sctrace::FaultCampaign campaign(make_iss_campaign_run());
-  campaign.run(/*base_seed=*/11, /*n=*/10, {.threads = threads});
+  sctrace::CampaignOptions opts;
+  opts.threads = threads;
+  campaign.run(/*base_seed=*/11, /*n=*/10, opts);
   unsetenv("ORSIM_BLOCK_CACHE");
   unsetenv("ORSIM_BLOCK_CACHE_VALIDATE");
   CampaignArtifacts a;

@@ -72,13 +72,12 @@ void ThreadPool::wait_idle() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
+void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  chunk = std::max<std::size_t>(1, chunk);
 
   // Per-call completion state, shared by the driver tasks. Drivers claim
-  // ascending chunks from `next` until the range (or an error) exhausts it;
+  // ascending indices from `next` until the range (or an error) exhausts it;
   // the caller blocks on `done` until every claimed index has finished.
   struct ForState {
     std::atomic<std::size_t> next{0};
@@ -89,20 +88,17 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
   };
   auto st = std::make_shared<ForState>();
 
-  const std::size_t drivers =
-      std::min(workers_.size(), (n + chunk - 1) / chunk);
-  auto drive = [st, n, chunk, &body] {
+  const std::size_t drivers = std::min(workers_.size(), n);
+  auto drive = [st, n, &body] {
     for (;;) {
-      const std::size_t begin =
-          st->next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = std::min(n, begin + chunk);
+      const std::size_t i = st->next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
       try {
-        for (std::size_t i = begin; i < end; ++i) body(i);
+        body(i);
       } catch (...) {
         std::unique_lock<std::mutex> lock(st->mu);
         if (!st->error) st->error = std::current_exception();
-        // Poison the range so no driver claims further chunks.
+        // Poison the range so no driver claims further indices.
         st->next.store(n, std::memory_order_relaxed);
       }
     }
@@ -126,12 +122,10 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
 }
 
 void ThreadPool::parallel_for(const std::vector<std::size_t>& indices,
-                              std::size_t chunk,
                               const std::function<void(std::size_t)>& body) {
   // Positions are claimed exactly like the dense range; the extra
   // indirection is all the sparseness costs.
-  parallel_for(indices.size(), chunk,
-               [&](std::size_t j) { body(indices[j]); });
+  parallel_for(indices.size(), [&](std::size_t j) { body(indices[j]); });
 }
 
 std::size_t ThreadPool::default_threads() {

@@ -47,25 +47,24 @@ class ThreadPool {
   /// the first exception any submitted task threw since the last call.
   void wait_idle();
 
-  /// Runs body(i) for every i in [0, n), distributing chunks of `chunk`
-  /// consecutive indices over the workers, and blocks until every index
-  /// completed. Indices are claimed in ascending order but may run in any
-  /// interleaving — determinism must come from per-index isolation, not
-  /// execution order. If a body throws, remaining unclaimed chunks are
-  /// skipped, already-running indices finish, and the first exception is
-  /// rethrown here. Safe to call concurrently with submit() and from
-  /// multiple threads; n == 0 returns immediately.
-  void parallel_for(std::size_t n, std::size_t chunk,
+  /// Runs body(i) for every i in [0, n), the workers claiming one index at
+  /// a time, and blocks until every index completed. Indices are claimed in
+  /// ascending order but may run in any interleaving — determinism must come
+  /// from per-index isolation, not execution order. If a body throws,
+  /// remaining unclaimed indices are skipped, already-running ones finish,
+  /// and the first exception is rethrown here. Safe to call concurrently
+  /// with submit() and from multiple threads; n == 0 returns immediately.
+  void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
   /// Sparse variant: runs body(indices[j]) for every position j, claiming
-  /// chunks of consecutive *positions* (the indices themselves may be any
+  /// positions in ascending order (the indices themselves may be any
   /// subset, in any order). This is the resume path of a journaled campaign:
   /// only the seeds the journal is missing re-run, with the same
   /// determinism, exception and drain semantics as the dense overload — an
-  /// exception cancels unclaimed chunks, in-flight indices finish, and the
-  /// first error is rethrown after the drain.
-  void parallel_for(const std::vector<std::size_t>& indices, std::size_t chunk,
+  /// exception cancels unclaimed positions, in-flight indices finish, and
+  /// the first error is rethrown after the drain.
+  void parallel_for(const std::vector<std::size_t>& indices,
                     const std::function<void(std::size_t)>& body);
 
   /// std::thread::hardware_concurrency with a floor of 1 (the standard

@@ -108,8 +108,7 @@ void FaultInjector::drain_pulses(minisc::Process& p) {
   while (next_pulse_ < pulses.size() && consumed_[next_pulse_]) ++next_pulse_;
 }
 
-void FaultInjector::apply_env_faults(minisc::Process& p,
-                                     scperf::Resource& env) {
+void FaultInjector::apply_env_faults(scperf::Resource& env) {
   // Environment components are untimed, so there is no segment to charge:
   // a due pulse becomes a direct stall of its cycle cost at the ENV clock,
   // and an open outage window parks the process until the window closes —
@@ -152,7 +151,7 @@ void FaultInjector::node_reached(minisc::Process& p, minisc::NodeKind kind,
                                  const char* label) {
   scperf::Resource* r = est_.mapped_resource(p.name());
   if (r != nullptr && r->kind() == scperf::ResourceKind::kEnv) {
-    apply_env_faults(p, *r);
+    apply_env_faults(*r);
   } else {
     drain_pulses(p);
   }

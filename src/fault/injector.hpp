@@ -81,7 +81,7 @@ class FaultInjector final : public minisc::KernelHook {
  private:
   void spawn_drivers();
   void drain_pulses(minisc::Process& p);
-  void apply_env_faults(minisc::Process& p, scperf::Resource& env);
+  void apply_env_faults(scperf::Resource& env);
 
   minisc::Simulator& sim_;
   scperf::Estimator& est_;

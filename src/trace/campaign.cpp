@@ -1,7 +1,6 @@
 #include "trace/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -9,11 +8,10 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "core/pool.hpp"
 #include "kernel/error.hpp"
-#include "kernel/retry.hpp"
+#include "kernel/simulator.hpp"
 #include "trace/journal.hpp"
 
 namespace sctrace {
@@ -50,22 +48,6 @@ std::string CampaignReport::ess_warning() const {
 
 namespace {
 
-/// Host backoff before retry `attempt` of `seed`: exponential in the attempt
-/// number, capped, and scaled by a deterministic jitter factor in
-/// [0.75, 1.25) derived from (seed, attempt) via splitmix64 — the same
-/// no-ambient-randomness discipline as minisc::retry_with_backoff, so a
-/// retried campaign sleeps the same schedule on every replay.
-std::uint64_t retry_backoff_ms(std::uint64_t seed, std::uint32_t attempt,
-                               const CampaignOptions& opts) {
-  if (opts.retry_backoff_ms == 0) return 0;
-  double base = static_cast<double>(opts.retry_backoff_ms) *
-                std::pow(2.0, static_cast<double>(attempt - 1));
-  base = std::min(base, static_cast<double>(opts.retry_backoff_max_ms));
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * attempt);
-  const double u = minisc::detail::splitmix_uniform(state);
-  return static_cast<std::uint64_t>(base * (0.75 + 0.5 * u));
-}
-
 /// One seed through the run function, under the per-run wall-clock budget,
 /// with transient/permanent retry classification. Never throws SimError:
 /// the outcome (including a still-failing final attempt) becomes the record.
@@ -94,11 +76,7 @@ CampaignRunResult run_with_retry(const FaultCampaign::RunFn& fn,
         // fleet workers quarantine the shard, plain campaigns abort loudly.
         throw;
       }
-      if (e.transient() && attempt < max_attempts) {
-        const std::uint64_t ms = retry_backoff_ms(seed, attempt, opts);
-        if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        continue;
-      }
+      if (e.transient() && attempt < max_attempts) continue;
       CampaignRunResult r;
       r.seed = seed;
       r.completed = false;
@@ -110,8 +88,8 @@ CampaignRunResult run_with_retry(const FaultCampaign::RunFn& fn,
 }
 
 /// Opens the campaign's journal. Fresh start: truncate and write the header.
-/// Resume against an existing non-empty journal: verify the header matches
-/// this campaign, replay every intact record bit-exactly into its result
+/// Resume against an existing non-empty journal: verify the header carries
+/// this campaign's identity (identity_mismatch), replay every intact record bit-exactly into its result
 /// slot, and come back positioned to append. `todo` receives the indices
 /// still to run (ascending, like the dense path claims them); `decision`
 /// receives the journal's sequential-verdict record, when present (the
@@ -140,46 +118,15 @@ std::unique_ptr<JournalWriter> open_journal(
     probe.close();
     if (nonempty) {
       JournalContents contents = read_journal(opts.journal_path);
-      if (contents.header.base_seed != base_seed ||
-          contents.header.runs != n ||
-          contents.header.scenario_digest != opts.scenario_digest ||
-          contents.header.tag != opts.journal_tag) {
+      // Campaign and shard identity, all of it but worker_id: an adopter
+      // resumes a dead worker's shard under its own id by design.
+      const std::string diff = identity_mismatch(contents.header, header);
+      if (!diff.empty()) {
         throw minisc::SimError(
             minisc::SimError::Kind::kBadConfig,
             "campaign journal '" + opts.journal_path +
-                "' was written by a different campaign (header: base_seed=" +
-                std::to_string(contents.header.base_seed) + " runs=" +
-                std::to_string(contents.header.runs) + " digest=" +
-                std::to_string(contents.header.scenario_digest) + " tag='" +
-                contents.header.tag + "'; resuming: base_seed=" +
-                std::to_string(base_seed) + " runs=" + std::to_string(n) +
-                " digest=" + std::to_string(opts.scenario_digest) + " tag='" +
-                opts.journal_tag + "') — refusing to mix their runs");
-      }
-      // Shard identity must match too — all of it except worker_id, which
-      // names the journal's creator: adoption of a dead worker's shard
-      // resumes under a different worker id by design.
-      const std::uint64_t want_count = opts.shard_count == 0 ? 1 : opts.shard_count;
-      const std::uint64_t want_total = opts.total_runs == 0 ? n : opts.total_runs;
-      if (contents.header.shard_index != opts.shard_index ||
-          contents.header.shard_count != want_count ||
-          contents.header.shard_begin != opts.shard_begin ||
-          contents.header.total_runs != want_total) {
-        throw minisc::SimError(
-            minisc::SimError::Kind::kBadConfig,
-            "campaign journal '" + opts.journal_path +
-                "' belongs to shard " +
-                std::to_string(contents.header.shard_index) + "/" +
-                std::to_string(contents.header.shard_count) + " at [" +
-                std::to_string(contents.header.shard_begin) + ", +" +
-                std::to_string(contents.header.runs) + ") of " +
-                std::to_string(contents.header.total_runs) +
-                " total runs; resuming as shard " +
-                std::to_string(opts.shard_index) + "/" +
-                std::to_string(want_count) + " at [" +
-                std::to_string(opts.shard_begin) + ", +" + std::to_string(n) +
-                ") of " + std::to_string(want_total) +
-                " — refusing to mix shard layouts");
+                "' was written by a different campaign (" + diff +
+                ") — refusing to mix their runs");
       }
       std::vector<bool> done(n, false);
       for (JournalRecord& rec : contents.records) {
@@ -190,14 +137,13 @@ std::unique_ptr<JournalWriter> open_journal(
         if (!done[i]) todo.push_back(i);
       }
       decision = contents.decision;
-      return std::make_unique<JournalWriter>(
-          opts.journal_path, contents.valid_bytes, opts.journal_flush_every);
+      return std::make_unique<JournalWriter>(opts.journal_path,
+                                             contents.valid_bytes);
     }
   }
   todo.resize(n);
   for (std::size_t i = 0; i < n; ++i) todo[i] = i;
-  return std::make_unique<JournalWriter>(opts.journal_path, header,
-                                         opts.journal_flush_every);
+  return std::make_unique<JournalWriter>(opts.journal_path, header);
 }
 
 }  // namespace
@@ -312,14 +258,14 @@ void FaultCampaign::run(std::uint64_t base_seed, std::size_t n,
       for (const std::size_t i : todo) run_one(i);
     } else {
       scperf::ThreadPool pool(opts.threads);
-      pool.parallel_for(todo, opts.chunk, run_one);
+      pool.parallel_for(todo, run_one);
     }
     journal->sync();
   } else if (opts.threads <= 1) {
     for (std::size_t i = 0; i < n; ++i) run_one(i);
   } else {
     scperf::ThreadPool pool(opts.threads);
-    pool.parallel_for(n, opts.chunk, run_one);
+    pool.parallel_for(n, run_one);
   }
 }
 
@@ -366,7 +312,7 @@ void FaultCampaign::run_sequential(std::uint64_t base_seed, std::size_t n,
     }
     if (!batch.empty()) {
       if (pool) {
-        pool->parallel_for(batch, opts.chunk, run_one);
+        pool->parallel_for(batch, run_one);
       } else {
         for (const std::size_t i : batch) run_one(i);
       }
@@ -554,22 +500,6 @@ void FaultCampaign::write_csv(std::ostream& os) const {
   }
 }
 
-namespace {
-
-/// Journal filenames derive from cell names; anything outside [A-Za-z0-9._-]
-/// becomes '_' so a scenario called "lossy 5%" cannot escape the directory.
-std::string sanitize_for_path(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
-}  // namespace
-
 void CampaignSweep::run(std::uint64_t base_seed, std::size_t n,
                         const CampaignOptions& opts) {
   if (!factory_) {
@@ -578,26 +508,21 @@ void CampaignSweep::run(std::uint64_t base_seed, std::size_t n,
         "CampaignSweep::run on a merge-constructed sweep: it carries "
         "recorded cells only, there is no factory to execute");
   }
+  if (!opts.journal_path.empty()) {
+    throw minisc::SimError(
+        minisc::SimError::Kind::kBadConfig,
+        "CampaignSweep::run journals nothing (journal_path '" +
+            opts.journal_path +
+            "'): a durable sweep is a sweep fleet — run it with "
+            "sctrace::run_sharded_sweep, one journal per cell, and merge it "
+            "with merge_sweep_dir");
+  }
   cells_.clear();
   cells_.reserve(mappings_.size() * scenarios_.size());
   for (const std::string& m : mappings_) {
     for (const std::string& s : scenarios_) {
-      // Each cell journals (and resumes) independently: the sweep's
-      // journal_path is a prefix, the cell identity goes into both the
-      // filename and the header tag. A kill mid-sweep therefore replays
-      // every finished cell from disk and re-runs only the missing seeds of
-      // the interrupted one.
-      CampaignOptions cell_opts = opts;
-      if (!opts.journal_path.empty()) {
-        cell_opts.journal_path = opts.journal_path + "." +
-                                 sanitize_for_path(m) + "." +
-                                 sanitize_for_path(s);
-        cell_opts.journal_tag = opts.journal_tag.empty()
-                                    ? m + "/" + s
-                                    : opts.journal_tag + ":" + m + "/" + s;
-      }
       FaultCampaign campaign(factory_(m, s));
-      campaign.run(base_seed, n, cell_opts);
+      campaign.run(base_seed, n, opts);
       cells_.push_back(Cell{m, s, campaign.report()});
     }
   }

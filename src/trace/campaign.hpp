@@ -25,9 +25,8 @@ struct CampaignRunResult {
 
   /// Attempts it took to produce this result (1 = first try). Transient
   /// SimErrors (minisc::is_transient — host-dependent wall-clock trips) are
-  /// retried up to CampaignOptions::max_attempts with seed-derived
-  /// deterministic backoff; permanent errors (bad config, storms) fail fast
-  /// with attempts == 1. A run still failing after the retry budget keeps
+  /// retried at once, up to CampaignOptions::max_attempts; permanent errors
+  /// (bad config, storms) fail fast with attempts == 1. A run still failing after the retry budget keeps
   /// completed == false and records the attempts it burned.
   std::uint32_t attempts = 1;
 
@@ -155,14 +154,14 @@ double mean_ci95(const Summary& s);
 /// concurrency contract of DESIGN.md §7.
 struct CampaignOptions {
   std::size_t threads = 0;  ///< 0 or 1 = sequential on the calling thread
-  std::size_t chunk = 1;    ///< consecutive seeds claimed by a worker at once
 
   // ---- durability (crash-consistent run journal, see trace/journal.hpp) ----
 
   /// Non-empty enables journaling: every completed seed is appended to this
-  /// file the moment it finishes, so a crashed campaign loses at most the
-  /// in-flight runs. CampaignSweep derives one journal per cell from this
-  /// path ("<path>.<mapping>.<scenario>").
+  /// file the moment it finishes (fsynced every 8 records and at the end),
+  /// so a crashed campaign loses at most the in-flight runs. A durable sweep
+  /// is a sweep fleet (run_sharded_sweep, trace/shard.hpp): CampaignSweep::run
+  /// refuses a journal path.
   std::string journal_path;
   /// With resume set and an existing journal at journal_path, recorded runs
   /// are replayed bit-exactly into their slots and only the missing seeds
@@ -176,10 +175,6 @@ struct CampaignOptions {
   std::uint64_t scenario_digest = 0;
   /// Free-form identity tag stored/checked alongside the digest.
   std::string journal_tag;
-  /// fsync the journal every this many records (1 = every record; batching
-  /// amortises the sync cost, at risk of losing only the unsynced tail to a
-  /// host power cut — a killed *process* loses nothing).
-  std::size_t journal_flush_every = 8;
 
   // ---- shard identity (journal header; set by trace/shard.hpp) ----
   //
@@ -207,16 +202,10 @@ struct CampaignOptions {
 
   // ---- per-run retry and timeout budgets ----
 
-  /// Attempts per seed: transient SimErrors (minisc::is_transient) retry up
-  /// to this many times; 1 (the default) preserves the fail-on-first-error
-  /// behaviour. Permanent errors never retry.
+  /// Attempts per seed: transient SimErrors (minisc::is_transient) retry at
+  /// once, up to this many times; 1 (the default) preserves the
+  /// fail-on-first-error behaviour. Permanent errors never retry.
   std::size_t max_attempts = 1;
-  /// Base host backoff before retry k, growing as base * 2^(k-1) and capped
-  /// at retry_backoff_max_ms, scaled by a deterministic jitter factor in
-  /// [0.75, 1.25) derived from (seed, attempt) — never ambient randomness,
-  /// so retries cannot perturb reproducibility. 0 retries immediately.
-  std::uint64_t retry_backoff_ms = 0;
-  std::uint64_t retry_backoff_max_ms = 1000;
   /// Per-run wall-clock budget, enforced via minisc::RunBudgetScope by any
   /// Simulator the run function builds: a hung seed trips a kWallClockBudget
   /// SimError (transient, hence retried) and becomes a failed-with-timeout
@@ -262,7 +251,7 @@ class FaultCampaign {
   explicit FaultCampaign(RunFn fn) : fn_(std::move(fn)) {}
 
   /// Builds a campaign directly from recorded results — the merge path:
-  /// sctrace::merge_journals folds shard journals into the global result
+  /// sctrace::merge_shard_dir folds shard journals into the global result
   /// vector and this constructor makes report()/write_csv() available on
   /// it, byte-identical to the single-process campaign that would have
   /// produced the same runs. run() on such a campaign throws
@@ -275,8 +264,7 @@ class FaultCampaign {
   /// so results()/report()/write_csv() are byte-identical to the sequential
   /// path regardless of thread count. A minisc::SimError thrown by any run
   /// is recorded as a failed run in either mode — after opts.max_attempts
-  /// tries with deterministic backoff when the error is transient
-  /// (minisc::is_transient) — and opts.run_wall_clock_ms converts a hung
+  /// tries when the error is transient (minisc::is_transient) — and opts.run_wall_clock_ms converts a hung
   /// seed into a failed-with-timeout record. The one SimError exempt from
   /// recording is kIoError (full disk, dying device): an infrastructure
   /// failure is not a property of the seed, so it propagates out of run()
@@ -304,7 +292,7 @@ class FaultCampaign {
   const SmcSpec& smc_spec() const { return smc_spec_; }
 
   /// Attaches a recorded verdict to a merge-constructed campaign (the
-  /// journal decision record recovered by sctrace::merge_journals /
+  /// journal decision record recovered by sctrace::merge_shard_dir /
   /// merge_sweep_dir), so report()/write_csv() reproduce the early-stopped
   /// campaign's bytes exactly.
   void set_smc_verdict(const SmcSpec& spec, const SmcVerdict& verdict) {
@@ -412,7 +400,10 @@ class CampaignSweep {
   /// common random numbers across cells, so cell differences are design
   /// differences, not sampling noise. Cells execute in grid order; within a
   /// cell the seeds are parallelised per `opts` (grid layout, reports and
-  /// CSV are thread-count-invariant, like FaultCampaign::run).
+  /// CSV are thread-count-invariant, like FaultCampaign::run). An in-process
+  /// sweep is not durable: opts.journal_path is refused (kBadConfig) —
+  /// journal a sweep as a sweep fleet (sctrace::run_sharded_sweep), whose
+  /// merge reproduces these bytes.
   void run(std::uint64_t base_seed, std::size_t n,
            const CampaignOptions& opts = {});
 

@@ -194,6 +194,30 @@ std::string frame(char type, const std::string& payload) {
 
 }  // namespace
 
+std::string identity_mismatch(const JournalHeader& got,
+                              const JournalHeader& want) {
+  std::string out;
+  const auto field = [&out](const char* name, const std::string& g,
+                            const std::string& w) {
+    if (g == w) return;
+    if (!out.empty()) out += ", ";
+    out += std::string(name) + " " + g + " (want " + w + ")";
+  };
+  const auto num = [&field](const char* name, std::uint64_t g,
+                            std::uint64_t w) {
+    field(name, std::to_string(g), std::to_string(w));
+  };
+  num("base_seed", got.base_seed, want.base_seed);
+  num("runs", got.runs, want.runs);
+  num("scenario_digest", got.scenario_digest, want.scenario_digest);
+  field("tag", "'" + got.tag + "'", "'" + want.tag + "'");
+  num("shard_index", got.shard_index, want.shard_index);
+  num("shard_count", got.shard_count, want.shard_count);
+  num("shard_begin", got.shard_begin, want.shard_begin);
+  num("total_runs", got.total_runs, want.total_runs);
+  return out;
+}
+
 JournalContents read_journal(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {

@@ -117,6 +117,15 @@ struct JournalContents {
   bool truncated_tail = false;
 };
 
+/// Names every identity field in which `got` differs from `want`, each with
+/// both values (e.g. "scenario_digest 3735928559 (want 0), runs 4 (want
+/// 5)"), or returns "" when `got` is the journal `want` describes. The format
+/// version (read_journal refuses every other one) and worker_id (provenance:
+/// an adopter extends the creator's journal) are not compared. Resume and the
+/// fleet readers (trace/shard.hpp) refuse a journal on a non-empty answer.
+std::string identity_mismatch(const JournalHeader& got,
+                              const JournalHeader& want);
+
 /// Scans `path` front to back. Throws minisc::SimError:
 ///   - kJournalCorrupt for a checksum-failing or malformed mid-file record
 ///     or a run record whose index is at or past the header's run count

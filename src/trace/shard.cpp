@@ -11,9 +11,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iomanip>
+#include <iterator>
+#include <optional>
 #include <ostream>
-#include <tuple>
+#include <sstream>
 #include <utility>
 
 #include "kernel/error.hpp"
@@ -201,6 +204,14 @@ std::string quarantine_summary(const LeaseInfo& info) {
   throw SimError(SimError::Kind::kMergeIncomplete, "campaign merge: " + what);
 }
 
+/// "<dir>/<kind>_<i>_of_<n><ext>": the unit count is in every name, so the
+/// files of one layout can never be mistaken for those of another.
+std::string unit_file(const std::string& dir, const char* kind,
+                      std::size_t index, std::size_t count, const char* ext) {
+  return dir + "/" + kind + "_" + std::to_string(index) + "_of_" +
+         std::to_string(count) + ext;
+}
+
 }  // namespace
 
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
@@ -221,38 +232,32 @@ ShardRange shard_range(std::size_t shard, std::size_t shard_count,
 
 std::string shard_journal_path(const std::string& dir, std::size_t shard,
                                std::size_t shard_count) {
-  return dir + "/shard_" + std::to_string(shard) + "_of_" +
-         std::to_string(shard_count) + ".journal";
+  return unit_file(dir, "shard", shard, shard_count, ".journal");
 }
 
 std::string shard_lease_path(const std::string& dir, std::size_t shard,
                              std::size_t shard_count) {
-  return dir + "/shard_" + std::to_string(shard) + "_of_" +
-         std::to_string(shard_count) + ".lease";
+  return unit_file(dir, "shard", shard, shard_count, ".lease");
 }
 
 std::string shard_quarantine_path(const std::string& dir, std::size_t shard,
                                   std::size_t shard_count) {
-  return dir + "/shard_" + std::to_string(shard) + "_of_" +
-         std::to_string(shard_count) + ".quarantined";
+  return unit_file(dir, "shard", shard, shard_count, ".quarantined");
 }
 
 std::string cell_journal_path(const std::string& dir, std::size_t cell,
                               std::size_t cell_count) {
-  return dir + "/cell_" + std::to_string(cell) + "_of_" +
-         std::to_string(cell_count) + ".journal";
+  return unit_file(dir, "cell", cell, cell_count, ".journal");
 }
 
 std::string cell_lease_path(const std::string& dir, std::size_t cell,
                             std::size_t cell_count) {
-  return dir + "/cell_" + std::to_string(cell) + "_of_" +
-         std::to_string(cell_count) + ".lease";
+  return unit_file(dir, "cell", cell, cell_count, ".lease");
 }
 
 std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
                                  std::size_t cell_count) {
-  return dir + "/cell_" + std::to_string(cell) + "_of_" +
-         std::to_string(cell_count) + ".quarantined";
+  return unit_file(dir, "cell", cell, cell_count, ".quarantined");
 }
 
 bool read_lease_info(const std::string& path, LeaseInfo* out) {
@@ -500,36 +505,264 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
                      info.adoptions + 1, info.error));
 }
 
-// ---- folding journal records -----------------------------------------------
+// ---- manifests -------------------------------------------------------------
 
 namespace {
 
-/// Run records placed at their slots of [0, end): the one fold behind the
-/// campaign merge, the sweep merge and the unit progress probe. A record
-/// lands at slot offset + its index; read_journal bounds the index by the
-/// journal's own run count, and records at or past `end` (past an
-/// early-stopped campaign's decision) are ignored. A later record for a
-/// slot replaces an earlier one, like journal resume: duplicates are
-/// bit-identical re-runs of a deterministic seed.
-struct RecordFold {
-  explicit RecordFold(std::size_t end) : slots(end), done(end, false) {}
+constexpr const char* kFleetManifestMagic = "scperf-fleet v1";
+constexpr const char* kSweepManifestMagic = "scperf-sweep v1";
 
-  void add(JournalContents& jc, std::size_t offset) {
-    for (JournalRecord& rec : jc.records) {
-      const std::size_t slot = offset + rec.index;
-      if (slot >= slots.size()) continue;
-      if (!done[slot]) ++recorded;
-      done[slot] = true;
-      slots[slot] = std::move(rec.result);
+std::string fleet_manifest_path(const std::string& dir) {
+  return dir + "/fleet.manifest";
+}
+
+std::string sweep_manifest_path(const std::string& dir) {
+  return dir + "/sweep.manifest";
+}
+
+/// The one manifest format, shared by fleet.manifest and sweep.manifest: a
+/// magic line, then one "key value" line per entry, in order.
+using ManifestLines = std::vector<std::pair<std::string, std::string>>;
+
+std::string format_manifest(const char* magic, const ManifestLines& lines) {
+  std::string s = std::string(magic) + "\n";
+  for (const auto& [key, value] : lines) s += key + " " + value + "\n";
+  return s;
+}
+
+[[noreturn]] void throw_manifest_corrupt(const std::string& path,
+                                         const std::string& why) {
+  throw SimError(SimError::Kind::kJournalCorrupt,
+                 "manifest '" + path + "': " + why);
+}
+
+/// Reads the manifest at `path` through `set`, which takes one key and its
+/// value and returns false for a key it does not know. Throws
+/// kMergeIncomplete when the file does not exist (`missing` says what that
+/// means) and kJournalCorrupt for a wrong magic line or a line `set`
+/// refuses. A bare "tag" line is the empty tag with its space trimmed.
+void read_manifest(
+    const std::string& path, const char* magic, const char* missing,
+    const std::function<bool(const std::string&, const std::string&)>& set) {
+  if (!file_exists(path)) {
+    throw SimError(SimError::Kind::kMergeIncomplete,
+                   "manifest '" + path + "' does not exist — " + missing);
+  }
+  std::istringstream in(read_whole_file(path));
+  std::string line;
+  if (!std::getline(in, line) || line != magic) {
+    throw_manifest_corrupt(path, "bad magic line '" + line + "'");
+  }
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const std::size_t sp = line.find(' ');
+    const bool bare = sp == std::string::npos;
+    if ((bare && line != "tag") ||
+        !set(line.substr(0, sp), bare ? "" : line.substr(sp + 1))) {
+      throw_manifest_corrupt(path, "unrecognised line '" + line + "'");
     }
   }
+}
 
-  bool complete() const { return recorded == slots.size(); }
+std::uint64_t to_u64(const std::string& value) {
+  return std::strtoull(value.c_str(), nullptr, 10);
+}
+
+std::string format_fleet_manifest(const FleetManifest& m) {
+  return format_manifest(kFleetManifestMagic,
+                         {{"base_seed", std::to_string(m.base_seed)},
+                          {"total_runs", std::to_string(m.total_runs)},
+                          {"shard_count", std::to_string(m.shard_count)},
+                          {"digest", std::to_string(m.scenario_digest)},
+                          {"tag", m.tag}});
+}
+
+std::string format_sweep_manifest(const SweepManifest& m) {
+  ManifestLines lines = {{"base_seed", std::to_string(m.base_seed)},
+                         {"runs", std::to_string(m.runs)},
+                         {"digest", std::to_string(m.scenario_digest)},
+                         {"tag", m.tag}};
+  for (const std::string& name : m.mappings) lines.emplace_back("mapping", name);
+  for (const std::string& name : m.scenarios) {
+    lines.emplace_back("scenario", name);
+  }
+  return format_manifest(kSweepManifestMagic, lines);
+}
+
+/// First-writer-wins pinned-file creation: the content is written to a
+/// private tmp file (fsynced) and link()ed into place — link fails with
+/// EEXIST if the file already exists, and because the final name appears
+/// atomically a losing worker can never read a torn file. Shared by the
+/// fleet and sweep manifests.
+bool create_pinned_file(const std::string& path, const std::string& content,
+                        const std::string& tmp_tag) {
+  const std::string tmp = path + ".tmp-" + tmp_tag;
+  create_synced_file(tmp, content, /*exclusive=*/false);
+  const int rc = ::link(tmp.c_str(), path.c_str());
+  const int saved_errno = errno;
+  ::unlink(tmp.c_str());
+  if (rc == 0) return true;
+  if (saved_errno == EEXIST) return false;
+  errno = saved_errno;
+  throw_io(path, "link");
+}
+
+}  // namespace
+
+FleetManifest read_fleet_manifest(const std::string& dir) {
+  FleetManifest m;
+  const std::string path = fleet_manifest_path(dir);
+  read_manifest(path, kFleetManifestMagic,
+                "no fleet ever pinned a layout in this directory",
+                [&m](const std::string& key, const std::string& value) {
+                  if (key == "base_seed") {
+                    m.base_seed = to_u64(value);
+                  } else if (key == "total_runs") {
+                    m.total_runs = to_u64(value);
+                  } else if (key == "shard_count") {
+                    m.shard_count = to_u64(value);
+                  } else if (key == "digest") {
+                    m.scenario_digest = to_u64(value);
+                  } else if (key == "tag") {
+                    m.tag = value;
+                  } else {
+                    return false;
+                  }
+                  return true;
+                });
+  if (m.shard_count == 0) throw_manifest_corrupt(path, "zero shard_count");
+  return m;
+}
+
+std::string SweepManifest::cell_tag(std::size_t cell) const {
+  const std::string& m = cell_mapping(cell);
+  const std::string& s = cell_scenario(cell);
+  return tag.empty() ? m + "/" + s : tag + ":" + m + "/" + s;
+}
+
+SweepManifest read_sweep_manifest(const std::string& dir) {
+  SweepManifest m;
+  const std::string path = sweep_manifest_path(dir);
+  read_manifest(path, kSweepManifestMagic,
+                "no sweep fleet ever started in this directory",
+                [&m](const std::string& key, const std::string& value) {
+                  if (key == "base_seed") {
+                    m.base_seed = to_u64(value);
+                  } else if (key == "runs") {
+                    m.runs = to_u64(value);
+                  } else if (key == "digest") {
+                    m.scenario_digest = to_u64(value);
+                  } else if (key == "tag") {
+                    m.tag = value;
+                  } else if (key == "mapping") {
+                    m.mappings.push_back(value);
+                  } else if (key == "scenario") {
+                    m.scenarios.push_back(value);
+                  } else {
+                    return false;
+                  }
+                  return true;
+                });
+  if (m.mappings.empty() || m.scenarios.empty()) {
+    throw_manifest_corrupt(path, "no mappings or no scenarios");
+  }
+  return m;
+}
+
+// ---- the unit table --------------------------------------------------------
+
+namespace {
+
+/// One lease-claimable work unit of a pinned layout — a campaign shard or a
+/// sweep cell: one lease, one journal, one quarantine tombstone, and the
+/// header its journal must carry. Workers, merges and status all walk the
+/// same table, built from the manifest alone.
+struct Unit {
+  std::size_t index = 0;
+  std::string name;  ///< "shard 2/4" or "mapping/scenario"
+  std::string journal;
+  std::string lease;
+  std::string quarantine;
+  JournalHeader header;  ///< the unit's identity; worker_id is not part of it
+};
+
+Unit make_unit(const std::string& dir, const char* kind, std::size_t index,
+               std::size_t count, std::string name) {
+  Unit u;
+  u.index = index;
+  u.name = std::move(name);
+  u.journal = unit_file(dir, kind, index, count, ".journal");
+  u.lease = unit_file(dir, kind, index, count, ".lease");
+  u.quarantine = unit_file(dir, kind, index, count, ".quarantined");
+  return u;
+}
+
+/// Every shard of a pinned campaign layout: shard i covers the canonical
+/// shard_range slot i, so the units tile the campaign in seed order.
+std::vector<Unit> campaign_units(const std::string& dir,
+                                 const FleetManifest& m) {
+  std::vector<Unit> units;
+  for (std::size_t i = 0; i < m.shard_count; ++i) {
+    const ShardRange range = shard_range(i, m.shard_count, m.total_runs);
+    Unit u = make_unit(dir, "shard", i, m.shard_count,
+                       "shard " + std::to_string(i) + "/" +
+                           std::to_string(m.shard_count));
+    u.header.base_seed = m.base_seed + range.begin;
+    u.header.runs = range.size();
+    u.header.scenario_digest = m.scenario_digest;
+    u.header.tag = m.tag;
+    u.header.shard_index = i;
+    u.header.shard_count = m.shard_count;
+    u.header.shard_begin = range.begin;
+    u.header.total_runs = m.total_runs;
+    units.push_back(std::move(u));
+  }
+  return units;
+}
+
+/// Every cell of a pinned sweep grid, in grid order. A cell is a whole
+/// single-shard campaign over the common seeds; its identity is its tag.
+std::vector<Unit> sweep_units(const std::string& dir, const SweepManifest& m) {
+  std::vector<Unit> units;
+  for (std::size_t c = 0; c < m.cells(); ++c) {
+    Unit u = make_unit(dir, "cell", c, m.cells(),
+                       m.cell_mapping(c) + "/" + m.cell_scenario(c));
+    u.header.base_seed = m.base_seed;
+    u.header.runs = m.runs;
+    u.header.scenario_digest = m.scenario_digest;
+    u.header.tag = m.cell_tag(c);
+    u.header.total_runs = m.runs;
+    units.push_back(std::move(u));
+  }
+  return units;
+}
+
+/// What one read of a unit's files found. Never throws: status and the
+/// claim pass must not fail on a racing writer, and each merge decides
+/// which findings refuse. Records are placed by index in [0, owed), where
+/// an early-stopped unit owes only the runs its decision record covers; a
+/// later record for a slot replaces an earlier one, like journal resume
+/// (duplicates are bit-identical re-runs of a deterministic seed).
+struct UnitRead {
+  bool quarantined = false;
+  LeaseInfo tomb;       ///< the tombstone's record, when quarantined
+  bool exists = false;  ///< the journal file exists
+  std::optional<SimError> error;  ///< the journal does not read
+  std::string foreign;  ///< identity_mismatch against the unit's header
+  std::optional<JournalDecision> decision;
+  std::vector<CampaignRunResult> slots;  ///< owed slots, filled where done
+  std::vector<bool> done;
+  std::size_t recorded = 0;  ///< distinct slots holding a record
+
+  /// A journal whose header is not its unit's never counts as complete.
+  bool complete() const {
+    return !error && foreign.empty() && recorded == slots.size();
+  }
 
   /// The recorded runs in seed order, compacted over the missing slots —
   /// deterministic for any worker interleaving and thread count.
   std::vector<CampaignRunResult> take() {
-    if (complete()) return std::move(slots);
+    if (recorded == slots.size()) return std::move(slots);
     std::vector<CampaignRunResult> out;
     out.reserve(recorded);
     for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -537,84 +770,81 @@ struct RecordFold {
     }
     return out;
   }
-
-  std::vector<CampaignRunResult> slots;
-  std::vector<bool> done;
-  std::size_t recorded = 0;  ///< distinct slots holding a record
 };
 
-/// How far one unit's journal got: `recorded` of the `owed` runs, where an
-/// early-stopped unit owes only the runs its decision record covers — it is
-/// complete, and run_fleet skips it, the moment those are recorded. A
-/// missing, torn or corrupt journal has recorded nothing (the claimer heals
-/// it). Never throws: status and the claim pass must not fail on a racing
-/// writer.
-struct UnitProgress {
-  std::size_t recorded = 0;
-  std::size_t owed = 0;
-  bool complete() const { return recorded == owed; }
-};
-
-UnitProgress probe_unit(const std::string& journal, std::size_t runs) {
-  UnitProgress p;
-  p.owed = runs;
-  JournalContents jc;
-  try {
-    jc = read_journal(journal);
-  } catch (const SimError&) {
-    return p;
+UnitRead read_unit(const Unit& u) {
+  UnitRead r;
+  r.quarantined = read_lease_info(u.quarantine, &r.tomb);
+  r.exists = file_exists(u.journal);
+  std::vector<JournalRecord> records;
+  if (r.exists) {
+    try {
+      JournalContents jc = read_journal(u.journal);
+      r.foreign = identity_mismatch(jc.header, u.header);
+      if (r.foreign.empty()) {
+        r.decision = jc.decision;
+        records = std::move(jc.records);
+      }
+    } catch (const SimError& e) {
+      r.error.emplace(e);
+    }
   }
-  if (jc.decision) {
-    p.owed = std::min(static_cast<std::size_t>(jc.decision->executed), runs);
+  std::size_t owed = u.header.runs;
+  if (r.decision) {
+    owed = std::min(static_cast<std::size_t>(r.decision->executed), owed);
   }
-  RecordFold fold(p.owed);
-  fold.add(jc, 0);
-  p.recorded = fold.recorded;
-  return p;
+  r.slots.resize(owed);
+  r.done.assign(owed, false);
+  for (JournalRecord& rec : records) {
+    if (rec.index >= owed) continue;  // past an early stop's decision
+    if (!r.done[rec.index]) ++r.recorded;
+    r.done[rec.index] = true;
+    r.slots[rec.index] = std::move(rec.result);
+  }
+  return r;
 }
 
-}  // namespace
+/// read_unit for a merge. A journal of another format version or of
+/// another unit's identity is refused even in partial mode — a wrong
+/// fleet, not an unfinished one.
+UnitRead read_for_merge(const Unit& u) {
+  UnitRead r = read_unit(u);
+  if (r.error && r.error->kind() == SimError::Kind::kShardVersionMismatch) {
+    throw *r.error;
+  }
+  if (!r.foreign.empty()) {
+    throw_merge_bad("journal '" + u.journal + "' does not carry " + u.name +
+                    "'s identity: " + r.foreign +
+                    " — it belongs to another fleet or layout");
+  }
+  return r;
+}
 
 // ---- generic fleet worker loop ---------------------------------------------
 
-namespace {
-
-/// One lease-claimable work unit of a fleet: a campaign shard or a sweep
-/// cell. `opts` arrives fully prepared (journal path, identity tag, shard
-/// header fields); the loop only stamps the worker id and resume flag.
-struct FleetUnit {
-  std::size_t index = 0;
-  std::string name;  ///< for progress and error messages
-  std::string journal;
-  std::string lease;
-  std::string quarantine;
-  std::uint64_t base_seed = 0;  ///< first seed of this unit
-  std::size_t runs = 0;
-  CampaignOptions opts;
-  FaultCampaign::RunFn fn;
-};
-
 /// The self-healing claim/run/adopt/quarantine loop shared by
-/// run_sharded_campaign and run_sharded_sweep. Per pass over the units
-/// (starting at the worker's preferred one, then roaming): skip tombstoned
-/// and complete units, claim the rest, execute claimed ones as
-/// journaled+resumed campaigns, and classify every failure —
+/// run_sharded_campaign and run_sharded_sweep, over the units of the pinned
+/// layout (fns[i] runs unit i's seeds). Per pass over the units (starting
+/// at the worker's preferred one, then roaming): skip tombstoned and
+/// complete units, claim the rest, execute claimed ones as journaled+resumed
+/// campaigns under the unit's identity, and classify every failure —
 ///
 ///   - LeaseLostError: the shard was adopted away (we stalled past the
 ///     TTL); abort it, the adopter owns the journal now.
 ///   - kJournalCorrupt: heal — delete the damaged journal and re-run the
 ///     whole unit under the lease we hold (runs are pure functions of
 ///     their seeds, so the fresh journal is bit-identical).
-///   - any other SimError (kIoError from journal/heartbeat I/O, config
-///     mismatches, unhealable corruption): record the error in the lease
+///   - any other SimError (kIoError from journal/heartbeat I/O, a journal
+///     resume refuses, unhealable corruption): record the error in the lease
 ///     and abandon it — the lease goes stale, another worker adopts, and
 ///     the adoption counter quarantines the unit once every adopter has
 ///     failed. The worker stays alive for the rest of the fleet.
 ///
 /// Exits when every unit is complete or quarantined (fleet_done); until
 /// then it polls while peers hold the remaining leases.
-ShardProgress run_fleet(const std::vector<FleetUnit>& units,
-                        const ShardOptions& shard,
+ShardProgress run_fleet(const std::vector<Unit>& units,
+                        const std::vector<FaultCampaign::RunFn>& fns,
+                        const CampaignOptions& opts, const ShardOptions& shard,
                         const std::string& worker_id) {
   ShardProgress prog;
   std::vector<bool> quarantined(units.size(), false);  // terminal units
@@ -627,13 +857,14 @@ ShardProgress run_fleet(const std::vector<FleetUnit>& units,
       // Start at our preferred unit and roam upward: a fleet spreads across
       // the units instead of stampeding the same lease.
       const std::size_t i = (prefer + k) % units.size();
-      const FleetUnit& unit = units[i];
-      if (unit.runs == 0) continue;  // empty unit: trivially complete
-      if (quarantined[i] || file_exists(unit.quarantine)) {
+      const Unit& unit = units[i];
+      if (quarantined[i]) continue;
+      const UnitRead probe = read_unit(unit);
+      if (probe.quarantined) {
         quarantined[i] = true;  // terminal: skip without claiming
         continue;
       }
-      if (probe_unit(unit.journal, unit.runs).complete()) continue;
+      if (probe.complete()) continue;
       all_done = false;
 
       std::unique_ptr<ShardLease> lease;
@@ -659,14 +890,19 @@ ShardProgress run_fleet(const std::vector<FleetUnit>& units,
       }
       // A peer may have completed and released the unit between the
       // completeness probe above and this claim: re-probe under the lease.
-      if (probe_unit(unit.journal, unit.runs).complete()) {
+      if (read_unit(unit).complete()) {
         lease->release();
         progressed = true;
         continue;
       }
 
-      CampaignOptions co = unit.opts;
+      CampaignOptions co = opts;
       co.journal_path = unit.journal;
+      co.journal_tag = unit.header.tag;
+      co.shard_index = unit.header.shard_index;
+      co.shard_count = unit.header.shard_count;
+      co.shard_begin = unit.header.shard_begin;
+      co.total_runs = unit.header.total_runs;
       co.resume = true;  // adoption = resuming the dead worker's journal
       co.worker_id = worker_id;
 
@@ -677,7 +913,7 @@ ShardProgress run_fleet(const std::vector<FleetUnit>& units,
       co.pre_append = [held](std::size_t) { held->assert_still_mine(); };
 
       const FaultCampaign::RunFn wrapped =
-          [&unit, &executed, held](std::uint64_t seed) {
+          [fn = &fns[i], &executed, held](std::uint64_t seed) {
             if (held->lost()) {
               throw LeaseLostError(
                   "shard lease '" + held->path() + "' was adopted away from '" +
@@ -694,12 +930,12 @@ ShardProgress run_fleet(const std::vector<FleetUnit>& units,
               throw SimError(SimError::Kind::kIoError, io);
             }
             executed.fetch_add(1, std::memory_order_relaxed);
-            return unit.fn(seed);
+            return (*fn)(seed);
           };
 
       const auto run_unit = [&] {
         FaultCampaign campaign(wrapped);
-        campaign.run(unit.base_seed, unit.runs, co);
+        campaign.run(unit.header.base_seed, unit.header.runs, co);
       };
       const auto abandon_with = [&](const SimError& e) {
         // Permanent failure executing this unit. Record it and walk away:
@@ -763,110 +999,23 @@ ShardProgress run_fleet(const std::vector<FleetUnit>& units,
   return prog;
 }
 
-std::string default_worker_id(const ShardOptions& shard) {
+/// Creates the fleet directory and returns this worker's id: the given
+/// one, or "w<shard_index>.pid<pid>".
+std::string join_fleet(const ShardOptions& shard, const std::string& who) {
+  if (shard.dir.empty()) {
+    throw SimError(SimError::Kind::kBadConfig,
+                   who + ": shard directory must be set");
+  }
+  std::filesystem::create_directories(shard.dir);
   return !shard.worker_id.empty()
              ? shard.worker_id
              : "w" + std::to_string(shard.shard_index) + ".pid" +
                    std::to_string(static_cast<long>(::getpid()));
 }
 
-// ---- fleet manifest (campaign layout authority) ---------------------------
-
-std::string fleet_manifest_path(const std::string& dir) {
-  return dir + "/fleet.manifest";
-}
-
-constexpr const char* kFleetManifestMagic = "scperf-fleet v1";
-
-std::string format_fleet_manifest(const FleetManifest& m) {
-  std::string s = std::string(kFleetManifestMagic) + "\n";
-  s += "base_seed " + std::to_string(m.base_seed) + "\n";
-  s += "total_runs " + std::to_string(m.total_runs) + "\n";
-  s += "shard_count " + std::to_string(m.shard_count) + "\n";
-  s += "digest " + std::to_string(m.scenario_digest) + "\n";
-  s += "tag " + m.tag + "\n";
-  return s;
-}
-
-[[noreturn]] void throw_fleet_manifest_corrupt(const std::string& path,
-                                               const std::string& why) {
-  throw SimError(SimError::Kind::kJournalCorrupt,
-                 "fleet manifest '" + path + "': " + why);
-}
-
-FleetManifest parse_fleet_manifest(const std::string& path,
-                                   const std::string& content) {
-  FleetManifest m;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  bool saw_magic = false;
-  while (pos < content.size()) {
-    std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string line = content.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (line_no == 1) {
-      if (line != kFleetManifestMagic) {
-        throw_fleet_manifest_corrupt(path, "bad magic line '" + line + "'");
-      }
-      saw_magic = true;
-      continue;
-    }
-    if (line.compare(0, 10, "base_seed ") == 0) {
-      m.base_seed = std::strtoull(line.c_str() + 10, nullptr, 10);
-    } else if (line.compare(0, 11, "total_runs ") == 0) {
-      m.total_runs = static_cast<std::size_t>(
-          std::strtoull(line.c_str() + 11, nullptr, 10));
-    } else if (line.compare(0, 12, "shard_count ") == 0) {
-      m.shard_count = static_cast<std::size_t>(
-          std::strtoull(line.c_str() + 12, nullptr, 10));
-    } else if (line.compare(0, 7, "digest ") == 0) {
-      m.scenario_digest = std::strtoull(line.c_str() + 7, nullptr, 10);
-    } else if (line.compare(0, 4, "tag ") == 0) {
-      m.tag = line.substr(4);
-    } else if (line == "tag") {
-      m.tag.clear();
-    } else if (!line.empty()) {
-      throw_fleet_manifest_corrupt(path, "unrecognised line '" + line + "'");
-    }
-  }
-  if (!saw_magic || m.shard_count == 0) {
-    throw_fleet_manifest_corrupt(path, "missing magic or zero shard_count");
-  }
-  return m;
-}
-
-/// First-writer-wins pinned-file creation: the content is written to a
-/// private tmp file (fsynced) and link()ed into place — link fails with
-/// EEXIST if the file already exists, and because the final name appears
-/// atomically a losing worker can never read a torn file. Shared by the
-/// fleet and sweep manifests.
-bool create_pinned_file(const std::string& path, const std::string& content,
-                        const std::string& tmp_tag) {
-  const std::string tmp = path + ".tmp-" + tmp_tag;
-  create_synced_file(tmp, content, /*exclusive=*/false);
-  const int rc = ::link(tmp.c_str(), path.c_str());
-  const int saved_errno = errno;
-  ::unlink(tmp.c_str());
-  if (rc == 0) return true;
-  if (saved_errno == EEXIST) return false;
-  errno = saved_errno;
-  throw_io(path, "link");
-}
-
 }  // namespace
 
-FleetManifest read_fleet_manifest(const std::string& dir) {
-  const std::string path = fleet_manifest_path(dir);
-  if (!file_exists(path)) {
-    throw SimError(SimError::Kind::kMergeIncomplete,
-                   "fleet manifest '" + path +
-                       "' does not exist — no campaign fleet ever pinned a "
-                       "layout in this directory");
-  }
-  return parse_fleet_manifest(path, read_whole_file(path));
-}
+// ---- workers ---------------------------------------------------------------
 
 ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    std::uint64_t base_seed,
@@ -883,26 +1032,16 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                        " out of range for " +
                        std::to_string(shard.shard_count) + " shards");
   }
-  if (shard.dir.empty()) {
-    throw SimError(SimError::Kind::kBadConfig,
-                   "run_sharded_campaign: shard directory must be set");
-  }
-  std::filesystem::create_directories(shard.dir);
-  const std::string worker_id = default_worker_id(shard);
+  const std::string worker_id = join_fleet(shard, "run_sharded_campaign");
 
   // Pin (or verify) the layout before touching any shard: the manifest is
   // the single authority on {base_seed, total_runs, shard_count, digest,
   // tag}, and it never changes once pinned. Exactly one worker creates it;
   // everyone else compares and refuses on any difference — an explicit
   // worker with another shard count is told how to follow the pin instead.
-  FleetManifest mine;
-  mine.base_seed = base_seed;
-  mine.total_runs = total_runs;
-  mine.shard_count = shard.shard_count;
-  mine.scenario_digest = opts.scenario_digest;
-  mine.tag = opts.journal_tag;
-
-  const auto identity_mismatch = [&](const FleetManifest& pinned) {
+  const FleetManifest mine{base_seed, total_runs, shard.shard_count,
+                           opts.scenario_digest, opts.journal_tag};
+  const auto other_campaign = [&](const FleetManifest& pinned) {
     return pinned.base_seed != base_seed || pinned.total_runs != total_runs ||
            pinned.scenario_digest != opts.scenario_digest ||
            pinned.tag != opts.journal_tag;
@@ -924,8 +1063,7 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
     pinned = mine;
   } else {
     pinned = read_fleet_manifest(shard.dir);
-    if (!identity_mismatch(pinned) &&
-        pinned.shard_count != shard.shard_count) {
+    if (!other_campaign(pinned) && pinned.shard_count != shard.shard_count) {
       throw SimError(
           SimError::Kind::kBadConfig,
           "run_sharded_campaign: this worker was launched for " +
@@ -937,7 +1075,7 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
               "manifest");
     }
   }
-  if (identity_mismatch(pinned)) {
+  if (other_campaign(pinned)) {
     throw SimError(
         SimError::Kind::kBadConfig,
         "run_sharded_campaign: this worker's campaign (seed " +
@@ -956,122 +1094,9 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
         "run the smc campaign unsharded, or shard a sweep (cells are whole "
         "campaigns and prune independently)");
   }
-
-  // Every unit is exactly one canonical shard_range slot of the pin.
-  const std::size_t count = pinned.shard_count;
-  std::vector<FleetUnit> units;
-  units.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const ShardRange range = shard_range(i, count, total_runs);
-    FleetUnit u;
-    u.index = i;
-    u.name = "shard " + std::to_string(i) + "/" + std::to_string(count);
-    u.journal = shard_journal_path(shard.dir, i, count);
-    u.lease = shard_lease_path(shard.dir, i, count);
-    u.quarantine = shard_quarantine_path(shard.dir, i, count);
-    u.base_seed = base_seed + range.begin;
-    u.runs = range.size();
-    u.opts = opts;
-    u.opts.shard_index = i;
-    u.opts.shard_count = count;
-    u.opts.shard_begin = range.begin;
-    u.opts.total_runs = total_runs;
-    u.fn = fn;
-    units.push_back(std::move(u));
-  }
-  return run_fleet(units, shard, worker_id);
-}
-
-// ---- sharded sweeps --------------------------------------------------------
-
-namespace {
-
-std::string manifest_path(const std::string& dir) {
-  return dir + "/sweep.manifest";
-}
-
-constexpr const char* kManifestMagic = "scperf-sweep v1";
-
-std::string format_manifest(const SweepManifest& m) {
-  std::string s = std::string(kManifestMagic) + "\n";
-  s += "base_seed " + std::to_string(m.base_seed) + "\n";
-  s += "runs " + std::to_string(m.runs) + "\n";
-  s += "digest " + std::to_string(m.scenario_digest) + "\n";
-  s += "tag " + m.tag + "\n";
-  for (const std::string& name : m.mappings) s += "mapping " + name + "\n";
-  for (const std::string& name : m.scenarios) s += "scenario " + name + "\n";
-  return s;
-}
-
-[[noreturn]] void throw_manifest_corrupt(const std::string& path,
-                                         const std::string& why) {
-  throw SimError(SimError::Kind::kJournalCorrupt,
-                 "sweep manifest '" + path + "': " + why);
-}
-
-SweepManifest parse_manifest(const std::string& path,
-                             const std::string& content) {
-  SweepManifest m;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  bool saw_magic = false;
-  while (pos < content.size()) {
-    std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string line = content.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (line_no == 1) {
-      if (line != kManifestMagic) {
-        throw_manifest_corrupt(path, "bad magic line '" + line + "'");
-      }
-      saw_magic = true;
-      continue;
-    }
-    if (line.compare(0, 10, "base_seed ") == 0) {
-      m.base_seed = std::strtoull(line.c_str() + 10, nullptr, 10);
-    } else if (line.compare(0, 5, "runs ") == 0) {
-      m.runs = static_cast<std::size_t>(
-          std::strtoull(line.c_str() + 5, nullptr, 10));
-    } else if (line.compare(0, 7, "digest ") == 0) {
-      m.scenario_digest = std::strtoull(line.c_str() + 7, nullptr, 10);
-    } else if (line.compare(0, 4, "tag ") == 0) {
-      m.tag = line.substr(4);
-    } else if (line == "tag") {
-      m.tag.clear();
-    } else if (line.compare(0, 8, "mapping ") == 0) {
-      m.mappings.push_back(line.substr(8));
-    } else if (line.compare(0, 9, "scenario ") == 0) {
-      m.scenarios.push_back(line.substr(9));
-    } else if (!line.empty()) {
-      throw_manifest_corrupt(path, "unrecognised line '" + line + "'");
-    }
-  }
-  if (!saw_magic || m.mappings.empty() || m.scenarios.empty()) {
-    throw_manifest_corrupt(path, "missing magic, mappings or scenarios");
-  }
-  return m;
-}
-
-}  // namespace
-
-std::string SweepManifest::cell_tag(std::size_t cell) const {
-  const std::string& m = cell_mapping(cell);
-  const std::string& s = cell_scenario(cell);
-  // Same derivation as CampaignSweep::run's per-cell journal tag, so fleet
-  // cell journals pin the identity a single-process sweep would pin.
-  return tag.empty() ? m + "/" + s : tag + ":" + m + "/" + s;
-}
-
-SweepManifest read_sweep_manifest(const std::string& dir) {
-  const std::string path = manifest_path(dir);
-  if (!file_exists(path)) {
-    throw SimError(SimError::Kind::kMergeIncomplete,
-                   "sweep manifest '" + path +
-                       "' does not exist — no sweep fleet ever started in "
-                       "this directory");
-  }
-  return parse_manifest(path, read_whole_file(path));
+  const std::vector<Unit> units = campaign_units(shard.dir, pinned);
+  return run_fleet(units, std::vector<FaultCampaign::RunFn>(units.size(), fn),
+                   opts, shard, worker_id);
 }
 
 ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
@@ -1089,241 +1114,116 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
     throw SimError(SimError::Kind::kBadConfig,
                    "run_sharded_sweep: no cell factory given");
   }
-  if (shard.dir.empty()) {
-    throw SimError(SimError::Kind::kBadConfig,
-                   "run_sharded_sweep: shard directory must be set");
-  }
-  std::filesystem::create_directories(shard.dir);
-  const std::string worker_id = default_worker_id(shard);
+  const std::string worker_id = join_fleet(shard, "run_sharded_sweep");
 
   // Pin (or verify) the grid identity before touching any cell: every
   // worker of one fleet must agree on the grid, the seed, the run count and
   // the fault-model digest, or its cell journals would silently disagree
   // with everyone else's. Exactly one worker creates the manifest; the rest
   // compare and refuse on any difference.
-  SweepManifest manifest;
-  manifest.base_seed = base_seed;
-  manifest.runs = n;
-  manifest.scenario_digest = opts.scenario_digest;
-  manifest.tag = opts.journal_tag;
-  manifest.mappings = mappings;
-  manifest.scenarios = scenarios;
-  if (!create_pinned_file(manifest_path(shard.dir),
-                          format_manifest(manifest), worker_id)) {
-    const SweepManifest pinned = read_sweep_manifest(shard.dir);
-    if (format_manifest(pinned) != format_manifest(manifest)) {
-      throw SimError(
-          SimError::Kind::kBadConfig,
-          "run_sharded_sweep: this worker's sweep (seed " +
-              std::to_string(base_seed) + ", " + std::to_string(n) +
-              " runs, " + std::to_string(mappings.size()) + "x" +
-              std::to_string(scenarios.size()) + " grid, digest " +
-              std::to_string(opts.scenario_digest) +
-              ") disagrees with the manifest pinned in '" + shard.dir +
-              "' — a worker from a different sweep would corrupt the fleet's "
-              "cells");
-    }
+  const SweepManifest manifest{base_seed,        n,        opts.scenario_digest,
+                               opts.journal_tag, mappings, scenarios};
+  const std::string text = format_sweep_manifest(manifest);
+  if (!create_pinned_file(sweep_manifest_path(shard.dir), text, worker_id) &&
+      format_sweep_manifest(read_sweep_manifest(shard.dir)) != text) {
+    throw SimError(
+        SimError::Kind::kBadConfig,
+        "run_sharded_sweep: this worker's sweep (seed " +
+            std::to_string(base_seed) + ", " + std::to_string(n) + " runs, " +
+            std::to_string(mappings.size()) + "x" +
+            std::to_string(scenarios.size()) + " grid, digest " +
+            std::to_string(opts.scenario_digest) +
+            ") disagrees with the manifest pinned in '" + shard.dir +
+            "' — a worker from a different sweep would corrupt the fleet's "
+            "cells");
   }
-
-  const std::size_t cells = manifest.cells();
-  std::vector<FleetUnit> units;
-  units.reserve(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    const std::string& m = manifest.cell_mapping(c);
-    const std::string& s = manifest.cell_scenario(c);
-    FleetUnit u;
-    u.index = c;
-    u.name = m + "/" + s;
-    u.journal = cell_journal_path(shard.dir, c, cells);
-    u.lease = cell_lease_path(shard.dir, c, cells);
-    u.quarantine = cell_quarantine_path(shard.dir, c, cells);
-    u.base_seed = base_seed;  // common random numbers across cells
-    u.runs = n;
-    u.opts = opts;
-    u.opts.journal_tag = manifest.cell_tag(c);
-    // Each cell is its own degenerate single-shard campaign: the cell
-    // identity lives in the tag (and the filename), not the shard fields.
-    u.opts.shard_index = 0;
-    u.opts.shard_count = 1;
-    u.opts.shard_begin = 0;
-    u.opts.total_runs = n;
-    u.fn = factory(m, s);
-    units.push_back(std::move(u));
+  const std::vector<Unit> units = sweep_units(shard.dir, manifest);
+  std::vector<FaultCampaign::RunFn> fns;
+  for (const Unit& u : units) {
+    fns.push_back(factory(manifest.cell_mapping(u.index),
+                          manifest.cell_scenario(u.index)));
   }
-  return run_fleet(units, shard, worker_id);
+  return run_fleet(units, fns, opts, shard, worker_id);
 }
 
 // ---- merge ----------------------------------------------------------------
 
-MergedCampaign merge_journals(const std::vector<std::string>& paths,
-                              const MergeOptions& opts) {
-  if (paths.empty()) {
-    throw_merge_bad("no shard journals given");
-  }
-
+MergedCampaign merge_shard_dir(const std::string& dir,
+                               const MergeOptions& opts) {
+  const FleetManifest m = read_fleet_manifest(dir);
   MergedCampaign out;
-  std::vector<JournalContents> shards;
-  shards.reserve(paths.size());
-  for (const std::string& p : paths) shards.push_back(read_journal(p));
+  out.base_seed = m.base_seed;
+  out.runs = m.total_runs;
+  out.scenario_digest = m.scenario_digest;
+  out.tag = m.tag;
+  out.shard_count = m.shard_count;
 
-  // Identity checks (read_journal already refused other format versions):
-  // all journals must agree on the campaign — digest, tag, base seed, total
-  // runs, layout. These refusals hold in partial mode too — a mixed fleet is
-  // a *wrong* fleet, not an unfinished one.
-  const JournalHeader& first = shards[0].header;
-  out.scenario_digest = first.scenario_digest;
-  out.tag = first.tag;
-  out.shard_count = static_cast<std::size_t>(first.shard_count);
-  out.runs = static_cast<std::size_t>(first.total_runs);
-  out.base_seed = first.base_seed - first.shard_begin;
-
-  // Journals by shard index: exactly one per shard, so a second one is
-  // ambiguous (which to trust?) rather than partial.
-  std::vector<std::vector<std::size_t>> by_shard(out.shard_count);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const JournalHeader& h = shards[s].header;
-    if (h.scenario_digest != out.scenario_digest) {
-      throw_merge_bad("shard journal '" + paths[s] +
-                      "' has scenario digest " +
-                      std::to_string(h.scenario_digest) + " but '" + paths[0] +
-                      "' has " + std::to_string(out.scenario_digest) +
-                      " — different fault models do not merge");
-    }
-    if (h.tag != out.tag) {
-      throw_merge_bad("shard journal '" + paths[s] + "' has tag '" + h.tag +
-                      "' but '" + paths[0] + "' has '" + out.tag + "'");
-    }
-    if (h.shard_count != out.shard_count || h.total_runs != out.runs) {
-      throw_merge_bad("shard journal '" + paths[s] + "' is shard " +
-                      std::to_string(h.shard_index) + "/" +
-                      std::to_string(h.shard_count) + " of " +
-                      std::to_string(h.total_runs) + " runs but '" + paths[0] +
-                      "' declares " + std::to_string(out.shard_count) +
-                      " shards of " + std::to_string(out.runs) +
-                      " runs — mixed shard layouts do not merge");
-    }
-    if (h.base_seed - h.shard_begin != out.base_seed) {
-      throw_merge_bad("shard journal '" + paths[s] +
-                      "' implies campaign base seed " +
-                      std::to_string(h.base_seed - h.shard_begin) + " but '" +
-                      paths[0] + "' implies " + std::to_string(out.base_seed));
-    }
-    if (h.shard_index >= h.shard_count) {
-      throw_merge_bad("shard journal '" + paths[s] + "' claims shard " +
-                      std::to_string(h.shard_index) + " of only " +
-                      std::to_string(h.shard_count));
-    }
-    // Each journal covers exactly the canonical slot of its index, so the
-    // journals of a fleet tile the campaign and no run slot has two owners.
-    const ShardRange want = shard_range(
-        static_cast<std::size_t>(h.shard_index), out.shard_count, out.runs);
-    if (h.shard_begin != want.begin || h.runs != want.size()) {
-      throw_merge_bad("shard journal '" + paths[s] + "' covers [" +
-                      std::to_string(h.shard_begin) + ", +" +
-                      std::to_string(h.runs) + ") but shard " +
-                      std::to_string(h.shard_index) +
-                      "'s canonical slot is [" + std::to_string(want.begin) +
-                      ", +" + std::to_string(want.size()) + ") of " +
-                      std::to_string(out.shard_count) + " shards");
-    }
-    by_shard[static_cast<std::size_t>(h.shard_index)].push_back(s);
-  }
-  {
-    // Ambiguity, not partial-ness: even a degraded merge cannot decide
-    // which duplicate journal to trust — and every ambiguous shard is
-    // reported in one message so one fix-up pass suffices.
-    std::string dups;
-    for (std::size_t i = 0; i < by_shard.size(); ++i) {
-      const std::vector<std::size_t>& idxs = by_shard[i];
-      if (idxs.size() < 2) continue;
-      if (!dups.empty()) dups += "; ";
-      dups += "shard " + std::to_string(i) + " (";
-      for (std::size_t k = 0; k < idxs.size(); ++k) {
-        if (k) dups += ", ";
-        dups += "'" + paths[idxs[k]] + "'";
-      }
-      dups += ")";
-    }
-    if (!dups.empty()) {
-      throw_merge_incomplete(
-          "the same shard appears in more than one journal: " + dups +
-          " — ambiguous which journal to trust");
-    }
-  }
-  {
-    // Missing shards are aggregated into one refusal: a fleet operator
-    // fixes them all in one pass instead of repeating merge-fail-fix N
-    // times.
-    std::string missing_list;
-    std::size_t n_missing = 0;
-    for (std::size_t i = 0; i < out.shard_count; ++i) {
-      if (!by_shard[i].empty() ||
-          shard_range(i, out.shard_count, out.runs).empty()) {
-        continue;
-      }
-      ++n_missing;
-      if (!opts.allow_partial) {
-        if (!missing_list.empty()) missing_list += ", ";
-        missing_list += std::to_string(i);
-      } else {
-        out.complete = false;
-        out.missing_shards.push_back(i);
-      }
-    }
-    if (n_missing > 0 && !opts.allow_partial) {
-      throw_merge_incomplete(
-          "no journal for " + std::to_string(n_missing) + " of " +
-          std::to_string(out.shard_count) + " shards (missing: " +
-          missing_list +
-          ") — a partial fleet merge would silently bias every campaign "
-          "statistic; finish the campaign, or merge with allow_partial "
-          "(--allow-partial) for an explicitly degraded report");
-    }
-  }
-
-  // Sequential-verdict decisions. A decision record makes recorded-runs <
-  // header total_runs legal: the campaign stopped issuing seeds once the
-  // verdict crossed a boundary. FaultCampaign::run and run_sharded_campaign
-  // both refuse SMC with shard_count > 1, so a decision in a multi-shard
-  // fleet can only mean journal corruption or a hand-mixed layout — refuse.
-  std::size_t expected_end = out.runs;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (!shards[s].decision) continue;
-    if (out.shard_count > 1) {
-      throw_merge_bad("shard journal '" + paths[s] +
+  std::vector<UnitRead> reads;
+  std::string tomb_list, missing_list;
+  for (const Unit& u : campaign_units(dir, m)) {
+    UnitRead r = read_for_merge(u);
+    // An unreadable shard journal refuses too: a campaign merge has no
+    // degraded form for a journal it cannot trust.
+    if (r.error) throw *r.error;
+    // FaultCampaign::run and run_sharded_campaign both refuse SMC with
+    // shard_count > 1, so a decision in a multi-shard fleet can only mean
+    // journal corruption or a hand-mixed layout.
+    if (r.decision && m.shard_count > 1) {
+      throw_merge_bad("shard journal '" + u.journal +
                       "' carries a sequential-verdict decision record but "
-                      "declares " + std::to_string(out.shard_count) +
+                      "the manifest pins " + std::to_string(m.shard_count) +
                       " shards — sequential campaigns are single-shard, so "
                       "this journal is corrupt or hand-mixed");
     }
-    if (shards.size() > 1) {
-      throw_merge_bad("shard journal '" + paths[s] +
-                      "' carries a sequential-verdict decision record but " +
-                      std::to_string(shards.size()) +
-                      " journals were given — a decided campaign is one "
-                      "journal, so this set is hand-mixed");
+    if (r.quarantined) {
+      if (!tomb_list.empty()) tomb_list += "; ";
+      tomb_list += u.name + " ('" + u.quarantine + "')";
+      out.quarantined.push_back(QuarantinedUnit{u.index, u.name, r.tomb});
     }
-    out.decision = shards[s].decision;
-    expected_end = std::min(
-        static_cast<std::size_t>(out.decision->executed), out.runs);
+    if (!r.exists && u.header.runs > 0) {
+      if (!missing_list.empty()) missing_list += ", ";
+      missing_list += std::to_string(u.index);
+      out.missing_shards.push_back(u.index);
+    }
+    reads.push_back(std::move(r));
+  }
+  // Every quarantined or missing unit in one refusal, so the operator sees
+  // the whole damage — and fixes it — in one round trip.
+  if (!opts.allow_partial && !out.quarantined.empty()) {
+    throw_merge_incomplete(
+        std::to_string(out.quarantined.size()) +
+        " quarantined unit(s) never complete: " + tomb_list +
+        " — merge with allow_partial (--allow-partial) for an explicitly "
+        "degraded report over the completed units");
+  }
+  if (!opts.allow_partial && !out.missing_shards.empty()) {
+    throw_merge_incomplete(
+        "no journal for " + std::to_string(out.missing_shards.size()) +
+        " of " + std::to_string(m.shard_count) + " shards (missing: " +
+        missing_list +
+        ") — a partial fleet merge would silently bias every campaign "
+        "statistic; finish the campaign, or merge with allow_partial "
+        "(--allow-partial) for an explicitly degraded report");
   }
 
-  // Fold records into global slots. An early-stopped campaign only owes
-  // records for the runs it executed: completeness (and the degraded-merge
-  // bookkeeping) is judged over [0, expected_end), so the merge is
-  // byte-identical to the early-stopped single-process campaign.
-  RecordFold fold(expected_end);
-  for (JournalContents& shard : shards) {
-    fold.add(shard, static_cast<std::size_t>(shard.header.shard_begin));
+  // The units tile the campaign in seed order, so their records concatenate
+  // into global order. An early-stopped (single-shard) campaign owes only
+  // the runs its decision covers, so the merge is byte-identical to it.
+  std::vector<bool> done;
+  for (UnitRead& r : reads) {
+    if (r.decision) out.decision = r.decision;
+    done.insert(done.end(), r.done.begin(), r.done.end());
+    std::vector<CampaignRunResult> part = r.take();
+    out.results.insert(out.results.end(), std::make_move_iterator(part.begin()),
+                       std::make_move_iterator(part.end()));
   }
-  const std::vector<bool>& done = fold.done;
   std::size_t missing = 0;
   std::string span_list;
   std::size_t n_spans = 0;
-  for (std::size_t i = 0; i < expected_end; ++i) {
+  for (std::size_t i = 0; i < done.size(); ++i) {
     if (done[i]) continue;
     std::size_t j = i;
-    while (j < expected_end && !done[j]) ++j;
+    while (j < done.size() && !done[j]) ++j;
     missing += j - i;
     ++n_spans;
     if (n_spans <= 8) {
@@ -1332,94 +1232,19 @@ MergedCampaign merge_journals(const std::vector<std::string>& paths,
     }
     i = j;  // the slot at j is recorded (or the end); the ++ skips it
   }
-  if (missing > 0) {
-    if (!opts.allow_partial) {
-      // Every missing span in one message: one fix-up pass, not N.
-      throw_merge_incomplete(
-          std::to_string(missing) + " of " + std::to_string(expected_end) +
-          " runs have no record (missing global spans: " + span_list +
-          (n_spans > 8
-               ? ", … " + std::to_string(n_spans - 8) + " more spans"
-               : "") +
-          ") — finish the campaign (workers re-claim incomplete units) "
-          "before merging, or merge with allow_partial (--allow-partial) "
-          "for an explicitly degraded report");
-    }
-    out.complete = false;
-    out.missing_records = missing;
-  }
-  out.results = fold.take();
-  out.recorded_runs = out.results.size();
-  return out;
-}
-
-MergedCampaign merge_shard_dir(const std::string& dir,
-                               const MergeOptions& opts) {
-  std::vector<std::pair<std::size_t, std::string>> found;
-  // (shard, name, tombstone path).
-  std::vector<std::tuple<std::size_t, std::string, std::string>> tombs;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    std::size_t shard = 0, count = 0;
-    int consumed = 0;
-    if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.journal%n", &shard,
-                    &count, &consumed) == 2 &&
-        static_cast<std::size_t>(consumed) == name.size()) {
-      found.emplace_back(shard, entry.path().string());
-    }
-    consumed = 0;
-    if (std::sscanf(name.c_str(), "shard_%zu_of_%zu.quarantined%n", &shard,
-                    &count, &consumed) == 2 &&
-        static_cast<std::size_t>(consumed) == name.size()) {
-      tombs.emplace_back(shard,
-                         "shard " + std::to_string(shard) + "/" +
-                             std::to_string(count),
-                         entry.path().string());
-    }
-  }
-  if (ec) {
-    throw_merge_bad("cannot scan shard directory '" + dir +
-                    "': " + ec.message());
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [shard, path] : found) paths.push_back(std::move(path));
-  std::sort(tombs.begin(), tombs.end());
-  if (!tombs.empty() && !opts.allow_partial) {
-    // Every quarantined unit in one refusal, so the operator sees the whole
-    // damage at once.
-    std::string list;
-    for (const auto& [shard, name, path] : tombs) {
-      if (!list.empty()) list += "; ";
-      list += name + " ('" + path + "')";
-    }
+  if (missing > 0 && !opts.allow_partial) {
     throw_merge_incomplete(
-        std::to_string(tombs.size()) +
-        " quarantined unit(s) never complete: " + list +
-        " — merge with allow_partial (--allow-partial) for an explicitly "
-        "degraded report over the completed units");
+        std::to_string(missing) + " of " + std::to_string(done.size()) +
+        " runs have no record (missing global spans: " + span_list +
+        (n_spans > 8 ? ", … " + std::to_string(n_spans - 8) + " more spans"
+                     : "") +
+        ") — finish the campaign (workers re-claim incomplete units) "
+        "before merging, or merge with allow_partial (--allow-partial) "
+        "for an explicitly degraded report");
   }
-  if (paths.empty()) {
-    std::string what = "no shard journals (shard_<i>_of_<N>.journal) in '" +
-                       dir + "'";
-    if (!tombs.empty()) {
-      what += " (" + std::to_string(tombs.size()) +
-              " quarantined tombstones, but nothing recorded to merge)";
-    }
-    throw_merge_incomplete(what);
-  }
-  MergedCampaign out = merge_journals(paths, opts);
-  for (auto& [shard, name, path] : tombs) {
-    QuarantinedUnit q;
-    q.index = shard;
-    q.name = name;
-    read_lease_info(path, &q.info);
-    out.quarantined.push_back(std::move(q));
-  }
-  if (!out.quarantined.empty()) out.complete = false;
+  out.missing_records = missing;
+  out.recorded_runs = out.results.size();
+  out.complete = missing == 0 && out.quarantined.empty();
   return out;
 }
 
@@ -1438,87 +1263,32 @@ const char* to_string(CellState s) {
 MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
   MergedSweep out;
   out.manifest = read_sweep_manifest(dir);
-  const std::size_t cells = out.manifest.cells();
-  const std::size_t runs = out.manifest.runs;
-  out.cells.resize(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    MergedSweepCell& cell = out.cells[c];
-    cell.index = c;
-    cell.mapping = out.manifest.cell_mapping(c);
-    cell.scenario = out.manifest.cell_scenario(c);
-    cell.runs = runs;
-    const std::string jpath = cell_journal_path(dir, c, cells);
-
-    LeaseInfo qinfo;
-    const bool is_quarantined =
-        read_lease_info(cell_quarantine_path(dir, c, cells), &qinfo);
-    if (is_quarantined) {
-      cell.state = CellState::kQuarantined;
-      cell.error = quarantine_summary(qinfo);
-    }
-
-    if (!file_exists(jpath)) {
-      if (!is_quarantined) cell.state = CellState::kMissing;
-      continue;
-    }
-    JournalContents jc;
-    try {
-      jc = read_journal(jpath);
-    } catch (const SimError& e) {
-      // Another format version is a wrong sweep, refused even in partial
-      // mode like the identity checks below.
-      if (e.kind() == SimError::Kind::kShardVersionMismatch) throw;
-      // Unreadable journal: salvage nothing from this cell, but a merge
-      // probe must not abort the whole sweep over one torn header — the
-      // cell simply reports as partial (or stays quarantined) with the
-      // reader's complaint attached.
-      if (!is_quarantined) {
-        cell.state = CellState::kPartial;
-        cell.error = e.what();
-      }
-      continue;
-    }
-    // Identity refusals hold even in partial mode: a cell journal that
-    // disagrees with the manifest belongs to a different sweep.
-    const JournalHeader& h = jc.header;
-    if (h.base_seed != out.manifest.base_seed ||
-        h.runs != out.manifest.runs ||
-        h.scenario_digest != out.manifest.scenario_digest ||
-        h.tag != out.manifest.cell_tag(c)) {
-      throw_merge_bad(
-          "cell journal '" + jpath + "' (tag '" + h.tag + "', seed " +
-          std::to_string(h.base_seed) + ", " + std::to_string(h.runs) +
-          " runs, digest " + std::to_string(h.scenario_digest) +
-          ") disagrees with the sweep manifest (tag '" +
-          out.manifest.cell_tag(c) + "', seed " +
-          std::to_string(out.manifest.base_seed) + ", " +
-          std::to_string(out.manifest.runs) + " runs, digest " +
-          std::to_string(out.manifest.scenario_digest) +
-          ") — this journal belongs to a different sweep");
-    }
-    // A sequential-verdict decision shrinks what the cell owes: it executed
-    // only `decision->executed` runs before the verdict crossed a boundary,
-    // so completeness is judged over that prefix and cell.runs reports it.
-    std::size_t cell_end = runs;
-    if (jc.decision) {
-      cell.decision = jc.decision;
-      cell_end = std::min(
-          static_cast<std::size_t>(jc.decision->executed), runs);
-      cell.runs = cell_end;
-    }
-    RecordFold fold(cell_end);
-    fold.add(jc, 0);
-    cell.records = fold.recorded;
-    if (!is_quarantined) {
-      cell.state = fold.complete() ? CellState::kComplete : CellState::kPartial;
-    }
-    cell.results = fold.take();
-  }
-
   std::size_t n_complete = 0;
-  for (const MergedSweepCell& cell : out.cells) {
+  for (const Unit& u : sweep_units(dir, out.manifest)) {
+    // An otherwise unreadable cell journal salvages nothing, but one torn
+    // header must not abort the whole sweep: the cell reports as partial
+    // (or stays quarantined) with the reader's complaint attached.
+    UnitRead r = read_for_merge(u);
+    MergedSweepCell& cell = out.cells.emplace_back();
+    cell.index = u.index;
+    cell.mapping = out.manifest.cell_mapping(u.index);
+    cell.scenario = out.manifest.cell_scenario(u.index);
+    cell.state = r.quarantined ? CellState::kQuarantined
+                 : !r.exists   ? CellState::kMissing
+                 : r.complete() ? CellState::kComplete
+                                : CellState::kPartial;
+    if (r.quarantined) {
+      cell.error = quarantine_summary(r.tomb);
+    } else if (r.error) {
+      cell.error = r.error->what();
+    }
+    cell.records = r.recorded;
+    cell.runs = r.slots.size();
+    cell.decision = r.decision;
+    cell.results = r.take();
     if (cell.state == CellState::kComplete) ++n_complete;
   }
+  const std::size_t cells = out.cells.size();
   out.complete = n_complete == cells;
   if (!out.complete && !opts.allow_partial) {
     // Every incomplete cell in one refusal: a sweep operator re-runs the
@@ -1641,6 +1411,7 @@ void MergedSweep::write_csv(std::ostream& os) const {
   }
 }
 
+
 // ---- read-only fleet status ------------------------------------------------
 
 const char* to_string(ShardStatusEntry::State s) {
@@ -1654,101 +1425,54 @@ const char* to_string(ShardStatusEntry::State s) {
   return "?";
 }
 
-namespace {
-
-/// Classifies one unit from its three files. Pure observation: stat() and
-/// read() only — a status probe must never perturb the fleet it watches.
-ShardStatusEntry unit_status(std::size_t index, const std::string& name,
-                             const std::string& journal,
-                             const std::string& lease,
-                             const std::string& quarantine, std::size_t runs,
-                             std::uint64_t lease_ttl_ms) {
-  ShardStatusEntry e;
-  e.index = index;
-  e.name = name;
-  e.runs = runs;
-  const UnitProgress progress = probe_unit(journal, runs);
-  e.records = progress.recorded;
-
-  LeaseInfo qinfo;
-  if (read_lease_info(quarantine, &qinfo)) {
-    e.state = ShardStatusEntry::State::kQuarantined;
-    e.owner = qinfo.owner;
-    e.adoptions = qinfo.adoptions;
-    e.error = qinfo.error;
-    return e;
-  }
-  if (runs > 0 && progress.complete()) {
-    e.state = ShardStatusEntry::State::kDone;
-    return e;
-  }
-  LeaseInfo linfo;
-  std::uint64_t mtime = 0;
-  if (read_lease_info(lease, &linfo) && lease_mtime_ms(lease, &mtime)) {
-    const std::uint64_t now = wall_now_ms();
-    e.state = lease_alive(mtime, now, lease_ttl_ms)
-                  ? ShardStatusEntry::State::kClaimed
-                  : ShardStatusEntry::State::kStale;
-    e.owner = linfo.owner;
-    e.adoptions = linfo.adoptions;
-    e.error = linfo.error;
-    e.heartbeat_age_ms = static_cast<std::int64_t>(now) -
-                         static_cast<std::int64_t>(mtime);
-    return e;
-  }
-  e.state = runs == 0 ? ShardStatusEntry::State::kDone
-                      : ShardStatusEntry::State::kUnclaimed;
-  return e;
-}
-
-void tally(FleetStatus* st, const ShardStatusEntry& e) {
-  switch (e.state) {
-    case ShardStatusEntry::State::kDone: ++st->done; break;
-    case ShardStatusEntry::State::kClaimed: ++st->claimed; break;
-    case ShardStatusEntry::State::kStale: ++st->stale; break;
-    case ShardStatusEntry::State::kQuarantined: ++st->quarantined; break;
-    case ShardStatusEntry::State::kUnclaimed: ++st->unclaimed; break;
-  }
-  st->records += e.records;
-  st->runs += e.runs;
-}
-
-}  // namespace
-
 FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
-  // Layout authority: the fleet manifest, like every worker.
-  const FleetManifest m = read_fleet_manifest(dir);
+  // Pure observation: stat() and read() only — a status probe must never
+  // perturb the fleet it watches. A sweep.manifest makes a sweep fleet.
+  const std::vector<Unit> units =
+      file_exists(sweep_manifest_path(dir))
+          ? sweep_units(dir, read_sweep_manifest(dir))
+          : campaign_units(dir, read_fleet_manifest(dir));
   FleetStatus st;
-  st.units = m.shard_count;
-  st.entries.reserve(m.shard_count);
-  for (std::size_t i = 0; i < m.shard_count; ++i) {
-    ShardStatusEntry e = unit_status(
-        i, "shard " + std::to_string(i) + "/" + std::to_string(m.shard_count),
-        shard_journal_path(dir, i, m.shard_count),
-        shard_lease_path(dir, i, m.shard_count),
-        shard_quarantine_path(dir, i, m.shard_count),
-        shard_range(i, m.shard_count, m.total_runs).size(), lease_ttl_ms);
-    tally(&st, e);
+  for (const Unit& u : units) {
+    const UnitRead r = read_unit(u);
+    ShardStatusEntry e;
+    e.index = u.index;
+    e.name = u.name;
+    e.runs = u.header.runs;
+    e.records = r.recorded;
+    LeaseInfo linfo;
+    std::uint64_t mtime = 0;
+    if (r.quarantined) {
+      e.state = ShardStatusEntry::State::kQuarantined;
+      e.owner = r.tomb.owner;
+      e.adoptions = r.tomb.adoptions;
+      e.error = r.tomb.error;
+    } else if (r.complete()) {
+      e.state = ShardStatusEntry::State::kDone;
+    } else if (read_lease_info(u.lease, &linfo) &&
+               lease_mtime_ms(u.lease, &mtime)) {
+      const std::uint64_t now = wall_now_ms();
+      e.state = lease_alive(mtime, now, lease_ttl_ms)
+                    ? ShardStatusEntry::State::kClaimed
+                    : ShardStatusEntry::State::kStale;
+      e.owner = linfo.owner;
+      e.adoptions = linfo.adoptions;
+      e.error = linfo.error;
+      e.heartbeat_age_ms = static_cast<std::int64_t>(now) -
+                           static_cast<std::int64_t>(mtime);
+    }
+    switch (e.state) {
+      case ShardStatusEntry::State::kDone: ++st.done; break;
+      case ShardStatusEntry::State::kClaimed: ++st.claimed; break;
+      case ShardStatusEntry::State::kStale: ++st.stale; break;
+      case ShardStatusEntry::State::kQuarantined: ++st.quarantined; break;
+      case ShardStatusEntry::State::kUnclaimed: ++st.unclaimed; break;
+    }
+    st.records += e.records;
+    st.runs += e.runs;
     st.entries.push_back(std::move(e));
   }
-  return st;
-}
-
-FleetStatus sweep_fleet_status(const std::string& dir,
-                               std::uint64_t lease_ttl_ms) {
-  const SweepManifest manifest = read_sweep_manifest(dir);
-  const std::size_t cells = manifest.cells();
-  FleetStatus st;
-  st.units = cells;
-  st.entries.reserve(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    ShardStatusEntry e = unit_status(
-        c, manifest.cell_mapping(c) + "/" + manifest.cell_scenario(c),
-        cell_journal_path(dir, c, cells), cell_lease_path(dir, c, cells),
-        cell_quarantine_path(dir, c, cells), manifest.runs, lease_ttl_ms);
-    tally(&st, e);
-    st.entries.push_back(std::move(e));
-  }
+  st.units = st.entries.size();
   return st;
 }
 

@@ -26,9 +26,19 @@ namespace sctrace {
 /// final merge step folds the shard journals back into the byte-identical
 /// single-process report()/write_csv() output. A CampaignSweep grid — the
 /// paper's mapping×scenario design-space exploration — fleets the same way
-/// with grid *cells* as the work units (run_sharded_sweep): one lease and
-/// one journal per cell, a manifest pinning the grid, and merge_sweep_dir
-/// folding the cells back into the byte-identical sweep output.
+/// with grid *cells* as the work units (run_sharded_sweep), and a sweep
+/// fleet is the one durable way to run a sweep.
+///
+/// One layout: the first worker pins a manifest (fleet.manifest for a
+/// campaign, sweep.manifest for a sweep), and the manifest alone names every
+/// *unit* — one shard or one cell, with one lease, one journal, one
+/// quarantine tombstone and the JournalHeader its journal must carry. The
+/// workers, both merges and fleet_status all derive that unit table from the
+/// manifest and read each unit the same way, so no two readers of a fleet
+/// directory can disagree about it: a file outside the pinned layout is
+/// ignored, and a journal whose header is not its unit's (identity_mismatch)
+/// never counts as complete. A slow-but-alive worker keeps its unit; only a
+/// worker whose heartbeat stops for a full TTL loses it, to adoption.
 ///
 /// Coordination is filesystem-only, built from two atomic primitives:
 ///
@@ -72,18 +82,12 @@ namespace sctrace {
 /// output cannot tell who ran what.
 ///
 /// Elastic layout: the fleet directory, not the command line, is the
-/// authority on layout. The first worker pins `<dir>/fleet.manifest`
-/// (first-writer-wins, like sweep.manifest) recording {base_seed,
-/// total_runs, shard_count, digest, tag}, and the pinned layout never
-/// changes. A worker launched with shard_count == 0 reads the layout from
-/// the manifest once. A fleet grows by over-partitioning: lay it out with
-/// more shards than workers, and every worker that joins later claims the
-/// shards nobody holds yet.
-///
-/// One unit per slot: every campaign work unit is exactly one canonical
-/// shard_range slot of the pinned layout, with one lease and one journal.
-/// A slow-but-alive worker keeps its unit; only a worker whose heartbeat
-/// stops for a full TTL loses it, to adoption.
+/// authority on layout. `<dir>/fleet.manifest` (first-writer-wins, like
+/// sweep.manifest) records {base_seed, total_runs, shard_count, digest,
+/// tag}, and the pinned layout never changes. A worker launched with
+/// shard_count == 0 reads the layout from the manifest once. A fleet grows
+/// by over-partitioning: lay it out with more shards than workers, and every
+/// worker that joins later claims the shards nobody holds yet.
 
 /// Half-open global run-index range [begin, end) of one shard.
 struct ShardRange {
@@ -95,8 +99,8 @@ struct ShardRange {
 
 /// Canonical contiguous partition of [0, total_runs) into shard_count
 /// chunks: the first total_runs % shard_count shards get one extra run.
-/// Every participant (workers and merge) must agree on this layout; it is
-/// pinned per shard in the journal header and re-derived on merge.
+/// Every participant derives it from the pinned manifest, and each shard
+/// journal's header carries its slot.
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
@@ -321,17 +325,20 @@ struct FleetManifest {
   std::string tag;
 };
 
-/// Reads `<dir>/fleet.manifest`. Throws minisc::SimError(kMergeIncomplete)
-/// when missing (no campaign fleet ever pinned a layout here) and
-/// kJournalCorrupt when malformed.
+/// Reads `<dir>/fleet.manifest`: a magic line, then "key value" lines — the
+/// one manifest format, shared with sweep.manifest. Throws
+/// minisc::SimError(kMergeIncomplete) when missing (no fleet ever pinned a
+/// layout here) and kJournalCorrupt when malformed.
 FleetManifest read_fleet_manifest(const std::string& dir);
 
 /// Runs one worker of a sharded campaign: claims shards (preferred first,
 /// then roaming), executes each as a journaled+resumed FaultCampaign over
 /// its seed range, adopts stale leases of dead workers, skips quarantined
 /// shards, and keeps polling until every shard is complete or quarantined.
-/// The CampaignOptions journal fields are overwritten per shard; threads,
-/// retry, budgets, digest and tag apply as usual.
+/// The CampaignOptions journal and shard fields are overwritten per shard;
+/// threads, retry, budgets, digest and tag apply as usual. A shard journal
+/// that does not carry its shard's identity is claimed, refused on resume
+/// and abandoned toward quarantine like any other permanent failure.
 ///
 /// Layout authority: the first worker pins `<dir>/fleet.manifest`; later
 /// workers verify their {base_seed, total_runs, shard_count, digest, tag}
@@ -350,7 +357,7 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
 /// everyone else: a worker whose grid, seed, run count, digest or tag
 /// disagrees with the manifest refuses to participate (kBadConfig) instead
 /// of silently corrupting cells, and merge/status re-derive cell names and
-/// grid order from it alone.
+/// grid order from it alone. Same format as fleet.manifest.
 struct SweepManifest {
   std::uint64_t base_seed = 0;
   std::size_t runs = 0;  ///< seeds per cell (common random numbers)
@@ -368,8 +375,8 @@ struct SweepManifest {
   const std::string& cell_scenario(std::size_t cell) const {
     return scenarios[cell % scenarios.size()];
   }
-  /// The journal tag of one cell — same derivation as CampaignSweep::run,
-  /// so cell journals carry the identity a single-process sweep would pin.
+  /// The journal tag of one cell: "mapping/scenario", led by "<tag>:" when
+  /// the sweep has a tag.
   std::string cell_tag(std::size_t cell) const;
 };
 
@@ -401,8 +408,9 @@ struct MergeOptions {
   /// fleet silently would bias every statistic the campaign measures.
   /// True: produce a clearly-marked degraded result instead — complete=false
   /// with the missing/quarantined units listed, statistics over the recorded
-  /// runs only. Identity refusals (mixed digests, tags, layouts, format
-  /// versions) are never relaxed: those are wrong fleets, not partial ones.
+  /// runs only. Identity refusals (a journal of another format version, or
+  /// one that does not carry its unit's identity) are never relaxed: those
+  /// are wrong fleets, not partial ones.
   bool allow_partial = false;
 };
 
@@ -422,7 +430,7 @@ struct QuarantinedUnit {
 /// for any thread count and any worker interleaving, because journals hold
 /// the same records no matter who wrote them.
 struct MergedCampaign {
-  std::uint64_t base_seed = 0;  ///< campaign-wide (shard 0's first seed)
+  std::uint64_t base_seed = 0;  ///< campaign-wide, from the manifest
   std::size_t runs = 0;         ///< total across all shards
   std::uint64_t scenario_digest = 0;
   std::string tag;
@@ -444,32 +452,23 @@ struct MergedCampaign {
   std::vector<QuarantinedUnit> quarantined;
 };
 
-/// Folds shard journals into one campaign: one journal per shard, each
-/// covering exactly its shard's canonical shard_range slot, so no run slot
-/// can be claimed by two journals. Refuses, with a structured
-/// minisc::SimError:
-///   - kShardVersionMismatch: any journal of another format version than
+/// Folds a campaign fleet directory into one campaign: reads
+/// `<dir>/fleet.manifest` and opens each shard's canonical journal, so a
+/// file outside the pinned layout is never read. Refuses, with a
+/// structured minisc::SimError (identity refusals in partial mode too):
+///   - kMergeIncomplete: no manifest;
+///   - kShardVersionMismatch: a journal of another format version than
 ///     JournalHeader::kVersion, naming both versions;
-///   - kBadConfig: mismatched scenario digests, tags, base seeds, total run
-///     counts or shard layouts across the journals, or a journal whose
-///     range is not its shard's canonical slot (naming the slot);
-///   - kMergeIncomplete: two journals for one shard (listing both paths,
-///     even with opts.allow_partial — the fleet is ambiguous, not partial);
-///     and, unless opts.allow_partial, missing shard journals or missing
-///     run records — merging a partial fleet *silently* would bias every
-///     statistic the campaign exists to measure, so the one error message
-///     lists *every* missing/extra unit at once (operators fix the fleet in
-///     one round-trip, not one refusal at a time). allow_partial makes the
-///     bias explicit instead: see MergedCampaign's degraded-merge fields.
-MergedCampaign merge_journals(const std::vector<std::string>& paths,
-                              const MergeOptions& opts = {});
-
-/// merge_journals over the canonical shard journal filenames found in
-/// `dir`, plus quarantine awareness: a `shard_<i>_of_<N>.quarantined`
-/// tombstone refuses a strict merge (kMergeIncomplete naming the shard and
-/// suggesting allow_partial) and is listed in MergedCampaign::quarantined
-/// by a partial one. The shard count is taken from the filenames, and every
-/// shard 0..count-1 must be present (or accounted for) unless allow_partial.
+///   - kBadConfig: a journal that does not carry its shard's identity
+///     (naming the journal and each differing field with both values), or
+///     a decision record in a multi-shard layout; kJournalCorrupt (or
+///     kBadConfig) for a journal that does not read;
+///   - kMergeIncomplete, unless opts.allow_partial: a quarantined shard
+///     (tombstone), a missing shard journal or missing run records —
+///     merging a partial fleet *silently* would bias every statistic the
+///     campaign exists to measure, so one message lists *every* unit of the
+///     kind at once. allow_partial makes the bias explicit instead: see
+///     MergedCampaign's degraded-merge fields.
 MergedCampaign merge_shard_dir(const std::string& dir,
                                const MergeOptions& opts = {});
 
@@ -523,17 +522,20 @@ struct MergedSweep {
   void write_csv(std::ostream& os) const;
 };
 
-/// Folds a sweep shard directory into one MergedSweep. Identity refusals
-/// (version, digest, tag, seed, run count vs the manifest) always throw;
-/// missing/partial/quarantined cells throw kMergeIncomplete unless
-/// opts.allow_partial, which returns the degraded MergedSweep instead.
+/// Folds a sweep fleet directory into one MergedSweep, reading each cell of
+/// the pinned `<dir>/sweep.manifest` the way merge_shard_dir reads a shard.
+/// Identity refusals (another format version, a journal that does not
+/// carry its cell's identity) always throw; an otherwise unreadable journal
+/// makes its cell partial. Missing/partial/quarantined cells throw
+/// kMergeIncomplete unless opts.allow_partial, which returns the degraded
+/// MergedSweep instead.
 MergedSweep merge_sweep_dir(const std::string& dir,
                             const MergeOptions& opts = {});
 
 // ---- read-only fleet status ------------------------------------------------
 
 /// State of one work unit (campaign shard or sweep cell), derived purely
-/// from reading the shard directory — stat() and read() only, no writes, no
+/// from reading the fleet directory — stat() and read() only, no writes, no
 /// lease traffic: observing a fleet must never perturb it.
 struct ShardStatusEntry {
   enum class State {
@@ -570,18 +572,15 @@ struct FleetStatus {
   bool fleet_done() const { return done + quarantined == units && units > 0; }
 };
 
-/// Reads the status of a sharded-*campaign* directory: one entry per shard
-/// of the layout pinned in `<dir>/fleet.manifest`. `lease_ttl_ms`
-/// classifies claimed vs stale (use the fleet's TTL). Throws
-/// kMergeIncomplete when no manifest exists (no campaign fleet ever started
-/// here) and kJournalCorrupt when it is malformed.
+/// Reads the status of a fleet directory: one entry per unit of whichever
+/// manifest it holds — per grid cell (named mapping/scenario) under a
+/// sweep.manifest, else per shard of the fleet.manifest. A unit is done
+/// when its journal carries the unit's identity and records every owed run.
+/// `lease_ttl_ms` classifies claimed vs stale (use the fleet's TTL). Throws
+/// kMergeIncomplete when no manifest exists (no fleet ever started here)
+/// and kJournalCorrupt when it is malformed.
 FleetStatus fleet_status(const std::string& dir,
                          std::uint64_t lease_ttl_ms = 10000);
-
-/// Reads the status of a sharded-*sweep* directory: one entry per grid
-/// cell, named mapping/scenario via the manifest.
-FleetStatus sweep_fleet_status(const std::string& dir,
-                               std::uint64_t lease_ttl_ms = 10000);
 
 /// Renders a FleetStatus: a one-line fleet summary, then one line per unit
 /// (state, progress, owner, heartbeat age, adoption count, recorded error).

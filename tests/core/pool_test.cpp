@@ -16,29 +16,26 @@ namespace {
 
 TEST(ThreadPool, ParallelForFillsEverySlotByIndex) {
   ThreadPool pool(4);
-  constexpr std::size_t kN = 257;  // not a multiple of any chunk below
+  constexpr std::size_t kN = 257;
   std::vector<std::size_t> out(kN, 0);
-  pool.parallel_for(kN, 3, [&](std::size_t i) { out[i] = i * i + 1; });
+  pool.parallel_for(kN, [&](std::size_t i) { out[i] = i * i + 1; });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(out[i], i * i + 1) << "slot " << i;
   }
 }
 
-TEST(ThreadPool, ParallelForResultIndependentOfThreadAndChunkCount) {
+TEST(ThreadPool, ParallelForResultIndependentOfThreadCount) {
   constexpr std::size_t kN = 100;
   std::vector<std::size_t> reference(kN);
   {
     ThreadPool pool(1);
-    pool.parallel_for(kN, 1, [&](std::size_t i) { reference[i] = 31 * i + 7; });
+    pool.parallel_for(kN, [&](std::size_t i) { reference[i] = 31 * i + 7; });
   }
   for (const std::size_t threads : {2u, 8u}) {
-    for (const std::size_t chunk : {1u, 4u, 1000u}) {
-      ThreadPool pool(threads);
-      std::vector<std::size_t> out(kN, 0);
-      pool.parallel_for(kN, chunk,
-                        [&](std::size_t i) { out[i] = 31 * i + 7; });
-      EXPECT_EQ(out, reference) << threads << " threads, chunk " << chunk;
-    }
+    ThreadPool pool(threads);
+    std::vector<std::size_t> out(kN, 0);
+    pool.parallel_for(kN, [&](std::size_t i) { out[i] = 31 * i + 7; });
+    EXPECT_EQ(out, reference) << threads << " threads";
   }
 }
 
@@ -48,7 +45,7 @@ TEST(ThreadPool, SparseParallelForRunsExactlyTheGivenIndices) {
   ThreadPool pool(4);
   const std::vector<std::size_t> indices = {1, 3, 4, 9, 17, 40};
   std::vector<std::atomic<int>> hits(41);
-  pool.parallel_for(indices, 2, [&](std::size_t i) { ++hits[i]; });
+  pool.parallel_for(indices, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     const bool wanted =
         std::find(indices.begin(), indices.end(), i) != indices.end();
@@ -56,7 +53,7 @@ TEST(ThreadPool, SparseParallelForRunsExactlyTheGivenIndices) {
   }
   // Empty index sets are a no-op, like the dense n == 0 case.
   bool ran = false;
-  pool.parallel_for(std::vector<std::size_t>{}, 1,
+  pool.parallel_for(std::vector<std::size_t>{},
                     [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
@@ -64,7 +61,7 @@ TEST(ThreadPool, SparseParallelForRunsExactlyTheGivenIndices) {
 TEST(ThreadPool, ZeroTasksReturnsImmediately) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(0, 1, [&](std::size_t) { ran = true; });
+  pool.parallel_for(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
   pool.wait_idle();  // also a no-op on an idle pool
 }
@@ -76,23 +73,16 @@ TEST(ThreadPool, SingleWorkerAndZeroRequestedWorkersStillRun) {
     ThreadPool pool(threads);
     EXPECT_GE(pool.size(), 1u);
     std::vector<int> out(10, 0);
-    pool.parallel_for(10, 4, [&](std::size_t i) { out[i] = 1; });
+    pool.parallel_for(10, [&](std::size_t i) { out[i] = 1; });
     EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 10);
   }
-}
-
-TEST(ThreadPool, ChunkLargerThanRangeWorks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.parallel_for(5, 64, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 5);
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
   ThreadPool pool(4);
   std::atomic<int> completed{0};
   EXPECT_THROW(
-      pool.parallel_for(50, 1,
+      pool.parallel_for(50,
                         [&](std::size_t i) {
                           if (i == 7) throw std::runtime_error("slot 7 died");
                           ++completed;
@@ -102,7 +92,7 @@ TEST(ThreadPool, ParallelForPropagatesFirstException) {
   EXPECT_LT(completed.load(), 50);
   // The pool stays usable after an exception.
   std::atomic<int> again{0};
-  pool.parallel_for(10, 1, [&](std::size_t) { ++again; });
+  pool.parallel_for(10, [&](std::size_t) { ++again; });
   EXPECT_EQ(again.load(), 10);
 }
 
@@ -154,7 +144,7 @@ TEST(ThreadPool, ManyConcurrentParallelForCallers) {
   std::vector<std::thread> callers;
   for (int c = 0; c < 3; ++c) {
     callers.emplace_back([&pool, &outs, c] {
-      pool.parallel_for(40, 2, [&outs, c](std::size_t i) {
+      pool.parallel_for(40, [&outs, c](std::size_t i) {
         outs[static_cast<std::size_t>(c)][i] = c + 1;
       });
     });

@@ -1,7 +1,7 @@
 // Bit-exact determinism of thread-pooled campaign execution: the same seeds
 // through the same run function must produce byte-identical CSV output and
-// identical report fields for threads ∈ {1, 2, 8}, the legacy sequential
-// path, and any chunk size — including campaigns where runs throw SimError
+// identical report fields for threads ∈ {1, 2, 8} and the legacy sequential
+// path — including campaigns where runs throw SimError
 // mid-way and importance-sampled campaigns whose weights, ESS and
 // rule-of-three bounds feed the report. The run function follows the
 // DESIGN.md §7 contract: one Simulator / Estimator / scenario /
@@ -147,6 +147,13 @@ FaultCampaign::RunFn faulty_fn() {
   };
 }
 
+/// Options that run the seeds on a pool of `threads` workers.
+CampaignOptions threaded(std::size_t threads) {
+  CampaignOptions o;
+  o.threads = threads;
+  return o;
+}
+
 std::string csv_of(const FaultCampaign& c) {
   std::ostringstream os;
   c.write_csv(os);
@@ -159,9 +166,9 @@ std::string printed_report(const CampaignReport& rep) {
   return os.str();
 }
 
-/// Runs the same campaign sequentially and with every thread/chunk
-/// combination under test; every variant must emit the sequential CSV
-/// byte-for-byte and print the identical report.
+/// Runs the same campaign sequentially and with every thread count under
+/// test; every variant must emit the sequential CSV byte-for-byte and print
+/// the identical report.
 void expect_thread_count_invariant(const FaultCampaign::RunFn& fn,
                                    std::uint64_t base_seed, std::size_t n) {
   FaultCampaign sequential(fn);
@@ -170,14 +177,11 @@ void expect_thread_count_invariant(const FaultCampaign::RunFn& fn,
   const std::string want_report = printed_report(sequential.report());
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t chunk : {1u, 4u}) {
-      FaultCampaign parallel(fn);
-      parallel.run(base_seed, n, CampaignOptions{.threads = threads, .chunk = chunk});
-      EXPECT_EQ(csv_of(parallel), want_csv)
-          << threads << " threads, chunk " << chunk;
-      EXPECT_EQ(printed_report(parallel.report()), want_report)
-          << threads << " threads, chunk " << chunk;
-    }
+    FaultCampaign parallel(fn);
+    parallel.run(base_seed, n, threaded(threads));
+    EXPECT_EQ(csv_of(parallel), want_csv) << threads << " threads";
+    EXPECT_EQ(printed_report(parallel.report()), want_report)
+        << threads << " threads";
   }
 }
 
@@ -189,7 +193,7 @@ TEST(CampaignParallel, SimErrorMidCampaignIsThreadCountInvariant) {
   expect_thread_count_invariant(faulty_fn(), 0, 15);
 
   FaultCampaign c(faulty_fn());
-  c.run(0, 15, CampaignOptions{.threads = 8, .chunk = 1});
+  c.run(0, 15, threaded(8));
   const CampaignReport rep = c.report();
   EXPECT_EQ(rep.runs, 15u);
   EXPECT_EQ(rep.failed_runs, 3u);  // seeds 3, 8, 13
@@ -203,7 +207,7 @@ TEST(CampaignParallel, ImportanceSampledFieldsMatchExactly) {
   FaultCampaign seq(weighted_fn());
   seq.run(7, 10);
   FaultCampaign par(weighted_fn());
-  par.run(7, 10, CampaignOptions{.threads = 8, .chunk = 2});
+  par.run(7, 10, threaded(8));
   const CampaignReport a = seq.report();
   const CampaignReport b = par.report();
   ASSERT_TRUE(a.importance_sampled);
@@ -231,7 +235,7 @@ TEST(CampaignParallel, RuleOfThreeBoundSurvivesParallelism) {
   FaultCampaign seq(fn);
   seq.run(0, 25);
   FaultCampaign par(fn);
-  par.run(0, 25, CampaignOptions{.threads = 8, .chunk = 3});
+  par.run(0, 25, threaded(8));
   EXPECT_EQ(seq.report().miss_rate_ci95, 3.0 / 100.0);
   EXPECT_EQ(par.report().miss_rate_ci95, seq.report().miss_rate_ci95);
   EXPECT_EQ(csv_of(par), csv_of(seq));
@@ -244,8 +248,8 @@ TEST(CampaignParallel, AppendingRunsKeepsSlotOrder) {
   seq.run(0, 4);
   seq.run(50, 4);
   FaultCampaign par(plain_fn());
-  par.run(0, 4, CampaignOptions{.threads = 2, .chunk = 1});
-  par.run(50, 4, CampaignOptions{.threads = 8, .chunk = 2});
+  par.run(0, 4, threaded(2));
+  par.run(50, 4, threaded(8));
   EXPECT_EQ(csv_of(par), csv_of(seq));
   ASSERT_EQ(par.results().size(), 8u);
   EXPECT_EQ(par.results()[4].seed, 50u);
@@ -265,7 +269,7 @@ TEST(CampaignParallel, SweepGridIsThreadCountInvariant) {
   CampaignSweep seq({"fast", "slow"}, {"clean", "lossy"}, factory);
   seq.run(1, 6);
   CampaignSweep par({"fast", "slow"}, {"clean", "lossy"}, factory);
-  par.run(1, 6, CampaignOptions{.threads = 8, .chunk = 1});
+  par.run(1, 6, threaded(8));
 
   std::ostringstream seq_csv, par_csv, seq_grid, par_grid;
   seq.write_csv(seq_csv);
@@ -303,7 +307,7 @@ TEST(CampaignParallel, SeedStabilityHashesPinnedInBothModes) {
   FaultCampaign seq(weighted_fn());
   seq.run(11, 4);
   FaultCampaign par(weighted_fn());
-  par.run(11, 4, CampaignOptions{.threads = 8, .chunk = 1});
+  par.run(11, 4, threaded(8));
 
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(seq.results()[i].value_hash, kPinned[i].hash)

@@ -258,6 +258,27 @@ TEST(CampaignSweep, RunsEveryCellAndExposesTheGrid) {
   EXPECT_NE(csv.find("b,y,3,0,12,12,1,"), std::string::npos);
 }
 
+TEST(CampaignSweep, JournalPathIsRefusedNamingTheSweepFleet) {
+  // A durable sweep is a sweep fleet: the in-process sweep journals nothing
+  // and says where to go instead, before running a single cell.
+  sctrace::CampaignSweep sweep(
+      {"a"}, {"x"}, [](const std::string&, const std::string&) {
+        return [](std::uint64_t) { return CampaignRunResult{}; };
+      });
+  sctrace::CampaignOptions opts;
+  opts.journal_path = "sweep.journal";
+  try {
+    sweep.run(0, 3, opts);
+    FAIL() << "expected SimError(kBadConfig)";
+  } catch (const minisc::SimError& e) {
+    EXPECT_EQ(e.kind(), minisc::SimError::Kind::kBadConfig);
+    EXPECT_NE(std::string(e.what()).find("run_sharded_sweep"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(sweep.cells().empty());
+}
+
 TEST(CampaignSweep, CollapsedEssCellPropagatesAWarningIntoTheGrid) {
   // One cell importance-samples with a dominating weight (Kish ESS ~ 1 of
   // 20 runs, far below the 10% floor); the grid print must call out exactly

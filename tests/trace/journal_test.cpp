@@ -266,7 +266,7 @@ TEST(Journal, RecordIndexBeyondHeaderRunsIsCorrupt) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
-  const FleetStatus st = sweep_fleet_status(dir.string());
+  const FleetStatus st = fleet_status(dir.string());
   EXPECT_EQ(st.entries.at(0).state, ShardStatusEntry::State::kUnclaimed);
   EXPECT_EQ(st.entries.at(0).records, 0u);
   try {
@@ -612,52 +612,6 @@ TEST(JournalResume, MissingJournalStartsFresh) {
   EXPECT_EQ(csv_of(c), csv_of(reference));
   EXPECT_EQ(read_journal(path).records.size(), 5u);
   std::remove(path.c_str());
-}
-
-TEST(JournalResume, SweepCellsJournalAndResumeIndependently) {
-  const std::string prefix = temp_journal("sweep");
-  const CampaignSweep::Factory factory = [](const std::string& m,
-                                            const std::string& s) {
-    const std::uint64_t salt = (m == "slow" ? 1000 : 0) +
-                               (s == "lossy" ? 100 : 0);
-    return [salt](std::uint64_t seed) { return synth_run(seed + salt); };
-  };
-  CampaignSweep reference({"fast", "slow"}, {"clean", "lossy"}, factory);
-  reference.run(5, 6);
-  std::ostringstream want;
-  reference.write_csv(want);
-
-  CampaignOptions opts;
-  opts.journal_path = prefix;
-  CampaignSweep journaled({"fast", "slow"}, {"clean", "lossy"}, factory);
-  journaled.run(5, 6, opts);
-  for (const char* cell : {".fast.clean", ".fast.lossy", ".slow.clean",
-                           ".slow.lossy"}) {
-    const std::string path = prefix + cell;
-    EXPECT_EQ(read_journal(path).records.size(), 6u) << path;
-    // Cell identity is pinned in the header tag.
-    EXPECT_NE(read_journal(path).header.tag.find('/'), std::string::npos);
-  }
-
-  // Resume with a factory whose runs must never execute: the whole grid
-  // replays from the per-cell journals, byte-identically.
-  opts.resume = true;
-  CampaignSweep resumed(
-      {"fast", "slow"}, {"clean", "lossy"},
-      [](const std::string&, const std::string&) {
-        return [](std::uint64_t) -> CampaignRunResult {
-          ADD_FAILURE() << "fully recorded sweep must not re-run";
-          return {};
-        };
-      });
-  resumed.run(5, 6, opts);
-  std::ostringstream got;
-  resumed.write_csv(got);
-  EXPECT_EQ(got.str(), want.str());
-  for (const char* cell : {".fast.clean", ".fast.lossy", ".slow.clean",
-                           ".slow.lossy"}) {
-    std::remove((prefix + cell).c_str());
-  }
 }
 
 // ---- retry policy and per-run budgets ------------------------------------

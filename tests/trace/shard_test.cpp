@@ -14,10 +14,11 @@
 //   - two workers split a campaign with zero overlap, and the merged output
 //     is byte-identical to the uninterrupted single-process run for
 //     threads in {seq, 1, 8};
-//   - merge refuses missing shards, missing records, mixed fault-model
-//     digests, other journal format versions, a journal outside its
-//     shard's canonical slot and two journals for one shard, with
-//     structured SimErrors;
+//   - the pinned manifest names every unit: its bytes are pinned, the merge
+//     ignores a journal outside the pinned layout, and it refuses missing
+//     shards, missing records, other journal format versions and a journal
+//     that does not carry its shard's identity (another digest, a range off
+//     its canonical slot), naming each differing field with both values;
 //   - the lease carries an adoption counter across crash generations, a
 //     shard adopted past max_adoptions is quarantined by exactly one worker
 //     (atomic rename tombstone) and excluded from every later claim pass;
@@ -26,7 +27,8 @@
 //   - --allow-partial merges compact recorded runs in global seed order, so
 //     the degraded CSV is byte-stable across threads in {seq, 1, 8};
 //   - fleet_status classifies every shard state from the manifest-pinned
-//     directory without creating, removing or touching a file.
+//     directory without creating, removing or touching a file, and never
+//     calls a journal of another identity done.
 
 #include "trace/shard.hpp"
 
@@ -726,33 +728,37 @@ TEST(ShardMerge, MissingRunRecordsAreIncomplete) {
   }
 }
 
-TEST(ShardMerge, MixedScenarioDigestsAreRefused) {
-  ScratchDir dir("mixed_digest");
-  const std::size_t total = 10;
-  const ShardRange r1 = shard_range(1, 2, total);
-  build_fleet(dir.str(), 0, total);
-  // Shard 1 re-written under a different fault model digest.
+/// Rewrites shard 1 of a 10-run, 2-shard fleet as a journal with a
+/// complete record set over [begin, begin + runs) (global indices).
+void write_shard1_journal(const std::string& path, std::size_t begin,
+                          std::size_t runs, std::uint64_t digest = 0) {
   JournalHeader h;
-  h.base_seed = r1.begin;
-  h.runs = r1.size();
-  h.scenario_digest = 0xdeadbeef;
+  h.base_seed = begin;
+  h.runs = runs;
+  h.scenario_digest = digest;
   h.shard_index = 1;
   h.shard_count = 2;
-  h.shard_begin = r1.begin;
-  h.total_runs = total;
-  {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      w.append(i, synth_run(r1.begin + i));
-    }
-  }
+  h.shard_begin = begin;
+  h.total_runs = 10;
+  JournalWriter w(path, h, 1);
+  for (std::size_t i = 0; i < runs; ++i) w.append(i, synth_run(begin + i));
+}
+
+TEST(ShardMerge, MixedScenarioDigestsAreRefused) {
+  ScratchDir dir("mixed_digest");
+  build_fleet(dir.str(), 0, 10);
+  // Shard 1 re-written under a different fault model digest.
+  write_shard1_journal(shard_journal_path(dir.str(), 1, 2), 5, 5, 0xdeadbeef);
   try {
     merge_shard_dir(dir.str());
     FAIL() << "expected SimError(kBadConfig)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    EXPECT_NE(std::string(e.what()).find("different fault models"),
-              std::string::npos) << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find(shard_journal_path(dir.str(), 1, 2)),
+              std::string::npos) << what;
+    EXPECT_NE(what.find("scenario_digest 3735928559 (want 0)"),
+              std::string::npos) << what;
   }
 }
 
@@ -814,21 +820,6 @@ TEST(ShardMerge, V3JournalIsRefusedNamingBothVersions) {
   }
 }
 
-/// Rewrites shard 1 of a 10-run, 2-shard fleet as a journal with a
-/// complete record set over [begin, begin + runs) (global indices).
-void write_shard1_journal(const std::string& path, std::size_t begin,
-                          std::size_t runs) {
-  JournalHeader h;
-  h.base_seed = begin;
-  h.runs = runs;
-  h.shard_index = 1;
-  h.shard_count = 2;
-  h.shard_begin = begin;
-  h.total_runs = 10;
-  JournalWriter w(path, h, 1);
-  for (std::size_t i = 0; i < runs; ++i) w.append(i, synth_run(begin + i));
-}
-
 TEST(ShardMerge, JournalOutsideItsCanonicalSlotIsRefused) {
   ScratchDir dir("off_slot");
   build_fleet(dir.str(), 0, 10);
@@ -848,38 +839,50 @@ TEST(ShardMerge, JournalOutsideItsCanonicalSlotIsRefused) {
       } catch (const SimError& e) {
         EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
         const std::string what = e.what();
-        EXPECT_NE(what.find("canonical slot is [5, +5)"), std::string::npos)
-            << what;
         EXPECT_NE(what.find(j1), std::string::npos) << what;
+        // Every field off the slot is named with both values.
+        const std::string b = std::to_string(begin);
+        const std::string r = std::to_string(runs);
+        EXPECT_EQ(what.find("base_seed " + b + " (want 5)") !=
+                      std::string::npos,
+                  begin != 5)
+            << what;
+        EXPECT_EQ(what.find("shard_begin " + b + " (want 5)") !=
+                      std::string::npos,
+                  begin != 5)
+            << what;
+        EXPECT_EQ(what.find("runs " + r + " (want 5)") != std::string::npos,
+                  runs != 5)
+            << what;
       }
     }
   }
 }
 
-TEST(ShardMerge, TwoJournalsForOneShardAreRefused) {
-  ScratchDir dir("two_for_one");
+TEST(ShardMerge, FilesOutsideThePinnedLayoutAreIgnored) {
+  ScratchDir dir("outside_layout");
   build_fleet(dir.str(), 0, 10);
-  const std::string j0 = shard_journal_path(dir.str(), 0, 2);
-  const std::string j1 = shard_journal_path(dir.str(), 1, 2);
-  const std::string copy = dir.str() + "/copy_of_shard_1.journal";
-  std::filesystem::copy_file(j1, copy);
-  // Ambiguous, not partial: allow_partial cannot pick which one to trust.
-  for (const bool allow_partial : {false, true}) {
-    MergeOptions mo;
-    mo.allow_partial = allow_partial;
-    try {
-      merge_journals({j0, j1, copy}, mo);
-      FAIL() << "expected SimError(kMergeIncomplete)";
-    } catch (const SimError& e) {
-      EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-      const std::string what = e.what();
-      EXPECT_NE(what.find("shard 1 ('" + j1 + "', '" + copy + "')"),
-                std::string::npos)
-          << what;
-    }
+  const std::string clean =
+      csv_of(FaultCampaign(merge_shard_dir(dir.str()).results));
+  // A valid shard 0 of a 3-shard layout of the same campaign lands beside
+  // the pinned 2-shard fleet. The manifest names every unit, so the merge
+  // never opens it.
+  const ShardRange r0 = shard_range(0, 3, 10);
+  JournalHeader h;
+  h.base_seed = r0.begin;
+  h.runs = r0.size();
+  h.shard_index = 0;
+  h.shard_count = 3;
+  h.shard_begin = r0.begin;
+  h.total_runs = 10;
+  {
+    JournalWriter w(shard_journal_path(dir.str(), 0, 3), h, 1);
+    for (std::size_t i = 0; i < r0.size(); ++i) w.append(i, synth_run(i));
   }
-  // The canonical pair alone merges.
-  EXPECT_TRUE(merge_journals({j0, j1}).complete);
+  const MergedCampaign merged = merge_shard_dir(dir.str());
+  EXPECT_TRUE(merged.complete);
+  EXPECT_EQ(merged.shard_count, 2u);
+  EXPECT_EQ(csv_of(FaultCampaign(merged.results)), clean);
 }
 
 TEST(ShardMerge, EmptyDirectoryIsIncomplete) {
@@ -1132,6 +1135,10 @@ TEST(ShardElastic, FirstWorkerPinsTheManifestAndItReadsBack) {
   co.journal_tag = "elastic";
   ASSERT_TRUE(run_sharded_campaign(synth_fn(), 40, 13, so, co)
                   .campaign_complete);
+  // The manifest's bytes are part of the on-disk contract.
+  EXPECT_EQ(read_file(dir.str() + "/fleet.manifest"),
+            "scperf-fleet v1\nbase_seed 40\ntotal_runs 13\nshard_count 3\n"
+            "digest 777\ntag elastic\n");
   const FleetManifest m = read_fleet_manifest(dir.str());
   EXPECT_EQ(m.base_seed, 40u);
   EXPECT_EQ(m.total_runs, 13u);
@@ -1342,6 +1349,30 @@ TEST(ShardStatus, ClassifiesEveryShardStateWithoutWriting) {
   EXPECT_NE(text.find("runs 12/20"), std::string::npos) << text;
   EXPECT_NE(text.find("owner 'dead-worker'"), std::string::npos) << text;
   EXPECT_NE(text.find("error: poison seed"), std::string::npos) << text;
+}
+
+TEST(ShardStatus, ForeignJournalIsNeverDone) {
+  ScratchDir dir("status_foreign");
+  build_fleet(dir.str(), 0, 10);
+  // A complete journal of another fault model sits at shard 1's path. It
+  // carries every record shard 1 owes, but not shard 1's identity.
+  const std::string j1 = shard_journal_path(dir.str(), 1, 2);
+  write_shard1_journal(j1, 5, 5, /*digest=*/0xfeed);
+  const FleetStatus st = fleet_status(dir.str(), 10000);
+  EXPECT_EQ(st.done, 1u);
+  EXPECT_FALSE(st.fleet_done());
+  EXPECT_EQ(st.entries.at(1).state, ShardStatusEntry::State::kUnclaimed);
+  EXPECT_EQ(st.entries.at(1).records, 0u);
+  try {
+    merge_shard_dir(dir.str());
+    FAIL() << "expected SimError(kBadConfig)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+    const std::string what = e.what();
+    EXPECT_NE(what.find(j1), std::string::npos) << what;
+    EXPECT_NE(what.find("scenario_digest 65261 (want 0)"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(ShardStatus, DirectoryWithoutAManifestIsARefusal) {

@@ -626,7 +626,21 @@ TEST(SmcJournal, ResumeRefusesADifferentHypothesisOrNoHypothesis) {
 
 TEST(SmcJournal, SingleShardMergeReproducesTheEarlyStoppedBytes) {
   const JournaledRun run = journaled_smc_run("merge");
-  const MergedCampaign merged = merge_journals({run.path}, MergeOptions{});
+  // The same campaign as a single-shard fleet: its decision record makes
+  // the shard complete at the executed runs.
+  const std::string dir = temp_path("merge_fleet");
+  std::filesystem::remove_all(dir);
+  ShardOptions so;
+  so.dir = dir;
+  so.worker_id = "smc";
+  CampaignOptions opts;
+  opts.smc = sprt_spec(0.2, 0.05);
+  opts.journal_tag = "smc-test";
+  ASSERT_TRUE(run_sharded_campaign(
+                  [](std::uint64_t s) { return bernoulli_run(s, 0.9); }, 1000,
+                  500, so, opts)
+                  .campaign_complete);
+  const MergedCampaign merged = merge_shard_dir(dir);
   EXPECT_TRUE(merged.complete);
   ASSERT_TRUE(merged.decision.has_value());
   EXPECT_EQ(merged.recorded_runs, merged.decision->executed);
@@ -638,16 +652,19 @@ TEST(SmcJournal, SingleShardMergeReproducesTheEarlyStoppedBytes) {
   rebuilt.write_csv(csv);
   EXPECT_EQ(csv.str(), run.csv);
   std::filesystem::remove(run.path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SmcJournal, MergeRefusesADecisionInAMultiShardLayout) {
-  // Hand-build a 2-shard journal that illegally carries a decision record:
-  // sequential campaigns are single-shard by construction, so the merge
-  // must treat this as corruption, not as a legal early stop.
-  const std::string path0 = temp_path("multishard0") + ".journal";
-  const std::string path1 = temp_path("multishard1") + ".journal";
-  std::filesystem::remove(path0);
-  std::filesystem::remove(path1);
+  // Hand-build a 2-shard fleet whose shard 0 journal illegally carries a
+  // decision record: sequential campaigns are single-shard by construction,
+  // so the merge must treat this as corruption, not as a legal early stop.
+  const std::string dir = temp_path("multishard");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/fleet.manifest")
+      << "scperf-fleet v1\nbase_seed 1000\ntotal_runs 64\nshard_count 2\n"
+         "digest 0\ntag smc-test\n";
   for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
     JournalHeader h;
     h.total_runs = 64;
@@ -657,7 +674,7 @@ TEST(SmcJournal, MergeRefusesADecisionInAMultiShardLayout) {
     h.base_seed = 1000 + h.shard_begin;
     h.runs = 32;
     h.tag = "smc-test";
-    JournalWriter w(shard == 0 ? path0 : path1, h);
+    JournalWriter w(shard_journal_path(dir, shard, 2), h);
     for (std::size_t i = 0; i < 32; ++i) {
       w.append(i, bernoulli_run(h.base_seed + i, 0.9));
     }
@@ -671,13 +688,15 @@ TEST(SmcJournal, MergeRefusesADecisionInAMultiShardLayout) {
     }
   }
   try {
-    merge_journals({path0, path1}, MergeOptions{});
+    merge_shard_dir(dir);
     FAIL() << "multi-shard decision accepted";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+    EXPECT_NE(std::string(e.what()).find("decision record"),
+              std::string::npos)
+        << e.what();
   }
-  std::filesystem::remove(path0);
-  std::filesystem::remove(path1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SmcJournal, SweepFleetPrunesCellsAndMergesByteIdentically) {

@@ -5,16 +5,18 @@
 // The load-bearing claims pinned here:
 //   - a single worker walks every cell and merge_sweep_dir reproduces the
 //     in-process sweep's print() and write_csv() byte-for-byte;
-//   - the sweep manifest pins the grid identity: a worker whose seed, run
-//     count or grid disagrees refuses to participate (kBadConfig);
+//   - the sweep manifest pins the grid identity in the bytes the format has
+//     always had: a worker whose seed, run count or grid disagrees refuses
+//     to participate (kBadConfig);
 //   - two workers split the grid with zero (cell, seed) overlap;
 //   - adoption resumes a dead worker's partially-journaled cell, executing
 //     only the missing seeds;
 //   - a quarantined cell is excluded from every claim pass, refuses a
 //     strict merge, and renders in a partial merge as an explicitly
 //     degraded grid (DEGRADED banner, '-' hole, state column in the CSV);
-//   - sweep_fleet_status classifies cells done/claimed/stale/quarantined/
-//     unclaimed from the shard directory alone, without writing to it.
+//   - fleet_status classifies cells done/claimed/stale/quarantined/
+//     unclaimed from the sweep manifest and the directory alone, without
+//     writing to it.
 
 #include "trace/shard.hpp"
 
@@ -131,6 +133,12 @@ std::string csv_of(const MergedSweep& s) {
   return os.str();
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
@@ -183,6 +191,11 @@ TEST(SweepShard, ManifestPinsTheGridAgainstForeignWorkers) {
   const std::size_t n = 3;
   run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(), base,
                     n, sweep_shard(dir.str(), 0, "first"));
+  // The manifest's bytes are part of the on-disk contract.
+  EXPECT_EQ(read_file(dir.str() + "/sweep.manifest"),
+            "scperf-sweep v1\nbase_seed 90\nruns 3\ndigest 0\ntag \n"
+            "mapping shared\nmapping split\n"
+            "scenario iid\nscenario burst\nscenario storm\n");
   // Same directory, different seed: this worker belongs to another sweep.
   try {
     run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
@@ -438,7 +451,7 @@ TEST(SweepShard, StatusClassifiesEveryCellStateWithoutWriting) {
   };
   const std::set<std::string> before = list_dir();
 
-  const FleetStatus st = sweep_fleet_status(dir.str(), 10000);
+  const FleetStatus st = fleet_status(dir.str(), 10000);
   EXPECT_EQ(st.units, cells);
   EXPECT_EQ(st.done, 2u);  // cells 0 and 5 still hold complete journals
   EXPECT_EQ(st.claimed, 1u);
@@ -489,7 +502,7 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
       lease,
       std::filesystem::last_write_time(lease) + std::chrono::hours(1));
 
-  const FleetStatus st = sweep_fleet_status(dir.str(), 10000);
+  const FleetStatus st = fleet_status(dir.str(), 10000);
   // An hour in the future with a 10 s TTL is outside the alive window in
   // the skew direction: stale, age negative so a human can see why.
   EXPECT_EQ(st.entries[0].state, ShardStatusEntry::State::kStale);
@@ -501,7 +514,7 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
 
 TEST(SweepShard, StatusOnAVirginDirectoryIsARefusalNotACrash) {
   ScratchDir dir("virgin");
-  EXPECT_THROW(sweep_fleet_status(dir.str(), 10000), SimError);
+  EXPECT_THROW(fleet_status(dir.str(), 10000), SimError);
 }
 
 }  // namespace
