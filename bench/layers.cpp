@@ -11,13 +11,27 @@
 //   back-annotates its delay.
 // - BM_Spawn8RunTeardown: build a Simulator, spawn 8 processes that wait
 //   once, run it and destroy it.
+// - BM_SegmentCloseSw: a process alone on a SW resource charges 10 adds and
+//   writes a Signal; each iteration is one segment close plus its
+//   back-annotation (RTOS switch included), with no contention.
+// - BM_SegmentCloseHwDfg: the same on a HW resource recording DFGs, with 50
+//   adds, so each close stores a 50-node graph.
 // - BM_ForceDirectedFir: hls::force_directed at fig4_design_space's four
 //   deadlines on the control-stripped DFG of the 16-tap FIR segment.
 // - BM_DesignSpaceFir: one hls::design_space sweep of the same DFG.
+//
+// glibc's mmap and trim thresholds are pinned at startup, as perfbench does:
+// with the adaptive defaults, heap history decides whether freed process
+// stacks go back to the kernel and are page-faulted in again, and
+// BM_Spawn8RunTeardown read ~20 us where pinned it reads ~2 us.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
+
+#if defined(__GLIBC__)  // set by the C++ headers above
+#include <malloc.h>
+#endif
 
 #include "core/estimator.hpp"
 #include "hls/schedule.hpp"
@@ -109,6 +123,36 @@ void BM_Spawn8RunTeardown(benchmark::State& state) {
 }
 BENCHMARK(BM_Spawn8RunTeardown);
 
+/// Each iteration charges `adds` additions and writes a Signal from the one
+/// mapped process: one segment close and its back-annotation.
+void run_segment_closes(benchmark::State& state, minisc::Simulator& sim,
+                        int adds) {
+  minisc::Signal<int> node("node");
+  sim.spawn("p", [&] {
+    int i = 0;
+    const scperf::gint one(scperf::detail::RawTag{}, 1);
+    for (auto _ : state) {
+      for (int k = 0; k < adds; ++k) {
+        scperf::gint r = one + k;
+        benchmark::DoNotOptimize(r);
+      }
+      node.write(++i);
+    }
+  });
+  if (sim.run() != minisc::StopReason::kFinished) {
+    state.SkipWithError("segment closes did not finish");
+  }
+}
+
+void BM_SegmentCloseSw(benchmark::State& state) {
+  minisc::Simulator sim;
+  scperf::Estimator est(sim);
+  est.map("p", est.add_sw_resource("cpu0", 50.0, scperf::orsim_sw_cost_table(),
+                                   {.rtos_cycles_per_switch = 20}));
+  run_segment_closes(state, sim, 10);
+}
+BENCHMARK(BM_SegmentCloseSw);
+
 constexpr double kHwClockMhz = 100.0;
 constexpr double kHwClockNs = 1000.0 / kHwClockMhz;
 
@@ -125,6 +169,16 @@ scperf::Dfg fir_dfg() {
   sim.run();
   return hls::strip_control(est.segment_dfg(seg.name, "entry->exit"));
 }
+
+void BM_SegmentCloseHwDfg(benchmark::State& state) {
+  minisc::Simulator sim;
+  scperf::Estimator est(sim);
+  est.map("p", est.add_hw_resource("asic", kHwClockMhz,
+                                   scperf::asic_hw_cost_table(),
+                                   {.k = 0.5, .record_dfg = true}));
+  run_segment_closes(state, sim, 50);
+}
+BENCHMARK(BM_SegmentCloseHwDfg);
 
 void BM_ForceDirectedFir(benchmark::State& state) {
   const scperf::Dfg dfg = fir_dfg();
@@ -157,6 +211,10 @@ BENCHMARK(BM_DesignSpaceFir)->Unit(benchmark::kMillisecond);
 void add_build_type_context();
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 64 << 20);
+  mallopt(M_TRIM_THRESHOLD, 512 << 20);
+#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   add_build_type_context();

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace scperf {
 
@@ -73,17 +74,27 @@ Resource* Estimator::find_resource(const std::string& name) const {
   return nullptr;
 }
 
-std::string Estimator::node_label(minisc::NodeKind kind, const char* label) {
-  using minisc::NodeKind;
-  switch (kind) {
-    case NodeKind::kChannelRead:
-      return std::string(label) + ":r";
-    case NodeKind::kChannelWrite:
-      return std::string(label) + ":w";
-    case NodeKind::kTimedWait:
-      return "wait";
+std::uint32_t Estimator::node_id(minisc::NodeKind kind, const char* label) {
+  if (kind == minisc::NodeKind::kTimedWait) return kWaitNode;
+  LabelSlot& slot = label_slots_[(reinterpret_cast<std::uintptr_t>(label) >> 4) %
+                                 label_slots_.size()];
+  // The text is compared too: a channel built where a destroyed one lived
+  // may reuse its label's address under another name.
+  if (slot.label != label || channels_[slot.channel].label != label) {
+    // First sight of this address: intern by content, so two channels that
+    // share a label are one node.
+    std::size_t i = 0;
+    while (i < channels_.size() && channels_[i].label != label) ++i;
+    if (i == channels_.size()) {
+      const auto id = static_cast<std::uint32_t>(node_names_.size());
+      channels_.push_back({label, id, id + 1});
+      node_names_.push_back(std::string(label) + ":r");
+      node_names_.push_back(std::string(label) + ":w");
+    }
+    slot = {label, static_cast<std::uint32_t>(i)};
   }
-  return "?";
+  const ChannelNodes& c = channels_[slot.channel];
+  return kind == minisc::NodeKind::kChannelRead ? c.read : c.write;
 }
 
 void Estimator::process_started(minisc::Process& p) {
@@ -101,7 +112,7 @@ void Estimator::process_started(minisc::Process& p) {
   for (const auto& existing : contexts_) {
     if (existing->name == p.name()) {
       existing->accum.reset();
-      existing->seg_from = "entry";
+      existing->seg_from = kEntryNode;
       p.user_data = existing.get();
       tl_accum = &existing->accum;
       return;
@@ -128,12 +139,12 @@ void Estimator::process_resumed(minisc::Process& p) {
 }
 
 void Estimator::process_finished(minisc::Process& p) {
-  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, "exit");
+  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, kExitNode);
 }
 
 void Estimator::node_reached(minisc::Process& p, minisc::NodeKind kind,
                              const char* label) {
-  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, node_label(kind, label));
+  if (ProcessCtx* ctx = ctx_of(p)) close_segment(*ctx, node_id(kind, label));
 }
 
 void Estimator::node_done(minisc::Process& p, minisc::NodeKind kind,
@@ -146,7 +157,19 @@ void Estimator::node_done(minisc::Process& p, minisc::NodeKind kind,
   (void)label;
 }
 
-void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
+Estimator::Segment& Estimator::segment_to(ProcessCtx& ctx, std::uint32_t to) {
+  for (Segment& seg : ctx.segments) {
+    if (seg.from == ctx.seg_from && seg.to == to) return seg;
+  }
+  Segment& seg = ctx.segments.emplace_back();
+  seg.from = ctx.seg_from;
+  seg.to = to;
+  seg.stats.from = node_names_[ctx.seg_from];
+  seg.stats.to = node_names_[to];
+  return seg;
+}
+
+void Estimator::close_segment(ProcessCtx& ctx, std::uint32_t to) {
   SegmentAccum& a = ctx.accum;
   Resource& r = *ctx.resource;
 
@@ -160,15 +183,11 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   }
 
   // ---- segment statistics ----
-  const std::string id = ctx.seg_from + "->" + to;
-  auto [it, inserted] = ctx.segments.try_emplace(id);
-  SegmentStats& st = it->second;
-  if (inserted) {
-    st.from = ctx.seg_from;
-    st.to = to;
+  Segment& seg = segment_to(ctx, to);
+  SegmentStats& st = seg.stats;
+  if (st.count == 0) {
     st.cycles_min = cycles;
     st.cycles_max = cycles;
-    ctx.segment_order.push_back(id);
   }
   ++st.count;
   st.cycles_sum += cycles;
@@ -181,13 +200,15 @@ void Estimator::close_segment(ProcessCtx& ctx, const std::string& to) {
   st.cycles_max = std::max(st.cycles_max, cycles);
   st.bc_cycles_sum += bc;
   st.wc_cycles_sum += wc;
-  if (a.record_dfg && !a.dfg.empty()) ctx.segment_dfgs[id] = a.dfg;
+  // The slot's previous graph becomes the buffer the next segment records
+  // into (reset() below clears it).
+  if (a.record_dfg && !a.dfg.empty()) std::swap(seg.dfg, a.dfg);
 
   ctx.total_cycles += cycles;
   ctx.ops_executed += a.op_count();
   ++ctx.segments_executed;
   if (ctx.record_instantaneous) {
-    ctx.executions.push_back({id, cycles, sim_.now()});
+    ctx.executions.push_back({st.id(), cycles, sim_.now()});
   }
 
   // ---- back-annotation (§4) ----
@@ -354,8 +375,8 @@ Report Estimator::report() const {
                              ctx->total_cycles, ctx->total_time,
                              ctx->segments_executed, ctx->ops_executed,
                              energy_of(ctx->accum, *ctx->resource)});
-    for (const std::string& id : ctx->segment_order) {
-      rep.segments.push_back({ctx->name, ctx->segments.at(id)});
+    for (const Segment& seg : ctx->segments) {
+      rep.segments.push_back({ctx->name, seg.stats});
     }
   }
   for (const auto& r : resources_) {
@@ -429,9 +450,7 @@ std::vector<SegmentStats> Estimator::segment_stats(
   std::vector<SegmentStats> out;
   for (const auto& ctx : contexts_) {
     if (ctx->name != process_name) continue;
-    for (const std::string& id : ctx->segment_order) {
-      out.push_back(ctx->segments.at(id));
-    }
+    for (const Segment& seg : ctx->segments) out.push_back(seg.stats);
   }
   return out;
 }
@@ -454,8 +473,9 @@ const Dfg& Estimator::segment_dfg(const std::string& process_name,
   static const Dfg kEmpty;
   for (const auto& ctx : contexts_) {
     if (ctx->name != process_name) continue;
-    const auto it = ctx->segment_dfgs.find(segment_id);
-    if (it != ctx->segment_dfgs.end()) return it->second;
+    for (const Segment& seg : ctx->segments) {
+      if (seg.stats.id() == segment_id) return seg.dfg;
+    }
   }
   return kEmpty;
 }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -139,31 +141,61 @@ class Estimator final : public minisc::KernelHook {
                  const char* label) override;
 
  private:
+  /// Nodes are interned to ids; these three exist from the start and a
+  /// channel's read and write nodes ("<label>:r", "<label>:w") get theirs at
+  /// the first access to its label.
+  static constexpr std::uint32_t kEntryNode = 0;
+  static constexpr std::uint32_t kExitNode = 1;
+  static constexpr std::uint32_t kWaitNode = 2;
+
+  /// One distinct segment of a process, keyed by its (from, to) node ids.
+  struct Segment {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    SegmentStats stats;
+    Dfg dfg;  ///< last non-empty DFG recorded for it
+  };
+
   struct ProcessCtx {
     std::string name;
     Resource* resource = nullptr;
     double priority = 0.0;
     SegmentAccum accum;
-    std::string seg_from = "entry";
+    std::uint32_t seg_from = kEntryNode;
     double total_cycles = 0.0;
     minisc::Time total_time;
     std::uint64_t segments_executed = 0;
     std::uint64_t ops_executed = 0;
-    std::map<std::string, SegmentStats> segments;
-    std::vector<std::string> segment_order;
-    std::map<std::string, Dfg> segment_dfgs;
+    std::vector<Segment> segments;  ///< in first-execution order
     bool record_instantaneous = false;
     std::vector<SegmentExecution> executions;
   };
 
-  static std::string node_label(minisc::NodeKind kind, const char* label);
+  /// A channel label and its two node ids.
+  struct ChannelNodes {
+    std::string label;
+    std::uint32_t read = 0;
+    std::uint32_t write = 0;
+  };
+
+  /// A label pointer seen at a node and the index of its ChannelNodes.
+  struct LabelSlot {
+    const char* label = nullptr;
+    std::uint32_t channel = 0;
+  };
+
   ProcessCtx* ctx_of(minisc::Process& p) const {
     return static_cast<ProcessCtx*>(p.user_data);
   }
 
+  std::uint32_t node_id(minisc::NodeKind kind, const char* label);
+  /// The process's segment from its current node to `to`, added at the end
+  /// of its table at first execution.
+  Segment& segment_to(ProcessCtx& ctx, std::uint32_t to);
+
   /// Ends the current segment at node `to`: records stats and back-annotates
   /// the estimated delay according to the resource type (§4).
-  void close_segment(ProcessCtx& ctx, const std::string& to);
+  void close_segment(ProcessCtx& ctx, std::uint32_t to);
   void back_annotate_sw(ProcessCtx& ctx, SwResource& cpu, minisc::Time delay);
   void back_annotate_sw_preemptive(ProcessCtx& ctx, SwResource& cpu,
                                    minisc::Time delay);
@@ -173,6 +205,12 @@ class Estimator final : public minisc::KernelHook {
   std::map<std::string, std::pair<Resource*, double>> mapping_;
   std::set<std::string> instantaneous_requested_;
   std::vector<std::unique_ptr<ProcessCtx>> contexts_;
+
+  std::vector<std::string> node_names_{"entry", "exit", "wait"};  ///< by id
+  std::vector<ChannelNodes> channels_;  ///< in first-access order
+  /// Direct-mapped by label address: a channel's label stays put while the
+  /// channel lives, so a node finds its ids without hashing the text.
+  std::array<LabelSlot, 64> label_slots_{};
 };
 
 }  // namespace scperf

@@ -93,26 +93,25 @@ SwResource::SwResource(std::string name, double clock_mhz, CostTable table,
 
 std::uint64_t SwResource::enter_contention(double priority) {
   const std::uint64_t ticket = ++next_ticket_;
-  contenders_[ticket] = Contender{priority, ticket};
+  contenders_.push_back(Contender{priority, ticket});
   return ticket;
 }
 
 void SwResource::leave_contention(std::uint64_t ticket) {
-  contenders_.erase(ticket);
+  const auto it = std::ranges::find(contenders_, ticket, &Contender::seq);
+  if (it != contenders_.end()) contenders_.erase(it);
 }
 
 bool SwResource::is_next(std::uint64_t ticket) const {
-  const auto self = contenders_.find(ticket);
+  const auto self = std::ranges::find(contenders_, ticket, &Contender::seq);
   assert(self != contenders_.end());
-  for (const auto& [t, c] : contenders_) {
-    if (t == ticket) continue;
+  for (const Contender& c : contenders_) {
+    if (c.seq == ticket) continue;
     if (opts_.policy == SchedulingPolicy::kPriority) {
-      if (c.priority > self->second.priority) return false;
-      if (c.priority == self->second.priority && c.seq < self->second.seq) {
-        return false;
-      }
+      if (c.priority > self->priority) return false;
+      if (c.priority == self->priority && c.seq < self->seq) return false;
     } else {
-      if (c.seq < self->second.seq) return false;  // earlier arrival wins
+      if (c.seq < self->seq) return false;  // earlier arrival wins
     }
   }
   return true;

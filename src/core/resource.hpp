@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -215,7 +214,8 @@ class SwResource final : public Resource {
   minisc::Time rtos_time_;
   std::uint64_t dispatch_count_ = 0;
   std::uint64_t next_ticket_ = 0;
-  std::map<std::uint64_t, Contender> contenders_;  ///< keyed by ticket
+  /// In ticket order: tickets only grow, so entering appends.
+  std::vector<Contender> contenders_;
 
   void preempt_reschedule();
   std::list<PreemptJob> preempt_jobs_;  ///< std::list: stable addresses

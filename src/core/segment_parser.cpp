@@ -9,8 +9,9 @@
 namespace scperf {
 
 std::string ProcessGraph::segment_name(const GraphSegment& s) const {
-  return "S" + nodes[s.from].label.substr(1) + "-" +
-         nodes[s.to].label.substr(1);
+  std::string name = "S";
+  name.append(nodes[s.from].label, 1).append("-").append(nodes[s.to].label, 1);
+  return name;
 }
 
 const GraphNode& ProcessGraph::node(const std::string& label) const {
@@ -155,7 +156,8 @@ ProcessGraph parse_process_body(const std::string& source) {
   const auto add_node = [&](GraphNode::Kind kind, std::string channel) {
     GraphNode n;
     n.kind = kind;
-    n.label = "N" + std::to_string(next_label++);
+    n.label = "N";
+    n.label.append(std::to_string(next_label++));
     n.channel = std::move(channel);
     n.line = line;
     n.loop_depth = static_cast<int>(

@@ -11,6 +11,9 @@ FaultInjector::FaultInjector(minisc::Simulator& sim, scperf::Estimator& est,
                              const FaultScenario& scenario)
     : sim_(sim), est_(est), scenario_(scenario),
       consumed_(scenario.pulses().size(), false) {
+  for (const Pulse& pulse : scenario_.pulses()) {
+    pulse_target_.push_back(est_.find_resource(pulse.resource));
+  }
   inner_ = sim_.hook();
   sim_.set_hook(this);
   spawn_drivers();
@@ -75,15 +78,13 @@ void FaultInjector::spawn_drivers() {
   }
 }
 
-void FaultInjector::drain_pulses(minisc::Process& p) {
+void FaultInjector::drain_pulses(const scperf::Resource& r) {
   // Pulses are sorted; everything due at or before `now` targeting the
   // resource this process runs on is charged into the segment the estimator
   // is about to close. Due pulses for OTHER resources stay pending until one
   // of their own processes reaches a node — a pulse hits the first segment
   // boundary on its resource after the fault instant.
   if (next_pulse_ >= scenario_.pulses().size()) return;
-  scperf::Resource* r = est_.mapped_resource(p.name());
-  if (r == nullptr) return;
   scperf::SegmentAccum* acc = scperf::tl_accum;
   if (acc == nullptr) return;
   const minisc::Time now = sim_.now();
@@ -94,7 +95,7 @@ void FaultInjector::drain_pulses(minisc::Process& p) {
   for (std::size_t i = next_pulse_; i < pulses.size(); ++i) {
     const Pulse& pulse = pulses[i];
     if (pulse.at > now) break;
-    if (consumed_[i] || pulse.resource != r->name()) continue;
+    if (consumed_[i] || pulse_target_[i] != &r) continue;
     // Charging both the sequential sum and the critical path stretches a HW
     // segment's [Tmin, Tmax] interval by the full pulse, so the estimate
     // T = Tmin + (Tmax - Tmin) * k grows by extra_cycles for every k.
@@ -119,7 +120,7 @@ void FaultInjector::apply_env_faults(scperf::Resource& env) {
   for (std::size_t i = next_pulse_; i < pulses.size(); ++i) {
     const Pulse& pulse = pulses[i];
     if (pulse.at > now) break;
-    if (consumed_[i] || pulse.resource != env.name()) continue;
+    if (consumed_[i] || pulse_target_[i] != &env) continue;
     stall += env.cycles_to_time(pulse.extra_cycles);
     env.add_fault_cycles(pulse.extra_cycles);
     consumed_[i] = true;
@@ -136,6 +137,8 @@ void FaultInjector::apply_env_faults(scperf::Resource& env) {
 }
 
 void FaultInjector::process_started(minisc::Process& p) {
+  if (p.id() >= resource_of_.size()) resource_of_.resize(p.id() + 1, nullptr);
+  resource_of_[p.id()] = est_.mapped_resource(p.name());
   if (inner_ != nullptr) inner_->process_started(p);
 }
 
@@ -149,11 +152,16 @@ void FaultInjector::process_resumed(minisc::Process& p) {
 
 void FaultInjector::node_reached(minisc::Process& p, minisc::NodeKind kind,
                                  const char* label) {
-  scperf::Resource* r = est_.mapped_resource(p.name());
-  if (r != nullptr && r->kind() == scperf::ResourceKind::kEnv) {
-    apply_env_faults(*r);
-  } else {
-    drain_pulses(p);
+  // A process that started before this injector was installed stays
+  // untouched, as an unmapped one does.
+  scperf::Resource* r =
+      p.id() < resource_of_.size() ? resource_of_[p.id()] : nullptr;
+  if (r != nullptr) {
+    if (r->kind() == scperf::ResourceKind::kEnv) {
+      apply_env_faults(*r);
+    } else {
+      drain_pulses(*r);
+    }
   }
   if (inner_ != nullptr) inner_->node_reached(p, kind, label);
 }

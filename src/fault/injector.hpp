@@ -80,7 +80,7 @@ class FaultInjector final : public minisc::KernelHook {
 
  private:
   void spawn_drivers();
-  void drain_pulses(minisc::Process& p);
+  void drain_pulses(const scperf::Resource& r);
   void apply_env_faults(scperf::Resource& env);
 
   minisc::Simulator& sim_;
@@ -90,6 +90,11 @@ class FaultInjector final : public minisc::KernelHook {
 
   std::size_t next_pulse_ = 0;  ///< scenario pulses are sorted by time
   std::vector<bool> consumed_;  ///< per-pulse delivered flag
+  /// Per pulse, the resource it names (nullptr when there is none).
+  std::vector<const scperf::Resource*> pulse_target_;
+  /// By Process::id(): the resource the process is mapped to, resolved when
+  /// it starts (nullptr when unmapped).
+  std::vector<scperf::Resource*> resource_of_;
   std::uint64_t pulses_injected_ = 0;
   double extra_cycles_injected_ = 0.0;
   std::uint64_t outages_applied_ = 0;

@@ -13,7 +13,9 @@ bool has_target(Opcode op) {
          op == Opcode::kJal;
 }
 
-std::string reg(unsigned r) { return "r" + std::to_string(r); }
+std::string reg(unsigned r) {
+  return std::string("r").append(std::to_string(r));
+}
 
 }  // namespace
 

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "kernel/simulator.hpp"
 
@@ -51,6 +51,7 @@ class Fifo : private Updatable {
   explicit Fifo(std::string name, std::size_t capacity = 16)
       : name_(std::move(name)),
         capacity_(capacity),
+        ring_(capacity),
         data_written_(name_ + ".written"),
         data_read_(name_ + ".read") {
     if (capacity_ == 0) {
@@ -65,8 +66,7 @@ class Fifo : private Updatable {
   T read() {
     detail::NodeScope node(NodeKind::kChannelRead, name_.c_str());
     while (num_available() == 0) wait(data_written_);
-    T v = std::move(buf_.front());
-    buf_.pop_front();
+    T v = pop();
     ++num_read_;
     request_update();
     return v;
@@ -86,8 +86,7 @@ class Fifo : private Updatable {
       if (t >= deadline) return std::nullopt;
       wait(data_written_, deadline - t);
     }
-    T v = std::move(buf_.front());
-    buf_.pop_front();
+    T v = pop();
     ++num_read_;
     request_update();
     return v;
@@ -97,7 +96,7 @@ class Fifo : private Updatable {
   void write(T v) {
     detail::NodeScope node(NodeKind::kChannelWrite, name_.c_str());
     while (num_free() == 0) wait(data_read_);
-    buf_.push_back(std::move(v));
+    push(std::move(v));
     ++num_written_;
     request_update();
   }
@@ -106,8 +105,7 @@ class Fifo : private Updatable {
   bool nb_read(T& out) {
     detail::NodeScope node(NodeKind::kChannelRead, name_.c_str());
     if (num_available() == 0) return false;
-    out = std::move(buf_.front());
-    buf_.pop_front();
+    out = pop();
     ++num_read_;
     request_update();
     return true;
@@ -117,7 +115,7 @@ class Fifo : private Updatable {
   bool nb_write(T v) {
     detail::NodeScope node(NodeKind::kChannelWrite, name_.c_str());
     if (num_free() == 0) return false;
-    buf_.push_back(std::move(v));
+    push(std::move(v));
     ++num_written_;
     request_update();
     return true;
@@ -136,14 +134,33 @@ class Fifo : private Updatable {
   void update() override {
     if (num_read_ > 0) data_read_.notify_delta();
     if (num_written_ > 0) data_written_.notify_delta();
-    num_readable_ = buf_.size();
+    num_readable_ = size_;
     num_read_ = 0;
     num_written_ = 0;
   }
 
+  // The values live in a ring of `capacity_` slots: never more are stored,
+  // so a channel access never allocates.
+  void push(T v) {
+    std::size_t tail = head_ + size_;
+    if (tail >= capacity_) tail -= capacity_;
+    ring_[tail].emplace(std::move(v));
+    ++size_;
+  }
+  T pop() {
+    std::optional<T>& slot = ring_[head_];
+    T v = std::move(*slot);
+    slot.reset();
+    if (++head_ == capacity_) head_ = 0;
+    --size_;
+    return v;
+  }
+
   std::string name_;
   std::size_t capacity_;
-  std::deque<T> buf_;
+  std::vector<std::optional<T>> ring_;
+  std::size_t head_ = 0;  ///< oldest stored value
+  std::size_t size_ = 0;  ///< stored values, visible or not
   std::size_t num_readable_ = 0;  ///< visible to readers this delta
   std::size_t num_read_ = 0;      ///< reads performed this delta
   std::size_t num_written_ = 0;   ///< writes performed this delta

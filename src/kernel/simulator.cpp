@@ -56,14 +56,15 @@ Event::Event(std::string name) : name_(std::move(name)) {}
 
 void Event::fire() {
   auto& sim = Simulator::current();
-  auto waiters = std::move(waiters_);
-  waiters_.clear();
-  for (const Waiter& w : waiters) {
+  // make_runnable only queues the process, so the list cannot change under
+  // the loop; clearing it afterwards keeps its buffer for the next waits.
+  for (const Waiter& w : waiters_) {
     if (w.proc->state_ == Process::State::kWaiting &&
         w.proc->wait_id_ == w.wait_id) {
       sim.make_runnable(*w.proc);
     }
   }
+  waiters_.clear();
 }
 
 void Event::notify() {
@@ -283,9 +284,20 @@ StopReason Simulator::run(Time limit) {
   wall_clock_countdown_ = kWallClockCheckStride;
   while (true) {
     // ---- evaluate phase ----
-    while (!runnable_.empty()) {
-      Process* p = runnable_.front();
-      runnable_.pop_front();
+    while (runnable_head_ < runnable_.size()) {
+      Process* p = runnable_[runnable_head_++];
+      if (runnable_head_ == runnable_.size()) {
+        runnable_.clear();
+        runnable_head_ = 0;
+      } else if (runnable_head_ >= kRunnableCompactAt &&
+                 2 * runnable_head_ >= runnable_.size()) {
+        // An immediate-notify livelock never drains the queue: drop the
+        // dispatched prefix so the buffer stays bounded.
+        runnable_.erase(runnable_.begin(),
+                        runnable_.begin() +
+                            static_cast<std::ptrdiff_t>(runnable_head_));
+        runnable_head_ = 0;
+      }
       ++dispatches_this_instant_;
       if (watchdog_.max_dispatches_per_instant != 0 &&
           dispatches_this_instant_ > watchdog_.max_dispatches_per_instant) {
@@ -300,24 +312,23 @@ StopReason Simulator::run(Time limit) {
       dispatch(*p);
     }
     // ---- update phase ----
-    {
-      auto updates = std::move(update_queue_);
-      update_queue_.clear();
-      for (Updatable* u : updates) {
-        u->update_pending_ = false;
-        u->update();
-      }
+    // Each phase swaps its queue with a kept buffer: updates and firings
+    // queue into the emptied member for the next delta, and neither buffer
+    // is ever freed.
+    update_batch_.clear();
+    update_batch_.swap(update_queue_);
+    for (Updatable* u : update_batch_) {
+      u->update_pending_ = false;
+      u->update();
     }
     // ---- delta-notification phase ----
-    {
-      auto deltas = std::move(delta_events_);
-      delta_events_.clear();
-      for (Event* ev : deltas) {
-        if (ev->pending_ != Event::Pending::kDelta) continue;  // cancelled
-        ev->pending_ = Event::Pending::kNone;
-        ++ev->generation_;
-        ev->fire();
-      }
+    delta_batch_.clear();
+    delta_batch_.swap(delta_events_);
+    for (Event* ev : delta_batch_) {
+      if (ev->pending_ != Event::Pending::kDelta) continue;  // cancelled
+      ev->pending_ = Event::Pending::kNone;
+      ++ev->generation_;
+      ev->fire();
     }
     ++delta_count_;
     ++deltas_this_instant_;
@@ -330,7 +341,7 @@ StopReason Simulator::run(Time limit) {
                          "): delta-notification livelock");
     }
     check_wall_clock();
-    if (!runnable_.empty() || !update_queue_.empty()) continue;
+    if (runnable_head_ < runnable_.size() || !update_queue_.empty()) continue;
     if (stop_requested_) return StopReason::kStopped;
 
     // ---- timed phase ----

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -339,9 +338,17 @@ class Simulator {
 
   detail::Context main_ctx_;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::deque<Process*> runnable_;
+  /// FIFO of ready processes: runnable_[runnable_head_..] are pending.
+  std::vector<Process*> runnable_;
+  std::size_t runnable_head_ = 0;
+  /// Dispatched entries a still-busy evaluate phase may leave before the
+  /// queue drops them.
+  static constexpr std::size_t kRunnableCompactAt = 64;
   std::vector<Event*> delta_events_;
   std::vector<Updatable*> update_queue_;
+  /// The batch the current update / delta-notification phase walks.
+  std::vector<Event*> delta_batch_;
+  std::vector<Updatable*> update_batch_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
                       std::greater<TimerEntry>>
       timers_;

@@ -287,6 +287,26 @@ TEST(Estimator, DfgRecordedForHwSegments) {
   EXPECT_EQ(dfg.size(), 7u);  // seven adds
 }
 
+TEST(Estimator, SegmentDfgIsTheLastOneRecorded) {
+  minisc::Simulator sim;
+  Estimator est(sim);
+  auto& hw = est.add_hw_resource("asic", kMhz, add_only_table(),
+                                 {.k = 0.0, .record_dfg = true});
+  est.map("p", hw);
+  sim.spawn("p", [] {
+    for (int adds : {3, 5, 2}) {
+      burn_adds(adds);
+      minisc::wait(minisc::Time::ns(10));
+    }
+  });
+  sim.run();
+  EXPECT_EQ(est.segment_dfg("p", "entry->wait").size(), 3u);
+  // wait->wait ran with 5 adds, then with 2: the second graph replaces the
+  // first, and the buffer it was recorded into does not keep the first's.
+  EXPECT_EQ(est.segment_dfg("p", "wait->wait").size(), 2u);
+  EXPECT_TRUE(est.segment_dfg("p", "wait->exit").empty());
+}
+
 // ---- channels drive segmentation --------------------------------------------
 
 TEST(Estimator, PipelineOverFifoProducesExpectedMakespan) {
@@ -380,6 +400,85 @@ TEST(Estimator, SignalAccessesAreNodes) {
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[0].id(), "entry->sig:w");
   EXPECT_DOUBLE_EQ(segs[0].mean(), 6.0);
+}
+
+TEST(Estimator, ChannelsSharingALabelAreOneNode) {
+  minisc::Simulator sim;
+  Estimator est(sim);
+  auto& cpu = est.add_sw_resource("cpu", kMhz, add_only_table());
+  est.map("producer", cpu);
+  minisc::Fifo<int> a("link", 4);
+  minisc::Fifo<int> b("link", 4);
+  sim.spawn("producer", [&] {
+    burn_adds(3);
+    a.write(1);
+    burn_adds(5);
+    b.write(2);
+    burn_adds(7);
+    a.write(3);
+  });
+  sim.run();
+  const auto segs = est.segment_stats("producer");
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(segs[0].id(), "entry->link:w");
+  EXPECT_EQ(segs[1].id(), "link:w->link:w");
+  EXPECT_EQ(segs[1].count, 2u);
+  EXPECT_DOUBLE_EQ(segs[1].cycles_sum, 12.0);
+  EXPECT_EQ(segs[2].id(), "link:w->exit");
+}
+
+TEST(Estimator, ReadAndWriteOfOneChannelAreTwoNodes) {
+  minisc::Simulator sim;
+  Estimator est(sim);
+  auto& cpu = est.add_sw_resource("cpu", kMhz, add_only_table());
+  est.map("p", cpu);
+  minisc::Fifo<int> loop("loop", 4);
+  sim.spawn("p", [&] {
+    for (int adds : {2, 4, 6, 8}) {
+      burn_adds(adds);
+      if (adds % 4 == 2) {
+        loop.write(adds);
+      } else {
+        (void)loop.read();
+      }
+    }
+  });
+  sim.run();
+  const auto segs = est.segment_stats("p");
+  ASSERT_EQ(segs.size(), 4u);
+  EXPECT_EQ(segs[0].id(), "entry->loop:w");
+  EXPECT_EQ(segs[1].id(), "loop:w->loop:r");
+  EXPECT_EQ(segs[1].count, 2u);
+  EXPECT_DOUBLE_EQ(segs[1].cycles_sum, 12.0);
+  EXPECT_EQ(segs[2].id(), "loop:r->loop:w");
+  EXPECT_DOUBLE_EQ(segs[2].cycles_sum, 6.0);
+  EXPECT_EQ(segs[3].id(), "loop:r->exit");
+}
+
+TEST(Estimator, RestartedProcessReentersAtEntry) {
+  minisc::Simulator sim;
+  Estimator est(sim);
+  auto& cpu = est.add_sw_resource("cpu", kMhz, add_only_table());
+  est.map("p", cpu);
+  sim.spawn("p", [] {
+    burn_adds(3);
+    minisc::wait(minisc::Time::ns(100));
+    burn_adds(4);
+    minisc::wait(minisc::Time::ns(100));
+  });
+  // p sits in its first wait (30 ns of segment, then 100 ns) at 50 ns.
+  sim.spawn("killer", [&] {
+    minisc::wait(minisc::Time::ns(50));
+    sim.kill_and_restart(*sim.find_process("p"), minisc::Time::ns(10));
+  });
+  EXPECT_EQ(sim.run(), minisc::StopReason::kFinished);
+  const auto segs = est.segment_stats("p");
+  ASSERT_EQ(segs.size(), 3u);
+  EXPECT_EQ(segs[0].id(), "entry->wait");
+  EXPECT_EQ(segs[0].count, 2u);  // once per start
+  EXPECT_EQ(segs[1].id(), "wait->wait");
+  EXPECT_EQ(segs[1].count, 1u);
+  EXPECT_EQ(segs[2].id(), "wait->exit");
 }
 
 // ---- report ------------------------------------------------------------------

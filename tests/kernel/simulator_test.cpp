@@ -358,7 +358,7 @@ TEST(Simulator, ManyProcessesManyWaits) {
   constexpr int kLaps = 100;
   int total = 0;
   for (int i = 0; i < kProcs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&, i] {
+    sim.spawn(std::string("p").append(std::to_string(i)), [&, i] {
       for (int lap = 0; lap < kLaps; ++lap) {
         wait(Time::ns(static_cast<std::uint64_t>(1 + i)));
         ++total;

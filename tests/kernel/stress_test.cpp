@@ -100,7 +100,7 @@ TEST(Stress, ExecTraceTimesAreMonotone) {
   Simulator sim;
   sim.enable_exec_trace(true);
   for (int p = 0; p < 10; ++p) {
-    sim.spawn("p" + std::to_string(p), [p] {
+    sim.spawn(std::string("p").append(std::to_string(p)), [p] {
       Rng rng(static_cast<std::uint32_t>(31 * p + 7));
       for (int i = 0; i < 30; ++i) {
         wait(Time::ns(rng.range(1, 100)));
@@ -166,7 +166,7 @@ TEST(Stress, RendezvousManyWritersManyReaders) {
   constexpr int kPerWriter = 20;
   long sum_in = 0;
   for (int w = 0; w < kWriters; ++w) {
-    sim.spawn("w" + std::to_string(w), [&, w] {
+    sim.spawn(std::string("w").append(std::to_string(w)), [&, w] {
       for (int i = 0; i < kPerWriter; ++i) {
         rv.write(w * 100 + i);
       }
@@ -175,7 +175,7 @@ TEST(Stress, RendezvousManyWritersManyReaders) {
   }
   long sum_out = 0;
   for (int r = 0; r < 2; ++r) {
-    sim.spawn("r" + std::to_string(r), [&, r] {
+    sim.spawn(std::string("r").append(std::to_string(r)), [&, r] {
       const int n = kWriters * kPerWriter / 2;
       for (int i = 0; i < n; ++i) sum_out += rv.read();
     });

@@ -80,7 +80,7 @@ TEST(Vcd, IdCodesStayPrintableForManyPoints) {
   std::vector<std::unique_ptr<scperf::CapturePoint>> points;
   for (int i = 0; i < 120; ++i) {
     points.push_back(std::make_unique<scperf::CapturePoint>(
-        "p" + std::to_string(i), reg));
+        std::string("p").append(std::to_string(i)), reg));
   }
   std::ostringstream os;
   write_vcd(os, reg);
