@@ -1,5 +1,5 @@
 // Ablation D (DESIGN.md §4): cache-induced estimation error, plus the gates
-// of the orsim block-level cost cache (iss/block_cache.hpp).
+// of the orsim block path (iss/block_cache.hpp).
 //
 // Three modes in one binary:
 //
@@ -12,21 +12,20 @@
 //               model, drifts by the miss cycles — exactly the class of
 //               error the paper attributes to the memory hierarchy.
 //
-//   --verify    Byte-identity + soundness gates of the block cost cache
-//               (the CI gate): every Table-1 ISS run (plain / I$ / I$+D$),
-//               the vocoder ISS pipeline, and a fault-injected ISS-backed
-//               campaign (threads in {seq, 1, 8}) must produce identical
-//               results with the cache disabled, enabled, and in
-//               ORSIM_BLOCK_CACHE_VALIDATE mode. Also checks engagement
-//               (hits > 0 where the cache should fire), the D$ bypass
-//               (memory blocks never fast-pathed under a d-cache model),
-//               the tracing bypass, and a clean validate run. Exits
-//               non-zero on any divergence.
+//   --verify    Byte-identity gates of the block path (the CI gate): every
+//               Table-1 ISS run (plain / I$ / I$+D$), the vocoder ISS
+//               pipeline, and a fault-injected ISS-backed campaign (threads
+//               in {seq, 1, 8}) must produce identical results with the
+//               block path off (the per-instruction reference) and on. Also
+//               checks that blocks run on the block path where they should
+//               (hits > 0), memory blocks included under a d-cache model,
+//               and that tracing keeps every instruction on the
+//               per-instruction path. Exits non-zero on any divergence.
 //
 //   --speedup   Chrono-measured speedup of persistent-machine ISS replay
 //               (construct the Machine once, re-run the benchmark function
 //               repeatedly — what a cost-table build or campaign replay
-//               does) with the block cache on vs off, timed in interleaved
+//               does) with the block path on vs off, timed in interleaved
 //               on/off pairs; exits non-zero when the median per-pair ratio
 //               falls below the 1.5x gate. Run separately from --verify so an
 //               equivalence failure is never masked by a timing failure or
@@ -37,7 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +44,7 @@
 #include "fault/injector.hpp"
 #include "iss/assembler.hpp"
 #include "iss/machine.hpp"
+#include "iss_gate_kernel.hpp"
 #include "trace/campaign.hpp"
 #include "workloads/table1.hpp"
 #include "workloads/vocoder/pipeline.hpp"
@@ -68,16 +67,15 @@ std::uint64_t bits(double v) {
   return u;
 }
 
-/// The three block-cache modes the matrix crosses. The env var is how a user
-/// toggles the cache, and iss::Machine reads it at construction — so setting
-/// it here exercises the exact production path.
-enum class BcMode { kOff, kOn, kValidate };
-
-void set_bc_mode(BcMode m) {
-  unsetenv("ORSIM_BLOCK_CACHE");
-  unsetenv("ORSIM_BLOCK_CACHE_VALIDATE");
-  if (m == BcMode::kOff) setenv("ORSIM_BLOCK_CACHE", "0", 1);
-  if (m == BcMode::kValidate) setenv("ORSIM_BLOCK_CACHE_VALIDATE", "1", 1);
+/// Switches the block path for every Machine built from here on. The env
+/// var is how a user toggles it, and iss::Machine reads it at construction
+/// — so setting it here reaches the Machines built inside src/workloads.
+void set_block_path(bool on) {
+  if (on) {
+    unsetenv("ORSIM_BLOCK_CACHE");
+  } else {
+    setenv("ORSIM_BLOCK_CACHE", "0", 1);
+  }
 }
 
 // ---- gate 1: Table-1 ISS runs, plain / I$ / I$+D$ -----------------------
@@ -102,7 +100,7 @@ IssArtifacts from_result(const workloads::IssResult& r) {
 }
 
 void gate_table1() {
-  std::printf("-- gate: table1 ISS runs, cache off/on/validate --\n");
+  std::printf("-- gate: table1 ISS runs, block path off/on --\n");
   struct CacheCase {
     const char* name;
     workloads::IssCacheConfig cfg;
@@ -114,103 +112,44 @@ void gate_table1() {
   };
   for (const auto& b : workloads::table1_suite()) {
     for (const CacheCase& c : cases) {
-      std::optional<IssArtifacts> ref;
-      bool all_equal = true;
-      bool validate_clean = true;
-      for (const BcMode m : {BcMode::kOff, BcMode::kOn, BcMode::kValidate}) {
-        set_bc_mode(m);
-        try {
-          const IssArtifacts a = from_result(b.iss_cached(c.cfg));
-          if (!ref) {
-            ref = a;
-          } else {
-            all_equal &= a == *ref;
-          }
-        } catch (const std::logic_error&) {
-          validate_clean = false;
-        }
-      }
-      set_bc_mode(BcMode::kOn);
-      const std::string label = b.name + " (" + c.name + ")";
-      check(all_equal, label + ": cycles/instructions/checksum identical");
-      check(validate_clean, label + ": validate mode clean");
+      set_block_path(false);
+      const IssArtifacts off = from_result(b.iss(c.cfg));
+      set_block_path(true);
+      const IssArtifacts on = from_result(b.iss(c.cfg));
+      check(on == off, b.name + " (" + c.name +
+                           "): cycles/instructions/checksum identical");
     }
   }
-  unsetenv("ORSIM_BLOCK_CACHE");
-  unsetenv("ORSIM_BLOCK_CACHE_VALIDATE");
 }
 
 // ---- gate 2: vocoder ISS pipeline ---------------------------------------
 
 void gate_vocoder() {
-  std::printf("-- gate: vocoder ISS pipeline, cache off/on/validate --\n");
-  std::optional<workloads::vocoder::IssPipelineResult> ref;
-  bool all_equal = true;
-  bool validate_clean = true;
-  for (const BcMode m : {BcMode::kOff, BcMode::kOn, BcMode::kValidate}) {
-    set_bc_mode(m);
-    try {
-      const auto r = workloads::vocoder::run_iss(/*frames=*/4);
-      if (!ref) {
-        ref = r;
-      } else {
-        all_equal &= r.checksum == ref->checksum &&
-                     r.cycles.lsp == ref->cycles.lsp &&
-                     r.cycles.lpc_int == ref->cycles.lpc_int &&
-                     r.cycles.acb == ref->cycles.acb &&
-                     r.cycles.icb == ref->cycles.icb &&
-                     r.cycles.post == ref->cycles.post;
-      }
-    } catch (const std::logic_error&) {
-      validate_clean = false;
-    }
-  }
-  unsetenv("ORSIM_BLOCK_CACHE");
-  unsetenv("ORSIM_BLOCK_CACHE_VALIDATE");
-  check(all_equal, "vocoder: per-stage cycles and checksum identical");
-  check(validate_clean, "vocoder: validate mode clean");
+  std::printf("-- gate: vocoder ISS pipeline, block path off/on --\n");
+  set_block_path(false);
+  const auto off = workloads::vocoder::run_iss(/*frames=*/4);
+  set_block_path(true);
+  const auto on = workloads::vocoder::run_iss(/*frames=*/4);
+  check(on.checksum == off.checksum && on.cycles.lsp == off.cycles.lsp &&
+            on.cycles.lpc_int == off.cycles.lpc_int &&
+            on.cycles.acb == off.cycles.acb &&
+            on.cycles.icb == off.cycles.icb &&
+            on.cycles.post == off.cycles.post,
+        "vocoder: per-stage cycles and checksum identical");
 }
 
 // ---- gate 3: fault-injected ISS-backed campaign, threads {seq,1,8} ------
 
-/// Loop-heavy kernel used by the campaign and the engagement/speedup gates:
-/// nested multiply-accumulate with the outer trip count in r3 — the shape of
-/// the Table-1 FIR workload, parameterisable per seed.
-constexpr const char* kGateAsm = R"(
-kernel:
-  li   r11, 0
-  li   r13, 0
-outer:
-  sflt r13, r3
-  bnf  done
-  li   r14, 0
-  li   r15, 0
-inner:
-  sflti r15, 16
-  bnf  inner_done
-  mul  r20, r15, r13
-  add  r14, r14, r20
-  addi r15, r15, 1
-  j    inner
-inner_done:
-  srai r14, r14, 4
-  add  r11, r11, r14
-  addi r13, r13, 1
-  j    outer
-done:
-  ret
-)";
-
-/// Per-seed run: an ISS execution (fresh Machine, block cache per env) whose
+/// Per-seed run: an ISS execution (fresh Machine, block path per env) whose
 /// cycle count and checksum parameterise a fault-injected estimator run —
 /// so the campaign CSV depends bit-for-bit on the ISS outputs, and byte-
-/// identity across cache modes and thread counts gates the block cache
+/// identity across block-path modes and thread counts gates the block path
 /// under fault injection and concurrency at once.
 sctrace::FaultCampaign::RunFn make_iss_campaign_run() {
   return [](std::uint64_t seed) {
     iss::Machine m;
     m.enable_icache({64, 16, 20});
-    m.load_program(iss::assemble(kGateAsm));
+    m.load_program(iss::assemble(kIssGateKernelAsm));
     m.set_reg(3, static_cast<std::int32_t>(40 + seed % 9));
     const std::int32_t sum = m.call("kernel");
     const std::uint64_t iss_cycles = m.stats().cycles;
@@ -239,7 +178,7 @@ sctrace::FaultCampaign::RunFn make_iss_campaign_run() {
       for (int i = 0; i < kItems; ++i) {
         const Time t0 = minisc::now();
         // Annotated work sized by the ISS checksum; wait jitter by the ISS
-        // cycle count — any block-cache-induced divergence lands in the CSV.
+        // cycle count — any block-path-induced divergence lands in the CSV.
         const int shape = static_cast<int>(
             (static_cast<std::uint64_t>(sum) + static_cast<unsigned>(i)) % 3);
         scperf::gint acc(scperf::detail::RawTag{}, 0);
@@ -264,14 +203,13 @@ struct CampaignArtifacts {
   std::uint64_t faults = 0;
 };
 
-CampaignArtifacts run_campaign(BcMode mode, std::size_t threads) {
-  set_bc_mode(mode);
+CampaignArtifacts run_campaign(bool block_path, std::size_t threads) {
+  set_block_path(block_path);
   sctrace::FaultCampaign campaign(make_iss_campaign_run());
   sctrace::CampaignOptions opts;
   opts.threads = threads;
   campaign.run(/*base_seed=*/11, /*n=*/10, opts);
-  unsetenv("ORSIM_BLOCK_CACHE");
-  unsetenv("ORSIM_BLOCK_CACHE_VALIDATE");
+  set_block_path(true);
   CampaignArtifacts a;
   std::ostringstream os;
   campaign.write_csv(os);
@@ -288,8 +226,8 @@ void gate_campaign() {
       "-- gate: fault-injected ISS campaign, threads in {seq, 1, 8} --\n");
   for (const std::size_t threads :
        {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    const CampaignArtifacts off = run_campaign(BcMode::kOff, threads);
-    const CampaignArtifacts on = run_campaign(BcMode::kOn, threads);
+    const CampaignArtifacts off = run_campaign(false, threads);
+    const CampaignArtifacts on = run_campaign(true, threads);
     const std::string label = "threads=" + std::to_string(threads);
     check(on.csv == off.csv && on.report == off.report,
           label + ": campaign CSV/report byte-identical");
@@ -297,11 +235,10 @@ void gate_campaign() {
   }
 }
 
-// ---- gate 4: engagement and soundness bypasses --------------------------
+// ---- gate 4: where the block path runs ----------------------------------
 
-/// Memory-touching kernel: the inner loop loads/stores through r16, so its
-/// blocks carry has_mem and must never take the fast path when a d-cache
-/// timing model is live.
+/// Memory-touching kernel: the inner loop loads/stores through r16, so the
+/// d-cache model, when enabled, is charged inside its blocks.
 constexpr const char* kMemAsm = R"(
 kernel:
   li   r11, 0
@@ -319,24 +256,21 @@ done:
 )";
 
 void gate_engagement() {
-  std::printf("-- gate: block-cache engagement and bypasses --\n");
+  std::printf("-- gate: where the block path runs --\n");
 
-  {  // Engagement: persistent machine, repeated replay, hits dominate.
+  {  // Persistent machine, repeated replay: blocks run on the block path.
     iss::Machine m;
-    m.load_program(iss::assemble(kGateAsm));
+    m.load_program(iss::assemble(kIssGateKernelAsm));
     m.set_reg(3, 200);
     for (int rep = 0; rep < 4; ++rep) m.call("kernel");
-    const iss::BlockCacheStats st = m.block_cache_stats();
-    check(st.hits > 0, "replayed run: cache engaged (hits > 0)");
-    check(st.replayed_instructions > 0, "replayed run: instructions skipped");
+    check(m.block_cache_stats().hits > 0,
+          "replayed run: blocks on the block path (hits > 0)");
   }
 
-  {  // D$ bypass: identical cycles with the cache on and off, and the
-     // memory blocks counted as bypassed rather than memoized.
+  {  // D$: memory blocks run on the block path with the d-cache charged
+     // live, for the same cycles as the per-instruction path.
     iss::Machine on, off;
-    iss::BlockCacheConfig c_off;
-    c_off.enabled = false;
-    off.set_block_cache_config(c_off);
+    off.set_block_cache_config({.enabled = false});
     for (iss::Machine* m : {&on, &off}) {
       m->enable_icache({64, 16, 20});
       m->enable_dcache({64, 16, 20});
@@ -345,44 +279,20 @@ void gate_engagement() {
       for (int rep = 0; rep < 3; ++rep) m->call("kernel");
     }
     check(on.stats().cycles == off.stats().cycles,
-          "d-cache model: cycles identical with cache on/off");
-    check(on.block_cache_stats().bypassed > 0,
-          "d-cache model: memory blocks bypassed");
+          "d-cache model: cycles identical with the block path on/off");
+    const iss::BlockCacheStats st = on.block_cache_stats();
+    check(st.hits > 0 && st.bypassed == 0,
+          "d-cache model: memory blocks on the block path");
   }
 
-  {  // Tracing bypass: the ring must see every instruction, so the cache
-     // must not engage at all while tracing is enabled.
+  {  // Tracing: the ring must see every instruction, so no block runs.
     iss::Machine m;
     m.enable_trace(16);
-    m.load_program(iss::assemble(kGateAsm));
+    m.load_program(iss::assemble(kIssGateKernelAsm));
     m.set_reg(3, 50);
     m.call("kernel");
-    check(!m.block_cache_stats().engaged(),
-          "tracing enabled: cache fully bypassed");
-  }
-
-  {  // Validate mode: conventional charging cross-checked against the
-     // memoized entries; a clean program must never throw, and the
-     // cross-checks must actually execute.
-    iss::Machine m;
-    iss::BlockCacheConfig cfg;
-    cfg.validate = true;
-    m.set_block_cache_config(cfg);
-    m.enable_icache({64, 16, 20});
-    m.load_program(iss::assemble(kGateAsm));
-    m.set_reg(3, 120);
-    bool threw = false;
-    std::uint64_t validated = 0;
-    try {
-      for (int rep = 0; rep < 4; ++rep) m.call("kernel");
-      validated = m.block_cache_stats().validated;
-    } catch (const std::logic_error&) {
-      threw = true;
-    }
-    check(!threw, "validate mode: no divergence on a sound cache");
-    check(validated > 0, "validate mode: cross-checks executed");
     check(m.block_cache_stats().hits == 0,
-          "validate mode: fast path never taken");
+          "tracing enabled: every instruction on the per-instruction path");
   }
 }
 
@@ -408,7 +318,7 @@ double time_replay(iss::Machine& m, int reps, long& sink) {
 
 int run_speedup_gate() {
   std::printf(
-      "-- speedup: block cost cache vs conventional ISS charging --\n");
+      "-- speedup: block path vs per-instruction ISS charging --\n");
   // Each pair times the two sides back to back and the side that runs first
   // alternates, so host drift between pairs cancels out of every ratio.
   constexpr int kPairs = 9;
@@ -416,15 +326,13 @@ int run_speedup_gate() {
   double worst = 1e9;
   for (const bool with_ic : {false, true}) {
     iss::Machine on, off;
-    iss::BlockCacheConfig c_off;
-    c_off.enabled = false;
-    off.set_block_cache_config(c_off);
+    off.set_block_cache_config({.enabled = false});
     for (iss::Machine* m : {&on, &off}) {
       if (with_ic) m->enable_icache({64, 16, 20});
-      m->load_program(iss::assemble(kGateAsm));
+      m->load_program(iss::assemble(kIssGateKernelAsm));
       m->set_reg(3, 200);
     }
-    // Warm both (assembler pages, cache build) before the timed pairs.
+    // Warm both (assembler pages, block build) before the timed pairs.
     time_replay(on, 5, sink);
     time_replay(off, 5, sink);
     std::vector<double> ratios;
@@ -446,15 +354,15 @@ int run_speedup_gate() {
     const iss::BlockCacheStats st = on.block_cache_stats();
     std::printf(
         "  %-10s speedup median %.2fx (min %.2fx, max %.2fx over %d pairs)  "
-        "(hits %llu, replayed %llu instrs, cycles on/off %llu/%llu)\n",
+        "(hits %llu, built %llu, cycles on/off %llu/%llu)\n",
         with_ic ? "icache:" : "plain:", speedup, ratios.front(),
         ratios.back(), kPairs, static_cast<unsigned long long>(st.hits),
-        static_cast<unsigned long long>(st.replayed_instructions),
+        static_cast<unsigned long long>(st.misses),
         static_cast<unsigned long long>(on.stats().cycles),
         static_cast<unsigned long long>(off.stats().cycles));
     check(on.stats().cycles == off.stats().cycles,
           "cycle counts identical while timing");
-    check(st.hits > 0, "speedup run actually hit the cache");
+    check(st.hits > 0, "speedup run actually ran the block path");
   }
   std::printf("  worst-case median replay speedup: %.2fx (gate: >= 1.5x)\n",
               worst);
@@ -468,15 +376,14 @@ void print_help(const char* argv0) {
       "usage: %s [--verify | --speedup | --help]\n"
       "\n"
       "  (default)  Ablation D: cache-induced estimation error table\n"
-      "  --verify   block-cache byte-identity + soundness gates\n"
-      "             (table1/vocoder/fault-campaign x cache off/on/validate\n"
-      "             x threads {seq,1,8}); exits non-zero on divergence\n"
+      "  --verify   block-path byte-identity gates (table1/vocoder/\n"
+      "             fault-campaign x block path off/on x threads {seq,1,8});\n"
+      "             exits non-zero on divergence\n"
       "  --speedup  persistent-machine ISS replay speedup in interleaved\n"
       "             on/off pairs, gate: median pair ratio >= 1.5x\n"
       "\n"
-      "environment: ORSIM_BLOCK_CACHE=0 disables the block cost cache,\n"
-      "             ORSIM_BLOCK_CACHE_VALIDATE=1 charges conventionally and\n"
-      "             cross-checks every memoized block (throws on mismatch)\n",
+      "environment: ORSIM_BLOCK_CACHE=0 runs every instruction on the\n"
+      "             per-instruction path\n",
       argv0);
 }
 
@@ -492,11 +399,11 @@ int run_ablation_table() {
               "-----------+----------------------\n");
 
   for (const auto& b : workloads::table1_suite()) {
-    const workloads::IssResult base = b.iss();
+    const workloads::IssResult base = b.iss({});
     workloads::IssCacheConfig cfg;
     cfg.enable_icache = true;
     cfg.enable_dcache = true;
-    const workloads::IssResult cached = b.iss_cached(cfg);
+    const workloads::IssResult cached = b.iss(cfg);
 
     // Library estimate (independent of any cache model).
     scperf::CostTable table = scperf::orsim_sw_cost_table();

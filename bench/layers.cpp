@@ -1,4 +1,4 @@
-// Per-layer host costs (google-benchmark): the kernel and HLS rows.
+// Per-layer host costs (google-benchmark): the kernel, HLS and ISS rows.
 //
 //   ./build/bench/layers [--benchmark_format=json]
 //
@@ -19,6 +19,11 @@
 // - BM_ForceDirectedFir: hls::force_directed at fig4_design_space's four
 //   deadlines on the control-stripped DFG of the 16-tap FIR segment.
 // - BM_DesignSpaceFir: one hls::design_space sweep of the same DFG.
+// - BM_IssInstruction/blocks:B/icache:I: one orsim instruction, with the
+//   block path on (B = 1) or off, without a cache model (I = 0) or with an
+//   i-cache. Each iteration replays the ablation_iss_cache --speedup kernel
+//   on one persistent Machine; items are instructions, and time_per_instr
+//   is the CPU time per instruction.
 //
 // glibc's mmap and trim thresholds are pinned at startup, as perfbench does:
 // with the adaptive defaults, heap history decides whether freed process
@@ -35,6 +40,9 @@
 
 #include "core/estimator.hpp"
 #include "hls/schedule.hpp"
+#include "iss/assembler.hpp"
+#include "iss/machine.hpp"
+#include "iss_gate_kernel.hpp"
 #include "kernel/channels.hpp"
 #include "kernel/simulator.hpp"
 #include "workloads/hw_segments.hpp"
@@ -204,6 +212,23 @@ void BM_DesignSpaceFir(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DesignSpaceFir)->Unit(benchmark::kMillisecond);
+
+void BM_IssInstruction(benchmark::State& state) {
+  iss::Machine m;
+  m.set_block_cache_config({.enabled = state.range(0) != 0});
+  if (state.range(1) != 0) m.enable_icache({64, 16, 20});
+  m.load_program(iss::assemble(kIssGateKernelAsm));
+  m.set_reg(3, 200);
+  for (auto _ : state) benchmark::DoNotOptimize(m.call("kernel"));
+  const auto instrs = static_cast<double>(m.stats().instructions);
+  state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
+  // An inverted rate: CPU seconds per instruction (printed as "...ns").
+  state.counters["time_per_instr"] = benchmark::Counter(
+      instrs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IssInstruction)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"blocks", "icache"});
 
 }  // namespace
 

@@ -69,7 +69,7 @@ Row run_benchmark(const workloads::Benchmark& b) {
 
   // ISS reference.
   workloads::IssResult iss{};
-  row.host_iss_ms = host_ms([&] { iss = b.iss(); });
+  row.host_iss_ms = host_ms([&] { iss = b.iss({}); });
 
   if (ref_checksum != lib_checksum || ref_checksum != iss.checksum) {
     std::printf("!! %s: checksum mismatch (ref %ld, lib %ld, iss %ld)\n",

@@ -39,7 +39,7 @@ Sample measure(const workloads::Benchmark& b) {
   for (std::size_t i = 0; i < scperf::kNumOps; ++i) {
     s.hist[i] = static_cast<double>(accum.op_histogram[i]);
   }
-  s.iss_cycles = static_cast<double>(b.iss().cycles);
+  s.iss_cycles = static_cast<double>(b.iss({}).cycles);
   return s;
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/context.hpp"
 #include "core/resource.hpp"
+#include "kernel/error.hpp"
 
 namespace scfault {
 
@@ -11,6 +12,25 @@ FaultInjector::FaultInjector(minisc::Simulator& sim, scperf::Estimator& est,
                              const FaultScenario& scenario)
     : sim_(sim), est_(est), scenario_(scenario),
       consumed_(scenario.pulses().size(), false) {
+  // A SW outage stalls claims by pinning busy_until, which the preemptive
+  // scheduler never reads: it would be counted and charged as fault energy
+  // without moving simulated time. Refuse it before the hook is installed.
+  const auto refuse_preemptive = [this](const std::string& name) {
+    const auto* sw =
+        dynamic_cast<const scperf::SwResource*>(est_.find_resource(name));
+    if (sw != nullptr && sw->preemptive()) {
+      throw minisc::SimError(
+          minisc::SimError::Kind::kBadConfig,
+          "FaultInjector: outages on preemptive SW resource '" + name +
+              "' are not supported (they would move no simulated time)");
+    }
+  };
+  for (const OutageSpec& o : scenario_.config().outages) {
+    refuse_preemptive(o.resource);
+  }
+  for (const StormSpec& s : scenario_.config().storms) {
+    refuse_preemptive(s.resource);
+  }
   for (const Pulse& pulse : scenario_.pulses()) {
     pulse_target_.push_back(est_.find_resource(pulse.resource));
   }

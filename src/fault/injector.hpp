@@ -26,7 +26,9 @@ namespace scfault {
 ///    the fault as ordinary work.
 ///  - Outages: on SW resources a driver process pins busy_until to the
 ///    outage end, so every occupation request issued during the window
-///    stalls until it closes (in-flight occupations complete). On HW and
+///    stalls until it closes (in-flight occupations complete). A preemptive
+///    SW resource never reads busy_until, so an outage or storm spec naming
+///    one makes the constructor throw minisc::SimError(kBadConfig). On HW and
 ///    ENV resources the window is registered as resource downtime at
 ///    construction: HW segments overlapping the window stretch by the
 ///    overlap during back-annotation, ENV processes reaching a node inside

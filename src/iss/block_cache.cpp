@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
-#include <stdexcept>
-
-#include "iss/machine.hpp"
 
 namespace iss {
 
@@ -14,218 +10,45 @@ BlockCacheConfig BlockCacheConfig::from_env() {
   if (const char* v = std::getenv("ORSIM_BLOCK_CACHE")) {
     cfg.enabled = !(v[0] == '0' && v[1] == '\0');
   }
-  if (const char* v = std::getenv("ORSIM_BLOCK_CACHE_VALIDATE")) {
-    cfg.validate = !(v[0] == '0' && v[1] == '\0');
-  }
   return cfg;
 }
 
-namespace {
-
-bool is_mem(InstrClass cls) {
-  return cls == InstrClass::kLoad || cls == InstrClass::kStore;
-}
-
-}  // namespace
-
-void BlockCache::build(BlockDesc& d, const Program& program,
-                       const DirectMappedCache* icache,
-                       const DirectMappedCache* dcache, std::uint32_t entry) {
-  d.built = true;
+void BlockCache::build(Block& b, const Program& program,
+                       const CycleModel& model, std::uint32_t entry) {
+  b.built = true;
+  b.runs = true;
   const auto n = static_cast<std::uint32_t>(program.instrs.size());
-  // The block is the longest *statically deterministic* execution path from
-  // `entry`: straight-line runs extended across unconditional jumps (j/jal
-  // targets are immediates, so the path stays static). It ends at the first
-  // conditional branch, register jump, halt, re-entry into its own path (a
-  // loop closure — the next block boundary), or the length cap. Spanning
-  // jumps matters: it turns a loop body of N short basic blocks into one
-  // block, amortising the per-block arm/finish work over the whole body.
+  // Spanning unconditional jumps turns a loop body of several short basic
+  // blocks into one block, so the Machine looks a block up once per body.
+  std::vector<std::uint32_t> path;
   std::uint32_t pc = entry;
   while (true) {
     if (pc >= n) {
-      // Running off the end of the program throws during execution; never
-      // fast-path such a block.
-      d.end = BlockEnd::kSplit;
-      d.uncacheable = true;
+      // Execution must throw where the path leaves the program, and only
+      // the per-instruction path checks each fetch.
+      b.runs = false;
       break;
     }
-    if (!d.pcs.empty() &&
-        std::find(d.pcs.begin(), d.pcs.end(), pc) != d.pcs.end()) {
-      d.end = BlockEnd::kSplit;  // static loop closure: exit = this pc
-      break;
-    }
+    if (std::find(path.begin(), path.end(), pc) != path.end()) break;
     const Instr& in = program.instrs[pc];
-    if (in.op == Opcode::kHalt) {
-      d.end = BlockEnd::kHalt;
-      break;
-    }
+    if (in.op == Opcode::kHalt) break;
     const InstrClass cls = classify(in.op);
-    d.pcs.push_back(pc);
-    ++d.len;
-    ++d.per_class[static_cast<std::size_t>(cls)];
-    d.has_mem = d.has_mem || is_mem(cls);
-    if (cls == InstrClass::kBranch) {
-      d.end = BlockEnd::kBranch;
-      d.target = in.target;
-      // A branch whose target IS its fall-through has one exit PC but two
-      // costs (taken vs not); the (entry, exit) key cannot tell them
-      // apart, so the block is never memoized.
-      if (in.target == pc + 1) d.uncacheable = true;
+    path.push_back(pc);
+    ++b.per_class[static_cast<std::size_t>(cls)];
+    // Jumps are always taken; a conditional branch can only come last.
+    for (const bool taken : {false, true}) {
+      b.cycles[taken] +=
+          model.cost(cls, cls == InstrClass::kJump ||
+                              (cls == InstrClass::kBranch && taken));
+    }
+    if (cls == InstrClass::kBranch || in.op == Opcode::kJr ||
+        path.size() >= kMaxBlockLen) {
       break;
     }
-    if (cls == InstrClass::kJump) {
-      if (in.op == Opcode::kJr || d.len >= cfg_.max_block_len) {
-        d.end = BlockEnd::kJump;  // jr: exit register-dependent, still keyed
-        break;
-      }
-      pc = in.target;
-      continue;
-    }
-    if (d.len >= cfg_.max_block_len) {
-      d.end = BlockEnd::kSplit;
-      break;
-    }
-    ++pc;
+    pc = cls == InstrClass::kJump ? in.target : pc + 1;
   }
-  if (d.len == 0) d.uncacheable = true;  // entry at halt / end of program
-  if (icache != nullptr) {
-    for (const std::uint32_t p : d.pcs) {
-      const std::uint32_t addr = p * 4;
-      const std::uint32_t idx = icache->line_index(addr);
-      const std::int64_t tag = icache->line_tag(addr);
-      const auto it = std::find(d.lines.begin(), d.lines.end(), idx);
-      if (it == d.lines.end()) {
-        d.lines.push_back(idx);
-        d.final_tags.push_back(tag);
-      } else {
-        // Self-conflict within the block: the final tag is the last access
-        // mapping to this line — still static.
-        d.final_tags[static_cast<std::size_t>(it - d.lines.begin())] = tag;
-      }
-    }
-  }
-  // The cache configuration is frozen for this BlockCache's lifetime, so the
-  // d-cache soundness rule folds into one precomputed flag.
-  d.fast_ok =
-      !d.uncacheable && d.len > 0 && !(d.has_mem && dcache != nullptr);
-}
-
-void BlockCache::begin_validate(const BlockDesc& d,
-                                const DirectMappedCache* icache,
-                                std::uint32_t pc, std::uint64_t cycles_so_far) {
-  pending_.active = true;
-  pending_.entry = pc;
-  pending_.sig = entry_signature(d, icache);
-  pending_.cycles_before = cycles_so_far;
-  pending_.ic_hits_before = icache != nullptr ? icache->hits() : 0;
-  pending_.ic_misses_before = icache != nullptr ? icache->misses() : 0;
-}
-
-std::uint64_t BlockCache::walk_cost(const BlockDesc& d, const Program& program,
-                                    const CycleModel& model,
-                                    DirectMappedCache* icache,
-                                    std::uint32_t exit) const {
-  std::uint64_t cycles = 0;
-  for (const std::uint32_t pc : d.pcs) {
-    const Instr& in = program.instrs[pc];
-    const InstrClass cls = classify(in.op);
-    // Jumps inside the path are unconditional (always taken); a conditional
-    // branch can only be the last instruction, where the exit PC pins its
-    // outcome.
-    const bool taken =
-        cls == InstrClass::kJump ||
-        (cls == InstrClass::kBranch && exit == d.target);
-    cycles += model.cost(cls, taken);
-    if (icache != nullptr) cycles += icache->access(pc * 4);
-  }
-  return cycles;
-}
-
-std::uint64_t BlockCache::finish_fast_miss(BlockDesc& d, const Program& program,
-                                           const CycleModel& model,
-                                           DirectMappedCache* icache,
-                                           std::uint32_t exit,
-                                           std::uint64_t sig) {
-  // Miss: the recompute walk IS conventional charging (same order, same
-  // icache mutations), so the recorded entry equals it exactly.
-  const std::uint64_t h0 = icache != nullptr ? icache->hits() : 0;
-  const std::uint64_t m0 = icache != nullptr ? icache->misses() : 0;
-  const std::uint64_t cycles = walk_cost(d, program, model, icache, exit);
+  b.len = static_cast<std::uint32_t>(path.size());
   ++stats_.misses;
-  if (d.entries.size() >= cfg_.max_entries_per_block) {
-    // A block whose exits/tag-states never repeat would grow the cache
-    // without hitting; stop both recording and arming for it.
-    d.uncacheable = true;
-    d.fast_ok = false;
-    return cycles;
-  }
-  Entry e;
-  e.exit = exit;
-  e.sig = sig;
-  e.cycles = cycles;
-  e.ic_hits = static_cast<std::uint32_t>((icache ? icache->hits() : 0) - h0);
-  e.ic_misses =
-      static_cast<std::uint32_t>((icache ? icache->misses() : 0) - m0);
-  d.entries.push_back(e);
-  return cycles;
-}
-
-void BlockCache::finish_charged(std::uint32_t entry, std::uint32_t exit,
-                                std::uint64_t cycles_now,
-                                const DirectMappedCache* icache) {
-  if (!pending_.active || pending_.entry != entry) {
-    pending_.active = false;
-    return;
-  }
-  pending_.active = false;
-  BlockDesc& d = descs_[entry];
-  const std::uint64_t cycles = cycles_now - pending_.cycles_before;
-  const std::uint64_t ic_hits =
-      (icache != nullptr ? icache->hits() : 0) - pending_.ic_hits_before;
-  const std::uint64_t ic_misses =
-      (icache != nullptr ? icache->misses() : 0) - pending_.ic_misses_before;
-  for (const Entry& e : d.entries) {
-    if (e.exit == exit && e.sig == pending_.sig) {
-      if (e.cycles != cycles || e.ic_hits != ic_hits ||
-          e.ic_misses != ic_misses) {
-        std::ostringstream os;
-        os << "orsim: block cache validation failed for block [pc " << entry
-           << " -> " << exit << "] (memoized " << e.cycles << " cycles / "
-           << e.ic_hits << " hits / " << e.ic_misses
-           << " misses != charged " << cycles << " / " << ic_hits << " / "
-           << ic_misses << ")";
-        throw std::logic_error(os.str());
-      }
-      ++stats_.validated;
-      return;
-    }
-  }
-  ++stats_.misses;
-  if (d.entries.size() >= cfg_.max_entries_per_block) {
-    d.uncacheable = true;
-    d.fast_ok = false;
-    return;
-  }
-  Entry e;
-  e.exit = exit;
-  e.sig = pending_.sig;
-  e.cycles = cycles;
-  e.ic_hits = static_cast<std::uint32_t>(ic_hits);
-  e.ic_misses = static_cast<std::uint32_t>(ic_misses);
-  d.entries.push_back(e);
-}
-
-BlockCacheStats BlockCache::stats() const {
-  BlockCacheStats s = stats_;
-  s.entries = 0;
-  for (const BlockDesc& d : descs_) s.entries += d.entries.size();
-  return s;
-}
-
-void BlockCache::debug_perturb_entries(std::uint32_t extra_cycles) {
-  for (BlockDesc& d : descs_) {
-    for (Entry& e : d.entries) e.cycles += extra_cycles;
-  }
 }
 
 }  // namespace iss

@@ -27,26 +27,6 @@ class DirectMappedCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  // ---- block-cache replay interface (iss/block_cache.hpp) ----
-  // The block cache memoizes per-basic-block cost, keyed partly by the tag
-  // state of the lines a block touches; a hit must then reproduce the exact
-  // post-block tag state and hit/miss counters conventional accesses would
-  // have left. These accessors expose just enough state for that — they are
-  // not a general-purpose cache API.
-  std::uint32_t line_index(std::uint32_t addr) const {
-    return (addr >> offset_bits_) & index_mask_;
-  }
-  std::int64_t line_tag(std::uint32_t addr) const {
-    return static_cast<std::int64_t>(addr >> offset_bits_);
-  }
-  std::int64_t tag_at(std::uint32_t index) const { return tags_[index]; }
-  void restore_tag(std::uint32_t index, std::int64_t tag) {
-    tags_[index] = tag;
-  }
-  void account(std::uint64_t hits, std::uint64_t misses) {
-    hits_ += hits;
-    misses_ += misses;
-  }
   double hit_rate() const {
     const std::uint64_t total = hits_ + misses_;
     return total == 0 ? 0.0 : static_cast<double>(hits_) / total;

@@ -141,7 +141,7 @@ void Machine::load_program(Program program) {
   halt_stub_ = static_cast<std::uint32_t>(program_.instrs.size());
   program_.instrs.push_back({Opcode::kHalt, 0, 0, 0, 0, 0});
   pc_ = 0;
-  bcache_.reset();  // block descriptors are indexed by PC of the old program
+  blocks_.reset(program_.instrs.size());  // blocks are indexed by PC
 }
 
 void Machine::check_addr(std::uint32_t addr, std::uint32_t bytes) const {
@@ -188,8 +188,8 @@ Machine::RunResult Machine::run(std::uint64_t max_steps) {
 }
 
 // The interpreter calls this once per instruction from two sites (the
-// conventional loop and the block cache's tight replay loop); forcing the
-// inline keeps both at direct-switch dispatch speed.
+// per-instruction loop and the block path's tight loop); forcing the inline
+// keeps both at direct-switch dispatch speed.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((always_inline)) inline
 #else
@@ -308,22 +308,10 @@ Machine::RunResult Machine::run_from(std::uint32_t entry,
   }
   RunResult res;
   const auto n_instrs = static_cast<std::uint32_t>(program_.instrs.size());
-
-  // Block cost cache: active only when enabled and no instruction trace is
-  // recording (the ring must see every instruction). Fast blocks execute in
-  // the tight inner loop below — no per-instruction fetch-bound, halt, trace
-  // or costing checks, which is where most of the replay speedup comes from;
-  // the block cache settles the whole block's cost at its boundary.
-  // charge_left counts down a conventionally charged block so finish_charged
-  // can cross-check it in validate mode.
-  BlockCache* bc = nullptr;
-  if (bc_cfg_.enabled && trace_depth_ == 0) {
-    if (!bcache_) bcache_ = std::make_unique<BlockCache>(bc_cfg_);
-    bcache_->bind(program_);
-    bc = bcache_.get();
-  }
-  std::uint32_t charge_left = 0;
-  std::uint32_t block_entry = 0;
+  // The block path runs a whole block in a tight loop with no fetch-bound,
+  // halt, trace or pricing check per instruction, and prices it once at its
+  // end. It is off while tracing: the ring must see every instruction.
+  const bool block_path = bc_cfg_.enabled && trace_depth_ == 0;
 
   while (res.instructions < max_steps) {
     if (pc_ >= n_instrs) {
@@ -335,27 +323,30 @@ Machine::RunResult Machine::run_from(std::uint32_t entry,
       res.halted = true;
       break;
     }
-    if (bc != nullptr && charge_left == 0) {
-      const BlockCache::Decision dec =
-          bc->arm(program_, icache(), dcache(), pc_,
-                  max_steps - res.instructions, res.cycles);
-      if (dec.fast) {
-        // Tight replay loop. Safe because arm() only fast-paths blocks that
-        // are fully in-bounds, halt-free straight-line runs short enough to
-        // fit in the remaining step budget.
-        const std::uint32_t fast_entry = pc_;
-        bool fast_taken = false;
-        for (std::uint32_t k = dec.len; k != 0; --k) {
-          pc_ = exec_arch(program_.instrs[pc_], res.cycles, fast_taken);
+    if (block_path) {
+      if (const BlockCache::Block* b = blocks_.at(
+              program_, model_, pc_, max_steps - res.instructions)) {
+        // No bounds check on the fetch: build() only lets blocks whose
+        // whole path lies inside the program run here.
+        bool taken = false;  // the final instruction's outcome prices it
+        if (icache_) {
+          for (std::uint32_t k = b->len; k != 0; --k) {
+            const std::uint32_t pc = pc_;
+            pc_ = exec_arch(program_.instrs[pc], res.cycles, taken);
+            res.cycles += icache_->access(pc * 4);
+          }
+        } else {
+          for (std::uint32_t k = b->len; k != 0; --k) {
+            pc_ = exec_arch(program_.instrs[pc_], res.cycles, taken);
+          }
         }
-        res.instructions += dec.len;
-        res.cycles += bc->finish_fast(program_, model_,
-                                      icache_ ? &*icache_ : nullptr,
-                                      fast_entry, pc_, stats_);
+        res.instructions += b->len;
+        res.cycles += b->cycles[taken];
+        for (std::size_t c = 0; c < b->per_class.size(); ++c) {
+          stats_.per_class[c] += b->per_class[c];
+        }
         continue;
       }
-      block_entry = pc_;
-      charge_left = dec.len;
     }
     ++res.instructions;
     bool taken = false;
@@ -377,9 +368,6 @@ Machine::RunResult Machine::run_from(std::uint32_t entry,
       res.cycles += icache_->access(pc_ * 4);
     }
     ++stats_.per_class[static_cast<std::size_t>(cls)];
-    if (charge_left > 0 && --charge_left == 0) {
-      bc->finish_charged(block_entry, next, res.cycles, icache());
-    }
     pc_ = next;
   }
 

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -54,17 +53,11 @@ class Machine {
   // ---- timing configuration ----
   void set_cycle_model(const CycleModel& m) {
     model_ = m;
-    bcache_.reset();  // memoized block costs assume the old model
+    blocks_.reset(program_.instrs.size());  // priced with the old model
   }
   const CycleModel& cycle_model() const { return model_; }
-  void enable_icache(DirectMappedCache::Config cfg) {
-    icache_.emplace(cfg);
-    bcache_.reset();  // touched-line sets / signatures assume old geometry
-  }
-  void enable_dcache(DirectMappedCache::Config cfg) {
-    dcache_.emplace(cfg);
-    bcache_.reset();  // has_mem blocks become bypassed under a d-cache
-  }
+  void enable_icache(DirectMappedCache::Config cfg) { icache_.emplace(cfg); }
+  void enable_dcache(DirectMappedCache::Config cfg) { dcache_.emplace(cfg); }
   const DirectMappedCache* icache() const {
     return icache_ ? &*icache_ : nullptr;
   }
@@ -72,23 +65,19 @@ class Machine {
     return dcache_ ? &*dcache_ : nullptr;
   }
 
-  // ---- block-level cost cache (iss/block_cache.hpp) ----
+  // ---- block path (iss/block_cache.hpp) ----
 
-  /// Replaces the block-cache configuration (default: BlockCacheConfig::
-  /// from_env() at construction) and drops any memoized entries. The cache is
-  /// also dropped whenever the cost semantics it memoized change:
-  /// load_program, set_cycle_model, enable_icache, enable_dcache.
+  /// Replaces the block-path switch (default: BlockCacheConfig::from_env()
+  /// at construction) and drops every block built so far. Blocks are also
+  /// dropped by load_program and set_cycle_model, whose program and prices
+  /// they were built from.
   void set_block_cache_config(const BlockCacheConfig& cfg) {
     bc_cfg_ = cfg;
-    bcache_.reset();
+    blocks_.reset(program_.instrs.size());
   }
   const BlockCacheConfig& block_cache_config() const { return bc_cfg_; }
-  /// Counters of the block cost cache (zero if it never engaged).
-  BlockCacheStats block_cache_stats() const {
-    return bcache_ ? bcache_->stats() : BlockCacheStats{};
-  }
-  /// Test hook: the live cache, or nullptr before the first cached run.
-  BlockCache* debug_block_cache() { return bcache_.get(); }
+  /// Counters of the block path since the blocks were last dropped.
+  BlockCacheStats block_cache_stats() const { return blocks_.stats(); }
 
   // ---- execution tracing (debugging aid) ----
 
@@ -100,14 +89,15 @@ class Machine {
     bool flag = false;          ///< compare flag after execution
   };
 
-  /// Keeps the most recent `depth` executed instructions (0 disables).
-  /// The ring is O(1) per instruction; intended for post-mortem inspection
-  /// of misbehaving programs, not for full-run logging. While tracing is
-  /// enabled the block cost cache is bypassed entirely (every instruction
-  /// must pass through the ring).
+  /// Keeps the most recent `depth` executed instructions (0 disables) and
+  /// starts a new window. The ring is O(1) per instruction; intended for
+  /// post-mortem inspection of misbehaving programs, not for full-run
+  /// logging. While tracing is enabled every instruction runs on the
+  /// per-instruction path, so that each one passes through the ring.
   void enable_trace(std::size_t depth) {
     trace_depth_ = depth;
     trace_.clear();
+    trace_next_ = 0;
   }
   /// Oldest-to-newest window of the last executed instructions.
   std::vector<TraceRecord> trace_window() const;
@@ -138,8 +128,8 @@ class Machine {
  private:
   void check_addr(std::uint32_t addr, std::uint32_t bytes) const;
   /// Executes one instruction architecturally (registers, memory, flag,
-  /// d-cache timing) and returns the next PC. Shared by the conventional
-  /// per-instruction path and the block cache's tight replay loop.
+  /// d-cache timing) and returns the next PC. Shared by the per-instruction
+  /// path and the block path's tight loop.
   std::uint32_t exec_arch(const Instr& in, std::uint64_t& cycles, bool& taken);
 
   Program program_;
@@ -152,7 +142,7 @@ class Machine {
   std::optional<DirectMappedCache> dcache_;
   ExecStats stats_;
   BlockCacheConfig bc_cfg_ = BlockCacheConfig::from_env();
-  std::unique_ptr<BlockCache> bcache_;  ///< lazily built on first cached run
+  BlockCache blocks_;
   std::uint32_t halt_stub_ = 0;  ///< index of the appended halt instruction
   std::size_t trace_depth_ = 0;
   std::size_t trace_next_ = 0;  ///< ring-buffer write position

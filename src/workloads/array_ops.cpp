@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "core/annot.hpp"
-#include "iss/assembler.hpp"
 #include "iss/machine.hpp"
 #include "workloads/data.hpp"
 #include "workloads/table1.hpp"
@@ -89,32 +88,22 @@ a_done:
   ret
 )";
 
-IssResult array_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kArrayAsm));
-  constexpr std::uint32_t kAAddr = 0x1000;
-  constexpr std::uint32_t kBAddr = 0x2000;
-  store_words(m, kAAddr, array_a());
-  store_words(m, kBAddr, array_b());
-  m.set_reg(3, kAAddr);
-  m.set_reg(4, kBAddr);
-  m.set_reg(5, kN);
-  const long checksum = m.call("array");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult array_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kArrayAsm, "array", [](iss::Machine& m) {
+    constexpr std::uint32_t kAAddr = 0x1000;
+    constexpr std::uint32_t kBAddr = 0x2000;
+    store_words(m, kAAddr, array_a());
+    store_words(m, kBAddr, array_b());
+    m.set_reg(3, kAAddr);
+    m.set_reg(4, kBAddr);
+    m.set_reg(5, kN);
+  });
 }
-
-IssResult array_iss() { return array_iss_cfg(IssCacheConfig{}); }
 
 }  // namespace
 
 Benchmark make_array() {
-  return {"Array", array_reference, array_annotated, array_iss,
-          array_iss_cfg};
+  return {"Array", array_reference, array_annotated, array_iss};
 }
 
 }  // namespace workloads

@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "core/annot.hpp"
-#include "iss/assembler.hpp"
 #include "iss/machine.hpp"
 #include "workloads/data.hpp"
 #include "workloads/table1.hpp"
@@ -107,29 +106,19 @@ c_done:
   ret
 )";
 
-IssResult compress_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kCompressAsm));
-  constexpr std::uint32_t kInAddr = 0x1000;
-  store_words(m, kInAddr, compress_input());
-  m.set_reg(3, kInAddr);
-  m.set_reg(4, kWords);
-  const long checksum = m.call("compress");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult compress_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kCompressAsm, "compress", [](iss::Machine& m) {
+    constexpr std::uint32_t kInAddr = 0x1000;
+    store_words(m, kInAddr, compress_input());
+    m.set_reg(3, kInAddr);
+    m.set_reg(4, kWords);
+  });
 }
-
-IssResult compress_iss() { return compress_iss_cfg(IssCacheConfig{}); }
 
 }  // namespace
 
 Benchmark make_compress() {
-  return {"Compress", compress_reference, compress_annotated, compress_iss,
-          compress_iss_cfg};
+  return {"Compress", compress_reference, compress_annotated, compress_iss};
 }
 
 }  // namespace workloads

@@ -1,5 +1,7 @@
 #include "workloads/data.hpp"
 
+#include "iss/assembler.hpp"
+
 namespace workloads {
 
 std::vector<std::int32_t> random_vector(std::size_t n, std::uint32_t seed,
@@ -24,6 +26,20 @@ std::vector<std::int32_t> load_words(const iss::Machine& m,
     v[i] = m.read_word(addr + static_cast<std::uint32_t>(4 * i));
   }
   return v;
+}
+
+IssResult run_on_iss(const IssCacheConfig& cfg, const char* asm_src,
+                     const char* fn, void (*setup)(iss::Machine&)) {
+  iss::Machine m;
+  if (cfg.enable_icache) m.enable_icache(cfg.icache);
+  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
+  m.load_program(iss::assemble(asm_src));
+  setup(m);
+  const long checksum = m.call(fn);
+  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
+  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
+  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
+  return r;
 }
 
 }  // namespace workloads

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "iss/machine.hpp"
+#include "workloads/table1.hpp"
 
 namespace workloads {
 
@@ -38,5 +39,11 @@ void store_words(iss::Machine& m, std::uint32_t addr,
                  const std::vector<std::int32_t>& v);
 std::vector<std::int32_t> load_words(const iss::Machine& m,
                                      std::uint32_t addr, std::size_t n);
+
+/// The ISS form of a Benchmark: a fresh Machine with the cache timing models
+/// `cfg` enables runs `asm_src`; `setup` stores the inputs and sets the
+/// argument registers, then the result's checksum is what `fn` returns.
+IssResult run_on_iss(const IssCacheConfig& cfg, const char* asm_src,
+                     const char* fn, void (*setup)(iss::Machine&));
 
 }  // namespace workloads

@@ -1,8 +1,8 @@
 #include <cstdint>
 
 #include "core/annot.hpp"
-#include "iss/assembler.hpp"
 #include "iss/machine.hpp"
+#include "workloads/data.hpp"
 #include "workloads/table1.hpp"
 
 namespace workloads {
@@ -56,25 +56,16 @@ fib_rec:
   ret
 )";
 
-IssResult fib_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kFibAsm));
-  m.set_reg(3, kFibArg);
-  const long checksum = m.call("fib");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult fib_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kFibAsm, "fib", [](iss::Machine& m) {
+    m.set_reg(3, kFibArg);
+  });
 }
-
-IssResult fib_iss() { return fib_iss_cfg(IssCacheConfig{}); }
 
 }  // namespace
 
 Benchmark make_fibonacci() {
-  return {"Fibonacci", fib_reference, fib_annotated, fib_iss, fib_iss_cfg};
+  return {"Fibonacci", fib_reference, fib_annotated, fib_iss};
 }
 
 }  // namespace workloads

@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "core/annot.hpp"
-#include "iss/assembler.hpp"
 #include "iss/machine.hpp"
 #include "workloads/data.hpp"
 #include "workloads/table1.hpp"
@@ -98,34 +97,25 @@ fir_done:
   ret
 )";
 
-IssResult fir_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kFirAsm));
-  constexpr std::uint32_t kXAddr = 0x1000;
-  constexpr std::uint32_t kHAddr = 0x2000;
-  constexpr std::uint32_t kYAddr = 0x3000;
-  store_words(m, kXAddr, fir_x());
-  store_words(m, kHAddr, fir_h());
-  m.set_reg(3, kXAddr);
-  m.set_reg(4, kHAddr);
-  m.set_reg(5, kYAddr);
-  m.set_reg(6, kSamples);
-  m.set_reg(7, kTaps);
-  const long checksum = m.call("fir");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult fir_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kFirAsm, "fir", [](iss::Machine& m) {
+    constexpr std::uint32_t kXAddr = 0x1000;
+    constexpr std::uint32_t kHAddr = 0x2000;
+    constexpr std::uint32_t kYAddr = 0x3000;
+    store_words(m, kXAddr, fir_x());
+    store_words(m, kHAddr, fir_h());
+    m.set_reg(3, kXAddr);
+    m.set_reg(4, kHAddr);
+    m.set_reg(5, kYAddr);
+    m.set_reg(6, kSamples);
+    m.set_reg(7, kTaps);
+  });
 }
-
-IssResult fir_iss() { return fir_iss_cfg(IssCacheConfig{}); }
 
 }  // namespace
 
 Benchmark make_fir() {
-  return {"FIR", fir_reference, fir_annotated, fir_iss, fir_iss_cfg};
+  return {"FIR", fir_reference, fir_annotated, fir_iss};
 }
 
 }  // namespace workloads

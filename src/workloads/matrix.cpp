@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "core/annot.hpp"
-#include "iss/assembler.hpp"
 #include "iss/machine.hpp"
 #include "workloads/data.hpp"
 #include "workloads/table1.hpp"
@@ -154,34 +153,24 @@ m_done:
   ret
 )";
 
-IssResult matrix_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kMatrixAsm));
-  constexpr std::uint32_t kAAddr = 0x10000;
-  constexpr std::uint32_t kBAddr = 0x20000;
-  constexpr std::uint32_t kCAddr = 0x30000;
-  store_words(m, kAAddr, mat_a());
-  store_words(m, kBAddr, mat_b());
-  m.set_reg(3, kAAddr);
-  m.set_reg(4, kBAddr);
-  m.set_reg(5, kCAddr);
-  m.set_reg(6, kN);
-  const long checksum = m.call("matmul");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult matrix_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kMatrixAsm, "matmul", [](iss::Machine& m) {
+    constexpr std::uint32_t kAAddr = 0x10000;
+    constexpr std::uint32_t kBAddr = 0x20000;
+    constexpr std::uint32_t kCAddr = 0x30000;
+    store_words(m, kAAddr, mat_a());
+    store_words(m, kBAddr, mat_b());
+    m.set_reg(3, kAAddr);
+    m.set_reg(4, kBAddr);
+    m.set_reg(5, kCAddr);
+    m.set_reg(6, kN);
+  });
 }
-
-IssResult matrix_iss() { return matrix_iss_cfg(IssCacheConfig{}); }
 
 }  // namespace
 
 Benchmark make_matrix() {
-  return {"Matrix", matrix_reference, matrix_annotated, matrix_iss,
-          matrix_iss_cfg};
+  return {"Matrix", matrix_reference, matrix_annotated, matrix_iss};
 }
 
 }  // namespace workloads

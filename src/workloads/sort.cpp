@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "core/annot.hpp"
-#include "iss/assembler.hpp"
 #include "iss/machine.hpp"
 #include "workloads/data.hpp"
 #include "workloads/table1.hpp"
@@ -193,25 +192,16 @@ q_chk_done:
   ret
 )";
 
-IssResult quick_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kQuickAsm));
-  constexpr std::uint32_t kAAddr = 0x1000;
-  constexpr std::uint32_t kStackAddr = 0x8000;
-  store_words(m, kAAddr, quick_input());
-  m.set_reg(3, kAAddr);
-  m.set_reg(4, kQuickN);
-  m.set_reg(5, kStackAddr);
-  const long checksum = m.call("quicksort");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult quick_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kQuickAsm, "quicksort", [](iss::Machine& m) {
+    constexpr std::uint32_t kAAddr = 0x1000;
+    constexpr std::uint32_t kStackAddr = 0x8000;
+    store_words(m, kAAddr, quick_input());
+    m.set_reg(3, kAAddr);
+    m.set_reg(4, kQuickN);
+    m.set_reg(5, kStackAddr);
+  });
 }
-
-IssResult quick_iss() { return quick_iss_cfg(IssCacheConfig{}); }
 
 // ---- bubble sort -------------------------------------------------------------
 
@@ -303,34 +293,23 @@ b_chk_done:
   ret
 )";
 
-IssResult bubble_iss_cfg(const IssCacheConfig& cfg) {
-  iss::Machine m;
-  if (cfg.enable_icache) m.enable_icache(cfg.icache);
-  if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
-  m.load_program(iss::assemble(kBubbleAsm));
-  constexpr std::uint32_t kAAddr = 0x1000;
-  store_words(m, kAAddr, bubble_input());
-  m.set_reg(3, kAAddr);
-  m.set_reg(4, kBubbleN);
-  const long checksum = m.call("bubble");
-  IssResult r{checksum, m.stats().cycles, m.stats().instructions};
-  if (m.icache() != nullptr) r.icache_hit_rate = m.icache()->hit_rate();
-  if (m.dcache() != nullptr) r.dcache_hit_rate = m.dcache()->hit_rate();
-  return r;
+IssResult bubble_iss(const IssCacheConfig& cfg) {
+  return run_on_iss(cfg, kBubbleAsm, "bubble", [](iss::Machine& m) {
+    constexpr std::uint32_t kAAddr = 0x1000;
+    store_words(m, kAAddr, bubble_input());
+    m.set_reg(3, kAAddr);
+    m.set_reg(4, kBubbleN);
+  });
 }
-
-IssResult bubble_iss() { return bubble_iss_cfg(IssCacheConfig{}); }
 
 }  // namespace
 
 Benchmark make_quicksort() {
-  return {"Quick sort", quick_reference, quick_annotated, quick_iss,
-          quick_iss_cfg};
+  return {"Quick sort", quick_reference, quick_annotated, quick_iss};
 }
 
 Benchmark make_bubble() {
-  return {"Bubble", bubble_reference, bubble_annotated, bubble_iss,
-          bubble_iss_cfg};
+  return {"Bubble", bubble_reference, bubble_annotated, bubble_iss};
 }
 
 }  // namespace workloads

@@ -38,14 +38,13 @@ struct IssCacheConfig {
 ///  - annotated: the same algorithm over scperf annotated types — running it
 ///    with an active SegmentAccum yields the library's cycle estimate;
 ///  - iss: the same algorithm hand-compiled to orsim assembly, cycle-counted
-///    by the ISS — the paper's "target platform estimation" reference.
+///    by the ISS — the paper's "target platform estimation" reference —
+///    with the cache timing models its argument enables (`iss({})`: none).
 struct Benchmark {
   std::string name;
   std::function<long()> reference;
   std::function<long()> annotated;
-  std::function<IssResult()> iss;
-  /// Same ISS run with configurable cache timing models.
-  std::function<IssResult(const IssCacheConfig&)> iss_cached;
+  std::function<IssResult(const IssCacheConfig&)> iss;
 };
 
 Benchmark make_fir();        ///< 16-tap FIR over 256 samples (Q12)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/capture.hpp"
@@ -110,6 +111,44 @@ TEST(Injector, OutageStallsSubsequentOccupations) {
   // stalls at its next claim and finishes after the window.
   EXPECT_GT(faulted, clean);
   EXPECT_GE(faulted, Time::us(50));
+}
+
+TEST(Injector, RefusesSwOutagesOnAPreemptiveResource) {
+  // A SW outage works by pinning busy_until, which preemptive scheduling
+  // never reads, so it would be charged without moving simulated time.
+  const scperf::SwResource::Options priority{
+      .policy = scperf::SchedulingPolicy::kPriority};
+  scperf::SwResource::Options preemptive = priority;
+  preemptive.preemptive = true;
+  ScenarioConfig outage;
+  outage.horizon = Time::us(2);
+  outage.outages.push_back({"cpu", 1, Time::us(10), Time::us(10)});
+  ScenarioConfig storm;
+  storm.horizon = Time::us(2);
+  storm.storms.push_back(
+      {"cpu", 1, 0.5, 4, Time::us(1), Time::us(1), Time::us(2)});
+  for (const ScenarioConfig& cfg : {outage, storm}) {
+    FaultScenario sc(cfg, 7);
+    {
+      minisc::Simulator sim;
+      scperf::Estimator est(sim);
+      est.add_sw_resource("cpu", kMhz, add_only_table(), priority);
+      FaultInjector inj(sim, est, sc);  // non-preemptive: accepted
+    }
+    minisc::Simulator sim;
+    scperf::Estimator est(sim);
+    est.add_sw_resource("cpu", kMhz, add_only_table(), preemptive);
+    minisc::KernelHook* const hook = sim.hook();
+    try {
+      FaultInjector inj(sim, est, sc);
+      ADD_FAILURE() << "an outage on a preemptive resource was accepted";
+    } catch (const minisc::SimError& e) {
+      EXPECT_EQ(e.kind(), minisc::SimError::Kind::kBadConfig);
+      EXPECT_NE(std::string(e.what()).find("'cpu'"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.hook(), hook);  // nothing left installed
+  }
 }
 
 TEST(Injector, CrashDriverKillsAndRestartsVictim) {

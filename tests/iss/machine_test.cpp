@@ -314,6 +314,28 @@ TEST(Trace, RingKeepsOnlyMostRecent) {
   EXPECT_EQ(w[1].rd_value, 10);
 }
 
+TEST(Trace, ReEnablingRestartsTheRing) {
+  Machine m;
+  m.load_program(assemble(
+      "  li r11, 0\n"
+      "loop:\n"
+      "  addi r11, r11, 1\n"
+      "  sflti r11, 100\n"
+      "  bf loop\n"
+      "  halt\n"));
+  m.enable_trace(8);
+  m.run_from(0, 5);  // stops with a partly filled ring
+  m.enable_trace(8);
+  m.run(9);  // fills the new ring and wraps it once
+  const auto w = m.trace_window();
+  ASSERT_EQ(w.size(), 8u);
+  const std::uint32_t pcs[8] = {3, 1, 2, 3, 1, 2, 3, 1};
+  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(w[i].pc, pcs[i]) << i;
+  EXPECT_EQ(w[1].rd_value, 3);
+  EXPECT_EQ(w[4].rd_value, 4);
+  EXPECT_EQ(w[7].rd_value, 5);
+}
+
 // ---- caches -------------------------------------------------------------------
 
 TEST(Cache, FirstAccessMissesThenHits) {

@@ -53,7 +53,7 @@ TEST(Golden, Table1ChecksumsAndCycles) {
   for (std::size_t i = 0; i < suite.size(); ++i) {
     EXPECT_EQ(suite[i].name, kGolden[i].name);
     EXPECT_EQ(suite[i].reference(), kGolden[i].checksum) << suite[i].name;
-    const IssResult r = suite[i].iss();
+    const IssResult r = suite[i].iss({});
     EXPECT_EQ(r.cycles, kGolden[i].iss_cycles) << suite[i].name;
   }
 }

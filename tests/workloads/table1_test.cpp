@@ -20,11 +20,11 @@ TEST_P(Table1Forms, ReferenceAndAnnotatedAgree) {
 }
 
 TEST_P(Table1Forms, ReferenceAndIssAgree) {
-  EXPECT_EQ(bench().reference(), bench().iss().checksum);
+  EXPECT_EQ(bench().reference(), bench().iss({}).checksum);
 }
 
 TEST_P(Table1Forms, IssMakesProgress) {
-  const IssResult r = bench().iss();
+  const IssResult r = bench().iss({});
   EXPECT_GT(r.instructions, 0u);
   EXPECT_GE(r.cycles, r.instructions);  // every instruction costs >= 1 cycle
 }
@@ -53,7 +53,7 @@ TEST_P(Table1Forms, LibraryEstimateWithinFivePercentOfIss) {
   (void)bench().annotated();
   scperf::tl_accum = nullptr;
 
-  const IssResult iss = bench().iss();
+  const IssResult iss = bench().iss({});
   const double err =
       (acc.sum_cycles() - static_cast<double>(iss.cycles)) /
       static_cast<double>(iss.cycles);
@@ -86,7 +86,7 @@ TEST(Table1Suite, HasSixBenchmarksInPaperOrder) {
 TEST(OutOfSample, MatrixFormsAgree) {
   const Benchmark m = make_matrix();
   EXPECT_EQ(m.reference(), m.annotated());
-  EXPECT_EQ(m.reference(), m.iss().checksum);
+  EXPECT_EQ(m.reference(), m.iss({}).checksum);
 }
 
 TEST(OutOfSample, MatrixEstimateWithinTenPercent) {
@@ -99,7 +99,7 @@ TEST(OutOfSample, MatrixEstimateWithinTenPercent) {
   scperf::tl_accum = &acc;
   (void)m.annotated();
   scperf::tl_accum = nullptr;
-  const IssResult iss = m.iss();
+  const IssResult iss = m.iss({});
   const double err = (acc.sum_cycles() - static_cast<double>(iss.cycles)) /
                      static_cast<double>(iss.cycles);
   EXPECT_LT(std::abs(err), 0.10)
