@@ -25,7 +25,7 @@
 // Usage: ablation_fault_correlated [scale_pct] [--threads N]
 //   scale_pct (default 100) scales every campaign's run count; the CI smoke
 //   run uses a small value and then only the determinism gate is asserted.
-//   --threads N runs every campaign on an N-worker pool and adds a speedup
+//   --threads N runs every campaign on N threads and adds a speedup
 //   section: the burst campaign is timed sequentially and threaded, the two
 //   CSVs must be byte-identical (the determinism gate of the parallel
 //   executor), and the wall-clock ratio is reported.
@@ -652,7 +652,7 @@ int main(int argc, char** argv) {
           "  scale_pct          scale every campaign's run count (default\n"
           "                     100; gates needing statistics only assert\n"
           "                     at >= 100)\n"
-          "  --threads N        run campaigns on an N-worker pool; adds the\n"
+          "  --threads N        run campaigns on N threads; adds the\n"
           "                     sequential-vs-threaded byte-identity and\n"
           "                     speedup section\n"
           "\n"

@@ -21,7 +21,7 @@
 //                                  [--journal] [--resume] [--smc]
 //                                  [fleet flags] [--status]
 //                                  [--scaling] [--help]
-//   --threads N runs each campaign on an N-worker pool; output is
+//   --threads N runs each campaign on N threads; output is
 //   byte-identical to the sequential run (verified for the resilient
 //   campaign) and the wall-clock speedup is reported.
 //   --runs N    overrides the number of seeds per campaign (default 24).
@@ -41,8 +41,8 @@
 //               stale / quarantined / unclaimed), owners, heartbeat ages
 //               and adoption counts, rendered purely from --shard-dir.
 //               Exits 0 when the fleet is done, 1 while it is not.
-//   --scaling   times the resilient campaign sequentially and on {1,2,8}-
-//               worker pools and prints one JSON record (wall-clock per
+//   --scaling   times the resilient campaign sequentially and on {1,2,8}
+//               threads and prints one JSON record (wall-clock per
 //               thread count, num_cpus context, byte-identity result).
 //               Single-core hosts emit "speedup": null plus a caveat
 //               instead of a bogus curve.
@@ -258,7 +258,7 @@ sctrace::CampaignOptions g_campaign_opts;
 bool g_journal = false;
 /// --smc: also decide "P(run violates) <= 0.5" sequentially per design.
 bool g_smc = false;
-/// --scaling: emit the thread-pool scaling curve as JSON and exit.
+/// --scaling: emit the thread-scaling curve as JSON and exit.
 bool g_scaling = false;
 
 // Fleet mode: one fleet per label under g_fleet.shard_dir.
@@ -283,9 +283,9 @@ void emit_campaign(const char* label, const sctrace::FaultCampaign& campaign) {
   std::printf("  per-run rows -> %s\n\n", csv_name.c_str());
 }
 
-/// --scaling: the ROADMAP's open thread-pool question, answered with data
+/// --scaling: the ROADMAP's open thread-scaling question, answered with data
 /// where the host allows. Times the resilient campaign sequentially and on
-/// {1,2,8}-worker pools, requires every pool CSV to be byte-identical to the
+/// {1,2,8} threads, requires every threaded CSV to be byte-identical to the
 /// sequential one, and prints one machine-readable JSON record with
 /// `num_cpus` context. On a single-core host a "speedup" would measure
 /// executor overhead, not scaling — it is emitted as null with a stated
@@ -343,7 +343,7 @@ int run_scaling(std::uint64_t base_seed, std::size_t runs) {
     std::printf("  \"caveat\": null,\n");
   } else {
     std::printf(
-        "  \"caveat\": \"single-core host: pool runs measure executor "
+        "  \"caveat\": \"single-core host: threaded runs measure executor "
         "overhead, not scaling; speedups omitted\",\n");
   }
   std::printf("  \"byte_identical\": %s\n}\n", identical ? "true" : "false");
@@ -460,12 +460,12 @@ int main(int argc, char** argv) {
           "Usage: ablation_fault_resilience [MODE] [OPTIONS]\n"
           "Modes (default: run both campaigns and print the report):\n"
           "  --scaling        time the resilient campaign sequentially and\n"
-          "                   on {1,2,8}-worker pools; print a JSON record\n"
+          "                   on {1,2,8} threads; print a JSON record\n"
           "                   with num_cpus context and per-count wall-clock\n"
           "                   (speedups are null + caveat on 1-core hosts)\n"
           "  --status         read-only fleet progress (exit 0 when done)\n"
           "Options:\n"
-          "  --threads N      N-worker pool per campaign (byte-identity\n"
+          "  --threads N      N threads per campaign (byte-identity\n"
           "                   gated against the sequential run)\n"
           "  --runs N         seeds per campaign (default 24)\n"
           "  --journal        crash-consistent per-run journal\n"

@@ -25,7 +25,7 @@ class CapturePoint;
 /// event lists "prepared for post-processing using mathematical tools" (§4).
 /// Concurrency: registration (attach/detach, i.e. CapturePoint construction
 /// and destruction) and the whole-registry readers below are mutex-guarded,
-/// so capture points may be created and destroyed from pool workers — in
+/// so capture points may be created and destroyed from campaign threads — in
 /// particular against the process-wide global() registry — without racing.
 /// Recording itself writes only the point's own event list, which belongs to
 /// exactly one run; parallel campaign runs must therefore keep one

@@ -290,7 +290,6 @@ void Estimator::back_annotate_sw(ProcessCtx& ctx, SwResource& cpu,
   cpu.set_busy_until(sim_.now() + total);
   cpu.add_busy(delay);
   cpu.add_rtos(rtos);
-  cpu.count_dispatch();
   if (!total.is_zero()) sim_.raw_wait(total);
 }
 
@@ -364,7 +363,6 @@ void Estimator::back_annotate_sw_preemptive(ProcessCtx& ctx, SwResource& cpu,
   cpu.add_busy(delay);
   pguard.active = false;
   cpu.preempt_leave(me);
-  cpu.count_dispatch();
 }
 
 Report Estimator::report() const {

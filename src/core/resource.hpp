@@ -66,9 +66,6 @@ class Resource {
   /// — the estimator consults downtime only for HW back-annotation, and the
   /// fault injector for ENV node stalls.
   void add_downtime(minisc::Time start, minisc::Time end);
-  const std::vector<std::pair<minisc::Time, minisc::Time>>& downtime() const {
-    return downtime_;
-  }
   /// End of the downtime window containing `t`, or `t` when the resource is
   /// up at `t`.
   minisc::Time downtime_stall_end(minisc::Time t) const;
@@ -150,9 +147,6 @@ class SwResource final : public Resource {
              Options opts);
 
   double rtos_cycles_per_switch() const { return opts_.rtos_cycles_per_switch; }
-  void set_rtos_cycles_per_switch(double c) {
-    opts_.rtos_cycles_per_switch = c;
-  }
   SchedulingPolicy policy() const { return opts_.policy; }
 
   // ---- arbitration waiting set (managed by the estimator) ----
@@ -204,15 +198,10 @@ class SwResource final : public Resource {
   minisc::Time rtos_time() const { return rtos_time_; }
   void add_rtos(minisc::Time t) { rtos_time_ += t; }
 
-  /// Number of segment occupations scheduled onto this processor.
-  std::uint64_t dispatch_count() const { return dispatch_count_; }
-  void count_dispatch() { ++dispatch_count_; }
-
  private:
   Options opts_;
   minisc::Time busy_until_;
   minisc::Time rtos_time_;
-  std::uint64_t dispatch_count_ = 0;
   std::uint64_t next_ticket_ = 0;
   /// In ticket order: tickets only grow, so entering appends.
   std::vector<Contender> contenders_;

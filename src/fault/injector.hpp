@@ -61,15 +61,6 @@ class FaultInjector final : public minisc::KernelHook {
   std::uint64_t outages_applied() const { return outages_applied_; }
   std::uint64_t crashes_applied() const { return crashes_applied_; }
 
-  /// Log likelihood ratio of this run's timeline draws against `nominal`
-  /// (the un-biased fault model), for importance-sampled campaigns whose
-  /// bias extends beyond channels into pulse/outage/storm draws: add this
-  /// to the channel_log_lr sum when filling CampaignRunResult::log_weight.
-  double scenario_log_lr_vs(const ScenarioConfig& nominal) const {
-    return scenario_log_lr(nominal, scenario_.config(),
-                           scenario_.draw_counts());
-  }
-
   // ---- KernelHook (forwarders + pulse drain) ----
 
   void process_started(minisc::Process& p) override;

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "kernel/error.hpp"
-
 namespace scfault {
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -107,19 +105,12 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   Rng pulse_rng(mix_seed(seed_, fnv1a("pulses")));
   for (const PulseSpec& spec : config_.pulses) {
     Rng rng(mix_seed(pulse_rng.next(), fnv1a(spec.resource)));
-    auto& counts = draw_counts_.pulses.emplace_back();
     for (std::size_t i = 0; i < spec.count; ++i) {
       // The occurrence gate draws ONLY when occur_p < 1: an unconditioned
       // spec makes exactly the draws it always made, so legacy timelines
       // (and the seed-stability hashes pinned on them) stay bit-exact. A
       // skipped candidate also skips its time/magnitude draws.
-      if (spec.occur_p < 1.0) {
-        if (rng.uniform() >= spec.occur_p) {
-          ++counts.skipped;
-          continue;
-        }
-      }
-      ++counts.occurred;
+      if (spec.occur_p < 1.0 && rng.uniform() >= spec.occur_p) continue;
       Pulse p;
       p.resource = spec.resource;
       p.at = rng.time_in(minisc::Time::zero(), config_.horizon);
@@ -134,15 +125,8 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   Rng outage_rng(mix_seed(seed_, fnv1a("outages")));
   for (const OutageSpec& spec : config_.outages) {
     Rng rng(mix_seed(outage_rng.next(), fnv1a(spec.resource)));
-    auto& counts = draw_counts_.outages.emplace_back();
     for (std::size_t i = 0; i < spec.count; ++i) {
-      if (spec.occur_p < 1.0) {
-        if (rng.uniform() >= spec.occur_p) {
-          ++counts.skipped;
-          continue;
-        }
-      }
-      ++counts.occurred;
+      if (spec.occur_p < 1.0 && rng.uniform() >= spec.occur_p) continue;
       Outage o;
       o.resource = spec.resource;
       o.start = rng.time_in(minisc::Time::zero(), config_.horizon);
@@ -157,22 +141,14 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   Rng storm_rng(mix_seed(seed_, fnv1a("storms")));
   for (const StormSpec& spec : config_.storms) {
     Rng rng(mix_seed(storm_rng.next(), fnv1a(spec.resource)));
-    auto& counts = draw_counts_.storms.emplace_back();
     for (std::size_t i = 0; i < spec.count; ++i) {
       const minisc::Time centre =
           rng.time_in(minisc::Time::zero(), config_.horizon);
+      // One Bernoulli(continue_p) draw per extra member until a draw fails;
+      // a cluster capped at max_cluster ends without a draw.
       std::size_t members = 1;
-      // Identical RNG consumption to the legacy loop; the restructure only
-      // records which way each Bernoulli draw went (a cluster capped at
-      // max_cluster ends without a draw, so it adds no stop either).
-      while (members < spec.max_cluster) {
-        if (rng.uniform() < spec.continue_p) {
-          ++members;
-          ++counts.continues;
-        } else {
-          ++counts.stops;
-          break;
-        }
+      while (members < spec.max_cluster && rng.uniform() < spec.continue_p) {
+        ++members;
       }
       for (std::size_t m = 0; m < members; ++m) {
         Outage o;
@@ -266,133 +242,6 @@ double channel_log_lr(const ChannelFaultSpec& nominal,
     log_lr += lr_term(bad - counts.to_good, 1.0 - n_exit, 1.0 - b_exit);
   }
   return log_lr;
-}
-
-namespace {
-
-[[noreturn]] void throw_shape_mismatch(const char* what) {
-  throw minisc::SimError(
-      minisc::SimError::Kind::kBadConfig,
-      std::string("scenario_log_lr: nominal and biased configs differ in ") +
-          what +
-          " — the models must share the timeline structure (only "
-          "probabilities may differ), or the recorded draw counts describe "
-          "a different experiment");
-}
-
-}  // namespace
-
-double scenario_log_lr(const ScenarioConfig& nominal,
-                       const ScenarioConfig& biased,
-                       const ScenarioDrawCounts& counts) {
-  // Shape checks: every structural field must agree. Probabilities
-  // (occur_p, continue_p) are the only degrees of freedom between the two
-  // models; anything else differing means the counts were drawn from a
-  // timeline the nominal model cannot describe.
-  if (nominal.horizon != biased.horizon) throw_shape_mismatch("horizon");
-  if (nominal.pulses.size() != biased.pulses.size() ||
-      counts.pulses.size() != biased.pulses.size()) {
-    throw_shape_mismatch("pulse spec count");
-  }
-  if (nominal.outages.size() != biased.outages.size() ||
-      counts.outages.size() != biased.outages.size()) {
-    throw_shape_mismatch("outage spec count");
-  }
-  if (nominal.storms.size() != biased.storms.size() ||
-      counts.storms.size() != biased.storms.size()) {
-    throw_shape_mismatch("storm spec count");
-  }
-
-  double log_lr = 0.0;
-  for (std::size_t i = 0; i < biased.pulses.size(); ++i) {
-    const PulseSpec& n = nominal.pulses[i];
-    const PulseSpec& b = biased.pulses[i];
-    if (n.resource != b.resource || n.count != b.count ||
-        n.min_extra_cycles != b.min_extra_cycles ||
-        n.max_extra_cycles != b.max_extra_cycles) {
-      throw_shape_mismatch("a pulse spec's structure");
-    }
-    const auto& c = counts.pulses[i];
-    log_lr += lr_term(c.occurred, n.occur_p, b.occur_p);
-    log_lr += lr_term(c.skipped, 1.0 - n.occur_p, 1.0 - b.occur_p);
-  }
-  for (std::size_t i = 0; i < biased.outages.size(); ++i) {
-    const OutageSpec& n = nominal.outages[i];
-    const OutageSpec& b = biased.outages[i];
-    if (n.resource != b.resource || n.count != b.count ||
-        n.min_length != b.min_length || n.max_length != b.max_length) {
-      throw_shape_mismatch("an outage spec's structure");
-    }
-    const auto& c = counts.outages[i];
-    log_lr += lr_term(c.occurred, n.occur_p, b.occur_p);
-    log_lr += lr_term(c.skipped, 1.0 - n.occur_p, 1.0 - b.occur_p);
-  }
-  for (std::size_t i = 0; i < biased.storms.size(); ++i) {
-    const StormSpec& n = nominal.storms[i];
-    const StormSpec& b = biased.storms[i];
-    if (n.resource != b.resource || n.count != b.count ||
-        n.max_cluster != b.max_cluster || n.window != b.window ||
-        n.min_length != b.min_length || n.max_length != b.max_length) {
-      throw_shape_mismatch("a storm spec's structure");
-    }
-    const auto& c = counts.storms[i];
-    log_lr += lr_term(c.continues, n.continue_p, b.continue_p);
-    log_lr += lr_term(c.stops, 1.0 - n.continue_p, 1.0 - b.continue_p);
-  }
-  // Uniform time/length/magnitude draws are identical densities under both
-  // models (structure is pinned equal above) and cancel out of the ratio.
-  return log_lr;
-}
-
-ScenarioConfig scale_fault_bias(const ScenarioConfig& config, double factor) {
-  if (!(factor > 0.0)) {
-    throw minisc::SimError(minisc::SimError::Kind::kBadConfig,
-                           "scale_fault_bias: factor must be > 0");
-  }
-  ScenarioConfig out = config;
-  if (factor == 1.0) return out;
-  // Caps keep scaled Bernoullis honest probabilities with headroom for the
-  // complement terms of the likelihood ratio (a probability scaled to
-  // exactly 1 would make the skip/stop branch impossible under the biased
-  // model while the nominal one still allows it).
-  constexpr double kCap = 0.95;
-  const auto scale_p = [&](double p) { return std::min(kCap, p * factor); };
-  for (PulseSpec& p : out.pulses) {
-    // occur_p == 1 means "no occurrence draw at all" — scaling it would
-    // turn a structural constant into a probability and change the
-    // timeline; leave unconditioned specs unconditioned.
-    if (p.occur_p < 1.0) p.occur_p = scale_p(p.occur_p);
-  }
-  for (OutageSpec& o : out.outages) {
-    if (o.occur_p < 1.0) o.occur_p = scale_p(o.occur_p);
-  }
-  for (StormSpec& s : out.storms) s.continue_p = scale_p(s.continue_p);
-  for (ChannelFaultSpec& c : out.channel_faults) {
-    const auto scale_emission = [&](double& drop, double& dup, double& delay) {
-      drop *= factor;
-      dup *= factor;
-      delay *= factor;
-      const double sum = drop + dup + delay;
-      if (sum > kCap) {
-        // Proportional renormalisation: the three fault modes keep their
-        // relative mix, the total fault mass caps at kCap so delivery stays
-        // possible under the biased model.
-        const double k = kCap / sum;
-        drop *= k;
-        dup *= k;
-        delay *= k;
-      }
-    };
-    scale_emission(c.drop_p, c.dup_p, c.delay_p);
-    if (c.burst.has_value()) {
-      scale_emission(c.burst->bad_drop_p, c.burst->bad_dup_p,
-                     c.burst->bad_delay_p);
-      c.burst->p_enter = scale_p(c.burst->p_enter);
-      // p_exit is deliberately untouched: biasing toward *longer* bursts is
-      // a different experiment than biasing toward more faults.
-    }
-  }
-  return out;
 }
 
 std::vector<minisc::Time> FaultScenario::fault_times() const {

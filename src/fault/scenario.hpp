@@ -90,8 +90,7 @@ struct PulseSpec {
   /// Per-pulse occurrence probability: each of the `count` candidate pulses
   /// fires only when a Bernoulli(occur_p) draw succeeds. 1.0 (the default)
   /// makes no occurrence draw at all — existing timelines are bit-exact —
-  /// while anything < 1 turns the spec into a rare-event knob the campaign
-  /// can bias (scale_fault_bias) and re-weight (scenario_log_lr).
+  /// while anything < 1 spends one draw per candidate.
   double occur_p = 1.0;
 };
 
@@ -181,10 +180,6 @@ struct ChannelFaultCounts {
   std::uint64_t to_good = 0;  ///< bad -> good transitions taken
 
   std::uint64_t total_draws() const { return draws[kGood] + draws[kBad]; }
-  std::uint64_t total_faults() const {
-    return dropped[kGood] + dropped[kBad] + duplicated[kGood] +
-           duplicated[kBad] + delayed[kGood] + delayed[kBad];
-  }
 };
 
 /// Log likelihood ratio log(P_nominal / P_biased) of one channel's observed
@@ -198,26 +193,6 @@ struct ChannelFaultCounts {
 double channel_log_lr(const ChannelFaultSpec& nominal,
                       const ChannelFaultSpec& biased,
                       const ChannelFaultCounts& counts);
-
-/// Sufficient statistics of the Bernoulli draws a FaultScenario made while
-/// instantiating its timeline: per-spec occurrence successes/failures for
-/// pulses and outages (in spec declaration order) and the storm
-/// continue/stop draws (pooled per storm spec). Together with the channel
-/// counts these are everything scenario_log_lr needs to re-weight a biased
-/// scenario's draws against the nominal model.
-struct ScenarioDrawCounts {
-  struct Occurrence {
-    std::uint64_t occurred = 0;
-    std::uint64_t skipped = 0;
-  };
-  struct StormDraws {
-    std::uint64_t continues = 0;  ///< Bernoulli(continue_p) successes
-    std::uint64_t stops = 0;      ///< explicit failures (cap hits draw nothing)
-  };
-  std::vector<Occurrence> pulses;   ///< one per PulseSpec, in config order
-  std::vector<Occurrence> outages;  ///< one per OutageSpec, in config order
-  std::vector<StormDraws> storms;   ///< one per StormSpec, in config order
-};
 
 /// Crash-kill of a process at a fixed time; restart_after == Time::max()
 /// means no restart (a permanent fault), anything else re-runs the process
@@ -245,30 +220,6 @@ struct ScenarioConfig {
 /// edit to the scenario (one probability, one extra spec) changes the digest
 /// and the resume is refused instead of silently mixing incompatible runs.
 std::uint64_t config_digest(const ScenarioConfig& config);
-
-/// Log likelihood ratio log(P_nominal / P_biased) of a scenario's recorded
-/// timeline draws — the pulse/outage/storm counterpart of channel_log_lr.
-/// `counts` must come from a FaultScenario built against `biased`
-/// (FaultScenario::draw_counts); the two configs must agree on everything
-/// except probabilities (same spec counts, resources, event counts, ranges —
-/// differing shapes throw minisc::SimError(kBadConfig), because a count
-/// observed under one timeline structure says nothing about the other).
-/// Only the Bernoulli draws carry probability mass: occurrence gates
-/// (occur_p) and storm continuation (continue_p). Uniform time/length draws
-/// are identical under both models and cancel out of the ratio.
-double scenario_log_lr(const ScenarioConfig& nominal,
-                       const ScenarioConfig& biased,
-                       const ScenarioDrawCounts& counts);
-
-/// Returns `config` with every fault probability inflated by `factor` — the
-/// one-knob bias the adaptive importance-sampling pilot turns. Scaled (all
-/// capped at 0.95): channel drop/dup/delay in both states (proportionally
-/// renormalised when the scaled sum would exceed 0.95), Gilbert–Elliott
-/// p_enter, storm continue_p, and pulse/outage occur_p — the latter only
-/// when already < 1, so an unconditioned spec stays unconditioned (and its
-/// timeline bit-exact). factor <= 0 throws minisc::SimError(kBadConfig);
-/// factor 1 returns the config unchanged.
-ScenarioConfig scale_fault_bias(const ScenarioConfig& config, double factor);
 
 // ---- concrete drawn faults (what one seed produces) ----
 
@@ -317,17 +268,12 @@ class FaultScenario {
   /// recovery-latency analysis measures from these instants.
   std::vector<minisc::Time> fault_times() const;
 
-  /// The Bernoulli draw record of this instantiation — feed it (with the
-  /// nominal config) to scenario_log_lr to re-weight a biased timeline.
-  const ScenarioDrawCounts& draw_counts() const { return draw_counts_; }
-
  private:
   ScenarioConfig config_;
   std::uint64_t seed_;
   std::vector<Pulse> pulses_;
   std::vector<Outage> outages_;
   std::vector<CrashSpec> crashes_;
-  ScenarioDrawCounts draw_counts_;
 };
 
 }  // namespace scfault

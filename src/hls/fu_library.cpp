@@ -1,7 +1,5 @@
 #include "hls/fu_library.hpp"
 
-#include <limits>
-
 namespace hls {
 
 const char* to_string(FuKind k) {
@@ -59,16 +57,6 @@ Allocation Allocation::minimal() {
   a[FuKind::kMul] = 1;
   a[FuKind::kDiv] = 1;
   a[FuKind::kMem] = 1;
-  return a;
-}
-
-Allocation Allocation::unconstrained() {
-  Allocation a;
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
-  a[FuKind::kAlu] = kInf;
-  a[FuKind::kMul] = kInf;
-  a[FuKind::kDiv] = kInf;
-  a[FuKind::kMem] = kInf;
   return a;
 }
 

@@ -67,8 +67,6 @@ struct Allocation {
   /// One FU of every kind: the paper's "only one ALU" worst-case end of the
   /// design space.
   static Allocation minimal();
-  /// Effectively unconstrained.
-  static Allocation unconstrained();
 
   double area(const FuLibrary& lib) const;
 };

@@ -42,20 +42,17 @@ class Machine {
   }
   bool flag() const { return flag_; }
   std::uint32_t pc() const { return pc_; }
-  void set_pc(std::uint32_t pc) { pc_ = pc; }
 
   std::int32_t read_word(std::uint32_t addr) const;
   void write_word(std::uint32_t addr, std::int32_t v);
   std::int8_t read_byte(std::uint32_t addr) const;
   void write_byte(std::uint32_t addr, std::int8_t v);
-  std::size_t mem_size() const { return mem_.size(); }
 
   // ---- timing configuration ----
   void set_cycle_model(const CycleModel& m) {
     model_ = m;
     blocks_.reset(program_.instrs.size());  // priced with the old model
   }
-  const CycleModel& cycle_model() const { return model_; }
   void enable_icache(DirectMappedCache::Config cfg) { icache_.emplace(cfg); }
   void enable_dcache(DirectMappedCache::Config cfg) { dcache_.emplace(cfg); }
   const DirectMappedCache* icache() const {
@@ -75,7 +72,6 @@ class Machine {
     bc_cfg_ = cfg;
     blocks_.reset(program_.instrs.size());
   }
-  const BlockCacheConfig& block_cache_config() const { return bc_cfg_; }
   /// Counters of the block path since the blocks were last dropped.
   BlockCacheStats block_cache_stats() const { return blocks_.stats(); }
 

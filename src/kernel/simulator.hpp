@@ -233,7 +233,6 @@ class Simulator {
   /// Installs execution budgets; a tripped budget makes run() throw a
   /// SimError naming every live process and what it is blocked on.
   void set_watchdog(const Watchdog& w) { watchdog_ = w; }
-  const Watchdog& watchdog() const { return watchdog_; }
 
   /// Amortised wall-clock budget probe callable from inside a running
   /// process (the estimation library calls it from the annotation hot path).

@@ -5,8 +5,10 @@
 #include <fstream>
 #include <iomanip>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "core/pool.hpp"
@@ -90,10 +92,10 @@ CampaignRunResult run_with_retry(const FaultCampaign::RunFn& fn,
 /// Opens the campaign's journal. Fresh start: truncate and write the header.
 /// Resume against an existing non-empty journal: verify the header carries
 /// this campaign's identity (identity_mismatch), replay every intact record bit-exactly into its result
-/// slot, and come back positioned to append. `todo` receives the indices
-/// still to run (ascending, like the dense path claims them); `decision`
-/// receives the journal's sequential-verdict record, when present (the
-/// caller decides what it legalises).
+/// slot, drop the replayed indices from `todo` (the ascending indices still
+/// owed), and come back positioned to append. `decision` receives the
+/// journal's sequential-verdict record, when present (the caller decides
+/// what it legalises).
 std::unique_ptr<JournalWriter> open_journal(
     std::uint64_t base_seed, std::size_t n, const CampaignOptions& opts,
     std::vector<CampaignRunResult>& results, std::size_t offset,
@@ -133,16 +135,12 @@ std::unique_ptr<JournalWriter> open_journal(
         results[offset + rec.index] = std::move(rec.result);
         done[rec.index] = true;
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!done[i]) todo.push_back(i);
-      }
+      std::erase_if(todo, [&done](std::size_t i) { return done[i]; });
       decision = contents.decision;
       return std::make_unique<JournalWriter>(opts.journal_path,
                                              contents.valid_bytes);
     }
   }
-  todo.resize(n);
-  for (std::size_t i = 0; i < n; ++i) todo[i] = i;
   return std::make_unique<JournalWriter>(opts.journal_path, header);
 }
 
@@ -178,8 +176,11 @@ void FaultCampaign::run(std::uint64_t base_seed, std::size_t n,
   const std::size_t offset = results_.size();
   results_.resize(offset + n);
 
+  // The ascending run indices still owed: all of them, or the ones a resumed
+  // journal is missing.
+  std::vector<std::size_t> todo(n);
+  std::iota(todo.begin(), todo.end(), std::size_t{0});
   std::unique_ptr<JournalWriter> journal;
-  std::vector<std::size_t> todo;
   std::optional<JournalDecision> decision;
   if (!opts.journal_path.empty()) {
     journal = open_journal(base_seed, n, opts, results_, offset, todo,
@@ -216,17 +217,15 @@ void FaultCampaign::run(std::uint64_t base_seed, std::size_t n,
               " executed runs, but the campaign has only " +
               std::to_string(n));
     }
-    for (const std::size_t i : todo) {
-      if (i < decision->executed) {
-        throw minisc::SimError(
-            minisc::SimError::Kind::kJournalCorrupt,
-            "campaign journal '" + opts.journal_path +
-                "': decision record covers " +
-                std::to_string(decision->executed) +
-                " executed runs but run " + std::to_string(i) +
-                " is missing — the decision should never have been durable "
-                "before its runs");
-      }
+    if (!todo.empty() && todo.front() < decision->executed) {
+      throw minisc::SimError(
+          minisc::SimError::Kind::kJournalCorrupt,
+          "campaign journal '" + opts.journal_path +
+              "': decision record covers " +
+              std::to_string(decision->executed) +
+              " executed runs but run " + std::to_string(todo.front()) +
+              " is missing — the decision should never have been durable "
+              "before its runs");
     }
     results_.resize(offset + decision->executed);
     smc_spec_ = opts.smc;
@@ -234,14 +233,8 @@ void FaultCampaign::run(std::uint64_t base_seed, std::size_t n,
     return;
   }
 
-  if (smc_on) {
-    run_sequential(base_seed, n, opts, offset, journal.get(), todo);
-    return;
-  }
-
   auto run_one = [&](std::size_t i) {
-    const std::uint64_t seed = base_seed + i;
-    CampaignRunResult r = run_with_retry(fn_, seed, opts);
+    CampaignRunResult r = run_with_retry(fn_, base_seed + i, opts);
     // Journal before publishing the slot: a record is durable (or at worst a
     // tolerated torn tail) by the time anything can observe the result. The
     // pre_append hook gates the append — a fleet worker probes its lease
@@ -253,84 +246,40 @@ void FaultCampaign::run(std::uint64_t base_seed, std::size_t n,
     results_[offset + i] = std::move(r);
   };
 
-  if (journal) {
-    if (opts.threads <= 1) {
-      for (const std::size_t i : todo) run_one(i);
-    } else {
-      scperf::ThreadPool pool(opts.threads);
-      pool.parallel_for(todo, run_one);
-    }
-    journal->sync();
-  } else if (opts.threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    scperf::ThreadPool pool(opts.threads);
-    pool.parallel_for(n, run_one);
-  }
-}
-
-void FaultCampaign::run_sequential(std::uint64_t base_seed, std::size_t n,
-                                   const CampaignOptions& opts,
-                                   std::size_t offset, JournalWriter* journal,
-                                   const std::vector<std::size_t>& todo) {
-  // Which slots still need executing: everything, unless a journal replayed
-  // some (then only its missing indices).
-  std::vector<bool> done(n, journal != nullptr);
-  if (journal != nullptr) {
-    for (const std::size_t i : todo) done[i] = false;
-  }
-
-  auto run_one = [&](std::size_t i) {
-    const std::uint64_t seed = base_seed + i;
-    CampaignRunResult r = run_with_retry(fn_, seed, opts);
-    if (journal) {
-      if (opts.pre_append) opts.pre_append(i);
-      journal->append(i, r);
-    }
-    results_[offset + i] = std::move(r);
-  };
-
-  std::unique_ptr<scperf::ThreadPool> pool;
-  if (opts.threads > 1) {
-    pool = std::make_unique<scperf::ThreadPool>(opts.threads);
-  }
-
-  // Windowed early stopping: issue seeds in windows of spec.window runs,
-  // then feed the completed slots to the tester *in seed order*. The window
-  // size — not the thread count — decides which seeds execute, and the feed
-  // order is the seed order, so the stopping point (and every byte derived
-  // from it) is identical for any thread count.
-  SequentialTester tester(opts.smc);
+  // Seeds are issued in windows: the whole campaign at once, or smc.window
+  // runs at a time under sequential model checking, whose tester then eats
+  // the completed slots *in seed order*. The window size — not the thread
+  // count — decides which seeds execute, and the feed order is the seed
+  // order, so the stopping point (and every byte derived from it) is
+  // identical for any thread count.
+  std::optional<SequentialTester> tester;
+  if (smc_on) tester.emplace(opts.smc);
+  const std::size_t window = smc_on ? opts.smc.window : n;
   std::size_t executed = 0;  // window-aligned count of issued runs
   std::size_t fed = 0;       // slots consumed by the tester, in seed order
-  while (executed < n && !tester.decided()) {
-    const std::size_t end = std::min(n, executed + opts.smc.window);
-    std::vector<std::size_t> batch;
-    batch.reserve(end - executed);
-    for (std::size_t i = executed; i < end; ++i) {
-      if (!done[i]) batch.push_back(i);
-    }
-    if (!batch.empty()) {
-      if (pool) {
-        pool->parallel_for(batch, run_one);
-      } else {
-        for (const std::size_t i : batch) run_one(i);
-      }
-    }
+  auto owed = todo.cbegin();
+  while (executed < n && !(tester && tester->decided())) {
+    const std::size_t end = std::min(n, executed + window);
+    const auto stop = std::lower_bound(owed, todo.cend(), end);
+    scperf::parallel_for(opts.threads, std::span(owed, stop), run_one);
+    owed = stop;
     executed = end;
-    while (fed < executed && !tester.decided()) {
-      const CampaignRunResult& r = results_[offset + fed];
-      tester.feed(run_violates(r), std::exp(r.log_weight));
-      ++fed;
+    while (tester && fed < executed && !tester->decided()) {
+      const CampaignRunResult& r = results_[offset + fed++];
+      tester->feed(run_violates(r), std::exp(r.log_weight));
     }
   }
 
+  if (!tester) {
+    if (journal) journal->sync();
+    return;
+  }
   // The window that crossed the boundary ran to completion (its runs are
   // real data and stay in the results/CSV); everything after it was never
   // issued, so the slot array shrinks to what actually executed.
   results_.resize(offset + executed);
   smc_spec_ = opts.smc;
-  smc_verdict_ = tester.verdict();
+  smc_verdict_ = tester->verdict();
   if (journal) {
     // Always record the decision — an undecided budget exhaustion included:
     // its presence is what marks the journal final (and resumable as a

@@ -144,11 +144,11 @@ bool run_violates(const CampaignRunResult& r);
 /// Half-width of the normal-approximation 95% CI of a sample mean.
 double mean_ci95(const Summary& s);
 
-/// Execution options for campaign drivers. The default is the legacy
-/// sequential path (no pool, runs execute on the calling thread); threads
-/// > 1 runs the seeds on a scperf::ThreadPool with every run writing into
-/// its pre-sized result slot, so results order, report fields and CSV bytes
-/// are identical for ANY thread count. The run function must then be
+/// Execution options for campaign drivers. By default the runs execute on
+/// the calling thread; threads > 1 spreads them over the calling thread and
+/// threads - 1 more (scperf::parallel_for), with every run writing into its
+/// pre-sized result slot, so results order, report fields and CSV bytes are
+/// identical for ANY thread count. The run function must then be
 /// thread-safe: build everything per-run (one Simulator/Estimator/scenario/
 /// CaptureRegistry per call) and share nothing mutable between calls — the
 /// concurrency contract of DESIGN.md §7.
@@ -191,13 +191,14 @@ struct CampaignOptions {
   std::uint64_t total_runs = 0;  ///< 0 = the n passed to run()
   std::string worker_id;
 
-  /// Called right before each run record is appended to the journal (and on
-  /// the sequential path, before each completed run is committed). A fleet
-  /// worker hooks this to re-probe its lease (ShardLease::assert_still_mine)
-  /// — adoption's guard against a displaced owner's appends: a worker whose
-  /// unit was adopted away aborts *before* recording another run into the
-  /// journal its adopter now extends. Exceptions propagate out of run()
-  /// like any non-SimError (parallel mode drains in-flight runs first).
+  /// Called once per executed run, right before its record is appended to
+  /// the journal; never called without a journal. A fleet worker hooks this
+  /// to re-probe its lease (ShardLease::assert_still_mine) — adoption's
+  /// guard against a displaced owner's appends: a worker whose unit was
+  /// adopted away aborts *before* recording another run into the journal
+  /// its adopter now extends. An exception keeps that record out of the
+  /// journal and propagates out of run() like any non-SimError (in-flight
+  /// runs finish first).
   std::function<void(std::size_t index)> pre_append;
 
   // ---- per-run retry and timeout budgets ----
@@ -260,18 +261,17 @@ class FaultCampaign {
       : results_(std::move(results)) {}
 
   /// Runs seeds base_seed .. base_seed + n - 1. With opts.threads > 1 the
-  /// seeds run on a thread pool; every seed's result lands in its own slot,
-  /// so results()/report()/write_csv() are byte-identical to the sequential
-  /// path regardless of thread count. A minisc::SimError thrown by any run
-  /// is recorded as a failed run in either mode — after opts.max_attempts
-  /// tries when the error is transient (minisc::is_transient) — and opts.run_wall_clock_ms converts a hung
+  /// seeds run on that many threads; every seed's result lands in its own
+  /// slot, so results()/report()/write_csv() are byte-identical for any
+  /// thread count. A minisc::SimError thrown by any run is recorded as a
+  /// failed run — after opts.max_attempts tries when the error is transient
+  /// (minisc::is_transient) — and opts.run_wall_clock_ms converts a hung
   /// seed into a failed-with-timeout record. The one SimError exempt from
   /// recording is kIoError (full disk, dying device): an infrastructure
   /// failure is not a property of the seed, so it propagates out of run()
   /// instead of biasing the statistics — fleet workers (trace/shard.hpp)
   /// catch it and quarantine the shard. Any other exception propagates
-  /// (parallel mode finishes in-flight runs first and leaves unreached slots
-  /// default-constructed).
+  /// (in-flight runs finish first; unreached slots stay default-constructed).
   ///
   /// With opts.journal_path set, every finished seed is appended to a
   /// crash-consistent journal (trace/journal.hpp); with opts.resume, runs
@@ -289,7 +289,6 @@ class FaultCampaign {
   const SmcVerdict* smc_verdict() const {
     return smc_verdict_ ? &*smc_verdict_ : nullptr;
   }
-  const SmcSpec& smc_spec() const { return smc_spec_; }
 
   /// Attaches a recorded verdict to a merge-constructed campaign (the
   /// journal decision record recovered by sctrace::merge_shard_dir /
@@ -307,11 +306,6 @@ class FaultCampaign {
   void write_csv(std::ostream& os) const;
 
  private:
-  void run_sequential(std::uint64_t base_seed, std::size_t n,
-                      const CampaignOptions& opts, std::size_t offset,
-                      class JournalWriter* journal,
-                      const std::vector<std::size_t>& todo);
-
   RunFn fn_;
   std::vector<CampaignRunResult> results_;
   SmcSpec smc_spec_;
@@ -352,8 +346,9 @@ struct AdaptiveBiasResult {
 
 /// Runs the pilot search. `make_run(factor)` must return a run function
 /// that simulates under the factor-inflated fault model and fills
-/// log_weight against the nominal one (e.g. via scfault::scale_fault_bias +
-/// channel_log_lr/scenario_log_lr). Deterministic: probes use the fixed
+/// log_weight against the nominal one (e.g. a channel spec with its fault
+/// probabilities scaled by the factor, weighted by scfault::channel_log_lr
+/// against the unscaled spec). Deterministic: probes use the fixed
 /// seeds [pilot_seed, pilot_seed + pilot_runs), so the chosen factor is a
 /// pure function of (make_run, pilot_seed, opts).
 AdaptiveBiasResult tune_bias_factor(

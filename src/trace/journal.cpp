@@ -192,6 +192,15 @@ std::string frame(char type, const std::string& payload) {
                      std::strerror(errno));
 }
 
+/// write() until the whole record is in the file (it may write less).
+void write_all(int fd, const std::string& path, const std::string& rec) {
+  for (std::size_t off = 0; off < rec.size();) {
+    const ssize_t n = ::write(fd, rec.data() + off, rec.size() - off);
+    if (n < 0) throw_io(path, "write");
+    off += static_cast<std::size_t>(n);
+  }
+}
+
 }  // namespace
 
 std::string identity_mismatch(const JournalHeader& got,
@@ -369,28 +378,20 @@ JournalContents read_journal(const std::string& path) {
 }
 
 JournalWriter::JournalWriter(const std::string& path,
-                             const JournalHeader& header,
-                             std::size_t flush_every)
-    : path_(path), flush_every_(flush_every == 0 ? 1 : flush_every) {
+                             const JournalHeader& header)
+    : path_(path) {
   // O_APPEND: every record lands atomically at EOF, so even a pathological
   // lease-TTL violation (two writers on one shard journal) interleaves whole
   // records rather than tearing them mid-frame.
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (fd_ < 0) throw_io(path, "open");
-  const std::string rec = frame(kHeaderType, encode_header(header));
-  std::size_t off = 0;
-  while (off < rec.size()) {
-    const ssize_t n = ::write(fd_, rec.data() + off, rec.size() - off);
-    if (n < 0) throw_io(path_, "write");
-    off += static_cast<std::size_t>(n);
-  }
+  write_all(fd_, path_, frame(kHeaderType, encode_header(header)));
   if (::fsync(fd_) != 0) throw_io(path_, "fsync");
 }
 
 JournalWriter::JournalWriter(const std::string& path,
-                             std::uint64_t valid_bytes,
-                             std::size_t flush_every)
-    : path_(path), flush_every_(flush_every == 0 ? 1 : flush_every) {
+                             std::uint64_t valid_bytes)
+    : path_(path) {
   fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND, 0644);
   if (fd_ < 0) throw_io(path, "open");
   // Cut the torn tail before appending: the new record must start exactly
@@ -411,13 +412,8 @@ JournalWriter::~JournalWriter() {
 void JournalWriter::append(std::size_t index, const CampaignRunResult& r) {
   const std::string rec = frame(kRunType, encode_run(index, r));
   std::unique_lock<std::mutex> lock(mu_);
-  std::size_t off = 0;
-  while (off < rec.size()) {
-    const ssize_t n = ::write(fd_, rec.data() + off, rec.size() - off);
-    if (n < 0) throw_io(path_, "write");
-    off += static_cast<std::size_t>(n);
-  }
-  if (++unsynced_ >= flush_every_) {
+  write_all(fd_, path_, rec);
+  if (++unsynced_ >= kFlushEvery) {
     if (::fsync(fd_) != 0) throw_io(path_, "fsync");
     unsynced_ = 0;
   }
@@ -430,12 +426,7 @@ void JournalWriter::append_decision(const JournalDecision& decision) {
   // decision that survives a crash proves every run record it covers was
   // already durable when it was written.
   if (::fsync(fd_) != 0) throw_io(path_, "fsync");
-  std::size_t off = 0;
-  while (off < rec.size()) {
-    const ssize_t n = ::write(fd_, rec.data() + off, rec.size() - off);
-    if (n < 0) throw_io(path_, "write");
-    off += static_cast<std::size_t>(n);
-  }
+  write_all(fd_, path_, rec);
   if (::fsync(fd_) != 0) throw_io(path_, "fsync");
   unsynced_ = 0;
 }

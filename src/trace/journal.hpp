@@ -138,22 +138,23 @@ std::string identity_mismatch(const JournalHeader& got,
 ///   - kBadConfig when the file cannot be opened or is empty.
 JournalContents read_journal(const std::string& path);
 
-/// Append-side of the journal. Thread-safe: campaign workers append from
-/// pool threads under one mutex (journal I/O is a few microseconds against
-/// a multi-millisecond simulation, so the lock is not a scaling concern).
+/// Append-side of the journal. Thread-safe: a campaign's threads append
+/// under one mutex (journal I/O is a few microseconds against a
+/// multi-millisecond simulation, so the lock is not a scaling concern).
 /// Durability is batched: every record is write()n to the file immediately
-/// (surviving a killed process), and fsync'd every `flush_every` records
+/// (surviving a killed process), and fsync'd every kFlushEvery records
 /// (surviving a killed machine) as well as on close().
 class JournalWriter {
  public:
+  /// Run records appended between two batched fsyncs.
+  static constexpr std::size_t kFlushEvery = 8;
+
   /// Creates (or truncates) `path` and writes the header record.
-  JournalWriter(const std::string& path, const JournalHeader& header,
-                std::size_t flush_every = 8);
+  JournalWriter(const std::string& path, const JournalHeader& header);
 
   /// Re-opens an existing journal for append after a read_journal() scan,
   /// first truncating any torn tail at `valid_bytes`.
-  JournalWriter(const std::string& path, std::uint64_t valid_bytes,
-                std::size_t flush_every = 8);
+  JournalWriter(const std::string& path, std::uint64_t valid_bytes);
 
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
@@ -164,7 +165,7 @@ class JournalWriter {
   ~JournalWriter();
 
   /// Appends one run record and makes it visible to readers; fsyncs every
-  /// `flush_every` appends. Thread-safe. Throws minisc::SimError(kIoError)
+  /// kFlushEvery appends. Thread-safe. Throws minisc::SimError(kIoError)
   /// carrying the errno text on I/O failure (ENOSPC, EIO, ...); the kind is
   /// non-transient so campaign retry does not hammer a full disk.
   void append(std::size_t index, const CampaignRunResult& result);
@@ -182,7 +183,6 @@ class JournalWriter {
   std::mutex mu_;
   int fd_ = -1;
   std::string path_;
-  std::size_t flush_every_ = 8;
   std::size_t unsynced_ = 0;
 };
 

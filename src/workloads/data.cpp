@@ -19,15 +19,6 @@ void store_words(iss::Machine& m, std::uint32_t addr,
   }
 }
 
-std::vector<std::int32_t> load_words(const iss::Machine& m,
-                                     std::uint32_t addr, std::size_t n) {
-  std::vector<std::int32_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = m.read_word(addr + static_cast<std::uint32_t>(4 * i));
-  }
-  return v;
-}
-
 IssResult run_on_iss(const IssCacheConfig& cfg, const char* asm_src,
                      const char* fn, void (*setup)(iss::Machine&)) {
   iss::Machine m;

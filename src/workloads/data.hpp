@@ -37,8 +37,6 @@ std::vector<std::int32_t> random_vector(std::size_t n, std::uint32_t seed,
 /// Copies a vector into ISS memory as consecutive little-endian words.
 void store_words(iss::Machine& m, std::uint32_t addr,
                  const std::vector<std::int32_t>& v);
-std::vector<std::int32_t> load_words(const iss::Machine& m,
-                                     std::uint32_t addr, std::size_t n);
 
 /// The ISS form of a Benchmark: a fresh Machine with the cache timing models
 /// `cfg` enables runs `asm_src`; `setup` stores the inputs and sets the

@@ -161,7 +161,7 @@ TEST(RngProperty, ChannelStreamsAreMutuallyDecorrelated) {
 TEST(RngProperty, PulseDrawsAreIndependentOfChannelSpecs) {
   // The occurrence draws behind PulseSpec::occur_p must come from the
   // pulse spec's own sub-stream: adding channel fault specs to the config
-  // leaves the pulse timeline and its draw counts bit-identical.
+  // leaves the pulse timeline bit-identical.
   ScenarioConfig plain;
   plain.horizon = Time::ms(1);
   plain.pulses.push_back({"cpu0", 64, 10.0, 20.0, /*occur_p=*/0.5});
@@ -178,15 +178,10 @@ TEST(RngProperty, PulseDrawsAreIndependentOfChannelSpecs) {
       EXPECT_EQ(a.pulses()[i].at, b.pulses()[i].at);
       EXPECT_EQ(a.pulses()[i].extra_cycles, b.pulses()[i].extra_cycles);
     }
-    ASSERT_EQ(a.draw_counts().pulses.size(), 1u);
-    EXPECT_EQ(a.draw_counts().pulses[0].occurred,
-              b.draw_counts().pulses[0].occurred);
-    EXPECT_EQ(a.draw_counts().pulses[0].skipped,
-              b.draw_counts().pulses[0].skipped);
     // occur_p = 0.5 over 64 candidates: both outcomes must actually occur,
     // or the gating draw is not wired at all.
-    EXPECT_GT(a.draw_counts().pulses[0].occurred, 0u);
-    EXPECT_GT(a.draw_counts().pulses[0].skipped, 0u);
+    EXPECT_GT(a.pulses().size(), 0u);
+    EXPECT_LT(a.pulses().size(), 64u);
   }
 }
 

@@ -1,4 +1,4 @@
-// Bit-exact determinism of thread-pooled campaign execution: the same seeds
+// Bit-exact determinism of threaded campaign execution: the same seeds
 // through the same run function must produce byte-identical CSV output and
 // identical report fields for threads ∈ {1, 2, 8} and the legacy sequential
 // path — including campaigns where runs throw SimError
@@ -147,7 +147,7 @@ FaultCampaign::RunFn faulty_fn() {
   };
 }
 
-/// Options that run the seeds on a pool of `threads` workers.
+/// Options that run the seeds on `threads` threads.
 CampaignOptions threaded(std::size_t threads) {
   CampaignOptions o;
   o.threads = threads;

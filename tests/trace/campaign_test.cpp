@@ -1,16 +1,58 @@
 #include "trace/campaign.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "kernel/error.hpp"
+#include "trace/journal.hpp"
 
 namespace sctrace {
 namespace {
 
 using minisc::Time;
+
+/// A journal path private to this test process (ctest runs tests in
+/// parallel processes).
+std::string temp_journal(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         ("scperf_campaign_" + name + "_" + std::to_string(::getpid()) +
+          ".journal");
+}
+
+/// Run indices of the records in the journal at `path`.
+std::multiset<std::size_t> journaled(const std::string& path) {
+  std::multiset<std::size_t> out;
+  for (const JournalRecord& rec : read_journal(path).records) {
+    out.insert(rec.index);
+  }
+  return out;
+}
+
+/// Every run misses its one deadline, so an SPRT on P(violation) <= 0.2
+/// rejects after min_samples (8) runs: two windows of 4.
+CampaignRunResult violating_run(std::uint64_t) {
+  CampaignRunResult r;
+  r.makespan = Time::us(5);
+  r.deadline_total = 1;
+  r.deadline_missed = 1;
+  return r;
+}
+
+SmcSpec early_stop_spec() {
+  SmcSpec s;
+  s.threshold = 0.2;
+  s.delta = 0.05;
+  s.window = 4;
+  return s;
+}
 
 TEST(Campaign, RunsEverySeedAndAggregates) {
   FaultCampaign campaign([](std::uint64_t seed) {
@@ -338,6 +380,89 @@ TEST(Campaign, MeanCi95MatchesFormula) {
   Summary tiny;
   tiny.count = 1;
   EXPECT_DOUBLE_EQ(mean_ci95(tiny), 0.0);
+}
+
+TEST(Campaign, PreAppendSeesEachExecutedIndexOnceBeforeItsRecord) {
+  constexpr std::size_t kRuns = 40;
+  struct Case {
+    std::size_t threads;
+    bool smc;
+  };
+  for (const Case c : {Case{0, false}, Case{1, false}, Case{8, false},
+                       Case{1, true}, Case{8, true}}) {
+    const std::string path = temp_journal("pre_append");
+    std::filesystem::remove(path);
+    std::mutex mu;
+    std::vector<int> calls(kRuns, 0);
+    std::vector<std::size_t> already_journaled;
+    CampaignOptions opts;
+    opts.threads = c.threads;
+    opts.journal_path = path;
+    if (c.smc) opts.smc = early_stop_spec();
+    opts.pre_append = [&](std::size_t i) {
+      const bool present = journaled(path).count(i) > 0;
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls.at(i);
+      if (present) already_journaled.push_back(i);
+    };
+    FaultCampaign campaign(violating_run);
+    campaign.run(100, kRuns, opts);
+
+    const std::string where = std::to_string(c.threads) + " threads" +
+                              (c.smc ? ", smc" : "");
+    const std::size_t executed = campaign.results().size();
+    EXPECT_EQ(executed, c.smc ? 8u : kRuns) << where;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(calls[i], i < executed ? 1 : 0) << where << ", index " << i;
+    }
+    EXPECT_TRUE(already_journaled.empty()) << where;
+    EXPECT_EQ(journaled(path).size(), executed) << where;
+    std::filesystem::remove(path);
+  }
+}
+
+TEST(Campaign, ThrowingPreAppendKeepsItsRecordOutOfTheJournal) {
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{8}}) {
+    const std::string path = temp_journal("pre_append_throws");
+    std::filesystem::remove(path);
+    CampaignOptions opts;
+    opts.threads = threads;
+    opts.journal_path = path;
+    opts.pre_append = [](std::size_t i) {
+      if (i == 5) throw std::runtime_error("lease lost at run 5");
+    };
+    FaultCampaign campaign(violating_run);
+    EXPECT_THROW(campaign.run(100, 20, opts), std::runtime_error)
+        << threads << " threads";
+    const std::multiset<std::size_t> recorded = journaled(path);
+    EXPECT_EQ(recorded.count(5), 0u) << threads << " threads";
+    if (threads == 0) {
+      // On the calling thread the runs before the throw are all recorded and
+      // nothing after it ran.
+      EXPECT_EQ(recorded, (std::multiset<std::size_t>{0, 1, 2, 3, 4}));
+    }
+    std::filesystem::remove(path);
+  }
+}
+
+TEST(Campaign, PreAppendIsNeverCalledWithoutAJournal) {
+  for (const bool smc : {false, true}) {
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{8}}) {
+      std::mutex mu;
+      int calls = 0;
+      CampaignOptions opts;
+      opts.threads = threads;
+      if (smc) opts.smc = early_stop_spec();
+      opts.pre_append = [&](std::size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++calls;
+      };
+      FaultCampaign campaign(violating_run);
+      campaign.run(100, 40, opts);
+      EXPECT_EQ(campaign.results().size(), smc ? 8u : 40u);
+      EXPECT_EQ(calls, 0) << threads << " threads" << (smc ? ", smc" : "");
+    }
+  }
 }
 
 }  // namespace

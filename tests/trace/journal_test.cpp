@@ -107,7 +107,7 @@ TEST(Journal, RoundTripsEveryFieldBitExactly) {
   header.scenario_digest = 0xfeedfacecafebeefull;
   header.tag = "unit/roundtrip";
   {
-    JournalWriter w(path, header, /*flush_every=*/1);
+    JournalWriter w(path, header);
     for (std::size_t i = 0; i < 3; ++i) w.append(i, synth_run(17 + i));
   }
   const JournalContents got = read_journal(path);
@@ -159,7 +159,7 @@ TEST(Journal, FailedRunsRoundTripWithErrorAndAttempts) {
   failed.error = "minisc::SimError(wall_clock_budget): seed 5 hung";
   failed.attempts = 3;
   {
-    JournalWriter w(path, header_for(6), 1);
+    JournalWriter w(path, header_for(6));
     w.append(5, failed);
   }
   const JournalContents got = read_journal(path);
@@ -174,7 +174,7 @@ TEST(Journal, TruncatedFinalRecordIsTolerated) {
   const std::string path = temp_journal("truncated");
   std::uint64_t two_records = 0;
   {
-    JournalWriter w(path, header_for(3), 1);
+    JournalWriter w(path, header_for(3));
     w.append(0, synth_run(0));
     w.append(1, synth_run(1));
     w.sync();
@@ -190,7 +190,7 @@ TEST(Journal, TruncatedFinalRecordIsTolerated) {
 
   // A resuming writer truncates the torn tail and appends cleanly.
   {
-    JournalWriter w(path, got.valid_bytes, 1);
+    JournalWriter w(path, got.valid_bytes);
     w.append(2, synth_run(2));
   }
   const JournalContents again = read_journal(path);
@@ -204,7 +204,7 @@ TEST(Journal, BitFlippedMidFileRecordRaisesStructuredError) {
   const std::string path = temp_journal("bitflip");
   std::uint64_t one_record = 0;
   {
-    JournalWriter w(path, header_for(3), 1);
+    JournalWriter w(path, header_for(3));
     w.append(0, synth_run(0));
     w.sync();
     one_record = file_size(path);
@@ -253,7 +253,7 @@ TEST(Journal, RecordIndexBeyondHeaderRunsIsCorrupt) {
       run_sharded_sweep({"m"}, {"s"}, fn, 40, 3, so).campaign_complete);
   const std::string path = cell_journal_path(dir.string(), 0, 1);
   {
-    JournalWriter w(path, read_journal(path).valid_bytes, 1);
+    JournalWriter w(path, read_journal(path).valid_bytes);
     w.append(3, synth_run(43));  // the header holds runs 0..2
   }
 
@@ -299,7 +299,7 @@ TEST(Journal, TornHeaderIsCorruptNotATolerableTail) {
   // nothing identifies the campaign: structured corruption, clear message.
   const std::string path = temp_journal("torn_header");
   {
-    JournalWriter w(path, JournalHeader{}, 1);
+    JournalWriter w(path, JournalHeader{});
   }
   std::filesystem::resize_file(path, 7);  // mid-header crash
   try {
@@ -723,7 +723,7 @@ TEST(Journal, WriterIoFailureIsAStructuredIoError) {
   // not as a config complaint, and never as a retryable condition.
   const std::string path = "/nonexistent-scperf-dir/sub/never.journal";
   try {
-    JournalWriter w(path, JournalHeader{}, 1);
+    JournalWriter w(path, JournalHeader{});
     FAIL() << "expected SimError(kIoError)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kIoError);

@@ -557,7 +557,7 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   h.total_runs = total;
   h.worker_id = "dead-worker";
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
+    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
     w.append(0, synth_run(base + r1.begin));
     w.append(1, synth_run(base + r1.begin + 1));
   }
@@ -713,7 +713,7 @@ TEST(ShardMerge, MissingRunRecordsAreIncomplete) {
   h.shard_begin = r1.begin;
   h.total_runs = total;
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
+    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
     for (std::size_t i = 0; i + 1 < r1.size(); ++i) {
       w.append(i, synth_run(r1.begin + i));
     }
@@ -740,7 +740,7 @@ void write_shard1_journal(const std::string& path, std::size_t begin,
   h.shard_count = 2;
   h.shard_begin = begin;
   h.total_runs = 10;
-  JournalWriter w(path, h, 1);
+  JournalWriter w(path, h);
   for (std::size_t i = 0; i < runs; ++i) w.append(i, synth_run(begin + i));
 }
 
@@ -876,7 +876,7 @@ TEST(ShardMerge, FilesOutsideThePinnedLayoutAreIgnored) {
   h.shard_begin = r0.begin;
   h.total_runs = 10;
   {
-    JournalWriter w(shard_journal_path(dir.str(), 0, 3), h, 1);
+    JournalWriter w(shard_journal_path(dir.str(), 0, 3), h);
     for (std::size_t i = 0; i < r0.size(); ++i) w.append(i, synth_run(i));
   }
   const MergedCampaign merged = merge_shard_dir(dir.str());
@@ -1014,7 +1014,7 @@ TEST(ShardMerge, AllowPartialCompactsMissingRecordsInSeedOrder) {
   h.shard_begin = r1.begin;
   h.total_runs = total;
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h, 1);
+    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
     for (std::size_t i = 0; i < r1.size(); ++i) {
       if (i == 1) continue;
       w.append(i, synth_run(r1.begin + i));
@@ -1280,7 +1280,7 @@ TEST(ShardStatus, ClassifiesEveryShardStateWithoutWriting) {
     h.shard_count = 5;
     h.shard_begin = r.begin;
     h.total_runs = total;
-    JournalWriter w(journal(i), h, 1);
+    JournalWriter w(journal(i), h);
     for (std::size_t k = 0; k < n; ++k) w.append(k, synth_run(r.begin + k));
   };
   keep_records(1, 3);  // claimed by a live worker, 3 of 4 recorded

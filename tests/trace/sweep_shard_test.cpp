@@ -286,7 +286,7 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
   h.worker_id = "dead-worker";
   {
     const std::uint64_t salt = cell_salt("shared", "burst");
-    JournalWriter w(cell_journal_path(dir.str(), cell, cells), h, 1);
+    JournalWriter w(cell_journal_path(dir.str(), cell, cells), h);
     w.append(0, synth_run(base, salt));
     w.append(1, synth_run(base + 1, salt));
   }
