@@ -1,4 +1,5 @@
-// Per-layer host costs (google-benchmark): the kernel, HLS and ISS rows.
+// Per-layer host costs (google-benchmark): the kernel, HLS, ISS and fleet
+// lease rows.
 //
 //   ./build/bench/layers [--benchmark_format=json]
 //
@@ -24,6 +25,11 @@
 //   i-cache. Each iteration replays the ablation_iss_cache --speedup kernel
 //   on one persistent Machine; items are instructions, and time_per_instr
 //   is the CPU time per instruction.
+// - BM_LeaseClaimRelease: claim a fresh shard lease in a scratch directory
+//   beside the binary (layers.shard/) and release it: the O_EXCL create and
+//   its sync, the heartbeat thread's start and join, the ownership probe
+//   and the unlink. Timed in wall time, since most of it can be waiting on
+//   the filesystem.
 //
 // glibc's mmap and trim thresholds are pinned at startup, as perfbench does:
 // with the adaptive defaults, heap history decides whether freed process
@@ -32,6 +38,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <filesystem>
 #include <string>
 
 #if defined(__GLIBC__)  // set by the C++ headers above
@@ -44,10 +52,15 @@
 #include "iss/machine.hpp"
 #include "iss_gate_kernel.hpp"
 #include "kernel/channels.hpp"
+#include "kernel/error.hpp"
 #include "kernel/simulator.hpp"
+#include "trace/shard.hpp"
 #include "workloads/hw_segments.hpp"
 
 namespace {
+
+/// Directory of the binary, with its trailing slash ("" when run from it).
+std::string g_bench_dir;
 
 void BM_ProcessHandoff(benchmark::State& state) {
   minisc::Simulator sim;
@@ -230,6 +243,30 @@ BENCHMARK(BM_IssInstruction)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->ArgNames({"blocks", "icache"});
 
+void BM_LeaseClaimRelease(benchmark::State& state) {
+  const std::string dir = g_bench_dir + "layers.shard";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    const std::string why = "cannot create " + dir + ": " + ec.message();
+    state.SkipWithError(why.c_str());
+    return;
+  }
+  const std::string path = sctrace::shard_lease_path(dir, 0, 1);
+  for (auto _ : state) {
+    try {
+      auto lease = sctrace::claim_shard_lease(path, "layers", 10000);
+      lease->release();
+    } catch (const minisc::SimError& e) {
+      state.SkipWithError(e.what());
+      break;
+    }
+  }
+  std::filesystem::remove_all(dir, ec);
+}
+BENCHMARK(BM_LeaseClaimRelease)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
 }  // namespace
 
 // JSON-context injection shared with the other benches (bench_context.cpp).
@@ -240,6 +277,9 @@ int main(int argc, char** argv) {
   mallopt(M_MMAP_THRESHOLD, 64 << 20);
   mallopt(M_TRIM_THRESHOLD, 512 << 20);
 #endif
+  if (const char* slash = std::strrchr(argv[0], '/')) {
+    g_bench_dir.assign(argv[0], static_cast<std::size_t>(slash - argv[0]) + 1);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   add_build_type_context();

@@ -6,7 +6,10 @@
 //   - the lease protocol picks exactly one winner: a double claim raises a
 //     *transient* kLeaseConflict, a fresh lease is never adoptable, a stale
 //     one (heartbeat mtime past the TTL) is adopted by exactly one of eight
-//     racing claimers, and content with no owner line is nobody's lease;
+//     racing claimers, and content with no owner line (an empty file
+//     included) is nobody's lease;
+//   - an adoption marker left by a dead adopter is taken over by the next
+//     name in its series, and a claim whose write fails leaves no lease;
 //   - a worker whose lease was adopted away observes lost() and leaves the
 //     file to the adopter;
 //   - adoption of a partially-journaled shard resumes the dead worker's
@@ -33,15 +36,18 @@
 #include "trace/shard.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -245,30 +251,133 @@ TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
 }
 
 TEST(ShardLease, ContentWithoutAnOwnerLineIsNobodysLease) {
-  ScratchDir dir("ownerless");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
-  // Content with no owner line (here a bare worker id) names no owner.
-  write_file(path, "dead-worker");
-  LeaseInfo info;
-  ASSERT_TRUE(read_lease_info(path, &info));
-  EXPECT_EQ(info.owner, "");
-  EXPECT_EQ(info.adoptions, 0u);
-  // Fresh, it is still a held lease: refused like any other...
-  try {
-    claim_shard_lease(path, "bob", 10000);
-    FAIL() << "expected SimError(kLeaseConflict)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
+  // Content with no owner line names no owner: a bare worker id, and an
+  // empty file — what a claim leaves when it dies between its O_EXCL create
+  // and its write, or when the host dies before the lease's unsynced bytes
+  // reach the disk.
+  for (const std::string content : {"dead-worker", ""}) {
+    SCOPED_TRACE("content '" + content + "'");
+    ScratchDir dir("ownerless");
+    const std::string path = shard_lease_path(dir.str(), 0, 1);
+    write_file(path, content);
+    LeaseInfo info;
+    ASSERT_TRUE(read_lease_info(path, &info));
+    EXPECT_EQ(info.owner, "");
+    EXPECT_EQ(info.adoptions, 0u);
+    // Fresh, it is still a held lease: refused like any other...
+    try {
+      claim_shard_lease(path, "bob", 10000);
+      FAIL() << "expected SimError(kLeaseConflict)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict);
+    }
+    EXPECT_EQ(read_file(path), content);
+    // ...and stale, it is adopted once, as generation one.
+    make_stale(path);
+    auto lease = claim_shard_lease(path, "survivor", 10000);
+    EXPECT_TRUE(lease->adopted());
+    EXPECT_EQ(lease->adoptions(), 1u);
+    ASSERT_TRUE(read_lease_info(path, &info));
+    EXPECT_EQ(info.owner, "survivor");
+    EXPECT_EQ(info.adoptions, 1u);
+    EXPECT_THROW(claim_shard_lease(path, "late", 10000), SimError);
   }
-  EXPECT_EQ(read_file(path), "dead-worker");
-  // ...and stale, it is adopted once, as generation one.
+}
+
+TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
+  ScratchDir dir("stale_marker");
+  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string marker = path + ".adopt1";
+  const std::string next = marker + ".1";
+  const auto entries = [&] {
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+      names.insert(e.path().filename().string());
+    }
+    return names;
+  };
+  const auto expect_conflict = [&] {
+    try {
+      claim_shard_lease(path, "bob", 10000);
+      ADD_FAILURE() << "expected SimError(kLeaseConflict)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimError::Kind::kLeaseConflict) << e.what();
+    }
+  };
+  write_file(path, format_lease_for_test("dead-worker", 0));
   make_stale(path);
+  const auto stale_mtime = std::filesystem::last_write_time(path);
+  // A live adopter holds generation one's marker: nobody else may adopt,
+  // and the lease is left exactly as it was.
+  write_file(marker, "");
+  expect_conflict();
+  EXPECT_EQ(read_file(path), format_lease_for_test("dead-worker", 0));
+  EXPECT_EQ(std::filesystem::last_write_time(path), stale_mtime);
+  EXPECT_EQ(entries(), (std::set<std::string>{"shard_0_of_1.lease",
+                                              "shard_0_of_1.lease.adopt1"}));
+  // That adopter died holding the marker: once the marker is older than
+  // the TTL, the next claimer moves on to the next name in the series, so a
+  // live holder of that one still blocks...
+  make_stale(marker);
+  write_file(next, "");
+  expect_conflict();
+  EXPECT_EQ(read_file(path), format_lease_for_test("dead-worker", 0));
+  // ...and with no holder, the claim adopts through ".adopt1.1" as
+  // generation one and removes the marker it took.
+  std::filesystem::remove(next);
   auto lease = claim_shard_lease(path, "survivor", 10000);
   EXPECT_TRUE(lease->adopted());
   EXPECT_EQ(lease->adoptions(), 1u);
+  LeaseInfo info;
   ASSERT_TRUE(read_lease_info(path, &info));
   EXPECT_EQ(info.owner, "survivor");
-  EXPECT_THROW(claim_shard_lease(path, "late", 10000), SimError);
+  EXPECT_EQ(info.adoptions, 1u);
+  // Only the dead adopter's marker is left; the next adoption takes
+  // generation two's.
+  EXPECT_EQ(entries(), (std::set<std::string>{"shard_0_of_1.lease",
+                                              "shard_0_of_1.lease.adopt1"}));
+}
+
+/// Caps the size of any file this process writes at 0 bytes for its
+/// lifetime, with SIGXFSZ ignored, so every write to a file fails (EFBIG).
+struct NoFileWrites {
+  NoFileWrites() {
+    ::getrlimit(RLIMIT_FSIZE, &saved);
+    old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit zero = saved;
+    zero.rlim_cur = 0;
+    ::setrlimit(RLIMIT_FSIZE, &zero);
+  }
+  ~NoFileWrites() {
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+  }
+  NoFileWrites(const NoFileWrites&) = delete;
+  NoFileWrites& operator=(const NoFileWrites&) = delete;
+  rlimit saved{};
+  void (*old_handler)(int) = nullptr;
+};
+
+TEST(ShardLease, FailedClaimLeavesNoLeaseBehind) {
+  ScratchDir dir("failed_claim");
+  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  std::optional<SimError::Kind> kind;
+  {
+    const NoFileWrites guard;
+    try {
+      claim_shard_lease(path, "alice", 10000);
+    } catch (const SimError& e) {
+      kind = e.kind();
+    }
+  }
+  ASSERT_TRUE(kind.has_value()) << "the claim succeeded without writing";
+  EXPECT_EQ(*kind, SimError::Kind::kIoError);
+  // A lease left behind would block the shard for a TTL and then cost it an
+  // adoption generation.
+  EXPECT_FALSE(std::filesystem::exists(path));
+  auto lease = claim_shard_lease(path, "alice", 10000);
+  EXPECT_FALSE(lease->adopted());
+  EXPECT_EQ(lease->adoptions(), 0u);
 }
 
 // ---- clock skew -----------------------------------------------------------
