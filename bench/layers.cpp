@@ -25,6 +25,9 @@
 //   i-cache. Each iteration replays the ablation_iss_cache --speedup kernel
 //   on one persistent Machine; items are instructions, and time_per_instr
 //   is the CPU time per instruction.
+// - BM_IssInstructionMem/blocks:B/icache:I: the same for a kernel that
+//   streams loads and stores the way the vocoder's acb and pp loops do
+//   (bench/iss_gate_kernel.hpp), so the row sees orsim's memory path.
 // - BM_LeaseClaimRelease: claim a fresh shard lease in a scratch directory
 //   beside the binary (layers.shard/) and release it: the O_EXCL create and
 //   its sync, the heartbeat thread's start and join, the ownership probe
@@ -226,11 +229,11 @@ void BM_DesignSpaceFir(benchmark::State& state) {
 }
 BENCHMARK(BM_DesignSpaceFir)->Unit(benchmark::kMillisecond);
 
-void BM_IssInstruction(benchmark::State& state) {
+void time_iss_kernel(benchmark::State& state, const char* kernel_asm) {
   iss::Machine m;
   m.set_block_cache_config({.enabled = state.range(0) != 0});
   if (state.range(1) != 0) m.enable_icache({64, 16, 20});
-  m.load_program(iss::assemble(kIssGateKernelAsm));
+  m.load_program(iss::assemble(kernel_asm));
   m.set_reg(3, 200);
   for (auto _ : state) benchmark::DoNotOptimize(m.call("kernel"));
   const auto instrs = static_cast<double>(m.stats().instructions);
@@ -239,7 +242,18 @@ void BM_IssInstruction(benchmark::State& state) {
   state.counters["time_per_instr"] = benchmark::Counter(
       instrs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
+
+void BM_IssInstruction(benchmark::State& state) {
+  time_iss_kernel(state, kIssGateKernelAsm);
+}
 BENCHMARK(BM_IssInstruction)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"blocks", "icache"});
+
+void BM_IssInstructionMem(benchmark::State& state) {
+  time_iss_kernel(state, kIssMemKernelAsm);
+}
+BENCHMARK(BM_IssInstructionMem)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->ArgNames({"blocks", "icache"});
 

@@ -1,7 +1,11 @@
 #include "iss/machine.hpp"
 
+#include <bit>
 #include <cassert>
+#include <charconv>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace iss {
 
@@ -144,36 +148,57 @@ void Machine::load_program(Program program) {
   blocks_.reset(program_.instrs.size());  // blocks are indexed by PC
 }
 
-void Machine::check_addr(std::uint32_t addr, std::uint32_t bytes) const {
-  if (static_cast<std::size_t>(addr) + bytes > mem_.size()) {
-    throw std::out_of_range("iss: memory access at 0x" +
-                            std::to_string(addr) + " outside memory");
+namespace {
+
+// Out of line and cold, so that the inlined bound check costs a load or
+// store only a compare and a branch that is never taken.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_outside_memory(
+    std::uint32_t addr) {
+  char hex[8];
+  char* const end = std::to_chars(hex, hex + sizeof hex, addr, 16).ptr;
+  throw std::out_of_range("iss: memory access at 0x" + std::string(hex, end) +
+                          " outside memory");
+}
+
+// The bound check of every load and store. The sum is 64-bit, so an address
+// near 2^32 cannot wrap below the bound.
+void check_addr(const std::vector<std::uint8_t>& mem, std::uint32_t addr,
+                std::uint32_t bytes) {
+  if (static_cast<std::size_t>(addr) + bytes > mem.size()) {
+    throw_outside_memory(addr);
   }
 }
 
+// orsim memory is little-endian on every host.
+std::uint32_t little_endian(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = (v >> 24) | ((v >> 8) & 0xff00u) | ((v << 8) & 0xff0000u) | (v << 24);
+  }
+  return v;
+}
+
+}  // namespace
+
 std::int32_t Machine::read_word(std::uint32_t addr) const {
-  check_addr(addr, 4);
+  check_addr(mem_, addr, 4);
   std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | mem_[addr + i];
-  return static_cast<std::int32_t>(v);
+  std::memcpy(&v, mem_.data() + addr, 4);
+  return static_cast<std::int32_t>(little_endian(v));
 }
 
 void Machine::write_word(std::uint32_t addr, std::int32_t v) {
-  check_addr(addr, 4);
-  auto u = static_cast<std::uint32_t>(v);
-  for (int i = 0; i < 4; ++i) {
-    mem_[addr + i] = static_cast<std::uint8_t>(u & 0xffu);
-    u >>= 8;
-  }
+  check_addr(mem_, addr, 4);
+  const std::uint32_t u = little_endian(static_cast<std::uint32_t>(v));
+  std::memcpy(mem_.data() + addr, &u, 4);
 }
 
 std::int8_t Machine::read_byte(std::uint32_t addr) const {
-  check_addr(addr, 1);
+  check_addr(mem_, addr, 1);
   return static_cast<std::int8_t>(mem_[addr]);
 }
 
 void Machine::write_byte(std::uint32_t addr, std::int8_t v) {
-  check_addr(addr, 1);
+  check_addr(mem_, addr, 1);
   mem_[addr] = static_cast<std::uint8_t>(v);
 }
 
@@ -329,15 +354,19 @@ Machine::RunResult Machine::run_from(std::uint32_t entry,
         // No bounds check on the fetch: build() only lets blocks whose
         // whole path lies inside the program run here.
         bool taken = false;  // the final instruction's outcome prices it
+        // A store into orsim memory is a char write, which may alias any
+        // member, so the loop would reload the instruction base after one;
+        // a local cannot be aliased.
+        const Instr* const code = program_.instrs.data();
         if (icache_) {
           for (std::uint32_t k = b->len; k != 0; --k) {
             const std::uint32_t pc = pc_;
-            pc_ = exec_arch(program_.instrs[pc], res.cycles, taken);
+            pc_ = exec_arch(code[pc], res.cycles, taken);
             res.cycles += icache_->access(pc * 4);
           }
         } else {
           for (std::uint32_t k = b->len; k != 0; --k) {
-            pc_ = exec_arch(program_.instrs[pc_], res.cycles, taken);
+            pc_ = exec_arch(code[pc_], res.cycles, taken);
           }
         }
         res.instructions += b->len;

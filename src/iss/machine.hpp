@@ -122,7 +122,6 @@ class Machine {
                     std::uint64_t max_steps = 200'000'000);
 
  private:
-  void check_addr(std::uint32_t addr, std::uint32_t bytes) const;
   /// Executes one instruction architecturally (registers, memory, flag,
   /// d-cache timing) and returns the next PC. Shared by the per-instruction
   /// path and the block path's tight loop.

@@ -623,8 +623,10 @@ std::string format_sweep_manifest(const SweepManifest& m) {
 /// First-writer-wins pinned-file creation: the content is written to a
 /// private tmp file (fsynced) and link()ed into place — link fails with
 /// EEXIST if the file already exists, and because the final name appears
-/// atomically a losing worker can never read a torn file. Shared by the
-/// fleet and sweep manifests.
+/// atomically a losing worker can never read a torn file. The winner then
+/// fsyncs the directory, so a host crash cannot keep a fleet's journals and
+/// lose the manifest they were written under. Shared by the fleet and sweep
+/// manifests.
 bool create_pinned_file(const std::string& path, const std::string& content,
                         const std::string& tmp_tag) {
   const std::string tmp = path + ".tmp-" + tmp_tag;
@@ -632,7 +634,10 @@ bool create_pinned_file(const std::string& path, const std::string& content,
   const int rc = ::link(tmp.c_str(), path.c_str());
   const int saved_errno = errno;
   ::unlink(tmp.c_str());
-  if (rc == 0) return true;
+  if (rc == 0) {
+    if (!sync_parent_dir(path)) throw_io(path, "fsync of its directory");
+    return true;
+  }
   if (saved_errno == EEXIST) return false;
   errno = saved_errno;
   throw_io(path, "link");

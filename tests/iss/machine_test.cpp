@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "iss/assembler.hpp"
 
 namespace iss {
@@ -177,13 +180,55 @@ TEST(Machine, MaxStepsStopsRunawayProgram) {
   EXPECT_EQ(res.instructions, 1000u);
 }
 
-TEST(Machine, OutOfBoundsMemoryThrows) {
+// Runs one `op` at effective address `base + off` on a 256-byte Machine, on
+// the block path or per instruction. Returns the std::out_of_range message,
+// or "" when the access ran; a throw must leave pc() at the access.
+std::string access_error(bool blocks, const std::string& op, std::int32_t base,
+                         std::int32_t off = 0) {
   Machine m(256);
-  m.load_program(assemble(
-      "li r2, 300\n"
-      "lw r3, (r2)\n"
-      "halt\n"));
-  EXPECT_THROW(m.run(), std::out_of_range);
+  m.set_block_cache_config({.enabled = blocks});
+  m.load_program(assemble("li r2, " + std::to_string(base) + "\n" +
+                          "access: " + op + " r3, " + std::to_string(off) +
+                          "(r2)\n"
+                          "halt\n"));
+  try {
+    EXPECT_TRUE(m.run().halted);
+    return "";
+  } catch (const std::out_of_range& e) {
+    EXPECT_EQ(m.pc(), m.program().label("access")) << op << " at " << base;
+    return e.what();
+  }
+}
+
+TEST(Machine, OutOfBoundsMemoryThrows) {
+  for (const bool blocks : {false, true}) {
+    SCOPED_TRACE(blocks ? "block path" : "per instruction");
+    for (const char* op : {"lw", "sw"}) {
+      EXPECT_EQ(access_error(blocks, op, 252), "") << op;
+      EXPECT_NE(access_error(blocks, op, 253), "") << op;
+      EXPECT_NE(access_error(blocks, op, 254), "") << op;
+      // -4 + 2 wraps to 0xfffffffe; a 32-bit bound sum would wrap to 2.
+      EXPECT_EQ(access_error(blocks, op, -4, 2),
+                "iss: memory access at 0xfffffffe outside memory")
+          << op;
+    }
+    for (const char* op : {"lb", "sb"}) {
+      EXPECT_EQ(access_error(blocks, op, 255), "") << op;
+      EXPECT_NE(access_error(blocks, op, 256), "") << op;
+      EXPECT_NE(access_error(blocks, op, -4, 2), "") << op;
+    }
+    EXPECT_EQ(access_error(blocks, "lw", 300),
+              "iss: memory access at 0x12c outside memory");
+  }
+  Machine m(256);
+  EXPECT_NO_THROW(m.write_word(252, 7));
+  EXPECT_EQ(m.read_word(252), 7);
+  EXPECT_THROW(m.read_word(253), std::out_of_range);
+  EXPECT_THROW(m.write_word(253, 7), std::out_of_range);
+  EXPECT_NO_THROW(m.write_byte(255, 7));
+  EXPECT_EQ(m.read_byte(255), 7);
+  EXPECT_THROW(m.read_byte(256), std::out_of_range);
+  EXPECT_THROW(m.write_byte(256, 7), std::out_of_range);
 }
 
 // ---- cycle accounting --------------------------------------------------------

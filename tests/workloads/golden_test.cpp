@@ -1,8 +1,9 @@
 // Golden regression locks: exact checksums and ISS cycle counts for every
-// Table-1 benchmark and the vocoder. These values define the calibration
-// baseline of the shipped cost table — any change to the assembly, the ISS
-// cycle model, or the data generators shows up here first, signalling that
-// the calibration (and EXPERIMENTS.md) must be redone.
+// Table-1 benchmark and the vocoder, whose ISS stage cycles (GoldenIss) are
+// Table 3's reference column. These values define the calibration baseline
+// of the shipped cost table — any change to the assembly, the ISS cycle
+// model, or the data generators shows up here first, signalling that the
+// calibration (and EXPERIMENTS.md) must be redone.
 //
 // The GoldenEstimate tests lock the library's own outputs by bit pattern:
 // the Table 1 cycle sums and op counts, the Table 3/4 per-process cycles and
@@ -18,6 +19,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -26,6 +29,8 @@
 #include "fault/scenario.hpp"
 #include "trace/campaign.hpp"
 #include "workloads/table1.hpp"
+#include "workloads/vocoder/frames.hpp"
+#include "workloads/vocoder/kernels_asm.hpp"
 #include "workloads/vocoder/pipeline.hpp"
 
 namespace workloads {
@@ -65,6 +70,54 @@ TEST(Golden, VocoderChecksum) {
 TEST(Golden, FibonacciOfEighteen) {
   // An independent arithmetic fact, not just self-consistency.
   EXPECT_EQ(table1_suite()[4].reference(), 2584);  // fib(18)
+}
+
+// ---- the Table 3 ISS reference ----------------------------------------------
+
+/// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(GoldenIss, VocoderStageCycles) {
+  // The memory-heavy program of Table 3's host:ISS column (frames 0..19), on
+  // the block path and per instruction. A Machine reads ORSIM_BLOCK_CACHE at
+  // construction.
+  for (const char* blocks : {"1", "0"}) {
+    SCOPED_TRACE(std::string("ORSIM_BLOCK_CACHE=") + blocks);
+    const ScopedEnv env("ORSIM_BLOCK_CACHE", blocks);
+    vocoder::IssVocoder vc;
+    long checksum = 0;
+    for (int f = 0; f < 20; ++f) {
+      checksum += vc.process_frame(vocoder::synth_frame(f));
+    }
+    const vocoder::StageCycles& c = vc.cycles();
+    EXPECT_EQ(c.lsp, 703937u);
+    EXPECT_EQ(c.lpc_int, 21960u);
+    EXPECT_EQ(c.acb, 4730082u);
+    EXPECT_EQ(c.icb, 470293u);
+    EXPECT_EQ(c.post, 978589u);
+    EXPECT_EQ(vc.machine().stats().instructions, 4705611u);
+    EXPECT_EQ(checksum, 95750);
+    EXPECT_EQ(vc.machine().block_cache_stats().hits > 0, blocks[0] == '1');
+  }
 }
 
 // ---- estimator outputs, by bit pattern --------------------------------------
