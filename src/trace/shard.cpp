@@ -503,18 +503,20 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
   // adopter that died holding it; the next name in the series takes over.
   const std::string marker_base =
       path + ".adopt" + std::to_string(info.adoptions + 1);
-  std::string marker;
-  for (std::size_t k = 0;; ++k) {
-    marker = k == 0 ? marker_base : marker_base + "." + std::to_string(k);
-    if (create_synced_file(marker, worker_id + "\n", /*exclusive=*/true)) {
-      break;
-    }
+  const auto marker_name = [&](std::size_t k) {
+    return k == 0 ? marker_base : marker_base + "." + std::to_string(k);
+  };
+  std::size_t taken = 0;
+  while (!create_synced_file(marker_name(taken), worker_id + "\n",
+                             /*exclusive=*/true)) {
     std::uint64_t marker_mtime = 0;
-    if (!lease_mtime_ms(marker, &marker_mtime) ||
+    if (!lease_mtime_ms(marker_name(taken), &marker_mtime) ||
         lease_alive(marker_mtime, wall_now_ms(), lease_ttl_ms)) {
       throw_conflict(path, "stale, but another worker is adopting it");
     }
+    ++taken;
   }
+  const std::string marker = marker_name(taken);
   std::uint64_t again_mtime = 0;
   const bool unchanged = read_whole_file(path) == content &&
                          lease_mtime_ms(path, &again_mtime) &&
@@ -525,6 +527,10 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
     write_file_atomic(path,
                       format_lease(worker_id, info.adoptions + 1, info.error),
                       worker_id);
+    // The markers passed over above are stale. A holder that wakes up
+    // fails its re-check against the replaced lease without touching it,
+    // and the next adoption takes generation adoptions + 2's series.
+    for (std::size_t k = 0; k < taken; ++k) ::unlink(marker_name(k).c_str());
   }
   ::unlink(marker.c_str());
   if (!unchanged) {

@@ -20,34 +20,12 @@ std::vector<std::int32_t> array_b() {
 
 // c[i] = ((a[i]*b[i]) >> 4) + (a[i] - b[i]); checksum = sum(c) with an
 // extra conditional accumulation to exercise data-dependent branches.
-long array_reference() {
-  const auto a = array_a();
-  const auto b = array_b();
-  std::int32_t checksum = 0;
-  for (std::int32_t i = 0; i < kN; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    std::int32_t c = ((a[ui] * b[ui]) >> 4) + (a[ui] - b[ui]);
-    if (c > 0) {
-      checksum = checksum + c;
-    } else {
-      checksum = checksum - c;
-    }
-  }
-  return checksum;
-}
-
-long array_annotated() {
-  const auto av = array_a();
-  const auto bv = array_b();
-  scperf::garray<int> a(av.size());
-  scperf::garray<int> b(bv.size());
-  for (std::size_t k = 0; k < av.size(); ++k) a.at_raw(k).set_raw(av[k]);
-  for (std::size_t k = 0; k < bv.size(); ++k) b.at_raw(k).set_raw(bv[k]);
-
-  scperf::gint checksum = 0;
-  scperf::gint i = 0;
+template <class V, class A>
+long array(const A& a, const A& b) {
+  V checksum = 0;
+  V i = 0;
   while (i < kN) {
-    scperf::gint c = ((a[i] * b[i]) >> 4) + (a[i] - b[i]);
+    V c = ((a[i] * b[i]) >> 4) + (a[i] - b[i]);
     if (c > 0) {
       checksum = checksum + c;
     } else {
@@ -55,7 +33,7 @@ long array_annotated() {
     }
     i = i + 1;
   }
-  return checksum.value();
+  return value_of(checksum);
 }
 
 // array(r3 = &a, r4 = &b, r5 = n) -> r11
@@ -103,7 +81,9 @@ IssResult array_iss(const IssCacheConfig& cfg) {
 }  // namespace
 
 Benchmark make_array() {
-  return {"Array", array_reference, array_annotated, array_iss};
+  return {"Array", [] { return array<std::int32_t>(array_a(), array_b()); },
+          [] { return array<scperf::gint>(load(array_a()), load(array_b())); },
+          array_iss};
 }
 
 }  // namespace workloads

@@ -28,36 +28,14 @@ std::vector<std::int32_t> compress_input() {
 
 // RLE: emit (symbol, run-length) pairs; checksum folds both streams so a
 // mis-encoded run is caught.
-long compress_reference() {
-  const auto in = compress_input();
-  std::int32_t checksum = 0;
-  std::int32_t pairs = 0;
-  std::int32_t i = 0;
+template <class V, class A>
+long compress(const A& in) {
+  V checksum = 0;
+  V pairs = 0;
+  V i = 0;
   while (i < kWords) {
-    const std::int32_t symbol = in[static_cast<std::size_t>(i)];
-    std::int32_t run = 1;
-    while (i + run < kWords &&
-           in[static_cast<std::size_t>(i + run)] == symbol) {
-      run = run + 1;
-    }
-    checksum = checksum + (symbol << 4) + run;
-    pairs = pairs + 1;
-    i = i + run;
-  }
-  return checksum * 100 + pairs;
-}
-
-long compress_annotated() {
-  const auto inv = compress_input();
-  scperf::garray<int> in(inv.size());
-  for (std::size_t k = 0; k < inv.size(); ++k) in.at_raw(k).set_raw(inv[k]);
-
-  scperf::gint checksum = 0;
-  scperf::gint pairs = 0;
-  scperf::gint i = 0;
-  while (i < kWords) {
-    scperf::gint symbol = in[i];
-    scperf::gint run = 1;
+    V symbol = in[i];
+    V run = 1;
     while ((i + run < kWords) && (in[i + run] == symbol)) {
       run = run + 1;
     }
@@ -65,7 +43,7 @@ long compress_annotated() {
     pairs = pairs + 1;
     i = i + run;
   }
-  return (checksum * 100 + pairs).value();
+  return value_of(checksum * 100 + pairs);
 }
 
 // compress(r3 = &in, r4 = n) -> r11 = checksum*100 + pairs
@@ -118,7 +96,9 @@ IssResult compress_iss(const IssCacheConfig& cfg) {
 }  // namespace
 
 Benchmark make_compress() {
-  return {"Compress", compress_reference, compress_annotated, compress_iss};
+  return {"Compress", [] { return compress<std::int32_t>(compress_input()); },
+          [] { return compress<scperf::gint>(load(compress_input())); },
+          compress_iss};
 }
 
 }  // namespace workloads

@@ -12,8 +12,14 @@ std::vector<std::int32_t> random_vector(std::size_t n, std::uint32_t seed,
   return v;
 }
 
+scperf::garray<int> load(std::span<const std::int32_t> v) {
+  scperf::garray<int> g(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) g.at_raw(i).set_raw(v[i]);
+  return g;
+}
+
 void store_words(iss::Machine& m, std::uint32_t addr,
-                 const std::vector<std::int32_t>& v) {
+                 std::span<const std::int32_t> v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     m.write_word(addr + static_cast<std::uint32_t>(4 * i), v[i]);
   }

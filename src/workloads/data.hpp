@@ -1,8 +1,12 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
+#include "core/annot.hpp"
 #include "iss/machine.hpp"
 #include "workloads/table1.hpp"
 
@@ -34,9 +38,35 @@ class Lcg {
 std::vector<std::int32_t> random_vector(std::size_t n, std::uint32_t seed,
                                         std::int32_t lo, std::int32_t hi);
 
-/// Copies a vector into ISS memory as consecutive little-endian words.
+// ---- one kernel text, two forms ---------------------------------------------
+// Each Table 1 benchmark and vocoder kernel is one function template over its
+// value type V and array type A, instantiated on scperf::gint / garray<int>
+// (annotated) and on std::int32_t / a plain array (the unannotated spec).
+// Unlike the type-redefinition header, the template parameters replace only
+// the values the annotated text charges; offsets and bounds stay plain ints.
+
+/// An annotated copy of `v`, written through the uncharged accessors: input
+/// data that exists before the segment starts.
+scperf::garray<int> load(std::span<const std::int32_t> v);
+
+/// A kernel's N-element scratch array: a garray<int> in the annotated form,
+/// N words on the stack in the plain one, so that form allocates nothing.
+template <class A, int N>
+auto scratch() {
+  if constexpr (std::is_same_v<A, scperf::garray<int>>) {
+    return scperf::garray<int>(N);
+  } else {
+    return std::array<std::int32_t, N>{};
+  }
+}
+
+/// A kernel's result as a Benchmark returns it, read without a charge.
+inline long value_of(std::int32_t v) { return v; }
+inline long value_of(const scperf::gint& v) { return v.value(); }
+
+/// Copies words into ISS memory as consecutive little-endian words.
 void store_words(iss::Machine& m, std::uint32_t addr,
-                 const std::vector<std::int32_t>& v);
+                 std::span<const std::int32_t> v);
 
 /// The ISS form of a Benchmark: a fresh Machine with the cache timing models
 /// `cfg` enables runs `asm_src`; `setup` stores the inputs and sets the

@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <type_traits>
 
 #include "core/annot.hpp"
 #include "iss/machine.hpp"
@@ -12,24 +13,17 @@ namespace {
 // library's function-call weight t_fc (paper Fig. 3's largest single cost).
 constexpr int kFibArg = 18;
 
-std::int32_t fib_ref(std::int32_t n) {
-  if (n <= 1) return n;
-  return fib_ref(n - 1) + fib_ref(n - 2);
-}
-
-long fib_reference() { return fib_ref(kFibArg); }
-
-scperf::gint fib_annot(const scperf::gint& n) {
-  scperf::FuncGuard fg;
+template <class V>
+V fib(const V& n) {
+  // The annotated form charges the call cost t_fc here and the return cost
+  // on exit; the plain form has no guard.
+  struct NoGuard {};
+  [[maybe_unused]] std::conditional_t<std::is_same_v<V, scperf::gint>,
+                                      scperf::FuncGuard, NoGuard> fg;
   if (n <= 1) {
     return n;
   }
-  return fib_annot(n - 1) + fib_annot(n - 2);
-}
-
-long fib_annotated() {
-  scperf::gint n(scperf::detail::RawTag{}, kFibArg);
-  return fib_annot(n).value();
+  return fib<V>(n - 1) + fib<V>(n - 2);
 }
 
 // fib(r3 = n) -> r11
@@ -65,7 +59,12 @@ IssResult fib_iss(const IssCacheConfig& cfg) {
 }  // namespace
 
 Benchmark make_fibonacci() {
-  return {"Fibonacci", fib_reference, fib_annotated, fib_iss};
+  return {"Fibonacci", [] { return value_of(fib<std::int32_t>(kFibArg)); },
+          [] {
+            const scperf::gint n(scperf::detail::RawTag{}, kFibArg);
+            return value_of(fib(n));
+          },
+          fib_iss};
 }
 
 }  // namespace workloads

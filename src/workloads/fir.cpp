@@ -21,44 +21,22 @@ std::vector<std::int32_t> fir_h() {
   return random_vector(kTaps, kSeedH, -1024, 1023);
 }
 
-long fir_reference() {
-  const auto x = fir_x();
-  const auto h = fir_h();
-  long checksum = 0;
-  for (int i = 0; i < kSamples; ++i) {
-    std::int32_t acc = 0;
-    for (int j = 0; j < kTaps; ++j) {
-      acc = acc + x[static_cast<std::size_t>(i + j)] *
-                      h[static_cast<std::size_t>(j)];
-    }
-    acc = acc >> 12;  // Q12 scaling
-    checksum += acc;
-  }
-  return checksum;
-}
-
-long fir_annotated() {
-  const auto xv = fir_x();
-  const auto hv = fir_h();
-  scperf::garray<int> x(xv.size());
-  scperf::garray<int> h(hv.size());
-  for (std::size_t i = 0; i < xv.size(); ++i) x.at_raw(i).set_raw(xv[i]);
-  for (std::size_t i = 0; i < hv.size(); ++i) h.at_raw(i).set_raw(hv[i]);
-
-  scperf::gint checksum = 0;
-  scperf::gint i = 0;
+template <class V, class A>
+long fir(const A& x, const A& h) {
+  V checksum = 0;
+  V i = 0;
   while (i < kSamples) {
-    scperf::gint acc = 0;
-    scperf::gint j = 0;
+    V acc = 0;
+    V j = 0;
     while (j < kTaps) {
       acc = acc + x[i + j] * h[j];
       j = j + 1;
     }
-    acc = acc >> 12;
+    acc = acc >> 12;  // Q12 scaling
     checksum = checksum + acc;
     i = i + 1;
   }
-  return checksum.value();
+  return value_of(checksum);
 }
 
 // fir(r3 = &x, r4 = &h, r5 = &y, r6 = n, r7 = taps) -> r11 = checksum
@@ -115,7 +93,9 @@ IssResult fir_iss(const IssCacheConfig& cfg) {
 }  // namespace
 
 Benchmark make_fir() {
-  return {"FIR", fir_reference, fir_annotated, fir_iss};
+  return {"FIR", [] { return fir<std::int32_t>(fir_x(), fir_h()); },
+          [] { return fir<scperf::gint>(load(fir_x()), load(fir_h())); },
+          fir_iss};
 }
 
 }  // namespace workloads

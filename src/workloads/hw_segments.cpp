@@ -12,12 +12,8 @@ namespace {
 constexpr int kTaps = 16;
 
 long fir_sample_body() {
-  const auto xv = random_vector(kTaps, 61, -2048, 2047);
-  const auto hv = random_vector(kTaps, 62, -1024, 1023);
-  scperf::garray<int> x(xv.size());
-  scperf::garray<int> h(hv.size());
-  for (std::size_t i = 0; i < xv.size(); ++i) x.at_raw(i).set_raw(xv[i]);
-  for (std::size_t i = 0; i < hv.size(); ++i) h.at_raw(i).set_raw(hv[i]);
+  scperf::garray<int> x = load(random_vector(kTaps, 61, -2048, 2047));
+  scperf::garray<int> h = load(random_vector(kTaps, 62, -1024, 1023));
 
   // Balanced accumulation: products pair-wise summed so the recorded DFG
   // exposes the parallelism behavioural synthesis can exploit. (A straight

@@ -23,56 +23,22 @@ std::vector<std::int32_t> mat_b() {
   return random_vector(kN * kN, 72, -100, 100);
 }
 
-long matrix_reference() {
-  const auto a = mat_a();
-  const auto b = mat_b();
-  std::vector<std::int32_t> c(static_cast<std::size_t>(kN * kN));
-  std::int32_t i = 0;
+// Row-base and column-stride indices are hoisted, the usual DSP source style
+// (and what a compiler's strength reduction produces anyway). The naive
+// `a[i*N+k]` form over-estimates by ~30% because the library charges the
+// per-iteration address multiplies the compiler eliminates — measured in
+// OutOfSample.NaiveIndexingOverestimates.
+template <class V, class A>
+long matrix(const A& a, const A& b) {
+  auto c = scratch<A, kN * kN>();
+  V i = 0;
   while (i < kN) {
-    std::int32_t j = 0;
+    V arow = i * kN;
+    V j = 0;
     while (j < kN) {
-      std::int32_t acc = 0;
-      std::int32_t k = 0;
-      while (k < kN) {
-        acc = acc + a[static_cast<std::size_t>(i * kN + k)] *
-                        b[static_cast<std::size_t>(k * kN + j)];
-        k = k + 1;
-      }
-      c[static_cast<std::size_t>(i * kN + j)] = acc;
-      j = j + 1;
-    }
-    i = i + 1;
-  }
-  long checksum = 0;
-  std::int32_t n = 0;
-  while (n < kN * kN) {
-    checksum += c[static_cast<std::size_t>(n)] >> 4;
-    n = n + 1;
-  }
-  return checksum;
-}
-
-long matrix_annotated() {
-  const auto av = mat_a();
-  const auto bv = mat_b();
-  scperf::garray<int> a(av.size()), b(bv.size()),
-      c(static_cast<std::size_t>(kN * kN));
-  for (std::size_t p = 0; p < av.size(); ++p) a.at_raw(p).set_raw(av[p]);
-  for (std::size_t p = 0; p < bv.size(); ++p) b.at_raw(p).set_raw(bv[p]);
-
-  // Row-base and column-stride indices are hoisted, the usual DSP source
-  // style (and what a compiler's strength reduction produces anyway). The
-  // naive `a[i*N+k]` form over-estimates by ~30% because the library charges
-  // the per-iteration address multiplies the compiler eliminates — measured
-  // in OutOfSample.NaiveIndexingOverestimates.
-  scperf::gint i = 0;
-  while (i < kN) {
-    scperf::gint arow = i * kN;
-    scperf::gint j = 0;
-    while (j < kN) {
-      scperf::gint acc = 0;
-      scperf::gint bidx = j;
-      scperf::gint k = 0;
+      V acc = 0;
+      V bidx = j;
+      V k = 0;
       while (k < kN) {
         acc = acc + a[arow + k] * b[bidx];
         bidx = bidx + kN;
@@ -83,13 +49,13 @@ long matrix_annotated() {
     }
     i = i + 1;
   }
-  scperf::gint checksum = 0;
-  scperf::gint n = 0;
+  V checksum = 0;
+  V n = 0;
   while (n < kN * kN) {
     checksum = checksum + (c[n] >> 4);
     n = n + 1;
   }
-  return checksum.value();
+  return value_of(checksum);
 }
 
 // matmul(r3 = &a, r4 = &b, r5 = &c, r6 = n) -> r11 = checksum
@@ -170,7 +136,9 @@ IssResult matrix_iss(const IssCacheConfig& cfg) {
 }  // namespace
 
 Benchmark make_matrix() {
-  return {"Matrix", matrix_reference, matrix_annotated, matrix_iss};
+  return {"Matrix", [] { return matrix<std::int32_t>(mat_a(), mat_b()); },
+          [] { return matrix<scperf::gint>(load(mat_a()), load(mat_b())); },
+          matrix_iss};
 }
 
 }  // namespace workloads

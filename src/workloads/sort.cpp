@@ -19,80 +19,35 @@ std::vector<std::int32_t> bubble_input() {
   return random_vector(kBubbleN, 42, 0, 999);
 }
 
-/// Position-weighted checksum: catches both wrong contents and wrong order.
-long position_checksum(const std::vector<std::int32_t>& v) {
-  long s = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    s += static_cast<long>(v[i]) * static_cast<long>(i + 1);
-  }
-  return s;
-}
+// ---- quicksort (explicit-stack Lomuto partition) ---------------------------
 
-// ---- quicksort (explicit-stack Lomuto partition, identical in all forms) ---
-
-long quick_reference() {
-  auto a = quick_input();
-  std::int32_t stack[256];
-  std::int32_t sp = 0;
+/// Sorts `a`; returns its position-weighted checksum, which catches both
+/// wrong contents and wrong order.
+template <class V, class A>
+long quick(A a) {
+  auto stack = scratch<A, 256>();
+  V sp = 0;
   stack[sp] = 0;
   stack[sp + 1] = kQuickN - 1;
   sp = sp + 2;
   while (sp > 0) {
     sp = sp - 2;
-    const std::int32_t lo = stack[sp];
-    const std::int32_t hi = stack[sp + 1];
+    V lo = stack[sp];
+    V hi = stack[sp + 1];
     if (lo >= hi) continue;
-    const std::int32_t pivot = a[static_cast<std::size_t>(hi)];
-    std::int32_t i = lo;
-    for (std::int32_t j = lo; j < hi; ++j) {
-      if (a[static_cast<std::size_t>(j)] <= pivot) {
-        const std::int32_t t = a[static_cast<std::size_t>(i)];
-        a[static_cast<std::size_t>(i)] = a[static_cast<std::size_t>(j)];
-        a[static_cast<std::size_t>(j)] = t;
-        i = i + 1;
-      }
-    }
-    const std::int32_t t = a[static_cast<std::size_t>(i)];
-    a[static_cast<std::size_t>(i)] = a[static_cast<std::size_t>(hi)];
-    a[static_cast<std::size_t>(hi)] = t;
-    stack[sp] = lo;
-    stack[sp + 1] = i - 1;
-    sp = sp + 2;
-    stack[sp] = i + 1;
-    stack[sp + 1] = hi;
-    sp = sp + 2;
-  }
-  return position_checksum(a);
-}
-
-long quick_annotated() {
-  const auto av = quick_input();
-  scperf::garray<int> a(av.size());
-  for (std::size_t k = 0; k < av.size(); ++k) a.at_raw(k).set_raw(av[k]);
-  scperf::garray<int> stack(256);
-
-  scperf::gint sp = 0;
-  stack[sp] = 0;
-  stack[sp + 1] = kQuickN - 1;
-  sp = sp + 2;
-  while (sp > 0) {
-    sp = sp - 2;
-    scperf::gint lo = stack[sp];
-    scperf::gint hi = stack[sp + 1];
-    if (lo >= hi) continue;
-    scperf::gint pivot = a[hi];
-    scperf::gint i = lo;
-    scperf::gint j = lo;
+    V pivot = a[hi];
+    V i = lo;
+    V j = lo;
     while (j < hi) {
       if (a[j] <= pivot) {
-        scperf::gint t = a[i];
+        V t = a[i];
         a[i] = a[j];
         a[j] = t;
         i = i + 1;
       }
       j = j + 1;
     }
-    scperf::gint t = a[i];
+    V t = a[i];
     a[i] = a[hi];
     a[hi] = t;
     stack[sp] = lo;
@@ -103,13 +58,13 @@ long quick_annotated() {
     sp = sp + 2;
   }
 
-  scperf::gint checksum = 0;
-  scperf::gint k = 0;
+  V checksum = 0;
+  V k = 0;
   while (k < kQuickN) {
     checksum = checksum + a[k] * (k + 1);
     k = k + 1;
   }
-  return checksum.value();
+  return value_of(checksum);
 }
 
 // quicksort(r3 = &a, r4 = n, r5 = &stack) -> r11 = position checksum
@@ -205,32 +160,15 @@ IssResult quick_iss(const IssCacheConfig& cfg) {
 
 // ---- bubble sort -------------------------------------------------------------
 
-long bubble_reference() {
-  auto a = bubble_input();
-  for (std::int32_t i = 0; i < kBubbleN - 1; ++i) {
-    for (std::int32_t j = 0; j < kBubbleN - 1 - i; ++j) {
-      if (a[static_cast<std::size_t>(j)] >
-          a[static_cast<std::size_t>(j + 1)]) {
-        const std::int32_t t = a[static_cast<std::size_t>(j)];
-        a[static_cast<std::size_t>(j)] = a[static_cast<std::size_t>(j + 1)];
-        a[static_cast<std::size_t>(j + 1)] = t;
-      }
-    }
-  }
-  return position_checksum(a);
-}
-
-long bubble_annotated() {
-  const auto av = bubble_input();
-  scperf::garray<int> a(av.size());
-  for (std::size_t k = 0; k < av.size(); ++k) a.at_raw(k).set_raw(av[k]);
-
-  scperf::gint i = 0;
+/// Sorts `a`; returns its position-weighted checksum.
+template <class V, class A>
+long bubble(A a) {
+  V i = 0;
   while (i < kBubbleN - 1) {
-    scperf::gint j = 0;
+    V j = 0;
     while (j < kBubbleN - 1 - i) {
       if (a[j] > a[j + 1]) {
-        scperf::gint t = a[j];
+        V t = a[j];
         a[j] = a[j + 1];
         a[j + 1] = t;
       }
@@ -239,13 +177,13 @@ long bubble_annotated() {
     i = i + 1;
   }
 
-  scperf::gint checksum = 0;
-  scperf::gint k = 0;
+  V checksum = 0;
+  V k = 0;
   while (k < kBubbleN) {
     checksum = checksum + a[k] * (k + 1);
     k = k + 1;
   }
-  return checksum.value();
+  return value_of(checksum);
 }
 
 // bubble(r3 = &a, r4 = n) -> r11 = position checksum
@@ -305,11 +243,14 @@ IssResult bubble_iss(const IssCacheConfig& cfg) {
 }  // namespace
 
 Benchmark make_quicksort() {
-  return {"Quick sort", quick_reference, quick_annotated, quick_iss};
+  return {"Quick sort", [] { return quick<std::int32_t>(quick_input()); },
+          [] { return quick<scperf::gint>(load(quick_input())); }, quick_iss};
 }
 
 Benchmark make_bubble() {
-  return {"Bubble", bubble_reference, bubble_annotated, bubble_iss};
+  return {"Bubble", [] { return bubble<std::int32_t>(bubble_input()); },
+          [] { return bubble<scperf::gint>(load(bubble_input())); },
+          bubble_iss};
 }
 
 }  // namespace workloads

@@ -28,14 +28,15 @@ struct IssCacheConfig {
   iss::DirectMappedCache::Config dcache{64, 16, 20};
 };
 
-/// One of the paper's Table-1 sequential benchmarks, available in its three
+/// One of the paper's Table-1 sequential benchmarks, available in three
 /// forms. All three operate on identical data and compute an identical
 /// checksum, which the tests assert — the *checksums* must agree even though
-/// the *costs* are independent models.
+/// the *costs* are independent models. The first two are one C++ text, a
+/// function template over the value and array types (see data.hpp):
 ///
-///  - reference: plain (uninstrumented) C++, the "original SystemC
-///    specification" baseline of the host-time columns;
-///  - annotated: the same algorithm over scperf annotated types — running it
+///  - reference: the template on std::int32_t and plain arrays, the
+///    "original SystemC specification" baseline of the host-time columns;
+///  - annotated: the template on scperf::gint and garray<int> — running it
 ///    with an active SegmentAccum yields the library's cycle estimate;
 ///  - iss: the same algorithm hand-compiled to orsim assembly, cycle-counted
 ///    by the ISS — the paper's "target platform estimation" reference —

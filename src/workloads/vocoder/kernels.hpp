@@ -18,10 +18,11 @@
 /// spectral pairs).
 ///
 /// Every kernel exists in three forms operating on identical data and
-/// producing identical results: plain C++ (vocoder_ref), annotated
-/// (vocoder_annot) and orsim assembly (kernels_asm.hpp). All arithmetic is
-/// 32-bit integer Q12 fixed point with explicit clipping so the forms agree
-/// bit-for-bit.
+/// producing identical results: plain C++ (ref::), annotated (annot::) and
+/// orsim assembly (kernels_asm.hpp). The first two are one text, a function
+/// template in kernels.cpp instantiated on plain and on annotated types. All
+/// arithmetic is 32-bit integer Q12 fixed point with explicit clipping so
+/// the forms agree bit-for-bit.
 namespace workloads::vocoder {
 
 inline constexpr int kFrame = 160;   ///< samples per frame
@@ -81,7 +82,8 @@ using scperf::garray;
 using scperf::gint;
 
 // The same kernels over annotated types; `sub_off` selects the subframe
-// within a frame-sized array. Bit-identical results to ref::.
+// within a frame-sized array. Bit-identical results to ref::, which runs
+// these with every offset 0 on the buffers it is given.
 void lsp_estimation(const garray<int>& frame, garray<int>& lpc);
 void lpc_interpolation(const garray<int>& prev, const garray<int>& cur,
                        garray<int>& subc);

@@ -21,7 +21,7 @@ constexpr std::uint32_t kScratch = 0x08000;     // lsp scratch: r/a/tmp
 constexpr std::uint32_t kLagAddr = 0x09000;     // best-lag out cell
 constexpr std::uint32_t kImpAddr = 0x09100;     // impulse rom[8]
 
-// The five kernels plus helpers, mirroring kernels_ref.cpp statement for
+// The five kernels plus helpers, mirroring kernels.cpp statement for
 // statement (see there for the algorithmic commentary).
 constexpr const char* kVocoderAsm = R"(
 # ---- lsp_estimation(r3=&frame, r4=&lpc, r5=&scratch) ----
@@ -514,8 +514,7 @@ pp_ret:
 
 IssVocoder::IssVocoder() {
   m_.load_program(iss::assemble(kVocoderAsm));
-  std::vector<std::int32_t> imp(kImpulse, kImpulse + kImpLen);
-  store_words(m_, kImpAddr, imp);
+  store_words(m_, kImpAddr, kImpulse);
 }
 
 std::int32_t IssVocoder::timed_call(const char* fn, std::uint64_t* bucket) {

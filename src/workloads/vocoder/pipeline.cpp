@@ -87,7 +87,6 @@ AnnotatedResult run_annotated(const PipelineConfig& cfg) {
 
   sim.spawn(kProcessNames[1], [&] {  // LPC interpolation
     garray<int> gprev(kOrder), gcur(kOrder), gsubc(kSubframes * kOrder);
-    for (int i = 0; i < kOrder; ++i) gprev.at_raw(static_cast<std::size_t>(i)).set_raw(0);
     for (int f = 0; f < frames; ++f) {
       Token t = f1.read();
       marshal_in(gcur, t.lpc.data(), kOrder);
@@ -104,7 +103,6 @@ AnnotatedResult run_annotated(const PipelineConfig& cfg) {
 
   sim.spawn(kProcessNames[2], [&] {  // adaptive-codebook search
     garray<int> gframe(kFrame), ghist(kHist);
-    for (int i = 0; i < kHist; ++i) ghist.at_raw(static_cast<std::size_t>(i)).set_raw(0);
     for (int f = 0; f < frames; ++f) {
       Token t = f2.read();
       marshal_in(gframe, t.frame.data(), kFrame);
@@ -135,7 +133,6 @@ AnnotatedResult run_annotated(const PipelineConfig& cfg) {
   sim.spawn(kProcessNames[4], [&] {  // post-processing
     garray<int> gframe(kFrame), gsubc(kSubframes * kOrder),
         gpulses(kSubframes * kTracks), gexc(kSub), gout(kSub), gmem(kOrder);
-    for (int i = 0; i < kOrder; ++i) gmem.at_raw(static_cast<std::size_t>(i)).set_raw(0);
     for (int f = 0; f < frames; ++f) {
       Token t = f4.read();
       marshal_in(gframe, t.frame.data(), kFrame);

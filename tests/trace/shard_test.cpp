@@ -323,7 +323,8 @@ TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
   expect_conflict();
   EXPECT_EQ(read_file(path), format_lease_for_test("dead-worker", 0));
   // ...and with no holder, the claim adopts through ".adopt1.1" as
-  // generation one and removes the marker it took.
+  // generation one and removes the marker it took and the stale one it
+  // passed over.
   std::filesystem::remove(next);
   auto lease = claim_shard_lease(path, "survivor", 10000);
   EXPECT_TRUE(lease->adopted());
@@ -332,10 +333,9 @@ TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
   ASSERT_TRUE(read_lease_info(path, &info));
   EXPECT_EQ(info.owner, "survivor");
   EXPECT_EQ(info.adoptions, 1u);
-  // Only the dead adopter's marker is left; the next adoption takes
-  // generation two's.
-  EXPECT_EQ(entries(), (std::set<std::string>{"shard_0_of_1.lease",
-                                              "shard_0_of_1.lease.adopt1"}));
+  // Only the lease is left; the next adoption takes generation two's
+  // markers.
+  EXPECT_EQ(entries(), (std::set<std::string>{"shard_0_of_1.lease"}));
 }
 
 /// Caps the size of any file this process writes at 0 bytes for its

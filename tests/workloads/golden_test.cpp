@@ -6,13 +6,13 @@
 // calibration (and EXPERIMENTS.md) must be redone.
 //
 // The GoldenEstimate tests lock the library's own outputs by bit pattern:
-// the Table 1 cycle sums and op counts, the Table 3/4 per-process cycles and
-// energies, the simulated end time and report CSV, and the CSV of one seeded
-// fault campaign. Each annotated op only counts into SegmentAccum's
-// histogram, and the segment is priced at its close by a dot product with the
-// cost table in fixed op order, so the sums do not depend on the op order;
-// these constants pin that pricing exactly, and a change that means to move
-// them re-pins them in one place.
+// the Table 1 (and Matrix) cycle sums, op counts and per-kind op histograms,
+// the Table 3/4 per-process cycles and energies, the simulated end time and
+// report CSV, and the CSV of one seeded fault campaign. Each annotated op
+// only counts into SegmentAccum's histogram, and the segment is priced at
+// its close by a dot product with the cost table in fixed op order, so the
+// sums do not depend on the op order; these constants pin that pricing
+// exactly, and a change that means to move them re-pins them in one place.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scperf.hpp"
 #include "fault/injector.hpp"
@@ -129,30 +130,43 @@ using scfault::fnv1a;
 struct Table1Estimate {
   std::uint64_t sum_cycles_bits;
   std::uint64_t op_count;
+  /// FNV-1a of the 25 per-kind op counts, space-separated in Op order: a
+  /// charge moved between two kinds with compensating costs moves it.
+  std::uint64_t histogram_fnv1a;
 };
 
+/// The Table 1 suite in row order, then the out-of-sample Matrix.
 constexpr Table1Estimate kTable1Estimate[] = {
-    {0x40ef03f2e147ae14ull, 44036u},   // FIR
-    {0x40ccbab1eb851eb8ull, 10869u},   // Compress
-    {0x40fd41ef5c28f5c2ull, 89954u},   // Quick sort
-    {0x4100e3750a3d70a4ull, 114865u},  // Bubble
-    {0x4100933451eb851eull, 50165u},   // Fibonacci
-    {0x40b66f7851eb851full, 4100u},    // Array
+    {0x40ef03f2e147ae14ull, 44036u, 0xc171938a44891fe2ull},   // FIR
+    {0x40ccbab1eb851eb8ull, 10869u, 0xb52f6d893b8e6a91ull},   // Compress
+    {0x40fd41ef5c28f5c2ull, 89954u, 0xf2b14cf66287eb1full},   // Quick sort
+    {0x4100e3750a3d70a4ull, 114865u, 0x54dba60c42184ff2ull},  // Bubble
+    {0x4100933451eb851eull, 50165u, 0xc03704144c9c3383ull},   // Fibonacci
+    {0x40b66f7851eb851full, 4100u, 0x222fc58a04b0d681ull},    // Array
+    {0x410dca68a3d70a3eull, 177607u, 0x5a765e002dd33b11ull},  // Matrix
 };
 
 TEST(GoldenEstimate, Table1CycleSumsAndOpCounts) {
-  const auto& suite = table1_suite();
-  ASSERT_EQ(suite.size(), std::size(kTable1Estimate));
+  std::vector<Benchmark> benches = table1_suite();
+  benches.push_back(make_matrix());
+  ASSERT_EQ(benches.size(), std::size(kTable1Estimate));
   const scperf::CostTable table = scperf::orsim_sw_cost_table();
-  for (std::size_t i = 0; i < suite.size(); ++i) {
+  for (std::size_t i = 0; i < benches.size(); ++i) {
     scperf::SegmentAccum acc;
     acc.table = &table;
     scperf::tl_accum = &acc;
-    (void)suite[i].annotated();
+    (void)benches[i].annotated();
     scperf::tl_accum = nullptr;
-    EXPECT_EQ(bits(acc.sum_cycles()), kTable1Estimate[i].sum_cycles_bits)
-        << suite[i].name << ": " << acc.sum_cycles();
-    EXPECT_EQ(acc.op_count(), kTable1Estimate[i].op_count) << suite[i].name;
+    std::string counts;
+    for (const std::uint64_t n : acc.op_histogram) {
+      counts += std::to_string(n) + " ";
+    }
+    const Table1Estimate& want = kTable1Estimate[i];
+    EXPECT_EQ(bits(acc.sum_cycles()), want.sum_cycles_bits)
+        << benches[i].name << ": " << acc.sum_cycles();
+    EXPECT_EQ(acc.op_count(), want.op_count) << benches[i].name;
+    EXPECT_EQ(fnv1a(counts), want.histogram_fnv1a)
+        << benches[i].name << ": " << counts;
   }
 }
 

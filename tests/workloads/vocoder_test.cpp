@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/scperf.hpp"
+#include "fault/scenario.hpp"
+#include "workloads/data.hpp"
 #include "workloads/vocoder/frames.hpp"
 #include "workloads/vocoder/kernels.hpp"
 #include "workloads/vocoder/kernels_asm.hpp"
@@ -44,6 +50,169 @@ TEST(VocoderKernels, LspEstimationRefVsAnnot) {
         << "coefficient " << i;
   }
 }
+
+using scperf::garray;
+using scperf::gint;
+
+/// The seven kernels, in the order a frame passes them.
+enum Kernel {
+  kLsp, kLpcInt, kAcb, kUpdateHistory, kIcb, kExcitation, kPostproc
+};
+constexpr const char* kKernelNames[] = {
+    "lsp_estimation", "lpc_interpolation", "acb_search", "update_history",
+    "icb_search",     "build_excitation",  "postproc"};
+
+/// FNV-1a, over frames 0..19, of each kernel's annotated op histogram: the
+/// 25 per-kind counts, space-separated in Op order.
+constexpr std::uint64_t kKernelHistogramFnv1a[] = {
+    0x1b6020b554b6c6a6ull, 0x2bcdd9eeeed4cd98ull, 0xe11d622cadf31fd2ull,
+    0x646e7ebb9282258bull, 0x513f96ce31bf6ac4ull, 0x3b4fdec9d0646fddull,
+    0xc21eb9121015bca8ull};
+
+garray<int> load(const std::int32_t* p, int n) {
+  return workloads::load({p, static_cast<std::size_t>(n)});
+}
+
+std::vector<std::int32_t> words(const std::int32_t* p, int n) {
+  return {p, p + n};
+}
+
+std::vector<std::int32_t> words(const garray<int>& g) {
+  std::vector<std::int32_t> v(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) v[i] = g.at_raw(i).value();
+  return v;
+}
+
+/// Runs the reference pipeline over frames 0..19 and, at every call of the
+/// kernel under test, runs its annotated form on the same inputs and
+/// compares every output element, so an adapter that writes at a wrong
+/// offset or drops an out-parameter fails here even where the pipeline's
+/// checksum would not notice.
+class VocoderKernelForms : public ::testing::TestWithParam<int> {};
+
+TEST_P(VocoderKernelForms, RefMatchesAnnotOnFramesZeroToNineteen) {
+  const int kernel = GetParam();
+  const scperf::CostTable table = scperf::orsim_sw_cost_table();
+  scperf::SegmentAccum acc;
+  acc.table = &table;
+  // The annotated call under test runs with `acc` active, the rest without.
+  const auto annotated = [&](auto&& call) {
+    scperf::tl_accum = &acc;
+    call();
+    scperf::tl_accum = nullptr;
+  };
+  std::int32_t prev[kOrder] = {}, hist[kHist] = {}, mem[kOrder] = {};
+  for (int f = 0; f < 20; ++f) {
+    SCOPED_TRACE("frame " + std::to_string(f));
+    const auto frame = synth_frame(f);
+    const garray<int> gframe = load(frame.data(), kFrame);
+    std::int32_t lpc[kOrder];
+    ref::lsp_estimation(frame.data(), lpc);
+    if (kernel == kLsp) {
+      garray<int> glpc(kOrder);
+      annotated([&] { annot::lsp_estimation(gframe, glpc); });
+      EXPECT_EQ(words(glpc), words(lpc, kOrder));
+    }
+    std::int32_t subc[kSubframes * kOrder];
+    if (kernel == kLpcInt) {
+      const garray<int> gprev = load(prev, kOrder), gcur = load(lpc, kOrder);
+      garray<int> gsubc(kSubframes * kOrder);
+      annotated([&] { annot::lpc_interpolation(gprev, gcur, gsubc); });
+      ref::lpc_interpolation(prev, lpc, subc);
+      EXPECT_EQ(words(gsubc), words(subc, kSubframes * kOrder));
+    } else {
+      ref::lpc_interpolation(prev, lpc, subc);
+    }
+    std::copy(lpc, lpc + kOrder, prev);
+    std::int32_t gain[kSubframes], lag[kSubframes];
+    std::int32_t pulses[kSubframes * kTracks] = {};
+    for (int s = 0; s < kSubframes; ++s) {
+      const std::int32_t* sub = frame.data() + s * kSub;
+      if (kernel == kAcb) {
+        const garray<int> ghist = load(hist, kHist);
+        gint glag(scperf::detail::RawTag{}, 0);
+        std::int32_t ggain = 0;
+        annotated([&] {
+          ggain = annot::acb_search(gframe, s * kSub, ghist, glag).value();
+        });
+        gain[s] = ref::acb_search(sub, hist, &lag[s]);
+        EXPECT_EQ(ggain, gain[s]) << "subframe " << s;
+        EXPECT_EQ(glag.value(), lag[s]) << "subframe " << s;
+      } else {
+        gain[s] = ref::acb_search(sub, hist, &lag[s]);
+      }
+      if (kernel == kUpdateHistory) {
+        garray<int> ghist = load(hist, kHist);
+        annotated([&] { annot::update_history(ghist, gframe, s * kSub); });
+        ref::update_history(hist, sub);
+        EXPECT_EQ(words(ghist), words(hist, kHist)) << "subframe " << s;
+      } else {
+        ref::update_history(hist, sub);
+      }
+    }
+    for (int s = 0; s < kSubframes; ++s) {
+      const std::int32_t* sub = frame.data() + s * kSub;
+      if (kernel == kIcb) {
+        garray<int> gpulses = load(pulses, kSubframes * kTracks);
+        std::int32_t gtotal = 0;
+        annotated([&] {
+          gtotal = annot::icb_search(gframe, s * kSub, gpulses, s * kTracks)
+                       .value();
+        });
+        EXPECT_EQ(gtotal, ref::icb_search(sub, pulses + s * kTracks))
+            << "subframe " << s;
+        EXPECT_EQ(words(gpulses), words(pulses, kSubframes * kTracks))
+            << "subframe " << s;
+      } else {
+        (void)ref::icb_search(sub, pulses + s * kTracks);
+      }
+    }
+    const garray<int> gsubc = load(subc, kSubframes * kOrder);
+    const garray<int> gpulses = load(pulses, kSubframes * kTracks);
+    for (int s = 0; s < kSubframes; ++s) {
+      const std::int32_t* sub = frame.data() + s * kSub;
+      std::int32_t exc[kSub], out[kSub] = {};
+      if (kernel == kExcitation) {
+        const gint ggain(scperf::detail::RawTag{}, gain[s]);
+        garray<int> gexc(kSub);
+        annotated([&] {
+          annot::build_excitation(gframe, s * kSub, ggain, gpulses,
+                                  s * kTracks, gexc);
+        });
+        ref::build_excitation(sub, gain[s], pulses + s * kTracks, exc);
+        EXPECT_EQ(words(gexc), words(exc, kSub)) << "subframe " << s;
+      } else {
+        ref::build_excitation(sub, gain[s], pulses + s * kTracks, exc);
+      }
+      if (kernel == kPostproc) {
+        const garray<int> gexc = load(exc, kSub);
+        garray<int> gmem = load(mem, kOrder), gout = load(out, kSub);
+        std::int32_t gchecksum = 0;
+        annotated([&] {
+          gchecksum =
+              annot::postproc(gsubc, s * kOrder, gexc, gmem, gout).value();
+        });
+        EXPECT_EQ(gchecksum, ref::postproc(subc + s * kOrder, exc, mem, out))
+            << "subframe " << s;
+        EXPECT_EQ(words(gmem), words(mem, kOrder)) << "subframe " << s;
+        EXPECT_EQ(words(gout), words(out, kSub)) << "subframe " << s;
+      } else {
+        (void)ref::postproc(subc + s * kOrder, exc, mem, out);
+      }
+    }
+  }
+  std::string counts;
+  for (const std::uint64_t n : acc.op_histogram) {
+    counts += std::to_string(n) + " ";
+  }
+  EXPECT_EQ(scfault::fnv1a(counts), kKernelHistogramFnv1a[kernel]) << counts;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SevenKernels, VocoderKernelForms, ::testing::Range(0, 7),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(kKernelNames[info.param]);
+    });
 
 TEST(VocoderKernels, LpcCoefficientsBounded) {
   // The Levinson recursion clips intermediate values; outputs must respect
