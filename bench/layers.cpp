@@ -28,6 +28,11 @@
 // - BM_IssInstructionMem/blocks:B/icache:I: the same for a kernel that
 //   streams loads and stores the way the vocoder's acb and pp loops do
 //   (bench/iss_gate_kernel.hpp), so the row sees orsim's memory path.
+// - BM_IssVocoder: frames 0-19 of the vocoder through a fresh IssVocoder,
+//   the program of Table 3's host:ISS column (4,705,611 instructions);
+//   time_per_instr is the CPU time per instruction. This is the ISS row
+//   that a claim about orsim's speed should rest on: the gate kernels
+//   above are a few blocks each, and their rows move with code placement.
 // - BM_LeaseClaimRelease: claim a fresh shard lease in a scratch directory
 //   beside the binary (layers.shard/) and release it: the O_EXCL create and
 //   its sync, the heartbeat thread's start and join, the ownership probe
@@ -41,9 +46,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #if defined(__GLIBC__)  // set by the C++ headers above
 #include <malloc.h>
@@ -59,6 +66,8 @@
 #include "kernel/simulator.hpp"
 #include "trace/shard.hpp"
 #include "workloads/hw_segments.hpp"
+#include "workloads/vocoder/frames.hpp"
+#include "workloads/vocoder/kernels_asm.hpp"
 
 namespace {
 
@@ -256,6 +265,27 @@ void BM_IssInstructionMem(benchmark::State& state) {
 BENCHMARK(BM_IssInstructionMem)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->ArgNames({"blocks", "icache"});
+
+void BM_IssVocoder(benchmark::State& state) {
+  std::vector<std::vector<std::int32_t>> frames;
+  for (int f = 0; f < 20; ++f) {
+    frames.push_back(workloads::vocoder::synth_frame(f));
+  }
+  double instrs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();  // untimed: assembling the program
+    workloads::vocoder::IssVocoder vc;
+    state.ResumeTiming();
+    long checksum = 0;
+    for (const auto& frame : frames) checksum += vc.process_frame(frame);
+    benchmark::DoNotOptimize(checksum);
+    instrs += static_cast<double>(vc.machine().stats().instructions);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
+  state.counters["time_per_instr"] = benchmark::Counter(
+      instrs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IssVocoder)->Unit(benchmark::kMillisecond);
 
 void BM_LeaseClaimRelease(benchmark::State& state) {
   const std::string dir = g_bench_dir + "layers.shard";

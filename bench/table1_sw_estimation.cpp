@@ -17,7 +17,7 @@ namespace {
 
 constexpr double kCpuMhz = 50.0;  // target processor clock
 
-/// Median-of-repetitions wall time of `fn`, in milliseconds.
+/// The least wall time of `fn` over `reps` repetitions, in milliseconds.
 template <typename Fn>
 double host_ms(Fn&& fn, int reps = 5) {
   double best = 1e300;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <charconv>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -212,74 +213,77 @@ Machine::RunResult Machine::run(std::uint64_t max_steps) {
   return run_from(pc_, max_steps);
 }
 
-// The interpreter calls this once per instruction from two sites (the
-// per-instruction loop and the block path's tight loop); forcing the inline
-// keeps both at direct-switch dispatch speed.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline)) inline
-#else
-inline
-#endif
+namespace {
+
+// Guest arithmetic wraps in two's complement and never traps the host: sums,
+// differences, products and load/store addresses are computed in uint32_t,
+// and INT32_MIN / -1 is INT32_MIN. Shared by both paths.
+std::uint32_t bits(std::int32_t v) { return static_cast<std::uint32_t>(v); }
+std::int32_t wrap(std::uint32_t v) { return static_cast<std::int32_t>(v); }
+std::int32_t guest_add(std::int32_t a, std::int32_t b) {
+  return wrap(bits(a) + bits(b));
+}
+std::int32_t guest_sub(std::int32_t a, std::int32_t b) {
+  return wrap(bits(a) - bits(b));
+}
+std::int32_t guest_mul(std::int32_t a, std::int32_t b) {
+  return wrap(bits(a) * bits(b));
+}
+std::int32_t guest_div(std::int32_t a, std::int32_t b) {
+  // Divide-by-zero yields 0, as on cores that trap-and-fix.
+  if (b == 0) return 0;
+  return b == -1 ? wrap(0u - bits(a)) : a / b;
+}
+std::uint32_t guest_addr(std::int32_t base, std::int32_t off) {
+  return bits(base) + bits(off);
+}
+
+}  // namespace
+
 std::uint32_t Machine::exec_arch(const Instr& in, std::uint64_t& cycles,
                                  bool& taken) {
   std::uint32_t next = pc_ + 1;
   auto& r = regs_;
-  const auto u = [&](unsigned i) { return static_cast<std::uint32_t>(r[i]); };
+  const auto u = [&](unsigned i) { return bits(r[i]); };
   switch (in.op) {
-    case Opcode::kAdd: set_reg(in.rd, r[in.ra] + r[in.rb]); break;
-    case Opcode::kSub: set_reg(in.rd, r[in.ra] - r[in.rb]); break;
+    case Opcode::kAdd: set_reg(in.rd, guest_add(r[in.ra], r[in.rb])); break;
+    case Opcode::kSub: set_reg(in.rd, guest_sub(r[in.ra], r[in.rb])); break;
     case Opcode::kAnd: set_reg(in.rd, r[in.ra] & r[in.rb]); break;
     case Opcode::kOr: set_reg(in.rd, r[in.ra] | r[in.rb]); break;
     case Opcode::kXor: set_reg(in.rd, r[in.ra] ^ r[in.rb]); break;
-    case Opcode::kSll:
-      set_reg(in.rd, static_cast<std::int32_t>(u(in.ra) << (u(in.rb) & 31)));
-      break;
-    case Opcode::kSrl:
-      set_reg(in.rd, static_cast<std::int32_t>(u(in.ra) >> (u(in.rb) & 31)));
-      break;
-    case Opcode::kSra:
-      set_reg(in.rd, r[in.ra] >> (u(in.rb) & 31));
-      break;
-    case Opcode::kMul: set_reg(in.rd, r[in.ra] * r[in.rb]); break;
-    case Opcode::kDiv:
-      // Divide-by-zero yields 0, as on cores that trap-and-fix.
-      set_reg(in.rd, r[in.rb] == 0 ? 0 : r[in.ra] / r[in.rb]);
-      break;
-    case Opcode::kAddi: set_reg(in.rd, r[in.ra] + in.imm); break;
+    case Opcode::kSll: set_reg(in.rd, wrap(u(in.ra) << (u(in.rb) & 31))); break;
+    case Opcode::kSrl: set_reg(in.rd, wrap(u(in.ra) >> (u(in.rb) & 31))); break;
+    case Opcode::kSra: set_reg(in.rd, r[in.ra] >> (u(in.rb) & 31)); break;
+    case Opcode::kMul: set_reg(in.rd, guest_mul(r[in.ra], r[in.rb])); break;
+    case Opcode::kDiv: set_reg(in.rd, guest_div(r[in.ra], r[in.rb])); break;
+    case Opcode::kAddi: set_reg(in.rd, guest_add(r[in.ra], in.imm)); break;
     case Opcode::kAndi: set_reg(in.rd, r[in.ra] & in.imm); break;
     case Opcode::kOri: set_reg(in.rd, r[in.ra] | in.imm); break;
     case Opcode::kXori: set_reg(in.rd, r[in.ra] ^ in.imm); break;
-    case Opcode::kSlli:
-      set_reg(in.rd, static_cast<std::int32_t>(u(in.ra) << (in.imm & 31)));
-      break;
-    case Opcode::kSrli:
-      set_reg(in.rd, static_cast<std::int32_t>(u(in.ra) >> (in.imm & 31)));
-      break;
+    case Opcode::kSlli: set_reg(in.rd, wrap(u(in.ra) << (in.imm & 31))); break;
+    case Opcode::kSrli: set_reg(in.rd, wrap(u(in.ra) >> (in.imm & 31))); break;
     case Opcode::kSrai: set_reg(in.rd, r[in.ra] >> (in.imm & 31)); break;
-    case Opcode::kMovhi:
-      set_reg(in.rd, static_cast<std::int32_t>(
-                         static_cast<std::uint32_t>(in.imm) << 16));
-      break;
+    case Opcode::kMovhi: set_reg(in.rd, wrap(bits(in.imm) << 16)); break;
     case Opcode::kLw: {
-      const auto addr = static_cast<std::uint32_t>(r[in.ra] + in.imm);
+      const std::uint32_t addr = guest_addr(r[in.ra], in.imm);
       if (dcache_) cycles += dcache_->access(addr);
       set_reg(in.rd, read_word(addr));
       break;
     }
     case Opcode::kSw: {
-      const auto addr = static_cast<std::uint32_t>(r[in.ra] + in.imm);
+      const std::uint32_t addr = guest_addr(r[in.ra], in.imm);
       if (dcache_) cycles += dcache_->access(addr);
       write_word(addr, r[in.rd]);
       break;
     }
     case Opcode::kLb: {
-      const auto addr = static_cast<std::uint32_t>(r[in.ra] + in.imm);
+      const std::uint32_t addr = guest_addr(r[in.ra], in.imm);
       if (dcache_) cycles += dcache_->access(addr);
       set_reg(in.rd, read_byte(addr));
       break;
     }
     case Opcode::kSb: {
-      const auto addr = static_cast<std::uint32_t>(r[in.ra] + in.imm);
+      const std::uint32_t addr = guest_addr(r[in.ra], in.imm);
       if (dcache_) cycles += dcache_->access(addr);
       write_byte(addr, static_cast<std::int8_t>(r[in.rd] & 0xff));
       break;
@@ -315,14 +319,198 @@ std::uint32_t Machine::exec_arch(const Instr& in, std::uint64_t& cycles,
       break;
     case Opcode::kJr:
       taken = true;
-      next = static_cast<std::uint32_t>(r[in.ra]);
+      next = u(in.ra);
       break;
     case Opcode::kNop:
       break;
     case Opcode::kHalt:
-      break;  // unreachable (callers break on halt before executing)
+      break;  // unreachable (run_from breaks on halt before executing)
   }
   return next;
+}
+
+#if !defined(__GNUC__)
+#error "orsim's threaded interpreter needs labels as values (GCC or Clang)"
+#endif
+
+bool Machine::run_blocks(std::uint64_t max_steps, RunResult& res) {
+  using Block = BlockCache::Block;
+  using Op = BlockCache::Op;
+  // Indexed by Opcode, as BlockCache::Handlers documents.
+  static const void* const kHandlers[] = {
+      &&add, &&sub, &&and_, &&or_, &&xor_, &&sll, &&srl, &&sra, &&mul, &&div,
+      &&addi, &&andi, &&ori, &&xori, &&slli, &&srli, &&srai, &&movhi,
+      &&lw, &&sw, &&lb, &&sb,
+      &&sfeq, &&sfne, &&sflt, &&sfle, &&sfgt, &&sfge,
+      &&sfeqi, &&sfnei, &&sflti, &&sflei, &&sfgti, &&sfgei,
+      // kJ, kJal: the static-successor terminator and the link op. A block
+      // holds no nop and no halt.
+      &&bf, &&bnf, &&to_next, &&link, &&jr, nullptr, nullptr};
+  static_assert(std::size(kHandlers) ==
+                static_cast<std::size_t>(Opcode::kHalt) + 1);
+
+  const Block* b = blocks_.at(program_, model_, kHandlers, pc_,
+                              max_steps - res.instructions);
+  if (b == nullptr) return false;
+
+  // Locals for everything the handlers touch: a store into orsim memory is a
+  // char write, which may alias any member, but not a local.
+  std::int32_t* const r = regs_.data();
+  std::uint8_t* const mem = mem_.data();
+  const std::size_t mem_bytes = mem_.size();
+  DirectMappedCache* const icache = icache_ ? &*icache_ : nullptr;
+  DirectMappedCache* const dcache = dcache_ ? &*dcache_ : nullptr;
+  std::uint64_t steps = res.instructions;
+  std::uint64_t cycles = res.cycles;
+  bool flag = flag_;
+  std::uint32_t next_pc = 0;
+  std::uint32_t next = BlockCache::kNoBlock;
+  std::uint32_t addr = 0;
+  const Op* op = blocks_.ops() + b->first_op;
+
+  // Prices the block at its terminator: pipeline cycles by outcome, the
+  // per-class counts, and the i-cache over its fetch-order PCs.
+  const auto price = [&](bool taken) {
+    steps += b->len;
+    cycles += b->cycles[taken];
+    for (std::size_t c = 0; c < b->per_class.size(); ++c) {
+      stats_.per_class[c] += b->per_class[c];
+    }
+    if (icache) {
+      const std::uint32_t* const pcs = blocks_.fetch_pcs() + b->first_fetch;
+      for (std::uint32_t k = 0; k < b->len; ++k) {
+        cycles += icache->access(pcs[k] * 4);
+      }
+    }
+  };
+  // Charges the d-cache for `addr`, then checks the bound as exec_arch
+  // does: a 64-bit sum, so an address near 2^32 cannot wrap below it.
+  const auto in_memory = [&](std::uint32_t bytes) {
+    if (dcache) cycles += dcache->access(addr);
+    return static_cast<std::size_t>(addr) + bytes <= mem_bytes;
+  };
+
+  // Prices the block, then returns the index of its successor by outcome
+  // `taken`, resolved on first use, or kNoBlock once the budget is spent.
+  // Each terminator calls it with a constant, so a guest branch stays a host
+  // branch: its outcome is not an index that the next dispatch waits on.
+  const auto follow = [&](bool taken) {
+    price(taken);
+    next_pc = b->next_pc[taken];
+    if (steps == max_steps) return BlockCache::kNoBlock;
+    const std::uint32_t n = b->next[taken];
+    return n != BlockCache::kUnresolved
+               ? n
+               : blocks_.link(*b, taken, program_, model_, kHandlers);
+  };
+
+#define ORSIM_NEXT() goto *(++op)->handler
+  goto *op->handler;
+
+add: r[op->rd] = guest_add(r[op->ra], r[op->rb]); ORSIM_NEXT();
+sub: r[op->rd] = guest_sub(r[op->ra], r[op->rb]); ORSIM_NEXT();
+and_: r[op->rd] = r[op->ra] & r[op->rb]; ORSIM_NEXT();
+or_: r[op->rd] = r[op->ra] | r[op->rb]; ORSIM_NEXT();
+xor_: r[op->rd] = r[op->ra] ^ r[op->rb]; ORSIM_NEXT();
+sll: r[op->rd] = wrap(bits(r[op->ra]) << (bits(r[op->rb]) & 31)); ORSIM_NEXT();
+srl: r[op->rd] = wrap(bits(r[op->ra]) >> (bits(r[op->rb]) & 31)); ORSIM_NEXT();
+sra: r[op->rd] = r[op->ra] >> (bits(r[op->rb]) & 31); ORSIM_NEXT();
+mul: r[op->rd] = guest_mul(r[op->ra], r[op->rb]); ORSIM_NEXT();
+div: r[op->rd] = guest_div(r[op->ra], r[op->rb]); ORSIM_NEXT();
+addi: r[op->rd] = guest_add(r[op->ra], op->imm); ORSIM_NEXT();
+andi: r[op->rd] = r[op->ra] & op->imm; ORSIM_NEXT();
+ori: r[op->rd] = r[op->ra] | op->imm; ORSIM_NEXT();
+xori: r[op->rd] = r[op->ra] ^ op->imm; ORSIM_NEXT();
+slli: r[op->rd] = wrap(bits(r[op->ra]) << (op->imm & 31)); ORSIM_NEXT();
+srli: r[op->rd] = wrap(bits(r[op->ra]) >> (op->imm & 31)); ORSIM_NEXT();
+srai: r[op->rd] = r[op->ra] >> (op->imm & 31); ORSIM_NEXT();
+movhi: r[op->rd] = wrap(bits(op->imm) << 16); ORSIM_NEXT();
+lw:
+  addr = guest_addr(r[op->ra], op->imm);
+  if (!in_memory(4)) goto fault;
+  {
+    std::uint32_t v;
+    std::memcpy(&v, mem + addr, 4);
+    r[op->rd] = wrap(little_endian(v));
+  }
+  ORSIM_NEXT();
+sw:
+  addr = guest_addr(r[op->ra], op->imm);
+  if (!in_memory(4)) goto fault;
+  {
+    const std::uint32_t v = little_endian(bits(r[op->rd]));
+    std::memcpy(mem + addr, &v, 4);
+  }
+  ORSIM_NEXT();
+lb:
+  addr = guest_addr(r[op->ra], op->imm);
+  if (!in_memory(1)) goto fault;
+  r[op->rd] = static_cast<std::int8_t>(mem[addr]);
+  ORSIM_NEXT();
+sb:
+  addr = guest_addr(r[op->ra], op->imm);
+  if (!in_memory(1)) goto fault;
+  mem[addr] = static_cast<std::uint8_t>(r[op->rd]);
+  ORSIM_NEXT();
+sfeq: flag = r[op->ra] == r[op->rb]; ORSIM_NEXT();
+sfne: flag = r[op->ra] != r[op->rb]; ORSIM_NEXT();
+sflt: flag = r[op->ra] < r[op->rb]; ORSIM_NEXT();
+sfle: flag = r[op->ra] <= r[op->rb]; ORSIM_NEXT();
+sfgt: flag = r[op->ra] > r[op->rb]; ORSIM_NEXT();
+sfge: flag = r[op->ra] >= r[op->rb]; ORSIM_NEXT();
+sfeqi: flag = r[op->ra] == op->imm; ORSIM_NEXT();
+sfnei: flag = r[op->ra] != op->imm; ORSIM_NEXT();
+sflti: flag = r[op->ra] < op->imm; ORSIM_NEXT();
+sflei: flag = r[op->ra] <= op->imm; ORSIM_NEXT();
+sfgti: flag = r[op->ra] > op->imm; ORSIM_NEXT();
+sfgei: flag = r[op->ra] >= op->imm; ORSIM_NEXT();
+link: r[9] = op->imm; ORSIM_NEXT();
+#undef ORSIM_NEXT
+
+  // Terminators. A chain continues while the next block runs and fits the
+  // step budget; anything else returns to run_from at the next PC.
+bf:
+  if (flag) goto exit_taken;
+  goto to_next;
+bnf:
+  if (!flag) goto exit_taken;
+to_next:
+  next = follow(false);
+  goto enter;
+exit_taken:
+  next = follow(true);
+  goto enter;
+jr:
+  next_pc = bits(r[op->ra]);
+  price(false);
+  next = steps == max_steps
+             ? BlockCache::kNoBlock
+             : blocks_.resolve(program_, model_, kHandlers, next_pc);
+enter:
+  if (next == BlockCache::kNoBlock) goto leave;
+  b = blocks_.enter(next, max_steps - steps);
+  if (b == nullptr) goto leave;
+  op = blocks_.ops() + b->first_op;
+  goto *op->handler;
+
+fault: {
+  // As on the per-instruction path: pc() at the access, and the i-cache
+  // charged for the instructions fetched before it.
+  const std::uint32_t* const pcs = blocks_.fetch_pcs() + b->first_fetch;
+  if (icache) {
+    for (std::uint32_t k = 0; k < op->fetch; ++k) icache->access(pcs[k] * 4);
+  }
+  pc_ = pcs[op->fetch];
+  flag_ = flag;
+  throw_outside_memory(addr);
+}
+
+leave:
+  pc_ = next_pc;
+  flag_ = flag;
+  res.instructions = steps;
+  res.cycles = cycles;
+  return true;
 }
 
 Machine::RunResult Machine::run_from(std::uint32_t entry,
@@ -333,9 +521,8 @@ Machine::RunResult Machine::run_from(std::uint32_t entry,
   }
   RunResult res;
   const auto n_instrs = static_cast<std::uint32_t>(program_.instrs.size());
-  // The block path runs a whole block in a tight loop with no fetch-bound,
-  // halt, trace or pricing check per instruction, and prices it once at its
-  // end. It is off while tracing: the ring must see every instruction.
+  // The block path is off while tracing: the ring must see every
+  // instruction.
   const bool block_path = bc_cfg_.enabled && trace_depth_ == 0;
 
   while (res.instructions < max_steps) {
@@ -348,35 +535,7 @@ Machine::RunResult Machine::run_from(std::uint32_t entry,
       res.halted = true;
       break;
     }
-    if (block_path) {
-      if (const BlockCache::Block* b = blocks_.at(
-              program_, model_, pc_, max_steps - res.instructions)) {
-        // No bounds check on the fetch: build() only lets blocks whose
-        // whole path lies inside the program run here.
-        bool taken = false;  // the final instruction's outcome prices it
-        // A store into orsim memory is a char write, which may alias any
-        // member, so the loop would reload the instruction base after one;
-        // a local cannot be aliased.
-        const Instr* const code = program_.instrs.data();
-        if (icache_) {
-          for (std::uint32_t k = b->len; k != 0; --k) {
-            const std::uint32_t pc = pc_;
-            pc_ = exec_arch(code[pc], res.cycles, taken);
-            res.cycles += icache_->access(pc * 4);
-          }
-        } else {
-          for (std::uint32_t k = b->len; k != 0; --k) {
-            pc_ = exec_arch(code[pc_], res.cycles, taken);
-          }
-        }
-        res.instructions += b->len;
-        res.cycles += b->cycles[taken];
-        for (std::size_t c = 0; c < b->per_class.size(); ++c) {
-          stats_.per_class[c] += b->per_class[c];
-        }
-        continue;
-      }
-    }
+    if (block_path && run_blocks(max_steps, res)) continue;
     ++res.instructions;
     bool taken = false;
     const std::uint32_t next = exec_arch(in, res.cycles, taken);

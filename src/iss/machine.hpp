@@ -123,12 +123,19 @@ class Machine {
 
  private:
   /// Executes one instruction architecturally (registers, memory, flag,
-  /// d-cache timing) and returns the next PC. Shared by the per-instruction
-  /// path and the block path's tight loop.
+  /// d-cache timing) and returns the next PC: the per-instruction path, the
+  /// reference the block path is tested against.
   std::uint32_t exec_arch(const Instr& in, std::uint64_t& cycles, bool& taken);
 
+  /// Runs the block at pc_ and every block chained after it on the threaded
+  /// path, adding to `res`; returns false, having run nothing, when the
+  /// instruction at pc_ must run per instruction.
+  bool run_blocks(std::uint64_t max_steps, RunResult& res);
+
   Program program_;
-  std::array<std::int32_t, 32> regs_{};
+  /// r0..r31, then BlockCache::kSinkReg, which takes the block path's writes
+  /// to r0.
+  std::array<std::int32_t, BlockCache::kSinkReg + 1> regs_{};
   bool flag_ = false;
   std::uint32_t pc_ = 0;
   std::vector<std::uint8_t> mem_;

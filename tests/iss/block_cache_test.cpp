@@ -113,8 +113,9 @@ TEST(IssBlockCache, IcacheChargedLiveStaysExact) {
   const RunFingerprint on =
       run_loop(kLoopAsm, BlockCacheConfig{}, /*icache=*/true);
   EXPECT_EQ(on, off);
-  // The i-cache is charged per instruction inside the block loop, so its
-  // miss penalties never keep a block off the block path.
+  // The i-cache is replayed over each block's fetch-order PCs when the
+  // block is priced, so its miss penalties never keep a block off the block
+  // path.
   const BlockCacheStats s = stats_after(kLoopAsm, /*icache=*/true);
   EXPECT_GT(s.hits, 0u);
   EXPECT_EQ(s.bypassed, 0u);
@@ -128,7 +129,8 @@ TEST(IssBlockCache, DcacheMemBlocksRunOnBlockPath) {
   const RunFingerprint on =
       run_loop(kMemAsm, BlockCacheConfig{}, /*icache=*/false, /*dcache=*/true);
   EXPECT_EQ(on, off);
-  // Loads and stores charge the d-cache inside exec_arch on either path.
+  // Loads and stores charge the d-cache as they run, in their handlers on
+  // the block path and in exec_arch per instruction.
   const BlockCacheStats s =
       stats_after(kMemAsm, /*icache=*/false, /*dcache=*/true);
   EXPECT_GT(s.hits, 0u);
@@ -137,8 +139,8 @@ TEST(IssBlockCache, DcacheMemBlocksRunOnBlockPath) {
 
 TEST(IssBlockCache, BranchToItsOwnFallThroughRunsOnBlockPath) {
   // `bf next` leaves to the same PC whether or not it is taken, but the two
-  // outcomes cost differently; the block is priced by the outcome exec_arch
-  // reports. Taken on even r13: 13 of the 25 trips.
+  // outcomes cost differently; the block is priced by the outcome its
+  // terminator takes. Taken on even r13: 13 of the 25 trips.
   constexpr const char* kSelfFallThroughAsm = R"(
 kernel:
   li   r11, 0

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -76,6 +77,39 @@ TEST(Machine, DivideByZeroYieldsZero) {
       "div r4, r3, r0\n"
       "halt\n");
   EXPECT_EQ(m.reg(4), 0);
+}
+
+TEST(Machine, GuestArithmeticWrapsAndNeverTraps) {
+  // Sums, differences, products and load/store addresses wrap in two's
+  // complement, and INT32_MIN / -1 is INT32_MIN: no host trap, no host
+  // undefined behaviour, on either path.
+  for (const bool blocks : {false, true}) {
+    SCOPED_TRACE(blocks ? "block path" : "per instruction");
+    Machine m(256);
+    m.set_block_cache_config({.enabled = blocks});
+    m.load_program(assemble(
+        "movhi r3, 0x8000\n"             // INT32_MIN
+        "li r4, -1\n"
+        "li r5, 0x7fffffff\n"            // INT32_MAX
+        "div r11, r3, r4\n"
+        "addi r12, r5, 1\n"
+        "add r13, r5, r5\n"
+        "sub r14, r3, r5\n"
+        "mul r15, r5, r5\n"
+        "sw r5, -2147483632(r3)\n"       // 0x80000000 + 0x80000010 = 16
+        "lw r16, 16(r0)\n"
+        "lb r17, -2147483629(r3)\n"      // 19, the top byte
+        "halt\n"));
+    EXPECT_TRUE(m.run().halted);
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    EXPECT_EQ(m.reg(11), kMin);
+    EXPECT_EQ(m.reg(12), kMin);
+    EXPECT_EQ(m.reg(13), -2);
+    EXPECT_EQ(m.reg(14), 1);
+    EXPECT_EQ(m.reg(15), 1);
+    EXPECT_EQ(m.reg(16), std::numeric_limits<std::int32_t>::max());
+    EXPECT_EQ(m.reg(17), 0x7f);
+  }
 }
 
 TEST(Machine, LoadStoreWord) {
