@@ -29,23 +29,19 @@
 //   section: the burst campaign is timed sequentially and threaded, the two
 //   CSVs must be byte-identical (the determinism gate of the parallel
 //   executor), and the wall-clock ratio is reported.
-//   Fleet flags (fleet_cli.hpp) run the burst campaign only as a fleet in
-//   --shard-dir (default fault_correlated_burst.shard/ next to the binary);
-//   --merge folds its journals back into the same fault_correlated_burst.csv
-//   an uninterrupted run writes, byte-identically. --help lists every flag.
 //
-//   Sweep fleet mode — the mapping x scenario grid as lease-claimable cells,
-//   and the one durable way to run the sweep:
-//   --sweep-shard i/N  runs this process as a sweep-fleet worker: every grid
-//     cell is an independent work unit (one lease + one journal per cell in
-//     --sweep-dir, default fault_correlated_sweep.shard/ next to the
-//     binary); workers spread across cells, adopt stale leases, and
-//     quarantine a cell after --max-adoptions failed adoptions (default 3).
-//   --sweep-merge  folds the cell journals back into the sweep grid + CSV,
+//   Fleet flags (fleet_cli.hpp) run the mapping x scenario sweep as a sweep
+//   fleet, the one durable way to run it: every grid cell is a
+//   lease-claimable unit (one lease + one journal per cell in --shard-dir,
+//   default fault_correlated_sweep.shard/ next to the binary).
+//   --shard i/N (or --shard-dir alone) runs a worker that starts at cell i;
+//     workers spread across cells, adopt stale leases, and quarantine a cell
+//     after --max-adoptions failed adoptions (default 3).
+//   --merge  folds the cell journals back into the sweep grid + CSV,
 //     byte-identical to the uninterrupted fault_correlated_sweep.csv;
-//     --allow-partial degrades it as it does --merge.
-//   --sweep-status  read-only per-cell fleet progress (exit 0 once every
-//     cell is done or quarantined, 1 while the fleet is still working).
+//     --allow-partial degrades it explicitly (exit 3).
+//   --status  read-only per-cell fleet progress (exit 0 once every cell is
+//     done or quarantined, 1 while the fleet is still working).
 //
 //   Sequential model checking — SPRT early stopping vs fixed-N:
 //   --smc  runs the burst cell under a Wald SPRT (H: P(run violates) <= 0.2
@@ -288,17 +284,8 @@ RunOptions scenario_options(const std::string& name, bool split_cpu) {
 /// --resume, which only the --smc decision journal reads).
 sctrace::CampaignOptions g_campaign_opts;
 
-// Fleet mode over the burst campaign, and the lease TTL, adoption cap and
-// --allow-partial of the sweep fleet too.
+// Sweep fleet mode: grid cells as lease-claimable units in g_fleet.shard_dir.
 FleetCli g_fleet;
-
-// Sweep fleet mode: grid cells as lease-claimable units in g_sweep_dir.
-bool g_sweep_shard = false;
-bool g_sweep_merge = false;
-bool g_sweep_status = false;
-std::size_t g_sweep_index = 0;
-std::size_t g_sweep_count = 1;
-std::string g_sweep_dir;
 /// "mapping/scenario" whose runs SIGKILL the executing worker ("" = none):
 /// the deliberate poison cell for the quarantine crash-loop CI gate.
 std::string g_poison_cell;
@@ -349,7 +336,7 @@ std::size_t scaled(std::size_t n, int pct) {
   return s < 4 ? 4 : s;
 }
 
-// ---- sweep fleet mode ------------------------------------------------------
+// ---- mapping x scenario sweep (in process, or as a sweep fleet) ------------
 
 const std::vector<std::string>& sweep_mappings() {
   static const std::vector<std::string> v = {"shared_cpu", "split_cpu"};
@@ -361,11 +348,12 @@ const std::vector<std::string>& sweep_scenarios() {
   return v;
 }
 
-/// The same factory the in-process CampaignSweep uses, plus the poison-cell
-/// hook: a worker told to poison "m/s" SIGKILLs itself the moment it
-/// executes a run of that cell — no cleanup, no journal close, exactly the
-/// crash a dying host produces. The fleet must heal around it: survivors
-/// adopt the cell, die the same way, and the adoption counter quarantines it.
+/// The sweep's cell factory, for the in-process CampaignSweep and the sweep
+/// fleet alike, with the poison-cell hook: a process told to poison "m/s"
+/// SIGKILLs itself the moment it executes a run of that cell — no cleanup,
+/// no journal close, exactly the crash a dying host produces. The fleet must
+/// heal around it: survivors adopt the cell, die the same way, and the
+/// adoption counter quarantines it.
 sctrace::CampaignSweep::Factory sweep_factory() {
   return [](const std::string& mapping, const std::string& scenario) {
     const RunOptions opt = scenario_options(scenario, mapping == "split_cpu");
@@ -381,28 +369,23 @@ sctrace::CampaignSweep::Factory sweep_factory() {
 int run_sweep_worker(std::size_t n_sweep, std::uint64_t seed) {
   sctrace::CampaignOptions co = g_campaign_opts;
   co.journal_tag = "correlated-sweep";
-  sctrace::ShardOptions so;
-  so.dir = g_sweep_dir;
-  so.shard_index = g_sweep_index;
-  so.shard_count = g_sweep_count;
-  so.lease_ttl_ms = g_fleet.lease_ttl_ms;
-  so.max_adoptions = g_fleet.max_adoptions;
-  std::printf("sweep worker %zu/%zu over %zux%zu cells x %zu runs, dir %s\n",
-              g_sweep_index, g_sweep_count, sweep_mappings().size(),
-              sweep_scenarios().size(), n_sweep, g_sweep_dir.c_str());
+  const std::string who = "sweep worker " +
+                          std::to_string(g_fleet.shard_index) + "/" +
+                          std::to_string(g_fleet.shard_count);
+  std::printf("%s over %zux%zu cells x %zu runs, dir %s\n", who.c_str(),
+              sweep_mappings().size(), sweep_scenarios().size(), n_sweep,
+              g_fleet.shard_dir.c_str());
   const sctrace::ShardProgress p = sctrace::run_sharded_sweep(
-      sweep_mappings(), sweep_scenarios(), sweep_factory(), seed, n_sweep, so,
-      co);
-  print_worker_summary("sweep worker " + std::to_string(g_sweep_index) + "/" +
-                           std::to_string(g_sweep_count),
-                       p, "cells", "sweep");
+      sweep_mappings(), sweep_scenarios(), sweep_factory(), seed, n_sweep,
+      g_fleet.worker_options(g_fleet.shard_dir), co);
+  print_worker_summary(who, p, "cells", "sweep");
   return 0;
 }
 
 int run_sweep_merge() {
   try {
     const sctrace::MergedSweep merged =
-        sctrace::merge_sweep_dir(g_sweep_dir, g_fleet.merge_options());
+        sctrace::merge_sweep_dir(g_fleet.shard_dir, g_fleet.merge_options());
     std::printf("merged sweep: %zu of %zu cells complete\n",
                 merged.complete_cells(), merged.cells.size());
     std::ostringstream grid;
@@ -593,20 +576,6 @@ int run_smc(int pct, std::uint64_t seed) {
   return 0;
 }
 
-int run_sweep_status() {
-  try {
-    const sctrace::FleetStatus st =
-        sctrace::fleet_status(g_sweep_dir, g_fleet.lease_ttl_ms);
-    std::ostringstream os;
-    sctrace::print_fleet_status(os, st);
-    std::fputs(os.str().c_str(), stdout);
-    return st.fleet_done() ? 0 : 1;
-  } catch (const minisc::SimError& e) {
-    std::printf("%s\n", e.what());
-    return 1;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -621,20 +590,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       g_campaign_opts.resume = true;
-    } else if (std::strcmp(argv[i], "--sweep-shard") == 0 && i + 1 < argc) {
-      if (std::sscanf(argv[++i], "%zu/%zu", &g_sweep_index, &g_sweep_count) !=
-              2 ||
-          g_sweep_count == 0 || g_sweep_index >= g_sweep_count) {
-        std::printf("bad --sweep-shard '%s' (want i/N with i < N)\n", argv[i]);
-        return 1;
-      }
-      g_sweep_shard = true;
-    } else if (std::strcmp(argv[i], "--sweep-dir") == 0 && i + 1 < argc) {
-      g_sweep_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-merge") == 0) {
-      g_sweep_merge = true;
-    } else if (std::strcmp(argv[i], "--sweep-status") == 0) {
-      g_sweep_status = true;
     } else if (std::strcmp(argv[i], "--poison-cell") == 0 && i + 1 < argc) {
       g_poison_cell = argv[++i];
     } else if (std::strcmp(argv[i], "--smc") == 0) {
@@ -656,15 +611,9 @@ int main(int argc, char** argv) {
           "                     sequential-vs-threaded byte-identity and\n"
           "                     speedup section\n"
           "\n"
-          "sweep fleet (mapping x scenario grid cells as units, the durable\n"
-          "sweep; takes --lease-ttl-ms, --max-adoptions and --allow-partial\n"
-          "below):\n"
-          "  --sweep-shard i/N  run as a sweep-fleet worker over the grid\n"
-          "  --sweep-dir DIR    sweep fleet directory (default\n"
-          "                     fault_correlated_sweep.shard/)\n"
-          "  --sweep-merge      fold cell journals into the sweep grid + CSV\n"
-          "  --sweep-status     read-only per-cell fleet progress (exit 0\n"
-          "                     once every cell is done or quarantined)\n"
+          "sweep fleet (the fleet flags below over the mapping x scenario\n"
+          "grid, one unit per cell, in --shard-dir, default\n"
+          "fault_correlated_sweep.shard/; the durable sweep):\n"
           "  --poison-cell m/s  SIGKILL any worker that executes a run of\n"
           "                     cell m/s (the quarantine crash-loop gate)\n"
           "\n"
@@ -685,78 +634,18 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 42;
   bool ok = true;
   if (g_fleet.shard_dir.empty()) {
-    g_fleet.shard_dir = out_path("fault_correlated_burst.shard");
-  }
-  if (g_sweep_dir.empty()) {
-    g_sweep_dir = out_path("fault_correlated_sweep.shard");
+    g_fleet.shard_dir = out_path("fault_correlated_sweep.shard");
   }
 
-  if (g_sweep_status) return run_sweep_status();
-  if (g_sweep_merge) return run_sweep_merge();
+  if (g_fleet.status) return g_fleet.print_status(g_fleet.shard_dir) ? 0 : 1;
+  if (g_fleet.merge) return run_sweep_merge();
   if (g_smc) return run_smc(pct, kSeed);
-  if (g_sweep_shard) {
+  if (g_fleet.worker()) {
     // Sweep-fleet worker: grid cells as lease-claimable units. Gates are
     // skipped — the merged sweep CSV cmp against an uninterrupted run is
     // the determinism gate, and the CI crash-loop gate kills workers here
     // on purpose (--poison-cell).
     return run_sweep_worker(scaled(25, pct), kSeed);
-  }
-
-  if (g_fleet.merge) {
-    // Fold the fleet's burst-campaign journals into the same CSV an
-    // uninterrupted single-process run writes, byte-identically.
-    try {
-      sctrace::MergedCampaign merged = sctrace::merge_shard_dir(
-          g_fleet.shard_dir, g_fleet.merge_options());
-      std::printf("merged %zu shards: %zu burst runs, base seed %llu\n",
-                  merged.shard_count, merged.runs,
-                  static_cast<unsigned long long>(merged.base_seed));
-      const int rc = merge_exit_code("", merged);
-      sctrace::FaultCampaign c(std::move(merged.results));
-      std::ofstream csv(out_path("fault_correlated_burst.csv"));
-      c.write_csv(csv);
-      std::ostringstream report;
-      c.report().print(report);
-      std::fputs(report.str().c_str(), stdout);
-      std::printf("  per-run rows -> %s\n",
-                  out_path("fault_correlated_burst.csv").c_str());
-      return rc;
-    } catch (const minisc::SimError& e) {
-      std::printf("MERGE REFUSED: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (g_fleet.worker()) {
-    // Worker mode: the burst campaign only, gates skipped — the merged CSV
-    // cmp against an uninterrupted run is the determinism gate here.
-    std::size_t n_ab = scaled(150, pct);
-    std::uint64_t base_seed = kSeed;
-    const RunOptions opt = scenario_options("burst", /*split_cpu=*/false);
-    sctrace::CampaignOptions co = g_campaign_opts;
-    co.journal_tag = "burst";
-    co.scenario_digest = scfault::config_digest(opt.cfg);
-    try {
-      if (g_fleet.shard) {
-        std::printf("shard worker %zu/%zu over %zu burst runs, dir %s\n",
-                    g_fleet.shard_index, g_fleet.shard_count, n_ab,
-                    g_fleet.shard_dir.c_str());
-      } else {
-        g_fleet.read_layout(g_fleet.shard_dir, &base_seed, &n_ab);
-        std::printf("elastic shard worker (manifest layout), dir %s\n",
-                    g_fleet.shard_dir.c_str());
-      }
-      const sctrace::ShardProgress p = sctrace::run_sharded_campaign(
-          [opt](std::uint64_t s) { return run_stream(s, opt); }, base_seed,
-          n_ab, g_fleet.worker_options(g_fleet.shard_dir), co);
-      print_worker_summary("worker " + std::to_string(g_fleet.shard_index) +
-                               "/" + std::to_string(g_fleet.shard_count),
-                           p);
-    } catch (const minisc::SimError& e) {
-      std::printf("WORKER REFUSED: %s\n", e.what());
-      return 1;
-    }
-    return 0;
   }
 
   std::printf("Correlated-fault ablation, %d-frame stream, scale %d%%, "
@@ -865,13 +754,8 @@ int main(int argc, char** argv) {
 
   // -- 4. mapping x scenario sweep ------------------------------------------
   const std::size_t n_sweep = scaled(25, pct);
-  sctrace::CampaignSweep sweep(
-      {"shared_cpu", "split_cpu"}, {"iid", "burst", "storm"},
-      [](const std::string& mapping, const std::string& scenario) {
-        const RunOptions opt =
-            scenario_options(scenario, mapping == "split_cpu");
-        return [opt](std::uint64_t s) { return run_stream(s, opt); };
-      });
+  sctrace::CampaignSweep sweep(sweep_mappings(), sweep_scenarios(),
+                               sweep_factory());
   sweep.run(kSeed, n_sweep, g_campaign_opts);
   std::ostringstream grid;
   sweep.print(grid);

@@ -19,8 +19,7 @@
 //
 // Usage: ablation_fault_resilience [--threads N] [--runs N]
 //                                  [--journal] [--resume] [--smc]
-//                                  [fleet flags] [--status]
-//                                  [--scaling] [--help]
+//                                  [fleet flags] [--scaling] [--help]
 //   --threads N runs each campaign on N threads; output is
 //   byte-identical to the sequential run (verified for the resilient
 //   campaign) and the wall-clock speedup is reported.
@@ -36,11 +35,8 @@
 //   directory next to the binary). Workers adopt the stale leases of
 //   workers that died (SIGKILL included), re-running only their missing
 //   seeds, and exit once every shard journal is complete; --merge folds the
-//   journals into the same report + CSVs an uninterrupted run writes.
-//   --status    read-only fleet progress: per-shard state (done / claimed /
-//               stale / quarantined / unclaimed), owners, heartbeat ages
-//               and adoption counts, rendered purely from --shard-dir.
-//               Exits 0 when the fleet is done, 1 while it is not.
+//   journals into the same report + CSVs an uninterrupted run writes, and
+//   --status prints both fleets' per-shard progress without touching them.
 //   --scaling   times the resilient campaign sequentially and on {1,2,8}
 //               threads and prints one JSON record (wall-clock per
 //               thread count, num_cpus context, byte-identity result).
@@ -263,7 +259,6 @@ bool g_scaling = false;
 
 // Fleet mode: one fleet per label under g_fleet.shard_dir.
 FleetCli g_fleet;
-bool g_status = false;
 
 /// CSV artifacts land next to the binary (build/bench/), not in the
 /// caller's cwd, so runs never litter the source tree.
@@ -387,15 +382,7 @@ int run_status() {
   bool all_done = true;
   for (const char* label : {"non_resilient", "resilient"}) {
     std::printf("== %s fleet ==\n", label);
-    try {
-      const sctrace::FleetStatus st = sctrace::fleet_status(
-          g_fleet.shard_dir + "/" + label, g_fleet.lease_ttl_ms);
-      std::ostringstream os;
-      sctrace::print_fleet_status(os, st);
-      std::fputs(os.str().c_str(), stdout);
-      if (!st.fleet_done()) all_done = false;
-    } catch (const minisc::SimError& e) {
-      std::printf("  %s\n", e.what());
+    if (!g_fleet.print_status(g_fleet.shard_dir + "/" + label)) {
       all_done = false;
     }
   }
@@ -450,8 +437,6 @@ int main(int argc, char** argv) {
       g_campaign_opts.resume = true;
     } else if (std::strcmp(argv[i], "--smc") == 0) {
       g_smc = true;
-    } else if (std::strcmp(argv[i], "--status") == 0) {
-      g_status = true;
     } else if (std::strcmp(argv[i], "--scaling") == 0) {
       g_scaling = true;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
@@ -463,7 +448,6 @@ int main(int argc, char** argv) {
           "                   on {1,2,8} threads; print a JSON record\n"
           "                   with num_cpus context and per-count wall-clock\n"
           "                   (speedups are null + caveat on 1-core hosts)\n"
-          "  --status         read-only fleet progress (exit 0 when done)\n"
           "Options:\n"
           "  --threads N      N threads per campaign (byte-identity\n"
           "                   gated against the sequential run)\n"
@@ -485,7 +469,7 @@ int main(int argc, char** argv) {
     return run_scaling(kBaseSeed, kRuns);
   }
 
-  if (g_status) {
+  if (g_fleet.status) {
     // Pure observation: stat+read of the shard dir, no leases touched.
     return run_status();
   }

@@ -1,15 +1,19 @@
 // Fleet flags shared by the fault benches: one parser and one --help block
-// for --shard, --shard-dir, --lease-ttl-ms, --max-adoptions, --merge and
-// --allow-partial (print_fleet_help says what each does), one worker summary
-// line and one merge exit code.
+// for --shard, --shard-dir, --lease-ttl-ms, --max-adoptions, --status,
+// --merge and --allow-partial (print_fleet_help says what each does), one
+// status printout, one worker summary line and one merge exit code. A unit
+// is a campaign shard in ablation_fault_resilience and a sweep cell in
+// ablation_fault_correlated.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 
+#include "kernel/error.hpp"
 #include "trace/shard.hpp"
 
 struct FleetCli {
@@ -20,6 +24,7 @@ struct FleetCli {
   bool shard_dir_given = false;
   std::uint64_t lease_ttl_ms = 10000;
   std::uint64_t max_adoptions = 3;
+  bool status = false;
   bool merge = false;
   bool allow_partial = false;
 
@@ -45,6 +50,8 @@ struct FleetCli {
       lease_ttl_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(flag, "--max-adoptions") == 0 && has_value) {
       max_adoptions = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(flag, "--status") == 0) {
+      status = true;
     } else if (std::strcmp(flag, "--merge") == 0) {
       merge = true;
     } else if (std::strcmp(flag, "--allow-partial") == 0) {
@@ -84,13 +91,31 @@ struct FleetCli {
     mo.allow_partial = allow_partial;
     return mo;
   }
+
+  /// --status: prints the fleet in `dir` without touching it
+  /// (sctrace::fleet_status) and returns true once every unit is done or
+  /// quarantined. A directory no fleet has pinned prints why: not done.
+  bool print_status(const std::string& dir) const {
+    try {
+      const sctrace::FleetStatus st = sctrace::fleet_status(dir, lease_ttl_ms);
+      std::ostringstream os;
+      sctrace::print_fleet_status(os, st);
+      std::fputs(os.str().c_str(), stdout);
+      return st.fleet_done();
+    } catch (const minisc::SimError& e) {
+      std::printf("  %s\n", e.what());
+      return false;
+    }
+  }
 };
 
 inline void print_fleet_help() {
   std::printf(
-      "fleet (one lease-claimable unit per shard):\n"
+      "fleet (a unit is one lease-claimable shard, or one sweep cell):\n"
       "  --shard i/N        run as worker i of an N-shard fleet; the first\n"
-      "                     worker pins the layout in the fleet.manifest\n"
+      "                     worker pins the layout in the fleet's manifest.\n"
+      "                     A sweep fleet's units are its grid cells: i is\n"
+      "                     the preferred first cell and N is unused\n"
       "  --shard-dir DIR    fleet directory; given ALONE it runs an elastic\n"
       "                     worker that reads the layout from the manifest.\n"
       "                     A layout never changes once pinned: grow a fleet\n"
@@ -98,7 +123,9 @@ inline void print_fleet_help() {
       "  --lease-ttl-ms MS  lease staleness threshold (default 10000)\n"
       "  --max-adoptions K  quarantine a unit after K adoptions (default 3;\n"
       "                     0 = adopt forever)\n"
-      "  --merge            fold the shard journals into the byte-identical\n"
+      "  --status           read-only progress of every unit (exit 0 once\n"
+      "                     each is done or quarantined, 1 before)\n"
+      "  --merge            fold the unit journals into the byte-identical\n"
       "                     single-process report and CSV\n"
       "  --allow-partial    with a merge: DEGRADED output (exit 3) instead\n"
       "                     of refusing an unfinished or quarantined fleet\n");
@@ -126,17 +153,13 @@ inline void print_worker_summary(const std::string& who,
 inline int merge_exit_code(const std::string& who,
                            const sctrace::MergedCampaign& merged) {
   if (merged.complete) return 0;
-  std::printf(
-      "%sDEGRADED merge: %zu of %zu runs recorded (%zu missing, %zu shards "
-      "without journals, %zu quarantined)\n",
-      who.c_str(), merged.recorded_runs, merged.runs, merged.missing_records,
-      merged.missing_shards.size(), merged.quarantined.size());
-  for (const sctrace::QuarantinedUnit& q : merged.quarantined) {
-    std::printf("%squarantined %s: %llu adoptions, last owner '%s'%s%s\n",
-                who.c_str(), q.name.c_str(),
-                static_cast<unsigned long long>(q.info.adoptions),
-                q.info.owner.c_str(), q.info.error.empty() ? "" : ", error: ",
-                q.info.error.c_str());
+  std::printf("%sDEGRADED merge: %zu of %zu runs recorded\n", who.c_str(),
+              merged.results.size(), merged.runs);
+  for (const sctrace::MergedUnit& u : merged.units) {
+    if (u.state == sctrace::UnitState::kComplete) continue;
+    std::printf("%s%s %s (%zu/%zu runs)%s%s\n", who.c_str(), u.name.c_str(),
+                sctrace::to_string(u.state), u.records, u.runs,
+                u.error.empty() ? "" : ": ", u.error.c_str());
   }
   return 3;
 }

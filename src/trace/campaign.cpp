@@ -106,11 +106,6 @@ std::unique_ptr<JournalWriter> open_journal(
   header.runs = n;
   header.scenario_digest = opts.scenario_digest;
   header.tag = opts.journal_tag;
-  header.shard_index = opts.shard_index;
-  header.shard_count = opts.shard_count == 0 ? 1 : opts.shard_count;
-  header.shard_begin = opts.shard_begin;
-  header.total_runs = opts.total_runs == 0 ? n : opts.total_runs;
-  header.worker_id = opts.worker_id;
 
   if (opts.resume) {
     std::ifstream probe(opts.journal_path, std::ios::binary);
@@ -120,8 +115,6 @@ std::unique_ptr<JournalWriter> open_journal(
     probe.close();
     if (nonempty) {
       JournalContents contents = read_journal(opts.journal_path);
-      // Campaign and shard identity, all of it but worker_id: an adopter
-      // resumes a dead worker's shard under its own id by design.
       const std::string diff = identity_mismatch(contents.header, header);
       if (!diff.empty()) {
         throw minisc::SimError(
@@ -155,18 +148,6 @@ void FaultCampaign::run(std::uint64_t base_seed, std::size_t n,
         "recorded results only, there is no run function to execute");
   }
   const bool smc_on = opts.smc.engaged();
-  if (smc_on && opts.shard_count > 1) {
-    // The sequential decision consumes the campaign's runs in global seed
-    // order; a shard only sees its own slice, so its local decision would
-    // answer a different question than the campaign's. Shard a sweep
-    // instead — there every cell is a whole campaign and prunes honestly.
-    throw minisc::SimError(
-        minisc::SimError::Kind::kBadConfig,
-        "sequential model checking (CampaignOptions::smc) is incompatible "
-        "with sharded campaigns (shard_count > 1): the decision needs the "
-        "global seed order — shard a sweep instead, where each cell is a "
-        "whole campaign");
-  }
   // Pre-sized slot array: run i (seed base_seed + i) writes slot offset + i
   // and nothing else, so the assembled results — and therefore report() and
   // write_csv() — are identical whether the slots fill on one thread or

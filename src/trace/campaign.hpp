@@ -176,21 +176,6 @@ struct CampaignOptions {
   /// Free-form identity tag stored/checked alongside the digest.
   std::string journal_tag;
 
-  // ---- shard identity (journal header; set by trace/shard.hpp) ----
-  //
-  // A sharded fleet campaign runs this campaign as shard `shard_index` of
-  // `shard_count`, covering global run indices [shard_begin, shard_begin +
-  // n) of a `total_runs`-run campaign. The identity is pinned in the
-  // journal header and checked on resume — except worker_id, which records
-  // the journal's *creator* and is exempt so a surviving worker can adopt
-  // and extend a dead worker's journal. The defaults are the degenerate
-  // unsharded identity; plain campaigns never need to touch these.
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 1;
-  std::uint64_t shard_begin = 0;
-  std::uint64_t total_runs = 0;  ///< 0 = the n passed to run()
-  std::string worker_id;
-
   /// Called once per executed run, right before its record is appended to
   /// the journal; never called without a journal. A fleet worker hooks this
   /// to re-probe its lease (ShardLease::assert_still_mine) — adoption's
@@ -224,9 +209,9 @@ struct CampaignOptions {
   /// count. The verdict lands in report() (smc fields), in write_csv()
   /// (a leading '#' summary line) and — when journaling — in a journal
   /// decision record that makes the early-stopped journal resumable (a
-  /// resume replays the decision and runs nothing) and mergeable.
-  /// Incompatible with sharded campaigns (shard_count > 1): the sequential
-  /// decision needs the campaign's global seed order; shard a sweep
+  /// resume replays the decision and runs nothing) and mergeable. The
+  /// decision needs the campaign's global seed order, so
+  /// run_sharded_campaign refuses it over more than one shard; shard a sweep
   /// instead, where every cell is a whole campaign.
   SmcSpec smc;
 };

@@ -111,13 +111,6 @@ std::string encode_header(const JournalHeader& h) {
   put_u64(out, h.runs);
   put_u64(out, h.scenario_digest);
   put_string(out, h.tag);
-  // Shard identity: unsharded campaigns carry the degenerate shard-0-of-1
-  // identity.
-  put_u64(out, h.shard_index);
-  put_u64(out, h.shard_count == 0 ? 1 : h.shard_count);
-  put_u64(out, h.shard_begin);
-  put_u64(out, h.total_runs == 0 ? h.runs : h.total_runs);
-  put_string(out, h.worker_id);
   return out;
 }
 
@@ -220,10 +213,6 @@ std::string identity_mismatch(const JournalHeader& got,
   num("runs", got.runs, want.runs);
   num("scenario_digest", got.scenario_digest, want.scenario_digest);
   field("tag", "'" + got.tag + "'", "'" + want.tag + "'");
-  num("shard_index", got.shard_index, want.shard_index);
-  num("shard_count", got.shard_count, want.shard_count);
-  num("shard_begin", got.shard_begin, want.shard_begin);
-  num("total_runs", got.total_runs, want.total_runs);
   return out;
 }
 
@@ -281,11 +270,6 @@ JournalContents read_journal(const std::string& path) {
       out.header.runs = c.u64();
       out.header.scenario_digest = c.u64();
       out.header.tag = c.str();
-      out.header.shard_index = c.u64();
-      out.header.shard_count = c.u64();
-      out.header.shard_begin = c.u64();
-      out.header.total_runs = c.u64();
-      out.header.worker_id = c.str();
       if (!c.done()) throw_corrupt(path, record, "has a malformed header");
       have_header = true;
     } else if (type == kDecisionType) {

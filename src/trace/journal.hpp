@@ -39,23 +39,17 @@ namespace sctrace {
 /// caller-supplied scenario digest (scfault::config_digest) plus free-form
 /// tag. Resume refuses a journal whose header disagrees with the campaign
 /// being run — mixing runs of different fault models is how silent garbage
-/// gets into papers.
-///
-/// The header also carries the journal's shard identity (see
-/// trace/shard.hpp): a journal can be one shard of a fleet-scale campaign,
-/// covering the global run indices [shard_begin, shard_begin + runs) of a
-/// total_runs-run campaign split into shard_count journals. Unsharded
-/// campaigns write the degenerate identity (shard 0 of 1, begin 0, total ==
-/// runs). worker_id names the process that *created* the journal — adoption
-/// of a dead worker's shard appends under the original header, so the id is
-/// provenance, not ownership (ownership lives in the lease file).
+/// gets into papers. Every run is a pure function of its seed and its model,
+/// so these four fields are the whole identity: a fleet shard's journal is
+/// the campaign over its slot's seeds, and the fleet's layout lives only in
+/// its manifest (trace/shard.hpp).
 ///
 /// There is one format version, kVersion. read_journal refuses every other
 /// version with SimError(kShardVersionMismatch) naming both versions, so
 /// resume and merge never see a file of another format.
 struct JournalHeader {
   /// The format this build writes and the only one read_journal accepts.
-  static constexpr std::uint32_t kVersion = 5;
+  static constexpr std::uint32_t kVersion = 6;
 
   std::uint32_t version = kVersion;
   std::uint64_t base_seed = 0;
@@ -64,16 +58,6 @@ struct JournalHeader {
   std::uint64_t scenario_digest = 0;
   /// Free-form identity tag (e.g. "mapping/scenario" for sweep cells).
   std::string tag;
-
-  // ---- shard identity (degenerate defaults for unsharded campaigns) ----
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 1;
-  /// Global run index of this journal's slot 0.
-  std::uint64_t shard_begin = 0;
-  /// Campaign-wide run count across all shards (0 is normalised to `runs`).
-  std::uint64_t total_runs = 0;
-  /// Free-form id of the worker process that created the journal.
-  std::string worker_id;
 };
 
 /// One recovered record: the run's index within its campaign (slot i of the
@@ -120,9 +104,9 @@ struct JournalContents {
 /// Names every identity field in which `got` differs from `want`, each with
 /// both values (e.g. "scenario_digest 3735928559 (want 0), runs 4 (want
 /// 5)"), or returns "" when `got` is the journal `want` describes. The format
-/// version (read_journal refuses every other one) and worker_id (provenance:
-/// an adopter extends the creator's journal) are not compared. Resume and the
-/// fleet readers (trace/shard.hpp) refuse a journal on a non-empty answer.
+/// version is not compared: read_journal refuses every other one. Resume and
+/// the fleet readers (trace/shard.hpp) refuse a journal on a non-empty
+/// answer.
 std::string identity_mismatch(const JournalHeader& got,
                               const JournalHeader& want);
 

@@ -725,7 +725,7 @@ struct Unit {
   std::string journal;
   std::string lease;
   std::string quarantine;
-  JournalHeader header;  ///< the unit's identity; worker_id is not part of it
+  JournalHeader header;  ///< the unit's identity
 };
 
 Unit make_unit(const std::string& dir, const char* kind, std::size_t index,
@@ -753,10 +753,6 @@ std::vector<Unit> campaign_units(const std::string& dir,
     u.header.runs = range.size();
     u.header.scenario_digest = m.scenario_digest;
     u.header.tag = m.tag;
-    u.header.shard_index = i;
-    u.header.shard_count = m.shard_count;
-    u.header.shard_begin = range.begin;
-    u.header.total_runs = m.total_runs;
     units.push_back(std::move(u));
   }
   return units;
@@ -773,7 +769,6 @@ std::vector<Unit> sweep_units(const std::string& dir, const SweepManifest& m) {
     u.header.runs = m.runs;
     u.header.scenario_digest = m.scenario_digest;
     u.header.tag = m.cell_tag(c);
-    u.header.total_runs = m.runs;
     units.push_back(std::move(u));
   }
   return units;
@@ -862,6 +857,52 @@ UnitRead read_for_merge(const Unit& u) {
   return r;
 }
 
+/// The merge's report of one unit read. A unit that owes no runs is
+/// complete without a journal, as the workers and fleet_status see it.
+MergedUnit merged_unit(const Unit& u, const UnitRead& r) {
+  MergedUnit m;
+  m.index = u.index;
+  m.name = u.name;
+  m.state = r.quarantined  ? UnitState::kQuarantined
+            : r.complete() ? UnitState::kComplete
+            : r.exists     ? UnitState::kPartial
+                           : UnitState::kMissing;
+  m.records = r.recorded;
+  m.runs = r.slots.size();
+  m.tomb = r.tomb;
+  if (r.quarantined) {
+    m.error = quarantine_summary(r.tomb);
+  } else if (r.error) {
+    m.error = r.error->what();
+  }
+  return m;
+}
+
+/// Both merges' one refusal of an unfinished fleet: every unit that is not
+/// complete in one message (the first 16 by name), so the operator re-runs
+/// the fleet once, not once per unit discovered. `noun` names the units
+/// ("shards", "sweep cells").
+template <typename Units>
+void refuse_unfinished(const Units& units, const char* noun) {
+  std::string list;
+  std::size_t open = 0;
+  for (const MergedUnit& u : units) {
+    if (u.state == UnitState::kComplete) continue;
+    if (++open > 16) continue;
+    if (!list.empty()) list += "; ";
+    list += u.name + " " + to_string(u.state) + " (" +
+            std::to_string(u.records) + "/" + std::to_string(u.runs) +
+            " runs)";
+  }
+  if (open == 0) return;
+  throw_merge_incomplete(
+      std::to_string(open) + " of " + std::to_string(units.size()) + " " +
+      noun + " are incomplete: " + list +
+      (open > 16 ? "; … " + std::to_string(open - 16) + " more" : "") +
+      " — finish the fleet, or merge with allow_partial (--allow-partial) "
+      "for an explicitly degraded report");
+}
+
 // ---- generic fleet worker loop ---------------------------------------------
 
 /// The self-healing claim/run/adopt/quarantine loop shared by
@@ -941,12 +982,7 @@ ShardProgress run_fleet(const std::vector<Unit>& units,
       CampaignOptions co = opts;
       co.journal_path = unit.journal;
       co.journal_tag = unit.header.tag;
-      co.shard_index = unit.header.shard_index;
-      co.shard_count = unit.header.shard_count;
-      co.shard_begin = unit.header.shard_begin;
-      co.total_runs = unit.header.total_runs;
       co.resume = true;  // adoption = resuming the dead worker's journal
-      co.worker_id = worker_id;
 
       std::atomic<std::size_t> executed{0};
       ShardLease* held = lease.get();
@@ -1190,6 +1226,16 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
 
 // ---- merge ----------------------------------------------------------------
 
+const char* to_string(UnitState s) {
+  switch (s) {
+    case UnitState::kComplete: return "complete";
+    case UnitState::kPartial: return "partial";
+    case UnitState::kMissing: return "missing";
+    case UnitState::kQuarantined: return "quarantined";
+  }
+  return "?";
+}
+
 MergedCampaign merge_shard_dir(const std::string& dir,
                                const MergeOptions& opts) {
   const FleetManifest m = read_fleet_manifest(dir);
@@ -1200,16 +1246,14 @@ MergedCampaign merge_shard_dir(const std::string& dir,
   out.tag = m.tag;
   out.shard_count = m.shard_count;
 
-  std::vector<UnitRead> reads;
-  std::string tomb_list, missing_list;
   for (const Unit& u : campaign_units(dir, m)) {
     UnitRead r = read_for_merge(u);
     // An unreadable shard journal refuses too: a campaign merge has no
     // degraded form for a journal it cannot trust.
     if (r.error) throw *r.error;
-    // FaultCampaign::run and run_sharded_campaign both refuse SMC with
-    // shard_count > 1, so a decision in a multi-shard fleet can only mean
-    // journal corruption or a hand-mixed layout.
+    // run_sharded_campaign refuses SMC over more than one shard, so a
+    // decision in a multi-shard fleet can only mean journal corruption or a
+    // hand-mixed layout.
     if (r.decision && m.shard_count > 1) {
       throw_merge_bad("shard journal '" + u.journal +
                       "' carries a sequential-verdict decision record but "
@@ -1217,149 +1261,47 @@ MergedCampaign merge_shard_dir(const std::string& dir,
                       " shards — sequential campaigns are single-shard, so "
                       "this journal is corrupt or hand-mixed");
     }
-    if (r.quarantined) {
-      if (!tomb_list.empty()) tomb_list += "; ";
-      tomb_list += u.name + " ('" + u.quarantine + "')";
-      out.quarantined.push_back(QuarantinedUnit{u.index, u.name, r.tomb});
-    }
-    if (!r.exists && u.header.runs > 0) {
-      if (!missing_list.empty()) missing_list += ", ";
-      missing_list += std::to_string(u.index);
-      out.missing_shards.push_back(u.index);
-    }
-    reads.push_back(std::move(r));
-  }
-  // Every quarantined or missing unit in one refusal, so the operator sees
-  // the whole damage — and fixes it — in one round trip.
-  if (!opts.allow_partial && !out.quarantined.empty()) {
-    throw_merge_incomplete(
-        std::to_string(out.quarantined.size()) +
-        " quarantined unit(s) never complete: " + tomb_list +
-        " — merge with allow_partial (--allow-partial) for an explicitly "
-        "degraded report over the completed units");
-  }
-  if (!opts.allow_partial && !out.missing_shards.empty()) {
-    throw_merge_incomplete(
-        "no journal for " + std::to_string(out.missing_shards.size()) +
-        " of " + std::to_string(m.shard_count) + " shards (missing: " +
-        missing_list +
-        ") — a partial fleet merge would silently bias every campaign "
-        "statistic; finish the campaign, or merge with allow_partial "
-        "(--allow-partial) for an explicitly degraded report");
-  }
-
-  // The units tile the campaign in seed order, so their records concatenate
-  // into global order. An early-stopped (single-shard) campaign owes only
-  // the runs its decision covers, so the merge is byte-identical to it.
-  std::vector<bool> done;
-  for (UnitRead& r : reads) {
+    out.units.push_back(merged_unit(u, r));
+    if (out.units.back().state != UnitState::kComplete) out.complete = false;
+    // The units tile the campaign in seed order, so their records
+    // concatenate into global order. An early-stopped (single-shard)
+    // campaign owes only the runs its decision covers, so the merge is
+    // byte-identical to it.
     if (r.decision) out.decision = r.decision;
-    done.insert(done.end(), r.done.begin(), r.done.end());
     std::vector<CampaignRunResult> part = r.take();
     out.results.insert(out.results.end(), std::make_move_iterator(part.begin()),
                        std::make_move_iterator(part.end()));
   }
-  std::size_t missing = 0;
-  std::string span_list;
-  std::size_t n_spans = 0;
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    if (done[i]) continue;
-    std::size_t j = i;
-    while (j < done.size() && !done[j]) ++j;
-    missing += j - i;
-    ++n_spans;
-    if (n_spans <= 8) {
-      if (!span_list.empty()) span_list += ", ";
-      span_list += "[" + std::to_string(i) + ", " + std::to_string(j) + ")";
-    }
-    i = j;  // the slot at j is recorded (or the end); the ++ skips it
-  }
-  if (missing > 0 && !opts.allow_partial) {
-    throw_merge_incomplete(
-        std::to_string(missing) + " of " + std::to_string(done.size()) +
-        " runs have no record (missing global spans: " + span_list +
-        (n_spans > 8 ? ", … " + std::to_string(n_spans - 8) + " more spans"
-                     : "") +
-        ") — finish the campaign (workers re-claim incomplete units) "
-        "before merging, or merge with allow_partial (--allow-partial) "
-        "for an explicitly degraded report");
-  }
-  out.missing_records = missing;
-  out.recorded_runs = out.results.size();
-  out.complete = missing == 0 && out.quarantined.empty();
+  if (!opts.allow_partial) refuse_unfinished(out.units, "shards");
   return out;
 }
 
 // ---- sweep merge -----------------------------------------------------------
 
-const char* to_string(CellState s) {
-  switch (s) {
-    case CellState::kComplete: return "complete";
-    case CellState::kPartial: return "partial";
-    case CellState::kMissing: return "missing";
-    case CellState::kQuarantined: return "quarantined";
-  }
-  return "?";
-}
-
 MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
   MergedSweep out;
   out.manifest = read_sweep_manifest(dir);
-  std::size_t n_complete = 0;
   for (const Unit& u : sweep_units(dir, out.manifest)) {
     // An otherwise unreadable cell journal salvages nothing, but one torn
     // header must not abort the whole sweep: the cell reports as partial
     // (or stays quarantined) with the reader's complaint attached.
     UnitRead r = read_for_merge(u);
     MergedSweepCell& cell = out.cells.emplace_back();
-    cell.index = u.index;
+    static_cast<MergedUnit&>(cell) = merged_unit(u, r);
     cell.mapping = out.manifest.cell_mapping(u.index);
     cell.scenario = out.manifest.cell_scenario(u.index);
-    cell.state = r.quarantined ? CellState::kQuarantined
-                 : !r.exists   ? CellState::kMissing
-                 : r.complete() ? CellState::kComplete
-                                : CellState::kPartial;
-    if (r.quarantined) {
-      cell.error = quarantine_summary(r.tomb);
-    } else if (r.error) {
-      cell.error = r.error->what();
-    }
-    cell.records = r.recorded;
-    cell.runs = r.slots.size();
     cell.decision = r.decision;
     cell.results = r.take();
-    if (cell.state == CellState::kComplete) ++n_complete;
+    if (cell.state != UnitState::kComplete) out.complete = false;
   }
-  const std::size_t cells = out.cells.size();
-  out.complete = n_complete == cells;
-  if (!out.complete && !opts.allow_partial) {
-    // Every incomplete cell in one refusal: a sweep operator re-runs the
-    // fleet once, not once per cell discovered.
-    std::string list;
-    std::size_t listed = 0;
-    for (const MergedSweepCell& cell : out.cells) {
-      if (cell.state == CellState::kComplete) continue;
-      ++listed;
-      if (listed > 16) continue;
-      if (!list.empty()) list += "; ";
-      list += cell.mapping + "/" + cell.scenario + " " +
-              to_string(cell.state) + " (" + std::to_string(cell.records) +
-              "/" + std::to_string(cell.runs) + " runs)";
-    }
-    throw_merge_incomplete(
-        std::to_string(cells - n_complete) + " of " + std::to_string(cells) +
-        " sweep cells are incomplete: " + list +
-        (listed > 16 ? "; … " + std::to_string(listed - 16) + " more" : "") +
-        " — finish the fleet, or merge with allow_partial "
-        "(--allow-partial) for an explicitly degraded report");
-  }
+  if (!opts.allow_partial) refuse_unfinished(out.cells, "sweep cells");
   return out;
 }
 
 std::size_t MergedSweep::complete_cells() const {
   std::size_t n = 0;
   for (const MergedSweepCell& c : cells) {
-    if (c.state == CellState::kComplete) ++n;
+    if (c.state == UnitState::kComplete) ++n;
   }
   return n;
 }
@@ -1367,7 +1309,7 @@ std::size_t MergedSweep::complete_cells() const {
 std::size_t MergedSweep::quarantined_cells() const {
   std::size_t n = 0;
   for (const MergedSweepCell& c : cells) {
-    if (c.state == CellState::kQuarantined) ++n;
+    if (c.state == UnitState::kQuarantined) ++n;
   }
   return n;
 }
@@ -1376,7 +1318,7 @@ CampaignSweep MergedSweep::to_sweep() const {
   std::vector<CampaignSweep::Cell> out;
   out.reserve(cells.size());
   for (const MergedSweepCell& c : cells) {
-    if (c.state != CellState::kComplete) continue;
+    if (c.state != UnitState::kComplete) continue;
     FaultCampaign campaign(c.results);
     if (c.decision) {
       campaign.set_smc_verdict(c.decision->spec, c.decision->verdict);
@@ -1391,8 +1333,8 @@ void MergedSweep::print(std::ostream& os) const {
   if (!complete) {
     std::size_t n_partial = 0, n_missing = 0;
     for (const MergedSweepCell& c : cells) {
-      if (c.state == CellState::kPartial) ++n_partial;
-      if (c.state == CellState::kMissing) ++n_missing;
+      if (c.state == UnitState::kPartial) ++n_partial;
+      if (c.state == UnitState::kMissing) ++n_missing;
     }
     os << "DEGRADED sweep merge: " << complete_cells() << " of "
        << cells.size() << " cells complete (" << n_partial << " partial, "
@@ -1402,24 +1344,24 @@ void MergedSweep::print(std::ostream& os) const {
   to_sweep().print(os);
   if (complete) return;
   for (const MergedSweepCell& c : cells) {
-    if (c.state == CellState::kComplete) continue;
-    os << "  cell " << c.mapping << "/" << c.scenario << ": ";
+    if (c.state == UnitState::kComplete) continue;
+    os << "  cell " << c.name << ": ";
     switch (c.state) {
-      case CellState::kPartial:
+      case UnitState::kPartial:
         os << "partial — " << c.records << " of " << c.runs
            << " runs recorded";
         if (!c.error.empty()) os << " (" << c.error << ")";
         break;
-      case CellState::kMissing:
+      case UnitState::kMissing:
         os << "missing — no journal recorded";
         break;
-      case CellState::kQuarantined:
+      case UnitState::kQuarantined:
         os << (c.error.empty() ? "quarantined" : c.error);
         if (c.records > 0) {
           os << " (" << c.records << " of " << c.runs << " runs salvaged)";
         }
         break;
-      case CellState::kComplete:
+      case UnitState::kComplete:
         break;
     }
     os << '\n';

@@ -32,7 +32,10 @@ namespace sctrace {
 /// One layout: the first worker pins a manifest (fleet.manifest for a
 /// campaign, sweep.manifest for a sweep), and the manifest alone names every
 /// *unit* — one shard or one cell, with one lease, one journal, one
-/// quarantine tombstone and the JournalHeader its journal must carry. The
+/// quarantine tombstone and the JournalHeader its journal must carry. A
+/// unit's journal is an ordinary campaign journal over the unit's seeds: its
+/// header pins the slot by base seed and run count, the file name carries the
+/// unit's index and count, and nothing else records the layout. The
 /// workers, both merges and fleet_status all derive that unit table from the
 /// manifest and read each unit the same way, so no two readers of a fleet
 /// directory can disagree about it: a file outside the pinned layout is
@@ -99,8 +102,9 @@ struct ShardRange {
 
 /// Canonical contiguous partition of [0, total_runs) into shard_count
 /// chunks: the first total_runs % shard_count shards get one extra run.
-/// Every participant derives it from the pinned manifest, and each shard
-/// journal's header carries its slot.
+/// Every participant derives it from the pinned manifest; a shard journal's
+/// header carries its slot as base seed (manifest base seed + begin) and run
+/// count.
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
@@ -335,10 +339,13 @@ FleetManifest read_fleet_manifest(const std::string& dir);
 /// then roaming), executes each as a journaled+resumed FaultCampaign over
 /// its seed range, adopts stale leases of dead workers, skips quarantined
 /// shards, and keeps polling until every shard is complete or quarantined.
-/// The CampaignOptions journal and shard fields are overwritten per shard;
-/// threads, retry, budgets, digest and tag apply as usual. A shard journal
-/// that does not carry its shard's identity is claimed, refused on resume
-/// and abandoned toward quarantine like any other permanent failure.
+/// The CampaignOptions journal fields are overwritten per shard; threads,
+/// retry, budgets, digest and tag apply as usual. A shard journal that does
+/// not carry its shard's identity is claimed, refused on resume and
+/// abandoned toward quarantine like any other permanent failure. An engaged
+/// smc spec over more than one shard is refused (kBadConfig) before any
+/// shard runs: the sequential decision needs the campaign's global seed
+/// order.
 ///
 /// Layout authority: the first worker pins `<dir>/fleet.manifest`; later
 /// workers verify their {base_seed, total_runs, shard_count, digest, tag}
@@ -403,29 +410,45 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
 
 /// How a merge should treat an unfinished fleet.
 struct MergeOptions {
-  /// False (default): a missing shard journal, a missing record or a
-  /// quarantined shard refuses with kMergeIncomplete — merging a partial
+  /// False (default): a unit that is not complete (missing journal, missing
+  /// records, quarantined) refuses with kMergeIncomplete — merging a partial
   /// fleet silently would bias every statistic the campaign measures.
   /// True: produce a clearly-marked degraded result instead — complete=false
-  /// with the missing/quarantined units listed, statistics over the recorded
-  /// runs only. Identity refusals (a journal of another format version, or
-  /// one that does not carry its unit's identity) are never relaxed: those
-  /// are wrong fleets, not partial ones.
+  /// with every unit's state listed, statistics over the recorded runs only.
+  /// Identity refusals (a journal of another format version, or one that
+  /// does not carry its unit's identity) are never relaxed: those are wrong
+  /// fleets, not partial ones.
   bool allow_partial = false;
 };
 
-/// One quarantined work unit as a merge or status pass found it.
-struct QuarantinedUnit {
+/// State of one work unit (campaign shard or sweep cell) as a merge found it.
+enum class UnitState {
+  kComplete,     ///< journal holds every run record
+  kPartial,      ///< journal exists but records are missing (or unreadable)
+  kMissing,      ///< no journal at all
+  kQuarantined,  ///< tombstone present — terminal, never going to complete
+};
+
+const char* to_string(UnitState s);
+
+/// One work unit of a merged fleet, as both merges report it.
+struct MergedUnit {
   std::size_t index = 0;  ///< shard index, or cell index for sweeps
   std::string name;       ///< "shard 2/4" or "mapping/scenario"
-  LeaseInfo info;         ///< last owner, adoption count, recorded error
+  UnitState state = UnitState::kMissing;
+  std::size_t records = 0;  ///< run records recovered
+  std::size_t runs = 0;     ///< records expected (the unit's slot, or the
+                            ///< decision's executed count when it stopped
+                            ///< early)
+  LeaseInfo tomb;     ///< the tombstone's record, when quarantined
+  std::string error;  ///< quarantine summary / read-failure note
 };
 
 /// A merged campaign: the global identity plus every run in global order.
 /// Feed `results` to FaultCampaign's results constructor for report() /
 /// write_csv() byte-identical to the uninterrupted single-process run.
 /// A partial merge (MergeOptions::allow_partial against an unfinished
-/// fleet) sets complete=false, lists what is missing or quarantined, and
+/// fleet) sets complete=false, reports each shard's state in `units`, and
 /// compacts `results` to the recorded runs in global order — deterministic
 /// for any thread count and any worker interleaving, because journals hold
 /// the same records no matter who wrote them.
@@ -444,12 +467,8 @@ struct MergedCampaign {
   /// FaultCampaign::set_smc_verdict for byte-identical report/CSV output.
   std::optional<JournalDecision> decision;
 
-  // ---- degraded-merge bookkeeping (allow_partial) ----
-  bool complete = true;
-  std::size_t recorded_runs = 0;  ///< results.size(); == runs when complete
-  std::size_t missing_records = 0;
-  std::vector<std::size_t> missing_shards;  ///< no journal at all
-  std::vector<QuarantinedUnit> quarantined;
+  bool complete = true;  ///< every unit complete
+  std::vector<MergedUnit> units;  ///< one per shard, in shard order
 };
 
 /// Folds a campaign fleet directory into one campaign: reads
@@ -463,35 +482,20 @@ struct MergedCampaign {
 ///     (naming the journal and each differing field with both values), or
 ///     a decision record in a multi-shard layout; kJournalCorrupt (or
 ///     kBadConfig) for a journal that does not read;
-///   - kMergeIncomplete, unless opts.allow_partial: a quarantined shard
-///     (tombstone), a missing shard journal or missing run records —
-///     merging a partial fleet *silently* would bias every statistic the
-///     campaign exists to measure, so one message lists *every* unit of the
-///     kind at once. allow_partial makes the bias explicit instead: see
-///     MergedCampaign's degraded-merge fields.
+///   - kMergeIncomplete, unless opts.allow_partial: a shard that is not
+///     complete (quarantined, missing or partial) — merging a partial fleet
+///     *silently* would bias every statistic the campaign exists to
+///     measure, so one message lists every unfinished unit at once (the
+///     sweep merge refuses through the same message). allow_partial makes
+///     the bias explicit instead: see MergedCampaign::units.
 MergedCampaign merge_shard_dir(const std::string& dir,
                                const MergeOptions& opts = {});
 
-/// Terminal/progress state of one sweep cell as the merge found it.
-enum class CellState {
-  kComplete,     ///< journal holds every run record
-  kPartial,      ///< journal exists but records are missing (or unreadable)
-  kMissing,      ///< no journal at all
-  kQuarantined,  ///< tombstone present — terminal, never going to complete
-};
-
-const char* to_string(CellState s);
-
-/// One cell of a merged sweep.
-struct MergedSweepCell {
-  std::size_t index = 0;
+/// One cell of a merged sweep: its unit state plus its grid position and
+/// recovered runs.
+struct MergedSweepCell : MergedUnit {
   std::string mapping;
   std::string scenario;
-  CellState state = CellState::kMissing;
-  std::size_t records = 0;  ///< run records recovered
-  std::size_t runs = 0;     ///< records expected (manifest, or the decision's
-                            ///< executed count for early-stopped cells)
-  std::string error;        ///< quarantine record / read-failure note
   /// Recovered results in seed order (complete and partial cells).
   std::vector<CampaignRunResult> results;
   /// Sequential verdict of an early-stopped (pruned) cell: the cell is

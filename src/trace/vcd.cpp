@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <ostream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -72,55 +70,6 @@ void write_vcd(std::ostream& os, const scperf::CaptureRegistry& registry) {
       first = false;
     }
     os << 'r' << e.value << ' ' << id_code(e.point) << '\n';
-  }
-}
-
-void write_exec_vcd(std::ostream& os,
-                    const std::vector<minisc::Simulator::ExecRecord>& trace) {
-  write_header(os);
-  // Stable variable order: first appearance in the trace.
-  std::vector<std::string> names;
-  std::map<std::string, std::size_t> index;
-  for (const auto& r : trace) {
-    if (index.emplace(r.process, names.size()).second) {
-      names.push_back(r.process);
-    }
-  }
-  os << "$scope module processes $end\n";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    os << "$var wire 1 " << id_code(i) << ' ' << sanitise(names[i])
-       << " $end\n";
-  }
-  os << "$upscope $end\n$enddefinitions $end\n";
-  os << "#0\n";
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    os << "0" << id_code(i) << '\n';
-  }
-
-  // Pulse each process's wire at its resume times: 1 at t, 0 at t+1ns —
-  // readable activity marks at waveform zoom levels.
-  struct Edge {
-    std::uint64_t t_ns;
-    bool level;
-    std::size_t proc;
-  };
-  std::vector<Edge> edges;
-  for (const auto& r : trace) {
-    const std::uint64_t t = r.time.to_ps() / 1000u;
-    edges.push_back({t, true, index[r.process]});
-    edges.push_back({t + 1, false, index[r.process]});
-  }
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const Edge& a, const Edge& b) { return a.t_ns < b.t_ns; });
-  bool first = true;
-  std::uint64_t current = 0;
-  for (const Edge& e : edges) {
-    if (first || e.t_ns != current) {
-      os << '#' << e.t_ns << '\n';
-      current = e.t_ns;
-      first = false;
-    }
-    os << (e.level ? '1' : '0') << id_code(e.proc) << '\n';
   }
 }
 

@@ -3,7 +3,6 @@
 #include <iosfwd>
 
 #include "core/capture.hpp"
-#include "kernel/simulator.hpp"
 
 namespace sctrace {
 
@@ -12,11 +11,5 @@ namespace sctrace {
 /// viewer (GTKWave etc.). Every capture point becomes one real-valued
 /// variable; event times are emitted with 1 ns resolution.
 void write_vcd(std::ostream& os, const scperf::CaptureRegistry& registry);
-
-/// Renders a kernel execution trace (Simulator::exec_trace()) as a VCD with
-/// one 1-bit activity variable per process: the wire pulses at every resume.
-/// Useful for the paper's Fig. 5 style untimed-vs-timed comparisons.
-void write_exec_vcd(std::ostream& os,
-                    const std::vector<minisc::Simulator::ExecRecord>& trace);
 
 }  // namespace sctrace

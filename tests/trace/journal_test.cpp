@@ -116,12 +116,6 @@ TEST(Journal, RoundTripsEveryFieldBitExactly) {
   EXPECT_EQ(got.header.runs, 3u);
   EXPECT_EQ(got.header.scenario_digest, 0xfeedfacecafebeefull);
   EXPECT_EQ(got.header.tag, "unit/roundtrip");
-  // An unsharded campaign carries the degenerate shard-0-of-1 identity.
-  EXPECT_EQ(got.header.shard_index, 0u);
-  EXPECT_EQ(got.header.shard_count, 1u);
-  EXPECT_EQ(got.header.shard_begin, 0u);
-  EXPECT_EQ(got.header.total_runs, 3u);
-  EXPECT_EQ(got.header.worker_id, "");
   EXPECT_FALSE(got.truncated_tail);
   EXPECT_EQ(got.valid_bytes, file_size(path));
   ASSERT_EQ(got.records.size(), 3u);
@@ -339,10 +333,11 @@ std::string frame_record(char type, const std::string& payload) {
   return out;
 }
 
-/// The header payload of a retired format-3 or format-4 journal: today's
-/// header fields (whole-campaign shard identity, no worker id) plus the
-/// trailing u64 lease epoch both formats carried. Format 3's run records
-/// also carried four replay-cache counters.
+/// The header payload of a retired format-3, -4 or -5 journal: today's
+/// identity fields, then the shard identity all three carried (shard index,
+/// count, begin, total runs and an empty creator worker id), and for formats
+/// 3 and 4 a trailing u64 lease epoch. Format 3's run records also carried
+/// four replay-cache counters.
 std::string old_header_payload(std::uint32_t version, std::uint64_t base_seed,
                                std::uint64_t runs, std::uint64_t digest,
                                const std::string& tag) {
@@ -368,15 +363,16 @@ std::string old_header_payload(std::uint32_t version, std::uint64_t base_seed,
   u64(0);     // shard_begin
   u64(runs);  // total_runs
   u32(0);     // empty worker_id
-  u64(0);     // lease epoch
+  if (version < 5) u64(0);  // lease epoch
   return p;
 }
 
 TEST(Journal, V3JournalIsRefusedNamingBothVersions) {
-  // One on-disk format: a journal of either retired version (3, or 4, the
-  // last one with a lease epoch in its header) does not parse.
+  // One on-disk format: a journal of any retired version (3 and 4, which
+  // had a lease epoch in their header, or 5, the last with a shard identity)
+  // does not parse.
   const std::string path = temp_journal("v3_read");
-  for (const std::uint32_t version : {3u, 4u}) {
+  for (const std::uint32_t version : {3u, 4u, 5u}) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out << frame_record(
@@ -391,7 +387,7 @@ TEST(Journal, V3JournalIsRefusedNamingBothVersions) {
       EXPECT_NE(what.find("format version " + std::to_string(version)),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+      EXPECT_NE(what.find("only version 6"), std::string::npos) << what;
       EXPECT_NE(what.find(path), std::string::npos) << what;
     }
   }
@@ -412,7 +408,7 @@ TEST(Journal, UnknownFutureVersionIsRefusedNamingBothVersions) {
     EXPECT_EQ(e.kind(), SimError::Kind::kShardVersionMismatch);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("only version 6"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }
@@ -565,11 +561,11 @@ TEST(JournalResume, HeaderMismatchIsRefused) {
 }
 
 TEST(JournalResume, V3JournalResumeIsRefusedNamingBothVersions) {
-  // An otherwise perfectly matching journal of a retired format (3 or 4;
+  // An otherwise perfectly matching journal of a retired format (3, 4 or 5;
   // same base seed, run count, digest, tag) must refuse to resume rather
   // than be extended or silently restarted.
   const std::string path = temp_journal("v3_resume");
-  for (const std::uint32_t version : {3u, 4u}) {
+  for (const std::uint32_t version : {3u, 4u, 5u}) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out << frame_record(
@@ -591,7 +587,7 @@ TEST(JournalResume, V3JournalResumeIsRefusedNamingBothVersions) {
       EXPECT_NE(what.find("format version " + std::to_string(version)),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+      EXPECT_NE(what.find("only version 6"), std::string::npos) << what;
       EXPECT_NE(what.find(path), std::string::npos);
     }
     EXPECT_EQ(file_size(path), size_before);  // neither extended nor truncated

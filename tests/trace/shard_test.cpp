@@ -660,11 +660,6 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   JournalHeader h;
   h.base_seed = base + r1.begin;
   h.runs = r1.size();
-  h.shard_index = 1;
-  h.shard_count = 2;
-  h.shard_begin = r1.begin;
-  h.total_runs = total;
-  h.worker_id = "dead-worker";
   {
     JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
     w.append(0, synth_run(base + r1.begin));
@@ -803,7 +798,7 @@ TEST(ShardMerge, MissingShardJournalIsIncomplete) {
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-    EXPECT_NE(std::string(e.what()).find("missing: 1"),
+    EXPECT_NE(std::string(e.what()).find("shard 1/2 missing (0/5 runs)"),
               std::string::npos) << e.what();
   }
 }
@@ -817,10 +812,6 @@ TEST(ShardMerge, MissingRunRecordsAreIncomplete) {
   JournalHeader h;
   h.base_seed = r1.begin;
   h.runs = r1.size();
-  h.shard_index = 1;
-  h.shard_count = 2;
-  h.shard_begin = r1.begin;
-  h.total_runs = total;
   {
     JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
     for (std::size_t i = 0; i + 1 < r1.size(); ++i) {
@@ -832,7 +823,8 @@ TEST(ShardMerge, MissingRunRecordsAreIncomplete) {
     FAIL() << "expected SimError(kMergeIncomplete)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-    EXPECT_NE(std::string(e.what()).find("1 of 10 runs have no record"),
+    EXPECT_NE(std::string(e.what()).find(
+                  "1 of 2 shards are incomplete: shard 1/2 partial (4/5 runs)"),
               std::string::npos) << e.what();
   }
 }
@@ -845,10 +837,6 @@ void write_shard1_journal(const std::string& path, std::size_t begin,
   h.base_seed = begin;
   h.runs = runs;
   h.scenario_digest = digest;
-  h.shard_index = 1;
-  h.shard_count = 2;
-  h.shard_begin = begin;
-  h.total_runs = 10;
   JournalWriter w(path, h);
   for (std::size_t i = 0; i < runs; ++i) w.append(i, synth_run(begin + i));
 }
@@ -908,8 +896,9 @@ void stamp_journal_version(const std::string& path, std::uint8_t version) {
 TEST(ShardMerge, V3JournalIsRefusedNamingBothVersions) {
   ScratchDir dir("v3_merge");
   build_fleet(dir.str(), 0, 10);
-  // Both retired formats: 3, and 4 (the last with a lease epoch).
-  for (const std::uint8_t version : {3, 4}) {
+  // Every retired format: 3, 4 (the last with a lease epoch) and 5 (the
+  // last with a shard identity).
+  for (const std::uint8_t version : {3, 4, 5}) {
     stamp_journal_version(shard_journal_path(dir.str(), 1, 2), version);
     for (const bool allow_partial : {false, true}) {
       MergeOptions mo;
@@ -923,7 +912,7 @@ TEST(ShardMerge, V3JournalIsRefusedNamingBothVersions) {
         EXPECT_NE(what.find("format version " + std::to_string(version)),
                   std::string::npos)
             << what;
-        EXPECT_NE(what.find("only version 5"), std::string::npos) << what;
+        EXPECT_NE(what.find("only version 6"), std::string::npos) << what;
       }
     }
   }
@@ -956,10 +945,6 @@ TEST(ShardMerge, JournalOutsideItsCanonicalSlotIsRefused) {
                       std::string::npos,
                   begin != 5)
             << what;
-        EXPECT_EQ(what.find("shard_begin " + b + " (want 5)") !=
-                      std::string::npos,
-                  begin != 5)
-            << what;
         EXPECT_EQ(what.find("runs " + r + " (want 5)") != std::string::npos,
                   runs != 5)
             << what;
@@ -980,10 +965,6 @@ TEST(ShardMerge, FilesOutsideThePinnedLayoutAreIgnored) {
   JournalHeader h;
   h.base_seed = r0.begin;
   h.runs = r0.size();
-  h.shard_index = 0;
-  h.shard_count = 3;
-  h.shard_begin = r0.begin;
-  h.total_runs = 10;
   {
     JournalWriter w(shard_journal_path(dir.str(), 0, 3), h);
     for (std::size_t i = 0; i < r0.size(); ++i) w.append(i, synth_run(i));
@@ -1064,46 +1045,57 @@ TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
   mo.allow_partial = true;
   const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
   EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.recorded_runs, total - r1.size());
-  EXPECT_EQ(merged.missing_records, r1.size());
-  ASSERT_EQ(merged.quarantined.size(), 1u);
-  EXPECT_EQ(merged.quarantined[0].index, 1u);
-  EXPECT_NE(merged.quarantined[0].info.error.find("No space left"),
-            std::string::npos);
+  EXPECT_EQ(merged.results.size(), total - r1.size());
+  ASSERT_EQ(merged.units.size(), 2u);
+  EXPECT_EQ(merged.units[0].state, UnitState::kComplete);
+  const MergedUnit& q = merged.units[1];
+  EXPECT_EQ(q.index, 1u);
+  EXPECT_EQ(q.name, "shard 1/2");
+  EXPECT_EQ(q.state, UnitState::kQuarantined);
+  EXPECT_EQ(q.records, 0u);
+  EXPECT_EQ(q.runs, r1.size());
+  EXPECT_EQ(q.tomb.adoptions, 2u);
+  EXPECT_NE(q.tomb.error.find("No space left"), std::string::npos);
+  EXPECT_NE(q.error.find("quarantined after 2 adoptions"), std::string::npos)
+      << q.error;
 }
 
 TEST(ShardWorker, V3JournalIsNeverExtendedAndConvergesToQuarantine) {
-  ScratchDir dir("v3_worker");
-  const std::size_t total = 10;
-  build_fleet(dir.str(), 0, total);
-  const std::string v3 = shard_journal_path(dir.str(), 1, 2);
-  stamp_journal_version(v3, 3);
-  const std::string v3_bytes = read_file(v3);
+  for (const std::uint8_t version : {3, 4, 5}) {
+    ScratchDir dir("v" + std::to_string(version) + "_worker");
+    const std::size_t total = 10;
+    build_fleet(dir.str(), 0, total);
+    const std::string old = shard_journal_path(dir.str(), 1, 2);
+    stamp_journal_version(old, version);
+    const std::string old_bytes = read_file(old);
 
-  // The unreadable journal is not complete, so a worker claims the unit;
-  // resume refuses the file, and the worker records the refusal and
-  // abandons until the adoption cap quarantines the unit.
-  ShardOptions so;
-  so.dir = dir.str();
-  so.shard_index = 1;
-  so.shard_count = 2;
-  so.worker_id = "revisit";
-  so.lease_ttl_ms = 200;
-  so.poll_ms = 20;
-  so.max_adoptions = 1;
-  const ShardProgress p = run_sharded_campaign(synth_fn(), 0, total, so);
-  EXPECT_TRUE(p.fleet_done);
-  EXPECT_FALSE(p.campaign_complete);
-  EXPECT_EQ(p.runs_executed, 0u);
-  EXPECT_EQ(p.shards_quarantined, 1u);
-  EXPECT_EQ(read_file(v3), v3_bytes);
+    // The unreadable journal is not complete, so a worker claims the unit;
+    // resume refuses the file, and the worker records the refusal and
+    // abandons until the adoption cap quarantines the unit.
+    ShardOptions so;
+    so.dir = dir.str();
+    so.shard_index = 1;
+    so.shard_count = 2;
+    so.worker_id = "revisit";
+    so.lease_ttl_ms = 200;
+    so.poll_ms = 20;
+    so.max_adoptions = 1;
+    const ShardProgress p = run_sharded_campaign(synth_fn(), 0, total, so);
+    EXPECT_TRUE(p.fleet_done);
+    EXPECT_FALSE(p.campaign_complete);
+    EXPECT_EQ(p.runs_executed, 0u);
+    EXPECT_EQ(p.shards_quarantined, 1u);
+    EXPECT_EQ(read_file(old), old_bytes);
 
-  LeaseInfo qinfo;
-  ASSERT_TRUE(read_lease_info(shard_quarantine_path(dir.str(), 1, 2), &qinfo));
-  EXPECT_NE(qinfo.error.find("format version 3"), std::string::npos)
-      << qinfo.error;
-  EXPECT_NE(qinfo.error.find("only version 5"), std::string::npos)
-      << qinfo.error;
+    LeaseInfo qinfo;
+    ASSERT_TRUE(
+        read_lease_info(shard_quarantine_path(dir.str(), 1, 2), &qinfo));
+    EXPECT_NE(qinfo.error.find("format version " + std::to_string(version)),
+              std::string::npos)
+        << qinfo.error;
+    EXPECT_NE(qinfo.error.find("only version 6"), std::string::npos)
+        << qinfo.error;
+  }
 }
 
 // ---- partial merges -------------------------------------------------------
@@ -1118,10 +1110,6 @@ TEST(ShardMerge, AllowPartialCompactsMissingRecordsInSeedOrder) {
   JournalHeader h;
   h.base_seed = r1.begin;
   h.runs = r1.size();
-  h.shard_index = 1;
-  h.shard_count = 2;
-  h.shard_begin = r1.begin;
-  h.total_runs = total;
   {
     JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
     for (std::size_t i = 0; i < r1.size(); ++i) {
@@ -1133,9 +1121,11 @@ TEST(ShardMerge, AllowPartialCompactsMissingRecordsInSeedOrder) {
   mo.allow_partial = true;
   const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
   EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.missing_records, 1u);
-  EXPECT_TRUE(merged.missing_shards.empty());
-  ASSERT_EQ(merged.recorded_runs, total - 1);
+  ASSERT_EQ(merged.units.size(), 2u);
+  EXPECT_EQ(merged.units[0].state, UnitState::kComplete);
+  EXPECT_EQ(merged.units[1].state, UnitState::kPartial);
+  EXPECT_EQ(merged.units[1].records, r1.size() - 1);
+  EXPECT_EQ(merged.units[1].runs, r1.size());
   ASSERT_EQ(merged.results.size(), total - 1);
   // Global seed order with exactly the one seed skipped.
   std::size_t at = 0;
@@ -1156,10 +1146,13 @@ TEST(ShardMerge, AllowPartialListsAWholeMissingShard) {
   mo.allow_partial = true;
   const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
   EXPECT_FALSE(merged.complete);
-  ASSERT_EQ(merged.missing_shards.size(), 1u);
-  EXPECT_EQ(merged.missing_shards[0], 1u);
-  EXPECT_EQ(merged.missing_records, r1.size());
-  EXPECT_EQ(merged.recorded_runs, total - r1.size());
+  ASSERT_EQ(merged.units.size(), 2u);
+  EXPECT_EQ(merged.units[0].state, UnitState::kComplete);
+  EXPECT_EQ(merged.units[1].index, 1u);
+  EXPECT_EQ(merged.units[1].state, UnitState::kMissing);
+  EXPECT_EQ(merged.units[1].records, 0u);
+  EXPECT_EQ(merged.units[1].runs, r1.size());
+  EXPECT_EQ(merged.results.size(), total - r1.size());
 }
 
 TEST(ShardMerge, QuarantineTombstoneDegradesEvenWithAFullJournal) {
@@ -1177,13 +1170,16 @@ TEST(ShardMerge, QuarantineTombstoneDegradesEvenWithAFullJournal) {
   mo.allow_partial = true;
   const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
   EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.recorded_runs, total);
-  EXPECT_EQ(merged.missing_records, 0u);
-  ASSERT_EQ(merged.quarantined.size(), 1u);
-  EXPECT_EQ(merged.quarantined[0].index, 1u);
-  EXPECT_EQ(merged.quarantined[0].info.owner, "doomed");
-  EXPECT_EQ(merged.quarantined[0].info.adoptions, 3u);
-  EXPECT_EQ(merged.quarantined[0].info.error, "device reported EIO");
+  EXPECT_EQ(merged.results.size(), total);
+  ASSERT_EQ(merged.units.size(), 2u);
+  EXPECT_EQ(merged.units[0].state, UnitState::kComplete);
+  const MergedUnit& q = merged.units[1];
+  EXPECT_EQ(q.index, 1u);
+  EXPECT_EQ(q.state, UnitState::kQuarantined);
+  EXPECT_EQ(q.records, q.runs);
+  EXPECT_EQ(q.tomb.owner, "doomed");
+  EXPECT_EQ(q.tomb.adoptions, 3u);
+  EXPECT_EQ(q.tomb.error, "device reported EIO");
 }
 
 TEST(ShardMerge, PartialMergeIsByteStableAcrossThreads) {
@@ -1385,10 +1381,6 @@ TEST(ShardStatus, ClassifiesEveryShardStateWithoutWriting) {
     JournalHeader h;
     h.base_seed = r.begin;
     h.runs = r.size();
-    h.shard_index = i;
-    h.shard_count = 5;
-    h.shard_begin = r.begin;
-    h.total_runs = total;
     JournalWriter w(journal(i), h);
     for (std::size_t k = 0; k < n; ++k) w.append(k, synth_run(r.begin + k));
   };
@@ -1519,8 +1511,10 @@ TEST(ShardMerge, EveryMissingShardIsListedInOneMessage) {
     EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
     const std::string what = e.what();
     // One round trip tells the operator everything that is owed.
-    EXPECT_NE(what.find("2 of 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("missing: 1, 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 of 4 shards are incomplete: shard 1/4 missing "
+                        "(0/6 runs); shard 3/4 missing (0/5 runs)"),
+              std::string::npos)
+        << what;
   }
 }
 

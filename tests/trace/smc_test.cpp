@@ -358,17 +358,39 @@ TEST(SmcCampaign, StoppingSeedAndBytesAreThreadCountInvariant) {
 }
 
 TEST(SmcCampaign, RefusesShardedExecution) {
+  // The sequential decision needs the campaign's global seed order, so the
+  // fleet refuses an engaged spec over more than one shard before any shard
+  // runs or journals a record.
+  const std::string dir = temp_path("sharded_smc");
+  std::filesystem::remove_all(dir);
+  ShardOptions so;
+  so.dir = dir;
+  so.shard_index = 0;
+  so.shard_count = 2;
+  so.worker_id = "smc";
   CampaignOptions opts;
   opts.smc = sprt_spec(0.2, 0.05);
-  opts.shard_count = 2;
-  opts.total_runs = 64;
-  FaultCampaign c([](std::uint64_t s) { return bernoulli_run(s, 0.5); });
+  std::atomic<std::size_t> calls{0};
   try {
-    c.run(0, 32, opts);
+    run_sharded_campaign(
+        [&](std::uint64_t s) {
+          calls.fetch_add(1);
+          return bernoulli_run(s, 0.5);
+        },
+        0, 64, so, opts);
     FAIL() << "sharded smc accepted";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+    EXPECT_NE(std::string(e.what()).find("sequential model checking"),
+              std::string::npos)
+        << e.what();
   }
+  EXPECT_EQ(calls.load(), 0u);
+  for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_FALSE(std::filesystem::exists(shard_journal_path(dir, shard, 2)))
+        << "shard " << shard;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SmcCampaign, ExhaustedBudgetRecordsUndecided) {
@@ -542,7 +564,7 @@ TEST(SmcJournal, DecisionRecordRoundTripsAndCoversItsRuns) {
   EXPECT_EQ(jc.decision->verdict.outcome, run.verdict.outcome);
   EXPECT_EQ(jc.decision->verdict.samples_used, run.verdict.samples_used);
   EXPECT_EQ(jc.decision->verdict.log_ratio, run.verdict.log_ratio);
-  EXPECT_LT(jc.decision->executed, jc.header.total_runs);
+  EXPECT_LT(jc.decision->executed, jc.header.runs);
   EXPECT_EQ(jc.records.size(), jc.decision->executed);
   std::filesystem::remove(run.path);
 }
@@ -643,8 +665,8 @@ TEST(SmcJournal, SingleShardMergeReproducesTheEarlyStoppedBytes) {
   const MergedCampaign merged = merge_shard_dir(dir);
   EXPECT_TRUE(merged.complete);
   ASSERT_TRUE(merged.decision.has_value());
-  EXPECT_EQ(merged.recorded_runs, merged.decision->executed);
-  EXPECT_LT(merged.recorded_runs, merged.runs);
+  EXPECT_EQ(merged.results.size(), merged.decision->executed);
+  EXPECT_LT(merged.results.size(), merged.runs);
 
   FaultCampaign rebuilt(merged.results);
   rebuilt.set_smc_verdict(merged.decision->spec, merged.decision->verdict);
@@ -667,11 +689,7 @@ TEST(SmcJournal, MergeRefusesADecisionInAMultiShardLayout) {
          "digest 0\ntag smc-test\n";
   for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
     JournalHeader h;
-    h.total_runs = 64;
-    h.shard_index = shard;
-    h.shard_count = 2;
-    h.shard_begin = shard * 32;
-    h.base_seed = 1000 + h.shard_begin;
+    h.base_seed = 1000 + shard * 32;
     h.runs = 32;
     h.tag = "smc-test";
     JournalWriter w(shard_journal_path(dir, shard, 2), h);
@@ -723,7 +741,7 @@ TEST(SmcJournal, SweepFleetPrunesCellsAndMergesByteIdentically) {
   const MergedSweep merged = merge_sweep_dir(dir, MergeOptions{});
   EXPECT_TRUE(merged.complete);
   for (const MergedSweepCell& cell : merged.cells) {
-    EXPECT_EQ(cell.state, CellState::kComplete);
+    EXPECT_EQ(cell.state, UnitState::kComplete);
     ASSERT_TRUE(cell.decision.has_value()) << cell.scenario;
     EXPECT_EQ(cell.runs, cell.decision->executed);
     EXPECT_LT(cell.runs, 256u) << cell.scenario << " did not prune";
@@ -774,9 +792,9 @@ TEST(SmcJournal, PartialMergeKeepsDecidedCellsComplete) {
   mo.allow_partial = true;
   const MergedSweep merged = merge_sweep_dir(dir, mo);
   EXPECT_FALSE(merged.complete);
-  EXPECT_EQ(merged.cells[0].state, CellState::kComplete);
+  EXPECT_EQ(merged.cells[0].state, UnitState::kComplete);
   EXPECT_TRUE(merged.cells[0].decision.has_value());
-  EXPECT_EQ(merged.cells[1].state, CellState::kMissing);
+  EXPECT_EQ(merged.cells[1].state, UnitState::kMissing);
   std::filesystem::remove_all(dir);
 }
 

@@ -273,17 +273,11 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
   const std::size_t cell = 1;  // shared/burst in grid order
 
   // A dead worker journaled cell 1's first two seeds. The header mirrors
-  // what a cell campaign writes: the cell identity lives in the tag, the
-  // shard fields are the degenerate single-shard layout.
+  // what a cell campaign writes: the cell identity lives in the tag.
   JournalHeader h;
   h.base_seed = base;
   h.runs = n;
   h.tag = "shared/burst";
-  h.shard_index = 0;
-  h.shard_count = 1;
-  h.shard_begin = 0;
-  h.total_runs = n;
-  h.worker_id = "dead-worker";
   {
     const std::uint64_t salt = cell_salt("shared", "burst");
     JournalWriter w(cell_journal_path(dir.str(), cell, cells), h);
@@ -364,7 +358,7 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
   EXPECT_EQ(merged.complete_cells(), 5u);
   EXPECT_EQ(merged.quarantined_cells(), 1u);
   ASSERT_EQ(merged.cells.size(), cells);
-  EXPECT_EQ(merged.cells[poison].state, CellState::kQuarantined);
+  EXPECT_EQ(merged.cells[poison].state, UnitState::kQuarantined);
   EXPECT_NE(merged.cells[poison].error.find("SIGKILL"), std::string::npos);
 
   // The degraded report says so out loud: banner, '-' hole in the grid,
@@ -404,8 +398,8 @@ TEST(SweepShard, PartialSweepMergeIsByteStableAcrossThreads) {
     mo.allow_partial = true;
     const MergedSweep merged = merge_sweep_dir(dir.str(), mo);
     EXPECT_FALSE(merged.complete);
-    EXPECT_EQ(merged.cells[2].state, CellState::kMissing);
-    EXPECT_EQ(merged.cells[4].state, CellState::kQuarantined);
+    EXPECT_EQ(merged.cells[2].state, UnitState::kMissing);
+    EXPECT_EQ(merged.cells[4].state, UnitState::kQuarantined);
     const std::string rep = print_of(merged);
     const std::string csv = csv_of(merged);
     if (want_print.empty()) {

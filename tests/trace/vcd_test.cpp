@@ -57,24 +57,6 @@ TEST(Vcd, SameInstantEventsShareTimestamp) {
   EXPECT_EQ(s.find("#0"), s.rfind("#0"));
 }
 
-TEST(Vcd, ExecTraceProducesActivityPulses) {
-  minisc::Simulator sim;
-  sim.enable_exec_trace(true);
-  sim.spawn("worker", [] {
-    minisc::wait(minisc::Time::ns(10));
-    minisc::wait(minisc::Time::ns(10));
-  });
-  sim.run();
-  std::ostringstream os;
-  write_exec_vcd(os, sim.exec_trace());
-  const std::string s = os.str();
-  EXPECT_NE(s.find("$var wire 1 ! worker $end"), std::string::npos);
-  EXPECT_NE(s.find("#10"), std::string::npos);
-  EXPECT_NE(s.find("#20"), std::string::npos);
-  EXPECT_NE(s.find("1!"), std::string::npos);
-  EXPECT_NE(s.find("0!"), std::string::npos);
-}
-
 TEST(Vcd, IdCodesStayPrintableForManyPoints) {
   scperf::CaptureRegistry reg;
   std::vector<std::unique_ptr<scperf::CapturePoint>> points;
