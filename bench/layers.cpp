@@ -1,5 +1,5 @@
-// Per-layer host costs (google-benchmark): the kernel, HLS, ISS and fleet
-// lease rows.
+// Per-layer host costs (google-benchmark): the kernel, annotation, HLS, ISS
+// and fleet lease rows.
 //
 //   ./build/bench/layers [--benchmark_format=json]
 //
@@ -17,6 +17,11 @@
 //   back-annotation (RTOS switch included), with no contention.
 // - BM_SegmentCloseHwDfg: the same on a HW resource recording DFGs, with 50
 //   adds, so each close stores a 50-node graph.
+// - BM_ChargeSw, BM_ChargeHwReady, BM_ChargeHwDfg: one annotated op, as
+//   ablation_annotation_overhead's active rows time it: each iteration
+//   charges 2,000 ops (1,000 adds and 1,000 assignments) into a SW
+//   accumulator, a HW one with ready tracking, or a HW one that also records
+//   the DFG (reset every iteration). Items are charged ops.
 // - BM_ForceDirectedFir: hls::force_directed at fig4_design_space's four
 //   deadlines on the control-stripped DFG of the 16-tap FIR segment.
 // - BM_DesignSpaceFir: one hls::design_space sweep of the same DFG.
@@ -185,6 +190,42 @@ void BM_SegmentCloseSw(benchmark::State& state) {
   run_segment_closes(state, sim, 10);
 }
 BENCHMARK(BM_SegmentCloseSw);
+
+/// Charges `acc = acc + i * 3` 1,000 times per iteration into an
+/// accumulator with the given table and HW flags.
+void charge_ops(benchmark::State& state, const scperf::CostTable& table,
+                bool track_ready, bool record_dfg) {
+  scperf::SegmentAccum accum;
+  accum.table = &table;
+  accum.track_ready = track_ready;
+  accum.record_dfg = record_dfg;
+  scperf::tl_accum = &accum;
+  for (auto _ : state) {
+    if (record_dfg) accum.reset();
+    scperf::gint acc(scperf::detail::RawTag{}, 0);
+    for (int i = 0; i < 1000; ++i) acc = acc + i * 3;
+    benchmark::DoNotOptimize(acc.value());
+  }
+  scperf::tl_accum = nullptr;
+  std::uint64_t ops = 0;
+  for (std::uint64_t n : accum.op_histogram) ops += n;
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+void BM_ChargeSw(benchmark::State& state) {
+  charge_ops(state, scperf::orsim_sw_cost_table(), false, false);
+}
+BENCHMARK(BM_ChargeSw);
+
+void BM_ChargeHwReady(benchmark::State& state) {
+  charge_ops(state, scperf::asic_hw_cost_table(), true, false);
+}
+BENCHMARK(BM_ChargeHwReady);
+
+void BM_ChargeHwDfg(benchmark::State& state) {
+  charge_ops(state, scperf::asic_hw_cost_table(), true, true);
+}
+BENCHMARK(BM_ChargeHwDfg);
 
 constexpr double kHwClockMhz = 100.0;
 constexpr double kHwClockNs = 1000.0 / kHwClockMhz;

@@ -409,13 +409,21 @@ ScheduleResult force_directed(const scperf::Dfg& dfg, const FuLibrary& lib,
         // pairs cell by cell and subtracting p that many times after the sum
         // performs the same subtractions as walking every ss.
         double force = 0.0;
-        std::uint32_t overlap = 0;
-        for (std::uint32_t c = s; c < s + w && c <= deadline_cycles; ++c) {
-          force += d[c];
-          const std::uint32_t from = std::max(lo, c + 1 > w ? c + 1 - w : 0u);
-          overlap += std::min(hi, c) - from + 1;
+        if (w == 1) {
+          // One cell, covered by the start s alone: the sum below is
+          // 0.0 + d[s] - p, and 0.0 + d[s] is d[s] since a cell only ever
+          // gains positive shares.
+          force = d[s] - p;
+        } else {
+          std::uint32_t overlap = 0;
+          for (std::uint32_t c = s; c < s + w && c <= deadline_cycles; ++c) {
+            force += d[c];
+            const std::uint32_t from =
+                std::max(lo, c + 1 > w ? c + 1 - w : 0u);
+            overlap += std::min(hi, c) - from + 1;
+          }
+          for (; overlap > 0; --overlap) force -= p;
         }
-        for (; overlap > 0; --overlap) force -= p;
         if (best_op == SIZE_MAX || force < best_force) {
           best_force = force;
           best_op = i;
@@ -455,8 +463,6 @@ std::vector<DesignPoint> design_space(const scperf::Dfg& dfg,
   max_useful[FuKind::kNone] = 0;
 
   // Enumerate the (small) allocation grid and keep the Pareto frontier.
-  const Graph g(dfg, lib, clock_ns);
-  const std::vector<std::uint32_t> priority = list_priority(g);
   std::vector<DesignPoint> points;
   for (std::uint32_t alu = 1; alu <= max_useful[FuKind::kAlu]; ++alu) {
     for (std::uint32_t mul = 1; mul <= max_useful[FuKind::kMul]; ++mul) {
@@ -466,10 +472,57 @@ std::vector<DesignPoint> design_space(const scperf::Dfg& dfg,
         a[FuKind::kMul] = mul;
         a[FuKind::kDiv] = std::max(max_useful[FuKind::kDiv], 1u);
         a[FuKind::kMem] = mem;
-        const std::uint32_t cycles = list_core(dfg, g, priority, a).cycles;
-        points.push_back({a, cycles, cycles * clock_ns, a.area(lib)});
+        points.push_back({a, UINT32_MAX, 0.0, a.area(lib)});
       }
     }
+  }
+
+  // Every list schedule is at least the unchained critical path (wiring
+  // takes no cycle) and at least each FU kind's busy cycles spread over its
+  // units.
+  const Graph g(dfg, lib, clock_ns);
+  std::uint32_t critical = 0;
+  std::array<std::uint32_t, kNumFuKinds> work{};
+  std::vector<std::uint32_t> finish(g.size(), 0);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const scperf::DfgNode& nd = dfg.nodes[i];
+    const std::uint32_t len = g.kind[i] == FuKind::kNone ? 0 : g.len[i];
+    finish[i] = std::max(nd.a != 0 ? finish[nd.a - 1] : 0u,
+                         nd.b != 0 ? finish[nd.b - 1] : 0u) + len;
+    critical = std::max(critical, finish[i]);
+    work[static_cast<std::size_t>(g.kind[i])] += len;
+  }
+  const auto lower_bound = [&](const Allocation& a) {
+    std::uint32_t lb = critical;
+    for (std::size_t k = 0; k < kNumFuKinds; ++k) {
+      if (work[k] != 0) {
+        lb = std::max(lb, (work[k] + a.count[k] - 1) / a.count[k]);
+      }
+    }
+    return lb;
+  };
+
+  // Schedule in increasing area, skipping an allocation whose bound is no
+  // shorter than a strictly cheaper schedule already found. That schedule
+  // dominates it, and so everything it would dominate: the frontier is the
+  // same. Equal areas must not bound each other. A skipped point keeps
+  // UINT32_MAX cycles, so the filter below drops it and passes the
+  // survivors on in grid order, as it did when every point was scheduled.
+  std::vector<std::size_t> by_area(points.size());
+  std::iota(by_area.begin(), by_area.end(), std::size_t{0});
+  std::sort(by_area.begin(), by_area.end(), [&](std::size_t x, std::size_t y) {
+    return points[x].area < points[y].area;
+  });
+  const std::vector<std::uint32_t> priority = list_priority(g);
+  std::uint32_t best = UINT32_MAX;          // over all scheduled points
+  std::uint32_t best_cheaper = UINT32_MAX;  // over strictly cheaper ones
+  for (std::size_t j = 0; j < by_area.size(); ++j) {
+    DesignPoint& p = points[by_area[j]];
+    if (j > 0 && points[by_area[j - 1]].area < p.area) best_cheaper = best;
+    if (lower_bound(p.alloc) >= best_cheaper) continue;
+    p.cycles = list_core(dfg, g, priority, p.alloc).cycles;
+    p.ns = p.cycles * clock_ns;
+    best = std::min(best, p.cycles);
   }
   // Pareto filter: keep points not dominated in (area, time).
   std::vector<DesignPoint> pareto;

@@ -16,6 +16,8 @@ namespace detail {
 /// node_reached on entry (before any blocking), node_done on exit (after the
 /// access completed). This is the mechanism by which the estimation library
 /// sees every node of the process graph without any change to user code.
+/// An access that a crash or teardown unwinds did not complete and reports
+/// no node_done: at teardown the hook may already be destroyed.
 class NodeScope {
  public:
   NodeScope(NodeKind kind, const char* label) : kind_(kind), label_(label) {
@@ -27,7 +29,9 @@ class NodeScope {
     }
   }
   ~NodeScope() {
-    if (proc_ != nullptr) hook_->node_done(*proc_, kind_, label_);
+    if (proc_ != nullptr && !proc_->unwinding_) {
+      hook_->node_done(*proc_, kind_, label_);
+    }
   }
   NodeScope(const NodeScope&) = delete;
   NodeScope& operator=(const NodeScope&) = delete;

@@ -147,6 +147,7 @@ void Process::run_body() {
         // Simulator teardown: the stack is now unwound; just terminate.
       } catch (const CrashUnwind&) {
         crash_requested_ = false;
+        unwinding_ = false;
         crashed = true;
       } catch (...) {
         error_ = std::current_exception();
@@ -246,9 +247,13 @@ void Simulator::yield_to_kernel() {
   Process& p = *running_;
   p.ctx_.switch_to(main_ctx_);
   // Resumed. During teardown the kernel resumes us one last time to unwind.
-  if (p.kill_requested_) throw KillUnwind{};
+  if (p.kill_requested_) {
+    p.unwinding_ = true;
+    throw KillUnwind{};
+  }
   if (p.crash_requested_) {
     p.crash_requested_ = false;
+    p.unwinding_ = true;
     throw CrashUnwind{};
   }
 }
@@ -463,6 +468,7 @@ void Simulator::kill_impl(Process& p, std::optional<Time> restart_after) {
   if (&p == running_) {
     // Self-crash (e.g. a fault-injection hook on this process's own stack):
     // unwind right here. run_body catches and handles the restart.
+    p.unwinding_ = true;
     throw CrashUnwind{};
   }
   p.crash_requested_ = true;

@@ -19,6 +19,9 @@ namespace minisc {
 
 class Simulator;
 class Process;
+namespace detail {
+class NodeScope;
+}
 
 /// Dynamic-sensitivity notification object (the role of sc_event).
 ///
@@ -98,6 +101,7 @@ class Process {
  private:
   friend class Simulator;
   friend class Event;
+  friend class detail::NodeScope;
 
   enum class State { kCreated, kReady, kRunning, kWaiting, kTerminated };
 
@@ -118,6 +122,7 @@ class Process {
   bool started_ = false;       ///< body entered at least once
   bool kill_requested_ = false;
   bool crash_requested_ = false;  ///< fault-injection kill (may restart)
+  bool unwinding_ = false;  ///< a crash or teardown is unwinding the stack
   std::optional<Time> restart_delay_;
   std::uint64_t restart_count_ = 0;
   /// Diagnostics only: what the process is blocked on while kWaiting. The

@@ -311,7 +311,7 @@ TEST(Signal, LastWriteInDeltaWins) {
 
 class NodeCountingHook : public KernelHook {
  public:
-  int reads = 0, writes = 0, waits = 0;
+  int reads = 0, writes = 0, waits = 0, done = 0;
   void process_started(Process&) override {}
   void process_finished(Process&) override {}
   void node_reached(Process&, NodeKind kind, const char*) override {
@@ -327,7 +327,7 @@ class NodeCountingHook : public KernelHook {
         break;
     }
   }
-  void node_done(Process&, NodeKind, const char*) override {}
+  void node_done(Process&, NodeKind, const char*) override { ++done; }
 };
 
 TEST(ChannelHooks, FifoAccessesReportNodes) {
@@ -348,6 +348,22 @@ TEST(ChannelHooks, FifoAccessesReportNodes) {
   EXPECT_EQ(hook.writes, 2);
   EXPECT_EQ(hook.reads, 2);
   EXPECT_EQ(hook.waits, 1);
+}
+
+// A reader still blocked when run() returns is unwound by ~Simulator. Its
+// read never completed, so it reports no node_done: a hook declared after
+// the Simulator is already destroyed by then.
+TEST(ChannelHooks, ReadUnwoundAtTeardownReportsNoNodeDone) {
+  NodeCountingHook hook;  // outlives the Simulator
+  {
+    Simulator sim;
+    sim.set_hook(&hook);
+    Fifo<int> ch("ch", 4);
+    sim.spawn("reader", [&] { (void)ch.read(); });
+    EXPECT_EQ(sim.run(), StopReason::kDeadlock);
+    EXPECT_EQ(hook.reads, 1);
+  }
+  EXPECT_EQ(hook.done, 0);
 }
 
 TEST(ChannelHooks, NoHookInstalledIsFine) {
