@@ -278,6 +278,23 @@ void emit_campaign(const char* label, const sctrace::FaultCampaign& campaign) {
   std::printf("  per-run rows -> %s\n\n", csv_name.c_str());
 }
 
+/// Runs the resilient campaign under `o`, stores its wall time in
+/// `*seconds` and returns its CSV: the --scaling curve and the --threads
+/// parallel gate time the same thing.
+std::string timed_csv(std::uint64_t base_seed, std::size_t runs,
+                      const sctrace::CampaignOptions& o, double* seconds) {
+  sctrace::FaultCampaign c(
+      [](std::uint64_t seed) { return run_pipeline(seed, true); });
+  const auto t0 = std::chrono::steady_clock::now();
+  c.run(base_seed, runs, o);
+  *seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  std::ostringstream os;
+  c.write_csv(os);
+  return os.str();
+}
+
 /// --scaling: the ROADMAP's open thread-scaling question, answered with data
 /// where the host allows. Times the resilient campaign sequentially and on
 /// {1,2,8} threads, requires every threaded CSV to be byte-identical to the
@@ -287,21 +304,9 @@ void emit_campaign(const char* label, const sctrace::FaultCampaign& campaign) {
 /// caveat so downstream tooling can't mistake it for a real curve.
 int run_scaling(std::uint64_t base_seed, std::size_t runs) {
   const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-  const auto timed_csv = [&](const sctrace::CampaignOptions& o,
-                             double* seconds) {
-    sctrace::FaultCampaign c(
-        [](std::uint64_t seed) { return run_pipeline(seed, true); });
-    const auto t0 = std::chrono::steady_clock::now();
-    c.run(base_seed, runs, o);
-    *seconds = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    std::ostringstream os;
-    c.write_csv(os);
-    return os.str();
-  };
   double seq_s = 0.0;
-  const std::string seq_csv = timed_csv(sctrace::CampaignOptions{}, &seq_s);
+  const std::string seq_csv =
+      timed_csv(base_seed, runs, sctrace::CampaignOptions{}, &seq_s);
 
   std::printf("{\n");
   std::printf("  \"bench\": \"ablation_fault_resilience --scaling\",\n");
@@ -322,7 +327,7 @@ int run_scaling(std::uint64_t base_seed, std::size_t runs) {
     sctrace::CampaignOptions o;
     o.threads = kCounts[i];
     double s = 0.0;
-    const std::string csv = timed_csv(o, &s);
+    const std::string csv = timed_csv(base_seed, runs, o, &s);
     identical = identical && csv == seq_csv;
     std::printf("    {\"threads\": %zu, \"seconds\": %.6f, ", kCounts[i], s);
     if (cpus >= 2) {
@@ -539,21 +544,11 @@ int main(int argc, char** argv) {
   // Parallel gate: the threaded resilient campaign must emit the sequential
   // CSV byte-for-byte; report the wall-clock ratio while we have both runs.
   if (g_campaign_opts.threads > 1) {
-    auto timed_csv = [&](const sctrace::CampaignOptions& o, double* seconds) {
-      sctrace::FaultCampaign c(
-          [](std::uint64_t seed) { return run_pipeline(seed, true); });
-      const auto t0 = std::chrono::steady_clock::now();
-      c.run(kBaseSeed, kRuns, o);
-      *seconds = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-      std::ostringstream os;
-      c.write_csv(os);
-      return os.str();
-    };
     double seq_s = 0.0, par_s = 0.0;
-    const std::string seq_csv = timed_csv(sctrace::CampaignOptions{}, &seq_s);
-    const std::string par_csv = timed_csv(g_campaign_opts, &par_s);
+    const std::string seq_csv =
+        timed_csv(kBaseSeed, kRuns, sctrace::CampaignOptions{}, &seq_s);
+    const std::string par_csv =
+        timed_csv(kBaseSeed, kRuns, g_campaign_opts, &par_s);
     if (par_csv != seq_csv) {
       std::printf("FAIL: %zu-thread campaign CSV differs from sequential\n",
                   g_campaign_opts.threads);

@@ -72,8 +72,8 @@ struct FleetCli {
                    std::size_t* runs) {
     const sctrace::FleetManifest m = sctrace::read_fleet_manifest(dir);
     *base_seed = m.base_seed;
-    *runs = m.total_runs;
-    shard_count = m.shard_count;
+    *runs = m.runs;
+    shard_count = m.shards;
   }
 
   sctrace::ShardOptions worker_options(const std::string& dir) const {

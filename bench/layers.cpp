@@ -1,5 +1,5 @@
-// Per-layer host costs (google-benchmark): the kernel, annotation, HLS, ISS
-// and fleet lease rows.
+// Per-layer host costs (google-benchmark): the kernel, annotation, HLS, ISS,
+// fleet lease, fleet round-trip and journal append rows.
 //
 //   ./build/bench/layers [--benchmark_format=json]
 //
@@ -43,6 +43,13 @@
 //   its sync, the heartbeat thread's start and join, the ownership probe
 //   and the unlink. Timed in wall time, since most of it can be waiting on
 //   the filesystem.
+// - BM_FleetRoundTrip: a whole fleet's fixed cost — pin the manifest, then
+//   claim, run and release 2 shards of 16 runs each of a run function that
+//   returns a constant result, then merge_shard_dir — in a fresh directory
+//   under layers.fleet/ beside the binary. Wall time.
+// - BM_JournalAppend: one run record appended to a journal in
+//   layers.journal/, fsynced every JournalWriter::kFlushEvery records as
+//   shipped. Wall time; items are records.
 //
 // glibc's mmap and trim thresholds are pinned at startup, as perfbench does:
 // with the adaptive defaults, heap history decides whether freed process
@@ -54,6 +61,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,6 +77,7 @@
 #include "kernel/channels.hpp"
 #include "kernel/error.hpp"
 #include "kernel/simulator.hpp"
+#include "trace/journal.hpp"
 #include "trace/shard.hpp"
 #include "workloads/hw_segments.hpp"
 #include "workloads/vocoder/frames.hpp"
@@ -328,17 +337,22 @@ void BM_IssVocoder(benchmark::State& state) {
 }
 BENCHMARK(BM_IssVocoder)->Unit(benchmark::kMillisecond);
 
-void BM_LeaseClaimRelease(benchmark::State& state) {
-  const std::string dir = g_bench_dir + "layers.shard";
+/// Creates an empty scratch directory beside the binary; false (with the
+/// benchmark skipped) when it cannot.
+bool fresh_dir(benchmark::State& state, const std::string& dir) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    const std::string why = "cannot create " + dir + ": " + ec.message();
-    state.SkipWithError(why.c_str());
-    return;
-  }
-  const std::string path = sctrace::shard_lease_path(dir, 0, 1);
+  if (!ec) return true;
+  const std::string why = "cannot create " + dir + ": " + ec.message();
+  state.SkipWithError(why.c_str());
+  return false;
+}
+
+void BM_LeaseClaimRelease(benchmark::State& state) {
+  const std::string dir = g_bench_dir + "layers.shard";
+  if (!fresh_dir(state, dir)) return;
+  const std::string path = sctrace::unit_file(dir, 0, 1, ".lease");
   for (auto _ : state) {
     try {
       auto lease = sctrace::claim_shard_lease(path, "layers", 10000);
@@ -348,9 +362,65 @@ void BM_LeaseClaimRelease(benchmark::State& state) {
       break;
     }
   }
+  std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }
 BENCHMARK(BM_LeaseClaimRelease)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_FleetRoundTrip(benchmark::State& state) {
+  const std::string root = g_bench_dir + "layers.fleet";
+  if (!fresh_dir(state, root)) return;
+  const sctrace::CampaignRunResult constant;
+  std::size_t fleet = 0;
+  for (auto _ : state) {
+    // A fresh fleet directory each time; all of them are removed once the
+    // series ends, since unlinking fsynced files right before a fleet can
+    // slow it.
+    sctrace::ShardOptions so;
+    so.dir = root + "/f" + std::to_string(fleet++);
+    so.shard_count = 2;
+    so.worker_id = "layers";
+    try {
+      sctrace::run_sharded_campaign(
+          [&constant](std::uint64_t) { return constant; }, 0, 32, so);
+      benchmark::DoNotOptimize(sctrace::merge_shard_dir(so.dir).results);
+    } catch (const minisc::SimError& e) {
+      state.SkipWithError(e.what());
+      break;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+}
+BENCHMARK(BM_FleetRoundTrip)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_JournalAppend(benchmark::State& state) {
+  const std::string dir = g_bench_dir + "layers.journal";
+  if (!fresh_dir(state, dir)) return;
+  sctrace::CampaignRunResult r;
+  r.makespan = minisc::Time::ns(123456);
+  r.deadline_total = 32;
+  r.deadline_missed = 3;
+  r.recovery_latencies_ns = {1500.0, 2750.5};
+  r.faults_injected = 7;
+  r.value_hash = 0x9e3779b97f4a7c15ull;
+  std::size_t index = 0;
+  try {
+    sctrace::JournalHeader h;
+    h.runs = std::numeric_limits<std::uint32_t>::max();
+    sctrace::JournalWriter w(dir + "/append.journal", h);
+    for (auto _ : state) {
+      r.seed = index;
+      w.append(index++, r);
+    }
+  } catch (const minisc::SimError& e) {
+    state.SkipWithError(e.what());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(index));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+BENCHMARK(BM_JournalAppend)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 

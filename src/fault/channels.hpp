@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -76,9 +77,6 @@ class ChannelFaults {
     return action;
   }
 
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t delayed = 0;
   ChannelFaultCounts counts;
 
  private:
@@ -86,6 +84,34 @@ class ChannelFaults {
   Rng rng_{0};
   bool bad_ = false;  ///< Gilbert–Elliott state (channels start good)
 };
+
+/// The blocking write both wrappers share: draws the write's fate and
+/// applies it to `inner`, a Fifo or a Rendezvous.
+template <typename Channel, typename T>
+void faulty_write(ChannelFaults& faults, Channel& inner, T v) {
+  minisc::Time delay;
+  switch (faults.draw(delay)) {
+    case ChannelFaults::Action::kDrop:
+      minisc::wait(minisc::Time::zero());
+      return;
+    case ChannelFaults::Action::kDuplicate:
+      inner.write(v);
+      inner.write(std::move(v));
+      return;
+    case ChannelFaults::Action::kDelay:
+      minisc::wait(delay);
+      inner.write(std::move(v));
+      return;
+    case ChannelFaults::Action::kDeliver:
+      inner.write(std::move(v));
+      return;
+  }
+}
+
+/// Both fault states' count of one outcome.
+inline std::uint64_t both_states(const std::array<std::uint64_t, 2>& n) {
+  return n[ChannelFaultCounts::kGood] + n[ChannelFaultCounts::kBad];
+}
 
 }  // namespace detail
 
@@ -117,43 +143,19 @@ class FaultyFifo {
   }
   void detach() { faults_.detach(); }
 
-  void write(T v) {
-    minisc::Time delay;
-    switch (faults_.draw(delay)) {
-      case detail::ChannelFaults::Action::kDrop:
-        ++faults_.dropped;
-        minisc::wait(minisc::Time::zero());
-        return;
-      case detail::ChannelFaults::Action::kDuplicate:
-        ++faults_.duplicated;
-        inner_.write(v);
-        inner_.write(std::move(v));
-        return;
-      case detail::ChannelFaults::Action::kDelay:
-        ++faults_.delayed;
-        minisc::wait(delay);
-        inner_.write(std::move(v));
-        return;
-      case detail::ChannelFaults::Action::kDeliver:
-        inner_.write(std::move(v));
-        return;
-    }
-  }
+  void write(T v) { detail::faulty_write(faults_, inner_, std::move(v)); }
 
   bool nb_write(T v) {
     minisc::Time delay;
     switch (faults_.draw(delay)) {
       case detail::ChannelFaults::Action::kDrop:
-        ++faults_.dropped;
         return true;  // the writer believes the send succeeded
       case detail::ChannelFaults::Action::kDuplicate:
-        ++faults_.duplicated;
         inner_.nb_write(v);
         return inner_.nb_write(std::move(v));
       case detail::ChannelFaults::Action::kDelay:
         // A non-blocking write cannot be held; model the delay as a drop of
         // the timing fault only (deliver immediately).
-        ++faults_.delayed;
         return inner_.nb_write(std::move(v));
       case detail::ChannelFaults::Action::kDeliver:
         return inner_.nb_write(std::move(v));
@@ -173,9 +175,15 @@ class FaultyFifo {
   std::size_t capacity() const { return inner_.capacity(); }
   const std::string& name() const { return inner_.name(); }
 
-  std::uint64_t dropped() const { return faults_.dropped; }
-  std::uint64_t duplicated() const { return faults_.duplicated; }
-  std::uint64_t delayed() const { return faults_.delayed; }
+  std::uint64_t dropped() const {
+    return detail::both_states(fault_counts().dropped);
+  }
+  std::uint64_t duplicated() const {
+    return detail::both_states(fault_counts().duplicated);
+  }
+  std::uint64_t delayed() const {
+    return detail::both_states(fault_counts().delayed);
+  }
   /// Per-state draw record — feed to channel_log_lr for importance weights.
   const ChannelFaultCounts& fault_counts() const { return faults_.counts; }
 
@@ -197,28 +205,7 @@ class FaultyRendezvous {
   }
   void detach() { faults_.detach(); }
 
-  void write(T v) {
-    minisc::Time delay;
-    switch (faults_.draw(delay)) {
-      case detail::ChannelFaults::Action::kDrop:
-        ++faults_.dropped;
-        minisc::wait(minisc::Time::zero());
-        return;
-      case detail::ChannelFaults::Action::kDuplicate:
-        ++faults_.duplicated;
-        inner_.write(v);
-        inner_.write(std::move(v));
-        return;
-      case detail::ChannelFaults::Action::kDelay:
-        ++faults_.delayed;
-        minisc::wait(delay);
-        inner_.write(std::move(v));
-        return;
-      case detail::ChannelFaults::Action::kDeliver:
-        inner_.write(std::move(v));
-        return;
-    }
-  }
+  void write(T v) { detail::faulty_write(faults_, inner_, std::move(v)); }
 
   T read() { return inner_.read(); }
   std::optional<T> read_for(minisc::Time timeout) {
@@ -227,9 +214,15 @@ class FaultyRendezvous {
 
   const std::string& name() const { return inner_.name(); }
 
-  std::uint64_t dropped() const { return faults_.dropped; }
-  std::uint64_t duplicated() const { return faults_.duplicated; }
-  std::uint64_t delayed() const { return faults_.delayed; }
+  std::uint64_t dropped() const {
+    return detail::both_states(fault_counts().dropped);
+  }
+  std::uint64_t duplicated() const {
+    return detail::both_states(fault_counts().duplicated);
+  }
+  std::uint64_t delayed() const {
+    return detail::both_states(fault_counts().delayed);
+  }
   /// Per-state draw record — feed to channel_log_lr for importance weights.
   const ChannelFaultCounts& fault_counts() const { return faults_.counts; }
 

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "kernel/error.hpp"
@@ -361,6 +362,18 @@ JournalContents read_journal(const std::string& path) {
   return out;
 }
 
+bool detail::sync_parent_dir(const std::string& path) {
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int fd =
+      ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const int rc = ::fsync(fd);
+  const int saved_errno = errno;
+  ::close(fd);
+  errno = saved_errno;
+  return rc == 0;
+}
+
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalHeader& header)
     : path_(path) {
@@ -371,6 +384,9 @@ JournalWriter::JournalWriter(const std::string& path,
   if (fd_ < 0) throw_io(path, "open");
   write_all(fd_, path_, frame(kHeaderType, encode_header(header)));
   if (::fsync(fd_) != 0) throw_io(path_, "fsync");
+  if (!detail::sync_parent_dir(path_)) {
+    throw_io(path_, "fsync of its directory");
+  }
 }
 
 JournalWriter::JournalWriter(const std::string& path,

@@ -122,6 +122,14 @@ std::string identity_mismatch(const JournalHeader& got,
 ///   - kBadConfig when the file cannot be opened or is empty.
 JournalContents read_journal(const std::string& path);
 
+namespace detail {
+
+/// fsyncs the directory holding `path`, so that an entry created or renamed
+/// there survives a host crash. False (errno set) on failure.
+bool sync_parent_dir(const std::string& path);
+
+}  // namespace detail
+
 /// Append-side of the journal. Thread-safe: a campaign's threads append
 /// under one mutex (journal I/O is a few microseconds against a
 /// multi-millisecond simulation, so the lock is not a scaling concern).
@@ -133,7 +141,8 @@ class JournalWriter {
   /// Run records appended between two batched fsyncs.
   static constexpr std::size_t kFlushEvery = 8;
 
-  /// Creates (or truncates) `path` and writes the header record.
+  /// Creates (or truncates) `path`, writes and fsyncs the header record,
+  /// then fsyncs the directory so that the journal's name is durable too.
   JournalWriter(const std::string& path, const JournalHeader& header);
 
   /// Re-opens an existing journal for append after a read_journal() scan,

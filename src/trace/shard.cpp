@@ -24,6 +24,7 @@
 namespace sctrace {
 namespace {
 
+using detail::sync_parent_dir;
 using minisc::SimError;
 
 /// Host I/O failures on lease/manifest files are infrastructure errors, not
@@ -114,20 +115,6 @@ std::string format_lease(const std::string& owner, std::uint64_t adoptions,
   return s;
 }
 
-/// fsyncs the directory holding `path`, which makes an entry created or
-/// renamed there survive a host crash. False (errno set) on failure.
-bool sync_parent_dir(const std::string& path) {
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int fd =
-      ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  const int rc = ::fsync(fd);
-  const int saved_errno = errno;
-  ::close(fd);
-  errno = saved_errno;
-  return rc == 0;
-}
-
 /// Creates `path` holding `content` and makes it durable; on failure it
 /// unlinks the file and throws kIoError, so a failed claim holds nothing.
 ///
@@ -191,8 +178,8 @@ void write_file_atomic(const std::string& path, const std::string& content,
 }
 
 /// The quarantine tombstone of a lease: "<unit>.lease" -> "<unit>.quarantined"
-/// (matching shard_quarantine_path / cell_quarantine_path for the canonical
-/// filenames; an unconventional lease path just gains the suffix).
+/// (matching unit_file for the canonical filenames; an unconventional lease
+/// path just gains the suffix).
 std::string quarantine_path_for_lease(const std::string& lease_path) {
   const std::string suffix = ".lease";
   if (lease_path.size() > suffix.size() &&
@@ -235,14 +222,6 @@ std::string quarantine_summary(const LeaseInfo& info) {
   throw SimError(SimError::Kind::kMergeIncomplete, "campaign merge: " + what);
 }
 
-/// "<dir>/<kind>_<i>_of_<n><ext>": the unit count is in every name, so the
-/// files of one layout can never be mistaken for those of another.
-std::string unit_file(const std::string& dir, const char* kind,
-                      std::size_t index, std::size_t count, const char* ext) {
-  return dir + "/" + kind + "_" + std::to_string(index) + "_of_" +
-         std::to_string(count) + ext;
-}
-
 }  // namespace
 
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
@@ -261,34 +240,10 @@ ShardRange shard_range(std::size_t shard, std::size_t shard_count,
   return r;
 }
 
-std::string shard_journal_path(const std::string& dir, std::size_t shard,
-                               std::size_t shard_count) {
-  return unit_file(dir, "shard", shard, shard_count, ".journal");
-}
-
-std::string shard_lease_path(const std::string& dir, std::size_t shard,
-                             std::size_t shard_count) {
-  return unit_file(dir, "shard", shard, shard_count, ".lease");
-}
-
-std::string shard_quarantine_path(const std::string& dir, std::size_t shard,
-                                  std::size_t shard_count) {
-  return unit_file(dir, "shard", shard, shard_count, ".quarantined");
-}
-
-std::string cell_journal_path(const std::string& dir, std::size_t cell,
-                              std::size_t cell_count) {
-  return unit_file(dir, "cell", cell, cell_count, ".journal");
-}
-
-std::string cell_lease_path(const std::string& dir, std::size_t cell,
-                            std::size_t cell_count) {
-  return unit_file(dir, "cell", cell, cell_count, ".lease");
-}
-
-std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
-                                 std::size_t cell_count) {
-  return unit_file(dir, "cell", cell, cell_count, ".quarantined");
+std::string unit_file(const std::string& dir, std::size_t unit,
+                      std::size_t units, const char* ext) {
+  return dir + "/unit_" + std::to_string(unit) + "_of_" +
+         std::to_string(units) + ext;
 }
 
 bool read_lease_info(const std::string& path, LeaseInfo* out) {
@@ -542,28 +497,26 @@ std::unique_ptr<ShardLease> claim_shard_lease(const std::string& path,
                      info.adoptions + 1, info.error));
 }
 
-// ---- manifests -------------------------------------------------------------
+// ---- the manifest ----------------------------------------------------------
 
 namespace {
 
-constexpr const char* kFleetManifestMagic = "scperf-fleet v1";
-constexpr const char* kSweepManifestMagic = "scperf-sweep v1";
+constexpr const char* kManifestMagic = "scperf-fleet v2";
 
-std::string fleet_manifest_path(const std::string& dir) {
+std::string manifest_path(const std::string& dir) {
   return dir + "/fleet.manifest";
 }
 
-std::string sweep_manifest_path(const std::string& dir) {
-  return dir + "/sweep.manifest";
-}
-
-/// The one manifest format, shared by fleet.manifest and sweep.manifest: a
-/// magic line, then one "key value" line per entry, in order.
-using ManifestLines = std::vector<std::pair<std::string, std::string>>;
-
-std::string format_manifest(const char* magic, const ManifestLines& lines) {
-  std::string s = std::string(magic) + "\n";
-  for (const auto& [key, value] : lines) s += key + " " + value + "\n";
+/// The manifest's bytes: the magic line, then one "key value" line per
+/// field, the grid's mapping and scenario lines last.
+std::string format_manifest(const FleetManifest& m) {
+  std::string s = std::string(kManifestMagic) + "\nbase_seed " +
+                  std::to_string(m.base_seed) + "\nruns " +
+                  std::to_string(m.runs) + "\nshards " +
+                  std::to_string(m.shards) + "\ndigest " +
+                  std::to_string(m.scenario_digest) + "\ntag " + m.tag + "\n";
+  for (const std::string& name : m.mappings) s += "mapping " + name + "\n";
+  for (const std::string& name : m.scenarios) s += "scenario " + name + "\n";
   return s;
 }
 
@@ -573,57 +526,34 @@ std::string format_manifest(const char* magic, const ManifestLines& lines) {
                  "manifest '" + path + "': " + why);
 }
 
-/// Reads the manifest at `path` through `set`, which takes one key and its
-/// value and returns false for a key it does not know. Throws
-/// kMergeIncomplete when the file does not exist (`missing` says what that
-/// means) and kJournalCorrupt for a wrong magic line or a line `set`
-/// refuses. A bare "tag" line is the empty tag with its space trimmed.
-void read_manifest(
-    const std::string& path, const char* magic, const char* missing,
-    const std::function<bool(const std::string&, const std::string&)>& set) {
-  if (!file_exists(path)) {
-    throw SimError(SimError::Kind::kMergeIncomplete,
-                   "manifest '" + path + "' does not exist — " + missing);
-  }
-  std::istringstream in(read_whole_file(path));
-  std::string line;
-  if (!std::getline(in, line) || line != magic) {
-    throw_manifest_corrupt(path, "bad magic line '" + line + "'");
-  }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::size_t sp = line.find(' ');
-    const bool bare = sp == std::string::npos;
-    if ((bare && line != "tag") ||
-        !set(line.substr(0, sp), bare ? "" : line.substr(sp + 1))) {
-      throw_manifest_corrupt(path, "unrecognised line '" + line + "'");
-    }
-  }
-}
-
-std::uint64_t to_u64(const std::string& value) {
-  return std::strtoull(value.c_str(), nullptr, 10);
-}
-
-std::string format_fleet_manifest(const FleetManifest& m) {
-  return format_manifest(kFleetManifestMagic,
-                         {{"base_seed", std::to_string(m.base_seed)},
-                          {"total_runs", std::to_string(m.total_runs)},
-                          {"shard_count", std::to_string(m.shard_count)},
-                          {"digest", std::to_string(m.scenario_digest)},
-                          {"tag", m.tag}});
-}
-
-std::string format_sweep_manifest(const SweepManifest& m) {
-  ManifestLines lines = {{"base_seed", std::to_string(m.base_seed)},
-                         {"runs", std::to_string(m.runs)},
-                         {"digest", std::to_string(m.scenario_digest)},
-                         {"tag", m.tag}};
-  for (const std::string& name : m.mappings) lines.emplace_back("mapping", name);
-  for (const std::string& name : m.scenarios) {
-    lines.emplace_back("scenario", name);
-  }
-  return format_manifest(kSweepManifestMagic, lines);
+/// Names every field in which `mine` differs from `pinned`, each with both
+/// values (e.g. "shards 4 (pinned 3)"), or returns "" when they agree.
+std::string manifest_mismatch(const FleetManifest& mine,
+                              const FleetManifest& pinned) {
+  std::string out;
+  const auto field = [&out](const char* name, const std::string& m,
+                            const std::string& p) {
+    if (m == p) return;
+    if (!out.empty()) out += ", ";
+    out += std::string(name) + " " + m + " (pinned " + p + ")";
+  };
+  const auto num = [&field](const char* name, std::uint64_t m,
+                            std::uint64_t p) {
+    field(name, std::to_string(m), std::to_string(p));
+  };
+  const auto names = [](const std::vector<std::string>& v) {
+    std::string s;
+    for (const std::string& name : v) s += (s.empty() ? "" : ",") + name;
+    return "'" + s + "'";
+  };
+  num("base_seed", mine.base_seed, pinned.base_seed);
+  num("runs", mine.runs, pinned.runs);
+  num("shards", mine.shards, pinned.shards);
+  num("digest", mine.scenario_digest, pinned.scenario_digest);
+  field("tag", "'" + mine.tag + "'", "'" + pinned.tag + "'");
+  field("mappings", names(mine.mappings), names(pinned.mappings));
+  field("scenarios", names(mine.scenarios), names(pinned.scenarios));
+  return out;
 }
 
 /// First-writer-wins pinned-file creation: the content is written to a
@@ -631,8 +561,7 @@ std::string format_sweep_manifest(const SweepManifest& m) {
 /// EEXIST if the file already exists, and because the final name appears
 /// atomically a losing worker can never read a torn file. The winner then
 /// fsyncs the directory, so a host crash cannot keep a fleet's journals and
-/// lose the manifest they were written under. Shared by the fleet and sweep
-/// manifests.
+/// lose the manifest they were written under.
 bool create_pinned_file(const std::string& path, const std::string& content,
                         const std::string& tmp_tag) {
   const std::string tmp = path + ".tmp-" + tmp_tag;
@@ -651,62 +580,64 @@ bool create_pinned_file(const std::string& path, const std::string& content,
 
 }  // namespace
 
+std::string FleetManifest::cell_tag(std::size_t cell) const {
+  if (!grid()) return tag;
+  const std::string name = cell_mapping(cell) + "/" + cell_scenario(cell);
+  return tag.empty() ? name : tag + ":" + name;
+}
+
 FleetManifest read_fleet_manifest(const std::string& dir) {
+  const std::string path = manifest_path(dir);
+  if (!file_exists(path)) {
+    throw SimError(SimError::Kind::kMergeIncomplete,
+                   "manifest '" + path +
+                       "' does not exist — no fleet ever pinned a layout in "
+                       "this directory");
+  }
   FleetManifest m;
-  const std::string path = fleet_manifest_path(dir);
-  read_manifest(path, kFleetManifestMagic,
-                "no fleet ever pinned a layout in this directory",
-                [&m](const std::string& key, const std::string& value) {
-                  if (key == "base_seed") {
-                    m.base_seed = to_u64(value);
-                  } else if (key == "total_runs") {
-                    m.total_runs = to_u64(value);
-                  } else if (key == "shard_count") {
-                    m.shard_count = to_u64(value);
-                  } else if (key == "digest") {
-                    m.scenario_digest = to_u64(value);
-                  } else if (key == "tag") {
-                    m.tag = value;
-                  } else {
-                    return false;
-                  }
-                  return true;
-                });
-  if (m.shard_count == 0) throw_manifest_corrupt(path, "zero shard_count");
-  return m;
-}
-
-std::string SweepManifest::cell_tag(std::size_t cell) const {
-  const std::string& m = cell_mapping(cell);
-  const std::string& s = cell_scenario(cell);
-  return tag.empty() ? m + "/" + s : tag + ":" + m + "/" + s;
-}
-
-SweepManifest read_sweep_manifest(const std::string& dir) {
-  SweepManifest m;
-  const std::string path = sweep_manifest_path(dir);
-  read_manifest(path, kSweepManifestMagic,
-                "no sweep fleet ever started in this directory",
-                [&m](const std::string& key, const std::string& value) {
-                  if (key == "base_seed") {
-                    m.base_seed = to_u64(value);
-                  } else if (key == "runs") {
-                    m.runs = to_u64(value);
-                  } else if (key == "digest") {
-                    m.scenario_digest = to_u64(value);
-                  } else if (key == "tag") {
-                    m.tag = value;
-                  } else if (key == "mapping") {
-                    m.mappings.push_back(value);
-                  } else if (key == "scenario") {
-                    m.scenarios.push_back(value);
-                  } else {
-                    return false;
-                  }
-                  return true;
-                });
-  if (m.mappings.empty() || m.scenarios.empty()) {
-    throw_manifest_corrupt(path, "no mappings or no scenarios");
+  const auto set = [&m](const std::string& key, const std::string& value) {
+    const std::uint64_t number = std::strtoull(value.c_str(), nullptr, 10);
+    if (key == "base_seed") {
+      m.base_seed = number;
+    } else if (key == "runs") {
+      m.runs = number;
+    } else if (key == "shards") {
+      m.shards = number;
+    } else if (key == "digest") {
+      m.scenario_digest = number;
+    } else if (key == "tag") {
+      m.tag = value;
+    } else if (key == "mapping") {
+      m.mappings.push_back(value);
+    } else if (key == "scenario") {
+      m.scenarios.push_back(value);
+    } else {
+      return false;
+    }
+    return true;
+  };
+  std::istringstream in(read_whole_file(path));
+  std::string line;
+  if (!std::getline(in, line) || line != kManifestMagic) {
+    throw_manifest_corrupt(path, "bad magic line '" + line + "'");
+  }
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    // A bare "tag" line is the empty tag with its space trimmed.
+    const std::size_t sp = line.find(' ');
+    const bool bare = sp == std::string::npos;
+    if ((bare && line != "tag") ||
+        !set(line.substr(0, sp), bare ? "" : line.substr(sp + 1))) {
+      throw_manifest_corrupt(path, "unrecognised line '" + line + "'");
+    }
+  }
+  if (m.shards == 0) throw_manifest_corrupt(path, "zero shards");
+  if (m.mappings.empty() != m.scenarios.empty()) {
+    throw_manifest_corrupt(path, "a grid needs both mappings and scenarios");
+  }
+  if (m.grid() && m.shards > 1) {
+    throw_manifest_corrupt(path, "a grid has one shard per cell, not " +
+                                     std::to_string(m.shards));
   }
   return m;
 }
@@ -715,10 +646,10 @@ SweepManifest read_sweep_manifest(const std::string& dir) {
 
 namespace {
 
-/// One lease-claimable work unit of a pinned layout — a campaign shard or a
-/// sweep cell: one lease, one journal, one quarantine tombstone, and the
-/// header its journal must carry. Workers, merges and status all walk the
-/// same table, built from the manifest alone.
+/// One lease-claimable work unit of a pinned layout — one shard of one
+/// cell: one lease, one journal, one quarantine tombstone, and the header
+/// its journal must carry. Workers, merges and status all walk the same
+/// table, built from the manifest alone.
 struct Unit {
   std::size_t index = 0;
   std::string name;  ///< "shard 2/4" or "mapping/scenario"
@@ -728,48 +659,29 @@ struct Unit {
   JournalHeader header;  ///< the unit's identity
 };
 
-Unit make_unit(const std::string& dir, const char* kind, std::size_t index,
-               std::size_t count, std::string name) {
-  Unit u;
-  u.index = index;
-  u.name = std::move(name);
-  u.journal = unit_file(dir, kind, index, count, ".journal");
-  u.lease = unit_file(dir, kind, index, count, ".lease");
-  u.quarantine = unit_file(dir, kind, index, count, ".quarantined");
-  return u;
-}
-
-/// Every shard of a pinned campaign layout: shard i covers the canonical
-/// shard_range slot i, so the units tile the campaign in seed order.
-std::vector<Unit> campaign_units(const std::string& dir,
-                                 const FleetManifest& m) {
-  std::vector<Unit> units;
-  for (std::size_t i = 0; i < m.shard_count; ++i) {
-    const ShardRange range = shard_range(i, m.shard_count, m.total_runs);
-    Unit u = make_unit(dir, "shard", i, m.shard_count,
-                       "shard " + std::to_string(i) + "/" +
-                           std::to_string(m.shard_count));
+/// Every unit of a pinned layout, in index order: unit i is shard
+/// i % shards of cell i / shards and covers that shard's canonical
+/// shard_range slot, so a campaign's units tile it in seed order and a
+/// grid's follow grid order.
+std::vector<Unit> fleet_units(const std::string& dir, const FleetManifest& m) {
+  const std::size_t n = m.units();
+  std::vector<Unit> units(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cell = i / m.shards;
+    const std::size_t shard = i % m.shards;
+    const ShardRange range = shard_range(shard, m.shards, m.runs);
+    Unit& u = units[i];
+    u.index = i;
+    u.name = m.grid() ? m.cell_mapping(cell) + "/" + m.cell_scenario(cell)
+                      : "shard " + std::to_string(shard) + "/" +
+                            std::to_string(m.shards);
+    u.journal = unit_file(dir, i, n, ".journal");
+    u.lease = unit_file(dir, i, n, ".lease");
+    u.quarantine = unit_file(dir, i, n, ".quarantined");
     u.header.base_seed = m.base_seed + range.begin;
     u.header.runs = range.size();
     u.header.scenario_digest = m.scenario_digest;
-    u.header.tag = m.tag;
-    units.push_back(std::move(u));
-  }
-  return units;
-}
-
-/// Every cell of a pinned sweep grid, in grid order. A cell is a whole
-/// single-shard campaign over the common seeds; its identity is its tag.
-std::vector<Unit> sweep_units(const std::string& dir, const SweepManifest& m) {
-  std::vector<Unit> units;
-  for (std::size_t c = 0; c < m.cells(); ++c) {
-    Unit u = make_unit(dir, "cell", c, m.cells(),
-                       m.cell_mapping(c) + "/" + m.cell_scenario(c));
-    u.header.base_seed = m.base_seed;
-    u.header.runs = m.runs;
-    u.header.scenario_digest = m.scenario_digest;
-    u.header.tag = m.cell_tag(c);
-    units.push_back(std::move(u));
+    u.header.tag = m.cell_tag(cell);
   }
   return units;
 }
@@ -843,8 +755,10 @@ UnitRead read_unit(const Unit& u) {
 
 /// read_unit for a merge. A journal of another format version or of
 /// another unit's identity is refused even in partial mode — a wrong
-/// fleet, not an unfinished one.
-UnitRead read_for_merge(const Unit& u) {
+/// fleet, not an unfinished one — and so is a decision record when the
+/// manifest pins more than one shard per cell: the workers refuse an smc
+/// spec there, so such a record means corruption or a hand-mixed layout.
+UnitRead read_for_merge(const Unit& u, const FleetManifest& m) {
   UnitRead r = read_unit(u);
   if (r.error && r.error->kind() == SimError::Kind::kShardVersionMismatch) {
     throw *r.error;
@@ -853,6 +767,13 @@ UnitRead read_for_merge(const Unit& u) {
     throw_merge_bad("journal '" + u.journal + "' does not carry " + u.name +
                     "'s identity: " + r.foreign +
                     " — it belongs to another fleet or layout");
+  }
+  if (r.decision && m.shards > 1) {
+    throw_merge_bad("journal '" + u.journal +
+                    "' carries a sequential-verdict decision record but the "
+                    "manifest pins " + std::to_string(m.shards) +
+                    " shards per cell — a sequential test needs one shard "
+                    "per cell, so this journal is corrupt or hand-mixed");
   }
   return r;
 }
@@ -1077,18 +998,76 @@ ShardProgress run_fleet(const std::vector<Unit>& units,
   return prog;
 }
 
-/// Creates the fleet directory and returns this worker's id: the given
-/// one, or "w<shard_index>.pid<pid>".
-std::string join_fleet(const ShardOptions& shard, const std::string& who) {
+/// Both entry points' one prologue: creates the fleet directory, pins
+/// `mine` as its manifest or verifies it against the pinned one, applies
+/// the one SMC rule, and runs this worker over the pinned unit table, with
+/// `cell_fn(manifest, c)` the run function of cell c. An elastic campaign
+/// worker (`mine.shards` 0) takes the pinned shard count.
+ShardProgress join_fleet(
+    FleetManifest mine, const ShardOptions& shard, const CampaignOptions& opts,
+    const std::string& who,
+    const std::function<FaultCampaign::RunFn(const FleetManifest&,
+                                             std::size_t)>& cell_fn) {
   if (shard.dir.empty()) {
     throw SimError(SimError::Kind::kBadConfig,
                    who + ": shard directory must be set");
   }
   std::filesystem::create_directories(shard.dir);
-  return !shard.worker_id.empty()
-             ? shard.worker_id
-             : "w" + std::to_string(shard.shard_index) + ".pid" +
-                   std::to_string(static_cast<long>(::getpid()));
+  const std::string worker_id =
+      !shard.worker_id.empty()
+          ? shard.worker_id
+          : "w" + std::to_string(shard.shard_index) + ".pid" +
+                std::to_string(static_cast<long>(::getpid()));
+
+  // Pin (or verify) the layout before touching any unit. Exactly one worker
+  // creates the manifest; every other one compares its own, and refuses on
+  // any difference — a worker of another fleet would corrupt its units.
+  const std::string path = manifest_path(shard.dir);
+  const bool elastic = mine.shards == 0;
+  if (elastic && !file_exists(path)) {
+    throw SimError(SimError::Kind::kBadConfig,
+                   who +
+                       ": elastic worker (shard_count 0) needs the layout "
+                       "authority '" +
+                       path +
+                       "', which does not exist — launch one worker with an "
+                       "explicit shard count first (it pins the manifest)");
+  }
+  if (elastic || !create_pinned_file(path, format_manifest(mine), worker_id)) {
+    const FleetManifest pinned = read_fleet_manifest(shard.dir);
+    if (elastic) mine.shards = pinned.shards;
+    if (format_manifest(mine) != format_manifest(pinned)) {
+      FleetManifest followed = mine;
+      followed.shards = pinned.shards;
+      const bool only_shards =
+          format_manifest(followed) == format_manifest(pinned);
+      throw SimError(
+          SimError::Kind::kBadConfig,
+          who + ": this worker disagrees with the manifest pinned in '" +
+              shard.dir + "': " + manifest_mismatch(mine, pinned) +
+              (only_shards ? " — a pinned layout never changes; relaunch the "
+                             "worker elastic (shard_count 0, e.g. --shard-dir "
+                             "alone) to follow the manifest"
+                           : " — a worker of another fleet would corrupt its "
+                             "units"));
+    }
+  }
+  if (opts.smc.engaged() && mine.shards > 1) {
+    throw SimError(
+        SimError::Kind::kBadConfig,
+        who + ": sequential model checking eats a cell's seeds in order, "
+              "which the manifest's " +
+            std::to_string(mine.shards) +
+            " shards per cell split — run the smc campaign unsharded, or "
+            "shard a sweep (one shard per cell; cells prune independently)");
+  }
+  const std::vector<Unit> units = fleet_units(shard.dir, mine);
+  std::vector<FaultCampaign::RunFn> fns;
+  fns.reserve(units.size());
+  for (const Unit& u : units) {
+    fns.push_back(cell_fn(mine, u.index / mine.shards));
+  }
+  return run_fleet(units, fns, opts, shard, worker_id);
 }
 
 }  // namespace
@@ -1100,81 +1079,21 @@ ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    std::size_t total_runs,
                                    const ShardOptions& shard,
                                    const CampaignOptions& opts) {
-  // shard_count == 0 is *elastic* mode: the layout is read from the fleet
-  // manifest instead of the command line.
-  const bool elastic = shard.shard_count == 0;
-  if (!elastic && shard.shard_index >= shard.shard_count) {
+  if (shard.shard_count != 0 && shard.shard_index >= shard.shard_count) {
     throw SimError(SimError::Kind::kBadConfig,
                    "run_sharded_campaign: worker index " +
                        std::to_string(shard.shard_index) +
                        " out of range for " +
                        std::to_string(shard.shard_count) + " shards");
   }
-  const std::string worker_id = join_fleet(shard, "run_sharded_campaign");
-
-  // Pin (or verify) the layout before touching any shard: the manifest is
-  // the single authority on {base_seed, total_runs, shard_count, digest,
-  // tag}, and it never changes once pinned. Exactly one worker creates it;
-  // everyone else compares and refuses on any difference — an explicit
-  // worker with another shard count is told how to follow the pin instead.
-  const FleetManifest mine{base_seed, total_runs, shard.shard_count,
-                           opts.scenario_digest, opts.journal_tag};
-  const auto other_campaign = [&](const FleetManifest& pinned) {
-    return pinned.base_seed != base_seed || pinned.total_runs != total_runs ||
-           pinned.scenario_digest != opts.scenario_digest ||
-           pinned.tag != opts.journal_tag;
-  };
-  FleetManifest pinned;
-  if (elastic) {
-    if (!file_exists(fleet_manifest_path(shard.dir))) {
-      throw SimError(
-          SimError::Kind::kBadConfig,
-          "run_sharded_campaign: elastic worker (shard_count 0) needs the "
-          "layout authority '" +
-              fleet_manifest_path(shard.dir) +
-              "', which does not exist — launch one worker with an explicit "
-              "shard count first (it pins the manifest)");
-    }
-    pinned = read_fleet_manifest(shard.dir);
-  } else if (create_pinned_file(fleet_manifest_path(shard.dir),
-                                format_fleet_manifest(mine), worker_id)) {
-    pinned = mine;
-  } else {
-    pinned = read_fleet_manifest(shard.dir);
-    if (!other_campaign(pinned) && pinned.shard_count != shard.shard_count) {
-      throw SimError(
-          SimError::Kind::kBadConfig,
-          "run_sharded_campaign: this worker was launched for " +
-              std::to_string(shard.shard_count) +
-              " shards but the manifest pins " +
-              std::to_string(pinned.shard_count) +
-              " — a pinned layout never changes; relaunch the worker elastic "
-              "(shard_count 0, e.g. --shard-dir alone) to follow the "
-              "manifest");
-    }
-  }
-  if (other_campaign(pinned)) {
-    throw SimError(
-        SimError::Kind::kBadConfig,
-        "run_sharded_campaign: this worker's campaign (seed " +
-            std::to_string(base_seed) + ", " + std::to_string(total_runs) +
-            " runs, digest " + std::to_string(opts.scenario_digest) +
-            ", tag '" + opts.journal_tag +
-            "') disagrees with the manifest pinned in '" + shard.dir +
-            "' — a worker from a different campaign would corrupt the "
-            "fleet's shards");
-  }
-  if (opts.smc.engaged() && pinned.shard_count > 1) {
-    throw SimError(
-        SimError::Kind::kBadConfig,
-        "run_sharded_campaign: sequential model checking needs the "
-        "campaign's global seed order, which a sharded campaign splits — "
-        "run the smc campaign unsharded, or shard a sweep (cells are whole "
-        "campaigns and prune independently)");
-  }
-  const std::vector<Unit> units = campaign_units(shard.dir, pinned);
-  return run_fleet(units, std::vector<FaultCampaign::RunFn>(units.size(), fn),
-                   opts, shard, worker_id);
+  FleetManifest mine;
+  mine.base_seed = base_seed;
+  mine.runs = total_runs;
+  mine.shards = shard.shard_count;  // 0 = elastic
+  mine.scenario_digest = opts.scenario_digest;
+  mine.tag = opts.journal_tag;
+  return join_fleet(std::move(mine), shard, opts, "run_sharded_campaign",
+                    [&fn](const FleetManifest&, std::size_t) { return fn; });
 }
 
 ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
@@ -1192,36 +1111,19 @@ ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
     throw SimError(SimError::Kind::kBadConfig,
                    "run_sharded_sweep: no cell factory given");
   }
-  const std::string worker_id = join_fleet(shard, "run_sharded_sweep");
-
-  // Pin (or verify) the grid identity before touching any cell: every
-  // worker of one fleet must agree on the grid, the seed, the run count and
-  // the fault-model digest, or its cell journals would silently disagree
-  // with everyone else's. Exactly one worker creates the manifest; the rest
-  // compare and refuse on any difference.
-  const SweepManifest manifest{base_seed,        n,        opts.scenario_digest,
-                               opts.journal_tag, mappings, scenarios};
-  const std::string text = format_sweep_manifest(manifest);
-  if (!create_pinned_file(sweep_manifest_path(shard.dir), text, worker_id) &&
-      format_sweep_manifest(read_sweep_manifest(shard.dir)) != text) {
-    throw SimError(
-        SimError::Kind::kBadConfig,
-        "run_sharded_sweep: this worker's sweep (seed " +
-            std::to_string(base_seed) + ", " + std::to_string(n) + " runs, " +
-            std::to_string(mappings.size()) + "x" +
-            std::to_string(scenarios.size()) + " grid, digest " +
-            std::to_string(opts.scenario_digest) +
-            ") disagrees with the manifest pinned in '" + shard.dir +
-            "' — a worker from a different sweep would corrupt the fleet's "
-            "cells");
-  }
-  const std::vector<Unit> units = sweep_units(shard.dir, manifest);
-  std::vector<FaultCampaign::RunFn> fns;
-  for (const Unit& u : units) {
-    fns.push_back(factory(manifest.cell_mapping(u.index),
-                          manifest.cell_scenario(u.index)));
-  }
-  return run_fleet(units, fns, opts, shard, worker_id);
+  FleetManifest mine;
+  mine.base_seed = base_seed;
+  mine.runs = n;
+  mine.shards = 1;
+  mine.scenario_digest = opts.scenario_digest;
+  mine.tag = opts.journal_tag;
+  mine.mappings = mappings;
+  mine.scenarios = scenarios;
+  return join_fleet(std::move(mine), shard, opts, "run_sharded_sweep",
+                    [&factory](const FleetManifest& m, std::size_t cell) {
+                      return factory(m.cell_mapping(cell),
+                                     m.cell_scenario(cell));
+                    });
 }
 
 // ---- merge ----------------------------------------------------------------
@@ -1239,28 +1141,22 @@ const char* to_string(UnitState s) {
 MergedCampaign merge_shard_dir(const std::string& dir,
                                const MergeOptions& opts) {
   const FleetManifest m = read_fleet_manifest(dir);
+  if (m.grid()) {
+    throw_merge_bad("'" + dir + "' holds a sweep fleet (a mapping x scenario "
+                    "grid) — merge it with merge_sweep_dir");
+  }
   MergedCampaign out;
   out.base_seed = m.base_seed;
-  out.runs = m.total_runs;
+  out.runs = m.runs;
   out.scenario_digest = m.scenario_digest;
   out.tag = m.tag;
-  out.shard_count = m.shard_count;
+  out.shard_count = m.shards;
 
-  for (const Unit& u : campaign_units(dir, m)) {
-    UnitRead r = read_for_merge(u);
+  for (const Unit& u : fleet_units(dir, m)) {
+    UnitRead r = read_for_merge(u, m);
     // An unreadable shard journal refuses too: a campaign merge has no
     // degraded form for a journal it cannot trust.
     if (r.error) throw *r.error;
-    // run_sharded_campaign refuses SMC over more than one shard, so a
-    // decision in a multi-shard fleet can only mean journal corruption or a
-    // hand-mixed layout.
-    if (r.decision && m.shard_count > 1) {
-      throw_merge_bad("shard journal '" + u.journal +
-                      "' carries a sequential-verdict decision record but "
-                      "the manifest pins " + std::to_string(m.shard_count) +
-                      " shards — sequential campaigns are single-shard, so "
-                      "this journal is corrupt or hand-mixed");
-    }
     out.units.push_back(merged_unit(u, r));
     if (out.units.back().state != UnitState::kComplete) out.complete = false;
     // The units tile the campaign in seed order, so their records
@@ -1280,12 +1176,16 @@ MergedCampaign merge_shard_dir(const std::string& dir,
 
 MergedSweep merge_sweep_dir(const std::string& dir, const MergeOptions& opts) {
   MergedSweep out;
-  out.manifest = read_sweep_manifest(dir);
-  for (const Unit& u : sweep_units(dir, out.manifest)) {
+  out.manifest = read_fleet_manifest(dir);
+  if (!out.manifest.grid()) {
+    throw_merge_bad("'" + dir + "' holds a campaign fleet (no mapping x "
+                    "scenario grid) — merge it with merge_shard_dir");
+  }
+  for (const Unit& u : fleet_units(dir, out.manifest)) {
     // An otherwise unreadable cell journal salvages nothing, but one torn
     // header must not abort the whole sweep: the cell reports as partial
     // (or stays quarantined) with the reader's complaint attached.
-    UnitRead r = read_for_merge(u);
+    UnitRead r = read_for_merge(u, out.manifest);
     MergedSweepCell& cell = out.cells.emplace_back();
     static_cast<MergedUnit&>(cell) = merged_unit(u, r);
     cell.mapping = out.manifest.cell_mapping(u.index);
@@ -1411,13 +1311,9 @@ const char* to_string(ShardStatusEntry::State s) {
 
 FleetStatus fleet_status(const std::string& dir, std::uint64_t lease_ttl_ms) {
   // Pure observation: stat() and read() only — a status probe must never
-  // perturb the fleet it watches. A sweep.manifest makes a sweep fleet.
-  const std::vector<Unit> units =
-      file_exists(sweep_manifest_path(dir))
-          ? sweep_units(dir, read_sweep_manifest(dir))
-          : campaign_units(dir, read_fleet_manifest(dir));
+  // perturb the fleet it watches.
   FleetStatus st;
-  for (const Unit& u : units) {
+  for (const Unit& u : fleet_units(dir, read_fleet_manifest(dir))) {
     const UnitRead r = read_unit(u);
     ShardStatusEntry e;
     e.index = u.index;

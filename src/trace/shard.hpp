@@ -26,22 +26,22 @@ namespace sctrace {
 /// final merge step folds the shard journals back into the byte-identical
 /// single-process report()/write_csv() output. A CampaignSweep grid — the
 /// paper's mapping×scenario design-space exploration — fleets the same way
-/// with grid *cells* as the work units (run_sharded_sweep), and a sweep
-/// fleet is the one durable way to run a sweep.
+/// with one shard per grid *cell* (run_sharded_sweep), and a sweep fleet is
+/// the one durable way to run a sweep.
 ///
-/// One layout: the first worker pins a manifest (fleet.manifest for a
-/// campaign, sweep.manifest for a sweep), and the manifest alone names every
-/// *unit* — one shard or one cell, with one lease, one journal, one
-/// quarantine tombstone and the JournalHeader its journal must carry. A
-/// unit's journal is an ordinary campaign journal over the unit's seeds: its
-/// header pins the slot by base seed and run count, the file name carries the
-/// unit's index and count, and nothing else records the layout. The
-/// workers, both merges and fleet_status all derive that unit table from the
-/// manifest and read each unit the same way, so no two readers of a fleet
-/// directory can disagree about it: a file outside the pinned layout is
-/// ignored, and a journal whose header is not its unit's (identity_mismatch)
-/// never counts as complete. A slow-but-alive worker keeps its unit; only a
-/// worker whose heartbeat stops for a full TTL loses it, to adoption.
+/// One layout: the first worker pins `<dir>/fleet.manifest` (FleetManifest),
+/// and the manifest alone names every *unit* — one shard of one cell, with
+/// one lease, one journal, one quarantine tombstone and the JournalHeader
+/// its journal must carry. A unit's journal is an ordinary campaign journal
+/// over the unit's seeds: its header pins the slot by base seed and run
+/// count, the file name (unit_file) carries the unit's index and count, and
+/// nothing else records the layout. The workers, both merges and fleet_status all derive that
+/// unit table from the manifest and read each unit the same way, so no two
+/// readers of a fleet directory can disagree about it: a file outside the
+/// pinned layout is ignored, and a journal whose header is not its unit's
+/// (identity_mismatch) never counts as complete. A slow-but-alive worker
+/// keeps its unit; only a worker whose heartbeat stops for a full TTL loses
+/// it, to adoption.
 ///
 /// Coordination is filesystem-only, built from two atomic primitives:
 ///
@@ -85,12 +85,11 @@ namespace sctrace {
 /// output cannot tell who ran what.
 ///
 /// Elastic layout: the fleet directory, not the command line, is the
-/// authority on layout. `<dir>/fleet.manifest` (first-writer-wins, like
-/// sweep.manifest) records {base_seed, total_runs, shard_count, digest,
-/// tag}, and the pinned layout never changes. A worker launched with
-/// shard_count == 0 reads the layout from the manifest once. A fleet grows
-/// by over-partitioning: lay it out with more shards than workers, and every
-/// worker that joins later claims the shards nobody holds yet.
+/// authority on layout, and the pinned manifest never changes. A campaign
+/// worker launched with shard_count == 0 takes the shard count from the
+/// manifest. A fleet grows by over-partitioning: lay it out with more shards
+/// than workers, and every worker that joins later claims the shards nobody
+/// holds yet.
 
 /// Half-open global run-index range [begin, end) of one shard.
 struct ShardRange {
@@ -108,24 +107,12 @@ struct ShardRange {
 ShardRange shard_range(std::size_t shard, std::size_t shard_count,
                        std::size_t total_runs);
 
-/// Journal / lease / quarantine filenames inside a shard directory. The
-/// names carry the shard count, so the files of one layout can never be
-/// mistaken for those of another.
-std::string shard_journal_path(const std::string& dir, std::size_t shard,
-                               std::size_t shard_count);
-std::string shard_lease_path(const std::string& dir, std::size_t shard,
-                             std::size_t shard_count);
-std::string shard_quarantine_path(const std::string& dir, std::size_t shard,
-                                  std::size_t shard_count);
-
-/// Cell filenames inside a sweep shard directory (run_sharded_sweep): cell
-/// index i = mapping_index * |scenarios| + scenario_index, in grid order.
-std::string cell_journal_path(const std::string& dir, std::size_t cell,
-                              std::size_t cell_count);
-std::string cell_lease_path(const std::string& dir, std::size_t cell,
-                            std::size_t cell_count);
-std::string cell_quarantine_path(const std::string& dir, std::size_t cell,
-                                 std::size_t cell_count);
+/// "<dir>/unit_<i>_of_<n><ext>": unit i's journal (".journal"), lease
+/// (".lease") or quarantine tombstone (".quarantined") in a fleet of n
+/// units. The unit count is in every name, so the files of one layout can
+/// never be mistaken for those of another.
+std::string unit_file(const std::string& dir, std::size_t unit,
+                      std::size_t units, const char* ext);
 
 /// Parsed content of a lease file (or of the quarantine tombstone it became).
 /// The format is line-based, one key per line:
@@ -316,23 +303,44 @@ struct ShardProgress {
   bool fleet_done = false;         ///< all shards complete OR quarantined
 };
 
-/// The campaign identity + layout of a sharded-campaign directory, pinned
-/// in `<dir>/fleet.manifest` by the first worker (first-writer-wins, like
-/// the sweep manifest) and authoritative from then on: workers launched
-/// with ShardOptions::shard_count == 0 ("--shard-dir only") read the layout
-/// from it, and explicit workers must agree with it. It never changes.
+/// The layout of a fleet directory, pinned in `<dir>/fleet.manifest` by the
+/// first worker; it never changes. A campaign fleet has no grid and `shards`
+/// shards, a sweep fleet a grid with one shard per cell. Unit i is shard
+/// i % shards of cell i / shards, and its journal header is {base_seed +
+/// its shard_range begin, the range size, scenario_digest, cell_tag}.
 struct FleetManifest {
   std::uint64_t base_seed = 0;
-  std::size_t total_runs = 0;
-  std::size_t shard_count = 0;
+  std::size_t runs = 0;    ///< seeds per cell (a campaign's total)
+  std::size_t shards = 0;  ///< shards per cell
   std::uint64_t scenario_digest = 0;
   std::string tag;
+  std::vector<std::string> mappings;   ///< the grid; empty for a campaign
+  std::vector<std::string> scenarios;
+
+  bool grid() const { return !mappings.empty(); }
+  std::size_t units() const {
+    return (grid() ? mappings.size() * scenarios.size() : 1) * shards;
+  }
+  /// Grid-order cell identity: index = mapping_index * |scenarios| +
+  /// scenario_index, mirroring CampaignSweep::run's execution order.
+  const std::string& cell_mapping(std::size_t cell) const {
+    return mappings[cell / scenarios.size()];
+  }
+  const std::string& cell_scenario(std::size_t cell) const {
+    return scenarios[cell % scenarios.size()];
+  }
+  /// The journal tag of one cell: a campaign's tag, or a grid cell's
+  /// "mapping/scenario", led by "<tag>:" when the fleet has a tag.
+  std::string cell_tag(std::size_t cell) const;
 };
 
-/// Reads `<dir>/fleet.manifest`: a magic line, then "key value" lines — the
-/// one manifest format, shared with sweep.manifest. Throws
-/// minisc::SimError(kMergeIncomplete) when missing (no fleet ever pinned a
-/// layout here) and kJournalCorrupt when malformed.
+/// Reads `<dir>/fleet.manifest`: the magic line "scperf-fleet v2", then
+/// "key value" lines — base_seed, runs, shards, digest, tag, then one line
+/// per mapping and per scenario. Throws minisc::SimError(kMergeIncomplete)
+/// when missing (no fleet ever pinned a layout here) and kJournalCorrupt
+/// when malformed: another magic line (a v1 manifest included, named in the
+/// message), zero shards, mappings without scenarios or the reverse, or a
+/// grid with more than one shard per cell, which no entry point writes.
 FleetManifest read_fleet_manifest(const std::string& dir);
 
 /// Runs one worker of a sharded campaign: claims shards (preferred first,
@@ -342,65 +350,32 @@ FleetManifest read_fleet_manifest(const std::string& dir);
 /// The CampaignOptions journal fields are overwritten per shard; threads,
 /// retry, budgets, digest and tag apply as usual. A shard journal that does
 /// not carry its shard's identity is claimed, refused on resume and
-/// abandoned toward quarantine like any other permanent failure. An engaged
-/// smc spec over more than one shard is refused (kBadConfig) before any
-/// shard runs: the sequential decision needs the campaign's global seed
-/// order.
+/// abandoned toward quarantine like any other permanent failure.
 ///
-/// Layout authority: the first worker pins `<dir>/fleet.manifest`; later
-/// workers verify their {base_seed, total_runs, shard_count, digest, tag}
-/// against it and refuse (kBadConfig) on disagreement — a worker launched
-/// with another shard count is told to relaunch elastic. shard.shard_count
-/// == 0 is *elastic* mode: the shard count is read from the manifest, which
-/// must already exist.
+/// Layout authority: the first worker pins `<dir>/fleet.manifest`; every
+/// later worker compares its own manifest with the pinned one and refuses
+/// (kBadConfig, naming each differing field with both values) on
+/// disagreement — a worker that differs only in its shard count is told to
+/// relaunch elastic. shard.shard_count == 0 is *elastic* mode: the shard
+/// count is taken from the manifest, which must already exist. An engaged
+/// smc spec is refused (kBadConfig) before any shard runs when the manifest
+/// pins more than one shard per cell: the sequential test eats a cell's
+/// seeds in order.
 ShardProgress run_sharded_campaign(const FaultCampaign::RunFn& fn,
                                    std::uint64_t base_seed,
                                    std::size_t total_runs,
                                    const ShardOptions& shard,
                                    const CampaignOptions& opts = {});
 
-/// The grid identity of a sharded sweep, pinned in `<dir>/sweep.manifest` by
-/// the first worker (O_CREAT | O_EXCL — exactly one writer) and verified by
-/// everyone else: a worker whose grid, seed, run count, digest or tag
-/// disagrees with the manifest refuses to participate (kBadConfig) instead
-/// of silently corrupting cells, and merge/status re-derive cell names and
-/// grid order from it alone. Same format as fleet.manifest.
-struct SweepManifest {
-  std::uint64_t base_seed = 0;
-  std::size_t runs = 0;  ///< seeds per cell (common random numbers)
-  std::uint64_t scenario_digest = 0;
-  std::string tag;  ///< sweep-level tag prefix ("" = none)
-  std::vector<std::string> mappings;
-  std::vector<std::string> scenarios;
-
-  std::size_t cells() const { return mappings.size() * scenarios.size(); }
-  /// Grid-order cell identity: index = mapping_index * |scenarios| +
-  /// scenario_index, mirroring CampaignSweep::run's execution order.
-  const std::string& cell_mapping(std::size_t cell) const {
-    return mappings[cell / scenarios.size()];
-  }
-  const std::string& cell_scenario(std::size_t cell) const {
-    return scenarios[cell % scenarios.size()];
-  }
-  /// The journal tag of one cell: "mapping/scenario", led by "<tag>:" when
-  /// the sweep has a tag.
-  std::string cell_tag(std::size_t cell) const;
-};
-
-/// Reads `<dir>/sweep.manifest`. Throws minisc::SimError(kMergeIncomplete)
-/// when missing (no fleet ever started here) and kJournalCorrupt when
-/// malformed.
-SweepManifest read_sweep_manifest(const std::string& dir);
-
-/// Runs one worker of a sharded CampaignSweep: every (mapping, scenario)
-/// grid cell is an independent lease-claimable work unit — one lease + one
-/// journal per cell, claimed/adopted/quarantined exactly like campaign
-/// shards — so a fleet of workers spreads across the grid, survivors adopt
-/// the cells of dead workers, and a poison cell is quarantined after
-/// max_adoptions instead of crash-looping the fleet. All workers must agree
-/// on the grid (the manifest enforces it). shard.shard_index is the
-/// preferred starting cell; shard.shard_count is ignored (the grid defines
-/// the unit count).
+/// Runs one worker of a sharded CampaignSweep: a fleet with one shard per
+/// (mapping, scenario) grid cell, claimed, adopted and quarantined exactly
+/// like campaign shards — so a fleet of workers spreads across the grid,
+/// survivors adopt the cells of dead workers, and a poison cell is
+/// quarantined after max_adoptions instead of crash-looping the fleet. The
+/// manifest is pinned and verified as in run_sharded_campaign, and a cell is
+/// a whole campaign over the common seeds, so an smc spec prunes each cell
+/// independently. shard.shard_index is the preferred starting cell;
+/// shard.shard_count is ignored (the grid defines the unit count).
 ShardProgress run_sharded_sweep(const std::vector<std::string>& mappings,
                                 const std::vector<std::string>& scenarios,
                                 const CampaignSweep::Factory& factory,
@@ -461,7 +436,7 @@ struct MergedCampaign {
   std::vector<CampaignRunResult> results;
 
   /// Sequential verdict recovered from the journal's decision record (only
-  /// legal in a single-shard layout — an smc campaign is never sharded).
+  /// legal with one shard per cell — an smc campaign is never sharded).
   /// With a decision, `results` covers the *executed* runs and the merge is
   /// complete at that count: attach it to the rebuilt campaign via
   /// FaultCampaign::set_smc_verdict for byte-identical report/CSV output.
@@ -475,13 +450,15 @@ struct MergedCampaign {
 /// `<dir>/fleet.manifest` and opens each shard's canonical journal, so a
 /// file outside the pinned layout is never read. Refuses, with a
 /// structured minisc::SimError (identity refusals in partial mode too):
-///   - kMergeIncomplete: no manifest;
+///   - kMergeIncomplete: no manifest; kBadConfig: a sweep fleet's manifest
+///     (a grid), which merge_sweep_dir merges;
 ///   - kShardVersionMismatch: a journal of another format version than
 ///     JournalHeader::kVersion, naming both versions;
 ///   - kBadConfig: a journal that does not carry its shard's identity
 ///     (naming the journal and each differing field with both values), or
-///     a decision record in a multi-shard layout; kJournalCorrupt (or
-///     kBadConfig) for a journal that does not read;
+///     a decision record when the manifest pins more than one shard per
+///     cell; kJournalCorrupt (or kBadConfig) for a journal that does not
+///     read;
 ///   - kMergeIncomplete, unless opts.allow_partial: a shard that is not
 ///     complete (quarantined, missing or partial) — merging a partial fleet
 ///     *silently* would bias every statistic the campaign exists to
@@ -512,8 +489,8 @@ struct MergedSweepCell : MergedUnit {
 /// write_csv() appends records/runs/state columns so no downstream reader
 /// can mistake a partial grid for a finished one.
 struct MergedSweep {
-  SweepManifest manifest;
-  std::vector<MergedSweepCell> cells;  ///< grid order, manifest.cells() long
+  FleetManifest manifest;
+  std::vector<MergedSweepCell> cells;  ///< grid order, one per unit
   bool complete = true;
 
   std::size_t complete_cells() const;
@@ -527,12 +504,13 @@ struct MergedSweep {
 };
 
 /// Folds a sweep fleet directory into one MergedSweep, reading each cell of
-/// the pinned `<dir>/sweep.manifest` the way merge_shard_dir reads a shard.
-/// Identity refusals (another format version, a journal that does not
-/// carry its cell's identity) always throw; an otherwise unreadable journal
-/// makes its cell partial. Missing/partial/quarantined cells throw
-/// kMergeIncomplete unless opts.allow_partial, which returns the degraded
-/// MergedSweep instead.
+/// the pinned `<dir>/fleet.manifest` the way merge_shard_dir reads a shard,
+/// and refusing (kBadConfig) a campaign fleet's manifest (no grid), which
+/// merge_shard_dir merges. Identity refusals (another format version, a
+/// journal that does not carry its cell's identity) always throw; an
+/// otherwise unreadable journal makes its cell partial.
+/// Missing/partial/quarantined cells throw kMergeIncomplete unless
+/// opts.allow_partial, which returns the degraded MergedSweep instead.
 MergedSweep merge_sweep_dir(const std::string& dir,
                             const MergeOptions& opts = {});
 
@@ -576,10 +554,10 @@ struct FleetStatus {
   bool fleet_done() const { return done + quarantined == units && units > 0; }
 };
 
-/// Reads the status of a fleet directory: one entry per unit of whichever
-/// manifest it holds — per grid cell (named mapping/scenario) under a
-/// sweep.manifest, else per shard of the fleet.manifest. A unit is done
-/// when its journal carries the unit's identity and records every owed run.
+/// Reads the status of a fleet directory: one entry per unit of its pinned
+/// manifest — per shard ("shard 2/4") of a campaign fleet, per grid cell
+/// ("mapping/scenario") of a sweep fleet. A unit is done when its journal
+/// carries the unit's identity and records every owed run.
 /// `lease_ttl_ms` classifies claimed vs stale (use the fleet's TTL). Throws
 /// kMergeIncomplete when no manifest exists (no fleet ever started here)
 /// and kJournalCorrupt when it is malformed.

@@ -245,7 +245,7 @@ TEST(Journal, RecordIndexBeyondHeaderRunsIsCorrupt) {
   so.worker_id = "writer";
   ASSERT_TRUE(
       run_sharded_sweep({"m"}, {"s"}, fn, 40, 3, so).campaign_complete);
-  const std::string path = cell_journal_path(dir.string(), 0, 1);
+  const std::string path = unit_file(dir.string(), 0, 1, ".journal");
   {
     JournalWriter w(path, read_journal(path).valid_bytes);
     w.append(3, synth_run(43));  // the header holds runs 0..2

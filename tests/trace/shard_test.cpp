@@ -163,7 +163,7 @@ TEST(ShardRange, OutOfRangeShardIsRefused) {
 
 TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseUnlinks) {
   ScratchDir dir("fresh");
-  const std::string path = shard_lease_path(dir.str(), 0, 2);
+  const std::string path = unit_file(dir.str(), 0, 2, ".lease");
   auto lease = claim_shard_lease(path, "alice", 10000);
   EXPECT_FALSE(lease->adopted());
   EXPECT_FALSE(lease->lost());
@@ -183,7 +183,7 @@ TEST(ShardLease, FreshClaimWritesTheWorkerIdAndReleaseUnlinks) {
 
 TEST(ShardLease, DoubleClaimIsATransientConflict) {
   ScratchDir dir("double");
-  const std::string path = shard_lease_path(dir.str(), 0, 2);
+  const std::string path = unit_file(dir.str(), 0, 2, ".lease");
   auto lease = claim_shard_lease(path, "alice", 10000);
   try {
     claim_shard_lease(path, "bob", 10000);
@@ -204,7 +204,7 @@ TEST(ShardLease, DoubleClaimIsATransientConflict) {
 
 TEST(ShardLease, FreshLeaseOfADeadlessWorkerIsNotAdoptable) {
   ScratchDir dir("not_stale");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   // A lease file with a current mtime and no live process behind it is
   // indistinguishable from a just-started worker: it must NOT be adopted.
   write_file(path, format_lease_for_test("maybe-alive", 0));
@@ -214,7 +214,7 @@ TEST(ShardLease, FreshLeaseOfADeadlessWorkerIsNotAdoptable) {
 
 TEST(ShardLease, StaleLeaseIsAdopted) {
   ScratchDir dir("stale");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   write_file(path, format_lease_for_test("dead-worker", 0));
   make_stale(path);
   auto lease = claim_shard_lease(path, "survivor", 10000);
@@ -233,7 +233,7 @@ TEST(ShardLease, StaleLeaseIsAdopted) {
 
 TEST(ShardLease, TakenOverLeaseIsObservedLostAndLeftToTheAdopter) {
   ScratchDir dir("takeover");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   // Tight heartbeat so the probe notices quickly.
   auto lease = claim_shard_lease(path, "victim", 10000, /*heartbeat_ms=*/20);
   // Simulate the adopter's rename+re-create: the file now names it.
@@ -258,7 +258,7 @@ TEST(ShardLease, ContentWithoutAnOwnerLineIsNobodysLease) {
   for (const std::string content : {"dead-worker", ""}) {
     SCOPED_TRACE("content '" + content + "'");
     ScratchDir dir("ownerless");
-    const std::string path = shard_lease_path(dir.str(), 0, 1);
+    const std::string path = unit_file(dir.str(), 0, 1, ".lease");
     write_file(path, content);
     LeaseInfo info;
     ASSERT_TRUE(read_lease_info(path, &info));
@@ -286,7 +286,7 @@ TEST(ShardLease, ContentWithoutAnOwnerLineIsNobodysLease) {
 
 TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
   ScratchDir dir("stale_marker");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   const std::string marker = path + ".adopt1";
   const std::string next = marker + ".1";
   const auto entries = [&] {
@@ -313,8 +313,8 @@ TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
   expect_conflict();
   EXPECT_EQ(read_file(path), format_lease_for_test("dead-worker", 0));
   EXPECT_EQ(std::filesystem::last_write_time(path), stale_mtime);
-  EXPECT_EQ(entries(), (std::set<std::string>{"shard_0_of_1.lease",
-                                              "shard_0_of_1.lease.adopt1"}));
+  EXPECT_EQ(entries(), (std::set<std::string>{"unit_0_of_1.lease",
+                                              "unit_0_of_1.lease.adopt1"}));
   // That adopter died holding the marker: once the marker is older than
   // the TTL, the next claimer moves on to the next name in the series, so a
   // live holder of that one still blocks...
@@ -335,7 +335,7 @@ TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
   EXPECT_EQ(info.adoptions, 1u);
   // Only the lease is left; the next adoption takes generation two's
   // markers.
-  EXPECT_EQ(entries(), (std::set<std::string>{"shard_0_of_1.lease"}));
+  EXPECT_EQ(entries(), (std::set<std::string>{"unit_0_of_1.lease"}));
 }
 
 /// Caps the size of any file this process writes at 0 bytes for its
@@ -360,7 +360,7 @@ struct NoFileWrites {
 
 TEST(ShardLease, FailedClaimLeavesNoLeaseBehind) {
   ScratchDir dir("failed_claim");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   std::optional<SimError::Kind> kind;
   {
     const NoFileWrites guard;
@@ -391,7 +391,7 @@ void make_future(const std::string& path, int minutes) {
 
 TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
   ScratchDir dir("skew_far");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   write_file(path, format_lease_for_test("skewed-worker", 0));
   // An hour in the future with a 10 s TTL: no honest heartbeat can have
   // produced this mtime, so treating it as "alive until the wall clock
@@ -406,7 +406,7 @@ TEST(ShardLease, FutureMtimeBeyondTheTtlIsStaleToo) {
 
 TEST(ShardLease, FutureMtimeWithinTheTtlIsAlive) {
   ScratchDir dir("skew_near");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   write_file(path, format_lease_for_test("slightly-ahead", 0));
   // A few seconds ahead is ordinary NFS/VM clock slop around a live
   // heartbeat: within the TTL window in either direction means alive.
@@ -420,7 +420,7 @@ TEST(ShardLease, FutureMtimeWithinTheTtlIsAlive) {
 
 TEST(ShardLease, AdoptionCounterRoundTripsAcrossGenerations) {
   ScratchDir dir("counter");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   // Generation 0: fresh claim, counter starts at zero...
   claim_shard_lease(path, "gen0", 10000)->abandon();
   // ...then every crash/adopt cycle increments it through the file.
@@ -440,7 +440,7 @@ TEST(ShardLease, AdoptionCounterRoundTripsAcrossGenerations) {
 
 TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
   ScratchDir dir("carry_error");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   {
     auto lease = claim_shard_lease(path, "first", 10000, 0,
                                    /*max_adoptions=*/1);
@@ -471,7 +471,7 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
         << e.what();
   }
   EXPECT_FALSE(std::filesystem::exists(path));
-  const std::string qpath = shard_quarantine_path(dir.str(), 0, 1);
+  const std::string qpath = unit_file(dir.str(), 0, 1, ".quarantined");
   LeaseInfo qinfo;
   ASSERT_TRUE(read_lease_info(qpath, &qinfo));
   EXPECT_EQ(qinfo.owner, "second");
@@ -481,7 +481,7 @@ TEST(ShardLease, RecordedErrorSurvivesAdoptionIntoTheTombstone) {
 
 TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
   ScratchDir dir("quarantined_claim");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   write_file(path, format_lease_for_test("dead-worker", 0));
   make_stale(path);
   // Zero prior adoptions, so with max_adoptions=1 the first stale claim
@@ -493,7 +493,7 @@ TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
   // Second stale claim hits the cap and quarantines.
   EXPECT_THROW(claim_shard_lease(path, "late", 10000, 0, 1), SimError);
   ASSERT_TRUE(
-      std::filesystem::exists(shard_quarantine_path(dir.str(), 0, 1)));
+      std::filesystem::exists(unit_file(dir.str(), 0, 1, ".quarantined")));
   // From now on EVERY claim — fresh or stale path — sees the tombstone
   // first and reports terminal kShardQuarantined, forever.
   for (int i = 0; i < 2; ++i) {
@@ -508,8 +508,8 @@ TEST(ShardLease, QuarantinedShardRefusesEveryLaterClaim) {
 
 TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
   ScratchDir dir("race_quarantine");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
-  const std::string qpath = shard_quarantine_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
+  const std::string qpath = unit_file(dir.str(), 0, 1, ".quarantined");
   // Run the race several rounds: rename-based quarantine must pick exactly
   // one winner each time, never two, never zero.
   for (int round = 0; round < 10; ++round) {
@@ -548,7 +548,7 @@ TEST(ShardLease, RacingAdoptersQuarantineExactlyOnce) {
 
 TEST(ShardLease, RacingAdoptersAdoptExactlyOnce) {
   ScratchDir dir("race_adopt");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   // Ten rounds on a lease an hour stale, then one whose mtime sits an hour
   // in the FUTURE against the 10 s TTL (clock skew: stale too). Every round
   // has exactly one winner; every other racer gets a transient conflict.
@@ -601,7 +601,7 @@ TEST(ShardLease, RacingAdoptersAdoptExactlyOnce) {
 
 TEST(ShardLease, MaxAdoptionsZeroMeansUnlimited) {
   ScratchDir dir("unlimited");
-  const std::string path = shard_lease_path(dir.str(), 0, 1);
+  const std::string path = unit_file(dir.str(), 0, 1, ".lease");
   claim_shard_lease(path, "gen0", 10000, 0, /*max_adoptions=*/0)->abandon();
   for (std::uint64_t gen = 1; gen <= 6; ++gen) {
     make_stale(path);
@@ -612,7 +612,7 @@ TEST(ShardLease, MaxAdoptionsZeroMeansUnlimited) {
     lease->abandon();
   }
   EXPECT_FALSE(
-      std::filesystem::exists(shard_quarantine_path(dir.str(), 0, 1)));
+      std::filesystem::exists(unit_file(dir.str(), 0, 1, ".quarantined")));
 }
 
 // ---- worker loop ----------------------------------------------------------
@@ -661,12 +661,12 @@ TEST(ShardWorker, AdoptionResumesTheDeadWorkersJournalRunningOnlyMissingSeeds) {
   h.base_seed = base + r1.begin;
   h.runs = r1.size();
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
+    JournalWriter w(unit_file(dir.str(), 1, 2, ".journal"), h);
     w.append(0, synth_run(base + r1.begin));
     w.append(1, synth_run(base + r1.begin + 1));
   }
   // ...and its lease went stale.
-  const std::string lease = shard_lease_path(dir.str(), 1, 2);
+  const std::string lease = unit_file(dir.str(), 1, 2, ".lease");
   write_file(lease, format_lease_for_test("dead-worker", 0));
   make_stale(lease);
 
@@ -705,8 +705,8 @@ TEST(ShardWorker, CorruptAdoptedJournalIsHealedUnderTheExclusiveLease) {
   // Shard 1's journal is bytes-but-no-header: a worker died inside its very
   // first write. The adopter holds the exclusive lease and every run is a
   // pure function of its seed, so it deletes the wreck and re-runs.
-  write_file(shard_journal_path(dir.str(), 1, 2), "garbage");
-  const std::string lease = shard_lease_path(dir.str(), 1, 2);
+  write_file(unit_file(dir.str(), 1, 2, ".journal"), "garbage");
+  const std::string lease = unit_file(dir.str(), 1, 2, ".lease");
   write_file(lease, format_lease_for_test("dead-worker", 0));
   make_stale(lease);
 
@@ -792,7 +792,7 @@ void build_fleet(const std::string& dir, std::uint64_t base,
 TEST(ShardMerge, MissingShardJournalIsIncomplete) {
   ScratchDir dir("missing_shard");
   build_fleet(dir.str(), 0, 10);
-  std::filesystem::remove(shard_journal_path(dir.str(), 1, 2));
+  std::filesystem::remove(unit_file(dir.str(), 1, 2, ".journal"));
   try {
     merge_shard_dir(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
@@ -813,7 +813,7 @@ TEST(ShardMerge, MissingRunRecordsAreIncomplete) {
   h.base_seed = r1.begin;
   h.runs = r1.size();
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
+    JournalWriter w(unit_file(dir.str(), 1, 2, ".journal"), h);
     for (std::size_t i = 0; i + 1 < r1.size(); ++i) {
       w.append(i, synth_run(r1.begin + i));
     }
@@ -845,14 +845,15 @@ TEST(ShardMerge, MixedScenarioDigestsAreRefused) {
   ScratchDir dir("mixed_digest");
   build_fleet(dir.str(), 0, 10);
   // Shard 1 re-written under a different fault model digest.
-  write_shard1_journal(shard_journal_path(dir.str(), 1, 2), 5, 5, 0xdeadbeef);
+  write_shard1_journal(unit_file(dir.str(), 1, 2, ".journal"), 5, 5,
+                       0xdeadbeef);
   try {
     merge_shard_dir(dir.str());
     FAIL() << "expected SimError(kBadConfig)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
     const std::string what = e.what();
-    EXPECT_NE(what.find(shard_journal_path(dir.str(), 1, 2)),
+    EXPECT_NE(what.find(unit_file(dir.str(), 1, 2, ".journal")),
               std::string::npos) << what;
     EXPECT_NE(what.find("scenario_digest 3735928559 (want 0)"),
               std::string::npos) << what;
@@ -899,7 +900,7 @@ TEST(ShardMerge, V3JournalIsRefusedNamingBothVersions) {
   // Every retired format: 3, 4 (the last with a lease epoch) and 5 (the
   // last with a shard identity).
   for (const std::uint8_t version : {3, 4, 5}) {
-    stamp_journal_version(shard_journal_path(dir.str(), 1, 2), version);
+    stamp_journal_version(unit_file(dir.str(), 1, 2, ".journal"), version);
     for (const bool allow_partial : {false, true}) {
       MergeOptions mo;
       mo.allow_partial = allow_partial;
@@ -923,7 +924,7 @@ TEST(ShardMerge, JournalOutsideItsCanonicalSlotIsRefused) {
   build_fleet(dir.str(), 0, 10);
   // Shard 1's canonical slot is [5, +5); a journal for a tail of it, or for
   // a range running past it, is not a shard journal of this layout.
-  const std::string j1 = shard_journal_path(dir.str(), 1, 2);
+  const std::string j1 = unit_file(dir.str(), 1, 2, ".journal");
   for (const auto& [begin, runs] :
        {std::pair<std::size_t, std::size_t>{6, 4}, {5, 4}, {4, 6}}) {
     write_shard1_journal(j1, begin, runs);
@@ -966,7 +967,7 @@ TEST(ShardMerge, FilesOutsideThePinnedLayoutAreIgnored) {
   h.base_seed = r0.begin;
   h.runs = r0.size();
   {
-    JournalWriter w(shard_journal_path(dir.str(), 0, 3), h);
+    JournalWriter w(unit_file(dir.str(), 0, 3, ".journal"), h);
     for (std::size_t i = 0; i < r0.size(); ++i) w.append(i, synth_run(i));
   }
   const MergedCampaign merged = merge_shard_dir(dir.str());
@@ -999,7 +1000,7 @@ TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
   const auto fn = [&](std::uint64_t seed) -> CampaignRunResult {
     if (seed >= base + r1.begin) {
       throw SimError(SimError::Kind::kIoError,
-                     "append 'shard_1_of_2.journal': pwrite: "
+                     "append 'unit_1_of_2.journal': pwrite: "
                      "No space left on device");
     }
     return synth_run(seed);
@@ -1020,10 +1021,10 @@ TEST(ShardWorker, PermanentInfraErrorConvergesToQuarantine) {
   // Initial claim plus max_adoptions crash generations, all abandoned.
   EXPECT_EQ(p.shards_abandoned, 3u);
 
-  const std::string qpath = shard_quarantine_path(dir.str(), 1, 2);
+  const std::string qpath = unit_file(dir.str(), 1, 2, ".quarantined");
   ASSERT_TRUE(std::filesystem::exists(qpath));
   EXPECT_FALSE(
-      std::filesystem::exists(shard_lease_path(dir.str(), 1, 2)));
+      std::filesystem::exists(unit_file(dir.str(), 1, 2, ".lease")));
   LeaseInfo qinfo;
   ASSERT_TRUE(read_lease_info(qpath, &qinfo));
   EXPECT_EQ(qinfo.adoptions, 2u);
@@ -1065,7 +1066,7 @@ TEST(ShardWorker, V3JournalIsNeverExtendedAndConvergesToQuarantine) {
     ScratchDir dir("v" + std::to_string(version) + "_worker");
     const std::size_t total = 10;
     build_fleet(dir.str(), 0, total);
-    const std::string old = shard_journal_path(dir.str(), 1, 2);
+    const std::string old = unit_file(dir.str(), 1, 2, ".journal");
     stamp_journal_version(old, version);
     const std::string old_bytes = read_file(old);
 
@@ -1089,7 +1090,7 @@ TEST(ShardWorker, V3JournalIsNeverExtendedAndConvergesToQuarantine) {
 
     LeaseInfo qinfo;
     ASSERT_TRUE(
-        read_lease_info(shard_quarantine_path(dir.str(), 1, 2), &qinfo));
+        read_lease_info(unit_file(dir.str(), 1, 2, ".quarantined"), &qinfo));
     EXPECT_NE(qinfo.error.find("format version " + std::to_string(version)),
               std::string::npos)
         << qinfo.error;
@@ -1111,7 +1112,7 @@ TEST(ShardMerge, AllowPartialCompactsMissingRecordsInSeedOrder) {
   h.base_seed = r1.begin;
   h.runs = r1.size();
   {
-    JournalWriter w(shard_journal_path(dir.str(), 1, 2), h);
+    JournalWriter w(unit_file(dir.str(), 1, 2, ".journal"), h);
     for (std::size_t i = 0; i < r1.size(); ++i) {
       if (i == 1) continue;
       w.append(i, synth_run(r1.begin + i));
@@ -1141,7 +1142,7 @@ TEST(ShardMerge, AllowPartialListsAWholeMissingShard) {
   const std::size_t total = 10;
   const ShardRange r1 = shard_range(1, 2, total);
   build_fleet(dir.str(), 0, total);
-  std::filesystem::remove(shard_journal_path(dir.str(), 1, 2));
+  std::filesystem::remove(unit_file(dir.str(), 1, 2, ".journal"));
   MergeOptions mo;
   mo.allow_partial = true;
   const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
@@ -1163,7 +1164,7 @@ TEST(ShardMerge, QuarantineTombstoneDegradesEvenWithAFullJournal) {
   // error hit on the final fsync). Every record is salvageable, but the
   // campaign must still present as degraded: a tombstone is a statement
   // that this fleet needed intervention, not a detail to launder away.
-  write_file(shard_quarantine_path(dir.str(), 1, 2),
+  write_file(unit_file(dir.str(), 1, 2, ".quarantined"),
              format_lease_for_test("doomed", 3) +
                  "error device reported EIO\nquarantined-by ci-worker\n");
   MergeOptions mo;
@@ -1199,7 +1200,7 @@ TEST(ShardMerge, PartialMergeIsByteStableAcrossThreads) {
     const ShardProgress p =
         run_sharded_campaign(synth_fn(), base, total, so, co);
     ASSERT_TRUE(p.campaign_complete);
-    std::filesystem::remove(shard_journal_path(dir.str(), 1, 3));
+    std::filesystem::remove(unit_file(dir.str(), 1, 3, ".journal"));
     MergeOptions mo;
     mo.allow_partial = true;
     const MergedCampaign merged = merge_shard_dir(dir.str(), mo);
@@ -1215,15 +1216,16 @@ TEST(ShardMerge, PartialMergeIsByteStableAcrossThreads) {
 
 // ---- elastic layout (fleet manifest) --------------------------------------
 
-/// Hand-written fleet manifest, matching the pinned writer's format, for
-/// tests that need a layout authority without first completing a campaign.
+/// Hand-written campaign fleet manifest, matching the pinned writer's
+/// format, for tests that need a layout authority without first completing
+/// a campaign.
 void write_manifest_for_test(const std::string& dir, std::uint64_t base,
                              std::size_t total, std::size_t count,
                              std::uint64_t digest = 0,
                              const std::string& tag = "") {
   write_file(dir + "/fleet.manifest",
-             "scperf-fleet v1\nbase_seed " + std::to_string(base) +
-                 "\ntotal_runs " + std::to_string(total) + "\nshard_count " +
+             "scperf-fleet v2\nbase_seed " + std::to_string(base) +
+                 "\nruns " + std::to_string(total) + "\nshards " +
                  std::to_string(count) + "\ndigest " +
                  std::to_string(digest) + "\ntag " + tag + "\n");
 }
@@ -1242,14 +1244,18 @@ TEST(ShardElastic, FirstWorkerPinsTheManifestAndItReadsBack) {
                   .campaign_complete);
   // The manifest's bytes are part of the on-disk contract.
   EXPECT_EQ(read_file(dir.str() + "/fleet.manifest"),
-            "scperf-fleet v1\nbase_seed 40\ntotal_runs 13\nshard_count 3\n"
+            "scperf-fleet v2\nbase_seed 40\nruns 13\nshards 3\n"
             "digest 777\ntag elastic\n");
   const FleetManifest m = read_fleet_manifest(dir.str());
   EXPECT_EQ(m.base_seed, 40u);
-  EXPECT_EQ(m.total_runs, 13u);
-  EXPECT_EQ(m.shard_count, 3u);
+  EXPECT_EQ(m.runs, 13u);
+  EXPECT_EQ(m.shards, 3u);
   EXPECT_EQ(m.scenario_digest, 777u);
   EXPECT_EQ(m.tag, "elastic");
+  // A campaign is one cell without a grid: its units are its shards.
+  EXPECT_FALSE(m.grid());
+  EXPECT_EQ(m.units(), 3u);
+  EXPECT_EQ(m.cell_tag(0), "elastic");
 }
 
 TEST(ShardElastic, UnpinnedDirectoryHasNoManifestToRead) {
@@ -1310,10 +1316,13 @@ TEST(ShardElastic, ExplicitWorkerDisagreeingWithThePinnedCountRefuses) {
     FAIL() << "expected SimError(kBadConfig)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    // The refusal teaches the operator the elastic escape hatch.
-    EXPECT_NE(std::string(e.what()).find("relaunch the worker elastic"),
-              std::string::npos)
-        << e.what();
+    // The refusal names the one differing field with both values and
+    // teaches the operator the elastic escape hatch.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shards 4 (pinned 3)"), std::string::npos) << what;
+    EXPECT_EQ(what.find("base_seed"), std::string::npos) << what;
+    EXPECT_NE(what.find("relaunch the worker elastic"), std::string::npos)
+        << what;
   }
 }
 
@@ -1335,7 +1344,7 @@ TEST(ShardElastic, ElasticWorkerFinishesOnlyTheOwedSeedsAcrossThreads) {
     ASSERT_TRUE(run_sharded_campaign(synth_fn(), base, total, so)
                     .campaign_complete);
     // Lose one shard's work entirely: 17 records live, 5 seeds still owed.
-    std::filesystem::remove(shard_journal_path(dir.str(), 3, 4));
+    std::filesystem::remove(unit_file(dir.str(), 3, 4, ".journal"));
 
     // A manifest-only (elastic) worker joining the fleet finishes exactly
     // the owed seeds under the pinned layout.
@@ -1374,7 +1383,7 @@ TEST(ShardStatus, ClassifiesEveryShardStateWithoutWriting) {
 
   // Sculpt one shard into each state. Shard 0 stays done.
   const auto journal = [&](std::size_t i) {
-    return shard_journal_path(dir.str(), i, 5);
+    return unit_file(dir.str(), i, 5, ".journal");
   };
   const auto keep_records = [&](std::size_t i, std::size_t n) {
     const ShardRange r = shard_range(i, 5, total);
@@ -1385,13 +1394,13 @@ TEST(ShardStatus, ClassifiesEveryShardStateWithoutWriting) {
     for (std::size_t k = 0; k < n; ++k) w.append(k, synth_run(r.begin + k));
   };
   keep_records(1, 3);  // claimed by a live worker, 3 of 4 recorded
-  write_file(shard_lease_path(dir.str(), 1, 5),
+  write_file(unit_file(dir.str(), 1, 5, ".lease"),
              format_lease_for_test("live-worker", 0));
   keep_records(2, 1);  // stale: its worker died after one record
-  const std::string stale = shard_lease_path(dir.str(), 2, 5);
+  const std::string stale = unit_file(dir.str(), 2, 5, ".lease");
   write_file(stale, format_lease_for_test("dead-worker", 2));
   make_stale(stale);
-  write_file(shard_quarantine_path(dir.str(), 3, 5),  // quarantined
+  write_file(unit_file(dir.str(), 3, 5, ".quarantined"),  // quarantined
              format_lease_for_test("doomed", 3) + "error poison seed\n" +
                  "quarantined-by w1.pid9\n");
   std::filesystem::remove(journal(4));  // unclaimed
@@ -1457,7 +1466,7 @@ TEST(ShardStatus, ForeignJournalIsNeverDone) {
   build_fleet(dir.str(), 0, 10);
   // A complete journal of another fault model sits at shard 1's path. It
   // carries every record shard 1 owes, but not shard 1's identity.
-  const std::string j1 = shard_journal_path(dir.str(), 1, 2);
+  const std::string j1 = unit_file(dir.str(), 1, 2, ".journal");
   write_shard1_journal(j1, 5, 5, /*digest=*/0xfeed);
   const FleetStatus st = fleet_status(dir.str(), 10000);
   EXPECT_EQ(st.done, 1u);
@@ -1477,18 +1486,58 @@ TEST(ShardStatus, ForeignJournalIsNeverDone) {
 }
 
 TEST(ShardStatus, DirectoryWithoutAManifestIsARefusal) {
-  // The manifest is the only layout authority: shard files alone do not
-  // make a fleet status can summarise.
-  ScratchDir dir("status_nomanifest");
-  write_file(shard_lease_path(dir.str(), 0, 2),
-             format_lease_for_test("someone", 0));
-  try {
-    fleet_status(dir.str(), 10000);
-    FAIL() << "expected SimError(kMergeIncomplete)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimError::Kind::kMergeIncomplete);
-    EXPECT_NE(std::string(e.what()).find("fleet.manifest"), std::string::npos)
-        << e.what();
+  // The manifest is the only layout authority. Neither unit files alone, nor
+  // a sweep.manifest (the old sweep layout), nor an empty directory make a
+  // fleet that status or a merge can summarise: no fleet pinned one. A
+  // manifest in another format — a v1 one, or a grid with more than one
+  // shard per cell, which no worker writes — is refused as malformed,
+  // naming what it found.
+  struct Input {
+    const char* name;
+    const char* file;
+    const char* content;
+    SimError::Kind kind;
+    const char* names;
+  };
+  const Input inputs[] = {
+      {"empty", nullptr, nullptr, SimError::Kind::kMergeIncomplete,
+       "fleet.manifest"},
+      {"lease_only", "unit_0_of_2.lease", "owner someone\nadoptions 0\n",
+       SimError::Kind::kMergeIncomplete, "fleet.manifest"},
+      {"sweep_v1", "sweep.manifest",
+       "scperf-sweep v1\nbase_seed 90\nruns 3\ndigest 0\ntag \n"
+       "mapping shared\nscenario iid\n",
+       SimError::Kind::kMergeIncomplete, "fleet.manifest"},
+      {"fleet_v1", "fleet.manifest",
+       "scperf-fleet v1\nbase_seed 40\ntotal_runs 13\nshard_count 3\n"
+       "digest 0\ntag \n",
+       SimError::Kind::kJournalCorrupt, "bad magic line 'scperf-fleet v1'"},
+      {"grid_shards", "fleet.manifest",
+       "scperf-fleet v2\nbase_seed 90\nruns 3\nshards 2\ndigest 0\ntag \n"
+       "mapping shared\nscenario iid\n",
+       SimError::Kind::kJournalCorrupt, "one shard per cell, not 2"},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    ScratchDir dir(std::string("status_") + in.name);
+    if (in.file != nullptr) {
+      write_file(dir.str() + "/" + in.file, in.content);
+    }
+    const auto expect_refusal = [&](const char* reader, const auto& read) {
+      try {
+        read();
+        ADD_FAILURE() << reader << " accepted the directory";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), in.kind) << reader << ": " << e.what();
+        EXPECT_NE(std::string(e.what()).find(in.names), std::string::npos)
+            << reader << ": " << e.what();
+      }
+    };
+    expect_refusal("read_fleet_manifest",
+                   [&] { read_fleet_manifest(dir.str()); });
+    expect_refusal("fleet_status", [&] { fleet_status(dir.str(), 10000); });
+    expect_refusal("merge_shard_dir", [&] { merge_shard_dir(dir.str()); });
+    expect_refusal("merge_sweep_dir", [&] { merge_sweep_dir(dir.str()); });
   }
 }
 
@@ -1502,8 +1551,8 @@ TEST(ShardMerge, EveryMissingShardIsListedInOneMessage) {
   so.shard_count = 4;
   so.worker_id = "builder";
   ASSERT_TRUE(run_sharded_campaign(synth_fn(), 0, 22, so).campaign_complete);
-  std::filesystem::remove(shard_journal_path(dir.str(), 1, 4));
-  std::filesystem::remove(shard_journal_path(dir.str(), 3, 4));
+  std::filesystem::remove(unit_file(dir.str(), 1, 4, ".journal"));
+  std::filesystem::remove(unit_file(dir.str(), 3, 4, ".journal"));
   try {
     merge_shard_dir(dir.str());
     FAIL() << "expected SimError(kMergeIncomplete)";
@@ -1521,9 +1570,9 @@ TEST(ShardMerge, EveryMissingShardIsListedInOneMessage) {
 TEST(ShardMerge, EveryQuarantinedUnitIsListedInOneMessage) {
   ScratchDir dir("quarantine_many");
   build_fleet(dir.str(), 0, 10);
-  write_file(shard_quarantine_path(dir.str(), 0, 2),
+  write_file(unit_file(dir.str(), 0, 2, ".quarantined"),
              format_lease_for_test("w0", 3));
-  write_file(shard_quarantine_path(dir.str(), 1, 2),
+  write_file(unit_file(dir.str(), 1, 2, ".quarantined"),
              format_lease_for_test("w1", 3));
   try {
     merge_shard_dir(dir.str());

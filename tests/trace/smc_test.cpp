@@ -387,7 +387,7 @@ TEST(SmcCampaign, RefusesShardedExecution) {
   }
   EXPECT_EQ(calls.load(), 0u);
   for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
-    EXPECT_FALSE(std::filesystem::exists(shard_journal_path(dir, shard, 2)))
+    EXPECT_FALSE(std::filesystem::exists(unit_file(dir, shard, 2, ".journal")))
         << "shard " << shard;
   }
   std::filesystem::remove_all(dir);
@@ -685,14 +685,14 @@ TEST(SmcJournal, MergeRefusesADecisionInAMultiShardLayout) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::ofstream(dir + "/fleet.manifest")
-      << "scperf-fleet v1\nbase_seed 1000\ntotal_runs 64\nshard_count 2\n"
+      << "scperf-fleet v2\nbase_seed 1000\nruns 64\nshards 2\n"
          "digest 0\ntag smc-test\n";
   for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
     JournalHeader h;
     h.base_seed = 1000 + shard * 32;
     h.runs = 32;
     h.tag = "smc-test";
-    JournalWriter w(shard_journal_path(dir, shard, 2), h);
+    JournalWriter w(unit_file(dir, shard, 2, ".journal"), h);
     for (std::size_t i = 0; i < 32; ++i) {
       w.append(i, bernoulli_run(h.base_seed + i, 0.9));
     }
@@ -781,7 +781,7 @@ TEST(SmcJournal, PartialMergeKeepsDecidedCellsComplete) {
 
   // Lose the "cold" cell (grid index 1). Strict merge refuses; partial
   // merge keeps the decided "hot" cell complete with its verdict.
-  std::filesystem::remove(cell_journal_path(dir, 1, 2));
+  std::filesystem::remove(unit_file(dir, 1, 2, ".journal"));
   try {
     merge_sweep_dir(dir, MergeOptions{});
     FAIL() << "strict merge accepted a missing cell";

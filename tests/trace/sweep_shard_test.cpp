@@ -5,9 +5,10 @@
 // The load-bearing claims pinned here:
 //   - a single worker walks every cell and merge_sweep_dir reproduces the
 //     in-process sweep's print() and write_csv() byte-for-byte;
-//   - the sweep manifest pins the grid identity in the bytes the format has
-//     always had: a worker whose seed, run count or grid disagrees refuses
-//     to participate (kBadConfig);
+//   - the fleet manifest pins the grid, one shard per cell, in its bytes: a
+//     worker whose seed, run count or grid disagrees refuses to participate
+//     (kBadConfig), naming each differing field with both values, and each
+//     merge refuses the other kind of fleet, naming the other merge;
 //   - two workers split the grid with zero (cell, seed) overlap;
 //   - adoption resumes a dead worker's partially-journaled cell, executing
 //     only the missing seeds;
@@ -15,8 +16,8 @@
 //     strict merge, and renders in a partial merge as an explicitly
 //     degraded grid (DEGRADED banner, '-' hole, state column in the CSV);
 //   - fleet_status classifies cells done/claimed/stale/quarantined/
-//     unclaimed from the sweep manifest and the directory alone, without
-//     writing to it.
+//     unclaimed from the manifest and the directory alone, without writing
+//     to it.
 
 #include "trace/shard.hpp"
 
@@ -192,9 +193,9 @@ TEST(SweepShard, ManifestPinsTheGridAgainstForeignWorkers) {
   run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(), base,
                     n, sweep_shard(dir.str(), 0, "first"));
   // The manifest's bytes are part of the on-disk contract.
-  EXPECT_EQ(read_file(dir.str() + "/sweep.manifest"),
-            "scperf-sweep v1\nbase_seed 90\nruns 3\ndigest 0\ntag \n"
-            "mapping shared\nmapping split\n"
+  EXPECT_EQ(read_file(dir.str() + "/fleet.manifest"),
+            "scperf-fleet v2\nbase_seed 90\nruns 3\nshards 1\ndigest 0\n"
+            "tag \nmapping shared\nmapping split\n"
             "scenario iid\nscenario burst\nscenario storm\n");
   // Same directory, different seed: this worker belongs to another sweep.
   try {
@@ -203,8 +204,25 @@ TEST(SweepShard, ManifestPinsTheGridAgainstForeignWorkers) {
     FAIL() << "expected SimError(kBadConfig)";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
-    EXPECT_NE(std::string(e.what()).find("manifest"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("manifest"), std::string::npos) << what;
+    EXPECT_NE(what.find("base_seed 91 (pinned 90)"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("runs"), std::string::npos) << what;
+  }
+  // A campaign worker is of another fleet too: no grid, its own shards.
+  try {
+    ShardOptions so = sweep_shard(dir.str(), 0, "campaign");
+    run_sharded_campaign(synth_factory()("shared", "iid"), base, n, so);
+    FAIL() << "expected SimError(kBadConfig)";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shards 2 (pinned 1)"), std::string::npos) << what;
+    EXPECT_NE(what.find("mappings '' (pinned 'shared,split')"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("relaunch"), std::string::npos) << what;
   }
   // A different run count is refused the same way.
   EXPECT_THROW(
@@ -280,11 +298,11 @@ TEST(SweepShard, AdoptionResumesAPartiallyJournaledCell) {
   h.tag = "shared/burst";
   {
     const std::uint64_t salt = cell_salt("shared", "burst");
-    JournalWriter w(cell_journal_path(dir.str(), cell, cells), h);
+    JournalWriter w(unit_file(dir.str(), cell, cells, ".journal"), h);
     w.append(0, synth_run(base, salt));
     w.append(1, synth_run(base + 1, salt));
   }
-  const std::string lease = cell_lease_path(dir.str(), cell, cells);
+  const std::string lease = unit_file(dir.str(), cell, cells, ".lease");
   write_file(lease, "owner dead-worker\nadoptions 0\n");
   make_stale(lease);
 
@@ -327,7 +345,7 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
 
   // The cell was quarantined by an earlier fleet generation: tombstone on
   // disk before this worker starts. It must never claim the cell.
-  write_file(cell_quarantine_path(dir.str(), poison, cells),
+  write_file(unit_file(dir.str(), poison, cells, ".quarantined"),
              "owner crashed-worker\nadoptions 3\n"
              "error SIGKILL during run\nquarantined-by w0.pid123\n");
   const ShardProgress p =
@@ -338,7 +356,7 @@ TEST(SweepShard, QuarantinedCellIsSkippedAndTheMergeDegradesExplicitly) {
   EXPECT_EQ(p.shards_run, 5u);
   EXPECT_EQ(p.shards_quarantined, 1u);
   EXPECT_FALSE(
-      std::filesystem::exists(cell_lease_path(dir.str(), poison, cells)));
+      std::filesystem::exists(unit_file(dir.str(), poison, cells, ".lease")));
 
   // Strict merge refuses the tombstone by name.
   try {
@@ -391,8 +409,8 @@ TEST(SweepShard, PartialSweepMergeIsByteStableAcrossThreads) {
     ASSERT_TRUE(p.campaign_complete);
     // Lose one cell's journal entirely and quarantine another: the
     // degraded report must still be deterministic for any thread count.
-    std::filesystem::remove(cell_journal_path(dir.str(), 2, 6));
-    write_file(cell_quarantine_path(dir.str(), 4, 6),
+    std::filesystem::remove(unit_file(dir.str(), 2, 6, ".journal"));
+    write_file(unit_file(dir.str(), 4, 6, ".quarantined"),
                "owner doomed\nadoptions 3\nerror disk on fire\n");
     MergeOptions mo;
     mo.allow_partial = true;
@@ -424,16 +442,16 @@ TEST(SweepShard, StatusClassifiesEveryCellStateWithoutWriting) {
                         base, n, sweep_shard(dir.str(), 0, "builder"));
   ASSERT_TRUE(p.campaign_complete);
 
-  // Sculpt one cell into each non-done state.
-  std::filesystem::remove(cell_journal_path(dir.str(), 1, cells));  // unclaimed
-  std::filesystem::remove(cell_journal_path(dir.str(), 2, cells));
-  write_file(cell_lease_path(dir.str(), 2, cells),
+  // Sculpt one cell into each non-done state, cell 1 unclaimed.
+  std::filesystem::remove(unit_file(dir.str(), 1, cells, ".journal"));
+  std::filesystem::remove(unit_file(dir.str(), 2, cells, ".journal"));
+  write_file(unit_file(dir.str(), 2, cells, ".lease"),
              "owner live-worker\nadoptions 0\n");          // claimed (fresh)
-  std::filesystem::remove(cell_journal_path(dir.str(), 3, cells));
-  const std::string stale_lease = cell_lease_path(dir.str(), 3, cells);
+  std::filesystem::remove(unit_file(dir.str(), 3, cells, ".journal"));
+  const std::string stale_lease = unit_file(dir.str(), 3, cells, ".lease");
   write_file(stale_lease, "owner dead-worker\nadoptions 1\n");
   make_stale(stale_lease);                                 // stale
-  write_file(cell_quarantine_path(dir.str(), 4, cells),
+  write_file(unit_file(dir.str(), 4, cells, ".quarantined"),
              "owner doomed\nadoptions 3\nerror poison cell\n");  // quarantined
 
   const auto list_dir = [&] {
@@ -489,8 +507,8 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
       run_sharded_sweep(grid_mappings(), grid_scenarios(), synth_factory(),
                         base, n, sweep_shard(dir.str(), 0, "builder"));
   ASSERT_TRUE(p.campaign_complete);
-  std::filesystem::remove(cell_journal_path(dir.str(), 0, 6));
-  const std::string lease = cell_lease_path(dir.str(), 0, 6);
+  std::filesystem::remove(unit_file(dir.str(), 0, 6, ".journal"));
+  const std::string lease = unit_file(dir.str(), 0, 6, ".lease");
   write_file(lease, "owner skewed\nadoptions 0\n");
   std::filesystem::last_write_time(
       lease,
@@ -506,9 +524,30 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
   EXPECT_NE(os.str().find("clock skew"), std::string::npos) << os.str();
 }
 
-TEST(SweepShard, StatusOnAVirginDirectoryIsARefusalNotACrash) {
-  ScratchDir dir("virgin");
-  EXPECT_THROW(fleet_status(dir.str(), 10000), SimError);
+TEST(SweepShard, EachMergeRefusesTheOtherKindOfFleet) {
+  // One manifest format holds both kinds of fleet; each merge takes only
+  // its own and names the other.
+  ScratchDir sweep("kind_sweep");
+  ASSERT_TRUE(run_sharded_sweep(grid_mappings(), grid_scenarios(),
+                                synth_factory(), 5, 2,
+                                sweep_shard(sweep.str(), 0, "builder"))
+                  .campaign_complete);
+  ScratchDir campaign("kind_campaign");
+  ASSERT_TRUE(run_sharded_campaign(synth_factory()("shared", "iid"), 5, 4,
+                                   sweep_shard(campaign.str(), 0, "builder"))
+                  .campaign_complete);
+  const auto expect_refusal = [](const auto& merge, const char* names) {
+    try {
+      merge();
+      ADD_FAILURE() << "expected SimError(kBadConfig)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimError::Kind::kBadConfig);
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refusal([&] { merge_shard_dir(sweep.str()); }, "merge_sweep_dir");
+  expect_refusal([&] { merge_sweep_dir(campaign.str()); }, "merge_shard_dir");
 }
 
 }  // namespace
