@@ -524,6 +524,11 @@ TEST(SweepShard, FutureHeartbeatRendersAsClockSkewInStatus) {
   EXPECT_NE(os.str().find("clock skew"), std::string::npos) << os.str();
 }
 
+TEST(SweepShard, StatusOnAVirginDirectoryIsARefusalNotACrash) {
+  ScratchDir dir("virgin");
+  EXPECT_THROW(fleet_status(dir.str(), 10000), SimError);
+}
+
 TEST(SweepShard, EachMergeRefusesTheOtherKindOfFleet) {
   // One manifest format holds both kinds of fleet; each merge takes only
   // its own and names the other.
