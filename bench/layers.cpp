@@ -21,7 +21,16 @@
 //   ablation_annotation_overhead's active rows time it: each iteration
 //   charges 2,000 ops (1,000 adds and 1,000 assignments) into a SW
 //   accumulator, a HW one with ready tracking, or a HW one that also records
-//   the DFG (reset every iteration). Items are charged ops.
+//   the DFG (reset every iteration). Items are charged ops. In a loop this
+//   small GCC inlines the charge path whether or not it must, so these rows
+//   cannot see an out-of-line operator; the next two can.
+// - BM_ChargeHwSegment: one body of workloads::fir_hw_segment() (Table 2's
+//   FIR sample: 16 multiplies and an adder tree over annotated arrays, its
+//   inputs generated inside the body) into an ASIC-table accumulator that
+//   tracks ready times and records the DFG. Items are charged ops.
+// - BM_ChargeSwKernel: vocoder::annot::lsp_estimation on frame 0, Table 3's
+//   first kernel, into an orsim-table (SW) accumulator. Items are charged
+//   ops.
 // - BM_ForceDirectedFir: hls::force_directed at fig4_design_space's four
 //   deadlines on the control-stripped DFG of the 16-tap FIR segment.
 // - BM_DesignSpaceFir: one hls::design_space sweep of the same DFG.
@@ -79,8 +88,10 @@
 #include "kernel/simulator.hpp"
 #include "trace/journal.hpp"
 #include "trace/shard.hpp"
+#include "workloads/data.hpp"
 #include "workloads/hw_segments.hpp"
 #include "workloads/vocoder/frames.hpp"
+#include "workloads/vocoder/kernels.hpp"
 #include "workloads/vocoder/kernels_asm.hpp"
 
 namespace {
@@ -200,10 +211,11 @@ void BM_SegmentCloseSw(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentCloseSw);
 
-/// Charges `acc = acc + i * 3` 1,000 times per iteration into an
-/// accumulator with the given table and HW flags.
-void charge_ops(benchmark::State& state, const scperf::CostTable& table,
-                bool track_ready, bool record_dfg) {
+/// Runs `body` once per iteration into an accumulator with the given table
+/// and HW flags, reset first when it records the DFG. Items are charged ops.
+template <typename Body>
+void charge_each(benchmark::State& state, const scperf::CostTable& table,
+                 bool track_ready, bool record_dfg, Body body) {
   scperf::SegmentAccum accum;
   accum.table = &table;
   accum.track_ready = track_ready;
@@ -211,14 +223,22 @@ void charge_ops(benchmark::State& state, const scperf::CostTable& table,
   scperf::tl_accum = &accum;
   for (auto _ : state) {
     if (record_dfg) accum.reset();
-    scperf::gint acc(scperf::detail::RawTag{}, 0);
-    for (int i = 0; i < 1000; ++i) acc = acc + i * 3;
-    benchmark::DoNotOptimize(acc.value());
+    body();
   }
   scperf::tl_accum = nullptr;
   std::uint64_t ops = 0;
   for (std::uint64_t n : accum.op_histogram) ops += n;
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+
+/// Charges `acc = acc + i * 3` 1,000 times per iteration.
+void charge_ops(benchmark::State& state, const scperf::CostTable& table,
+                bool track_ready, bool record_dfg) {
+  charge_each(state, table, track_ready, record_dfg, [] {
+    scperf::gint acc(scperf::detail::RawTag{}, 0);
+    for (int i = 0; i < 1000; ++i) acc = acc + i * 3;
+    benchmark::DoNotOptimize(acc.value());
+  });
 }
 
 void BM_ChargeSw(benchmark::State& state) {
@@ -235,6 +255,24 @@ void BM_ChargeHwDfg(benchmark::State& state) {
   charge_ops(state, scperf::asic_hw_cost_table(), true, true);
 }
 BENCHMARK(BM_ChargeHwDfg);
+
+void BM_ChargeHwSegment(benchmark::State& state) {
+  const workloads::HwSegment seg = workloads::fir_hw_segment();
+  charge_each(state, scperf::asic_hw_cost_table(), true, true,
+              [&] { benchmark::DoNotOptimize(seg.body()); });
+}
+BENCHMARK(BM_ChargeHwSegment);
+
+void BM_ChargeSwKernel(benchmark::State& state) {
+  namespace vc = workloads::vocoder;
+  const scperf::garray<int> frame = workloads::load(vc::synth_frame(0));
+  scperf::garray<int> lpc(vc::kOrder);
+  charge_each(state, scperf::orsim_sw_cost_table(), false, false, [&] {
+    vc::annot::lsp_estimation(frame, lpc);
+    benchmark::DoNotOptimize(lpc.at_raw(0).value());
+  });
+}
+BENCHMARK(BM_ChargeSwKernel);
 
 constexpr double kHwClockMhz = 100.0;
 constexpr double kHwClockNs = 1000.0 / kHwClockMhz;

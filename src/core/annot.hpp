@@ -27,6 +27,12 @@ concept Arithmetic = std::is_arithmetic_v<T>;
 /// (in cycles since segment start) it became available, which yields the HW
 /// best-case critical path, and which DFG node produced it, which feeds the
 /// behavioural-synthesis substitute.
+///
+/// Every constructor, assignment, conversion and operator here, the free
+/// operators below, Array::operator[] and FuncGuard are always_inline, like
+/// the charge helpers they call: a charge is a few instructions, so a call
+/// costs more than the work, and forcing only part of the path inline makes
+/// GCC stop inlining the operators into the kernels that use them.
 template <typename T>
 class Annot {
   static_assert(std::is_arithmetic_v<T>, "Annot wraps arithmetic types");
@@ -34,39 +40,39 @@ class Annot {
  public:
   using value_type = T;
 
-  Annot() : v_{} {}
+  [[gnu::always_inline]] Annot() : v_{} {}
 
   /// Initialisation from a literal: an immediate load (register class).
-  Annot(T v) : v_(v) {
+  [[gnu::always_inline]] Annot(T v) : v_(v) {
     detail::charge_unary(Op::kAssignRes, detail::kNoStamp, stamp_);
   }
 
   /// Copying another variable (an lvalue) is a genuine data move.
-  Annot(const Annot& o) : v_(o.v_) {
+  [[gnu::always_inline]] Annot(const Annot& o) : v_(o.v_) {
     detail::charge_unary(Op::kAssign, o.stamp_, stamp_);
   }
   /// Materialising an operator result is a register write-back: compilers
   /// fold it into the producing instruction, so it carries its own (cheaper)
   /// cost class. The lvalue/rvalue distinction is how the library separates
   /// memory traffic from register traffic at the source level.
-  Annot(Annot&& o) : v_(o.v_) {
+  [[gnu::always_inline]] Annot(Annot&& o) : v_(o.v_) {
     detail::charge_unary(Op::kAssignRes, o.stamp_, stamp_);
   }
 
   /// Internal: construct an operator result without charging.
-  Annot(detail::RawTag, T v) : v_(v) {}
+  [[gnu::always_inline]] Annot(detail::RawTag, T v) : v_(v) {}
 
-  Annot& operator=(const Annot& o) {
+  [[gnu::always_inline]] Annot& operator=(const Annot& o) {
     v_ = o.v_;
     detail::charge_unary(Op::kAssign, o.stamp_, stamp_);
     return *this;
   }
-  Annot& operator=(Annot&& o) {
+  [[gnu::always_inline]] Annot& operator=(Annot&& o) {
     v_ = o.v_;
     detail::charge_unary(Op::kAssignRes, o.stamp_, stamp_);
     return *this;
   }
-  Annot& operator=(T v) {
+  [[gnu::always_inline]] Annot& operator=(T v) {
     v_ = v;
     detail::charge_unary(Op::kAssignRes, detail::kNoStamp, stamp_);
     return *this;
@@ -84,34 +90,34 @@ class Annot {
 
   /// Contextual conversion: using an annotated value as an `if`/`while`/`?:`
   /// condition costs a branch (the paper's t_if).
-  explicit operator bool() const {
+  [[gnu::always_inline]] explicit operator bool() const {
     detail::charge_effect(Op::kBranch, stamp_);
     return static_cast<bool>(v_);
   }
 
-  Annot operator-() const {
+  [[gnu::always_inline]] Annot operator-() const {
     Annot r(detail::RawTag{}, static_cast<T>(-v_));
     detail::charge_unary(Op::kNeg, stamp_, r.stamp_);
     return r;
   }
-  Annot operator~() const
+  [[gnu::always_inline]] Annot operator~() const
     requires std::is_integral_v<T>
   {
     Annot r(detail::RawTag{}, static_cast<T>(~v_));
     detail::charge_unary(Op::kBitNot, stamp_, r.stamp_);
     return r;
   }
-  Annot<bool> operator!() const;
+  [[gnu::always_inline]] Annot<bool> operator!() const;
 
-  Annot& operator++() { return *this += T{1}; }
-  Annot& operator--() { return *this -= T{1}; }
-  Annot operator++(int) {
+  [[gnu::always_inline]] Annot& operator++() { return *this += T{1}; }
+  [[gnu::always_inline]] Annot& operator--() { return *this -= T{1}; }
+  [[gnu::always_inline]] Annot operator++(int) {
     Annot old(detail::RawTag{}, v_);
     old.stamp_ = stamp_;
     *this += T{1};
     return old;
   }
-  Annot operator--(int) {
+  [[gnu::always_inline]] Annot operator--(int) {
     Annot old(detail::RawTag{}, v_);
     old.stamp_ = stamp_;
     *this -= T{1};
@@ -120,7 +126,8 @@ class Annot {
 
   // Compound assignments: charged as the operation plus the write-back, which
   // mirrors the paper's accounting where `i = c + d` costs t= + t+.
-  Annot& compound(Op op, T rhs_value, const Stamp& rhs_stamp, T result) {
+  [[gnu::always_inline]] Annot& compound(Op op, T rhs_value,
+                                         const Stamp& rhs_stamp, T result) {
     Stamp tmp;
     detail::charge_binary(op, stamp_, rhs_stamp, tmp);
     v_ = result;
@@ -129,75 +136,75 @@ class Annot {
     return *this;
   }
 
-  Annot& operator+=(const Annot& o) {
+  [[gnu::always_inline]] Annot& operator+=(const Annot& o) {
     return compound(Op::kAdd, o.v_, o.stamp_, static_cast<T>(v_ + o.v_));
   }
-  Annot& operator-=(const Annot& o) {
+  [[gnu::always_inline]] Annot& operator-=(const Annot& o) {
     return compound(Op::kSub, o.v_, o.stamp_, static_cast<T>(v_ - o.v_));
   }
-  Annot& operator*=(const Annot& o) {
+  [[gnu::always_inline]] Annot& operator*=(const Annot& o) {
     return compound(Op::kMul, o.v_, o.stamp_, static_cast<T>(v_ * o.v_));
   }
-  Annot& operator/=(const Annot& o) {
+  [[gnu::always_inline]] Annot& operator/=(const Annot& o) {
     return compound(Op::kDiv, o.v_, o.stamp_, static_cast<T>(v_ / o.v_));
   }
   template <Arithmetic U>
-  Annot& operator+=(U u) {
+  [[gnu::always_inline]] Annot& operator+=(U u) {
     return compound(Op::kAdd, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ + u));
   }
   template <Arithmetic U>
-  Annot& operator-=(U u) {
+  [[gnu::always_inline]] Annot& operator-=(U u) {
     return compound(Op::kSub, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ - u));
   }
   template <Arithmetic U>
-  Annot& operator*=(U u) {
+  [[gnu::always_inline]] Annot& operator*=(U u) {
     return compound(Op::kMul, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ * u));
   }
   template <Arithmetic U>
-  Annot& operator/=(U u) {
+  [[gnu::always_inline]] Annot& operator/=(U u) {
     return compound(Op::kDiv, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ / u));
   }
-  Annot& operator%=(const Annot& o)
+  [[gnu::always_inline]] Annot& operator%=(const Annot& o)
     requires std::is_integral_v<T>
   {
     return compound(Op::kMod, o.v_, o.stamp_, static_cast<T>(v_ % o.v_));
   }
   template <Arithmetic U>
-  Annot& operator%=(U u)
+  [[gnu::always_inline]] Annot& operator%=(U u)
     requires std::is_integral_v<T>
   {
     return compound(Op::kMod, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ % u));
   }
   template <Arithmetic U>
-  Annot& operator<<=(U u)
+  [[gnu::always_inline]] Annot& operator<<=(U u)
     requires std::is_integral_v<T>
   {
     return compound(Op::kShl, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ << u));
   }
   template <Arithmetic U>
-  Annot& operator>>=(U u)
+  [[gnu::always_inline]] Annot& operator>>=(U u)
     requires std::is_integral_v<T>
   {
     return compound(Op::kShr, static_cast<T>(u), detail::kNoStamp,
                     static_cast<T>(v_ >> u));
   }
-  Annot& operator&=(const Annot& o)
+  [[gnu::always_inline]] Annot& operator&=(const Annot& o)
     requires std::is_integral_v<T>
   {
     return compound(Op::kBitAnd, o.v_, o.stamp_, static_cast<T>(v_ & o.v_));
   }
-  Annot& operator|=(const Annot& o)
+  [[gnu::always_inline]] Annot& operator|=(const Annot& o)
     requires std::is_integral_v<T>
   {
     return compound(Op::kBitOr, o.v_, o.stamp_, static_cast<T>(v_ | o.v_));
   }
-  Annot& operator^=(const Annot& o)
+  [[gnu::always_inline]] Annot& operator^=(const Annot& o)
     requires std::is_integral_v<T>
   {
     return compound(Op::kBitXor, o.v_, o.stamp_, static_cast<T>(v_ ^ o.v_));
@@ -215,28 +222,33 @@ class Annot {
 // A generator macro is the only way to avoid ~50 hand-copied bodies; it is
 // #undef'd immediately after use.
 
-#define SCPERF_DEFINE_BINOP(sym, OPC, CONSTRAINT)                        \
-  template <typename T>                                                  \
-  Annot<T> operator sym(const Annot<T>& a, const Annot<T>& b) CONSTRAINT \
-  {                                                                      \
-    Annot<T> r(detail::RawTag{},                                         \
-               static_cast<T>(a.value() sym b.value()));                 \
-    detail::charge_binary(OPC, a.stamp(), b.stamp(), r.stamp());         \
-    return r;                                                            \
-  }                                                                      \
-  template <typename T, Arithmetic U>                                    \
-  Annot<T> operator sym(const Annot<T>& a, U b) CONSTRAINT               \
-  {                                                                      \
-    Annot<T> r(detail::RawTag{}, static_cast<T>(a.value() sym b));       \
-    detail::charge_unary(OPC, a.stamp(), r.stamp());                     \
-    return r;                                                            \
-  }                                                                      \
-  template <typename T, Arithmetic U>                                    \
-  Annot<T> operator sym(U a, const Annot<T>& b) CONSTRAINT               \
-  {                                                                      \
-    Annot<T> r(detail::RawTag{}, static_cast<T>(a sym b.value()));       \
-    detail::charge_binary(OPC, detail::kNoStamp, b.stamp(), r.stamp());  \
-    return r;                                                            \
+#define SCPERF_DEFINE_BINOP(sym, OPC, CONSTRAINT)                         \
+  template <typename T>                                                   \
+  [[gnu::always_inline]] inline Annot<T> operator sym(const Annot<T>& a,  \
+                                                      const Annot<T>& b)  \
+    CONSTRAINT                                                            \
+  {                                                                       \
+    Annot<T> r(detail::RawTag{},                                          \
+               static_cast<T>(a.value() sym b.value()));                  \
+    detail::charge_binary(OPC, a.stamp(), b.stamp(), r.stamp());          \
+    return r;                                                             \
+  }                                                                       \
+  template <typename T, Arithmetic U>                                     \
+  [[gnu::always_inline]] inline Annot<T> operator sym(const Annot<T>& a,  \
+                                                      U b) CONSTRAINT     \
+  {                                                                       \
+    Annot<T> r(detail::RawTag{}, static_cast<T>(a.value() sym b));        \
+    detail::charge_unary(OPC, a.stamp(), r.stamp());                      \
+    return r;                                                             \
+  }                                                                       \
+  template <typename T, Arithmetic U>                                     \
+  [[gnu::always_inline]] inline Annot<T> operator sym(U a,                \
+                                                      const Annot<T>& b)  \
+    CONSTRAINT                                                            \
+  {                                                                       \
+    Annot<T> r(detail::RawTag{}, static_cast<T>(a sym b.value()));        \
+    detail::charge_binary(OPC, detail::kNoStamp, b.stamp(), r.stamp());   \
+    return r;                                                             \
   }
 
 #define SCPERF_NOCONSTRAINT
@@ -257,24 +269,27 @@ SCPERF_DEFINE_BINOP(>>, Op::kShr, SCPERF_INTEGRAL)
 
 // ---- comparisons (result: Annot<bool>) --------------------------------------
 
-#define SCPERF_DEFINE_CMPOP(sym, OPC)                                   \
-  template <typename T>                                                 \
-  Annot<bool> operator sym(const Annot<T>& a, const Annot<T>& b) {      \
-    Annot<bool> r(detail::RawTag{}, a.value() sym b.value());           \
-    detail::charge_binary(OPC, a.stamp(), b.stamp(), r.stamp());        \
-    return r;                                                           \
-  }                                                                     \
-  template <typename T, Arithmetic U>                                   \
-  Annot<bool> operator sym(const Annot<T>& a, U b) {                    \
-    Annot<bool> r(detail::RawTag{}, a.value() sym static_cast<T>(b));   \
-    detail::charge_unary(OPC, a.stamp(), r.stamp());                    \
-    return r;                                                           \
-  }                                                                     \
-  template <typename T, Arithmetic U>                                   \
-  Annot<bool> operator sym(U a, const Annot<T>& b) {                    \
-    Annot<bool> r(detail::RawTag{}, static_cast<T>(a) sym b.value());   \
-    detail::charge_binary(OPC, detail::kNoStamp, b.stamp(), r.stamp()); \
-    return r;                                                           \
+#define SCPERF_DEFINE_CMPOP(sym, OPC)                                     \
+  template <typename T>                                                   \
+  [[gnu::always_inline]] inline Annot<bool> operator sym(                 \
+      const Annot<T>& a, const Annot<T>& b) {                             \
+    Annot<bool> r(detail::RawTag{}, a.value() sym b.value());             \
+    detail::charge_binary(OPC, a.stamp(), b.stamp(), r.stamp());          \
+    return r;                                                             \
+  }                                                                       \
+  template <typename T, Arithmetic U>                                     \
+  [[gnu::always_inline]] inline Annot<bool> operator sym(                 \
+      const Annot<T>& a, U b) {                                           \
+    Annot<bool> r(detail::RawTag{}, a.value() sym static_cast<T>(b));     \
+    detail::charge_unary(OPC, a.stamp(), r.stamp());                      \
+    return r;                                                             \
+  }                                                                       \
+  template <typename T, Arithmetic U>                                     \
+  [[gnu::always_inline]] inline Annot<bool> operator sym(                 \
+      U a, const Annot<T>& b) {                                           \
+    Annot<bool> r(detail::RawTag{}, static_cast<T>(a) sym b.value());     \
+    detail::charge_binary(OPC, detail::kNoStamp, b.stamp(), r.stamp());   \
+    return r;                                                             \
   }
 
 SCPERF_DEFINE_CMPOP(==, Op::kEq)
@@ -289,7 +304,7 @@ SCPERF_DEFINE_CMPOP(>=, Op::kGe)
 #undef SCPERF_INTEGRAL
 
 template <typename T>
-Annot<bool> Annot<T>::operator!() const {
+[[gnu::always_inline]] inline Annot<bool> Annot<T>::operator!() const {
   Annot<bool> r(detail::RawTag{}, !v_);
   detail::charge_unary(Op::kLogicalNot, stamp_, r.stamp());
   return r;
@@ -308,24 +323,24 @@ class Array {
     for (T v : init) data_.push_back(Annot<T>(detail::RawTag{}, v));
   }
 
-  Annot<T>& operator[](std::size_t i) {
+  [[gnu::always_inline]] Annot<T>& operator[](std::size_t i) {
     assert(i < data_.size());
     detail::charge_effect(Op::kIndex, detail::kNoStamp);
     return data_[i];
   }
-  const Annot<T>& operator[](std::size_t i) const {
+  [[gnu::always_inline]] const Annot<T>& operator[](std::size_t i) const {
     assert(i < data_.size());
     detail::charge_effect(Op::kIndex, detail::kNoStamp);
     return data_[i];
   }
   template <typename I>
-  Annot<T>& operator[](const Annot<I>& i) {
+  [[gnu::always_inline]] Annot<T>& operator[](const Annot<I>& i) {
     assert(static_cast<std::size_t>(i.value()) < data_.size());
     detail::charge_effect(Op::kIndex, i.stamp());
     return data_[static_cast<std::size_t>(i.value())];
   }
   template <typename I>
-  const Annot<T>& operator[](const Annot<I>& i) const {
+  [[gnu::always_inline]] const Annot<T>& operator[](const Annot<I>& i) const {
     assert(static_cast<std::size_t>(i.value()) < data_.size());
     detail::charge_effect(Op::kIndex, i.stamp());
     return data_[static_cast<std::size_t>(i.value())];
@@ -350,8 +365,12 @@ class Array {
 ///     }
 class FuncGuard {
  public:
-  FuncGuard() { detail::charge_effect(Op::kCall, detail::kNoStamp); }
-  ~FuncGuard() { detail::charge_effect(Op::kReturn, detail::kNoStamp); }
+  [[gnu::always_inline]] FuncGuard() {
+    detail::charge_effect(Op::kCall, detail::kNoStamp);
+  }
+  [[gnu::always_inline]] ~FuncGuard() {
+    detail::charge_effect(Op::kReturn, detail::kNoStamp);
+  }
   FuncGuard(const FuncGuard&) = delete;
   FuncGuard& operator=(const FuncGuard&) = delete;
 };

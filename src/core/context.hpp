@@ -127,14 +127,27 @@ inline std::uint32_t node_of(const SegmentAccum& acc, const Stamp& s) {
 /// An operand with no provenance: a constant or a pre-segment input.
 inline constexpr Stamp kNoStamp{};
 
-/// HW ready tracking and DFG recording for one charged operation.
-inline void track_hw(SegmentAccum& acc, Op op, const Stamp& a, const Stamp& b,
-                     Stamp& out) {
+/// HW ready tracking and DFG recording for one charged operation. Inline by
+/// contract, like every operator that calls it (see Annot).
+///
+/// `out` may be an operand (`x = x`, `v[i] = v[j]` with i == j), so both
+/// operands are read before `out` is written: writing its epoch first would
+/// pass a value from an earlier segment off as a current one. The DFG append
+/// goes last: the compiler must assume that its one-byte Op store and its
+/// reallocation may alias `out` and `acc`, so every field used after it
+/// would be read from memory again.
+[[gnu::always_inline]] inline void track_hw(SegmentAccum& acc, Op op,
+                                            const Stamp& a, const Stamp& b,
+                                            Stamp& out) {
+  const double ready_a = ready_of(acc, a);
+  const double ready_b = ready_of(acc, b);
+  const std::uint32_t node_a = node_of(acc, a);
+  const std::uint32_t node_b = node_of(acc, b);
   out.epoch = acc.epoch;
-  out.ready = std::max(ready_of(acc, a), ready_of(acc, b)) + (*acc.table)[op];
+  out.ready = std::max(ready_a, ready_b) + (*acc.table)[op];
   acc.max_ready = std::max(acc.max_ready, out.ready);
   if (acc.record_dfg) {
-    acc.dfg.nodes.push_back({op, node_of(acc, a), node_of(acc, b)});
+    acc.dfg.nodes.push_back({op, node_a, node_b});
     out.node = static_cast<std::uint32_t>(acc.dfg.nodes.size());
   }
 }

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hls {
 
@@ -19,15 +20,29 @@ std::uint32_t op_cycles(const FuLibrary& lib, scperf::Op op, double clock_ns) {
   return static_cast<std::uint32_t>(std::ceil(d / clock_ns - 1e-9));
 }
 
+/// Refuses node i (0-based) unless each operand is an external input (0) or
+/// an earlier node (1..i): every pass below indexes per-node arrays by
+/// operand id and relies on the nodes being in topological order.
+void check_operands(std::uint32_t i, const scperf::DfgNode& nd) {
+  for (const auto& [name, id] : {std::pair{'a', nd.a}, std::pair{'b', nd.b}}) {
+    if (id > i) {
+      throw std::invalid_argument(
+          "hls: DFG node " + std::to_string(i + 1) + " operand " + name +
+          " = " + std::to_string(id) + " is not an earlier node");
+    }
+  }
+}
+
 /// What the schedulers read per node, worked out once per call instead of
 /// inside their inner loops: the FU kind, the whole cycles the op holds it
 /// (at least one, wiring included; chaining off) and the nodes that consume
-/// its result.
+/// its result. Building one validates the DFG (check_operands).
 struct Graph {
   Graph(const scperf::Dfg& dfg, const FuLibrary& lib, double clock_ns)
       : kind(dfg.size()), len(dfg.size()), consumers(dfg.size()) {
     for (std::uint32_t i = 0; i < dfg.size(); ++i) {
       const scperf::DfgNode& nd = dfg.nodes[i];
+      check_operands(i, nd);
       kind[i] = fu_kind_of(nd.op);
       len[i] = std::max(1u, op_cycles(lib, nd.op, clock_ns));
       if (nd.a != 0) consumers[nd.a - 1].push_back(i);
@@ -200,7 +215,9 @@ scperf::Dfg strip_control(const scperf::Dfg& dfg) {
   // A comparison is control if every consumer is a branch (or it has no
   // consumer at all — a condition whose boolean was used and discarded).
   std::vector<bool> data_consumed(n, false);
-  for (const auto& nd : dfg.nodes) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const scperf::DfgNode& nd = dfg.nodes[i];
+    check_operands(i, nd);
     if (nd.op == Op::kBranch) continue;
     if (nd.a != 0) data_consumed[nd.a - 1] = true;
     if (nd.b != 0) data_consumed[nd.b - 1] = true;
@@ -227,6 +244,7 @@ scperf::Dfg strip_control(const scperf::Dfg& dfg) {
 
 ScheduleResult asap_chained(const scperf::Dfg& dfg, const FuLibrary& lib,
                             double clock_ns) {
+  const Graph g(dfg, lib, clock_ns);
   ScheduleResult res;
   const std::size_t n = dfg.size();
   res.start_cycle.assign(n, 0);
@@ -268,8 +286,7 @@ ScheduleResult asap_chained(const scperf::Dfg& dfg, const FuLibrary& lib,
   }
   res.cycles = static_cast<std::uint32_t>(std::ceil(cp / clock_ns - 1e-9));
   res.ns = res.cycles * clock_ns;
-  res.used = peak_usage(Graph(dfg, lib, clock_ns), res.start_cycle,
-                        std::max(res.cycles, 1u));
+  res.used = peak_usage(g, res.start_cycle, std::max(res.cycles, 1u));
   return res;
 }
 

@@ -382,10 +382,16 @@ JournalWriter::JournalWriter(const std::string& path,
   // records rather than tearing them mid-frame.
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (fd_ < 0) throw_io(path, "open");
-  write_all(fd_, path_, frame(kHeaderType, encode_header(header)));
-  if (::fsync(fd_) != 0) throw_io(path_, "fsync");
-  if (!detail::sync_parent_dir(path_)) {
-    throw_io(path_, "fsync of its directory");
+  // A constructor that throws never reaches ~JournalWriter: close here.
+  try {
+    write_all(fd_, path_, frame(kHeaderType, encode_header(header)));
+    if (::fsync(fd_) != 0) throw_io(path_, "fsync");
+    if (!detail::sync_parent_dir(path_)) {
+      throw_io(path_, "fsync of its directory");
+    }
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
 }
 
@@ -396,10 +402,15 @@ JournalWriter::JournalWriter(const std::string& path,
   if (fd_ < 0) throw_io(path, "open");
   // Cut the torn tail before appending: the new record must start exactly
   // where the last intact one ended or the framing chain breaks.
-  if (::ftruncate(fd_, static_cast<off_t>(valid_bytes)) != 0) {
-    throw_io(path, "ftruncate");
+  try {
+    if (::ftruncate(fd_, static_cast<off_t>(valid_bytes)) != 0) {
+      throw_io(path, "ftruncate");
+    }
+    if (::lseek(fd_, 0, SEEK_END) < 0) throw_io(path, "lseek");
+  } catch (...) {
+    ::close(fd_);
+    throw;
   }
-  if (::lseek(fd_, 0, SEEK_END) < 0) throw_io(path, "lseek");
 }
 
 JournalWriter::~JournalWriter() {

@@ -143,10 +143,13 @@ class JournalWriter {
 
   /// Creates (or truncates) `path`, writes and fsyncs the header record,
   /// then fsyncs the directory so that the journal's name is durable too.
+  /// A failed step throws minisc::SimError(kIoError) with the descriptor
+  /// closed.
   JournalWriter(const std::string& path, const JournalHeader& header);
 
   /// Re-opens an existing journal for append after a read_journal() scan,
-  /// first truncating any torn tail at `valid_bytes`.
+  /// first truncating any torn tail at `valid_bytes`. Fails like the
+  /// creating constructor.
   JournalWriter(const std::string& path, std::uint64_t valid_bytes);
 
   JournalWriter(const JournalWriter&) = delete;

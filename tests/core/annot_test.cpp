@@ -182,6 +182,36 @@ TEST_F(AnnotTest, DoubleTypeWorks) {
   EXPECT_DOUBLE_EQ(accum_.sum_cycles(), 1 + 4);
 }
 
+TEST_F(AnnotTest, SelfAssignmentAfterASegmentBoundaryReadsAnInput) {
+  // The assigned value is the operand too, and it comes from an earlier
+  // segment, so it is an input of this one: ready 0, external operand.
+  table_.set(Op::kAdd, 10.0);
+  accum_.track_ready = true;
+  accum_.record_dfg = true;
+  gint e(detail::RawTag{}, 1);
+  e = e + 1;  // ready 10
+  garray<int> v(2);
+  v[1] = v[1] + 1;  // ready 10
+  accum_.reset();
+
+  const gint& same = e;
+  e = same;  // x = x
+  EXPECT_DOUBLE_EQ(accum_.max_ready, 0.0);
+  ASSERT_EQ(accum_.dfg.size(), 1u);
+  EXPECT_EQ(accum_.dfg.nodes[0].op, Op::kAssign);
+  EXPECT_EQ(accum_.dfg.nodes[0].a, 0u);
+  EXPECT_EQ(accum_.dfg.nodes[0].b, 0u);
+
+  accum_.reset();
+  const std::size_t i = 1, j = 1;
+  v[i] = v[j];  // two kIndex nodes, then the copy
+  EXPECT_DOUBLE_EQ(accum_.max_ready, 0.0);
+  ASSERT_EQ(accum_.dfg.size(), 3u);
+  EXPECT_EQ(accum_.dfg.nodes[2].op, Op::kAssign);
+  EXPECT_EQ(accum_.dfg.nodes[2].a, 0u);
+  EXPECT_EQ(accum_.dfg.nodes[2].b, 0u);
+}
+
 // ---- the paper's Figure 3 example, reproduced exactly ----------------------
 //
 //   Library parameters:   t= 2   t+ 1   t< 3   t[] 5   t_if 2.4   t_fc 18

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "core/dfg.hpp"
 #include "hls/fu_library.hpp"
 
@@ -277,6 +281,43 @@ TEST(DesignSpace, EndpointsMatchDedicatedSchedulers) {
   ASSERT_FALSE(frontier.empty());
   EXPECT_EQ(frontier.front().cycles, wc.cycles);   // cheapest = slowest
   EXPECT_LE(frontier.back().cycles, bc.cycles + 1);  // richest ~ fastest
+}
+
+TEST(MalformedDfg, OperandThatIsNotAnEarlierNodeIsRefused) {
+  const FuLibrary lib = default_fu_library();
+  Dfg forward;  // node 2 reads node 3
+  forward.nodes.push_back({Op::kAdd, 0, 0});
+  forward.nodes.push_back({Op::kAdd, 1, 3});
+  forward.nodes.push_back({Op::kAdd, 1, 0});
+  Dfg itself;  // a copy that reads its own result
+  itself.nodes.push_back({Op::kAssign, 1, 0});
+  Dfg past_end;  // a node id from another graph
+  past_end.nodes.push_back({Op::kAssign, 12, 0});
+  for (const auto& [dfg, named] :
+       {std::pair{forward, "node 2 operand b = 3"},
+        std::pair{itself, "node 1 operand a = 1"},
+        std::pair{past_end, "node 1 operand a = 12"}}) {
+    const auto refused = [&](auto schedule) {
+      try {
+        schedule();
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+            << e.what();
+        return true;
+      }
+      return false;
+    };
+    EXPECT_TRUE(refused([&] { strip_control(dfg); })) << named;
+    EXPECT_TRUE(refused([&] { asap_chained(dfg, lib, kClockNs); })) << named;
+    EXPECT_TRUE(refused([&] { alap_cycles(dfg, lib, kClockNs, 8); }))
+        << named;
+    EXPECT_TRUE(refused([&] {
+      list_schedule(dfg, lib, kClockNs, Allocation::minimal());
+    })) << named;
+    EXPECT_TRUE(refused([&] { force_directed(dfg, lib, kClockNs, 8); }))
+        << named;
+    EXPECT_TRUE(refused([&] { design_space(dfg, lib, kClockNs); })) << named;
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,6 +37,7 @@
 #include "kernel/simulator.hpp"
 #include "trace/campaign.hpp"
 #include "trace/shard.hpp"
+#include "no_file_writes.hpp"
 
 namespace sctrace {
 namespace {
@@ -730,6 +732,61 @@ TEST(Journal, WriterIoFailureIsAStructuredIoError) {
     // host (ENOENT here; ENOSPC/EIO in the failures this path exists for).
     EXPECT_NE(what.find(std::strerror(ENOENT)), std::string::npos) << what;
   }
+}
+
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Runs `open_writer` with every file write capped at 0 bytes and returns the
+/// kind of SimError it threw (nullopt if it threw none).
+template <typename F>
+std::optional<SimError::Kind> kind_thrown_without_file_writes(F open_writer) {
+  const NoFileWrites guard;
+  try {
+    open_writer();
+  } catch (const SimError& e) {
+    return e.kind();
+  }
+  return std::nullopt;
+}
+
+TEST(Journal, CreateThatFailsItsHeaderWriteClosesItsDescriptor) {
+  const std::string path = temp_journal("create_fails");
+  std::filesystem::remove(path);
+  const std::size_t fds = open_fds();
+  const auto kind = kind_thrown_without_file_writes(
+      [&] { JournalWriter w(path, header_for(4)); });
+  ASSERT_TRUE(kind.has_value()) << "the header write succeeded";
+  EXPECT_EQ(*kind, SimError::Kind::kIoError);
+  // A worker that abandons such a unit and claims the next one would
+  // otherwise keep one descriptor per failure.
+  EXPECT_EQ(open_fds(), fds);
+  std::filesystem::remove(path);
+}
+
+TEST(Journal, ResumeThatFailsItsTruncateClosesItsDescriptor) {
+  const std::string path = temp_journal("resume_fails");
+  {
+    JournalWriter w(path, header_for(4));
+    w.append(0, synth_run(0));
+  }
+  const std::uint64_t size = file_size(path);
+  const std::size_t fds = open_fds();
+  // Past the file's end, ftruncate would grow the file: EFBIG.
+  const auto kind = kind_thrown_without_file_writes(
+      [&] { JournalWriter w(path, size + 1); });
+  ASSERT_TRUE(kind.has_value()) << "the ftruncate succeeded";
+  EXPECT_EQ(*kind, SimError::Kind::kIoError);
+  EXPECT_EQ(open_fds(), fds);
+  EXPECT_EQ(file_size(path), size);
+  std::filesystem::remove(path);
 }
 
 TEST(CampaignBudget, HungSeedBecomesFailedWithTimeoutRecord) {

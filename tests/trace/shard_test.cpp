@@ -36,12 +36,10 @@
 #include "trace/shard.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -57,6 +55,7 @@
 #include "kernel/error.hpp"
 #include "trace/campaign.hpp"
 #include "trace/journal.hpp"
+#include "no_file_writes.hpp"
 
 namespace sctrace {
 namespace {
@@ -337,26 +336,6 @@ TEST(ShardLease, StaleAdoptionMarkerIsTakenOverByTheNextInItsSeries) {
   // markers.
   EXPECT_EQ(entries(), (std::set<std::string>{"unit_0_of_1.lease"}));
 }
-
-/// Caps the size of any file this process writes at 0 bytes for its
-/// lifetime, with SIGXFSZ ignored, so every write to a file fails (EFBIG).
-struct NoFileWrites {
-  NoFileWrites() {
-    ::getrlimit(RLIMIT_FSIZE, &saved);
-    old_handler = std::signal(SIGXFSZ, SIG_IGN);
-    rlimit zero = saved;
-    zero.rlim_cur = 0;
-    ::setrlimit(RLIMIT_FSIZE, &zero);
-  }
-  ~NoFileWrites() {
-    ::setrlimit(RLIMIT_FSIZE, &saved);
-    std::signal(SIGXFSZ, old_handler);
-  }
-  NoFileWrites(const NoFileWrites&) = delete;
-  NoFileWrites& operator=(const NoFileWrites&) = delete;
-  rlimit saved{};
-  void (*old_handler)(int) = nullptr;
-};
 
 TEST(ShardLease, FailedClaimLeavesNoLeaseBehind) {
   ScratchDir dir("failed_claim");
