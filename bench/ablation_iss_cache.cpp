@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -47,6 +46,7 @@
 #include "iss_gate_kernel.hpp"
 #include "trace/campaign.hpp"
 #include "workloads/table1.hpp"
+#include "workloads/vocoder/frames.hpp"
 #include "workloads/vocoder/pipeline.hpp"
 
 using minisc::Time;
@@ -65,17 +65,6 @@ std::uint64_t bits(double v) {
   std::uint64_t u;
   std::memcpy(&u, &v, sizeof(u));
   return u;
-}
-
-/// Switches the block path for every Machine built from here on. The env
-/// var is how a user toggles it, and iss::Machine reads it at construction
-/// — so setting it here reaches the Machines built inside src/workloads.
-void set_block_path(bool on) {
-  if (on) {
-    unsetenv("ORSIM_BLOCK_CACHE");
-  } else {
-    setenv("ORSIM_BLOCK_CACHE", "0", 1);
-  }
 }
 
 // ---- gate 1: Table-1 ISS runs, plain / I$ / I$+D$ -----------------------
@@ -112,9 +101,9 @@ void gate_table1() {
   };
   for (const auto& b : workloads::table1_suite()) {
     for (const CacheCase& c : cases) {
-      set_block_path(false);
-      const IssArtifacts off = from_result(b.iss(c.cfg));
-      set_block_path(true);
+      workloads::IssCacheConfig cfg_off = c.cfg;
+      cfg_off.blocks.enabled = false;
+      const IssArtifacts off = from_result(b.iss(cfg_off));
       const IssArtifacts on = from_result(b.iss(c.cfg));
       check(on == off, b.name + " (" + c.name +
                            "): cycles/instructions/checksum identical");
@@ -124,12 +113,21 @@ void gate_table1() {
 
 // ---- gate 2: vocoder ISS pipeline ---------------------------------------
 
+/// Frames 0-3 through an IssVocoder with the block path on or off.
+workloads::vocoder::IssPipelineResult run_vocoder(bool block_path) {
+  workloads::vocoder::IssVocoder vc({.enabled = block_path});
+  workloads::vocoder::IssPipelineResult r;
+  for (int f = 0; f < 4; ++f) {
+    r.checksum += vc.process_frame(workloads::vocoder::synth_frame(f));
+  }
+  r.cycles = vc.cycles();
+  return r;
+}
+
 void gate_vocoder() {
   std::printf("-- gate: vocoder ISS pipeline, block path off/on --\n");
-  set_block_path(false);
-  const auto off = workloads::vocoder::run_iss(/*frames=*/4);
-  set_block_path(true);
-  const auto on = workloads::vocoder::run_iss(/*frames=*/4);
+  const auto off = run_vocoder(false);
+  const auto on = run_vocoder(true);
   check(on.checksum == off.checksum && on.cycles.lsp == off.cycles.lsp &&
             on.cycles.lpc_int == off.cycles.lpc_int &&
             on.cycles.acb == off.cycles.acb &&
@@ -140,14 +138,15 @@ void gate_vocoder() {
 
 // ---- gate 3: fault-injected ISS-backed campaign, threads {seq,1,8} ------
 
-/// Per-seed run: an ISS execution (fresh Machine, block path per env) whose
+/// Per-seed run: an ISS execution (fresh Machine, block path on or off) whose
 /// cycle count and checksum parameterise a fault-injected estimator run —
 /// so the campaign CSV depends bit-for-bit on the ISS outputs, and byte-
 /// identity across block-path modes and thread counts gates the block path
 /// under fault injection and concurrency at once.
-sctrace::FaultCampaign::RunFn make_iss_campaign_run() {
-  return [](std::uint64_t seed) {
+sctrace::FaultCampaign::RunFn make_iss_campaign_run(bool block_path) {
+  return [block_path](std::uint64_t seed) {
     iss::Machine m;
+    m.set_block_cache_config({.enabled = block_path});
     m.enable_icache({64, 16, 20});
     m.load_program(iss::assemble(kIssGateKernelAsm));
     m.set_reg(3, static_cast<std::int32_t>(40 + seed % 9));
@@ -204,12 +203,10 @@ struct CampaignArtifacts {
 };
 
 CampaignArtifacts run_campaign(bool block_path, std::size_t threads) {
-  set_block_path(block_path);
-  sctrace::FaultCampaign campaign(make_iss_campaign_run());
+  sctrace::FaultCampaign campaign(make_iss_campaign_run(block_path));
   sctrace::CampaignOptions opts;
   opts.threads = threads;
   campaign.run(/*base_seed=*/11, /*n=*/10, opts);
-  set_block_path(true);
   CampaignArtifacts a;
   std::ostringstream os;
   campaign.write_csv(os);
@@ -380,10 +377,7 @@ void print_help(const char* argv0) {
       "             fault-campaign x block path off/on x threads {seq,1,8});\n"
       "             exits non-zero on divergence\n"
       "  --speedup  persistent-machine ISS replay speedup in interleaved\n"
-      "             on/off pairs, gate: median pair ratio >= 1.5x\n"
-      "\n"
-      "environment: ORSIM_BLOCK_CACHE=0 runs every instruction on the\n"
-      "             per-instruction path\n",
+      "             on/off pairs, gate: median pair ratio >= 1.5x\n",
       argv0);
 }
 

@@ -42,8 +42,8 @@ Row run(bool preemptive, std::vector<double>* worst_rs) {
   auto& cpu = est.add_sw_resource(
       "cpu", kMhz, scperf::orsim_sw_cost_table(),
       {.rtos_cycles_per_switch = 40,
-       .policy = scperf::SchedulingPolicy::kPriority,
-       .preemptive = preemptive});
+       .policy = preemptive ? scperf::SchedulingPolicy::kPreemptivePriority
+                            : scperf::SchedulingPolicy::kPriority});
 
   scperf::CaptureRegistry reg;
   std::vector<std::unique_ptr<scperf::CapturePoint>> rel, done;

@@ -1,4 +1,4 @@
-// Google-benchmark context injection for ablation_annotation_overhead.
+// Google-benchmark context injection for bench/layers.
 //
 // Deliberately a leaf TU with no scperf includes: the bench measures inlined
 // charging paths, and a TU that only touches benchmark.h cannot change which

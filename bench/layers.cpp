@@ -17,13 +17,20 @@
 //   back-annotation (RTOS switch included), with no contention.
 // - BM_SegmentCloseHwDfg: the same on a HW resource recording DFGs, with 50
 //   adds, so each close stores a 50-node graph.
-// - BM_ChargeSw, BM_ChargeHwReady, BM_ChargeHwDfg: one annotated op, as
-//   ablation_annotation_overhead's active rows time it: each iteration
-//   charges 2,000 ops (1,000 adds and 1,000 assignments) into a SW
-//   accumulator, a HW one with ready tracking, or a HW one that also records
-//   the DFG (reset every iteration). Items are charged ops. In a loop this
-//   small GCC inlines the charge path whether or not it must, so these rows
-//   cannot see an out-of-line operator; the next two can.
+// - BM_PlainArithmetic, BM_AnnotatedInactive, BM_ChargeSw, BM_ChargeHwDfg:
+//   the host cost of the annotation fabric (Ablation C). Each iteration runs
+//   `acc = acc + i * 3` 1,000 times: on plain ints (the untimed
+//   specification), on annotated ints with no accumulator (estimation off:
+//   one thread-local load and branch per op), or charging its 2,000 ops
+//   (1,000 adds and 1,000 assignments) into a SW accumulator or a HW one,
+//   which tracks ready times and records the DFG (reset every iteration, or
+//   the graph would grow without bound). Items are those 2,000 ops in every
+//   row. In a loop this small GCC inlines the charge path whether or not it
+//   must, so these rows cannot see an out-of-line operator; the next two
+//   can.
+// - BM_ArrayIndexingPlain, BM_ArrayIndexingAnnotated: 256 indexed loads
+//   summed per iteration, from a std::vector<int> or from a garray<int>
+//   charging into a SW accumulator; compare their times per iteration.
 // - BM_ChargeHwSegment: one body of workloads::fir_hw_segment() (Table 2's
 //   FIR sample: 16 multiplies and an adder tree over annotated arrays, its
 //   inputs generated inside the body) into an ASIC-table accumulator that
@@ -211,18 +218,18 @@ void BM_SegmentCloseSw(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentCloseSw);
 
-/// Runs `body` once per iteration into an accumulator with the given table
-/// and HW flags, reset first when it records the DFG. Items are charged ops.
+/// Runs `body` once per iteration into an accumulator with the given table,
+/// reset first on HW, whose every op appends a DFG node. Items are charged
+/// ops.
 template <typename Body>
 void charge_each(benchmark::State& state, const scperf::CostTable& table,
-                 bool track_ready, bool record_dfg, Body body) {
+                 bool hw, Body body) {
   scperf::SegmentAccum accum;
   accum.table = &table;
-  accum.track_ready = track_ready;
-  accum.record_dfg = record_dfg;
+  accum.track_ready = hw;
   scperf::tl_accum = &accum;
   for (auto _ : state) {
-    if (record_dfg) accum.reset();
+    if (hw) accum.reset();
     body();
   }
   scperf::tl_accum = nullptr;
@@ -231,34 +238,67 @@ void charge_each(benchmark::State& state, const scperf::CostTable& table,
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 
-/// Charges `acc = acc + i * 3` 1,000 times per iteration.
-void charge_ops(benchmark::State& state, const scperf::CostTable& table,
-                bool track_ready, bool record_dfg) {
-  charge_each(state, table, track_ready, record_dfg, [] {
-    scperf::gint acc(scperf::detail::RawTag{}, 0);
+/// Ops `acc = acc + i * 3` charges per iteration of the rows below.
+constexpr std::int64_t kOpsPerIteration = 2000;
+
+void BM_PlainArithmetic(benchmark::State& state) {
+  for (auto _ : state) {
+    int acc = 0;
     for (int i = 0; i < 1000; ++i) acc = acc + i * 3;
-    benchmark::DoNotOptimize(acc.value());
-  });
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * kOpsPerIteration);
 }
+BENCHMARK(BM_PlainArithmetic);
+
+/// `acc = acc + i * 3` on annotated ints, 1,000 times per iteration.
+constexpr auto annotated_ops = [] {
+  scperf::gint acc(scperf::detail::RawTag{}, 0);
+  for (int i = 0; i < 1000; ++i) acc = acc + i * 3;
+  benchmark::DoNotOptimize(acc.value());
+};
+
+void BM_AnnotatedInactive(benchmark::State& state) {
+  scperf::tl_accum = nullptr;
+  for (auto _ : state) annotated_ops();
+  state.SetItemsProcessed(state.iterations() * kOpsPerIteration);
+}
+BENCHMARK(BM_AnnotatedInactive);
 
 void BM_ChargeSw(benchmark::State& state) {
-  charge_ops(state, scperf::orsim_sw_cost_table(), false, false);
+  charge_each(state, scperf::orsim_sw_cost_table(), false, annotated_ops);
 }
 BENCHMARK(BM_ChargeSw);
 
-void BM_ChargeHwReady(benchmark::State& state) {
-  charge_ops(state, scperf::asic_hw_cost_table(), true, false);
-}
-BENCHMARK(BM_ChargeHwReady);
-
 void BM_ChargeHwDfg(benchmark::State& state) {
-  charge_ops(state, scperf::asic_hw_cost_table(), true, true);
+  charge_each(state, scperf::asic_hw_cost_table(), true, annotated_ops);
 }
 BENCHMARK(BM_ChargeHwDfg);
 
+void BM_ArrayIndexingPlain(benchmark::State& state) {
+  const std::vector<int> a(256, 7);
+  for (auto _ : state) {
+    int acc = 0;
+    for (std::size_t i = 0; i < 256; ++i) acc += a[i];
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_ArrayIndexingPlain);
+
+void BM_ArrayIndexingAnnotated(benchmark::State& state) {
+  scperf::garray<int> a(256);
+  for (std::size_t i = 0; i < 256; ++i) a.at_raw(i).set_raw(7);
+  charge_each(state, scperf::orsim_sw_cost_table(), false, [&] {
+    scperf::gint acc(scperf::detail::RawTag{}, 0);
+    for (std::size_t i = 0; i < 256; ++i) acc += a[i];
+    benchmark::DoNotOptimize(acc.value());
+  });
+}
+BENCHMARK(BM_ArrayIndexingAnnotated);
+
 void BM_ChargeHwSegment(benchmark::State& state) {
   const workloads::HwSegment seg = workloads::fir_hw_segment();
-  charge_each(state, scperf::asic_hw_cost_table(), true, true,
+  charge_each(state, scperf::asic_hw_cost_table(), true,
               [&] { benchmark::DoNotOptimize(seg.body()); });
 }
 BENCHMARK(BM_ChargeHwSegment);
@@ -267,7 +307,7 @@ void BM_ChargeSwKernel(benchmark::State& state) {
   namespace vc = workloads::vocoder;
   const scperf::garray<int> frame = workloads::load(vc::synth_frame(0));
   scperf::garray<int> lpc(vc::kOrder);
-  charge_each(state, scperf::orsim_sw_cost_table(), false, false, [&] {
+  charge_each(state, scperf::orsim_sw_cost_table(), false, [&] {
     vc::annot::lsp_estimation(frame, lpc);
     benchmark::DoNotOptimize(lpc.at_raw(0).value());
   });

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <ostream>
 
+#include "kernel/hash.hpp"
 #include "kernel/simulator.hpp"
 
 namespace scperf {
@@ -67,16 +68,13 @@ std::uint64_t CaptureRegistry::value_sequence_hash() const {
   // legally interleave independent processes differently).
   std::uint64_t combined = 0;
   for (const CapturePoint* p : points_) {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xffu;
-        h *= 1099511628211ull;
-      }
-    };
-    for (char c : p->name()) mix(static_cast<std::uint64_t>(c));
+    // Each name char is sign-extended to a word first.
+    std::uint64_t h = minisc::kFnv1aBasis;
+    for (char c : p->name()) {
+      h = minisc::fnv1a_word(static_cast<std::uint64_t>(c), h);
+    }
     for (const CaptureEvent& e : p->events()) {
-      mix(std::bit_cast<std::uint64_t>(e.value));
+      h = minisc::fnv1a_word(std::bit_cast<std::uint64_t>(e.value), h);
     }
     combined ^= h;
   }

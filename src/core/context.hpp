@@ -36,7 +36,9 @@ struct Stamp {
 ///   (single-ALU sequential execution, §3).
 /// - max_ready: the running DAG critical path. This is the HW best case
 ///   ("critical path of the sequence of operations", §3).
-/// - dfg: optional operation graph for the behavioural-synthesis substitute.
+/// - dfg: the segment's operation graph, recorded by every HW op; the
+///   estimator keeps it at the close for the behavioural-synthesis
+///   substitute when the resource asks for it, and reset() drops it.
 namespace detail {
 /// Forwards to Simulator::probe_wall_clock() (defined in estimator.cpp so
 /// this header stays free of the kernel include): converts an unbounded
@@ -46,8 +48,8 @@ void annotation_watchdog_probe();
 
 struct SegmentAccum {
   const CostTable* table = nullptr;
-  bool track_ready = false;  ///< HW resources propagate value ready-times
-  bool record_dfg = false;   ///< HW resources may also record the DFG
+  /// HW resources propagate value ready-times and record the DFG.
+  bool track_ready = false;
 
   double max_ready = 0.0;
   std::array<std::uint64_t, kNumOps> op_histogram{};
@@ -97,6 +99,16 @@ struct SegmentAccum {
     return sum + pulse_cycles;
   }
 
+  /// Charges a fault-injection pulse into the current segment. On a HW
+  /// resource it stretches both the sequential sum and the critical path, so
+  /// the segment's [Tmin, Tmax] interval, and with it T = Tmin +
+  /// (Tmax - Tmin) * k, grows by the full pulse for every k.
+  void charge_pulse(double cycles) {
+    pulse_cycles += cycles;
+    if (track_ready) max_ready += cycles;
+    fault_cycles += cycles;
+  }
+
   /// Operations charged in the current segment.
   std::uint64_t op_count() const {
     std::uint64_t n = 0;
@@ -127,8 +139,9 @@ inline std::uint32_t node_of(const SegmentAccum& acc, const Stamp& s) {
 /// An operand with no provenance: a constant or a pre-segment input.
 inline constexpr Stamp kNoStamp{};
 
-/// HW ready tracking and DFG recording for one charged operation. Inline by
-/// contract, like every operator that calls it (see Annot).
+/// HW ready tracking and DFG recording for one charged operation: every HW op
+/// extends the critical path and appends its node. Inline by contract, like
+/// every operator that calls it (see Annot).
 ///
 /// `out` may be an operand (`x = x`, `v[i] = v[j]` with i == j), so both
 /// operands are read before `out` is written: writing its epoch first would
@@ -146,10 +159,8 @@ inline constexpr Stamp kNoStamp{};
   out.epoch = acc.epoch;
   out.ready = std::max(ready_a, ready_b) + (*acc.table)[op];
   acc.max_ready = std::max(acc.max_ready, out.ready);
-  if (acc.record_dfg) {
-    acc.dfg.nodes.push_back({op, node_a, node_b});
-    out.node = static_cast<std::uint32_t>(acc.dfg.nodes.size());
-  }
+  acc.dfg.nodes.push_back({op, node_a, node_b});
+  out.node = static_cast<std::uint32_t>(acc.dfg.nodes.size());
 }
 
 /// Charges a binary operation and computes the result's stamp.

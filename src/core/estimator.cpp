@@ -123,10 +123,7 @@ void Estimator::process_started(minisc::Process& p) {
   ctx->resource = it->second.first;
   ctx->priority = it->second.second;
   ctx->accum.table = &ctx->resource->cost_table();
-  if (auto* hw = dynamic_cast<HwResource*>(ctx->resource)) {
-    ctx->accum.track_ready = true;
-    ctx->accum.record_dfg = hw->record_dfg();
-  }
+  ctx->accum.track_ready = ctx->resource->kind() == ResourceKind::kHw;
   ctx->record_instantaneous = instantaneous_requested_.count(p.name()) != 0;
   p.user_data = ctx.get();
   tl_accum = &ctx->accum;
@@ -172,14 +169,16 @@ Estimator::Segment& Estimator::segment_to(ProcessCtx& ctx, std::uint32_t to) {
 void Estimator::close_segment(ProcessCtx& ctx, std::uint32_t to) {
   SegmentAccum& a = ctx.accum;
   Resource& r = *ctx.resource;
+  const auto* hw = r.kind() == ResourceKind::kHw
+                       ? static_cast<const HwResource*>(&r)
+                       : nullptr;
 
   // The segment is priced here, once: its charges only counted ops.
   const double wc = a.sum_cycles();
   const double bc = a.track_ready ? a.max_ready : wc;
   double cycles = wc;
-  if (r.kind() == ResourceKind::kHw) {
-    const double k = static_cast<HwResource&>(r).k();
-    cycles = bc + (wc - bc) * k;  // T = Tmin + (Tmax - Tmin) * k   (§3)
+  if (hw != nullptr) {
+    cycles = bc + (wc - bc) * hw->k();  // T = Tmin + (Tmax - Tmin) * k  (§3)
   }
 
   // ---- segment statistics ----
@@ -200,9 +199,12 @@ void Estimator::close_segment(ProcessCtx& ctx, std::uint32_t to) {
   st.cycles_max = std::max(st.cycles_max, cycles);
   st.bc_cycles_sum += bc;
   st.wc_cycles_sum += wc;
-  // The slot's previous graph becomes the buffer the next segment records
-  // into (reset() below clears it).
-  if (a.record_dfg && !a.dfg.empty()) std::swap(seg.dfg, a.dfg);
+  // Every HW segment records its graph; a resource that keeps it trades it
+  // with the slot, whose previous graph becomes the buffer the next segment
+  // records into. Either way reset() below clears the buffer.
+  if (hw != nullptr && hw->record_dfg() && !a.dfg.empty()) {
+    std::swap(seg.dfg, a.dfg);
+  }
 
   ctx.total_cycles += cycles;
   ctx.ops_executed += a.op_count();

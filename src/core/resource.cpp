@@ -82,6 +82,8 @@ const char* to_string(SchedulingPolicy p) {
       return "fifo";
     case SchedulingPolicy::kPriority:
       return "priority";
+    case SchedulingPolicy::kPreemptivePriority:
+      return "preemptive-priority";
   }
   return "?";
 }
@@ -93,7 +95,7 @@ SwResource::SwResource(std::string name, double clock_mhz, CostTable table,
 
 std::uint64_t SwResource::enter_contention(double priority) {
   const std::uint64_t ticket = ++next_ticket_;
-  contenders_.push_back(Contender{priority, ticket});
+  contenders_.push_back(Contender{.priority = priority, .seq = ticket});
   return ticket;
 }
 
@@ -102,19 +104,18 @@ void SwResource::leave_contention(std::uint64_t ticket) {
   if (it != contenders_.end()) contenders_.erase(it);
 }
 
+bool SwResource::goes_first(const Contender& a, const Contender& b) const {
+  if (opts_.policy == SchedulingPolicy::kFifo) return a.seq < b.seq;
+  if (a.priority != b.priority) return a.priority > b.priority;
+  if (a.running != b.running) return a.running;
+  return a.seq < b.seq;
+}
+
 bool SwResource::is_next(std::uint64_t ticket) const {
   const auto self = std::ranges::find(contenders_, ticket, &Contender::seq);
   assert(self != contenders_.end());
-  for (const Contender& c : contenders_) {
-    if (c.seq == ticket) continue;
-    if (opts_.policy == SchedulingPolicy::kPriority) {
-      if (c.priority > self->priority) return false;
-      if (c.priority == self->priority && c.seq < self->seq) return false;
-    } else {
-      if (c.seq < self->seq) return false;  // earlier arrival wins
-    }
-  }
-  return true;
+  return std::ranges::none_of(
+      contenders_, [&](const Contender& c) { return goes_first(c, *self); });
 }
 
 SwResource::PreemptJob& SwResource::preempt_enter(double priority) {
@@ -140,18 +141,7 @@ void SwResource::preempt_leave(PreemptJob& job) {
 void SwResource::preempt_reschedule() {
   PreemptJob* best = nullptr;
   for (PreemptJob& j : preempt_jobs_) {
-    if (best == nullptr) {
-      best = &j;
-      continue;
-    }
-    // Highest priority wins; among equals prefer the running job (avoid
-    // thrash), then earliest arrival.
-    if (j.priority > best->priority ||
-        (j.priority == best->priority && j.running && !best->running) ||
-        (j.priority == best->priority && j.running == best->running &&
-         j.seq < best->seq)) {
-      best = &j;
-    }
+    if (best == nullptr || goes_first(j, *best)) best = &j;
   }
   if (best == preempt_current_) return;
   if (preempt_current_ != nullptr) {

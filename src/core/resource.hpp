@@ -120,6 +120,11 @@ enum class SchedulingPolicy {
   /// the highest-priority process runs first (non-preemptive at segment
   /// granularity, like everything in this methodology).
   kPriority,
+  /// Static priorities, and a newly released higher-priority segment
+  /// preempts the one occupying the processor (beyond the paper, which is
+  /// non-preemptive at segment granularity; this models a preemptive RTOS
+  /// as the §1 scheduling discussion anticipates).
+  kPreemptivePriority,
 };
 
 const char* to_string(SchedulingPolicy p);
@@ -134,11 +139,6 @@ class SwResource final : public Resource {
     /// of a process mapped to this resource.
     double rtos_cycles_per_switch = 0.0;
     SchedulingPolicy policy = SchedulingPolicy::kFifo;
-    /// With kPriority: a newly released higher-priority segment preempts the
-    /// one occupying the processor (beyond the paper, which is
-    /// non-preemptive at segment granularity; this models a preemptive RTOS
-    /// as the §1 scheduling discussion anticipates). Ignored under kFifo.
-    bool preemptive = false;
   };
 
   SwResource(std::string name, double clock_mhz, CostTable table)
@@ -151,11 +151,12 @@ class SwResource final : public Resource {
 
   // ---- arbitration waiting set (managed by the estimator) ----
 
-  /// A process contending for the processor: higher `priority` wins under
-  /// kPriority; `seq` breaks ties and implements kFifo order.
+  /// A segment contending for the processor. `seq` is its arrival order;
+  /// only the preemptive scheduler ever marks one `running`.
   struct Contender {
     double priority = 0.0;
     std::uint64_t seq = 0;
+    bool running = false;
   };
 
   /// Registers a contender; returns its ticket.
@@ -165,19 +166,16 @@ class SwResource final : public Resource {
   /// configured policy.
   bool is_next(std::uint64_t ticket) const;
 
-  // ---- preemptive-mode scheduler (Options::preemptive) ----
+  // ---- preemptive-mode scheduler (kPreemptivePriority) ----
 
   bool preemptive() const {
-    return opts_.preemptive && opts_.policy == SchedulingPolicy::kPriority;
+    return opts_.policy == SchedulingPolicy::kPreemptivePriority;
   }
 
   /// One segment execution contending for the preemptive processor. `wake`
   /// is notified both when the job is dispatched and when it is preempted;
   /// the job distinguishes the two via `running`.
-  struct PreemptJob {
-    double priority = 0.0;
-    std::uint64_t seq = 0;
-    bool running = false;
+  struct PreemptJob : Contender {
     std::uint64_t preemptions = 0;  ///< times this job was preempted
     minisc::Event wake{"cpu.preempt"};
   };
@@ -206,6 +204,11 @@ class SwResource final : public Resource {
   /// In ticket order: tickets only grow, so entering appends.
   std::vector<Contender> contenders_;
 
+  /// The contention order of both schedulers: true if `a` claims the
+  /// processor before `b`. kFifo: the earlier arrival. Priority policies:
+  /// the higher priority, then the running job (no thrash), then the
+  /// earlier arrival.
+  bool goes_first(const Contender& a, const Contender& b) const;
   void preempt_reschedule();
   std::list<PreemptJob> preempt_jobs_;  ///< std::list: stable addresses
   PreemptJob* preempt_current_ = nullptr;

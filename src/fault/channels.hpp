@@ -42,22 +42,17 @@ class ChannelFaults {
     if (spec_ == nullptr) return Action::kDeliver;
     const std::size_t s =
         bad_ ? ChannelFaultCounts::kBad : ChannelFaultCounts::kGood;
-    double drop = spec_->drop_p, dup = spec_->dup_p, delay = spec_->delay_p;
-    if (bad_) {
-      drop = spec_->burst->bad_drop_p;
-      dup = spec_->burst->bad_dup_p;
-      delay = spec_->burst->bad_delay_p;
-    }
+    const std::array<double, 4> p = emission(*spec_, bad_);
     ++counts.draws[s];
     const double u = rng_.uniform();
     Action action = Action::kDeliver;
-    if (u < drop) {
+    if (u < p[0]) {
       action = Action::kDrop;
       ++counts.dropped[s];
-    } else if (u < drop + dup) {
+    } else if (u < p[0] + p[1]) {
       action = Action::kDuplicate;
       ++counts.duplicated[s];
-    } else if (u < drop + dup + delay) {
+    } else if (u < p[0] + p[1] + p[2]) {
       delay_out = rng_.time_in(spec_->min_delay, spec_->max_delay);
       action = Action::kDelay;
       ++counts.delayed[s];
@@ -81,7 +76,7 @@ class ChannelFaults {
 
  private:
   const ChannelFaultSpec* spec_ = nullptr;
-  Rng rng_{0};
+  minisc::Rng rng_{0};
   bool bad_ = false;  ///< Gilbert–Elliott state (channels start good)
 };
 

@@ -98,30 +98,22 @@ void FaultInjector::spawn_drivers() {
   }
 }
 
-void FaultInjector::drain_pulses(const scperf::Resource& r) {
-  // Pulses are sorted; everything due at or before `now` targeting the
-  // resource this process runs on is charged into the segment the estimator
-  // is about to close. Due pulses for OTHER resources stay pending until one
-  // of their own processes reaches a node — a pulse hits the first segment
-  // boundary on its resource after the fault instant.
-  if (next_pulse_ >= scenario_.pulses().size()) return;
-  scperf::SegmentAccum* acc = scperf::tl_accum;
-  if (acc == nullptr) return;
+template <typename Charge>
+void FaultInjector::take_due_pulses(const scperf::Resource& r,
+                                    Charge&& charge) {
+  // Pulses are sorted, and next_pulse_ skips the fully-consumed prefix;
+  // within the due window we scan for matches so cross-resource ordering
+  // cannot starve a pulse whose resource's processes reach their nodes later
+  // than another resource's. Due pulses for OTHER resources stay pending
+  // until one of their own processes reaches a node — a pulse hits the first
+  // segment boundary on its resource after the fault instant.
   const minisc::Time now = sim_.now();
   const auto& pulses = scenario_.pulses();
-  // next_pulse_ skips the fully-consumed prefix; within the due window we
-  // scan for matches so cross-resource ordering cannot starve a pulse whose
-  // resource's processes reach their nodes later than another resource's.
   for (std::size_t i = next_pulse_; i < pulses.size(); ++i) {
     const Pulse& pulse = pulses[i];
     if (pulse.at > now) break;
     if (consumed_[i] || pulse_target_[i] != &r) continue;
-    // Charging both the sequential sum and the critical path stretches a HW
-    // segment's [Tmin, Tmax] interval by the full pulse, so the estimate
-    // T = Tmin + (Tmax - Tmin) * k grows by extra_cycles for every k.
-    acc->pulse_cycles += pulse.extra_cycles;
-    if (acc->track_ready) acc->max_ready += pulse.extra_cycles;
-    acc->fault_cycles += pulse.extra_cycles;
+    charge(pulse.extra_cycles);
     consumed_[i] = true;
     ++pulses_injected_;
     extra_cycles_injected_ += pulse.extra_cycles;
@@ -129,25 +121,25 @@ void FaultInjector::drain_pulses(const scperf::Resource& r) {
   while (next_pulse_ < pulses.size() && consumed_[next_pulse_]) ++next_pulse_;
 }
 
+void FaultInjector::drain_pulses(const scperf::Resource& r) {
+  // Every due pulse on the resource this process runs on is charged into the
+  // segment the estimator is about to close.
+  scperf::SegmentAccum* acc = scperf::tl_accum;
+  if (acc == nullptr) return;
+  take_due_pulses(r, [acc](double cycles) { acc->charge_pulse(cycles); });
+}
+
 void FaultInjector::apply_env_faults(scperf::Resource& env) {
   // Environment components are untimed, so there is no segment to charge:
   // a due pulse becomes a direct stall of its cycle cost at the ENV clock,
   // and an open outage window parks the process until the window closes —
   // the testbench goes quiet exactly while its resource is down.
-  const auto& pulses = scenario_.pulses();
   minisc::Time stall;
+  take_due_pulses(env, [&](double cycles) {
+    stall += env.cycles_to_time(cycles);
+    env.add_fault_cycles(cycles);
+  });
   const minisc::Time now = sim_.now();
-  for (std::size_t i = next_pulse_; i < pulses.size(); ++i) {
-    const Pulse& pulse = pulses[i];
-    if (pulse.at > now) break;
-    if (consumed_[i] || pulse_target_[i] != &env) continue;
-    stall += env.cycles_to_time(pulse.extra_cycles);
-    env.add_fault_cycles(pulse.extra_cycles);
-    consumed_[i] = true;
-    ++pulses_injected_;
-    extra_cycles_injected_ += pulse.extra_cycles;
-  }
-  while (next_pulse_ < pulses.size() && consumed_[next_pulse_]) ++next_pulse_;
   const minisc::Time outage_end = env.downtime_stall_end(now);
   if (outage_end > now) {
     env.add_stalled(outage_end - now);

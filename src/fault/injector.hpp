@@ -73,6 +73,10 @@ class FaultInjector final : public minisc::KernelHook {
 
  private:
   void spawn_drivers();
+  /// Passes the cycles of every pulse due by now that targets `r` to
+  /// `charge`, in time order, and marks it delivered.
+  template <typename Charge>
+  void take_due_pulses(const scperf::Resource& r, Charge&& charge);
   void drain_pulses(const scperf::Resource& r);
   void apply_env_faults(scperf::Resource& env);
 

@@ -7,29 +7,11 @@
 
 namespace scfault {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
-  // One splitmix64 step over the xor keeps child streams decorrelated even
-  // for adjacent seeds (0, 1, 2, ... — the natural campaign indexing).
-  std::uint64_t z = (seed ^ stream) + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 namespace {
 
 // config_digest folds every field through mix_seed, one 64-bit word at a
 // time; doubles contribute their bit pattern, strings their fnv1a hash.
-void fold(std::uint64_t& h, std::uint64_t v) { h = mix_seed(h, v); }
+void fold(std::uint64_t& h, std::uint64_t v) { h = minisc::mix_seed(h, v); }
 
 void fold_d(std::uint64_t& h, double v) {
   std::uint64_t bits;
@@ -37,14 +19,16 @@ void fold_d(std::uint64_t& h, double v) {
   fold(h, bits);
 }
 
-void fold_s(std::uint64_t& h, const std::string& s) { fold(h, fnv1a(s)); }
+void fold_s(std::uint64_t& h, const std::string& s) {
+  fold(h, minisc::fnv1a(s));
+}
 
 void fold_t(std::uint64_t& h, minisc::Time t) { fold(h, t.to_ps()); }
 
 }  // namespace
 
 std::uint64_t config_digest(const ScenarioConfig& config) {
-  std::uint64_t h = fnv1a("scfault::ScenarioConfig/v1");
+  std::uint64_t h = minisc::fnv1a("scfault::ScenarioConfig/v1");
   fold_t(h, config.horizon);
   fold(h, config.pulses.size());
   for (const PulseSpec& p : config.pulses) {
@@ -102,9 +86,10 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
     : config_(std::move(config)), seed_(seed) {
   // Each fault class draws from its own sub-stream so that, e.g., adding a
   // pulse spec never shifts the outage timeline of the same seed.
-  Rng pulse_rng(mix_seed(seed_, fnv1a("pulses")));
+  minisc::Rng pulse_rng(minisc::mix_seed(seed_, minisc::fnv1a("pulses")));
   for (const PulseSpec& spec : config_.pulses) {
-    Rng rng(mix_seed(pulse_rng.next(), fnv1a(spec.resource)));
+    minisc::Rng rng(
+        minisc::mix_seed(pulse_rng.next(), minisc::fnv1a(spec.resource)));
     for (std::size_t i = 0; i < spec.count; ++i) {
       // The occurrence gate draws ONLY when occur_p < 1: an unconditioned
       // spec makes exactly the draws it always made, so legacy timelines
@@ -122,9 +107,10 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   std::stable_sort(pulses_.begin(), pulses_.end(),
                    [](const Pulse& a, const Pulse& b) { return a.at < b.at; });
 
-  Rng outage_rng(mix_seed(seed_, fnv1a("outages")));
+  minisc::Rng outage_rng(minisc::mix_seed(seed_, minisc::fnv1a("outages")));
   for (const OutageSpec& spec : config_.outages) {
-    Rng rng(mix_seed(outage_rng.next(), fnv1a(spec.resource)));
+    minisc::Rng rng(
+        minisc::mix_seed(outage_rng.next(), minisc::fnv1a(spec.resource)));
     for (std::size_t i = 0; i < spec.count; ++i) {
       if (spec.occur_p < 1.0 && rng.uniform() >= spec.occur_p) continue;
       Outage o;
@@ -138,9 +124,10 @@ FaultScenario::FaultScenario(ScenarioConfig config, std::uint64_t seed)
   // moves the independent outage timeline (and vice versa). Cluster sizes
   // use repeated Bernoulli draws instead of an inverse-CDF so the timeline
   // needs no transcendental math — platform-stable like everything else.
-  Rng storm_rng(mix_seed(seed_, fnv1a("storms")));
+  minisc::Rng storm_rng(minisc::mix_seed(seed_, minisc::fnv1a("storms")));
   for (const StormSpec& spec : config_.storms) {
-    Rng rng(mix_seed(storm_rng.next(), fnv1a(spec.resource)));
+    minisc::Rng rng(
+        minisc::mix_seed(storm_rng.next(), minisc::fnv1a(spec.resource)));
     for (std::size_t i = 0; i < spec.count; ++i) {
       const minisc::Time centre =
           rng.time_in(minisc::Time::zero(), config_.horizon);
@@ -182,19 +169,6 @@ const ChannelFaultSpec* FaultScenario::channel_spec(
 }
 
 namespace {
-
-/// Per-state categorical emission probabilities of a ChannelFaultSpec:
-/// {drop, duplicate, delay, deliver}. A spec without `burst` never reaches
-/// the bad state, so its bad-state row is irrelevant (p_enter = 0 below).
-std::array<double, 4> emission(const ChannelFaultSpec& spec, bool bad) {
-  double drop = spec.drop_p, dup = spec.dup_p, delay = spec.delay_p;
-  if (bad && spec.burst.has_value()) {
-    drop = spec.burst->bad_drop_p;
-    dup = spec.burst->bad_dup_p;
-    delay = spec.burst->bad_delay_p;
-  }
-  return {drop, dup, delay, 1.0 - drop - dup - delay};
-}
 
 /// count * log(p_nom / p_bias), with the degenerate cases pinned down:
 /// an event that never occurred contributes nothing regardless of its

@@ -2,80 +2,14 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "kernel/hash.hpp"
 #include "kernel/time.hpp"
 
 namespace scfault {
-
-/// Deterministic 64-bit generator (splitmix64). Chosen over <random> engines
-/// because its output is fully specified by the algorithm — the same seed
-/// produces the same fault timeline on every platform and standard library,
-/// which is what makes resilience campaigns reproducible and their capture
-/// hashes comparable across machines.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform double in [0, 1).
-  double uniform() {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Uniform double in [lo, hi].
-  double uniform(double lo, double hi) { return lo + uniform() * (hi - lo); }
-
-  /// Uniform integer in [0, n) without modulo bias (Lemire's multiply-shift
-  /// with rejection). n == 0 is the full 64-bit range.
-  std::uint64_t bounded(std::uint64_t n) {
-    if (n == 0) return next();
-    unsigned __int128 m =
-        static_cast<unsigned __int128>(next()) * static_cast<unsigned __int128>(n);
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < n) {
-      // 2^64 mod n: values of `lo` below this threshold over-represent some
-      // quotients; reject and redraw (expected < 2 draws even at worst n).
-      const std::uint64_t threshold = (0 - n) % n;
-      while (lo < threshold) {
-        m = static_cast<unsigned __int128>(next()) *
-            static_cast<unsigned __int128>(n);
-        lo = static_cast<std::uint64_t>(m);
-      }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-  }
-
-  /// Uniform Time in [lo, hi] (picosecond granularity).
-  minisc::Time time_in(minisc::Time lo, minisc::Time hi) {
-    if (hi <= lo) return lo;
-    const std::uint64_t span = hi.to_ps() - lo.to_ps();
-    if (span == std::numeric_limits<std::uint64_t>::max()) {
-      return minisc::Time::ps(next());  // degenerate full-range request
-    }
-    return minisc::Time::ps(lo.to_ps() + bounded(span + 1));
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-/// FNV-1a hash of a string — used to derive per-channel RNG streams from the
-/// scenario seed so that adding or reordering channels never perturbs the
-/// fault sequence another channel sees.
-std::uint64_t fnv1a(const std::string& s);
-
-/// Mixes a seed with a stream id into an independent-looking child seed.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream);
 
 // ---- scenario specification (what the user writes) ----
 
@@ -161,6 +95,21 @@ struct ChannelFaultSpec {
   minisc::Time max_delay;
   std::optional<GilbertElliottSpec> burst;
 };
+
+/// Per-state categorical emission probabilities of a ChannelFaultSpec:
+/// {drop, duplicate, delay, deliver}. The one table both the channel sampler
+/// (ChannelFaults::draw) and its importance weights (channel_log_lr) read. A
+/// spec without `burst` never reaches the bad state, so its bad-state row is
+/// the good one and never used.
+inline std::array<double, 4> emission(const ChannelFaultSpec& spec, bool bad) {
+  double drop = spec.drop_p, dup = spec.dup_p, delay = spec.delay_p;
+  if (bad && spec.burst.has_value()) {
+    drop = spec.burst->bad_drop_p;
+    dup = spec.burst->bad_dup_p;
+    delay = spec.burst->bad_delay_p;
+  }
+  return {drop, dup, delay, 1.0 - drop - dup - delay};
+}
 
 /// Per-channel draw accounting kept by the Faulty* wrappers, split by the
 /// Gilbert–Elliott state the draw was made in (i.i.d. channels only ever
@@ -260,8 +209,8 @@ class FaultScenario {
   /// Independent deterministic stream for one channel, derived from the
   /// scenario seed and the channel name only — stable under any change to
   /// the rest of the scenario.
-  Rng channel_stream(const std::string& name) const {
-    return Rng(mix_seed(seed_, fnv1a(name)));
+  minisc::Rng channel_stream(const std::string& name) const {
+    return minisc::Rng(minisc::mix_seed(seed_, minisc::fnv1a(name)));
   }
 
   /// All drawn fault times (pulses, outage starts, crashes), sorted —

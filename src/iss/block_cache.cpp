@@ -1,17 +1,8 @@
 #include "iss/block_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace iss {
-
-BlockCacheConfig BlockCacheConfig::from_env() {
-  BlockCacheConfig cfg;
-  if (const char* v = std::getenv("ORSIM_BLOCK_CACHE")) {
-    cfg.enabled = !(v[0] == '0' && v[1] == '\0');
-  }
-  return cfg;
-}
 
 namespace {
 

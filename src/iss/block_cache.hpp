@@ -10,12 +10,10 @@
 
 namespace iss {
 
-/// The block path's on/off switch. The default comes from the environment
-/// at Machine construction: ORSIM_BLOCK_CACHE=0 turns the block path off.
+/// The block path's on/off switch (Machine::set_block_cache_config); on by
+/// default.
 struct BlockCacheConfig {
   bool enabled = true;
-
-  static BlockCacheConfig from_env();
 };
 
 /// Block-path counters (Machine::block_cache_stats).

@@ -64,10 +64,9 @@ class Machine {
 
   // ---- block path (iss/block_cache.hpp) ----
 
-  /// Replaces the block-path switch (default: BlockCacheConfig::from_env()
-  /// at construction) and drops every block built so far. Blocks are also
-  /// dropped by load_program and set_cycle_model, whose program and prices
-  /// they were built from.
+  /// Replaces the block-path switch (default: on) and drops every block
+  /// built so far. Blocks are also dropped by load_program and
+  /// set_cycle_model, whose program and prices they were built from.
   void set_block_cache_config(const BlockCacheConfig& cfg) {
     bc_cfg_ = cfg;
     blocks_.reset(program_.instrs.size());
@@ -143,7 +142,7 @@ class Machine {
   std::optional<DirectMappedCache> icache_;
   std::optional<DirectMappedCache> dcache_;
   ExecStats stats_;
-  BlockCacheConfig bc_cfg_ = BlockCacheConfig::from_env();
+  BlockCacheConfig bc_cfg_;
   BlockCache blocks_;
   std::uint32_t halt_stub_ = 0;  ///< index of the appended halt instruction
   std::size_t trace_depth_ = 0;

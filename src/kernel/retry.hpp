@@ -4,29 +4,11 @@
 #include <cstdint>
 #include <utility>
 
+#include "kernel/hash.hpp"
 #include "kernel/simulator.hpp"
 #include "kernel/time.hpp"
 
 namespace minisc {
-namespace detail {
-
-/// splitmix64 step — the same fully-specified generator the fault library
-/// uses for scenario draws. Kept local to the kernel so backoff jitter never
-/// drags in a dependency (or, worse, ambient randomness like rand() or
-/// random_device, which would make retries perturb campaign reproducibility).
-inline std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Uniform double in [0, 1) from one splitmix64 draw.
-inline double splitmix_uniform(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace detail
 
 /// Exponential-backoff schedule for retry_with_backoff. The delay before
 /// attempt k+1 is initial * factor^k, capped at max_delay; simulated time is
@@ -34,10 +16,10 @@ inline double splitmix_uniform(std::uint64_t& state) {
 /// as ordinary timed-wait nodes.
 ///
 /// Jitter is deterministic: with jitter > 0 each delay is scaled by a factor
-/// drawn uniformly from [1 - jitter, 1 + jitter] out of a splitmix64 stream
-/// seeded with `jitter_seed` — the caller supplies the seed (typically the
-/// campaign seed mixed with a retry-site id), so the same seed always yields
-/// the same backoff timeline and retries never perturb reproducibility.
+/// drawn uniformly from [1 - jitter, 1 + jitter] out of an Rng seeded with
+/// `jitter_seed` — the caller supplies the seed (typically the campaign seed
+/// mixed with a retry-site id), so the same seed always yields the same
+/// backoff timeline and retries never perturb reproducibility.
 struct BackoffPolicy {
   std::size_t max_attempts = 8;
   Time initial = Time::us(1);
@@ -56,15 +38,14 @@ struct BackoffPolicy {
 template <typename F>
 bool retry_with_backoff(F&& attempt, const BackoffPolicy& policy = {}) {
   Time delay = policy.initial;
-  std::uint64_t jitter_state = policy.jitter_seed;
+  Rng jitter(policy.jitter_seed);
   for (std::size_t k = 0; k < policy.max_attempts; ++k) {
     if (attempt()) return true;
     if (k + 1 == policy.max_attempts) break;  // no wait after the last try
     Time waited = delay;
     if (policy.jitter > 0.0) {
       const double scale =
-          1.0 - policy.jitter +
-          2.0 * policy.jitter * detail::splitmix_uniform(jitter_state);
+          1.0 - policy.jitter + 2.0 * policy.jitter * jitter.uniform();
       waited = Time::from_ns(delay.to_ns_d() * scale);
     }
     wait(waited);

@@ -285,7 +285,8 @@ bool Simulator::fire_timer_entry(const TimerEntry& e) {
 
 StopReason Simulator::run(Time limit) {
   stop_requested_ = false;
-  run_started_ = std::chrono::steady_clock::now();
+  // The Watchdog's budget is one more scope: the tighter deadline wins.
+  const RunBudgetScope budget(watchdog_.wall_clock_ms);
   wall_clock_countdown_ = kWallClockCheckStride;
   while (true) {
     // ---- evaluate phase ----
@@ -531,26 +532,14 @@ bool RunBudgetScope::expired() {
 std::uint64_t RunBudgetScope::budget_ms() { return tl_run_budget_ms; }
 
 void Simulator::check_wall_clock() {
-  const bool have_watchdog = watchdog_.wall_clock_ms != 0;
-  if (!have_watchdog && !RunBudgetScope::active()) return;
+  if (!RunBudgetScope::active()) return;
   if (--wall_clock_countdown_ != 0) return;
   wall_clock_countdown_ = kWallClockCheckStride;
-  if (have_watchdog) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - run_started_)
-                             .count();
-    if (static_cast<std::uint64_t>(elapsed) > watchdog_.wall_clock_ms) {
-      throw_watchdog(SimError::Kind::kWallClockBudget,
-                     "run() exceeded its wall-clock budget of " +
-                         std::to_string(watchdog_.wall_clock_ms) +
-                         " ms: the specification appears to hang");
-    }
-  }
   if (RunBudgetScope::expired()) {
     throw_watchdog(SimError::Kind::kWallClockBudget,
-                   "campaign per-run wall-clock budget of " +
+                   "per-run wall-clock budget of " +
                        std::to_string(RunBudgetScope::budget_ms()) +
-                       " ms exceeded: this seed appears to hang");
+                       " ms exceeded: the run appears to hang");
   }
 }
 

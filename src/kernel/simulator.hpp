@@ -157,24 +157,24 @@ struct Watchdog {
   /// livelocks that never even complete a delta cycle).
   std::uint64_t max_dispatches_per_instant = 0;
   /// Host wall-clock budget for a single run() call, in milliseconds
-  /// (catches anything else that makes the simulator spin).
+  /// (catches anything else that makes the simulator spin). run() opens it
+  /// as a RunBudgetScope, so it nests with the ambient ones.
   std::uint64_t wall_clock_ms = 0;
   /// Simulated-time budget: unlike run(limit), exceeding it is an error,
   /// not a pause — for specs that must converge before a known horizon.
   Time sim_time_budget = Time::max();
 };
 
-/// Ambient per-run wall-clock budget, installed around one campaign run.
-/// A campaign driver cannot reach inside its run function to configure the
-/// Watchdog of a Simulator the function builds for itself — so instead every
-/// Simulator on this thread consults the innermost active RunBudgetScope
-/// from the same amortised wall-clock check the Watchdog uses (the scheduler
-/// loop between dispatches plus the in-segment probe). Exceeding the budget
-/// throws the usual kWallClockBudget SimError, converting a hung seed into a
-/// failed-with-timeout record instead of a stalled campaign. Scopes are
-/// thread_local and nest with the tighter deadline winning; budget_ms == 0
-/// makes the scope a no-op, and an inactive scope costs the check one
-/// thread_local read.
+/// Per-run wall-clock budget: the one deadline every Simulator on this thread
+/// checks, in an amortised test between dispatches and in the in-segment
+/// probe. A campaign installs one around each run, since it cannot reach
+/// inside its run function to configure the Watchdog of a Simulator the
+/// function builds for itself; run() installs one from
+/// Watchdog::wall_clock_ms. Exceeding the budget throws a kWallClockBudget
+/// SimError, converting a hung seed into a failed-with-timeout record
+/// instead of a stalled campaign. Scopes are thread_local and nest with the
+/// tighter deadline winning; budget_ms == 0 makes the scope a no-op, and an
+/// inactive scope costs the check one thread_local read.
 class RunBudgetScope {
  public:
   explicit RunBudgetScope(std::uint64_t budget_ms);
@@ -371,7 +371,6 @@ class Simulator {
   std::uint64_t deltas_this_instant_ = 0;
   std::uint64_t dispatches_this_instant_ = 0;
   std::uint64_t wall_clock_countdown_ = kWallClockCheckStride;
-  std::chrono::steady_clock::time_point run_started_;
 };
 
 // ---- SystemC-style free functions (valid in process context only) ----

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "kernel/error.hpp"
+#include "kernel/hash.hpp"
 
 namespace sctrace {
 namespace {
@@ -18,15 +19,6 @@ using minisc::SimError;
 constexpr char kHeaderType = 'H';
 constexpr char kRunType = 'R';
 constexpr char kDecisionType = 'D';
-
-std::uint64_t fnv1a_bytes(const unsigned char* p, std::size_t n,
-                          std::uint64_t h = 1469598103934665603ull) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // ---- little-endian, bit-exact serialization primitives -------------------
 //
@@ -161,8 +153,7 @@ std::string frame(char type, const std::string& payload) {
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.append(payload);
-  const std::uint64_t sum = fnv1a_bytes(
-      reinterpret_cast<const unsigned char*>(out.data()), out.size());
+  const std::uint64_t sum = minisc::fnv1a(out);
   put_u64(out, sum);
   return out;
 }
@@ -244,7 +235,7 @@ JournalContents read_journal(const std::string& path) {
     const std::size_t total = 1 + 4 + std::size_t(len) + 8;
     if (size - pos < total) break;
 
-    const std::uint64_t want = fnv1a_bytes(data + pos, 1 + 4 + len);
+    const std::uint64_t want = minisc::fnv1a(data + pos, 1 + 4 + len);
     std::uint64_t got = 0;
     for (int i = 0; i < 8; ++i) {
       got |= std::uint64_t(data[pos + 1 + 4 + len + i]) << (8 * i);

@@ -28,6 +28,7 @@ void store_words(iss::Machine& m, std::uint32_t addr,
 IssResult run_on_iss(const IssCacheConfig& cfg, const char* asm_src,
                      const char* fn, void (*setup)(iss::Machine&)) {
   iss::Machine m;
+  m.set_block_cache_config(cfg.blocks);
   if (cfg.enable_icache) m.enable_icache(cfg.icache);
   if (cfg.enable_dcache) m.enable_dcache(cfg.dcache);
   m.load_program(iss::assemble(asm_src));

@@ -69,7 +69,7 @@ void store_words(iss::Machine& m, std::uint32_t addr,
                  std::span<const std::int32_t> v);
 
 /// The ISS form of a Benchmark: a fresh Machine with the cache timing models
-/// `cfg` enables runs `asm_src`; `setup` stores the inputs and sets the
+/// and the block path `cfg` selects runs `asm_src`; `setup` stores the inputs and sets the
 /// argument registers, then the result's checksum is what `fn` returns.
 IssResult run_on_iss(const IssCacheConfig& cfg, const char* asm_src,
                      const char* fn, void (*setup)(iss::Machine&));

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "iss/block_cache.hpp"
 #include "iss/cache.hpp"
 
 namespace workloads {
@@ -20,12 +21,15 @@ struct IssResult {
 
 /// Optional cache timing models for an ISS run (Ablation D: the library's
 /// calibration is cache-less, so enabling these produces exactly the class
-/// of estimation error the paper's Section 1 attributes to caches).
+/// of estimation error the paper's Section 1 attributes to caches), and the
+/// block-path switch (the per-instruction path is the reference that
+/// ablation_iss_cache --verify compares the block path with).
 struct IssCacheConfig {
   bool enable_icache = false;
   bool enable_dcache = false;
   iss::DirectMappedCache::Config icache{64, 16, 20};
   iss::DirectMappedCache::Config dcache{64, 16, 20};
+  iss::BlockCacheConfig blocks{};
 };
 
 /// One of the paper's Table-1 sequential benchmarks, available in three

@@ -512,7 +512,8 @@ pp_ret:
 
 }  // namespace
 
-IssVocoder::IssVocoder() {
+IssVocoder::IssVocoder(const iss::BlockCacheConfig& blocks) {
+  m_.set_block_cache_config(blocks);
   m_.load_program(iss::assemble(kVocoderAsm));
   store_words(m_, kImpAddr, kImpulse);
 }

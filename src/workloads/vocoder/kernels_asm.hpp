@@ -26,7 +26,8 @@ struct StageCycles {
 /// the final checksum are directly comparable.
 class IssVocoder {
  public:
-  IssVocoder();
+  /// `blocks` switches the Machine's block path (on by default).
+  explicit IssVocoder(const iss::BlockCacheConfig& blocks = {});
 
   /// Processes one frame through all five stages; returns the frame
   /// checksum (sum of the four subframe checksums from post-processing).

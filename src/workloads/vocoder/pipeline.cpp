@@ -53,9 +53,8 @@ AnnotatedResult run_annotated(const PipelineConfig& cfg) {
     est.map(kProcessNames[2], cpu1);  // the ACB search dominates: own CPU
   }
   if (cfg.postproc_on_hw) {
-    auto& hw = est.add_hw_resource(
-        "hw", 100.0, scperf::asic_hw_cost_table(),
-        {.k = cfg.hw_k, .record_dfg = cfg.record_postproc_dfg});
+    auto& hw = est.add_hw_resource("hw", 100.0, scperf::asic_hw_cost_table(),
+                                   {.k = cfg.hw_k});
     if (cfg.with_energy) hw.set_energy_table(scperf::asic_energy_table());
     est.map(kProcessNames[4], hw);
   }

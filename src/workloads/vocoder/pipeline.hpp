@@ -38,7 +38,6 @@ struct PipelineConfig {
   /// CPU (the paper's Table 4 configuration) with the given k.
   bool postproc_on_hw = false;
   double hw_k = 0.0;
-  bool record_postproc_dfg = false;
   /// Attach energy tables to every resource and fill process_energy_pj.
   bool with_energy = false;
 };

@@ -187,7 +187,6 @@ TEST_F(AnnotTest, SelfAssignmentAfterASegmentBoundaryReadsAnInput) {
   // segment, so it is an input of this one: ready 0, external operand.
   table_.set(Op::kAdd, 10.0);
   accum_.track_ready = true;
-  accum_.record_dfg = true;
   gint e(detail::RawTag{}, 1);
   e = e + 1;  // ready 10
   garray<int> v(2);
@@ -349,7 +348,6 @@ class DfgTest : public ::testing::Test {
     table_ = CostTable::uniform(1.0);
     accum_.table = &table_;
     accum_.track_ready = true;
-    accum_.record_dfg = true;
     tl_accum = &accum_;
   }
   void TearDown() override { tl_accum = nullptr; }

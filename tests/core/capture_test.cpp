@@ -121,6 +121,16 @@ TEST(Capture, HashSensitiveToWithinPointOrder) {
   EXPECT_NE(r1.value_sequence_hash(), r2.value_sequence_hash());
 }
 
+TEST(Capture, HashIsPinned) {
+  // A name char with the high bit set is sign-extended before it is folded.
+  CaptureRegistry reg;
+  CapturePoint p("\xe9t\xe9", reg);
+  p.record(1.5);
+  p.record(-0.0);
+  p.record(-3.25);
+  EXPECT_EQ(reg.value_sequence_hash(), 0x6a8166afc662c6e4ull);
+}
+
 TEST(Capture, ClearEventsKeepsRegistrations) {
   CaptureRegistry reg;
   CapturePoint cp("x", reg);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "core/scperf.hpp"
 
@@ -305,6 +308,58 @@ TEST(Estimator, SegmentDfgIsTheLastOneRecorded) {
   // first, and the buffer it was recorded into does not keep the first's.
   EXPECT_EQ(est.segment_dfg("p", "wait->wait").size(), 2u);
   EXPECT_TRUE(est.segment_dfg("p", "wait->exit").empty());
+}
+
+TEST(Estimator, HwResourceKeepingNoGraphEstimatesTheSameBits) {
+  // Every HW op appends its DFG node; record_dfg only decides whether the
+  // close keeps the graph. So it moves no estimate, by bit pattern.
+  struct Run {
+    std::vector<SegmentStats> stats;
+    double cycles = 0.0;
+    minisc::Time end;
+    bool kept_a_graph = false;
+  };
+  const auto run = [](bool record_dfg) {
+    minisc::Simulator sim;
+    Estimator est(sim);
+    auto& hw = est.add_hw_resource("asic", kMhz, asic_hw_cost_table(),
+                                   {.k = 0.25, .record_dfg = record_dfg});
+    est.map("p", hw);
+    sim.spawn("p", [] {
+      for (int n : {3, 17, 5}) {
+        gint x(detail::RawTag{}, 3), y(detail::RawTag{}, 1);
+        gint z(detail::RawTag{}, 0);
+        for (int i = 0; i < n; ++i) {
+          y = y * x + i;
+          z = z - i;
+        }
+        minisc::wait(minisc::Time::ns(10));
+      }
+    });
+    sim.run();
+    Run r{est.segment_stats("p"), est.process_cycles("p"), sim.now()};
+    for (const SegmentStats& st : r.stats) {
+      r.kept_a_graph |= !est.segment_dfg("p", st.id()).empty();
+    }
+    return r;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const Run kept = run(true);
+  const Run dropped = run(false);
+  EXPECT_TRUE(kept.kept_a_graph);
+  EXPECT_FALSE(dropped.kept_a_graph);
+  ASSERT_EQ(kept.stats.size(), dropped.stats.size());
+  for (std::size_t i = 0; i < kept.stats.size(); ++i) {
+    SCOPED_TRACE(kept.stats[i].id());
+    EXPECT_EQ(bits(kept.stats[i].bc_cycles_sum),
+              bits(dropped.stats[i].bc_cycles_sum));
+    EXPECT_EQ(bits(kept.stats[i].wc_cycles_sum),
+              bits(dropped.stats[i].wc_cycles_sum));
+    EXPECT_EQ(bits(kept.stats[i].cycles_sum),
+              bits(dropped.stats[i].cycles_sum));
+  }
+  EXPECT_EQ(bits(kept.cycles), bits(dropped.cycles));
+  EXPECT_EQ(kept.end, dropped.end);
 }
 
 // ---- channels drive segmentation --------------------------------------------

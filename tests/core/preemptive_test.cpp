@@ -28,8 +28,7 @@ void burn_adds(int n) {
 
 SwResource::Options preemptive_opts(double rtos = 0.0) {
   return {.rtos_cycles_per_switch = rtos,
-          .policy = SchedulingPolicy::kPriority,
-          .preemptive = true};
+          .policy = SchedulingPolicy::kPreemptivePriority};
 }
 
 TEST(Preemptive, SingleProcessBehavesLikeNonPreemptive) {
@@ -79,7 +78,7 @@ TEST(Preemptive, NonPreemptiveComparisonBlocksHighPriority) {
   Estimator est(sim);
   auto& cpu = est.add_sw_resource(
       "cpu", kMhz, add_only_table(),
-      {.policy = SchedulingPolicy::kPriority, .preemptive = false});
+      {.policy = SchedulingPolicy::kPriority});
   est.map("low", cpu, 1.0);
   est.map("high", cpu, 9.0);
   minisc::Time high_end;
@@ -186,7 +185,8 @@ TEST(Preemptive, ChecksumInvariantUnderPreemption) {
     Estimator est(sim);
     auto& cpu = est.add_sw_resource(
         "cpu", kMhz, add_only_table(),
-        {.policy = SchedulingPolicy::kPriority, .preemptive = preemptive});
+        {.policy = preemptive ? SchedulingPolicy::kPreemptivePriority
+                              : SchedulingPolicy::kPriority});
     est.map("prod", cpu, 1.0);
     est.map("cons", cpu, 2.0);
     minisc::Fifo<int> ch("ch", 4);

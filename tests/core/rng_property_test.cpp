@@ -1,7 +1,7 @@
 // Statistical properties of the deterministic RNG layer the fault and
-// campaign subsystems are built on: scfault::Rng (splitmix64), its
-// Lemire-rejection bounded() draw, the mix_seed sub-stream derivation, and
-// the per-channel stream isolation of FaultScenario.
+// campaign subsystems and the retry jitter are built on: minisc::Rng
+// (splitmix64), its Lemire-rejection bounded() draw, the mix_seed sub-stream
+// derivation, and the per-channel stream isolation of FaultScenario.
 //
 // These are fixed-seed tests of fixed algorithms, so every statistic below
 // is deterministic — the thresholds are classical critical values with
@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "kernel/retry.hpp"
+#include "kernel/hash.hpp"
 #include "kernel/time.hpp"
 
 namespace scfault {
@@ -51,7 +51,7 @@ double chi_square(Draw draw, std::size_t k, std::size_t draws) {
 }
 
 /// Kolmogorov–Smirnov distance of `draws` uniform() samples against U[0,1).
-double ks_distance(Rng rng, std::size_t draws) {
+double ks_distance(minisc::Rng rng, std::size_t draws) {
   std::vector<double> xs(draws);
   for (double& x : xs) x = rng.uniform();
   std::sort(xs.begin(), xs.end());
@@ -65,7 +65,7 @@ double ks_distance(Rng rng, std::size_t draws) {
 }
 
 /// Pearson correlation of two equal-length uniform draw sequences.
-double correlation(Rng a, Rng b, std::size_t draws) {
+double correlation(minisc::Rng a, minisc::Rng b, std::size_t draws) {
   double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
   for (std::size_t i = 0; i < draws; ++i) {
     const double x = a.uniform();
@@ -88,14 +88,22 @@ TEST(RngProperty, UniformPassesKolmogorovSmirnov) {
   // fixed, so a pass is a property of the algorithm, not luck.
   for (const std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
     const std::size_t n = 20000;
-    const double d = ks_distance(Rng(seed), n);
+    const double d = ks_distance(minisc::Rng(seed), n);
     EXPECT_LT(d * std::sqrt(static_cast<double>(n)), 1.95) << "seed " << seed;
   }
 }
 
+TEST(RngProperty, Splitmix64U01PassesKolmogorovSmirnov) {
+  // The retry/backoff layer scales each delay by a splitmix64 U[0,1) draw
+  // seeded with jitter_seed; this is that stream for jitter_seed 99.
+  const std::size_t n = 20000;
+  const double d = ks_distance(minisc::Rng(99), n);
+  EXPECT_LT(d * std::sqrt(static_cast<double>(n)), 1.95);
+}
+
 TEST(RngProperty, BoundedIsChiSquareUniform) {
   // df = k-1 = 15; the 99.9th percentile of chi-square(15) is 37.7.
-  Rng rng(7);
+  minisc::Rng rng(7);
   const double stat =
       chi_square([&] { return rng.bounded(16); }, 16, 160000);
   EXPECT_LT(stat, 37.7);
@@ -104,7 +112,7 @@ TEST(RngProperty, BoundedIsChiSquareUniform) {
 TEST(RngProperty, BoundedHasNoModuloBiasOnAwkwardRanges) {
   // Non-power-of-two ranges are where naive `next() % k` shows bias; the
   // rejection loop must keep them flat. df = k-1 thresholds at ~p=0.999.
-  Rng rng(1234);
+  minisc::Rng rng(1234);
   EXPECT_LT(chi_square([&] { return rng.bounded(3); }, 3, 90000),
             13.8);  // chi2(2) @ .999
   EXPECT_LT(chi_square([&] { return rng.bounded(7); }, 7, 140000),
@@ -113,35 +121,23 @@ TEST(RngProperty, BoundedHasNoModuloBiasOnAwkwardRanges) {
             1168.0);  // chi2(999) @ .999
 }
 
-TEST(RngProperty, Splitmix64U01PassesKolmogorovSmirnov) {
-  // The retry/backoff layer uses the free-function stream directly.
-  std::uint64_t state = 99;
-  const std::size_t n = 20000;
-  std::vector<double> xs(n);
-  for (double& x : xs) x = minisc::detail::splitmix_uniform(state);
-  std::sort(xs.begin(), xs.end());
-  double d = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lo = static_cast<double>(i) / static_cast<double>(n);
-    const double hi = static_cast<double>(i + 1) / static_cast<double>(n);
-    d = std::max(d, std::max(xs[i] - lo, hi - xs[i]));
-  }
-  EXPECT_LT(d * std::sqrt(static_cast<double>(n)), 1.95);
-}
-
 TEST(RngProperty, MixSeedSubStreamsAreDecorrelated) {
   const std::uint64_t seed = 42;
   // Sub-streams of one seed, and the same stream id under adjacent seeds:
   // both pairs must look independent, or adding a fault spec would bend
   // every other spec's timeline.
-  EXPECT_LT(std::abs(correlation(Rng(mix_seed(seed, 1)),
-                                 Rng(mix_seed(seed, 2)), 20000)),
+  const auto stream = [](std::uint64_t s, std::uint64_t id) {
+    return minisc::Rng(minisc::mix_seed(s, id));
+  };
+  EXPECT_LT(std::abs(correlation(stream(seed, 1), stream(seed, 2), 20000)),
             0.05);
-  EXPECT_LT(std::abs(correlation(Rng(mix_seed(seed, 1)),
-                                 Rng(mix_seed(seed + 1, 1)), 20000)),
-            0.05);
+  EXPECT_LT(
+      std::abs(correlation(stream(seed, 1), stream(seed + 1, 1), 20000)),
+      0.05);
   // Raw adjacent seeds (the campaign's seed, seed+1, ... stream).
-  EXPECT_LT(std::abs(correlation(Rng(seed), Rng(seed + 1), 20000)), 0.05);
+  EXPECT_LT(std::abs(correlation(minisc::Rng(seed), minisc::Rng(seed + 1),
+                                 20000)),
+            0.05);
 }
 
 TEST(RngProperty, ChannelStreamsAreMutuallyDecorrelated) {

@@ -133,6 +133,8 @@ TEST(Scheduling, ContentionSetBookkeeping) {
 TEST(Scheduling, PolicyNamesRender) {
   EXPECT_STREQ(to_string(SchedulingPolicy::kFifo), "fifo");
   EXPECT_STREQ(to_string(SchedulingPolicy::kPriority), "priority");
+  EXPECT_STREQ(to_string(SchedulingPolicy::kPreemptivePriority),
+               "preemptive-priority");
 }
 
 }  // namespace

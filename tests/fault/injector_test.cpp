@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -118,8 +120,8 @@ TEST(Injector, RefusesSwOutagesOnAPreemptiveResource) {
   // never reads, so it would be charged without moving simulated time.
   const scperf::SwResource::Options priority{
       .policy = scperf::SchedulingPolicy::kPriority};
-  scperf::SwResource::Options preemptive = priority;
-  preemptive.preemptive = true;
+  const scperf::SwResource::Options preemptive{
+      .policy = scperf::SchedulingPolicy::kPreemptivePriority};
   ScenarioConfig outage;
   outage.horizon = Time::us(2);
   outage.outages.push_back({"cpu", 1, Time::us(10), Time::us(10)});
@@ -234,8 +236,8 @@ TEST(Injector, HwOutageOutsideSegmentCostsNothing) {
 }
 
 TEST(Injector, HwPulseStretchesEstimateIndependentOfK) {
-  // drain_pulses charges the pulse into both Tmax (sum) and Tmin (critical
-  // path), so T = Tmin + (Tmax - Tmin) * k grows by exactly the pulse for
+  // SegmentAccum::charge_pulse charges the pulse into both Tmax (sum) and
+  // Tmin (critical path), so T = Tmin + (Tmax - Tmin) * k grows by exactly the pulse for
   // every k.
   auto run_once = [](double k, bool with_pulse) {
     ScenarioConfig cfg;
@@ -264,6 +266,45 @@ TEST(Injector, HwPulseStretchesEstimateIndependentOfK) {
     const Time faulted = run_once(k, true);
     // 500 extra cycles at 10 ns / cycle, whatever the k weighting.
     EXPECT_EQ(faulted, clean + Time::us(5)) << "k = " << k;
+  }
+}
+
+TEST(Injector, TwoPulsesInOneHwSegmentArePinned) {
+  // Both pulses fall due inside the middle segment and are charged one at a
+  // time into its sequential sum and its critical path. Seed 18 draws two
+  // whose critical-path sum rounds differently when added in another order,
+  // so the bit patterns pin the order as well as the values.
+  ScenarioConfig cfg;
+  cfg.horizon = Time::ns(1);
+  cfg.pulses.push_back({"acc", 2, 0.1, 700.3});
+  FaultScenario sc(cfg, 18);
+  scperf::CostTable table;
+  table.set(scperf::Op::kAdd, 0.3).set(scperf::Op::kMul, 1.7);
+  minisc::Simulator sim;
+  scperf::Estimator est(sim);
+  auto& acc = est.add_hw_resource("acc", kMhz, table, {.k = 0.5});
+  est.map("hw", acc);
+  FaultInjector inj(sim, est, sc);
+  sim.spawn("hw", [] {
+    minisc::wait(Time::ns(1));
+    // Two independent chains: the critical path is the longer one.
+    scperf::gint x(scperf::detail::RawTag{}, 3);
+    scperf::gint y(scperf::detail::RawTag{}, 0);
+    scperf::gint z(scperf::detail::RawTag{}, 0);
+    for (int i = 0; i < 7; ++i) {
+      y = y * x + i;
+      z = z + i;
+    }
+    minisc::wait(Time::ns(1));
+  });
+  sim.run();
+  EXPECT_EQ(inj.pulses_injected(), 2u);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const scperf::SegmentStats& st : est.segment_stats("hw")) {
+    if (st.id() != "wait->wait") continue;
+    EXPECT_EQ(bits(st.bc_cycles_sum), 0x40806bc0dfe89df3ull);
+    EXPECT_EQ(bits(st.wc_cycles_sum), 0x40807c8dacb56ac0ull);
+    EXPECT_EQ(bits(st.cycles_sum), 0x40807427464f045aull);
   }
 }
 

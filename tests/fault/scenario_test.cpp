@@ -90,11 +90,11 @@ TEST(Scenario, ChannelStreamDependsOnlyOnSeedAndName) {
   ScenarioConfig other = demo_config();
   other.pulses.clear();  // unrelated changes must not move channel streams
   FaultScenario b(other, 5);
-  Rng ra = a.channel_stream("link");
-  Rng rb = b.channel_stream("link");
+  minisc::Rng ra = a.channel_stream("link");
+  minisc::Rng rb = b.channel_stream("link");
   for (int i = 0; i < 16; ++i) EXPECT_EQ(ra.next(), rb.next());
-  Rng rc = a.channel_stream("other_link");
-  Rng rd = a.channel_stream("link");
+  minisc::Rng rc = a.channel_stream("other_link");
+  minisc::Rng rd = a.channel_stream("link");
   bool differs = false;
   for (int i = 0; i < 16; ++i) {
     if (rc.next() != rd.next()) differs = true;
@@ -123,7 +123,7 @@ TEST(Rng, BoundedIsUnbiasedAcrossBuckets) {
   // Lemire rejection sampling: every residue of a non-power-of-two bound must
   // come up at its fair share. A modulo-biased generator fails the chi-square
   // bound below for n = 3 (the classic worst case: 2^64 mod 3 != 0).
-  Rng rng(2024);
+  minisc::Rng rng(2024);
   constexpr std::uint64_t kBuckets = 3;
   constexpr int kDraws = 300000;
   int counts[kBuckets] = {0, 0, 0};
@@ -144,7 +144,7 @@ TEST(Rng, BoundedIsUnbiasedAcrossBuckets) {
 }
 
 TEST(Rng, BoundedCoversEdges) {
-  Rng rng(7);
+  minisc::Rng rng(7);
   // Tiny bound: both values must appear, nothing outside.
   bool saw0 = false, saw1 = false;
   for (int i = 0; i < 64; ++i) {
@@ -160,7 +160,7 @@ TEST(Rng, BoundedCoversEdges) {
 }
 
 TEST(Rng, TimeInReachesBothInclusiveEndpoints) {
-  Rng rng(11);
+  minisc::Rng rng(11);
   bool saw_lo = false, saw_hi = false;
   for (int i = 0; i < 4000; ++i) {
     const Time t = rng.time_in(Time::ps(10), Time::ps(13));
@@ -291,7 +291,7 @@ TEST(Scenario, ConfigDigestIsStableAndSensitiveToEveryField) {
 }
 
 TEST(Rng, UniformStaysInRange) {
-  Rng rng(42);
+  minisc::Rng rng(42);
   for (int i = 0; i < 1000; ++i) {
     const double u = rng.uniform();
     EXPECT_GE(u, 0.0);

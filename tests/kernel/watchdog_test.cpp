@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "kernel/error.hpp"
@@ -119,6 +120,52 @@ TEST(Watchdog, RunBudgetScopeTripsSimulatorsWithoutTheirOwnWatchdog) {
               std::string::npos)
         << e.what();
   }
+}
+
+// The Watchdog's budget is one more RunBudgetScope that run() opens: inside
+// a looser ambient scope it still trips at its own budget, and every run()
+// starts it afresh.
+TEST(Watchdog, WallClockBudgetNestsInALooserScopeAndRestartsPerRun) {
+  using Clock = std::chrono::steady_clock;
+  const RunBudgetScope loose(60000);
+  Watchdog w;
+  w.wall_clock_ms = 500;
+  {
+    Simulator sim;
+    sim.set_watchdog(w);
+    // Spins through simulated picoseconds (one dispatch each, so the
+    // amortised check runs) for `host` of wall time.
+    const auto spin = [](std::chrono::milliseconds host) {
+      const auto until = Clock::now() + host;
+      while (Clock::now() < until) wait(Time::ps(1));
+    };
+    sim.spawn("two_phases", [&] {
+      spin(std::chrono::milliseconds(300));
+      wait(Time::sec(1));  // past the first run's horizon
+      spin(std::chrono::milliseconds(300));
+    });
+    // 600 ms of spinning in all, but at most 300 ms in either run().
+    EXPECT_EQ(sim.run(Time::ms(1)), StopReason::kTimeLimit);
+    EXPECT_EQ(sim.run(), StopReason::kFinished);
+  }
+
+  Simulator hung;
+  hung.set_watchdog(w);
+  hung.spawn("spin", [] {
+    while (true) wait(Time::ps(1));
+  });
+  const auto start = Clock::now();
+  try {
+    hung.run();
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimError::Kind::kWallClockBudget);
+    EXPECT_NE(std::string(e.what()).find("budget of 500 ms"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(30));
+  EXPECT_EQ(RunBudgetScope::budget_ms(), 60000u);  // run() restored it
 }
 
 TEST(Watchdog, RunBudgetScopeRestoresOnExitAndZeroIsInactive) {

@@ -75,7 +75,7 @@ double inc_clean(const SmcSpec& s) {
 /// probability p under the run's own seed-derived stream.
 CampaignRunResult bernoulli_run(std::uint64_t seed, double p,
                                 double log_weight = 0.0) {
-  scfault::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x5eed);
+  minisc::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x5eed);
   CampaignRunResult r;
   r.seed = seed;
   r.deadline_total = 1;
@@ -221,7 +221,7 @@ OcResult run_oc(double p, const SmcSpec& spec, std::size_t trials,
   const std::size_t cap = 4 * chernoff_bound(spec);
   double total = 0.0;
   for (std::size_t trial = 0; trial < trials; ++trial) {
-    scfault::Rng rng(seed0 + trial);
+    minisc::Rng rng(seed0 + trial);
     SequentialTester t(spec);
     std::size_t fed = 0;
     while (!t.decided() && fed < cap) {
@@ -273,7 +273,7 @@ TEST(SmcWeighted, UnitWeightsReduceBitExactlyToUnweighted) {
   weighted.use_weights = true;
   SequentialTester a(plain);
   SequentialTester b(weighted);
-  scfault::Rng rng(99);
+  minisc::Rng rng(99);
   for (int i = 0; i < 200; ++i) {
     const bool violation = rng.uniform() < 0.4;
     a.feed(violation);
@@ -434,7 +434,7 @@ TEST(SmcCampaign, AdaptiveBiasTuningIsDeterministicAndMeetsTheTarget) {
   // collapse) grows with the bias factor, like a real overdriven channel.
   const auto make_run = [](double factor) -> FaultCampaign::RunFn {
     return [factor](std::uint64_t s) {
-      scfault::Rng rng(s);
+      minisc::Rng rng(s);
       return bernoulli_run(s, 0.3,
                            -(factor - 1.0) * rng.uniform(0.0, 2.0));
     };

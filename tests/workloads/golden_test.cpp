@@ -19,8 +19,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "core/scperf.hpp"
 #include "fault/injector.hpp"
 #include "fault/scenario.hpp"
+#include "kernel/hash.hpp"
 #include "trace/campaign.hpp"
 #include "workloads/table1.hpp"
 #include "workloads/vocoder/frames.hpp"
@@ -75,36 +74,12 @@ TEST(Golden, FibonacciOfEighteen) {
 
 // ---- the Table 3 ISS reference ----------------------------------------------
 
-/// Sets an environment variable for one scope and restores it after.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      ::setenv(name_, old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
 TEST(GoldenIss, VocoderStageCycles) {
   // The memory-heavy program of Table 3's host:ISS column (frames 0..19), on
-  // the block path and per instruction. A Machine reads ORSIM_BLOCK_CACHE at
-  // construction.
-  for (const char* blocks : {"1", "0"}) {
-    SCOPED_TRACE(std::string("ORSIM_BLOCK_CACHE=") + blocks);
-    const ScopedEnv env("ORSIM_BLOCK_CACHE", blocks);
-    vocoder::IssVocoder vc;
+  // the block path and per instruction.
+  for (const bool on : {true, false}) {
+    SCOPED_TRACE(on ? "block path" : "per instruction");
+    vocoder::IssVocoder vc({.enabled = on});
     long checksum = 0;
     for (int f = 0; f < 20; ++f) {
       checksum += vc.process_frame(vocoder::synth_frame(f));
@@ -119,7 +94,6 @@ TEST(GoldenIss, VocoderStageCycles) {
     EXPECT_EQ(checksum, 95750);
     // Chaining runs the same blocks as running one block at a time.
     const iss::BlockCacheStats s = vc.machine().block_cache_stats();
-    const bool on = blocks[0] == '1';
     EXPECT_EQ(s.hits, on ? 409015u : 0u);
     EXPECT_EQ(s.misses, on ? 86u : 0u);
     EXPECT_EQ(s.bypassed, 0u);
@@ -129,8 +103,6 @@ TEST(GoldenIss, VocoderStageCycles) {
 // ---- estimator outputs, by bit pattern --------------------------------------
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-using scfault::fnv1a;
 
 struct Table1Estimate {
   std::uint64_t sum_cycles_bits;
@@ -170,7 +142,7 @@ TEST(GoldenEstimate, Table1CycleSumsAndOpCounts) {
     EXPECT_EQ(bits(acc.sum_cycles()), want.sum_cycles_bits)
         << benches[i].name << ": " << acc.sum_cycles();
     EXPECT_EQ(acc.op_count(), want.op_count) << benches[i].name;
-    EXPECT_EQ(fnv1a(counts), want.histogram_fnv1a)
+    EXPECT_EQ(minisc::fnv1a(counts), want.histogram_fnv1a)
         << benches[i].name << ": " << counts;
   }
 }
@@ -221,7 +193,7 @@ void expect_pipeline(const vocoder::PipelineConfig& cfg,
   EXPECT_EQ(r.sim_time.to_ps(), want.sim_time_ps);
   std::ostringstream csv;
   r.report.write_csv(csv);
-  EXPECT_EQ(fnv1a(csv.str()), want.csv_fnv1a) << csv.str();
+  EXPECT_EQ(minisc::fnv1a(csv.str()), want.csv_fnv1a) << csv.str();
 }
 
 vocoder::PipelineConfig table3_config() {
@@ -336,7 +308,7 @@ TEST(GoldenEstimate, FaultCampaignCsv) {
   campaign.run(/*base_seed=*/17, /*n=*/6);
   std::ostringstream csv;
   campaign.write_csv(csv);
-  EXPECT_EQ(fnv1a(csv.str()), 0xdf19e876d5d53edcull) << csv.str();
+  EXPECT_EQ(minisc::fnv1a(csv.str()), 0xdf19e876d5d53edcull) << csv.str();
 }
 
 }  // namespace

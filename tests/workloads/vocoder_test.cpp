@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/scperf.hpp"
-#include "fault/scenario.hpp"
+#include "kernel/hash.hpp"
 #include "workloads/data.hpp"
 #include "workloads/vocoder/frames.hpp"
 #include "workloads/vocoder/kernels.hpp"
@@ -205,7 +205,7 @@ TEST_P(VocoderKernelForms, RefMatchesAnnotOnFramesZeroToNineteen) {
   for (const std::uint64_t n : acc.op_histogram) {
     counts += std::to_string(n) + " ";
   }
-  EXPECT_EQ(scfault::fnv1a(counts), kKernelHistogramFnv1a[kernel]) << counts;
+  EXPECT_EQ(minisc::fnv1a(counts), kKernelHistogramFnv1a[kernel]) << counts;
 }
 
 INSTANTIATE_TEST_SUITE_P(
